@@ -1,7 +1,10 @@
 package alloc
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -442,5 +445,94 @@ func TestShardedReservingPolicyKeepsHierarchy(t *testing.T) {
 	}
 	if got := m.NewLike(snap, PaperWeights(), false); !got.Sharded() {
 		t.Fatal("NewLike dropped the shard layer")
+	}
+}
+
+// candidatesDigest hashes everything allocateSharded decides: for the
+// winner and then every candidate in order, Start, Spill, the node list
+// with each node's rank count, and the exact bits of the three costs.
+func candidatesDigest(best Candidate, cands []Candidate) string {
+	h := sha256.New()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	one := func(c Candidate) {
+		word(uint64(c.Start))
+		if c.Spill {
+			word(1)
+		} else {
+			word(0)
+		}
+		word(uint64(len(c.Nodes)))
+		word(uint64(len(c.Procs)))
+		for _, id := range c.Nodes {
+			word(uint64(id))
+			word(uint64(c.Procs[id]))
+		}
+		word(math.Float64bits(c.ComputeCost))
+		word(math.Float64bits(c.NetworkCost))
+		word(math.Float64bits(c.TotalLoad))
+	}
+	one(best)
+	word(uint64(len(cands)))
+	for _, c := range cands {
+		one(c)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+// TestShardedGoldenDigests pins allocateSharded's exact output — every
+// candidate's selection, order, rank counts, spill flag and cost bits —
+// on seeded snapshots over a topology plan, hash buckets and the forced
+// spill shape. TestShardedQualityWithinBound only bounds quality; this
+// is the bit-identity gate for refactors of the scout/union/spill path.
+// The digests were produced by the four-copy implementation (PR 12
+// parent) and must not change.
+func TestShardedGoldenDigests(t *testing.T) {
+	topo := func(seed uint64, nShards, perShard, topK int) *CostModel {
+		snap, groups := shardedEquivSnapshot(rng.New(seed), nShards, perShard)
+		return NewCostModelSharded(snap, PaperWeights(), false, ShardOptions{
+			Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: perShard, TopK: topK})
+	}
+	hashed := func(seed uint64, n int) *CostModel {
+		snap := randomEquivSnapshot(rng.New(seed), n)
+		return NewCostModelSharded(snap, PaperWeights(), false,
+			ShardOptions{Threshold: 64, MaxShardSize: 16, TopK: 3})
+	}
+	cases := []struct {
+		name  string
+		model *CostModel
+		req   Request
+		want  string
+	}{
+		// One node covers the request; a handful do; a whole shard cannot
+		// (scout extrapolation, candidates mixing searched shards); the
+		// union cannot (spill); the cluster cannot (round-robin remainder).
+		{"topology/one-node", topo(3, 8, 16, 4), Request{Procs: 2, Alpha: 0.5, Beta: 0.5}, "3244f28d96822081cc0f3b41"},
+		{"topology/few-nodes", topo(3, 8, 16, 4), Request{Procs: 24, Alpha: 0.2, Beta: 0.8}, "dcd18676f5159a3ee9926dcc"},
+		{"topology/ppn", topo(5, 8, 16, 4), Request{Procs: 24, PPN: 2, Alpha: 0.8, Beta: 0.2}, "31f8caaa937d06f02a281c30"},
+		{"topology/over-shard", topo(7, 6, 12, 3), Request{Procs: 150, Alpha: 0.5, Beta: 0.5}, "3563c1ff10c340b830e41eea"},
+		{"topology/compute-only", topo(7, 6, 12, 3), Request{Procs: 40, Alpha: 1, Beta: 0}, "0551662b4ba57b17eaa808d0"},
+		{"topology/network-only", topo(9, 16, 16, 4), Request{Procs: 40, PPN: 4, Alpha: 0, Beta: 1}, "fae323ba48d7ad061e799de2"},
+		{"hash/few-nodes", hashed(7, 80), Request{Procs: 5, Alpha: 0.5, Beta: 0.5}, "e18dbab3c523a8b79c909080"},
+		{"hash/many-nodes", hashed(7, 80), Request{Procs: 48, Alpha: 0.5, Beta: 0.5}, "1d6ec32d2e6f436a62cb7acd"},
+		{"hash/ppn", hashed(11, 130), Request{Procs: 64, PPN: 1, Alpha: 0.3, Beta: 0.7}, "3752cc95016c5d4e49a4ae49"},
+		{"spill/topk1", topo(99, 4, 8, 1), Request{Procs: 40, PPN: 2, Alpha: 0.5, Beta: 0.5}, "c802df891b2c12af2cd2a869"},
+		{"spill/union-short", topo(99, 4, 8, 2), Request{Procs: 50, PPN: 2, Alpha: 0.4, Beta: 0.6}, "73f2549f40a2d4bff9b5fde4"},
+		{"spill/over-cluster", topo(99, 4, 8, 1), Request{Procs: 81, PPN: 2, Alpha: 0.5, Beta: 0.5}, "6a3a6c20e6363465fa8f3e7d"},
+	}
+	for _, tc := range cases {
+		if !tc.model.Sharded() {
+			t.Fatalf("%s: model not sharded", tc.name)
+		}
+		best, cands, err := NetLoadAware{}.AllocateExplainModel(tc.model, tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := candidatesDigest(best, cands); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
