@@ -188,41 +188,6 @@ func BenchmarkBaselinePolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeLoads measures Equation 1's SAW evaluation over the
-// whole cluster.
-func BenchmarkComputeLoads(b *testing.B) {
-	sim := benchSnapshot(b)
-	snap, err := monitor.ReadSnapshot(sim.Harness.Store, sim.Now())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := alloc.MonitoredLivehosts(snap)
-	w := alloc.PaperWeights()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alloc.ComputeLoads(snap, ids, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNetworkLoads measures Equation 2 over all 1770 pairs.
-func BenchmarkNetworkLoads(b *testing.B) {
-	sim := benchSnapshot(b)
-	snap, err := monitor.ReadSnapshot(sim.Harness.Store, sim.Now())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := alloc.MonitoredLivehosts(snap)
-	w := alloc.PaperWeights()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alloc.NetworkLoads(snap, ids, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMonitorSweep measures one full LatencyD+BandwidthD sweep of
 // the 60-node cluster (the monitoring cost the paper keeps off the
 // critical path by amortizing over 1- and 5-minute periods).

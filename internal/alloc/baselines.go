@@ -2,11 +2,25 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
 
 	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
 )
+
+// The three baselines need only the universe (ids, ascending), Equation
+// 3 capacities and — load-aware alone — Equation 1 costs. Allocate reads
+// those off the snapshot and AllocateModel off a prebuilt model; neither
+// prices the network (random placement must not pay for an n² mesh), and
+// both share one body per policy so their results are identical.
+
+// snapCaps evaluates Equation 3 for every id straight off the snapshot.
+func snapCaps(snap *metrics.Snapshot, ids []int, req Request) []int {
+	caps := make([]int, len(ids))
+	for i, id := range ids {
+		caps[i] = EffectiveProcs(snap.Nodes[id], req.PPN)
+	}
+	return caps
+}
 
 // Random allocation "randomly selects the required number of nodes from
 // active nodes" (§5).
@@ -16,40 +30,37 @@ type Random struct{}
 func (Random) Name() string { return "random" }
 
 // Allocate implements Policy.
-func (Random) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
+func (p Random) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
 	}
 	ids := MonitoredLivehosts(snap)
-	if len(ids) == 0 {
-		return Allocation{}, fmt.Errorf("alloc: random: no live monitored nodes")
-	}
-	order := append([]int(nil), ids...)
-	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	nodes, procs := fill(order, capacity(snap, ids, req), req.Procs)
-	return Allocation{Policy: "random", Nodes: nodes, Procs: procs}, nil
+	return p.allocate(ids, snapCaps(snap, ids, req), req, r)
 }
 
 // AllocateModel implements ModelPolicy. Random selection needs only the
 // model's index set and capacities — the dense view costs nothing here,
 // but sharing it keeps the broker's dispatch uniform.
-func (Random) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
+func (p Random) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
 	}
-	n := m.Len()
-	if n == 0 {
+	return p.allocate(m.IDs, m.caps(req), req, r)
+}
+
+func (Random) allocate(ids, caps []int, req Request, r *rng.Rand) (Allocation, error) {
+	if len(ids) == 0 {
 		return Allocation{}, fmt.Errorf("alloc: random: no live monitored nodes")
 	}
-	order := make([]int, n)
+	order := make([]int, len(ids))
 	for i := range order {
 		order[i] = i
 	}
 	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	used, counts := fillIdx(order, m.caps(req), req.Procs)
-	nodes, procs := indicesToAllocation(m, used, counts)
+	used, counts := fillIdx(order, caps, req.Procs)
+	nodes, procs := indicesToAllocation(ids, used, counts)
 	return Allocation{Policy: "random", Nodes: nodes, Procs: procs}, nil
 }
 
@@ -63,34 +74,28 @@ type Sequential struct{}
 func (Sequential) Name() string { return "sequential" }
 
 // Allocate implements Policy.
-func (Sequential) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
+func (p Sequential) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
 	}
 	ids := MonitoredLivehosts(snap)
-	if len(ids) == 0 {
-		return Allocation{}, fmt.Errorf("alloc: sequential: no live monitored nodes")
-	}
-	sort.Ints(ids)
-	start := r.Intn(len(ids))
-	order := make([]int, 0, len(ids))
-	for i := 0; i < len(ids); i++ {
-		order = append(order, ids[(start+i)%len(ids)])
-	}
-	nodes, procs := fill(order, capacity(snap, ids, req), req.Procs)
-	return Allocation{Policy: "sequential", Nodes: nodes, Procs: procs}, nil
+	return p.allocate(ids, snapCaps(snap, ids, req), req, r)
 }
 
-// AllocateModel implements ModelPolicy. The model's index order is the
-// ascending node-ID order, so a wrapped index scan from a random start
-// is exactly the topological neighbour walk.
-func (Sequential) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
+// AllocateModel implements ModelPolicy.
+func (p Sequential) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
 	}
-	n := m.Len()
+	return p.allocate(m.IDs, m.caps(req), req, r)
+}
+
+// allocate walks ids from a random start, wrapping: ids ascend, so a
+// wrapped position scan is exactly the topological neighbour walk.
+func (Sequential) allocate(ids, caps []int, req Request, r *rng.Rand) (Allocation, error) {
+	n := len(ids)
 	if n == 0 {
 		return Allocation{}, fmt.Errorf("alloc: sequential: no live monitored nodes")
 	}
@@ -99,8 +104,8 @@ func (Sequential) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocat
 	for i := 0; i < n; i++ {
 		order = append(order, (start+i)%n)
 	}
-	used, counts := fillIdx(order, m.caps(req), req.Procs)
-	nodes, procs := indicesToAllocation(m, used, counts)
+	used, counts := fillIdx(order, caps, req.Procs)
+	nodes, procs := indicesToAllocation(ids, used, counts)
 	return Allocation{Policy: "sequential", Nodes: nodes, Procs: procs}, nil
 }
 
@@ -112,7 +117,7 @@ type LoadAware struct{}
 func (LoadAware) Name() string { return "load-aware" }
 
 // Allocate implements Policy.
-func (LoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
+func (p LoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
@@ -121,22 +126,16 @@ func (LoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (All
 	if len(ids) == 0 {
 		return Allocation{}, fmt.Errorf("alloc: load-aware: no live monitored nodes")
 	}
-	cl, err := ComputeLoadsOpt(snap, ids, req.Weights, req.UseForecast)
+	cl, err := computeLoadsDense(snap, ids, req.Weights, req.UseForecast)
 	if err != nil {
 		return Allocation{}, err
 	}
-	order := sortByCost(ids, cl)
-	nodes, procs := fill(order, capacity(snap, ids, req), req.Procs)
-	total := 0.0
-	for _, n := range nodes {
-		total += cl[n]
-	}
-	return Allocation{Policy: "load-aware", Nodes: nodes, Procs: procs, TotalLoad: total}, nil
+	return p.allocate(ids, cl, snapCaps(snap, ids, req), req), nil
 }
 
 // AllocateModel implements ModelPolicy: nodes ordered by the model's raw
 // Equation 1 costs, network state ignored.
-func (LoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
+func (p LoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
@@ -148,26 +147,31 @@ func (LoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocati
 	if err := m.CLErr(); err != nil {
 		return Allocation{}, err
 	}
-	order := sortIdxByCost(m.CL)
-	used, counts := fillIdx(order, m.caps(req), req.Procs)
-	nodes, procs := indicesToAllocation(m, used, counts)
-	total := 0.0
-	for _, i := range used {
-		total += m.CL[i]
-	}
-	return Allocation{Policy: "load-aware", Nodes: nodes, Procs: procs, TotalLoad: total}, nil
+	return p.allocate(m.IDs, m.CL, m.caps(req), req), nil
 }
 
-// indicesToAllocation maps dense fill results back to node IDs.
-func indicesToAllocation(m *CostModel, used, counts []int) ([]int, map[int]int) {
+// allocate fills in ascending raw Equation 1 cost; TotalLoad is the
+// chosen nodes' summed cost in selection order.
+func (LoadAware) allocate(ids []int, cl []float64, caps []int, req Request) Allocation {
+	used, counts := fillIdx(sortIdxByCost(cl), caps, req.Procs)
+	nodes, procs := indicesToAllocation(ids, used, counts)
+	total := 0.0
+	for _, i := range used {
+		total += cl[i]
+	}
+	return Allocation{Policy: "load-aware", Nodes: nodes, Procs: procs, TotalLoad: total}
+}
+
+// indicesToAllocation maps a fill over positions of ids back to node IDs.
+func indicesToAllocation(ids, used, counts []int) ([]int, map[int]int) {
 	var nodes []int
 	if len(used) > 0 {
 		nodes = make([]int, len(used))
 	}
 	procs := make(map[int]int, len(used))
 	for k, i := range used {
-		nodes[k] = m.IDs[i]
-		procs[m.IDs[i]] = counts[k]
+		nodes[k] = ids[i]
+		procs[ids[i]] = counts[k]
 	}
 	return nodes, procs
 }

@@ -1,9 +1,6 @@
 package alloc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ConstrainedAlloc is AllocateConstrained's answer, expressed in dense
 // model indices so high-rate callers (the policy-fidelity simulator)
@@ -31,11 +28,8 @@ type ConstrainedAlloc struct {
 // so steady-state decisions allocate nothing.
 type AllocScratch struct {
 	gen       genScratch
-	costC     []float64
-	costN     []float64
+	costs     []float64 // C_G, N_G and T_G per seed, one backing array
 	allStarts []int
-	cand      []int
-	alphaCL   []float64
 }
 
 // AllocateConstrained runs Algorithms 1-2 over a prebuilt cost model
@@ -76,30 +70,10 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 	if len(caps) != n {
 		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: %d capacities for %d nodes", len(caps), n)
 	}
-	// Zero-capacity nodes can never be selected — the old formulation
-	// still paid to cost, heap, and pop them on every start. Filter them
-	// once per call instead; the selection is unchanged because lessIdx
-	// breaks cost ties by index and the candidate list stays in index
-	// order, so the surviving nodes pop in exactly the same order.
-	if cap(sc.cand) < n {
-		sc.cand = make([]int, 0, n)
-	}
-	cand := sc.cand[:0]
-	for i, c := range caps {
-		if c > 0 {
-			cand = append(cand, i)
-		}
-	}
-	sc.cand = cand
-	// α·CL(u) is the start-independent half of every addition cost; price
-	// it once per call instead of once per seed.
-	if cap(sc.alphaCL) < len(cand) {
-		sc.alphaCL = make([]float64, len(cand))
-	}
-	alphaCL := sc.alphaCL[:len(cand)]
-	for s, u := range cand {
-		alphaCL[s] = req.Alpha * m.CLUnit[u]
-	}
+	// The start-independent half of the call — a mostly-busy cluster
+	// prices only its free nodes per seed.
+	set := &sc.gen.set
+	set.build(m, nil, caps, req.Alpha)
 	if len(starts) == 0 {
 		if cap(sc.allStarts) < n {
 			sc.allStarts = make([]int, n)
@@ -110,11 +84,10 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		}
 	}
 	k := len(starts)
-	if cap(sc.costC) < k {
-		sc.costC = make([]float64, k)
-		sc.costN = make([]float64, k)
+	if cap(sc.costs) < 3*k {
+		sc.costs = make([]float64, 3*k)
 	}
-	costC, costN := sc.costC[:k], sc.costN[:k]
+	costC, costN, total := sc.costs[:k], sc.costs[k:2*k], sc.costs[2*k:3*k]
 
 	// Algorithm 1, cost pass: one greedy sub-graph per seed, recording
 	// only C_G and N_G (the selection itself is regenerated for the
@@ -125,35 +98,18 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		if v < 0 || v >= n {
 			return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: start index %d outside [0,%d)", v, n)
 		}
-		cG, nG := p.generateConstrained(m, v, caps, cand, alphaCL, req, &sc.gen)
-		costC[s], costN[s] = cG, nG
-		sumC += cG
-		sumN += nG
+		costC[s], costN[s] = p.generateConstrained(m, v, set, req, &sc.gen)
+		sumC += costC[s]
+		sumN += costN[s]
 	}
 
-	// Algorithm 2 over the seeded candidates: same normalization and
-	// strict-< tie-breaking as scoreCandidatesNormed, so with all starts
-	// the winner matches the exhaustive path.
-	best := -1
-	minTotal := math.Inf(1)
-	for s := range starts {
-		cNorm, nNorm := 0.0, 0.0
-		if sumC > 0 {
-			cNorm = costC[s] / sumC
-		}
-		if sumN > 0 {
-			nNorm = costN[s] / sumN
-		}
-		total := req.Alpha*cNorm + req.Beta*nNorm
-		if total < minTotal {
-			minTotal = total
-			best = s
-		}
+	// Algorithm 2 over the seeded candidates: with all starts the winner
+	// matches the exhaustive path.
+	best, err := scoreCosts(costC, costN, total, req, sumC, sumN)
+	if err != nil {
+		return ConstrainedAlloc{}, err
 	}
-	if best < 0 {
-		return ConstrainedAlloc{}, fmt.Errorf("alloc: net-load-aware: no candidate produced")
-	}
-	cG, nG := p.generateConstrained(m, starts[best], caps, cand, alphaCL, req, &sc.gen)
+	cG, nG := p.generateConstrained(m, starts[best], set, req, &sc.gen)
 	if len(sc.gen.used) == 0 {
 		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: no capacity for %d procs", req.Procs)
 	}
@@ -163,136 +119,16 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		Counts:      sc.gen.counts,
 		ComputeCost: cG,
 		NetworkCost: nG,
-		TotalLoad:   minTotal,
+		TotalLoad:   total[best],
 	}, nil
 }
 
-// generateConstrained is Algorithm 1 seeded at dense index v under
-// caller-supplied capacities: the same heap-pop selection (and so the
-// same chosen set, in the same order) as generate, pricing network load
-// through PairNLUnit so it works on dense and sharded models alike. It
-// costs and heaps only cand — the positive-capacity dense indices, in
-// ascending order — so a mostly-busy cluster prices a fraction of its
-// nodes per seed. alphaCL[s] is the precomputed α·CL(cand[s]) term
-// shared by every seed. The heap holds positions into cand; position
-// ties reproduce index ties because cand is sorted. The selection is
-// left in sc.used/sc.counts; the returns are C_G and N_G.
-func (p NetLoadAware) generateConstrained(m *CostModel, v int, caps, cand []int, alphaCL []float64, req Request, sc *genScratch) (cG, nG float64) {
-	n := m.Len()
-	f := len(cand)
-	sc.grow(n)
-	addCost := sc.addCost[:f]
-	best := -1
-	if m.NLUnit != nil {
-		nlRow := m.NLUnit[v*n : (v+1)*n]
-		for s, u := range cand {
-			if u == v {
-				addCost[s] = 0 // A_v(v) = 0
-			} else {
-				addCost[s] = alphaCL[s] + req.Beta*nlRow[u]
-			}
-			if best < 0 || addCost[s] < addCost[best] {
-				best = s
-			}
-		}
-	} else {
-		for s, u := range cand {
-			if u == v {
-				addCost[s] = 0
-			} else {
-				addCost[s] = alphaCL[s] + req.Beta*m.PairNLUnit(v, u)
-			}
-			if best < 0 || addCost[s] < addCost[best] {
-				best = s
-			}
-		}
-	}
-	// The first pop is always the (cost, index)-minimum; when that node
-	// alone covers the request — the common case of small jobs — the
-	// whole selection is that one node and no ordering work is needed.
-	if best >= 0 && caps[cand[best]] >= req.Procs {
-		i := cand[best]
-		sc.used = append(sc.used[:0], i)
-		sc.counts = append(sc.counts[:0], req.Procs)
-		return m.CLUnit[i], 0
-	}
-	// General case: the old formulation heapified all f candidates and
-	// popped in ascending (cost, index) order until capacity covered the
-	// request — i.e. it used the minimal covering prefix of that order.
-	// Compute exactly that prefix with a bounded max-heap instead: scan
-	// once, keep a candidate only while it beats the kept maximum or the
-	// kept set does not cover yet, and evict the maximum while coverage
-	// survives without it. Most candidates cost one comparison against
-	// the heap root instead of participating in a full heapify.
-	h := sc.heap[:0]
-	total := 0
-	for s := range addCost {
-		if total >= req.Procs && !lessIdx(addCost, s, h[0]) {
-			continue
-		}
-		h = append(h, s)
-		siftUpMaxIdx(h, len(h)-1, addCost)
-		total += caps[cand[s]]
-		for len(h) > 1 && total-caps[cand[h[0]]] >= req.Procs {
-			total -= caps[cand[h[0]]]
-			last := len(h) - 1
-			h[0] = h[last]
-			h = h[:last]
-			siftDownMaxIdx(h, 0, addCost)
-		}
-	}
-	// Drain the max-heap back to front to recover ascending order — the
-	// exact pop order of the old formulation.
-	sel := sc.sel[:len(h)]
-	for k := len(h) - 1; k >= 0; k-- {
-		sel[k] = h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		if len(h) > 0 {
-			siftDownMaxIdx(h, 0, addCost)
-		}
-	}
-	used, counts := sc.used[:0], sc.counts[:0]
-	remaining := req.Procs
-	for _, s := range sel {
-		if remaining <= 0 {
-			break
-		}
-		i := cand[s]
-		take := caps[i]
-		if take > remaining {
-			take = remaining
-		}
-		used = append(used, i)
-		counts = append(counts, take)
-		remaining -= take
-	}
-	for remaining > 0 && len(used) > 0 {
-		for k := range used {
-			if remaining == 0 {
-				break
-			}
-			counts[k]++
-			remaining--
-		}
-	}
-	sc.used, sc.counts = used, counts
-	for _, i := range used {
-		cG += m.CLUnit[i]
-	}
-	if m.NLUnit != nil {
-		for i := 0; i < len(used); i++ {
-			for j := i + 1; j < len(used); j++ {
-				nG += m.NLUnit[used[i]*n+used[j]]
-			}
-		}
-	} else {
-		for i := 0; i < len(used); i++ {
-			for j := i + 1; j < len(used); j++ {
-				nG += m.PairNLUnit(used[i], used[j])
-			}
-		}
-	}
-	return cG, nG
+// generateConstrained is Algorithm 1 seeded at dense index v over a
+// prebuilt candidate set, on dense and sharded models alike: the
+// kernel's selection, the round-robin remainder, and the pairwise costs.
+// The selection is left in sc.used/sc.counts; the returns are C_G and
+// N_G.
+func (p NetLoadAware) generateConstrained(m *CostModel, v int, set *candSet, req Request, sc *genScratch) (cG, nG float64) {
+	roundRobin(sc.counts, sc.selectFrom(m, v, set, req))
+	return m.pairCosts(sc.used)
 }

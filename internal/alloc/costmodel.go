@@ -43,7 +43,7 @@ type CostModel struct {
 	idx map[int]int
 
 	// CL holds raw Equation 1 costs by index; CLUnit is the mean-1
-	// rescaled copy used by Algorithm 1 (see RescaleMeanNode).
+	// rescaled copy used by Algorithm 1 (see rescaleMeanDense).
 	CL     []float64
 	CLUnit []float64
 	// NL holds raw Equation 2 costs as a flat n×n symmetric matrix
@@ -269,8 +269,11 @@ func sawFromRows(w Weights, rows [][]float64) ([]float64, error) {
 }
 
 // computeLoadsDense evaluates Equation 1 for ids (in the given order)
-// and returns the SAW costs indexed positionally — the dense core behind
-// ComputeLoadsOpt.
+// by the SAW method and returns CL_v indexed positionally; lower is
+// better. With useForecast, CPU load and data-flow rate are priced at
+// their NWS-style forecasts where a node publishes them. A node missing
+// from the snapshot is an error — callers pre-filter to monitored
+// livehosts.
 func computeLoadsDense(snap *metrics.Snapshot, ids []int, w Weights, useForecast bool) ([]float64, error) {
 	rows, err := attrMatrix(snap, ids, useForecast)
 	if err != nil {
@@ -713,11 +716,14 @@ func (m *CostModel) PairNLUnit(i, j int) float64 {
 }
 
 // networkLoadsDense evaluates Equation 2 for every unordered pair of ids
-// (in the given order) and returns a flat symmetric n×n matrix indexed
-// by position — the dense core behind NetworkLoads. Pair terms are
-// accumulated in i<j order, which for sorted ids is exactly the sorted
-// (U,V) order of the map-based path, so normalization sums are
-// bit-identical.
+// (in the given order) — NL(u,v) = w_lt·LT_norm + w_bw·(peak−avail)_norm,
+// each term sum-normalized over all pairs like the compute-load
+// attributes — and returns a flat symmetric n×n matrix indexed by
+// position. Pairs with no measurement are priced at the worst observed
+// latency and complement-bandwidth (a never-measured link is assumed
+// bad, not free). Pair terms are accumulated in i<j order, which for
+// sorted ids is the sorted (U,V) order of the map-keyed reference, so
+// normalization sums are bit-identical to it.
 func networkLoadsDense(snap *metrics.Snapshot, ids []int, w Weights) ([]float64, error) {
 	n := len(ids)
 	npairs := n * (n - 1) / 2
@@ -852,10 +858,14 @@ func networkLoadsDense(snap *metrics.Snapshot, ids []int, w Weights) ([]float64,
 	return out, nil
 }
 
-// rescaleMeanDense rescales xs to mean 1 in place. Dense iteration order
-// is index order (== sorted node ID order), so the float summation is
-// deterministic without the sorted-key workaround the map-based
-// RescaleMeanNode needs.
+// rescaleMeanDense rescales xs to mean 1 in place. The paper
+// sum-normalizes compute load over |V| nodes and network load over
+// O(|V|²) pairs, which puts the two on incomparable scales (~1/V vs
+// ~2/V²) and would silently void the α/β balance of Algorithm 1's
+// addition cost. Rescaling both to unit mean is size-invariant and
+// preserves each metric's ordering, so the weighted combination behaves
+// as Equation 4 intends regardless of cluster size. Summation runs in
+// index order (== sorted node ID order), so it is deterministic.
 func rescaleMeanDense(xs []float64) {
 	if len(xs) == 0 {
 		return
@@ -874,8 +884,8 @@ func rescaleMeanDense(xs []float64) {
 }
 
 // rescaleMeanPairDense rescales the flat n×n pair matrix to mean 1 over
-// its distinct (i<j) pairs, accumulating in the same (U,V)-sorted order
-// as RescaleMeanPair.
+// its distinct (i<j) pairs (see rescaleMeanDense), accumulating in
+// (U,V)-sorted order.
 func rescaleMeanPairDense(nl []float64, n int) {
 	npairs := n * (n - 1) / 2
 	if npairs == 0 {
@@ -896,18 +906,14 @@ func rescaleMeanPairDense(nl []float64, n int) {
 	}
 }
 
-// sortIdxByCost orders the indices 0..len(cost)-1 ascending by cost,
-// breaking ties by index (== by node ID, since index order is ID order).
-// The comparator is a strict total order, so any sorting algorithm
-// yields the same permutation the map-keyed path produced.
-func sortIdxByCost(cost []float64) []int {
-	out := make([]int, len(cost))
-	for i := range out {
-		out[i] = i
-	}
-	slices.SortFunc(out, func(a, b int) int {
-		ca, cb := cost[a], cost[b]
-		switch {
+// byCostThenIdx is the strict total order every selection in this
+// package shares — ascending cost, ties broken by index (== by node ID,
+// since index order is ID order) — as a slices.SortFunc comparator.
+// Because the order is strict and total, any sorting algorithm, and the
+// kernel's heaps (lessIdx), produce the same permutation.
+func byCostThenIdx(cost []float64) func(a, b int) int {
+	return func(a, b int) int {
+		switch ca, cb := cost[a], cost[b]; {
 		case ca < cb:
 			return -1
 		case ca > cb:
@@ -915,23 +921,29 @@ func sortIdxByCost(cost []float64) []int {
 		default:
 			return a - b
 		}
-	})
+	}
+}
+
+// sortIdxByCost orders the indices 0..len(cost)-1 by byCostThenIdx.
+func sortIdxByCost(cost []float64) []int {
+	out := make([]int, len(cost))
+	for i := range out {
+		out[i] = i
+	}
+	slices.SortFunc(out, byCostThenIdx(cost))
 	return out
 }
 
-// fillIdx is fill over dense indices: assign procs processes across the
-// ordered indices, each taking up to its capacity, spilling round-robin
-// over the selected indices — identical arithmetic to fill, no maps.
-func fillIdx(order []int, caps []int, procs int) (used []int, counts []int) {
-	remaining := procs
+// takeIdx walks order, each index taking up to its capacity of the
+// remaining processes (zero-capacity indices are skipped) until none
+// remain, appending to used/counts. It returns the extended slices and
+// the processes still uncovered.
+func takeIdx(order, caps []int, remaining int, used, counts []int) ([]int, []int, int) {
 	for _, i := range order {
 		if remaining <= 0 {
 			break
 		}
-		take := caps[i]
-		if take > remaining {
-			take = remaining
-		}
+		take := min(caps[i], remaining)
 		if take <= 0 {
 			continue
 		}
@@ -939,8 +951,16 @@ func fillIdx(order []int, caps []int, procs int) (used []int, counts []int) {
 		counts = append(counts, take)
 		remaining -= take
 	}
-	for remaining > 0 && len(used) > 0 {
-		for k := range used {
+	return used, counts, remaining
+}
+
+// roundRobin deals the processes no capacity covered out over the
+// selected nodes, one each in selection order, wrapping until none
+// remain (lines 12-13 of Algorithm 1, generalized to every policy so all
+// policies satisfy every request).
+func roundRobin(counts []int, remaining int) {
+	for remaining > 0 && len(counts) > 0 {
+		for k := range counts {
 			if remaining == 0 {
 				break
 			}
@@ -948,6 +968,13 @@ func fillIdx(order []int, caps []int, procs int) (used []int, counts []int) {
 			remaining--
 		}
 	}
+}
+
+// fillIdx assigns procs processes across the ordered dense indices, each
+// taking up to its capacity, the remainder round-robin.
+func fillIdx(order []int, caps []int, procs int) (used []int, counts []int) {
+	used, counts, remaining := takeIdx(order, caps, procs, nil, nil)
+	roundRobin(counts, remaining)
 	return used, counts
 }
 
@@ -997,9 +1024,9 @@ func popIdx(h []int, cost []float64) (int, []int) {
 	return top, h
 }
 
-// siftUpMaxIdx and siftDownMaxIdx maintain a MAX-heap under the same
-// strict (cost, index) total order as lessIdx — the bounded-selection
-// heap of generateConstrained, whose root is the worst kept candidate.
+// siftUpMaxIdx, siftDownMaxIdx and popMaxIdx maintain a MAX-heap under
+// the same strict (cost, index) total order as lessIdx — coverPrefix's
+// bounded-selection heap, whose root is the worst kept candidate.
 func siftUpMaxIdx(h []int, i int, cost []float64) {
 	for i > 0 {
 		p := (i - 1) / 2
@@ -1027,6 +1054,16 @@ func siftDownMaxIdx(h []int, i int, cost []float64) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+}
+
+// popMaxIdx removes and returns the max-heap root, shrinking h by one.
+func popMaxIdx(h []int, cost []float64) (int, []int) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftDownMaxIdx(h, 0, cost)
+	return top, h
 }
 
 // minParallelStarts is the candidate count below which the worker pool

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -94,6 +95,171 @@ func refGenerate(v int, ids []int, cl map[int]float64, nl map[metrics.PairKey]fl
 		}
 	}
 	return cand
+}
+
+// What follows is the seed's map-keyed formulation of Equations 1-3 and
+// the fill step, moved here when its last production caller
+// (the snapshot-taking baselines) went dense. It is the other half of the
+// frozen reference above — refAllocateExplain is built on it — and the
+// unit tests of the equations still read it. Like the reference, it does
+// not change.
+
+// ComputeLoads evaluates Equation 1 for every node in ids using the SAW
+// method over the snapshot's published attributes. The result maps node ID
+// to CL_v; lower is better. Nodes missing from the snapshot are an error —
+// callers must pre-filter to monitored livehosts.
+func ComputeLoads(snap *metrics.Snapshot, ids []int, w Weights) (map[int]float64, error) {
+	return ComputeLoadsOpt(snap, ids, w, false)
+}
+
+// ComputeLoadsOpt is ComputeLoads with forecasting: when useForecast is
+// true and a node publishes NWS-style forecasts, the CPU-load and
+// data-flow-rate attributes are priced at their predicted next values
+// instead of the windowed means — ranking nodes by where their load is
+// *going* (§2's Network Weather Service idea applied to Equation 1).
+func ComputeLoadsOpt(snap *metrics.Snapshot, ids []int, w Weights, useForecast bool) (map[int]float64, error) {
+	if len(ids) == 0 {
+		return map[int]float64{}, nil
+	}
+	costs, err := computeLoadsDense(snap, ids, w, useForecast)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]float64, len(ids))
+	for i, id := range ids {
+		out[id] = costs[i]
+	}
+	return out, nil
+}
+
+// NetworkLoads evaluates Equation 2 for every unordered pair of ids:
+// NL(u,v) = w_lt·LT_norm + w_bw·(peak−avail)_norm, with each term
+// sum-normalized over all pairs, exactly mirroring the compute-load
+// normalization. Pairs with no measurement are priced at the worst
+// observed latency and complement-bandwidth (a never-measured link is
+// assumed bad, not free).
+func NetworkLoads(snap *metrics.Snapshot, ids []int, w Weights) (map[metrics.PairKey]float64, error) {
+	n := len(ids)
+	if n*(n-1)/2 == 0 {
+		return map[metrics.PairKey]float64{}, nil
+	}
+	dense, err := networkLoadsDense(snap, ids, w)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[metrics.PairKey]float64, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out[metrics.Pair(ids[i], ids[j])] = dense[i*n+j]
+		}
+	}
+	return out, nil
+}
+
+// RescaleMeanNode rescales node costs to mean 1 in place. The paper
+// sum-normalizes compute load over |V| nodes and network load over
+// O(|V|²) pairs, which puts the two on incomparable scales (~1/V vs
+// ~2/V²) and would silently void the α/β balance of Algorithm 1's
+// addition cost. Rescaling both to unit mean is size-invariant and
+// preserves each metric's ordering, so the weighted combination behaves
+// as Equation 4 intends regardless of cluster size.
+func RescaleMeanNode(costs map[int]float64) {
+	if len(costs) == 0 {
+		return
+	}
+	// Sum in sorted key order: float addition is order-sensitive, and map
+	// iteration order would make equal inputs produce subtly different
+	// scales across runs, breaking reproducibility.
+	keys := make([]int, 0, len(costs))
+	for k := range costs {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	sum := 0.0
+	for _, k := range keys {
+		sum += costs[k]
+	}
+	mean := sum / float64(len(costs))
+	if mean == 0 {
+		return
+	}
+	for _, k := range keys {
+		costs[k] /= mean
+	}
+}
+
+// RescaleMeanPair rescales pair costs to mean 1 in place (see
+// RescaleMeanNode).
+func RescaleMeanPair(costs map[metrics.PairKey]float64) {
+	if len(costs) == 0 {
+		return
+	}
+	keys := make([]metrics.PairKey, 0, len(costs))
+	for k := range costs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].U != keys[j].U {
+			return keys[i].U < keys[j].U
+		}
+		return keys[i].V < keys[j].V
+	})
+	sum := 0.0
+	for _, k := range keys {
+		sum += costs[k]
+	}
+	mean := sum / float64(len(costs))
+	if mean == 0 {
+		return
+	}
+	for _, k := range keys {
+		costs[k] /= mean
+	}
+}
+
+// capacity returns each node's process capacity under the request.
+func capacity(snap *metrics.Snapshot, ids []int, req Request) map[int]int {
+	caps := make(map[int]int, len(ids))
+	for _, id := range ids {
+		caps[id] = EffectiveProcs(snap.Nodes[id], req.PPN)
+	}
+	return caps
+}
+
+// fill assigns req.Procs processes over the ordered node list, each node
+// taking up to its capacity; if capacity runs out the remainder is
+// distributed round-robin over the selected nodes (lines 12-13 of
+// Algorithm 1 generalized to every policy so all policies satisfy every
+// request). It returns the allocation's node order and process map.
+func fill(order []int, caps map[int]int, procs int) ([]int, map[int]int) {
+	assigned := make(map[int]int)
+	var used []int
+	remaining := procs
+	for _, n := range order {
+		if remaining <= 0 {
+			break
+		}
+		take := caps[n]
+		if take > remaining {
+			take = remaining
+		}
+		if take <= 0 {
+			continue
+		}
+		assigned[n] = take
+		used = append(used, n)
+		remaining -= take
+	}
+	for remaining > 0 && len(used) > 0 {
+		for _, n := range used {
+			if remaining == 0 {
+				break
+			}
+			assigned[n]++
+			remaining--
+		}
+	}
+	return used, assigned
 }
 
 // randomEquivSnapshot builds a seeded random snapshot with heterogeneous

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nlarm/internal/metrics"
@@ -104,13 +105,7 @@ func (p GroupedNetLoadAware) AllocateModel(m *CostModel, req Request, r *rng.Ran
 	sort.Ints(groupIDs)
 	for _, g := range groupIDs {
 		gi := byGroup[g]
-		sort.Slice(gi.members, func(i, j int) bool {
-			ci, cj := m.CLUnit[gi.members[i]], m.CLUnit[gi.members[j]]
-			if ci != cj {
-				return ci < cj
-			}
-			return gi.members[i] < gi.members[j]
-		})
+		slices.SortFunc(gi.members, byCostThenIdx(m.CLUnit))
 		sum := 0.0
 		for _, i := range gi.members {
 			sum += m.CLUnit[i]
@@ -209,7 +204,7 @@ func (p GroupedNetLoadAware) fillGroups(m *CostModel, groups []int, byGroup map[
 	if total < procs {
 		return Allocation{}, false
 	}
-	nodes, assigned := indicesToAllocation(m, used, counts)
+	nodes, assigned := indicesToAllocation(m.IDs, used, counts)
 	return Allocation{Nodes: nodes, Procs: assigned}, true
 }
 

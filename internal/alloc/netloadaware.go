@@ -106,14 +106,15 @@ func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate
 	if m.Sharded() {
 		return p.allocateSharded(m, req)
 	}
-	caps := m.caps(req)
-
-	// Algorithm 1, once per start node: |V| candidates. Each worker slot
-	// owns one scratch buffer set, reused across all its start nodes.
+	// Algorithm 1, once per start node: |V| candidates over one shared
+	// candidate set. Each worker slot owns one scratch buffer set, reused
+	// across all its start nodes.
+	var set candSet
+	set.build(m, nil, m.caps(req), req.Alpha)
 	candidates := make([]Candidate, n)
 	scratch := make([]genScratch, parallelWorkers(n))
 	parallelFor(n, func(w, v int) {
-		candidates[v] = p.generate(m, v, caps, req, &scratch[w])
+		candidates[v] = p.generate(m, v, &set, req, &scratch[w])
 	})
 
 	bestIdx, err := scoreCandidates(candidates, req)
@@ -137,22 +138,39 @@ func scoreCandidates(candidates []Candidate, req Request) (int, error) {
 // scoreCandidatesNormed is Algorithm 2 with caller-supplied normalization
 // sums: the sharded path passes scout-estimated totals over all n starts
 // so its biased (uniformly good) candidate subset is scored on the same
-// scale the dense path would use.
+// scale the dense path would use. Every candidate's TotalLoad is set.
 func scoreCandidatesNormed(candidates []Candidate, req Request, sumC, sumN float64) (int, error) {
+	k := len(candidates)
+	buf := make([]float64, 3*k)
+	costC, costN, total := buf[:k], buf[k:2*k], buf[2*k:]
+	for i := range candidates {
+		costC[i], costN[i] = candidates[i].ComputeCost, candidates[i].NetworkCost
+	}
+	bestIdx, err := scoreCosts(costC, costN, total, req, sumC, sumN)
+	for i := range candidates {
+		candidates[i].TotalLoad = total[i]
+	}
+	return bestIdx, err
+}
+
+// scoreCosts is Algorithm 2 over parallel C_G/N_G slices: it writes
+// T_G = α·C_G/sumC + β·N_G/sumN (Equation 4; a zero sum drops its term)
+// into total and returns the index of the minimum. Comparison is strict
+// <, so the first of equal candidates wins.
+func scoreCosts(costC, costN, total []float64, req Request, sumC, sumN float64) (int, error) {
 	bestIdx := -1
 	minTotal := math.Inf(1)
-	for i := range candidates {
-		c := &candidates[i]
+	for i := range total {
 		cNorm, nNorm := 0.0, 0.0
 		if sumC > 0 {
-			cNorm = c.ComputeCost / sumC
+			cNorm = costC[i] / sumC
 		}
 		if sumN > 0 {
-			nNorm = c.NetworkCost / sumN
+			nNorm = costN[i] / sumN
 		}
-		c.TotalLoad = req.Alpha*cNorm + req.Beta*nNorm
-		if c.TotalLoad < minTotal {
-			minTotal = c.TotalLoad
+		total[i] = req.Alpha*cNorm + req.Beta*nNorm
+		if total[i] < minTotal {
+			minTotal = total[i]
 			bestIdx = i
 		}
 	}
@@ -162,101 +180,11 @@ func scoreCandidatesNormed(candidates []Candidate, req Request, sumC, sumN float
 	return bestIdx, nil
 }
 
-// genScratch is one worker's reusable buffers for generate: the
-// addition-cost vector, the selection heap, and the used/counts fill
-// output. Reusing them drops the hot path's per-candidate allocations
-// to just the Candidate's own (escaping) Nodes slice and Procs map.
-type genScratch struct {
-	addCost []float64
-	heap    []int
-	sel     []int
-	used    []int
-	counts  []int
-}
-
-// grow sizes the scratch for an n-node model.
-func (sc *genScratch) grow(n int) {
-	if cap(sc.addCost) < n {
-		sc.addCost = make([]float64, n)
-		sc.heap = make([]int, n)
-		sc.sel = make([]int, n)
-		sc.used = make([]int, 0, n)
-		sc.counts = make([]int, 0, n)
-	}
-}
-
 // generate builds the candidate sub-graph seeded at dense index v
-// (Algorithm 1), reading compute loads and the network-load row for v
-// straight out of the model's flat slices. Instead of fully sorting all
-// n addition costs it pops a min-heap just far enough to cover the
-// requested process count — the heap order is the exact strict total
-// order of sortIdxByCost (cost ascending, ties by index), so the
-// selected set and its order are bit-identical to the sorted path.
-func (p NetLoadAware) generate(m *CostModel, v int, caps []int, req Request, sc *genScratch) Candidate {
-	n := m.Len()
-	sc.grow(n)
-	// A_v(v) = 0; A_v(u) = α·CL(u) + β·NL(v,u) for u ≠ v.
-	addCost := sc.addCost[:n]
-	nlRow := m.NLUnit[v*n : (v+1)*n]
-	for u := 0; u < n; u++ {
-		if u == v {
-			addCost[u] = 0 // A_v(v) = 0
-			continue
-		}
-		addCost[u] = req.Alpha*m.CLUnit[u] + req.Beta*nlRow[u]
-	}
-	h := sc.heap[:n]
-	for i := range h {
-		h[i] = i
-	}
-	heapifyIdx(h, addCost)
-	// fillIdx over the heap's pop order: each popped node takes up to its
-	// capacity until the request is covered, then the remainder spills
-	// round-robin over the selected nodes.
-	used, counts := sc.used[:0], sc.counts[:0]
-	remaining := req.Procs
-	for len(h) > 0 && remaining > 0 {
-		var i int
-		i, h = popIdx(h, addCost)
-		take := caps[i]
-		if take > remaining {
-			take = remaining
-		}
-		if take <= 0 {
-			continue
-		}
-		used = append(used, i)
-		counts = append(counts, take)
-		remaining -= take
-	}
-	for remaining > 0 && len(used) > 0 {
-		for k := range used {
-			if remaining == 0 {
-				break
-			}
-			counts[k]++
-			remaining--
-		}
-	}
-	sc.used, sc.counts = used, counts
-
-	var nodes []int
-	if len(used) > 0 {
-		nodes = make([]int, len(used))
-	}
-	procs := make(map[int]int, len(used))
-	cand := Candidate{Start: m.IDs[v]}
-	for k, i := range used {
-		nodes[k] = m.IDs[i]
-		procs[m.IDs[i]] = counts[k]
-		cand.ComputeCost += m.CLUnit[i]
-	}
-	cand.Nodes = nodes
-	cand.Procs = procs
-	for i := 0; i < len(used); i++ {
-		for j := i + 1; j < len(used); j++ {
-			cand.NetworkCost += m.NLUnit[used[i]*n+used[j]]
-		}
-	}
-	return cand
+// (Algorithm 1): generateConstrained's selection and costs, materialised
+// as a Candidate in node IDs.
+func (p NetLoadAware) generate(m *CostModel, v int, set *candSet, req Request, sc *genScratch) Candidate {
+	cG, nG := p.generateConstrained(m, v, set, req, sc)
+	nodes, procs := indicesToAllocation(m.IDs, sc.used, sc.counts)
+	return Candidate{Start: m.IDs[v], Nodes: nodes, Procs: procs, ComputeCost: cG, NetworkCost: nG}
 }

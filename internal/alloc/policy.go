@@ -105,51 +105,6 @@ type ModelPolicy interface {
 	AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error)
 }
 
-// capacity returns each node's process capacity under the request.
-func capacity(snap *metrics.Snapshot, ids []int, req Request) map[int]int {
-	caps := make(map[int]int, len(ids))
-	for _, id := range ids {
-		caps[id] = EffectiveProcs(snap.Nodes[id], req.PPN)
-	}
-	return caps
-}
-
-// fill assigns req.Procs processes over the ordered node list, each node
-// taking up to its capacity; if capacity runs out the remainder is
-// distributed round-robin over the selected nodes (lines 12-13 of
-// Algorithm 1 generalized to every policy so all policies satisfy every
-// request). It returns the allocation's node order and process map.
-func fill(order []int, caps map[int]int, procs int) ([]int, map[int]int) {
-	assigned := make(map[int]int)
-	var used []int
-	remaining := procs
-	for _, n := range order {
-		if remaining <= 0 {
-			break
-		}
-		take := caps[n]
-		if take > remaining {
-			take = remaining
-		}
-		if take <= 0 {
-			continue
-		}
-		assigned[n] = take
-		used = append(used, n)
-		remaining -= take
-	}
-	for remaining > 0 && len(used) > 0 {
-		for _, n := range used {
-			if remaining == 0 {
-				break
-			}
-			assigned[n]++
-			remaining--
-		}
-	}
-	return used, assigned
-}
-
 // sortByCost orders ids ascending by cost, breaking ties by node ID for
 // determinism.
 func sortByCost(ids []int, cost map[int]float64) []int {

@@ -600,7 +600,7 @@ func (m *CostModel) NewLike(snap *metrics.Snapshot, w Weights, useForecast bool)
 }
 
 // shardScratch is one worker's reusable buffers for hierarchical
-// candidate generation: the dense-path scratch plus per-shard grouping
+// candidate generation: the kernel scratch plus per-shard grouping
 // state for the grouped network-cost accumulation.
 type shardScratch struct {
 	genScratch
@@ -641,17 +641,7 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 	byCL := make([][]int, S)
 	for s, members := range sm.shards {
 		order := append([]int(nil), members...)
-		slices.SortFunc(order, func(a, b int) int {
-			ca, cb := m.CLUnit[a], m.CLUnit[b]
-			switch {
-			case ca < cb:
-				return -1
-			case ca > cb:
-				return 1
-			default:
-				return a - b
-			}
-		})
+		slices.SortFunc(order, byCostThenIdx(m.CLUnit))
 		byCL[s] = order
 	}
 
@@ -697,10 +687,12 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 		return Candidate{}, nil, fmt.Errorf("alloc: net-load-aware: no candidate produced")
 	}
 	spillShards := rank[topK:]
+	var set candSet
+	set.build(m, union, caps, req.Alpha)
 	candidates := make([]Candidate, len(union))
 	scratch := make([]shardScratch, parallelWorkers(len(union)))
 	parallelFor(len(union), func(w, i int) {
-		candidates[i] = p.generateSharded(m, union[i], union, caps, req, spillShards, byCL, &scratch[w])
+		candidates[i] = p.generateSharded(m, union[i], &set, caps, req, spillShards, byCL, &scratch[w])
 	})
 
 	// Score with the scout-estimated normalization sums: Algorithm 2
@@ -717,65 +709,50 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 }
 
 // scoutShard runs the paper's greedy generation confined to shard s —
-// every member as a start, addition costs from the shard's exact
-// sub-matrix — and returns the raw Equation-4 group cost of its best
-// local candidate (α·Σ CL + β·Σ intra-pair NL) plus the summed compute
-// and network costs of every start's local candidate, the shard's
-// contribution to the Algorithm 2 normalization estimate. When the
-// shard's free capacity cannot cover the request, costs are
-// extrapolated linearly to req.Procs so partially-covering shards stay
-// comparable; a shard with no usable capacity scores +Inf and sorts
-// last.
+// every member as a start, over the shard's positive-capacity members —
+// and returns the raw Equation-4 group cost of its best local candidate
+// (α·Σ CL + β·Σ intra-pair NL) plus the summed compute and network costs
+// of every start's local candidate, the shard's contribution to the
+// Algorithm 2 normalization estimate. When the shard's free capacity
+// cannot cover the request, costs are extrapolated linearly to req.Procs
+// so partially-covering shards stay comparable; a shard with no usable
+// capacity scores +Inf and sorts last.
 func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, sc *genScratch) (best, sumC, sumN float64) {
 	sm := m.shard
-	members := sm.shards[s]
-	size := len(members)
-	sc.grow(size)
+	members, sub := sm.shards[s], sm.sub[s]
+	set := &sc.set
+	set.build(m, members, caps, req.Alpha)
 	best = math.Inf(1)
-	for pv := range members {
-		row := sm.sub[s][pv*size : (pv+1)*size]
-		addCost := sc.addCost[:size]
-		for k, u := range members {
-			if k == pv {
+	if len(set.idx) == 0 {
+		return best, 0, 0
+	}
+	// Seed and candidates share shard s, so both the addition costs and
+	// the pairwise N_G read its sub-matrix rows directly; going through
+	// selectFrom/pairCosts would re-resolve the shard of every pair
+	// (measured about +5 % and +20 % on the 16×64 shape).
+	size := len(members)
+	sc.grow(set)
+	addCost := sc.addCost[:len(set.idx)]
+	for pv, v := range members {
+		row := sub[pv*size : (pv+1)*size]
+		for k, u := range set.idx {
+			if u == v {
 				addCost[k] = 0 // A_v(v) = 0
-				continue
+			} else {
+				addCost[k] = set.alphaCL[k] + req.Beta*row[sm.posOf[u]]
 			}
-			addCost[k] = req.Alpha*m.CLUnit[u] + req.Beta*row[k]
 		}
-		h := sc.heap[:size]
-		for i := range h {
-			h[i] = i
-		}
-		heapifyIdx(h, addCost)
-		used := sc.used[:0] // selected shard positions, not dense indices
-		remaining := req.Procs
-		for len(h) > 0 && remaining > 0 {
-			var k int
-			k, h = popIdx(h, addCost)
-			take := caps[members[k]]
-			if take <= 0 {
-				continue
-			}
-			if take > remaining {
-				take = remaining
-			}
-			used = append(used, k)
-			remaining -= take
-		}
-		sc.used = used
-		if len(used) == 0 {
-			continue
-		}
+		remaining := sc.take(sc.coverPrefix(addCost, set, req.Procs), set, req.Procs)
 		c, nn := 0.0, 0.0
-		for a, ka := range used {
-			c += m.CLUnit[members[ka]]
-			for _, kb := range used[a+1:] {
-				nn += sm.sub[s][ka*size+kb]
+		for a, i := range sc.used {
+			c += m.CLUnit[i]
+			ri := sub[sm.posOf[i]*size : (sm.posOf[i]+1)*size]
+			for _, j := range sc.used[a+1:] {
+				nn += ri[sm.posOf[j]]
 			}
 		}
 		if remaining > 0 {
-			covered := req.Procs - remaining
-			scale := float64(req.Procs) / float64(covered)
+			scale := float64(req.Procs) / float64(req.Procs-remaining)
 			c *= scale
 			nn *= scale
 		}
@@ -789,97 +766,32 @@ func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, s
 }
 
 // generateSharded builds the candidate sub-graph seeded at dense index v:
-// the paper's greedy heap selection over the union of the searched
-// (top-k) shards' members with pair costs priced through the hierarchy
-// (exact sub-matrix within a shard, boundary aggregate across), then
+// the kernel's selection over set — the union of the searched (top-k)
+// shards' members, pair costs priced through the hierarchy (exact
+// sub-matrix within a shard, boundary aggregate across) — then
 // rank-ordered spill into the unsearched shards when the union's
-// capacity cannot cover the request, then the dense path's round-robin
-// remainder. The candidate's NetworkCost prices same-shard pairs exactly
-// and cross-shard pairs at the boundary aggregate, grouped per shard
-// pair so cost accumulation is O(Σ kₛ² + S²) instead of O(k²).
-func (p NetLoadAware) generateSharded(m *CostModel, v int, union []int, caps []int, req Request, spillShards []int, byCL [][]int, sc *shardScratch) Candidate {
+// capacity cannot cover the request, then the round-robin remainder.
+// The candidate's NetworkCost prices same-shard pairs exactly and
+// cross-shard pairs at the boundary aggregate, grouped per shard pair so
+// cost accumulation is O(Σ kₛ² + S²) instead of O(k²).
+func (p NetLoadAware) generateSharded(m *CostModel, v int, set *candSet, caps []int, req Request, spillShards []int, byCL [][]int, sc *shardScratch) Candidate {
 	sm := m.shard
-	size := len(union)
-	sc.grow(size)
-	addCost := sc.addCost[:size]
-	for k, u := range union {
-		if u == v {
-			addCost[k] = 0 // A_v(v) = 0
-			continue
-		}
-		addCost[k] = req.Alpha*m.CLUnit[u] + req.Beta*sm.pairNL(v, u)
-	}
-	h := sc.heap[:size]
-	for i := range h {
-		h[i] = i
-	}
-	heapifyIdx(h, addCost)
-	used, counts := sc.used[:0], sc.counts[:0]
-	remaining := req.Procs
-	for len(h) > 0 && remaining > 0 {
-		var k int
-		k, h = popIdx(h, addCost)
-		i := union[k]
-		take := caps[i]
-		if take > remaining {
-			take = remaining
-		}
-		if take <= 0 {
-			continue
-		}
-		used = append(used, i)
-		counts = append(counts, take)
-		remaining -= take
-	}
-	spilled := false
+	remaining := sc.selectFrom(m, v, set, req)
+	searched := len(sc.used)
 	for _, t := range spillShards {
-		if remaining <= 0 {
-			break
-		}
-		for _, u := range byCL[t] {
-			if remaining <= 0 {
-				break
-			}
-			take := caps[u]
-			if take > remaining {
-				take = remaining
-			}
-			if take <= 0 {
-				continue
-			}
-			used = append(used, u)
-			counts = append(counts, take)
-			remaining -= take
-			spilled = true
-		}
+		sc.used, sc.counts, remaining = takeIdx(byCL[t], caps, remaining, sc.used, sc.counts)
 	}
-	for remaining > 0 && len(used) > 0 {
-		for k := range used {
-			if remaining == 0 {
-				break
-			}
-			counts[k]++
-			remaining--
-		}
-	}
-	sc.used, sc.counts = used, counts
+	spilled := len(sc.used) > searched
+	roundRobin(sc.counts, remaining)
 	if spilled {
 		sm.spills.Add(1)
 	}
 
-	var nodes []int
-	if len(used) > 0 {
-		nodes = make([]int, len(used))
-	}
-	procs := make(map[int]int, len(used))
-	cand := Candidate{Start: m.IDs[v], Spill: spilled}
-	for k, i := range used {
-		nodes[k] = m.IDs[i]
-		procs[m.IDs[i]] = counts[k]
+	nodes, procs := indicesToAllocation(m.IDs, sc.used, sc.counts)
+	cand := Candidate{Start: m.IDs[v], Nodes: nodes, Procs: procs, Spill: spilled}
+	for _, i := range sc.used {
 		cand.ComputeCost += m.CLUnit[i]
 	}
-	cand.Nodes = nodes
-	cand.Procs = procs
 
 	// Grouped network cost: selected indices bucketed per shard (buckets
 	// keep selection order; touched shards sort ascending so float
@@ -887,7 +799,7 @@ func (p NetLoadAware) generateSharded(m *CostModel, v int, union []int, caps []i
 	S := sm.numShards()
 	sc.growShards(S)
 	touched := sc.touched[:0]
-	for _, i := range used {
+	for _, i := range sc.used {
 		t := sm.shardOf[i]
 		if !sc.inTouched[t] {
 			sc.inTouched[t] = true
