@@ -596,7 +596,7 @@ func benchBrokerServer(b *testing.B, seed uint64, opts broker.ServerOptions) *br
 	sched := simtime.NewScheduler(start)
 	w := world.New(cl, world.Config{Seed: seed, StepSize: time.Second}, start)
 	w.Attach(sched)
-	st := store.NewMem()
+	st := store.Version(store.NewMem()) // daemons and broker share it, as in production
 	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, st, monitor.Config{
 		NodeStatePeriod: 2 * time.Second,
 		LivehostsPeriod: 2 * time.Second,
@@ -715,9 +715,10 @@ func runBrokerClients(b *testing.B, clients int, call func(worker int, req broke
 
 // BenchmarkBrokerConcurrent compares the one-shot baseline (a connection
 // per client, one request per round trip) against the batched pipelined
-// front door at 128, 512, and 1024 concurrent clients. The acceptance
-// bar for the batching work is >=5x sustained alloc/s at 512 clients;
-// recorded numbers live in BENCH_alloc.json.
+// front door at 128, 512, and 1024 concurrent clients. Recorded numbers
+// live in BENCH_alloc.json (PR 8's >=5x bar at 512 clients was met
+// against a one-shot side that re-read the whole store per request; on
+// the delta read path the gap is ~2x).
 func BenchmarkBrokerConcurrent(b *testing.B) {
 	for _, clients := range []int{128, 512, 1024} {
 		b.Run(fmt.Sprintf("oneshot-%d", clients), func(b *testing.B) {

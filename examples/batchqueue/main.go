@@ -29,7 +29,7 @@ func main() {
 	h := sim.Harness
 
 	// A broker with a strict wait threshold plus the FIFO queue.
-	strict := broker.New(h.Store, h.Sched, broker.Config{Seed: 11, WaitLoadPerCore: 0.5})
+	strict := broker.New(h.VStore, h.Sched, broker.Config{Seed: 11, WaitLoadPerCore: 0.5})
 	queue := jobqueue.New(strict, h.Sched, jobqueue.Config{RetryPeriod: 30 * time.Second})
 	if err := queue.Start(); err != nil {
 		log.Fatal(err)

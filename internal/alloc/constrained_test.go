@@ -114,67 +114,6 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 	}
 }
 
-// TestUpdateNodesScratchMatchesUpdateNodes pins the scratch variant to
-// the allocating one: same mutations, bit-identical models — for a
-// fresh destination, a reused destination, and the in-place (dst == m)
-// mode.
-func TestUpdateNodesScratchMatchesUpdateNodes(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		r := rng.New(seed * 31337)
-		n := 6 + r.Intn(20)
-		snap := randomEquivSnapshot(r, n)
-		m := NewCostModel(snap, PaperWeights(), false)
-		if m.CLErr() != nil {
-			t.Fatal(m.CLErr())
-		}
-		mutate := func(k int) []int {
-			var changed []int
-			for i := 0; i < k; i++ {
-				id := m.IDs[r.Intn(len(m.IDs))]
-				mutateDynamicAttrs(r, snap, id)
-				changed = append(changed, id)
-			}
-			return changed
-		}
-
-		ch1 := mutate(3)
-		want1, ok := m.UpdateNodes(snap, ch1)
-		if !ok {
-			t.Fatalf("seed %d: UpdateNodes refused", seed)
-		}
-		dst := &CostModel{}
-		got1, ok := m.UpdateNodesScratch(snap, ch1, dst)
-		if !ok {
-			t.Fatalf("seed %d: UpdateNodesScratch refused", seed)
-		}
-		requireModelEqual(t, "fresh dst", got1, want1)
-
-		// Second round reuses dst's buffers, updating from got1 into got1's
-		// own scratch destination (a second spare), then in place.
-		ch2 := mutate(2)
-		want2, ok := want1.UpdateNodes(snap, ch2)
-		if !ok {
-			t.Fatalf("seed %d: second UpdateNodes refused", seed)
-		}
-		spare := &CostModel{}
-		got2, ok := got1.UpdateNodesScratch(snap, ch2, spare)
-		if !ok {
-			t.Fatalf("seed %d: reused-dst update refused", seed)
-		}
-		requireModelEqual(t, "reused dst", got2, want2)
-
-		// In place: got1 absorbs ch2 into itself.
-		inPlace, ok := got1.UpdateNodesScratch(snap, ch2, got1)
-		if !ok {
-			t.Fatalf("seed %d: in-place update refused", seed)
-		}
-		if inPlace != got1 {
-			t.Fatalf("seed %d: in-place update returned a different model", seed)
-		}
-		requireModelEqual(t, "in place", inPlace, want2)
-	}
-}
-
 // TestChargeRanksAgainstRebuild compares the row-level reservation
 // charge with the reference snapshot-clone + full-rebuild path
 // (ReservingPolicy.Charged + NewLike). The two paths coincide only when
@@ -202,9 +141,9 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 	ranks := []int{8, 4}
 
 	dst := &CostModel{}
-	got, ok := m.ChargeRanks(ids, ranks, dst)
+	got, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
 	if !ok {
-		t.Fatal("ChargeRanks refused")
+		t.Fatal("ChargeRanksAt refused")
 	}
 	for _, id := range ids {
 		i, _ := m.IndexOf(id)
@@ -231,9 +170,9 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 	}
 
 	// Determinism: repeat into the same dst.
-	again, ok := m.ChargeRanks(ids, ranks, dst)
+	again, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
 	if !ok {
-		t.Fatal("repeat ChargeRanks refused")
+		t.Fatal("repeat ChargeRanksAt refused")
 	}
 	for i := range got.CL {
 		if again.CL[i] != got.CL[i] {
@@ -242,7 +181,7 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 	}
 }
 
-// TestChargedModelLifecycle drives ReservingPolicy.ChargedModel through
+// TestChargedModelLifecycle drives ReservingPolicy.ChargedModelAt through
 // the states the simulator exercises: pass-through with nothing live, a
 // charged model while a reservation is live, pass-through again after
 // cancel and after TTL expiry.
@@ -254,12 +193,12 @@ func TestChargedModelLifecycle(t *testing.T) {
 	dst := &CostModel{}
 
 	now := snap.Taken
-	if got, ok := rp.ChargedModel(now, m, dst); !ok || got != m {
+	if got, ok := rp.ChargedModelAt(now, m, nil, dst); !ok || got != m {
 		t.Fatalf("empty policy: got %p ok=%v, want base pass-through", got, ok)
 	}
 
 	cancel := rp.Reserve(map[int]int{m.IDs[0]: 6}, now)
-	got, ok := rp.ChargedModel(now, m, dst)
+	got, ok := rp.ChargedModelAt(now, m, nil, dst)
 	if !ok || got == m {
 		t.Fatalf("live reservation: ok=%v, charged=%v", ok, got != m)
 	}
@@ -268,12 +207,12 @@ func TestChargedModelLifecycle(t *testing.T) {
 	}
 
 	cancel()
-	if got, ok := rp.ChargedModel(now, m, dst); !ok || got != m {
+	if got, ok := rp.ChargedModelAt(now, m, nil, dst); !ok || got != m {
 		t.Fatalf("after cancel: got charged=%v ok=%v, want pass-through", got != m, ok)
 	}
 
 	rp.Reserve(map[int]int{m.IDs[1]: 2}, now)
-	if got, ok := rp.ChargedModel(now.Add(31*time.Second), m, dst); !ok || got != m {
+	if got, ok := rp.ChargedModelAt(now.Add(31*time.Second), m, nil, dst); !ok || got != m {
 		t.Fatalf("after TTL: got charged=%v ok=%v, want pass-through", got != m, ok)
 	}
 }

@@ -62,9 +62,8 @@ type CostModel struct {
 	attrRows [][]float64
 
 	// rowArena and sawCol are scratch retained on models that serve as
-	// UpdateNodesScratch / ChargeRanks destinations, so repeated
-	// incremental updates reuse one row arena and one SAW column buffer
-	// instead of allocating per call.
+	// ChargeRanksAt destinations, so repeated charges reuse one row arena
+	// and one SAW column buffer instead of allocating per call.
 	rowArena []float64
 	sawCol   []float64
 
@@ -202,7 +201,7 @@ func sawAttrs(w Weights) []stats.Attribute {
 }
 
 // Attribute-row geometry of the sawAttrs schema: the column count and
-// the two columns reservation charging mutates (see ChargeRanks).
+// the two columns reservation charging mutates (see ChargeRanksAt).
 const (
 	numAttrCols    = 8
 	attrColCPULoad = 0
@@ -345,13 +344,13 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 
 // shareForUpdate points dst at m's immutable parts (IDs, index, the
 // network layer) and refills its mutable buffers (Cores, LoadM1,
-// attrRows) from m, reusing dst's backing arrays — the common setup of
-// the scratch-reusing incremental update paths.
-func (m *CostModel) shareForUpdate(snap *metrics.Snapshot, dst *CostModel) {
-	dst.Snap = snap
+// attrRows) from m, reusing dst's backing arrays — the setup of
+// ChargeRanksAt's scratch-reusing destination.
+func (m *CostModel) shareForUpdate(dst *CostModel) {
+	dst.Snap = m.Snap
 	dst.Weights = m.Weights
 	dst.Forecast = m.Forecast
-	dst.Taken = snap.Taken
+	dst.Taken = m.Snap.Taken
 	dst.IDs = m.IDs
 	dst.idx = m.idx
 	dst.NL = m.NL
@@ -426,81 +425,17 @@ func (m *CostModel) denseIndex(id int) (int, bool) {
 	return i, ok
 }
 
-// UpdateNodesScratch is UpdateNodes writing into dst, a destination
-// model whose buffers are reused across calls (nil allocates a fresh
-// one). Passing dst == m updates the model in place, mutating its
-// retained attribute rows — any model previously derived from m via
-// ChargeRanks must be re-derived afterwards, not reused. When snap is
-// m's own snapshot object (a simulator mutating one snapshot's node
-// attributes in place) the monitored-set recheck is skipped: the caller
-// asserts node membership did not change. Results are bit-identical to
-// UpdateNodes.
-func (m *CostModel) UpdateNodesScratch(snap *metrics.Snapshot, changed []int, dst *CostModel) (*CostModel, bool) {
-	if m.clErr != nil || m.attrRows == nil {
-		return nil, false
-	}
-	if snap != m.Snap {
-		ids := MonitoredLivehosts(snap)
-		if !slices.Equal(ids, m.IDs) {
-			return nil, false
-		}
-	}
-	if dst == nil {
-		dst = &CostModel{}
-	}
-	inPlace := dst == m
-	if inPlace {
-		dst.Snap = snap
-		dst.Taken = snap.Taken
-	} else {
-		m.shareForUpdate(snap, dst)
-	}
-	var arena []float64
-	if !inPlace {
-		// Pre-size the arena so carving rows never reallocates (a
-		// reallocation would invalidate rows carved earlier in this call).
-		need := len(changed) * numAttrCols
-		if cap(dst.rowArena) < need {
-			dst.rowArena = make([]float64, need)
-		}
-		arena = dst.rowArena[:0]
-	}
-	for _, id := range changed {
-		i, ok := m.idx[id]
-		if !ok {
-			return nil, false
-		}
-		na, ok := snap.Nodes[id]
-		if !ok {
-			return nil, false
-		}
-		dst.Cores[i] = na.Cores
-		dst.LoadM1[i] = na.CPULoad.M1
-		row := dst.attrRows[i]
-		if !inPlace {
-			// m's retained row must stay untouched: carve a dst-owned row.
-			arena = arena[:len(arena)+numAttrCols]
-			row = arena[len(arena)-numAttrCols:]
-			dst.attrRows[i] = row
-		}
-		attrRowInto(na, m.Forecast, row)
-	}
-	if !repriceCL(dst) {
-		return nil, false
-	}
-	return dst, true
-}
-
-// RefreshAttrs is the deferred-pricing variant of an in-place
-// UpdateNodesScratch: it folds the changed nodes' published attributes
-// into the model and re-reduces the cached column stats, but skips the
-// Equation 1 re-score, so CL/CLUnit keep their previous (now stale)
-// values. It exists for callers that price every row they read through
+// RefreshAttrs is the in-place, deferred-pricing sibling of UpdateNodes:
+// it folds the changed nodes' published attributes into the model's own
+// rows and re-reduces the cached column stats, but skips the Equation 1
+// re-score, so CL/CLUnit keep their previous (now stale) values. It
+// exists for callers that price every row they read through
 // ChargeRanksAt — which scores from the attribute rows and column stats,
 // never from the model's own CL — making the skipped re-score
 // unobservable; the policy-fidelity simulator refreshes this way at the
 // monitor cadence. snap must describe the same monitored set as the
-// model (the in-place contract of UpdateNodesScratch).
+// model, and any model previously derived from m via ChargeRanksAt must
+// be re-derived afterwards, not reused.
 func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 	if m.clErr != nil || m.attrRows == nil {
 		return false
@@ -528,35 +463,31 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 	return true
 }
 
-// ChargeRanks derives from m a model with busy-waiting MPI ranks charged
-// onto the given nodes' published attributes: the reservation arithmetic
-// of ReservingPolicy.Charged applied at the attribute-row level (CPU
-// load plus the rank count, CPU utilization plus the occupancy share
-// capped at 100% of the aggregated window) — no snapshot clone and no
-// model rebuild, just k replaced rows and an Equation 1 re-score. ids
-// are node IDs in application order (callers pass them sorted so float
-// accumulation is deterministic) with ranks[k] charged onto ids[k];
-// dst's buffers are reused across calls and dst must not be m. ok=false
-// means m cannot be charged incrementally (no usable CL data, an
-// unknown id, or a length mismatch) and the caller must fall back to
-// Charged + NewLike.
-func (m *CostModel) ChargeRanks(ids, ranks []int, dst *CostModel) (*CostModel, bool) {
-	return m.ChargeRanksAt(ids, ranks, nil, dst)
-}
-
-// ChargeRanksAt is ChargeRanks restricted to a candidate set: with a
-// non-nil cand (ascending dense indices), only those rows' CL/CLUnit
-// entries are priced and every other row's costs are left stale — the
-// contract the policy-fidelity simulator relies on, since Algorithm 1
-// under exclusive capacities only ever reads the free nodes' costs. The
-// normalization itself still spans all n rows: charging shifts the
-// cached per-column sums and maxima by the k row deltas (O(k) instead
-// of O(n·attrs)), and the mean-1 CLUnit scale comes from the closed
-// form of the SAW column identities, so each priced entry agrees with a
-// full re-score to within float rounding (~1 ulp per term, far inside
-// the rebuild-equivalence tolerance) rather than bit-for-bit. With a
-// nil cand (the ChargeRanks/broker path) the re-score is the exact full
-// Equation 1 pass instead, bit-identical to the historical behavior.
+// ChargeRanksAt derives from m a model with busy-waiting MPI ranks
+// charged onto the given nodes' published attributes: the reservation
+// arithmetic of ReservingPolicy.Charged applied at the attribute-row
+// level (CPU load plus the rank count, CPU utilization plus the
+// occupancy share capped at 100% of the aggregated window) — no snapshot
+// copy and no model rebuild, just k replaced rows and an Equation 1
+// re-score. ids are node IDs in application order (callers pass them
+// sorted so float accumulation is deterministic) with ranks[k] charged
+// onto ids[k]; dst's buffers are reused across calls and dst must not be
+// m. ok=false means m cannot be charged incrementally (no usable CL
+// data, an unknown id, or a length mismatch) and the caller must fall
+// back to Charged + NewLike.
+//
+// With a non-nil cand (ascending dense indices), only those rows'
+// CL/CLUnit entries are priced and every other row's costs are left
+// stale — the contract the policy-fidelity simulator relies on, since
+// Algorithm 1 under exclusive capacities only ever reads the free nodes'
+// costs. The normalization itself still spans all n rows: charging
+// shifts the cached per-column sums and maxima by the k row deltas (O(k)
+// instead of O(n·attrs)), and the mean-1 CLUnit scale comes from the
+// closed form of the SAW column identities, so each priced entry agrees
+// with a full re-score to within float rounding (~1 ulp per term, far
+// inside the rebuild-equivalence tolerance) rather than bit-for-bit.
+// With a nil cand the re-score is the exact full Equation 1 pass over
+// all n charged rows instead.
 func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*CostModel, bool) {
 	if m.clErr != nil || m.attrRows == nil || dst == m || len(ids) != len(ranks) {
 		return nil, false
@@ -568,14 +499,14 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 		if len(ids) > 0 {
 			return nil, false
 		}
-		m.shareForUpdate(m.Snap, dst)
+		m.shareForUpdate(dst)
 		dst.CL, dst.CLUnit = dst.CL[:0], dst.CLUnit[:0]
 		return dst, true
 	}
 	if m.colSums == nil {
 		m.cacheColStats()
 	}
-	m.shareForUpdate(m.Snap, dst)
+	m.shareForUpdate(dst)
 	dst.colSums = append(dst.colSums[:0], m.colSums...)
 	dst.colMaxs = append(dst.colMaxs[:0], m.colMaxs...)
 	need := len(ids) * numAttrCols
@@ -623,9 +554,7 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 		dst.LoadM1[i] += r
 	}
 	if cand == nil {
-		// Unrestricted path (the broker's ChargeRanks): a full Equation 1
-		// re-score, bit-identical to the historical behavior — charged
-		// pricing must not perturb broker decisions by even an ulp. The
+		// Unrestricted: the exact full Equation 1 re-score. The
 		// closed-form column-stat pricing below is reserved for the
 		// candidate-restricted simulator path, whose equivalence tolerance
 		// is explicit (TestChargeRanksAgainstRebuild).
@@ -638,9 +567,9 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 	return dst, true
 }
 
-// repriceChargedCL prices dst's CL/CLUnit from its attribute rows and
-// cached column stats — SAW re-scoring with the column reductions
-// already in hand, restricted to cand when non-nil (see ChargeRanksAt).
+// repriceChargedCL prices the cand rows of dst's CL/CLUnit from its
+// attribute rows and cached column stats — SAW re-scoring with the
+// column reductions already in hand (see ChargeRanksAt).
 // Equivalent to repriceCL up to float rounding: normalized terms
 // multiply by precomputed reciprocals instead of dividing, and the
 // mean-1 scale uses ΣCL = Σ_min w + Σ_max w·(n·max_norm − 1), the
@@ -674,7 +603,7 @@ func repriceChargedCL(dst *CostModel, cand []int) {
 		dst.CLUnit = make([]float64, n)
 	}
 	dst.CL, dst.CLUnit = dst.CL[:n], dst.CLUnit[:n]
-	price := func(i int) {
+	for _, i := range cand {
 		row := dst.attrRows[i]
 		cost := 0.0
 		for c, a := range attrs {
@@ -689,15 +618,6 @@ func repriceChargedCL(dst *CostModel, cand []int) {
 			cost *= invMean
 		}
 		dst.CLUnit[i] = cost
-	}
-	if cand == nil {
-		for i := range dst.attrRows {
-			price(i)
-		}
-	} else {
-		for _, i := range cand {
-			price(i)
-		}
 	}
 }
 
@@ -1066,35 +986,33 @@ func popMaxIdx(h []int, cost []float64) (int, []int) {
 	return top, h
 }
 
-// minParallelStarts is the candidate count below which the worker pool
-// is not worth its goroutine overhead and generation stays sequential.
-const minParallelStarts = 16
+// minParallelWork is the size of a fan-out, in addition-cost evaluations
+// (about 15 ns each with their share of the selection), below which it
+// stays on the calling goroutine. Starting a worker on another thread
+// costs the caller a futex call and the request a cross-CPU handoff; on
+// a virtual machine whose idle vCPU has halted that is tens of
+// microseconds and follows the host's load, not the program's. A 60-node
+// dense allocate is 3,600 evaluations, ~50 µs: halving it saved at most
+// 25 µs and let the host decide, run by run, whether the broker's warm
+// path beat one thread or lost to it (bench paper60-frozen, 16 runs:
+// quartile spread of op_p50_ms 15 % of the median split, 6 % not). 128
+// dense nodes or four 64-node shards are 16,384 and worth the wake-ups.
+const minParallelWork = 1 << 14
 
-// parallelWorkers is the worker-pool size parallelFor will use for n
-// indices, so callers can pre-allocate per-worker scratch.
-func parallelWorkers(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minParallelStarts {
-		return 1
-	}
-	return workers
-}
-
-// parallelFor runs f(worker, i) for every i in [0, n) across a bounded
-// GOMAXPROCS-sized worker pool of parallelWorkers(n) goroutines. Each
-// index runs exactly once, and each worker slot runs its calls
-// sequentially (so per-worker scratch buffers need no locking); f must
-// only write index-owned state (the callers write into pre-assigned
-// slice slots, keeping results bit-identical to a sequential loop).
-// Small n runs inline on worker 0.
-func parallelFor(n int, f func(worker, i int)) {
-	workers := parallelWorkers(n)
-	if workers == 1 {
+// parallelFor runs f(scratch, i) for every i in [0, n), work
+// addition-cost evaluations in all, across a GOMAXPROCS-bounded pool of
+// worker goroutines, each with its own zero-valued scratch S. Each index
+// runs exactly once, and each worker runs its calls sequentially (so its
+// scratch needs no locking); f must only write index-owned state (the
+// callers write into pre-assigned slice slots, keeping results
+// bit-identical to a sequential loop). Fan-outs below minParallelWork
+// run inline.
+func parallelFor[S any](n, work int, f func(sc *S, i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 || work < minParallelWork {
+		var sc S
 		for i := 0; i < n; i++ {
-			f(0, i)
+			f(&sc, i)
 		}
 		return
 	}
@@ -1102,16 +1020,17 @@ func parallelFor(n int, f func(worker, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
+			var sc S
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(w, i)
+				f(&sc, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -367,8 +367,12 @@ func TestAllocateExplainEquivalence(t *testing.T) {
 	}
 }
 
+// parallelSide is the dense node count at which a full candidate set
+// reaches minParallelWork.
+const parallelSide = 128
+
 // TestAllocateExplainParallelEquivalence forces the worker-pool branch
-// (GOMAXPROCS > 1 and n ≥ minParallelStarts) and checks the fan-out
+// (GOMAXPROCS > 1 and n² ≥ minParallelWork) and checks the fan-out
 // still matches the reference exactly. Under -race this also exercises
 // the pool for data races.
 func TestAllocateExplainParallelEquivalence(t *testing.T) {
@@ -378,7 +382,7 @@ func TestAllocateExplainParallelEquivalence(t *testing.T) {
 	p := NetLoadAware{}
 	for seed := uint64(100); seed < 105; seed++ {
 		r := rng.New(seed)
-		n := minParallelStarts + 8 + r.Intn(16)
+		n := parallelSide + 8 + r.Intn(16)
 		snap := randomEquivSnapshot(r, n)
 		req := Request{Procs: n, PPN: 1 + r.Intn(3), Alpha: 0.4, Beta: 0.6}
 		wantBest, wantCands, err := refAllocateExplain(snap, req)
@@ -391,6 +395,49 @@ func TestAllocateExplainParallelEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(wantBest, gotBest) || !reflect.DeepEqual(wantCands, gotCands) {
 			t.Fatalf("seed %d (n=%d): parallel path diverged from reference", seed, n)
+		}
+	}
+}
+
+// TestAllocateModelMatchesExplainWinner pins the winner-only path to the
+// explain path: AllocateModel records costs per seed and regenerates the
+// winner instead of materialising every candidate, and must return the
+// explain winner's nodes, process map and TotalLoad bit for bit — on the
+// sequential and the worker-pool branch, and on errors.
+func TestAllocateModelMatchesExplainWinner(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	p := NetLoadAware{}
+	alphas := []float64{0, 0.3, 0.5, 0.7, 1}
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed * 104729)
+		n := 2 + r.Intn(parallelSide+40) // both sides of the pool switch
+		snap := randomEquivSnapshot(r, n)
+		alpha := alphas[int(seed)%len(alphas)]
+		req := Request{
+			Procs:       1 + r.Intn(6*n), // past capacity too: the round-robin remainder
+			PPN:         r.Intn(5),
+			Alpha:       alpha,
+			Beta:        1 - alpha,
+			UseForecast: seed%2 == 0,
+		}
+		validated, err := req.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewCostModel(snap, validated.Weights, validated.UseForecast)
+		best, _, wantErr := p.AllocateExplainModel(m, req)
+		got, gotErr := p.AllocateModel(m, req, nil)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("seed %d: error mismatch: explain=%v model=%v", seed, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		want := Allocation{Policy: p.Name(), Nodes: best.Nodes, Procs: best.Procs, TotalLoad: best.TotalLoad}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("seed %d (n=%d req=%+v):\nexplain winner: %+v\nAllocateModel:  %+v", seed, n, req, want, got)
 		}
 	}
 }

@@ -43,22 +43,17 @@ type Candidate struct {
 
 // Allocate implements Policy.
 func (p NetLoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
-	best, _, err := p.AllocateExplain(snap, req)
+	req, err := req.Validate()
 	if err != nil {
 		return Allocation{}, err
 	}
-	return Allocation{
-		Policy:    p.Name(),
-		Nodes:     best.Nodes,
-		Procs:     best.Procs,
-		TotalLoad: best.TotalLoad,
-	}, nil
+	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
 }
 
 // AllocateModel implements ModelPolicy: the heuristic over a prebuilt
-// dense cost model (the broker's cached Equation 1/2 evaluation).
+// cost model (the broker's cached Equation 1/2 evaluation), winner only.
 func (p NetLoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
-	best, _, err := p.AllocateExplainModel(m, req)
+	best, _, err := p.allocate(m, req, false)
 	if err != nil {
 		return Allocation{}, err
 	}
@@ -82,12 +77,24 @@ func (p NetLoadAware) AllocateExplain(snap *metrics.Snapshot, req Request) (Cand
 }
 
 // AllocateExplainModel is AllocateExplain over a prebuilt cost model.
-// Candidate generation (Algorithm 1, one independent greedy sub-graph
-// per start node) fans out across a bounded worker pool; every worker
-// writes its candidate into a pre-assigned slice slot and the scoring
-// pass (Algorithm 2) runs sequentially over the slice, so results are
-// bit-identical to the sequential path.
 func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate, []Candidate, error) {
+	return p.allocate(m, req, true)
+}
+
+// allocate runs Algorithms 1-2 over a prebuilt cost model. Candidate
+// generation (Algorithm 1, one independent greedy sub-graph per start
+// node) fans out across a bounded worker pool; every worker writes its
+// candidate into a pre-assigned slice slot and the scoring pass
+// (Algorithm 2) runs sequentially over the slice, so results are
+// bit-identical to the sequential path.
+//
+// Without explain the dense path keeps only each candidate's costs and
+// generates the winner a second time to materialise it, as
+// AllocateConstrained does: one more greedy pass instead of a Nodes
+// slice and a Procs map for each of the |V|-1 candidates the caller
+// drops (two thirds of what a warm broker allocate allocated). Same
+// costs into the same scoring, so the winner is the explain path's.
+func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candidate, []Candidate, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Candidate{}, nil, err
@@ -107,19 +114,23 @@ func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate
 		return p.allocateSharded(m, req)
 	}
 	// Algorithm 1, once per start node: |V| candidates over one shared
-	// candidate set. Each worker slot owns one scratch buffer set, reused
+	// candidate set. Each worker owns one scratch buffer set, reused
 	// across all its start nodes.
 	var set candSet
 	set.build(m, nil, m.caps(req), req.Alpha)
 	candidates := make([]Candidate, n)
-	scratch := make([]genScratch, parallelWorkers(n))
-	parallelFor(n, func(w, v int) {
-		candidates[v] = p.generate(m, v, &set, req, &scratch[w])
+	parallelFor(n, n*len(set.idx), func(sc *genScratch, v int) {
+		candidates[v] = p.generate(m, v, &set, req, sc, explain)
 	})
 
 	bestIdx, err := scoreCandidates(candidates, req)
 	if err != nil {
 		return Candidate{}, nil, err
+	}
+	if !explain {
+		best := p.generate(m, bestIdx, &set, req, new(genScratch), true)
+		best.TotalLoad = candidates[bestIdx].TotalLoad
+		return best, nil, nil
 	}
 	return candidates[bestIdx], candidates, nil
 }
@@ -181,10 +192,14 @@ func scoreCosts(costC, costN, total []float64, req Request, sumC, sumN float64) 
 }
 
 // generate builds the candidate sub-graph seeded at dense index v
-// (Algorithm 1): generateConstrained's selection and costs, materialised
-// as a Candidate in node IDs.
-func (p NetLoadAware) generate(m *CostModel, v int, set *candSet, req Request, sc *genScratch) Candidate {
-	cG, nG := p.generateConstrained(m, v, set, req, sc)
-	nodes, procs := indicesToAllocation(m.IDs, sc.used, sc.counts)
-	return Candidate{Start: m.IDs[v], Nodes: nodes, Procs: procs, ComputeCost: cG, NetworkCost: nG}
+// (Algorithm 1): generateConstrained's selection and costs, as a
+// Candidate. materialise fills in the selection as node IDs; without it
+// the candidate carries its costs only.
+func (p NetLoadAware) generate(m *CostModel, v int, set *candSet, req Request, sc *genScratch, materialise bool) Candidate {
+	c := Candidate{Start: m.IDs[v]}
+	c.ComputeCost, c.NetworkCost = p.generateConstrained(m, v, set, req, sc)
+	if materialise {
+		c.Nodes, c.Procs = indicesToAllocation(m.IDs, sc.used, sc.counts)
+	}
+	return c
 }

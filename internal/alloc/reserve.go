@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -35,7 +36,7 @@ type ReservingPolicy struct {
 	// snapshot carrying an old (or zero) Taken cannot make reservations
 	// immortal: time only moves forward for expiry purposes.
 	seen time.Time
-	// chargeIDs/chargeRanks are ChargedModel's reusable aggregation
+	// chargeIDs/chargeRanks are ChargedModelAt's reusable aggregation
 	// buffers; chargeDense/chargeMark form the dense per-node-ID
 	// accumulator it prefers over a map when IDs are small non-negative
 	// ints (always zeroed again before the lock is released). All are
@@ -134,12 +135,14 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 }
 
 // Charged prunes expired reservations and charges the live ones onto a
-// copy of snap (snap itself is returned untouched when there is nothing
-// to charge). The job queue calls this directly to price free capacity
-// the way the wrapped allocator will see it.
+// variant of snap (snap itself is returned when there is nothing to
+// charge, and is never written: the variant owns a new Nodes map and
+// Livehosts list and shares the n² matrices it does not change). The job
+// queue calls this directly to price free capacity the way the wrapped
+// allocator will see it.
 //
 // Charging also prunes nodes left without a single free slot from the
-// copy's livehosts: Equation 3's wrap (EffectiveProcs) would otherwise
+// variant's livehosts: Equation 3's wrap (EffectiveProcs) would otherwise
 // report a saturated node as freshly empty during the inner policy's
 // fill step, piling reserved ranks onto exactly the nodes that have
 // nothing to give. When every node is saturated the universe is kept
@@ -160,7 +163,9 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 	p.reservations = live
 	charged := snap
 	if len(live) > 0 {
-		charged = snap.Clone()
+		cp := *snap
+		cp.Nodes = maps.Clone(snap.Nodes)
+		charged = &cp
 		for _, res := range live {
 			for k, node := range res.ids {
 				ranks := res.ranks[k]
@@ -192,8 +197,8 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 				charged.Nodes[node] = na
 			}
 		}
-		keep := charged.Livehosts[:0]
-		for _, id := range charged.Livehosts {
+		keep := make([]int, 0, len(snap.Livehosts))
+		for _, id := range snap.Livehosts {
 			na, ok := charged.Nodes[id]
 			if !ok || NodeFreeSlots(na) > 0 {
 				keep = append(keep, id)
@@ -206,23 +211,18 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 	return charged
 }
 
-// ChargedModel prices base with the live reservations charged directly
-// onto the model's retained attribute rows (CostModel.ChargeRanks) — the
-// path simulation runs use so reservations flow through the policy
-// without the per-decision snapshot clone and full model rebuild that
-// AllocateModel's generic path performs. Expired reservations are pruned
-// against now (the clock only moves forward, like Charged). With nothing
-// live it returns (base, true) untouched; otherwise it returns the
-// charged model written into dst's reused buffers. ok=false means base
-// cannot be charged incrementally (see ChargeRanks) — callers fall back
-// to the Charged + NewLike rebuild.
-func (p *ReservingPolicy) ChargedModel(now time.Time, base *CostModel, dst *CostModel) (*CostModel, bool) {
-	return p.ChargedModelAt(now, base, nil, dst)
-}
-
-// ChargedModelAt is ChargedModel pricing only the cand rows of the
-// charged model (nil cand prices every row) — see
-// CostModel.ChargeRanksAt for the staleness contract on the rest.
+// ChargedModelAt prices base with the live reservations charged directly
+// onto the model's retained attribute rows (CostModel.ChargeRanksAt) —
+// the path simulation runs use so reservations flow through the policy
+// without the per-decision snapshot copy and full model rebuild that
+// AllocateModel's generic path performs. Only the cand rows of the
+// charged model are priced (nil cand prices every row; see ChargeRanksAt
+// for the staleness contract on the rest). Expired reservations are
+// pruned against now (the clock only moves forward, like Charged). With
+// nothing live it returns (base, true) untouched; otherwise it returns
+// the charged model written into dst's reused buffers. ok=false means
+// base cannot be charged incrementally (see ChargeRanksAt) — callers
+// fall back to the Charged + NewLike rebuild.
 func (p *ReservingPolicy) ChargedModelAt(now time.Time, base *CostModel, cand []int, dst *CostModel) (*CostModel, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -639,10 +639,12 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 	// reads it (within one spill shard the boundary NL term is constant,
 	// so the addition cost α·CL(u) + β·boundary(s,t) orders by CL).
 	byCL := make([][]int, S)
+	scoutWork := 0 // every member of a shard seeds a pass over its members
 	for s, members := range sm.shards {
 		order := append([]int(nil), members...)
 		slices.SortFunc(order, byCostThenIdx(m.CLUnit))
 		byCL[s] = order
+		scoutWork += len(members) * len(members)
 	}
 
 	// Level 1: each shard is scouted by running Algorithm 1 confined to
@@ -657,12 +659,9 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 	score := make([]float64, S)
 	sumCs := make([]float64, S)
 	sumNs := make([]float64, S)
-	{
-		scratch := make([]genScratch, parallelWorkers(S))
-		parallelFor(S, func(w, s int) {
-			score[s], sumCs[s], sumNs[s] = p.scoutShard(m, s, caps, req, &scratch[w])
-		})
-	}
+	parallelFor(S, scoutWork, func(sc *genScratch, s int) {
+		score[s], sumCs[s], sumNs[s] = p.scoutShard(m, s, caps, req, sc)
+	})
 	sumC, sumN := 0.0, 0.0
 	for s := 0; s < S; s++ { // shard order: deterministic accumulation
 		sumC += sumCs[s]
@@ -690,9 +689,8 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 	var set candSet
 	set.build(m, union, caps, req.Alpha)
 	candidates := make([]Candidate, len(union))
-	scratch := make([]shardScratch, parallelWorkers(len(union)))
-	parallelFor(len(union), func(w, i int) {
-		candidates[i] = p.generateSharded(m, union[i], &set, caps, req, spillShards, byCL, &scratch[w])
+	parallelFor(len(union), len(union)*len(set.idx), func(sc *shardScratch, i int) {
+		candidates[i] = p.generateSharded(m, union[i], &set, caps, req, spillShards, byCL, sc)
 	})
 
 	// Score with the scout-estimated normalization sums: Algorithm 2

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -490,6 +491,41 @@ func candidatesDigest(best Candidate, cands []Candidate) string {
 // is the bit-identity gate for refactors of the scout/union/spill path.
 // The digests were produced by the four-copy implementation (PR 12
 // parent) and must not change.
+// TestShardedParallelMatchesSequential runs a plan large enough that
+// both sharded fan-outs (the shard scouts and the union's candidates)
+// pass minParallelWork, with one scheduler thread and with four: the
+// candidate list must not depend on the worker count. Under -race it is
+// the test that exercises the sharded pool.
+func TestShardedParallelMatchesSequential(t *testing.T) {
+	const nShards, perShard = 4, 64
+	if nShards*perShard*perShard < minParallelWork {
+		t.Fatal("plan too small to reach the worker pool")
+	}
+	snap, groups := shardedEquivSnapshot(rng.New(17), nShards, perShard)
+	m := NewCostModelSharded(snap, PaperWeights(), false, ShardOptions{
+		Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: perShard, TopK: 2})
+	if !m.Sharded() {
+		t.Fatal("model not sharded")
+	}
+	req := Request{Procs: 600, PPN: 4, Alpha: 0.4, Beta: 0.6} // past the union's 512 slots: spills too
+	run := func(procs int) (Candidate, []Candidate) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		best, cands, err := NetLoadAware{}.AllocateExplainModel(m, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.TakeShardSpills() == 0 {
+			t.Fatal("request did not spill")
+		}
+		return best, cands
+	}
+	seqBest, seqCands := run(1)
+	parBest, parCands := run(4)
+	if !reflect.DeepEqual(seqBest, parBest) || !reflect.DeepEqual(seqCands, parCands) {
+		t.Fatalf("worker pool changed the result:\nsequential best %+v\nparallel best   %+v", seqBest, parBest)
+	}
+}
+
 func TestShardedGoldenDigests(t *testing.T) {
 	topo := func(seed uint64, nShards, perShard, topK int) *CostModel {
 		snap, groups := shardedEquivSnapshot(rng.New(seed), nShards, perShard)

@@ -22,7 +22,6 @@ import (
 	"nlarm/internal/obs"
 	"nlarm/internal/rng"
 	"nlarm/internal/simtime"
-	"nlarm/internal/store"
 )
 
 // Recommendation is the broker's verdict on a request.
@@ -175,18 +174,15 @@ func (c Config) withDefaults() Config {
 // store. It is safe for concurrent use.
 type Broker struct {
 	cfg      Config
-	st       store.Store
+	st       monitor.GenSource
 	rt       simtime.Runtime
 	mu       sync.Mutex
 	rnd      *rng.Rand
 	policies map[string]alloc.Policy
 
-	// Delta snapshot pipeline: when the store tracks per-key generations
-	// (monitor.GenSource), snapshots come from a SnapshotCache that
-	// re-reads only changed keys; concurrent Allocate calls coalesce
-	// behind one in-flight refresh. A nil cache means the store has no
-	// generation tracking and every request does a full read (the
-	// pre-delta behavior).
+	// Delta snapshot pipeline: snapshots come from a SnapshotCache that
+	// re-reads only the keys whose store generation changed; concurrent
+	// Allocate calls coalesce behind one in-flight refresh.
 	cache  *monitor.SnapshotCache
 	sfMu   sync.Mutex
 	sfCall *refreshCall
@@ -207,10 +203,12 @@ type Broker struct {
 	cacheMisses uint64
 
 	// Degraded-mode state: the last snapshot that passed the freshness
-	// checks, kept so a monitoring outage (store unreadable, data aged
-	// out) downgrades service instead of interrupting it. lastGoodFP
-	// gates the deep copy: an unchanged fingerprint means the stored
-	// clone is already current.
+	// checks, kept (shared, see metrics.Snapshot) so a monitoring outage
+	// (store unreadable, data aged out) downgrades service instead of
+	// interrupting it. lastGoodFP gates the replacement: while the content
+	// is unchanged lastGood stays the view that first served it, so its
+	// Taken — the degraded SnapshotAge and the reserving policy's clock —
+	// reads "when this content was first served".
 	lastGoodMu sync.Mutex
 	lastGood   *metrics.Snapshot
 	lastGoodFP uint64
@@ -245,20 +243,11 @@ type refreshCall struct {
 	err  error
 }
 
-// snapView is the snapshot a request was served with, plus the delta
-// metadata the cost-model cache needs. A non-cache (full-read) view has
-// Incremental false and PrevFP 0.
-type snapView struct {
-	snap        *metrics.Snapshot
-	fp          uint64
-	prevFP      uint64
-	incremental bool
-	changed     []int
-}
-
 // New builds a broker reading monitoring data from st, with the standard
 // policy set registered (random, sequential, load-aware, net-load-aware).
-func New(st store.Store, rt simtime.Runtime, cfg Config) *Broker {
+// The store must track per-key generations (wrap any backend with
+// store.Version): the broker reads it only through a delta SnapshotCache.
+func New(st monitor.GenSource, rt simtime.Runtime, cfg Config) *Broker {
 	cfg = cfg.withDefaults()
 	b := &Broker{
 		cfg:       cfg,
@@ -266,15 +255,13 @@ func New(st store.Store, rt simtime.Runtime, cfg Config) *Broker {
 		rt:        rt,
 		rnd:       rng.New(cfg.Seed),
 		policies:  make(map[string]alloc.Policy),
+		cache:     monitor.NewSnapshotCache(st, cfg.Obs, rt.Now),
 		models:    make(map[modelKey]*alloc.CostModel),
 		obs:       cfg.Obs,
 		decisions: obs.NewRing[DecisionRecord](cfg.DecisionLog),
 	}
 	for _, p := range []alloc.Policy{alloc.Random{}, alloc.Sequential{}, alloc.LoadAware{}, alloc.NetLoadAware{}} {
 		b.policies[p.Name()] = p
-	}
-	if gs, ok := st.(monitor.GenSource); ok {
-		b.cache = monitor.NewSnapshotCache(gs, b.obs, rt.Now)
 	}
 	return b
 }
@@ -298,29 +285,24 @@ func (b *Broker) Policies() []string {
 	return names
 }
 
-// Snapshot returns the current consolidated monitoring view.
+// Snapshot returns the current consolidated monitoring view from a full
+// store read. It deliberately bypasses the snapshot cache: a second
+// consumer of Refresh would swallow the PrevFP/ChangedNodes delta the
+// cost-model cache needs and turn the next allocate into a full rebuild.
 func (b *Broker) Snapshot() (*metrics.Snapshot, error) {
 	return monitor.ReadSnapshotObs(b.st, b.rt.Now(), b.obs)
 }
 
-// freshView obtains the current monitoring view: a delta refresh of the
-// snapshot cache when the store tracks generations, else a full read.
-// Concurrent cache refreshes coalesce — one caller sweeps the store,
-// the rest wait on its result.
-func (b *Broker) freshView() (snapView, error) {
-	if b.cache == nil {
-		snap, err := b.Snapshot()
-		if err != nil {
-			return snapView{}, err
-		}
-		return snapView{snap: snap, fp: snap.Fingerprint()}, nil
-	}
+// freshView obtains the current monitoring view by a delta refresh of
+// the snapshot cache. Concurrent refreshes coalesce — one caller sweeps
+// the store, the rest wait on its result.
+func (b *Broker) freshView() (monitor.Refresh, error) {
 	b.sfMu.Lock()
 	if call := b.sfCall; call != nil {
 		b.sfMu.Unlock()
 		<-call.done
 		b.obs.Counter("broker.snapshot.refresh.shared").Inc()
-		return viewOf(call.res), call.err
+		return call.res, call.err
 	}
 	call := &refreshCall{done: make(chan struct{})}
 	b.sfCall = call
@@ -330,17 +312,7 @@ func (b *Broker) freshView() (snapView, error) {
 	b.sfCall = nil
 	b.sfMu.Unlock()
 	close(call.done)
-	return viewOf(call.res), call.err
-}
-
-func viewOf(r monitor.Refresh) snapView {
-	return snapView{
-		snap:        r.Snap,
-		fp:          r.FP,
-		prevFP:      r.PrevFP,
-		incremental: r.Incremental,
-		changed:     r.ChangedNodes,
-	}
+	return call.res, call.err
 }
 
 // acquireSnapshot is Allocate's graceful-degradation front end. It
@@ -351,54 +323,60 @@ func viewOf(r monitor.Refresh) snapView {
 // never place ranks on hosts the monitor has since declared dead. With
 // no last-good copy (the broker never saw a healthy monitor) the
 // original errors surface unchanged.
-func (b *Broker) acquireSnapshot() (snapView, string, error) {
+func (b *Broker) acquireSnapshot() (monitor.Refresh, string, error) {
 	sv, err := b.freshView()
 	var reason string
 	switch {
 	case err != nil:
 		reason = fmt.Sprintf("snapshot read failed: %v", err)
-	case alloc.StaleAfter(sv.snap, b.cfg.SnapshotMaxAge):
+	case alloc.StaleAfter(sv.Snap, b.cfg.SnapshotMaxAge):
 		reason = fmt.Sprintf("monitoring data older than %v", b.cfg.SnapshotMaxAge)
 	default:
 		b.lastGoodMu.Lock()
-		if b.lastGood == nil || b.lastGoodFP != sv.fp {
-			b.lastGood = sv.snap.Clone()
-			b.lastGoodFP = sv.fp
+		if b.lastGood == nil || b.lastGoodFP != sv.FP {
+			b.lastGood = sv.Snap
+			b.lastGoodFP = sv.FP
 		}
 		b.lastGoodMu.Unlock()
 		return sv, "", nil
 	}
 
 	b.lastGoodMu.Lock()
-	var lg *metrics.Snapshot
-	if b.lastGood != nil {
-		lg = b.lastGood.Clone()
+	lastGood, fp := b.lastGood, b.lastGoodFP
+	if lastGood != nil {
 		b.degraded++
 	}
 	b.lastGoodMu.Unlock()
-	if lg == nil {
+	if lastGood == nil {
 		if err != nil {
-			return snapView{}, "", fmt.Errorf("broker: no monitoring data: %w", err)
+			return monitor.Refresh{}, "", fmt.Errorf("broker: no monitoring data: %w", err)
 		}
-		return snapView{}, "", fmt.Errorf("broker: monitoring data older than %v; is the monitor running?", b.cfg.SnapshotMaxAge)
+		return monitor.Refresh{}, "", fmt.Errorf("broker: monitoring data older than %v; is the monitor running?", b.cfg.SnapshotMaxAge)
 	}
+	// Header copy only: the content is shared with the last-good view (and
+	// through it with the snapshot cache), so the livehosts filter builds
+	// a new list instead of compacting the shared one in place.
+	lg := *lastGood
 	lg.Degraded = true
 	if hosts, _, err := monitor.ReadLivehosts(b.st); err == nil {
 		cur := make(map[int]bool, len(hosts))
 		for _, id := range hosts {
 			cur[id] = true
 		}
-		kept := lg.Livehosts[:0]
+		kept := make([]int, 0, len(lg.Livehosts))
 		for _, id := range lg.Livehosts {
 			if cur[id] {
 				kept = append(kept, id)
 			}
 		}
-		lg.Livehosts = kept
+		if len(kept) != len(lg.Livehosts) {
+			// A dropped host changes content; otherwise the view is
+			// last-good's and keeps its fingerprint (and its cached model).
+			lg.Livehosts = kept
+			fp = lg.Fingerprint()
+		}
 	}
-	// The livehosts filtering above may have changed content, so the
-	// degraded view's fingerprint is computed, not cached (rare path).
-	return snapView{snap: lg, fp: lg.Fingerprint()}, reason, nil
+	return monitor.Refresh{Snap: &lg, FP: fp}, reason, nil
 }
 
 // DegradedServed reports how many allocation requests were answered from
@@ -418,15 +396,15 @@ func (b *Broker) DegradedServed() uint64 {
 // attributes moved) and the retired generation belongs to the view's
 // predecessor fingerprint, the retired model is updated in place via
 // CostModel.UpdateNodes instead of being rebuilt from scratch.
-func (b *Broker) costModel(sv snapView, w alloc.Weights, forecast bool) (*alloc.CostModel, bool) {
+func (b *Broker) costModel(sv monitor.Refresh, w alloc.Weights, forecast bool) (*alloc.CostModel, bool) {
 	shardSig := b.cfg.Shard.Signature()
-	key := modelKey{fp: sv.fp, weights: w, forecast: forecast, shard: shardSig}
+	key := modelKey{fp: sv.FP, weights: w, forecast: forecast, shard: shardSig}
 	b.modelMu.Lock()
 	defer b.modelMu.Unlock()
-	if sv.fp != b.modelFP {
+	if sv.FP != b.modelFP {
 		b.prevModels, b.prevFP = b.models, b.modelFP
 		b.models = make(map[modelKey]*alloc.CostModel)
-		b.modelFP = sv.fp
+		b.modelFP = sv.FP
 	}
 	if m, ok := b.models[key]; ok {
 		b.cacheHits++
@@ -434,16 +412,16 @@ func (b *Broker) costModel(sv snapView, w alloc.Weights, forecast bool) (*alloc.
 		return m, true
 	}
 	var m *alloc.CostModel
-	if sv.incremental && sv.prevFP != 0 && sv.prevFP == b.prevFP {
-		if pm, ok := b.prevModels[modelKey{fp: sv.prevFP, weights: w, forecast: forecast, shard: shardSig}]; ok {
-			if um, ok := pm.UpdateNodes(sv.snap, sv.changed); ok {
+	if sv.Incremental && sv.PrevFP != 0 && sv.PrevFP == b.prevFP {
+		if pm, ok := b.prevModels[modelKey{fp: sv.PrevFP, weights: w, forecast: forecast, shard: shardSig}]; ok {
+			if um, ok := pm.UpdateNodes(sv.Snap, sv.ChangedNodes); ok {
 				m = um
 				b.obs.Counter("broker.model.update.incremental").Inc()
 			}
 		}
 	}
 	if m == nil {
-		m = alloc.NewCostModelSharded(sv.snap, w, forecast, b.cfg.Shard)
+		m = alloc.NewCostModelSharded(sv.Snap, w, forecast, b.cfg.Shard)
 		b.obs.Counter("broker.model.update.full").Inc()
 	}
 	if m.Sharded() {
@@ -683,7 +661,7 @@ func (b *Broker) allocate(req Request) (Response, *alloc.CostModel, bool, error)
 // view — the shared tail of the single-request and batched paths. The
 // policy lookup, wait heuristic, cost-model fetch, and policy run all
 // happen here; only the snapshot acquisition differs between callers.
-func (b *Broker) allocateOn(sv snapView, degradedReason string, req Request) (Response, *alloc.CostModel, bool, error) {
+func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Request) (Response, *alloc.CostModel, bool, error) {
 	if req.Policy == "" {
 		req.Policy = alloc.NetLoadAware{}.Name()
 	}
@@ -697,10 +675,10 @@ func (b *Broker) allocateOn(sv snapView, degradedReason string, req Request) (Re
 	if !ok {
 		return Response{}, nil, false, fmt.Errorf("broker: unknown policy %q", req.Policy)
 	}
-	snap := sv.snap
+	snap := sv.Snap
 
 	loadPerCore := clusterLoadPerCore(snap)
-	resp := Response{Policy: pol.Name(), ClusterLoad: loadPerCore, FreeProcs: alloc.FreeSlots(snap), SnapshotFP: sv.fp}
+	resp := Response{Policy: pol.Name(), ClusterLoad: loadPerCore, FreeProcs: alloc.FreeSlots(snap), SnapshotFP: sv.FP}
 	if degradedReason != "" {
 		resp.Degraded = true
 		resp.DegradedReason = degradedReason

@@ -25,7 +25,7 @@ var t0 = time.Date(2020, 3, 2, 8, 0, 0, 0, time.UTC)
 type rig struct {
 	sched *simtime.Scheduler
 	w     *world.World
-	st    *store.MemStore
+	st    *store.VersionedStore // shared by daemons and broker, as in production
 	mgr   *monitor.Manager
 	b     *Broker
 }
@@ -39,7 +39,7 @@ func newRig(t testing.TB, seed uint64, bg loadgen.Config) *rig {
 	sched := simtime.NewScheduler(t0)
 	w := world.New(cl, world.Config{Seed: seed, StepSize: time.Second, Background: bg}, t0)
 	w.Attach(sched)
-	st := store.NewMem()
+	st := store.Version(store.NewMem())
 	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, st, monitor.Config{
 		NodeStatePeriod: 2 * time.Second,
 		LivehostsPeriod: 2 * time.Second,
@@ -244,7 +244,7 @@ func TestStaleMonitorRefused(t *testing.T) {
 
 func TestNoMonitorData(t *testing.T) {
 	sched := simtime.NewScheduler(t0)
-	b := New(store.NewMem(), sched, Config{})
+	b := New(store.Version(store.NewMem()), sched, Config{})
 	if _, err := b.Allocate(Request{Procs: 4}); err == nil {
 		t.Fatal("empty store accepted")
 	}

@@ -19,11 +19,13 @@ import (
 )
 
 // faultRig is the broker test rig with a fault-injecting store between
-// the monitor and the broker.
+// the monitor and the broker. Daemons and broker share vst, the
+// generation-tracking wrapper over fs, as harness/chaos.go wires it.
 type faultRig struct {
 	sched *simtime.Scheduler
 	w     *world.World
 	fs    *store.FaultStore
+	vst   *store.VersionedStore
 	mgr   *monitor.Manager
 	b     *Broker
 }
@@ -38,7 +40,8 @@ func newFaultRig(t *testing.T, seed uint64) *faultRig {
 	w := world.New(cl, world.Config{Seed: seed, StepSize: time.Second}, t0)
 	w.Attach(sched)
 	fs := store.NewFault(store.NewMem(), seed)
-	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, fs, monitor.Config{
+	vst := store.Version(fs)
+	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, vst, monitor.Config{
 		NodeStatePeriod: 2 * time.Second,
 		LivehostsPeriod: 2 * time.Second,
 		LatencyPeriod:   5 * time.Second,
@@ -49,7 +52,7 @@ func newFaultRig(t *testing.T, seed uint64) *faultRig {
 	}
 	t.Cleanup(mgr.Stop)
 	sched.RunFor(30 * time.Second)
-	return &faultRig{sched: sched, w: w, fs: fs, mgr: mgr, b: New(fs, sched, Config{Seed: seed})}
+	return &faultRig{sched: sched, w: w, fs: fs, vst: vst, mgr: mgr, b: New(vst, sched, Config{Seed: seed})}
 }
 
 func TestFaultDegradedServesLastGoodOnReadFailure(t *testing.T) {
@@ -63,8 +66,12 @@ func TestFaultDegradedServesLastGoodOnReadFailure(t *testing.T) {
 	}
 
 	// Partition the livehosts prefix: the snapshot read now fails, but
-	// the broker must keep answering from its last-good copy.
+	// the broker must keep answering from its last-good copy. The daemons
+	// get one publish round first: with no write since the last refresh
+	// the snapshot cache rightly serves its unchanged view without
+	// touching the store at all.
 	r.fs.Partition(monitor.KeyLivehostsPrefix)
+	r.sched.RunFor(3 * time.Second)
 	resp, err := r.b.Allocate(Request{Procs: 4})
 	if err != nil {
 		t.Fatalf("allocation failed during partition instead of degrading: %v", err)
@@ -95,7 +102,8 @@ func TestFaultDegradedServesLastGoodOnReadFailure(t *testing.T) {
 
 func TestFaultDegradedServesLastGoodOnStaleData(t *testing.T) {
 	r := newFaultRig(t, 22)
-	if _, err := r.b.Allocate(Request{Procs: 4}); err != nil {
+	fresh, err := r.b.Allocate(Request{Procs: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Stop monitoring and let the data age far beyond the bound. A broker
@@ -111,6 +119,18 @@ func TestFaultDegradedServesLastGoodOnStaleData(t *testing.T) {
 	}
 	if resp.SnapshotAge < 5*time.Minute {
 		t.Fatalf("degraded SnapshotAge = %v, want the last-good copy's real age", resp.SnapshotAge)
+	}
+	// The livehosts filter dropped nothing, so the degraded view is the
+	// last-good content: same fingerprint, and its cost model is reused.
+	if resp.SnapshotFP != fresh.SnapshotFP {
+		t.Fatalf("degraded SnapshotFP %x, last healthy %x", resp.SnapshotFP, fresh.SnapshotFP)
+	}
+	hits, _ := r.b.ModelCacheStats()
+	if _, err := r.b.Allocate(Request{Procs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := r.b.ModelCacheStats(); after != hits+1 {
+		t.Fatalf("second degraded request: model cache hits %d -> %d, want a hit", hits, after)
 	}
 }
 
@@ -142,6 +162,37 @@ func TestFaultDegradedFiltersNodesGoneFromLivehosts(t *testing.T) {
 		if n == dead {
 			t.Fatalf("degraded allocation placed ranks on dead node %d", dead)
 		}
+	}
+
+	// The filter must not have eaten the node out of the last-good view:
+	// when it comes back into the livehosts list while node state is still
+	// unreadable, the next degraded serve can place on it again.
+	r.w.SetNodeDown(dead, false)
+	r.sched.RunFor(6 * time.Second)
+	resp, err = r.b.Allocate(Request{Procs: 64, PPN: 8, Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Degraded || len(resp.Nodes) != 8 || resp.Procs[dead] != 8 {
+		t.Fatalf("revived node not allocatable from the last-good view: degraded=%v procs=%v", resp.Degraded, resp.Procs)
+	}
+
+	// Healed, the fresh view lists and places on it too.
+	r.fs.HealAll()
+	r.sched.RunFor(6 * time.Second)
+	resp, err = r.b.Allocate(Request{Procs: 64, PPN: 8, Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded || resp.Procs[dead] != 8 {
+		t.Fatalf("healed allocation: degraded=%v procs=%v", resp.Degraded, resp.Procs)
+	}
+	ref, err := r.b.cache.Refresh(r.sched.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Snap.Alive(dead) {
+		t.Fatalf("refreshed livehosts %v lost node %d", ref.Snap.Livehosts, dead)
 	}
 }
 
@@ -199,7 +250,7 @@ func TestFaultStaleReadCannotSkewReservationClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.fs.Put(fmt.Sprintf("%s%d", monitor.KeyNodeStatePrefix, id), bts); err != nil {
+			if err := r.vst.Put(fmt.Sprintf("%s%d", monitor.KeyNodeStatePrefix, id), bts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +301,7 @@ func TestFaultStaleReadCannotSkewReservationClock(t *testing.T) {
 func TestFaultNoLastGoodStillErrors(t *testing.T) {
 	sched := simtime.NewScheduler(t0)
 	fs := store.NewFault(store.NewMem(), 9)
-	b := New(fs, sched, Config{})
+	b := New(store.Version(fs), sched, Config{})
 	if _, err := b.Allocate(Request{Procs: 4}); err == nil {
 		t.Fatal("broker with no last-good snapshot served an empty store")
 	}
@@ -321,7 +372,7 @@ func TestFaultCostModelCacheRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := alloc.Weights{CPULoad: 1}
-	finalView := snapView{snap: final, fp: final.Fingerprint()}
+	finalView := monitor.Refresh{Snap: final, FP: final.Fingerprint()}
 	got, _ := r.b.costModel(finalView, w, false)
 	want := alloc.NewCostModel(final, w, false)
 	if !reflect.DeepEqual(got, want) {

@@ -19,13 +19,13 @@ var t0 = time.Date(2020, 3, 2, 8, 0, 0, 0, time.UTC)
 type rig struct {
 	sched *simtime.Scheduler
 	w     *world.World
-	st    *store.MemStore
+	st    *store.VersionedStore // shared by daemons and broker, as in production
 	b     *broker.Broker
 	q     *Queue
 }
 
 // rigStore exposes the rig's shared store to sibling test files.
-func rigStore(r *rig) *store.MemStore { return r.st }
+func rigStore(r *rig) *store.VersionedStore { return r.st }
 
 func newRig(t *testing.T, seed uint64, waitThreshold float64) *rig {
 	t.Helper()
@@ -36,7 +36,7 @@ func newRig(t *testing.T, seed uint64, waitThreshold float64) *rig {
 	sched := simtime.NewScheduler(t0)
 	w := world.New(cl, world.Config{Seed: seed, StepSize: time.Second}, t0)
 	w.Attach(sched)
-	st := store.NewMem()
+	st := store.Version(store.NewMem())
 	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, st, monitor.Config{
 		NodeStatePeriod: 2 * time.Second,
 		LivehostsPeriod: 2 * time.Second,

@@ -73,6 +73,17 @@ type PairBandwidth struct {
 }
 
 // Snapshot is the consolidated monitoring view the allocator consumes.
+//
+// Ownership: a Snapshot handed out by monitor.SnapshotCache.Refresh,
+// monitor.ReadSnapshotObs or the broker is immutable. Its maps and slices
+// are shared — with the cache's own state, the broker's last-good view,
+// cached cost models and every concurrent request — so nobody writes
+// through them; whoever needs a variant copies the struct header and
+// only the part it changes (the broker's degraded serve builds a new
+// Livehosts list, alloc.ReservingPolicy.Charged a new Nodes map and
+// Livehosts list; both share the n² matrices). Only the builder of a
+// private snapshot that was never handed out may mutate it in place, as
+// the policy-fidelity simulator does with its own.
 type Snapshot struct {
 	Taken     time.Time                 `json:"taken"`
 	Livehosts []int                     `json:"livehosts"`
@@ -236,7 +247,9 @@ func CombineFingerprint(livehosts []int, nNodes, nLat, nBW int, accNodes, accLat
 }
 
 // Clone returns a deep copy of the snapshot (maps are copied; values are
-// plain data).
+// plain data). No production path calls it: under the ownership rule on
+// Snapshot, variants copy only what they change. It remains for tests and
+// the benchmark's cost-sheet row.
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{
 		Taken:           s.Taken,

@@ -24,10 +24,9 @@ type GenSource interface {
 
 // Refresh is the result of one SnapshotCache.Refresh call.
 type Refresh struct {
-	// Snap is the refreshed snapshot. Its maps and slices are shared
-	// with the cache and with other Refresh results — treat them as
-	// immutable (every consolidated-snapshot consumer already does; the
-	// cache itself never mutates a published map).
+	// Snap is the refreshed snapshot: immutable and shared with the cache
+	// and other Refresh results (see the ownership rule on
+	// metrics.Snapshot; the cache itself never mutates a published map).
 	Snap *metrics.Snapshot
 	// FP is the snapshot's content fingerprint, maintained incrementally
 	// and bit-identical to Snap.Fingerprint().

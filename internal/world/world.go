@@ -14,6 +14,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,7 +67,11 @@ type World struct {
 	net *netmodel.Network
 	now time.Time
 
-	jobs    map[int]*mpisim.Job
+	// jobs holds the running jobs in ascending ID (IDs are handed out
+	// increasing, so appending keeps it sorted). Every pass over the jobs
+	// walks this order: rates, flow order and float sums must not depend
+	// on Go's map iteration order, or same-seed runs diverge.
+	jobs    []*mpisim.Job
 	nextJob int
 	onDone  map[int]func(mpisim.Result)
 	results []mpisim.Result
@@ -90,7 +95,6 @@ func New(cl *cluster.Cluster, cfg Config, start time.Time) *World {
 		bg:      loadgen.New(cl, cfg.Background, cfg.Seed),
 		net:     netmodel.New(cl.Topo, cfg.Net, cfg.Seed+0x9e37),
 		now:     start,
-		jobs:    make(map[int]*mpisim.Job),
 		nextJob: 1, // 0 is netmodel.BackgroundOwner
 		onDone:  make(map[int]func(mpisim.Result)),
 		down:    make(map[int]bool),
@@ -132,19 +136,15 @@ func (w *World) StepTo(now time.Time) {
 	w.bg.Step(now, dt)
 
 	env := envView{w: w}
-	for id, j := range w.jobs {
-		used, done := j.Advance(env, dt)
-		_ = used
-		if done {
-			res := j.Result()
-			w.results = append(w.results, res)
-			delete(w.jobs, id)
-			if cb := w.onDone[id]; cb != nil {
-				delete(w.onDone, id)
-				w.pendingDone = append(w.pendingDone, func() { cb(res) })
-			}
+	for i, j := range w.jobs {
+		if _, done := j.Advance(env, dt); done {
+			// Cleared at once, compacted after the loop: jobs later in this
+			// step no longer see the finished job's ranks as load.
+			w.jobs[i] = nil
+			w.finishLocked(j)
 		}
 	}
+	w.compactJobsLocked()
 
 	// Expire probes and rebuild network traffic.
 	live := w.probes[:0]
@@ -165,15 +165,31 @@ func (w *World) StepTo(now time.Time) {
 	}
 }
 
+// finishLocked records a finished job's result and queues its completion
+// callback to fire once the lock is released.
+func (w *World) finishLocked(j *mpisim.Job) {
+	res := j.Result()
+	w.results = append(w.results, res)
+	if cb := w.onDone[j.ID]; cb != nil {
+		delete(w.onDone, j.ID)
+		w.pendingDone = append(w.pendingDone, func() { cb(res) })
+	}
+}
+
+// compactJobsLocked drops the entries a pass over w.jobs cleared.
+func (w *World) compactJobsLocked() {
+	w.jobs = slices.DeleteFunc(w.jobs, func(j *mpisim.Job) bool { return j == nil })
+}
+
 // collectFlowsLocked gathers background, job, and probe flows.
 func (w *World) collectFlowsLocked() []netmodel.Flow {
 	var flows []netmodel.Flow
 	for _, f := range w.bg.Flows() {
 		flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
 	}
-	for id, j := range w.jobs {
+	for _, j := range w.jobs {
 		for _, f := range j.Flows() {
-			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: id})
+			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: j.ID})
 		}
 	}
 	for _, p := range w.probes {
@@ -193,8 +209,8 @@ func (e envView) NodeFreqGHz(id int) float64 { return e.w.cl.Node(id).FreqGHz }
 
 func (e envView) NodeBackgroundLoad(id int, exceptJob int) float64 {
 	load := e.w.bg.NodeLoad(id).CPULoad
-	for jid, j := range e.w.jobs {
-		if jid == exceptJob {
+	for _, j := range e.w.jobs {
+		if j == nil || j.ID == exceptJob { // nil: finished earlier in this step
 			continue
 		}
 		load += float64(j.RanksOnNode(id))
@@ -225,24 +241,19 @@ func (w *World) Ping(id int) bool {
 func (w *World) SetNodeDown(id int, isDown bool) {
 	w.mu.Lock()
 	w.down[id] = isDown
-	var callbacks []func()
 	if isDown {
-		for jid, j := range w.jobs {
+		for i, j := range w.jobs {
 			if j.RanksOnNode(id) == 0 {
 				continue
 			}
 			j.Abort(fmt.Sprintf("node %d went down", id))
-			res := j.Result()
-			w.results = append(w.results, res)
-			delete(w.jobs, jid)
-			if cb := w.onDone[jid]; cb != nil {
-				delete(w.onDone, jid)
-				res := res
-				cb := cb
-				callbacks = append(callbacks, func() { cb(res) })
-			}
+			w.jobs[i] = nil
+			w.finishLocked(j)
 		}
+		w.compactJobsLocked()
 	}
+	callbacks := w.pendingDone
+	w.pendingDone = nil
 	w.mu.Unlock()
 	for _, cb := range callbacks {
 		cb()
@@ -352,7 +363,7 @@ func (w *World) LaunchJob(shape *mpisim.Shape, place mpisim.Placement, onDone fu
 		return 0, err
 	}
 	w.nextJob++
-	w.jobs[id] = j
+	w.jobs = append(w.jobs, j)
 	if onDone != nil {
 		w.onDone[id] = onDone
 	}
@@ -363,17 +374,17 @@ func (w *World) LaunchJob(shape *mpisim.Shape, place mpisim.Placement, onDone fu
 func (w *World) JobRunning(id int) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, ok := w.jobs[id]
+	_, ok := slices.BinarySearchFunc(w.jobs, id, func(j *mpisim.Job, id int) int { return j.ID - id })
 	return ok
 }
 
-// RunningJobs returns the IDs of all executing jobs.
+// RunningJobs returns the IDs of all executing jobs, ascending.
 func (w *World) RunningJobs() []int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ids := make([]int, 0, len(w.jobs))
-	for id := range w.jobs {
-		ids = append(ids, id)
+	ids := make([]int, len(w.jobs))
+	for i, j := range w.jobs {
+		ids[i] = j.ID
 	}
 	return ids
 }

@@ -311,3 +311,42 @@ func TestNodeDownAbortsRunningJobs(t *testing.T) {
 		t.Fatal("bystander job aborted by unrelated node failure")
 	}
 }
+
+// TestWorldSameSeedSameCompletions oversubscribes four nodes with 60
+// concurrent jobs whose finish times interleave: every job's rate depends
+// on which others are still running, so any dependence on the order jobs
+// are visited in shows up as a different completion order or end time.
+func TestWorldSameSeedSameCompletions(t *testing.T) {
+	run := func() []mpisim.Result {
+		w := testWorld(t, 21)
+		for i := 0; i < 60; i++ {
+			place, err := mpisim.NewPlacement(4, []int{i % 4, (i + 1) % 4}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.LaunchJob(simpleShape(4, 200+10*(i%7)), place, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := t0
+		for i := 0; i < 100000 && len(w.RunningJobs()) > 0; i++ {
+			now = now.Add(250 * time.Millisecond)
+			w.StepTo(now)
+		}
+		res := w.Results()
+		if len(res) != 60 {
+			t.Fatalf("%d of 60 jobs finished", len(res))
+		}
+		return res
+	}
+	want := run()
+	for rep := 1; rep < 20; rep++ {
+		got := run()
+		for i := range want {
+			if got[i].JobID != want[i].JobID || !got[i].End.Equal(want[i].End) {
+				t.Fatalf("repeat %d, completion %d: job %d at %v, first run had job %d at %v",
+					rep, i, got[i].JobID, got[i].End, want[i].JobID, want[i].End)
+			}
+		}
+	}
+}
