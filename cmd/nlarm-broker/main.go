@@ -40,8 +40,6 @@ func main() {
 		shardThr = flag.Int("shard-threshold", alloc.DefaultShardThreshold, "node count at and above which the hierarchical (sharded) cost model kicks in; <= 0 disables sharding")
 		shardSz  = flag.Int("shard-size", alloc.DefaultMaxShardSize, "maximum nodes per shard (switch shards larger than this are split)")
 		shardK   = flag.Int("shard-topk", alloc.DefaultShardTopK, "number of top-ranked shards the two-level Algorithm 1 searches densely")
-		batch    = flag.Bool("batch", true, "route requests through the batched front door (coalesced pricing, admission control); false serves each request inline on its connection")
-		batchWin = flag.Duration("batch-window", 0, "how long a dispatch waits for a batch to fill before pricing it; 0 = greedy dispatch (batches form naturally under load)")
 		inflight = flag.Int("max-inflight", 0, "outstanding batched requests allowed per connection before shedding (0 = default 1024, negative = unlimited)")
 		rate     = flag.Float64("tenant-rate", 0, "per-tenant sustained admission rate in requests/second (0 = no rate limit)")
 		depth    = flag.Int("queue-depth", 0, "per-tenant pending-queue bound; arrivals beyond it are shed (0 = default 1024)")
@@ -122,19 +120,16 @@ func main() {
 		return monitor.ReadSnapshot(vst, rt.Now())
 	})
 	// The batched front door prices coalesced requests against one
-	// snapshot generation and sheds excess load explicitly; -batch=false
-	// falls back to the inline per-connection path.
-	sopts := broker.ServerOptions{MaxInflight: *inflight}
-	if *batch {
-		sopts.Batching = &broker.BatcherOptions{
-			Window: *batchWin,
+	// snapshot generation and sheds excess load explicitly.
+	srv, err := broker.NewServerOpts(b, mgrJobs, *addr, broker.ServerOptions{
+		MaxInflight: *inflight,
+		Batching: &broker.BatcherOptions{
 			Admission: broker.AdmissionConfig{
 				TenantRate: *rate,
 				QueueDepth: *depth,
 			},
-		}
-	}
-	srv, err := broker.NewServerOpts(b, mgrJobs, *addr, sopts)
+		},
+	})
 	if err != nil {
 		fatal(err)
 	}

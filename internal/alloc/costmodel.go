@@ -91,7 +91,21 @@ type CostModel struct {
 // itself never fails; metric-specific failures are reported by CLErr and
 // NLErr so policies that do not need the failing metric keep working.
 func NewCostModel(snap *metrics.Snapshot, w Weights, useForecast bool) *CostModel {
-	ids := MonitoredLivehosts(snap)
+	m := newComputeModel(snap, MonitoredLivehosts(snap), w, useForecast)
+	n := len(m.IDs)
+	m.NL, m.nlErr = networkLoadsDense(snap, m.IDs, w)
+	if m.nlErr == nil && n > 0 {
+		m.NLUnit = append([]float64(nil), m.NL...)
+		rescaleMeanPairDense(m.NLUnit, n)
+	}
+	return m
+}
+
+// newComputeModel builds the half of the model the dense and sharded
+// constructors share: the ID->index remap, Equation 3's inputs, and
+// Equation 1 costs with their mean-1 rescaled copy. The caller adds its
+// network half.
+func newComputeModel(snap *metrics.Snapshot, ids []int, w Weights, useForecast bool) *CostModel {
 	n := len(ids)
 	m := &CostModel{
 		Snap:     snap,
@@ -116,11 +130,6 @@ func NewCostModel(snap *metrics.Snapshot, w Weights, useForecast bool) *CostMode
 	if m.clErr == nil && n > 0 {
 		m.CLUnit = append([]float64(nil), m.CL...)
 		rescaleMeanDense(m.CLUnit)
-	}
-	m.NL, m.nlErr = networkLoadsDense(snap, ids, w)
-	if m.nlErr == nil && n > 0 {
-		m.NLUnit = append([]float64(nil), m.NL...)
-		rescaleMeanPairDense(m.NLUnit, n)
 	}
 	return m
 }

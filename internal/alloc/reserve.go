@@ -145,8 +145,9 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 // variant's livehosts: Equation 3's wrap (EffectiveProcs) would otherwise
 // report a saturated node as freshly empty during the inner policy's
 // fill step, piling reserved ranks onto exactly the nodes that have
-// nothing to give. When every node is saturated the universe is kept
-// as-is — an oversubscribed allocation still beats failing outright.
+// nothing to give. When every monitored node is saturated the universe
+// is kept as-is — an oversubscribed allocation still beats failing
+// outright.
 func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -198,13 +199,20 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 			}
 		}
 		keep := make([]int, 0, len(snap.Livehosts))
+		// An id without a node record passes the prune but can never be
+		// allocated, so only monitored survivors justify pruning.
+		monitored := 0
 		for _, id := range snap.Livehosts {
 			na, ok := charged.Nodes[id]
-			if !ok || NodeFreeSlots(na) > 0 {
-				keep = append(keep, id)
+			if ok && NodeFreeSlots(na) <= 0 {
+				continue
+			}
+			keep = append(keep, id)
+			if ok {
+				monitored++
 			}
 		}
-		if len(keep) > 0 {
+		if monitored > 0 {
 			charged.Livehosts = keep
 		}
 	}

@@ -253,3 +253,25 @@ func TestChargedKeepsUniverseWhenAllSaturated(t *testing.T) {
 		t.Fatalf("allocation on saturated cluster failed: %v", err)
 	}
 }
+
+// TestChargedKeepsUniverseWhenOnlyUnmonitoredSurvive: a livehost without
+// a node record passes the saturation prune but can never be allocated,
+// so it must not count as a survivor — with every monitored node
+// saturated the universe stays whole and the inner policy oversubscribes
+// instead of failing with "no live monitored nodes".
+func TestChargedKeepsUniverseWhenOnlyUnmonitoredSurvive(t *testing.T) {
+	snap := synthSnapshot(uniformLoads(3, 0.5))
+	snap.Livehosts = append(snap.Livehosts, 99) // alive, no NodeStateD record yet
+	p := NewReservingPolicy(LoadAware{}, time.Minute)
+	cancel := p.Reserve(map[int]int{0: 12, 1: 12, 2: 12}, snap.Taken)
+	defer cancel()
+
+	charged := p.Charged(snap)
+	if len(charged.Livehosts) != 4 {
+		t.Fatalf("universe pruned to %v with only an unmonitored survivor", charged.Livehosts)
+	}
+	r := rng.New(12)
+	if _, err := p.Allocate(snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
+		t.Fatalf("allocation on saturated cluster failed: %v", err)
+	}
+}

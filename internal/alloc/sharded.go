@@ -560,32 +560,8 @@ func NewCostModelSharded(snap *metrics.Snapshot, w Weights, useForecast bool, op
 		return m
 	}
 	eff := opts.withDefaults()
-	n := len(ids)
-	m := &CostModel{
-		Snap:      snap,
-		Weights:   w,
-		Forecast:  useForecast,
-		Taken:     snap.Taken,
-		IDs:       ids,
-		idx:       make(map[int]int, n),
-		Cores:     make([]int, n),
-		LoadM1:    make([]float64, n),
-		shardOpts: opts,
-	}
-	for i, id := range ids {
-		m.idx[id] = i
-		na := snap.Nodes[id]
-		m.Cores[i] = na.Cores
-		m.LoadM1[i] = na.CPULoad.M1
-	}
-	m.attrRows, m.clErr = attrMatrix(snap, ids, useForecast)
-	if m.clErr == nil {
-		m.CL, m.clErr = sawFromRows(w, m.attrRows)
-	}
-	if m.clErr == nil && n > 0 {
-		m.CLUnit = append([]float64(nil), m.CL...)
-		rescaleMeanDense(m.CLUnit)
-	}
+	m := newComputeModel(snap, ids, w, useForecast)
+	m.shardOpts = opts
 	shards, source := buildShards(ids, eff.Plan, eff.MaxShardSize)
 	m.shard, m.nlErr = newShardModel(snap, m, shards, source)
 	return m

@@ -1,28 +1,14 @@
 package broker
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // BatcherOptions tunes the batched front door.
 type BatcherOptions struct {
-	// Window is how long the dispatcher waits after waking for a batch
-	// to fill before pricing it (wall-clock; the trade is added latency
-	// for larger batches). 0 means greedy dispatch: the dispatcher
-	// prices whatever is queued the moment it frees up, so batches form
-	// naturally under load — while one batch is being applied, new
-	// arrivals coalesce behind it — and an idle server adds no latency.
-	Window time.Duration
 	// MaxBatch caps how many requests one dispatch prices against a
 	// single snapshot generation. Default 256.
 	MaxBatch int
 	// Admission configures the token-bucket + fairness front end.
 	Admission AdmissionConfig
-	// AfterBatch, when set, runs after each batch's callbacks have all
-	// been invoked — the server uses it to flush per-connection write
-	// buffers once per batch instead of once per response.
-	AfterBatch func()
 }
 
 func (o BatcherOptions) withDefaults() BatcherOptions {
@@ -48,6 +34,10 @@ type Batcher struct {
 	b    *Broker
 	mgr  Manager // optional; nil rejects submits
 	opts BatcherOptions
+	// afterBatch, when set, runs after each batch's callbacks have all
+	// been invoked — the server uses it to flush per-connection write
+	// buffers once per batch instead of once per response.
+	afterBatch func()
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -120,6 +110,9 @@ func (bt *Batcher) Start() {
 	go bt.dispatch()
 }
 
+// dispatch prices whatever is queued the moment it frees up, so batches
+// form naturally under load — while one batch is being applied, new
+// arrivals coalesce behind it — and an idle server adds no latency.
 func (bt *Batcher) dispatch() {
 	defer bt.wg.Done()
 	for {
@@ -132,11 +125,6 @@ func (bt *Batcher) dispatch() {
 			return
 		}
 		bt.mu.Unlock()
-		if bt.opts.Window > 0 {
-			// Real sleep, not simtime: the window trades wall-clock
-			// latency for batch size, which only exists on a wall clock.
-			time.Sleep(bt.opts.Window)
-		}
 		bt.Flush()
 	}
 }
@@ -192,8 +180,8 @@ func (bt *Batcher) Flush() int {
 		id, err := bt.mgr.Submit(*item.submit)
 		item.doneSubmit(id, err)
 	}
-	if bt.opts.AfterBatch != nil {
-		bt.opts.AfterBatch()
+	if bt.afterBatch != nil {
+		bt.afterBatch()
 	}
 	return len(items)
 }
@@ -222,8 +210,8 @@ func (bt *Batcher) Close() {
 	for _, item := range left {
 		item.fail(ErrBatcherClosed)
 	}
-	if bt.opts.AfterBatch != nil && len(left) > 0 {
-		bt.opts.AfterBatch()
+	if bt.afterBatch != nil && len(left) > 0 {
+		bt.afterBatch()
 	}
 }
 

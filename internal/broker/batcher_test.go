@@ -100,7 +100,9 @@ func TestBatchSameGeneration(t *testing.T) {
 // seeded random request stream answered by AllocateBatch must equal the
 // same stream answered by back-to-back Allocate calls on an identically
 // built broker over the same store — every field, including dedup'd
-// members, wait answers, and errors.
+// members, wait answers, and errors. A third identically built broker
+// answers the stream over TCP, one request at a time from one client:
+// the wire adds a batcher and an encoding, never a different decision.
 func TestBatchEquivalentToSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		seed := seed
@@ -108,6 +110,7 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 			r := newRig(t, seed, loadgen.Config{})
 			seqB := New(r.st, r.sched, Config{Seed: 999})
 			batB := New(r.st, r.sched, Config{Seed: 999})
+			wireB := New(r.st, r.sched, Config{Seed: 999})
 
 			policies := []string{"", "net-load-aware", "load-aware", "sequential", "random", "bogus"}
 			rnd := rng.New(seed * 77)
@@ -159,6 +162,31 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 			}
 			if hits := batB.Obs().Counter("broker.batch.dedup.hits").Value(); hits == 0 {
 				t.Fatal("request stream never exercised the dedup path")
+			}
+
+			srv, err := NewServer(wireB, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := Dial(srv.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i, req := range reqs {
+				resp, err := c.Allocate(req)
+				if (want[i].Err == nil) != (err == nil) || (err != nil && err.Error() != want[i].Err.Error()) {
+					t.Fatalf("req %d (%+v): in-process err=%v wire err=%v", i, req, want[i].Err, err)
+				}
+				w := want[i].Response
+				if !reflect.DeepEqual(resp.Nodes, w.Nodes) || !reflect.DeepEqual(resp.Procs, w.Procs) ||
+					resp.Recommendation != w.Recommendation || resp.SnapshotFP != w.SnapshotFP {
+					t.Fatalf("req %d (%+v): wire answer diverged\nin-process: %+v\nwire:       %+v", i, req, w, resp)
+				}
+			}
+			if !reflect.DeepEqual(seqB.Decisions(0), wireB.Decisions(0)) {
+				t.Fatal("wire path left different decision records than in-process Allocate")
 			}
 		})
 	}

@@ -134,10 +134,10 @@ func FuzzWireProtocol(f *testing.F) {
 }
 
 // FuzzWireProtocolBatched runs the same wire contract against a server
-// with the batched front door enabled: allocate/submit lines detour
-// through admission and the batcher, responses flush per batch and may
-// come back out of order — but each must still echo a sent ID, and sheds
-// must read as errors.
+// with tight admission limits (FuzzWireProtocol runs the defaults):
+// allocate/submit lines pass admission and the batcher, responses flush
+// per batch and may come back out of order — but each must still echo a
+// sent ID, and sheds must read as errors.
 func FuzzWireProtocolBatched(f *testing.F) {
 	r := newRig(f, 32, loadgen.Config{})
 	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{

@@ -39,53 +39,44 @@ func procsOf(resp Response) int {
 // ID-less interleaving would have handed responses to the wrong
 // callers. Here many goroutines share one Client, each asking for a
 // distinct process count, and every response must answer its own
-// request — on both the inline and the batched server paths.
+// request.
 func TestClientPipelineNoCrossWiring(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts ServerOptions
-	}{
-		{"inline", ServerOptions{}},
-		{"batched", ServerOptions{Batching: &BatcherOptions{MaxBatch: 32}}},
-	} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			_, srv := startServer(t, 41, mode.opts)
-			c, err := Dial(srv.Addr(), time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("batched", func(t *testing.T) {
+		_, srv := startServer(t, 41, ServerOptions{Batching: &BatcherOptions{MaxBatch: 32}})
+		c, err := Dial(srv.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			const workers = 8
-			const rounds = 30
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				want := w + 1 // distinct procs per goroutine
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						resp, err := c.Allocate(Request{Procs: want, Force: true})
-						if err != nil {
-							errs <- fmt.Errorf("procs=%d: %w", want, err)
-							return
-						}
-						if got := procsOf(resp); got != want {
-							errs <- fmt.Errorf("asked for %d procs, response placed %d: cross-wired", want, got)
-							return
-						}
+		const workers = 8
+		const rounds = 30
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			want := w + 1 // distinct procs per goroutine
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					resp, err := c.Allocate(Request{Procs: want, Force: true})
+					if err != nil {
+						errs <- fmt.Errorf("procs=%d: %w", want, err)
+						return
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
-	}
+					if got := procsOf(resp); got != want {
+						errs <- fmt.Errorf("asked for %d procs, response placed %d: cross-wired", want, got)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // TestClientPipelinesConcurrently proves requests actually overlap on
@@ -95,16 +86,14 @@ func TestClientPipelineNoCrossWiring(t *testing.T) {
 // serializing whole round trips.
 func TestClientPipelinesConcurrently(t *testing.T) {
 	r := newRig(t, 42, loadgen.Config{})
-	bt := NewBatcher(r.b, nil, BatcherOptions{MaxBatch: 64})
-	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
+	// No dispatcher: requests queue until we Flush, which must still
+	// drain the per-connection write buffers.
+	srv, err := newServer(r.b, nil, "127.0.0.1:0", ServerOptions{Batching: &BatcherOptions{MaxBatch: 64}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	// Undispatched batcher injected by hand: requests queue until we
-	// Flush, which must still drain the per-connection write buffers.
-	bt.opts.AfterBatch = srv.flushDirty
-	srv.batcher = bt
+	bt := srv.Batcher()
 
 	c, err := Dial(srv.Addr(), time.Second)
 	if err != nil {
@@ -134,7 +123,6 @@ func TestClientPipelinesConcurrently(t *testing.T) {
 		t.Fatalf("flush served %d of %d", served, inflight)
 	}
 	wg.Wait()
-	bt.Close()
 }
 
 // TestPoolReconnectsAfterConnDeath kills every server-side connection

@@ -87,17 +87,15 @@ type ServerOptions struct {
 	// MaxLineBytes caps one request line. A longer line gets a single
 	// error response, then the connection closes. Default 1 MiB.
 	MaxLineBytes int
-	// Batching, when non-nil, routes allocate and submit requests
-	// through a Batcher: admission control, per-tenant fairness, and
-	// batch pricing against one snapshot generation. Nil serves every
-	// request inline on its connection goroutine (the pre-batching wire
-	// path). Responses to batched requests may return out of order;
-	// pipelined clients match them by request ID.
+	// Batching tunes the Batcher every allocate and submit request goes
+	// through: admission control, per-tenant fairness, and batch pricing
+	// against one snapshot generation. Nil means default BatcherOptions.
+	// Responses to batched requests may return out of order; pipelined
+	// clients match them by request ID.
 	Batching *BatcherOptions
 	// MaxInflight caps outstanding batched requests per connection;
 	// excess requests are shed with reason "inflight". 0 means the
-	// default 1024; negative disables the cap. Only meaningful with
-	// Batching set.
+	// default 1024; negative disables the cap.
 	MaxInflight int
 	// WriteTimeout bounds every response write. Without it a client that
 	// stops reading would eventually block a batch flush on its full TCP
@@ -123,7 +121,7 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// connWriter serializes and buffers one connection's responses. Inline
+// connWriter serializes and buffers one connection's responses. Control
 // responses flush immediately; batched responses accumulate in the
 // buffer and are flushed once per batch (the write-side amortization
 // that, with request pipelining, turns one syscall per response into one
@@ -186,7 +184,7 @@ func (cw *connWriter) flush() error {
 	return cw.finish()
 }
 
-// send encodes and flushes one response (inline path).
+// send encodes and flushes one response (control actions, sheds, errors).
 func (cw *connWriter) send(resp wireResponse) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -210,7 +208,7 @@ type Server struct {
 	mgr     Manager // optional job-submission backend
 	ln      net.Listener
 	opts    ServerOptions
-	batcher *Batcher // nil when Batching is off
+	batcher *Batcher
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -234,8 +232,15 @@ func NewManagedServer(b *Broker, mgr Manager, addr string) (*Server, error) {
 }
 
 // NewServerOpts is NewManagedServer with explicit protocol limits and
-// optional batching.
+// batcher options.
 func NewServerOpts(b *Broker, mgr Manager, addr string, opts ServerOptions) (*Server, error) {
+	return newServer(b, mgr, addr, opts, true)
+}
+
+// newServer builds the server and its batcher. dispatch false leaves the
+// batcher without a dispatcher goroutine, so queued requests are priced
+// only by explicit Flush calls (deterministic tests).
+func newServer(b *Broker, mgr Manager, addr string, opts ServerOptions, dispatch bool) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("broker: listen %s: %w", addr, err)
@@ -245,18 +250,14 @@ func NewServerOpts(b *Broker, mgr Manager, addr string, opts ServerOptions) (*Se
 		conns: make(map[net.Conn]struct{}),
 		dirty: make(map[*connWriter]struct{}),
 	}
+	var bo BatcherOptions
 	if opts.Batching != nil {
-		bo := *opts.Batching
-		// Chain the server's per-batch connection flush after any caller
-		// hook so buffered batch responses always reach the socket.
-		caller := bo.AfterBatch
-		bo.AfterBatch = func() {
-			if caller != nil {
-				caller()
-			}
-			s.flushDirty()
-		}
-		s.batcher = NewBatcher(b, mgr, bo)
+		bo = *opts.Batching
+	}
+	s.batcher = NewBatcher(b, mgr, bo)
+	// Buffered batch responses reach the socket once per batch.
+	s.batcher.afterBatch = s.flushDirty
+	if dispatch {
 		s.batcher.Start()
 	}
 	s.wg.Add(1)
@@ -267,8 +268,8 @@ func NewServerOpts(b *Broker, mgr Manager, addr string, opts ServerOptions) (*Se
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Batcher returns the server's batched front door, or nil when batching
-// is off (diagnostic/test access to queue depth).
+// Batcher returns the server's batched front door (diagnostic/test
+// access to queue depth).
 func (s *Server) Batcher() *Batcher { return s.batcher }
 
 func (s *Server) acceptLoop() {
@@ -349,7 +350,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		if s.batcher != nil && (req.Action == "allocate" || req.Action == "submit") {
+		if req.Action == "allocate" || req.Action == "submit" {
 			s.dispatchBatched(cw, req)
 			continue
 		}
@@ -367,85 +368,66 @@ func (s *Server) serveConn(conn net.Conn) {
 // blocks on pricing, which is what lets one connection pipeline many
 // requests.
 func (s *Server) dispatchBatched(cw *connWriter, req wireRequest) {
+	id := req.ID
 	if s.opts.MaxInflight > 0 && cw.inflight.Load() >= int64(s.opts.MaxInflight) {
 		s.b.obs.Counter("broker.admit.shed.total").Inc()
 		s.b.obs.Counter("broker.admit.shed.inflight").Inc()
-		_ = cw.send(shedResponse(req.ID, &ShedError{
+		_ = cw.send(shedResponse(id, &ShedError{
 			Tenant: req.Tenant, RetryAfter: 10 * time.Millisecond, Reason: "inflight",
 		}))
 		return
 	}
-	id := req.ID
+	cw.inflight.Add(1)
 	var err error
-	switch req.Action {
-	case "allocate":
-		cw.inflight.Add(1)
+	switch {
+	case req.Action == "allocate":
 		err = s.batcher.EnqueueAllocate(req.Tenant, req.Request, func(resp Response, aerr error) {
-			defer cw.inflight.Add(-1)
-			wr := wireResponse{ID: id}
-			switch {
-			case errors.Is(aerr, ErrShed) || errors.Is(aerr, ErrBatcherClosed):
-				wr.Error = aerr.Error()
-				wr.Shed = errors.Is(aerr, ErrShed)
-			case aerr != nil:
-				wr.Error = aerr.Error()
-			default:
-				r := resp
-				wr.OK = true
-				wr.Response = &r
+			if aerr != nil {
+				s.reply(cw, wireResponse{ID: id, Error: aerr.Error(), Shed: errors.Is(aerr, ErrShed)})
+				return
 			}
-			if cw.encode(wr) == nil {
-				s.markDirty(cw)
-			}
+			s.reply(cw, wireResponse{ID: id, OK: true, Response: &resp})
 		})
-		if err != nil {
-			cw.inflight.Add(-1)
-		}
-	case "submit":
-		if s.mgr == nil {
-			_ = cw.send(wireResponse{ID: id, Error: errNoManager.Error()})
-			return
-		}
-		if req.Submit == nil {
-			_ = cw.send(wireResponse{ID: id, Error: "submit action without submit payload"})
-			return
-		}
-		cw.inflight.Add(1)
+	case s.mgr == nil:
+		err = errNoManager
+	case req.Submit == nil:
+		err = errors.New("submit action without submit payload")
+	default:
 		err = s.batcher.EnqueueSubmit(req.Tenant, *req.Submit, func(jobID int, serr error) {
-			defer cw.inflight.Add(-1)
-			wr := wireResponse{ID: id}
 			if serr != nil {
-				wr.Error = serr.Error()
-			} else {
-				wr.OK = true
-				wr.JobID = jobID
+				s.reply(cw, wireResponse{ID: id, Error: serr.Error()})
+				return
 			}
-			if cw.encode(wr) == nil {
-				s.markDirty(cw)
-			}
+			s.reply(cw, wireResponse{ID: id, OK: true, JobID: jobID})
 		})
-		if err != nil {
-			cw.inflight.Add(-1)
-		}
 	}
-	if err != nil {
-		var shed *ShedError
-		if errors.As(err, &shed) {
-			_ = cw.send(shedResponse(id, shed))
-		} else {
-			_ = cw.send(wireResponse{ID: id, Error: err.Error()})
-		}
+	if err == nil {
+		return
+	}
+	// Never queued: the callback will not run, answer now.
+	cw.inflight.Add(-1)
+	var shed *ShedError
+	if errors.As(err, &shed) {
+		_ = cw.send(shedResponse(id, shed))
+	} else {
+		_ = cw.send(wireResponse{ID: id, Error: err.Error()})
 	}
 }
 
+// reply buffers the response of a request a batch served; the batch's
+// flush sends it.
+func (s *Server) reply(cw *connWriter, wr wireResponse) {
+	if cw.encode(wr) == nil {
+		s.markDirty(cw)
+	}
+	cw.inflight.Add(-1)
+}
+
+// handle answers a control action inline on the reader goroutine;
+// allocate and submit never reach it (serveConn routes them through
+// dispatchBatched).
 func (s *Server) handle(req wireRequest) wireResponse {
 	switch req.Action {
-	case "allocate":
-		r, err := s.b.Allocate(req.Request)
-		if err != nil {
-			return wireResponse{Error: err.Error()}
-		}
-		return wireResponse{OK: true, Response: &r}
 	case "policies":
 		return wireResponse{OK: true, Policies: s.b.Policies()}
 	case "health":
@@ -459,18 +441,6 @@ func (s *Server) handle(req wireRequest) wireResponse {
 			recs = []DecisionRecord{}
 		}
 		return wireResponse{OK: true, Decisions: recs}
-	case "submit":
-		if s.mgr == nil {
-			return wireResponse{Error: errNoManager.Error()}
-		}
-		if req.Submit == nil {
-			return wireResponse{Error: "submit action without submit payload"}
-		}
-		id, err := s.mgr.Submit(*req.Submit)
-		if err != nil {
-			return wireResponse{Error: err.Error()}
-		}
-		return wireResponse{OK: true, JobID: id}
 	case "job":
 		if s.mgr == nil {
 			return wireResponse{Error: errNoManager.Error()}
@@ -515,11 +485,9 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	err := s.ln.Close()
-	if s.batcher != nil {
-		// Batches in flight complete and their responses flush to
-		// still-open connections; the queue drains with errors.
-		s.batcher.Close()
-	}
+	// Batches in flight complete and their responses flush to still-open
+	// connections; the queue drains with errors.
+	s.batcher.Close()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()

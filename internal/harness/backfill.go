@@ -26,9 +26,6 @@ type BackfillConfig struct {
 	// AgingBound caps how long backfill may overtake a queued job
 	// (default: the queue's default, 30m).
 	AgingBound time.Duration
-	// Driver selects how the experiment advances virtual time (default
-	// SteppedDriver); every driver must yield identical per-job starts.
-	Driver Driver
 }
 
 // BackfillModeResult summarizes one queue discipline.
@@ -46,8 +43,8 @@ type BackfillModeResult struct {
 	// zero in both modes.
 	Failed int `json:"failed"`
 	// StartsSec holds each job's start offset from first submit in
-	// submission order (-1 for failed jobs) — the per-decision handle the
-	// cross-clock equivalence tests compare; omitted from reports.
+	// submission order (-1 for failed jobs) — the per-decision handle
+	// tests compare; omitted from reports.
 	StartsSec []float64 `json:"-"`
 }
 
@@ -110,7 +107,6 @@ func runBackfillMode(cfg BackfillConfig, backfill bool) (*BackfillModeResult, er
 		Seed:    cfg.Seed,
 		Cluster: cl,
 		Broker:  broker.Config{Seed: cfg.Seed + 7, WaitLoadPerCore: 0.4},
-		Driver:  cfg.Driver,
 	})
 	if err != nil {
 		return nil, err
@@ -173,7 +169,7 @@ func runBackfillMode(cfg BackfillConfig, backfill bool) (*BackfillModeResult, er
 	}
 
 	deadline := s.Now().Add(2 * time.Hour)
-	if err := s.Await(deadline, func() bool {
+	if err := awaitEvents(s.Sched, deadline, func() bool {
 		return q.Stats().Done+q.Stats().Failed >= len(jobs)
 	}); err != nil {
 		return nil, fmt.Errorf("harness: backfill experiment (backfill=%v) stalled: %w (%+v)", backfill, err, q.Stats())

@@ -32,9 +32,6 @@ type ChaosConfig struct {
 	// exceed the slowest daemon's staleness threshold plus a supervision
 	// period, or relaunch accounting checks will flag false violations.
 	Window time.Duration
-	// Driver selects how the scenario advances virtual time (default
-	// SteppedDriver); the report must be identical across drivers.
-	Driver Driver
 }
 
 // ChaosCheck is one invariant evaluation during the run.
@@ -192,7 +189,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 	numNodes := cl.Size()
-	drv := defaultDriver(cfg.Driver)
 	sched := simtime.NewScheduler(defaultEpoch)
 	w := world.New(cl, world.Config{Seed: cfg.Seed}, defaultEpoch)
 	stopWorld := w.Attach(sched)
@@ -233,7 +229,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Warm up until every matrix is published, then prime the broker's
 	// last-good snapshot with one healthy allocation.
-	drv.Run(sched, 30*time.Second)
+	sched.RunFor(30 * time.Second)
 	if _, err := b.Allocate(broker.Request{Procs: 4, Force: true}); err != nil {
 		return nil, fmt.Errorf("harness: chaos warm-up allocation failed: %w", err)
 	}
@@ -348,21 +344,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for wnd := 0; wnd < cfg.Windows; wnd++ {
 		// +25s: primary and secondary faults are live (recovery is at
 		// half-window), failover has settled.
-		drv.Run(sched, 25*time.Second)
+		sched.RunFor(25 * time.Second)
 		checkMasters()
 		checkAllocAvoidsDead()
 		// +35s: recovery events fired; submit this window's job.
-		drv.Run(sched, 10*time.Second)
+		sched.RunFor(10 * time.Second)
 		submitJob(wnd)
 		// +59s: the window's faults must be fully absorbed.
-		drv.Run(sched, 24*time.Second)
+		sched.RunFor(24 * time.Second)
 		checkMasters()
 		checkLivehosts()
-		drv.Run(sched, time.Second)
+		sched.RunFor(time.Second)
 	}
 
 	// Settle: let the last window's relaunches and jobs finish.
-	drv.Run(sched, time.Minute)
+	sched.RunFor(time.Minute)
 
 	report.EventLog = inj.Log()
 	report.WorkerCrashes = inj.WorkerCrashes()

@@ -61,9 +61,6 @@ type OverloadConfig struct {
 	// of all served requests (default 0.5: degradation is expected during
 	// the blackout, but fresh serves must dominate the run).
 	MaxDegradedFraction float64
-	// Driver selects how the scenario advances virtual time (default
-	// SteppedDriver).
-	Driver Driver
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
@@ -211,7 +208,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	drv := defaultDriver(cfg.Driver)
 	sched := simtime.NewScheduler(defaultEpoch)
 	w := world.New(cl, world.Config{Seed: cfg.Seed}, defaultEpoch)
 	stopWorld := w.Attach(sched)
@@ -244,7 +240,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 
 	// Warm up with faults quiet so the broker holds a healthy last-good
 	// snapshot before the storm starts.
-	drv.Run(sched, 30*time.Second)
+	sched.RunFor(30 * time.Second)
 	if _, err := b.Allocate(broker.Request{Procs: 4, Force: true}); err != nil {
 		return nil, fmt.Errorf("harness: overload warm-up allocation failed: %w", err)
 	}
@@ -277,7 +273,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 		if round == blackoutTo {
 			fs.SetRates(store.Rates{TornWrite: 0.02, StaleRead: 0.05})
 		}
-		drv.Run(sched, cfg.RoundStep)
+		sched.RunFor(cfg.RoundStep)
 		for _, tn := range cfg.Tenants {
 			tenant := tn.Name
 			for i := 0; i < tn.PerRound; i++ {

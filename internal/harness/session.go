@@ -39,10 +39,6 @@ type SessionConfig struct {
 	// Start is the virtual start time; defaults to a fixed epoch so runs
 	// are reproducible.
 	Start time.Time
-	// Driver selects how the session advances virtual time (default
-	// SteppedDriver). Experiments wait for completions through it, so the
-	// same experiment can run window-polled or event-by-event.
-	Driver Driver
 }
 
 // Session is a fully wired simulated deployment: the world advances on a
@@ -59,7 +55,6 @@ type Session struct {
 	Mgr    *monitor.Manager
 	Broker *broker.Broker
 
-	driver    Driver
 	stopWorld simtime.CancelFunc
 }
 
@@ -106,7 +101,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		VStore:    vst,
 		Mgr:       mgr,
 		Broker:    b,
-		driver:    defaultDriver(cfg.Driver),
 		stopWorld: stop,
 	}, nil
 }
@@ -125,7 +119,7 @@ func (s *Session) Close() {
 // least one bandwidth period (5 min) plus the 15-minute averaging window
 // when running means matter; DefaultWarmUp covers both.
 func (s *Session) WarmUp(d time.Duration) {
-	s.driver.Run(s.Sched, d)
+	s.Sched.RunFor(d)
 }
 
 // DefaultWarmUp is a warm-up long enough for full monitoring state
@@ -134,18 +128,24 @@ const DefaultWarmUp = 17 * time.Minute
 
 // Advance moves virtual time forward (between trials).
 func (s *Session) Advance(d time.Duration) {
-	s.driver.Run(s.Sched, d)
+	s.Sched.RunFor(d)
 }
 
-// Await advances virtual time through the session's driver until done()
-// reports true, erroring past deadline (or, under the event driver, when
-// the event queue drains first).
-func (s *Session) Await(deadline time.Time, done func() bool) error {
-	return s.driver.Await(s.Sched, deadline, done)
+// awaitEvents advances virtual time one event at a time until done()
+// reports true. Every state change in the stack is a scheduler event, so
+// checking after each one sees completion at its exact instant; a clock
+// past deadline or a drained event queue is an error rather than a spin.
+func awaitEvents(sched *simtime.Scheduler, deadline time.Time, done func() bool) error {
+	for !done() {
+		if sched.Now().After(deadline) {
+			return fmt.Errorf("harness: virtual clock passed deadline %v while waiting", deadline)
+		}
+		if !sched.Step() {
+			return fmt.Errorf("harness: event queue drained before completion")
+		}
+	}
+	return nil
 }
-
-// Driver returns the session's time driver.
-func (s *Session) Driver() Driver { return s.driver }
 
 // Now returns the current virtual time.
 func (s *Session) Now() time.Time { return s.Sched.Now() }
@@ -219,19 +219,18 @@ func (s *Session) RunJobSampled(shape *mpisim.Shape, a alloc.Allocation) (mpisim
 	// are measured.
 	sample()
 	nextSample := s.Sched.Now().Add(runSamplePeriod)
-	deadline := s.Sched.Now().Add(maxJobVirtualTime)
-	for !done {
-		if !s.Sched.Step() {
-			return mpisim.Result{}, stats, fmt.Errorf("harness: scheduler drained before job %q finished", shape.Name)
+	err = awaitEvents(s.Sched, s.Sched.Now().Add(maxJobVirtualTime), func() bool {
+		if done {
+			return true
 		}
-		now := s.Sched.Now()
-		if !now.Before(nextSample) && !done {
+		if now := s.Sched.Now(); !now.Before(nextSample) {
 			nextSample = now.Add(runSamplePeriod)
 			sample()
 		}
-		if now.After(deadline) {
-			return mpisim.Result{}, stats, fmt.Errorf("harness: job %q exceeded %v of virtual time", shape.Name, maxJobVirtualTime)
-		}
+		return false
+	})
+	if err != nil {
+		return mpisim.Result{}, stats, fmt.Errorf("harness: job %q: %w", shape.Name, err)
 	}
 	if stats.Samples > 0 {
 		stats.MeanLoadPerCore = loadPerCoreSum / float64(stats.Samples)

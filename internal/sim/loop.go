@@ -3,9 +3,8 @@
 // capacity-fidelity scenario runner that schedules job arrival, start,
 // and finish events against a workload spec (internal/loadgen) — months
 // of submitted traffic replayed in seconds of wall time, bit-for-bit
-// reproducible from a seed. The harness's stepped-window experiments
-// run against the same clock through the harness.Driver seam, so the
-// two modes can be cross-checked event-for-event.
+// reproducible from a seed. The harness's full-stack experiments advance
+// the same scheduler, so the two can be cross-checked event-for-event.
 package sim
 
 import (
