@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		a, err := pol.Allocate(snap, alloc.Request{
+		a, err := alloc.Allocate(pol, snap, alloc.Request{
 			Procs: *procs, PPN: *ppn, Alpha: *alpha, Beta: *beta,
 		}, rng.New(*seed))
 		if err != nil {

@@ -280,7 +280,7 @@ func TestPoliciesSatisfyRequest(t *testing.T) {
 	req := Request{Procs: 16, PPN: 4, Alpha: 0.3, Beta: 0.7}
 	r := rng.New(1)
 	for _, pol := range allPolicies() {
-		a, err := pol.Allocate(snap, req, r.Split())
+		a, err := Allocate(pol, snap, req, r.Split())
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -308,7 +308,7 @@ func TestPoliciesOversubscribeWhenClusterTooSmall(t *testing.T) {
 	req := Request{Procs: 20, PPN: 4, Alpha: 0.5, Beta: 0.5}
 	r := rng.New(2)
 	for _, pol := range allPolicies() {
-		a, err := pol.Allocate(snap, req, r.Split())
+		a, err := Allocate(pol, snap, req, r.Split())
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -322,16 +322,44 @@ func TestPoliciesFailOnEmptySnapshot(t *testing.T) {
 	snap := &metrics.Snapshot{Taken: t0, Nodes: map[int]metrics.NodeAttrs{}}
 	r := rng.New(3)
 	for _, pol := range allPolicies() {
-		if _, err := pol.Allocate(snap, Request{Procs: 4}, r.Split()); err == nil {
+		if _, err := Allocate(pol, snap, Request{Procs: 4}, r.Split()); err == nil {
 			t.Fatalf("%s allocated from empty snapshot", pol.Name())
 		}
+	}
+}
+
+// TestAllocateOnSnapshotWithoutPairs: a monitor that has published node
+// state but no pairwise measurement yet still serves the three
+// baselines, which never read the network half of the model; the
+// heuristic reports the model's network-load error.
+func TestAllocateOnSnapshotWithoutPairs(t *testing.T) {
+	snap := synthSnapshot(uniformLoads(6, 0.5))
+	snap.Latency = map[metrics.PairKey]metrics.PairLatency{}
+	snap.Bandwidth = map[metrics.PairKey]metrics.PairBandwidth{}
+	req := Request{Procs: 8, PPN: 4}
+	r := rng.New(11)
+	for _, pol := range []Policy{Random{}, Sequential{}, LoadAware{}} {
+		a, err := Allocate(pol, snap, req, r.Split())
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		if a.TotalProcs() != req.Procs {
+			t.Fatalf("%s placed %d processes, want %d", pol.Name(), a.TotalProcs(), req.Procs)
+		}
+	}
+	want := NewCostModel(snap, PaperWeights(), false).NLErr()
+	if want == nil {
+		t.Fatal("model priced a network with no measurements")
+	}
+	if _, err := Allocate(NetLoadAware{}, snap, req, r.Split()); err == nil || err.Error() != want.Error() {
+		t.Fatalf("net-load-aware: got %v, want %v", err, want)
 	}
 }
 
 func TestLoadAwarePicksLightestNodes(t *testing.T) {
 	loads := []float64{5, 0.1, 4, 0.2, 3, 0.3, 2, 0.4}
 	snap := synthSnapshot(loads)
-	a, err := LoadAware{}.Allocate(snap, Request{Procs: 8, PPN: 4}, rng.New(4))
+	a, err := Allocate(LoadAware{}, snap, Request{Procs: 8, PPN: 4}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +373,7 @@ func TestLoadAwarePicksLightestNodes(t *testing.T) {
 
 func TestSequentialPicksConsecutive(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(10, 0.5))
-	a, err := Sequential{}.Allocate(snap, Request{Procs: 12, PPN: 4}, rng.New(5))
+	a, err := Allocate(Sequential{}, snap, Request{Procs: 12, PPN: 4}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +389,7 @@ func TestRandomVariesWithStream(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(20, 0.5))
 	seen := map[int]bool{}
 	for seed := uint64(0); seed < 10; seed++ {
-		a, err := Random{}.Allocate(snap, Request{Procs: 4, PPN: 4}, rng.New(seed))
+		a, err := Allocate(Random{}, snap, Request{Procs: 4, PPN: 4}, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +404,7 @@ func TestNetLoadAwarePrefersConnectedGroup(t *testing.T) {
 	// All loads equal: only network distinguishes. The best 2-node group
 	// under the line metric is a pair of adjacent nodes.
 	snap := synthSnapshot(uniformLoads(8, 1.0))
-	a, err := NetLoadAware{}.Allocate(snap, Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(6))
+	a, err := Allocate(NetLoadAware{}, snap, Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +426,7 @@ func TestNetLoadAwareTradesLoadForConnectivity(t *testing.T) {
 	snap := synthSnapshot(loads)
 	// With β=0.9 the chosen pair must be adjacent (connectivity dominates);
 	// the far-apart light pair {0,7} must lose.
-	a, err := NetLoadAware{}.Allocate(snap, Request{Procs: 8, PPN: 4, Alpha: 0.1, Beta: 0.9}, rng.New(7))
+	a, err := Allocate(NetLoadAware{}, snap, Request{Procs: 8, PPN: 4, Alpha: 0.1, Beta: 0.9}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +437,7 @@ func TestNetLoadAwareTradesLoadForConnectivity(t *testing.T) {
 		t.Fatalf("β=0.9 picked non-adjacent pair %v", a.Nodes)
 	}
 	// With α=0.9 the lightest nodes win regardless of distance.
-	a2, err := NetLoadAware{}.Allocate(snap, Request{Procs: 8, PPN: 4, Alpha: 0.9, Beta: 0.1}, rng.New(8))
+	a2, err := Allocate(NetLoadAware{}, snap, Request{Procs: 8, PPN: 4, Alpha: 0.9, Beta: 0.1}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +453,7 @@ func TestNetLoadAwareTradesLoadForConnectivity(t *testing.T) {
 func TestNetLoadAwareCandidates(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(6, 0.5))
 	req := Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}
-	best, cands, err := NetLoadAware{}.AllocateExplain(snap, req)
+	best, cands, err := explainOnSnapshot(snap, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +490,11 @@ func TestNetLoadAwareCandidates(t *testing.T) {
 func TestNetLoadAwareDeterministicGivenSnapshot(t *testing.T) {
 	snap := synthSnapshot([]float64{1, 0.2, 0.7, 0.1, 2, 0.4, 0.9, 0.3})
 	req := Request{Procs: 12, PPN: 4, Alpha: 0.4, Beta: 0.6}
-	a1, err := NetLoadAware{}.Allocate(snap, req, rng.New(1))
+	a1, err := Allocate(NetLoadAware{}, snap, req, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := NetLoadAware{}.Allocate(snap, req, rng.New(999))
+	a2, err := Allocate(NetLoadAware{}, snap, req, rng.New(999))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +580,7 @@ func TestPoliciesRobustOnRandomSnapshots(t *testing.T) {
 		ppn := r.Intn(5) // 0 = Equation 3 capacity
 		req := Request{Procs: procs, PPN: ppn, Alpha: 0.3, Beta: 0.7}
 		for _, pol := range policies {
-			a, err := pol.Allocate(snap, req, r.Split())
+			a, err := Allocate(pol, snap, req, r.Split())
 			if err != nil {
 				continue // clean refusal is acceptable
 			}
@@ -583,7 +611,7 @@ func TestPoliciesWithEquation3Capacity(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(4, 3.2))
 	r := rng.New(9)
 	for _, pol := range allPolicies() {
-		a, err := pol.Allocate(snap, Request{Procs: 16, Alpha: 0.5, Beta: 0.5}, r.Split())
+		a, err := Allocate(pol, snap, Request{Procs: 16, Alpha: 0.5, Beta: 0.5}, r.Split())
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -605,11 +633,11 @@ func TestReservingPolicySpreadsBackToBackAllocations(t *testing.T) {
 	r := rng.New(1)
 
 	plain := LoadAware{}
-	a1, err := plain.Allocate(snap, req, r.Split())
+	a1, err := Allocate(plain, snap, req, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := plain.Allocate(snap, req, r.Split())
+	a2, err := Allocate(plain, snap, req, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,11 +646,11 @@ func TestReservingPolicySpreadsBackToBackAllocations(t *testing.T) {
 	}
 
 	res := NewReservingPolicy(LoadAware{}, time.Minute)
-	b1, err := res.Allocate(snap, req, r.Split())
+	b1, err := Allocate(res, snap, req, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := res.Allocate(snap, req, r.Split())
+	b2, err := Allocate(res, snap, req, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,14 +673,14 @@ func TestReservingPolicyExpiry(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(4, 0.5))
 	res := NewReservingPolicy(LoadAware{}, time.Minute)
 	r := rng.New(2)
-	if _, err := res.Allocate(snap, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
+	if _, err := Allocate(res, snap, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
 		t.Fatal(err)
 	}
 	// Two minutes later the reservation is gone and the original snapshot
 	// decides again.
 	later := snap.Clone()
 	later.Taken = snap.Taken.Add(2 * time.Minute)
-	if _, err := res.Allocate(later, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
+	if _, err := Allocate(res, later, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Outstanding(later.Taken); got != 1 {
@@ -666,7 +694,7 @@ func TestReservingPolicyExpiry(t *testing.T) {
 
 func TestReservingPolicyRequiresInner(t *testing.T) {
 	p := &ReservingPolicy{}
-	if _, err := p.Allocate(synthSnapshot(uniformLoads(2, 1)), Request{Procs: 2}, rng.New(1)); err == nil {
+	if _, err := Allocate(p, synthSnapshot(uniformLoads(2, 1)), Request{Procs: 2}, rng.New(1)); err == nil {
 		t.Fatal("nil inner accepted")
 	}
 }

@@ -1,10 +1,12 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
 )
 
@@ -114,70 +116,90 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 	}
 }
 
-// TestChargeRanksAgainstRebuild compares the row-level reservation
-// charge with the reference snapshot-clone + full-rebuild path
-// (ReservingPolicy.Charged + NewLike). The two paths coincide only when
-// the per-window clamp semantics cannot diverge — uniform load/util
-// windows, utilization far from 100, and enough cores that no node
-// saturates out of the livehost set — so the test pins the snapshot to
-// that regime and then demands agreement to float tolerance (the paths
-// associate the same arithmetic differently, so bit-equality is not
-// expected).
+// TestChargeRanksAgainstRebuild pins CostModel.ChargeRanksAt (the
+// attribute-row form) to its definition, ChargeRanks, applied through
+// the reference snapshot-variant + full-rebuild path
+// (ReservingPolicy.Charged + NewLike). The two coincide only when the
+// per-window clamp semantics cannot diverge — uniform load/util windows,
+// utilization far from 100, and enough cores that no node saturates out
+// of the livehost set — so the test pins the snapshot to that regime and
+// then demands agreement to float tolerance (the paths associate the
+// same arithmetic differently, so bit-equality is not expected). The
+// forecast row prices Equation 1's CPU-load column from the published
+// forecast on every node: the charge must land there too, on both paths.
 func TestChargeRanksAgainstRebuild(t *testing.T) {
-	r := rng.New(7)
-	snap := randomEquivSnapshot(r, 16)
-	for id, na := range snap.Nodes {
-		na.Cores = 32
-		na.CPULoad.M5, na.CPULoad.M15 = na.CPULoad.M1, na.CPULoad.M1
-		util := math.Min(na.CPUUtilPct.M1, 50)
-		na.CPUUtilPct.M1, na.CPUUtilPct.M5, na.CPUUtilPct.M15 = util, util, util
-		snap.Nodes[id] = na
-	}
-	m := NewCostModel(snap, PaperWeights(), false)
-	if m.CLErr() != nil {
-		t.Fatal(m.CLErr())
-	}
-	ids := []int{m.IDs[2], m.IDs[5]}
-	ranks := []int{8, 4}
+	for _, forecast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forecast=%v", forecast), func(t *testing.T) {
+			r := rng.New(7)
+			snap := randomEquivSnapshot(r, 16)
+			for id, na := range snap.Nodes {
+				na.Cores = 32
+				na.CPULoad.M5, na.CPULoad.M15 = na.CPULoad.M1, na.CPULoad.M1
+				util := math.Min(na.CPUUtilPct.M1, 50)
+				na.CPUUtilPct.M1, na.CPUUtilPct.M5, na.CPUUtilPct.M15 = util, util, util
+				if forecast {
+					na.CPULoadForecast = &metrics.Forecast{Value: na.CPULoad.M1 + 0.25, Method: "ar"}
+				}
+				snap.Nodes[id] = na
+			}
+			m := NewCostModel(snap, PaperWeights(), forecast)
+			if m.CLErr() != nil {
+				t.Fatal(m.CLErr())
+			}
+			ids := []int{m.IDs[2], m.IDs[5]}
+			ranks := []int{8, 4}
 
-	dst := &CostModel{}
-	got, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
-	if !ok {
-		t.Fatal("ChargeRanksAt refused")
-	}
-	for _, id := range ids {
-		i, _ := m.IndexOf(id)
-		if got.CL[i] <= m.CL[i] {
-			t.Fatalf("charged node %d did not get more expensive: %g <= %g", id, got.CL[i], m.CL[i])
-		}
-		if got.LoadM1[i] != m.LoadM1[i]+float64(map[int]int{ids[0]: 8, ids[1]: 4}[id]) {
-			t.Fatalf("charged node %d LoadM1 %g, base %g", id, got.LoadM1[i], m.LoadM1[i])
-		}
-	}
+			dst := &CostModel{}
+			got, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
+			if !ok {
+				t.Fatal("ChargeRanksAt refused")
+			}
+			for k, id := range ids {
+				i, _ := m.IndexOf(id)
+				if got.CL[i] <= m.CL[i] {
+					t.Fatalf("charged node %d did not get more expensive: %g <= %g", id, got.CL[i], m.CL[i])
+				}
+				if got.LoadM1[i] != m.LoadM1[i]+float64(ranks[k]) {
+					t.Fatalf("charged node %d LoadM1 %g, base %g", id, got.LoadM1[i], m.LoadM1[i])
+				}
+			}
 
-	// Reference: the generic snapshot-level path.
-	rp := NewReservingPolicy(NetLoadAware{}, time.Minute)
-	rp.Reserve(map[int]int{ids[0]: 8, ids[1]: 4}, snap.Taken)
-	charged := rp.Charged(snap)
-	if charged == snap {
-		t.Fatal("reference Charged returned the base snapshot")
-	}
-	want := m.NewLike(charged, m.Weights, m.Forecast)
-	for i := range got.CL {
-		if d := math.Abs(got.CL[i] - want.CL[i]); d > 1e-9*(1+math.Abs(want.CL[i])) {
-			t.Fatalf("CL[%d]: row-level %g vs rebuild %g (Δ %g)", i, got.CL[i], want.CL[i], d)
-		}
-	}
+			// Reference: the generic snapshot-level path.
+			rp := NewReservingPolicy(NetLoadAware{}, time.Minute)
+			rp.Reserve(map[int]int{ids[0]: 8, ids[1]: 4}, snap.Taken)
+			charged := rp.Charged(snap)
+			if charged == snap {
+				t.Fatal("reference Charged returned the base snapshot")
+			}
+			want := m.NewLike(charged, m.Weights, m.Forecast)
+			for i := range got.CL {
+				gl, wl := got.attrRows[i][attrColCPULoad], want.attrRows[i][attrColCPULoad]
+				if d := math.Abs(gl - wl); d > 1e-9*(1+math.Abs(wl)) {
+					t.Fatalf("node %d CPU-load column: row-level %g vs rebuild %g", m.IDs[i], gl, wl)
+				}
+				if d := math.Abs(got.CL[i] - want.CL[i]); d > 1e-9*(1+math.Abs(want.CL[i])) {
+					t.Fatalf("CL[%d]: row-level %g vs rebuild %g (Δ %g)", i, got.CL[i], want.CL[i], d)
+				}
+			}
+			// The charge went onto copies: the base snapshot's forecasts
+			// are shared with every other reader.
+			for _, id := range ids {
+				if f := snap.Nodes[id].CPULoadForecast; forecast && f.Value != snap.Nodes[id].CPULoad.M1+0.25 {
+					t.Fatalf("node %d: charging wrote through the shared forecast (%g)", id, f.Value)
+				}
+			}
 
-	// Determinism: repeat into the same dst.
-	again, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
-	if !ok {
-		t.Fatal("repeat ChargeRanksAt refused")
-	}
-	for i := range got.CL {
-		if again.CL[i] != got.CL[i] {
-			t.Fatalf("repeat charge diverged at %d", i)
-		}
+			// Determinism: repeat into the same dst.
+			again, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
+			if !ok {
+				t.Fatal("repeat ChargeRanksAt refused")
+			}
+			for i := range got.CL {
+				if again.CL[i] != got.CL[i] {
+					t.Fatalf("repeat charge diverged at %d", i)
+				}
+			}
+		})
 	}
 }
 

@@ -276,20 +276,6 @@ func sawFromRows(w Weights, rows [][]float64) ([]float64, error) {
 	return costs, nil
 }
 
-// computeLoadsDense evaluates Equation 1 for ids (in the given order)
-// by the SAW method and returns CL_v indexed positionally; lower is
-// better. With useForecast, CPU load and data-flow rate are priced at
-// their NWS-style forecasts where a node publishes them. A node missing
-// from the snapshot is an error — callers pre-filter to monitored
-// livehosts.
-func computeLoadsDense(snap *metrics.Snapshot, ids []int, w Weights, useForecast bool) ([]float64, error) {
-	rows, err := attrMatrix(snap, ids, useForecast)
-	if err != nil {
-		return nil, err
-	}
-	return sawFromRows(w, rows)
-}
-
 // UpdateNodes derives the cost model for snap from m when snap differs
 // from m's snapshot only in the dynamic attributes of the given node
 // IDs: the network layer (NL/NLUnit, built from the unchanged matrices)
@@ -473,15 +459,22 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 }
 
 // ChargeRanksAt derives from m a model with busy-waiting MPI ranks
-// charged onto the given nodes' published attributes: the reservation
-// arithmetic of ReservingPolicy.Charged applied at the attribute-row
-// level (CPU load plus the rank count, CPU utilization plus the
-// occupancy share capped at 100% of the aggregated window) — no snapshot
-// copy and no model rebuild, just k replaced rows and an Equation 1
-// re-score. ids are node IDs in application order (callers pass them
-// sorted so float accumulation is deterministic) with ranks[k] charged
-// onto ids[k]; dst's buffers are reused across calls and dst must not be
-// m. ok=false means m cannot be charged incrementally (no usable CL
+// charged onto the given nodes' published attributes — no snapshot copy
+// and no model rebuild, just k replaced rows and an Equation 1 re-score.
+// The rule is ChargeRanks; this is its attribute-row form (the CPU-load
+// column plus the rank count, whichever of windows or forecast filled
+// it; the CPU-utilization column plus the occupancy share, capped at
+// 100 on the row's window mean where ChargeRanks caps on the 1-minute
+// window). It is kept as a second spelling on purpose: a row holds the
+// window mean, not the windows, and charging the three windows and
+// re-averaging rounds differently from charging the mean, which would
+// move the simulator's trace digests by an ulp.
+// TestChargeRanksAgainstRebuild pins the two against each other.
+//
+// ids are node IDs in application order (callers pass them sorted so
+// float accumulation is deterministic) with ranks[k] charged onto
+// ids[k]; dst's buffers are reused across calls and dst must not be m.
+// ok=false means m cannot be charged incrementally (no usable CL
 // data, an unknown id, or a length mismatch) and the caller must fall
 // back to Charged + NewLike.
 //

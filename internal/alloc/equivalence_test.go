@@ -121,7 +121,11 @@ func ComputeLoadsOpt(snap *metrics.Snapshot, ids []int, w Weights, useForecast b
 	if len(ids) == 0 {
 		return map[int]float64{}, nil
 	}
-	costs, err := computeLoadsDense(snap, ids, w, useForecast)
+	rows, err := attrMatrix(snap, ids, useForecast)
+	if err != nil {
+		return nil, err
+	}
+	costs, err := sawFromRows(w, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +333,6 @@ func randomEquivSnapshot(r *rng.Rand, n int) *metrics.Snapshot {
 // ComputeCost / NetworkCost floats, over ≥20 seeded random snapshots
 // varying n, α/β, PPN, and forecast pricing.
 func TestAllocateExplainEquivalence(t *testing.T) {
-	p := NetLoadAware{}
 	alphas := []float64{0, 0.3, 0.5, 0.7, 1}
 	for seed := uint64(1); seed <= 24; seed++ {
 		r := rng.New(seed * 7919)
@@ -344,7 +347,7 @@ func TestAllocateExplainEquivalence(t *testing.T) {
 			UseForecast: seed%2 == 0,
 		}
 		wantBest, wantCands, wantErr := refAllocateExplain(snap, req)
-		gotBest, gotCands, gotErr := p.AllocateExplain(snap, req)
+		gotBest, gotCands, gotErr := explainOnSnapshot(snap, req)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("seed %d: error mismatch: ref=%v new=%v", seed, wantErr, gotErr)
 		}
@@ -367,6 +370,16 @@ func TestAllocateExplainEquivalence(t *testing.T) {
 	}
 }
 
+// explainOnSnapshot prices snap under req and runs the explain path over
+// the dense model.
+func explainOnSnapshot(snap *metrics.Snapshot, req Request) (Candidate, []Candidate, error) {
+	vreq, err := req.Validate()
+	if err != nil {
+		return Candidate{}, nil, err
+	}
+	return NetLoadAware{}.AllocateExplainModel(NewCostModel(snap, vreq.Weights, vreq.UseForecast), req)
+}
+
 // parallelSide is the dense node count at which a full candidate set
 // reaches minParallelWork.
 const parallelSide = 128
@@ -379,7 +392,6 @@ func TestAllocateExplainParallelEquivalence(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	p := NetLoadAware{}
 	for seed := uint64(100); seed < 105; seed++ {
 		r := rng.New(seed)
 		n := parallelSide + 8 + r.Intn(16)
@@ -389,7 +401,7 @@ func TestAllocateExplainParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference failed: %v", seed, err)
 		}
-		gotBest, gotCands, err := p.AllocateExplain(snap, req)
+		gotBest, gotCands, err := explainOnSnapshot(snap, req)
 		if err != nil {
 			t.Fatalf("seed %d: dense path failed: %v", seed, err)
 		}

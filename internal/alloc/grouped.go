@@ -41,19 +41,7 @@ type groupInfo struct {
 	intraNL float64
 }
 
-// Allocate implements Policy.
-func (p GroupedNetLoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
-	if p.GroupOf == nil {
-		return Allocation{}, fmt.Errorf("alloc: grouped: GroupOf is required")
-	}
-	req, err := req.Validate()
-	if err != nil {
-		return Allocation{}, err
-	}
-	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
-}
-
-// AllocateModel implements ModelPolicy: the grouped heuristic over the
+// AllocateModel implements Policy: the grouped heuristic over the
 // dense indexed view — group aggregation, inter-group network loads, and
 // candidate scoring all read the model's flat slices.
 func (p GroupedNetLoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {

@@ -13,7 +13,7 @@ func groupOf4(node int) int { return node / 4 }
 
 func TestGroupedRequiresGroupFn(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(8, 1))
-	if _, err := (GroupedNetLoadAware{}).Allocate(snap, Request{Procs: 4}, rng.New(1)); err == nil {
+	if _, err := Allocate(GroupedNetLoadAware{}, snap, Request{Procs: 4}, rng.New(1)); err == nil {
 		t.Fatal("nil GroupOf accepted")
 	}
 }
@@ -21,7 +21,7 @@ func TestGroupedRequiresGroupFn(t *testing.T) {
 func TestGroupedSatisfiesRequest(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(16, 0.5))
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
-	a, err := pol.Allocate(snap, Request{Procs: 12, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(2))
+	a, err := Allocate(pol, snap, Request{Procs: 12, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestGroupedPrefersSingleWellConnectedGroup(t *testing.T) {
 	// 16-proc/ppn4 request; groups far apart on the line are expensive.
 	snap := synthSnapshot(uniformLoads(16, 1))
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
-	a, err := pol.Allocate(snap, Request{Procs: 16, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(3))
+	a, err := Allocate(pol, snap, Request{Procs: 16, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGroupedAvoidsLoadedGroup(t *testing.T) {
 	loads := []float64{6, 6, 6, 6, 0.1, 0.1, 0.1, 0.1}
 	snap := synthSnapshot(loads)
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
-	a, err := pol.Allocate(snap, Request{Procs: 16, PPN: 4, Alpha: 0.7, Beta: 0.3}, rng.New(4))
+	a, err := Allocate(pol, snap, Request{Procs: 16, PPN: 4, Alpha: 0.7, Beta: 0.3}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestGroupedPicksLightestNodesWithinGroup(t *testing.T) {
 	loads := []float64{5, 0.1, 0.2, 4, 9, 9, 9, 9}
 	snap := synthSnapshot(loads)
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
-	a, err := pol.Allocate(snap, Request{Procs: 8, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(5))
+	a, err := Allocate(pol, snap, Request{Procs: 8, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGroupedSpansGroupsWhenNeeded(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(12, 0.5))
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
 	// 32 procs at ppn 4 needs 8 nodes = 2 groups.
-	a, err := pol.Allocate(snap, Request{Procs: 32, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(6))
+	a, err := Allocate(pol, snap, Request{Procs: 32, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestGroupedAgreesWithNLAOnDominantChoice(t *testing.T) {
 		loads[i] = 0.1
 	}
 	snap := synthSnapshot(loads)
-	exact, err := NetLoadAware{}.Allocate(snap, Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(7))
+	exact, err := Allocate(NetLoadAware{}, snap, Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := GroupedNetLoadAware{GroupOf: groupOf4}.Allocate(snap, Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(7))
+	grouped, err := Allocate(GroupedNetLoadAware{GroupOf: groupOf4}, snap, Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestGroupedDeterministic(t *testing.T) {
 	snap := synthSnapshot([]float64{1, 0.5, 2, 0.1, 3, 0.2, 1.5, 0.8, 2.2, 0.3, 1.1, 0.9})
 	pol := GroupedNetLoadAware{GroupOf: groupOf4}
 	req := Request{Procs: 16, PPN: 4, Alpha: 0.4, Beta: 0.6}
-	a1, err := pol.Allocate(snap, req, rng.New(1))
+	a1, err := Allocate(pol, snap, req, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := pol.Allocate(snap, req, rng.New(99))
+	a2, err := Allocate(pol, snap, req, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func BenchmarkNLAExact120Nodes(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (NetLoadAware{}).Allocate(snap, req, r); err != nil {
+		if _, err := Allocate(NetLoadAware{}, snap, req, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func BenchmarkNLAGrouped120Nodes(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pol.Allocate(snap, req, r); err != nil {
+		if _, err := Allocate(pol, snap, req, r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -237,7 +237,7 @@ func TestPolicyInvariantsOnRandomSnapshots(t *testing.T) {
 			req.PPN = 1 + rnd.Intn(4)
 		}
 		for _, pol := range allPolicies() {
-			a, err := pol.Allocate(snap, req, rnd.Split())
+			a, err := Allocate(pol, snap, req, rnd.Split())
 			if err != nil {
 				continue // e.g. no pairwise data, cluster too small
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
 )
 
@@ -41,16 +40,7 @@ type Candidate struct {
 	Spill bool `json:",omitempty"`
 }
 
-// Allocate implements Policy.
-func (p NetLoadAware) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
-	req, err := req.Validate()
-	if err != nil {
-		return Allocation{}, err
-	}
-	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
-}
-
-// AllocateModel implements ModelPolicy: the heuristic over a prebuilt
+// AllocateModel implements Policy: the heuristic over a prebuilt
 // cost model (the broker's cached Equation 1/2 evaluation), winner only.
 func (p NetLoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
 	best, _, err := p.allocate(m, req, false)
@@ -65,18 +55,10 @@ func (p NetLoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (All
 	}, nil
 }
 
-// AllocateExplain runs the full heuristic and additionally returns every
-// candidate sub-graph with its costs (used by the analysis experiment of
-// Figure 7 and by tests).
-func (p NetLoadAware) AllocateExplain(snap *metrics.Snapshot, req Request) (Candidate, []Candidate, error) {
-	req, err := req.Validate()
-	if err != nil {
-		return Candidate{}, nil, err
-	}
-	return p.AllocateExplainModel(NewCostModel(snap, req.Weights, req.UseForecast), req)
-}
-
-// AllocateExplainModel is AllocateExplain over a prebuilt cost model.
+// AllocateExplainModel runs the full heuristic and additionally returns
+// every candidate sub-graph with its costs (used by the analysis
+// experiment of Figure 7, the broker's explain and counterfactual paths,
+// and tests).
 func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate, []Candidate, error) {
 	return p.allocate(m, req, true)
 }

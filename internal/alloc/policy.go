@@ -88,21 +88,29 @@ func (a Allocation) RankNodes() []int {
 	return out
 }
 
-// Policy selects a group of nodes for a request using only monitoring
-// data. Implementations must not mutate the snapshot. The random stream
-// carries all policy randomness so experiments are reproducible.
+// Policy selects a group of nodes for a request from a priced monitoring
+// view: the CostModel carries the universe, Equation 3's inputs and the
+// Equation 1/2 costs, and a policy reads only the parts it needs (random
+// and sequential never look at a cost, so a model whose network half
+// failed still serves them). Implementations must not mutate the model
+// or its snapshot. The random stream carries all policy randomness so
+// experiments are reproducible.
 type Policy interface {
 	Name() string
-	Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error)
+	AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error)
 }
 
-// ModelPolicy is implemented by policies that can allocate straight from
-// a prebuilt dense CostModel, skipping Equation 1/2 recomputation when
-// the caller (the broker) has already priced the snapshot. Results must
-// be identical to Allocate over the model's snapshot.
-type ModelPolicy interface {
-	Policy
-	AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error)
+// Allocate runs p on a snapshot nobody has priced yet: validate the
+// request, build the dense cost model under its weights and forecast
+// flag, allocate from it. Callers that allocate repeatedly against one
+// snapshot (the broker, the simulator) keep the model and call
+// AllocateModel themselves.
+func Allocate(p Policy, snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
+	req, err := req.Validate()
+	if err != nil {
+		return Allocation{}, err
+	}
+	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
 }
 
 // sortByCost orders ids ascending by cost, breaking ties by node ID for
@@ -119,19 +127,12 @@ func sortByCost(ids []int, cost map[int]float64) []int {
 	return out
 }
 
-// Compile-time checks that every shipped policy satisfies Policy, and
-// that all of them also serve from a prebuilt cost model.
+// Compile-time checks that every shipped policy satisfies Policy.
 var (
 	_ Policy = Random{}
 	_ Policy = Sequential{}
 	_ Policy = LoadAware{}
 	_ Policy = NetLoadAware{}
 	_ Policy = GroupedNetLoadAware{}
-
-	_ ModelPolicy = Random{}
-	_ ModelPolicy = Sequential{}
-	_ ModelPolicy = LoadAware{}
-	_ ModelPolicy = NetLoadAware{}
-	_ ModelPolicy = GroupedNetLoadAware{}
-	_ ModelPolicy = (*ReservingPolicy)(nil)
+	_ Policy = (*ReservingPolicy)(nil)
 )

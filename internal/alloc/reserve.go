@@ -84,48 +84,26 @@ func NewReservingPolicy(inner Policy, ttl time.Duration) *ReservingPolicy {
 // Name implements Policy.
 func (p *ReservingPolicy) Name() string { return p.Inner.Name() + "+reserve" }
 
-// Allocate implements Policy: expired reservations are pruned against the
-// snapshot's own clock (virtual-time safe), live ones are charged onto a
-// copy of the snapshot, the inner policy decides, and the new grant is
-// recorded.
-func (p *ReservingPolicy) Allocate(snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
-	if p.Inner == nil {
-		return Allocation{}, fmt.Errorf("alloc: reserving policy without inner policy")
-	}
-	charged := p.Charged(snap)
-	a, err := p.Inner.Allocate(charged, req, r)
-	if err != nil {
-		return Allocation{}, err
-	}
-	p.record(a.Procs, snap.Taken)
-	a.Policy = p.Name()
-	return a, nil
-}
-
-// AllocateModel implements ModelPolicy. With no live reservations the
+// AllocateModel implements Policy: expired reservations are pruned
+// against the snapshot's own clock (virtual-time safe), the inner policy
+// decides, and the new grant is recorded. With no live reservations the
 // prebuilt model passes straight through to the inner policy; otherwise
-// the charged snapshot invalidates it and the inner policy re-prices
-// (reservation charging changes Equation 1 inputs by design).
+// the charged snapshot invalidates it and the inner policy is handed a
+// re-priced model (reservation charging changes Equation 1 inputs by
+// design).
 func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocation, error) {
 	if p.Inner == nil {
 		return Allocation{}, fmt.Errorf("alloc: reserving policy without inner policy")
 	}
 	snap := m.Snap
-	charged := p.Charged(snap)
-	var a Allocation
-	var err error
-	inner, ok := p.Inner.(ModelPolicy)
-	if !ok {
-		a, err = p.Inner.Allocate(charged, req, r)
-	} else if charged == snap {
-		a, err = inner.AllocateModel(m, req, r)
-	} else {
-		vreq, verr := req.Validate()
-		if verr != nil {
-			return Allocation{}, verr
+	if charged := p.Charged(snap); charged != snap {
+		vreq, err := req.Validate()
+		if err != nil {
+			return Allocation{}, err
 		}
-		a, err = inner.AllocateModel(m.NewLike(charged, vreq.Weights, vreq.UseForecast), req, r)
+		m = m.NewLike(charged, vreq.Weights, vreq.UseForecast)
 	}
+	a, err := p.Inner.AllocateModel(m, req, r)
 	if err != nil {
 		return Allocation{}, err
 	}
@@ -151,10 +129,93 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.advanceLocked(snap.Taken)
+	live := p.liveLocked(snap.Taken)
+	if len(live) == 0 {
+		return snap
+	}
+	cp := *snap
+	cp.Nodes = maps.Clone(snap.Nodes)
+	charged := &cp
+	for _, res := range live {
+		for k, node := range res.ids {
+			if na, ok := charged.Nodes[node]; ok {
+				charged.Nodes[node] = ChargeRanks(na, res.ranks[k])
+			}
+		}
+	}
+	keep := make([]int, 0, len(snap.Livehosts))
+	// An id without a node record passes the prune but can never be
+	// allocated, so only monitored survivors justify pruning.
+	monitored := 0
+	for _, id := range snap.Livehosts {
+		na, ok := charged.Nodes[id]
+		if ok && NodeFreeSlots(na) <= 0 {
+			continue
+		}
+		keep = append(keep, id)
+		if ok {
+			monitored++
+		}
+	}
+	if monitored > 0 {
+		charged.Livehosts = keep
+	}
+	return charged
+}
+
+// ChargeRanks is the one statement of what a placed job does to a node's
+// published attributes (§5: MPI ranks busy-wait). Each rank is a
+// runnable process on every load window, and the occupancy share
+// ranks/cores·100 is added to the three utilisation windows, capped so
+// the 1-minute window never passes 100 %. A node publishing no core
+// count is charged as one core, like effProcs guards Equation 3: it
+// would otherwise price at ±Inf/NaN and poison Equation 1. A published
+// CPU-load forecast is charged too, on a copy (published snapshots are
+// immutable, and the pointer is shared with them): under
+// Request.UseForecast Equation 1 reads the forecast instead of the
+// windows, and a reservation must not vanish from it. ranks <= 0
+// charges nothing.
+//
+// Reservations (Charged) and the simulator's committed-rank overlay call
+// this; CostModel.ChargeRanksAt is the same rule applied to an
+// attribute row.
+func ChargeRanks(na metrics.NodeAttrs, ranks int) metrics.NodeAttrs {
+	if ranks <= 0 {
+		return na
+	}
+	r := float64(ranks)
+	na.CPULoad.M1 += r
+	na.CPULoad.M5 += r
+	na.CPULoad.M15 += r
+	if f := na.CPULoadForecast; f != nil {
+		charged := *f
+		charged.Value += r
+		na.CPULoadForecast = &charged
+	}
+	cores := na.Cores
+	if cores <= 0 {
+		cores = 1
+	}
+	occ := r / float64(cores) * 100
+	if na.CPUUtilPct.M1+occ > 100 {
+		occ = 100 - na.CPUUtilPct.M1
+	}
+	if occ > 0 {
+		na.CPUUtilPct.M1 += occ
+		na.CPUUtilPct.M5 += occ
+		na.CPUUtilPct.M15 += occ
+	}
+	return na
+}
+
+// liveLocked folds now into the policy's clock, drops cancelled and
+// expired reservations, and returns the live ones. Callers must hold
+// p.mu.
+func (p *ReservingPolicy) liveLocked(now time.Time) []*reservation {
+	t := p.advanceLocked(now)
 	live := p.reservations[:0]
 	for _, res := range p.reservations {
-		if !res.cancelled && now.Sub(res.at) < p.TTL {
+		if !res.cancelled && t.Sub(res.at) < p.TTL {
 			live = append(live, res)
 		}
 	}
@@ -162,61 +223,7 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 		p.reservations[i] = nil
 	}
 	p.reservations = live
-	charged := snap
-	if len(live) > 0 {
-		cp := *snap
-		cp.Nodes = maps.Clone(snap.Nodes)
-		charged = &cp
-		for _, res := range live {
-			for k, node := range res.ids {
-				ranks := res.ranks[k]
-				na, ok := charged.Nodes[node]
-				if !ok {
-					continue
-				}
-				// MPI ranks busy-wait: each reserved rank is a runnable
-				// process on every load window.
-				na.CPULoad.M1 += float64(ranks)
-				na.CPULoad.M5 += float64(ranks)
-				na.CPULoad.M15 += float64(ranks)
-				cores := na.Cores
-				if cores <= 0 {
-					// Guard the occupancy share like effProcs guards
-					// Equation 3: a node publishing no core count would
-					// otherwise price at ±Inf/NaN and poison Equation 1.
-					cores = 1
-				}
-				occ := float64(ranks) / float64(cores) * 100
-				if na.CPUUtilPct.M1+occ > 100 {
-					occ = 100 - na.CPUUtilPct.M1
-				}
-				if occ > 0 {
-					na.CPUUtilPct.M1 += occ
-					na.CPUUtilPct.M5 += occ
-					na.CPUUtilPct.M15 += occ
-				}
-				charged.Nodes[node] = na
-			}
-		}
-		keep := make([]int, 0, len(snap.Livehosts))
-		// An id without a node record passes the prune but can never be
-		// allocated, so only monitored survivors justify pruning.
-		monitored := 0
-		for _, id := range snap.Livehosts {
-			na, ok := charged.Nodes[id]
-			if ok && NodeFreeSlots(na) <= 0 {
-				continue
-			}
-			keep = append(keep, id)
-			if ok {
-				monitored++
-			}
-		}
-		if monitored > 0 {
-			charged.Livehosts = keep
-		}
-	}
-	return charged
+	return live
 }
 
 // ChargedModelAt prices base with the live reservations charged directly
@@ -234,17 +241,7 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 func (p *ReservingPolicy) ChargedModelAt(now time.Time, base *CostModel, cand []int, dst *CostModel) (*CostModel, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t := p.advanceLocked(now)
-	live := p.reservations[:0]
-	for _, res := range p.reservations {
-		if !res.cancelled && t.Sub(res.at) < p.TTL {
-			live = append(live, res)
-		}
-	}
-	for i := len(live); i < len(p.reservations); i++ {
-		p.reservations[i] = nil
-	}
-	p.reservations = live
+	live := p.liveLocked(now)
 	if len(live) == 0 {
 		return base, true
 	}
@@ -331,7 +328,7 @@ func (p *ReservingPolicy) record(procs map[int]int, at time.Time) {
 }
 
 // Reserve charges an externally computed claim (node → reserved ranks)
-// like a grant, so every subsequent Charged/Allocate prices it into
+// like a grant, so every subsequent Charged/AllocateModel prices it into
 // Equation 1. It returns a cancel function that releases the claim
 // early; otherwise it expires after TTL like any reservation. The job
 // queue uses this for the waiting head job's shadow reservation, which

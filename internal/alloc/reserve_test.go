@@ -69,7 +69,7 @@ func TestReservationExpiryStaleSnapshot(t *testing.T) {
 	fresh := synthSnapshot(uniformLoads(4, 0.5))
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
 	r := rng.New(3)
-	if _, err := p.Allocate(fresh, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
+	if _, err := Allocate(p, fresh, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Outstanding(fresh.Taken); got != 1 {
@@ -87,7 +87,7 @@ func TestReservationExpiryStaleSnapshot(t *testing.T) {
 	// (old Taken) — with the old arithmetic this resurrected nothing but
 	// kept anything recorded after it alive forever. Re-record and prune
 	// through a stale view to prove expiry still works.
-	if _, err := p.Allocate(later, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
+	if _, err := Allocate(p, later, Request{Procs: 8, PPN: 4}, r.Split()); err != nil {
 		t.Fatal(err)
 	}
 	stale := fresh.Clone() // Taken == t0 again, 2 minutes in the past
@@ -224,7 +224,7 @@ func TestChargedPrunesSaturatedNodes(t *testing.T) {
 	}
 	// And an allocation through the policy steers clear of the node.
 	r := rng.New(11)
-	a, err := p.Allocate(snap, Request{Procs: 24, PPN: 12}, r.Split())
+	a, err := Allocate(p, snap, Request{Procs: 24, PPN: 12}, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestChargedKeepsUniverseWhenAllSaturated(t *testing.T) {
 		t.Fatalf("all-saturated universe pruned to %v", charged.Livehosts)
 	}
 	r := rng.New(12)
-	if _, err := p.Allocate(snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
+	if _, err := Allocate(p, snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
 		t.Fatalf("allocation on saturated cluster failed: %v", err)
 	}
 }
@@ -271,7 +271,7 @@ func TestChargedKeepsUniverseWhenOnlyUnmonitoredSurvive(t *testing.T) {
 		t.Fatalf("universe pruned to %v with only an unmonitored survivor", charged.Livehosts)
 	}
 	r := rng.New(12)
-	if _, err := p.Allocate(snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
+	if _, err := Allocate(p, snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
 		t.Fatalf("allocation on saturated cluster failed: %v", err)
 	}
 }

@@ -122,7 +122,7 @@ func TestShardedFallbackBitForBit(t *testing.T) {
 		if sm.ShardOptions() != opts {
 			t.Fatalf("seed %d: options not retained on fallback model", seed)
 		}
-		wantBest, wantCands, wantErr := p.AllocateExplain(snap, req)
+		wantBest, wantCands, wantErr := explainOnSnapshot(snap, req)
 		gotBest, gotCands, gotErr := p.AllocateExplainModel(sm, req)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("seed %d: error mismatch: dense=%v sharded=%v", seed, wantErr, gotErr)

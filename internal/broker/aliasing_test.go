@@ -63,19 +63,15 @@ func TestSharedSnapshotNeverMutated(t *testing.T) {
 		mk := mk
 		name := mk(&metrics.Snapshot{}).Name()
 		rows = append(rows, row{name + "/Allocate", func(t *testing.T, _ *faultRig, snap *metrics.Snapshot) {
-			if _, err := mk(snap).Allocate(snap, req, rng.New(3)); err != nil {
+			if _, err := alloc.Allocate(mk(snap), snap, req, rng.New(3)); err != nil {
 				t.Fatal(err)
 			}
 		}}, row{name + "/AllocateModel", func(t *testing.T, _ *faultRig, snap *metrics.Snapshot) {
-			mp, ok := mk(snap).(alloc.ModelPolicy)
-			if !ok {
-				t.Fatalf("%s is not a ModelPolicy", name)
-			}
 			vreq, err := req.Validate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := mp.AllocateModel(alloc.NewCostModel(snap, vreq.Weights, false), req, rng.New(3)); err != nil {
+			if _, err := mk(snap).AllocateModel(alloc.NewCostModel(snap, vreq.Weights, false), req, rng.New(3)); err != nil {
 				t.Fatal(err)
 			}
 		}})

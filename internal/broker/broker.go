@@ -703,11 +703,7 @@ func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Reque
 		// record must see them even for failed requests.
 		return resp, nil, false, err
 	}
-	var model *alloc.CostModel
-	cacheHit := false
-	if _, ok := pol.(alloc.ModelPolicy); ok {
-		model, cacheHit = b.costModel(sv, validated.Weights, validated.UseForecast)
-	}
+	model, cacheHit := b.costModel(sv, validated.Weights, validated.UseForecast)
 	var a alloc.Allocation
 	if nla, ok := pol.(alloc.NetLoadAware); ok && (req.Explain || b.cfg.CounterfactualK > 0) {
 		// With CounterfactualK set, non-explain net-load-aware requests
@@ -743,18 +739,13 @@ func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Reque
 				})
 			}
 		}
-	} else if mp, ok := pol.(alloc.ModelPolicy); ok {
-		a, err = mp.AllocateModel(model, allocReq, r)
-		if err != nil {
-			return resp, model, cacheHit, err
-		}
 	} else {
-		a, err = pol.Allocate(snap, allocReq, r)
+		a, err = pol.AllocateModel(model, allocReq, r)
 		if err != nil {
 			return resp, model, cacheHit, err
 		}
 	}
-	if model != nil && model.Sharded() {
+	if model.Sharded() {
 		b.obs.Counter("broker.alloc.sharded").Inc()
 		if spills := model.TakeShardSpills(); spills > 0 {
 			b.obs.Counter("broker.alloc.shard.spills").Add(spills)

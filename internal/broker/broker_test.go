@@ -10,7 +10,6 @@ import (
 	"nlarm/internal/alloc"
 	"nlarm/internal/cluster"
 	"nlarm/internal/loadgen"
-	"nlarm/internal/metrics"
 	"nlarm/internal/monitor"
 	"nlarm/internal/obs"
 	"nlarm/internal/rng"
@@ -386,7 +385,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 type fakePolicy struct{}
 
 func (fakePolicy) Name() string { return "fake" }
-func (fakePolicy) Allocate(snap *metrics.Snapshot, req alloc.Request, r *rng.Rand) (alloc.Allocation, error) {
+func (fakePolicy) AllocateModel(m *alloc.CostModel, req alloc.Request, r *rng.Rand) (alloc.Allocation, error) {
 	return alloc.Allocation{Policy: "fake", Nodes: []int{0}, Procs: map[int]int{0: req.Procs}}, nil
 }
 

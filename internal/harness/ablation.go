@@ -71,32 +71,30 @@ type AblationData struct {
 	Forecast  []ForecastPoint
 }
 
-// runNLA allocates with the given α/β and executes one miniMD run.
-func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, r *rng.Rand) (float64, error) {
-	return runNLAOpt(s, cfg, alpha, beta, false, r)
-}
-
-func runNLAOpt(s *Session, cfg AblationConfig, alpha, beta float64, useForecast bool, r *rng.Rand) (float64, error) {
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		return 0, err
+// runNLA allocates with the heuristic under the given α/β and forecast
+// flag and executes one miniMD run, cfg.Repeats times over; it returns
+// the run times in seconds.
+func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, useForecast bool, r *rng.Rand) ([]float64, error) {
+	var times []float64
+	for rep := 0; rep < cfg.Repeats; rep++ {
+		_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
+			Procs: cfg.Procs, PPN: cfg.PPN, Alpha: alpha, Beta: beta, UseForecast: useForecast,
+		}, r.Split())
+		if err != nil {
+			return nil, err
+		}
+		shape, err := apps.MiniMD(apps.MiniMDParams{S: cfg.Size, Steps: cfg.Iterations}, cfg.Procs)
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.RunJob(shape, a)
+		if err != nil {
+			return nil, err
+		}
+		s.Advance(time.Minute)
+		times = append(times, res.Elapsed.Seconds())
 	}
-	a, err := alloc.NetLoadAware{}.Allocate(snap, alloc.Request{
-		Procs: cfg.Procs, PPN: cfg.PPN, Alpha: alpha, Beta: beta, UseForecast: useForecast,
-	}, r)
-	if err != nil {
-		return 0, err
-	}
-	shape, err := apps.MiniMD(apps.MiniMDParams{S: cfg.Size, Steps: cfg.Iterations}, cfg.Procs)
-	if err != nil {
-		return 0, err
-	}
-	res, err := s.RunJob(shape, a)
-	if err != nil {
-		return 0, err
-	}
-	s.Advance(time.Minute)
-	return res.Elapsed.Seconds(), nil
+	return times, nil
 }
 
 // RunAblation executes both ablations and returns the data.
@@ -118,13 +116,9 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 	s.WarmUp(DefaultWarmUp)
 	r := rng.New(cfg.Seed + 31)
 	for _, beta := range cfg.Betas {
-		var times []float64
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			sec, err := runNLA(s, cfg, 1-beta, beta, r.Split())
-			if err != nil {
-				return nil, fmt.Errorf("harness: ablation β=%g: %w", beta, err)
-			}
-			times = append(times, sec)
+		times, err := runNLA(s, cfg, 1-beta, beta, false, r)
+		if err != nil {
+			return nil, fmt.Errorf("harness: ablation β=%g: %w", beta, err)
 		}
 		sum := stats.Summarize(times)
 		data.BetaSweep = append(data.BetaSweep, BetaPoint{Beta: beta, MeanSec: sum.Mean, CoV: sum.CoV})
@@ -146,17 +140,11 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 			warm = period*2 + 2*time.Minute
 		}
 		ss.WarmUp(warm)
-		rr := rng.New(cfg.Seed + 67)
-		var times []float64
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			sec, err := runNLA(ss, cfg, alpha, beta, rr.Split())
-			if err != nil {
-				ss.Close()
-				return nil, fmt.Errorf("harness: ablation period=%v: %w", period, err)
-			}
-			times = append(times, sec)
-		}
+		times, err := runNLA(ss, cfg, alpha, beta, false, rng.New(cfg.Seed+67))
 		ss.Close()
+		if err != nil {
+			return nil, fmt.Errorf("harness: ablation period=%v: %w", period, err)
+		}
 		data.Staleness = append(data.Staleness, StalenessPoint{
 			BandwidthPeriod: period,
 			MeanSec:         stats.Mean(times),
@@ -171,17 +159,11 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 			return nil, err
 		}
 		fs.WarmUp(DefaultWarmUp)
-		fr := rng.New(cfg.Seed + 103)
-		var times []float64
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			sec, err := runNLAOpt(fs, cfg, alpha, beta, useForecast, fr.Split())
-			if err != nil {
-				fs.Close()
-				return nil, fmt.Errorf("harness: ablation forecast=%v: %w", useForecast, err)
-			}
-			times = append(times, sec)
-		}
+		times, err := runNLA(fs, cfg, alpha, beta, useForecast, rng.New(cfg.Seed+103))
 		fs.Close()
+		if err != nil {
+			return nil, fmt.Errorf("harness: ablation forecast=%v: %w", useForecast, err)
+		}
 		data.Forecast = append(data.Forecast, ForecastPoint{
 			UseForecast: useForecast,
 			MeanSec:     stats.Mean(times),

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"nlarm/internal/rng"
 	"nlarm/internal/simtime"
 	"nlarm/internal/store"
-	"nlarm/internal/world"
 )
 
 // ChaosConfig parameterizes a chaos scenario. Zero fields take defaults
@@ -42,13 +42,77 @@ type ChaosCheck struct {
 	Note string
 }
 
+// checkedReport is the half of a report RunChaos and RunOverload share:
+// the invariant checks and the frozen instrumentation registry, with
+// their rendering.
+type checkedReport struct {
+	Checks []ChaosCheck
+
+	// Metrics is the shared instrumentation registry's final snapshot;
+	// MetricsText is its deterministic rendering, embedded in Render so
+	// the report carries the full observability picture of the run.
+	Metrics     *obs.Snapshot
+	MetricsText string
+}
+
+// Violations returns the names and notes of every failed check.
+func (r *checkedReport) Violations() []string {
+	var v []string
+	for _, c := range r.Checks {
+		if !c.Ok {
+			v = append(v, fmt.Sprintf("%v %s: %s", c.At, c.Name, c.Note))
+		}
+	}
+	return v
+}
+
+// Ok reports whether every invariant held.
+func (r *checkedReport) Ok() bool { return len(r.Violations()) == 0 }
+
+// freeze syncs the fault store's counts into reg and captures the
+// registry: from here on the report's Metrics are what the run's own
+// components (supervisors, broker, queue, injector) counted.
+func (r *checkedReport) freeze(fs *store.FaultStore, reg *obs.Registry) {
+	store.SyncFaults(fs, reg)
+	r.Metrics = reg.Snapshot()
+	r.MetricsText = r.Metrics.Render()
+}
+
+func (r *checkedReport) renderChecks(b *strings.Builder) {
+	for _, c := range r.Checks {
+		status := "ok"
+		if !c.Ok {
+			status = "VIOLATION"
+		}
+		fmt.Fprintf(b, "check %v %s %s %s\n", c.At, c.Name, status, c.Note)
+	}
+}
+
+func (r *checkedReport) renderMetrics(b *strings.Builder) {
+	if r.MetricsText == "" {
+		return
+	}
+	b.WriteString("metrics:\n")
+	for _, line := range strings.Split(strings.TrimRight(r.MetricsText, "\n"), "\n") {
+		fmt.Fprintf(b, "  %s\n", line)
+	}
+}
+
+// renderDigest hashes a rendered report with FNV-1a, giving tests a
+// one-number reproducibility witness.
+func renderDigest(rendered string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(rendered))
+	return h.Sum64()
+}
+
 // ChaosReport is the outcome of RunChaos: the applied fault log, every
 // invariant check, and the final recovery accounting.
 type ChaosReport struct {
 	Seed     uint64
 	Events   []chaos.Event
 	EventLog []string
-	Checks   []ChaosCheck
+	checkedReport
 
 	WorkerCrashes int
 	MasterKills   int
@@ -61,12 +125,6 @@ type ChaosReport struct {
 	JobsSubmitted  int
 	JobsDone       int
 	JobsFailed     int
-
-	// Metrics is the shared instrumentation registry's final snapshot;
-	// MetricsText is its deterministic rendering, embedded in Render so
-	// the report carries the full observability picture of the run.
-	Metrics     *obs.Snapshot
-	MetricsText string
 }
 
 // InjectedFaults counts every fault the scenario put into the system:
@@ -81,20 +139,6 @@ func (r *ChaosReport) InjectedFaults() int {
 	return n + int(r.StoreFaults)
 }
 
-// Violations returns the names and notes of every failed check.
-func (r *ChaosReport) Violations() []string {
-	var v []string
-	for _, c := range r.Checks {
-		if !c.Ok {
-			v = append(v, fmt.Sprintf("%v %s: %s", c.At, c.Name, c.Note))
-		}
-	}
-	return v
-}
-
-// Ok reports whether every invariant held.
-func (r *ChaosReport) Ok() bool { return len(r.Violations()) == 0 }
-
 // Render formats the full report deterministically; two same-seed runs
 // must produce identical bytes.
 func (r *ChaosReport) Render() string {
@@ -103,37 +147,17 @@ func (r *ChaosReport) Render() string {
 	for _, line := range r.EventLog {
 		fmt.Fprintf(&b, "event %s\n", line)
 	}
-	for _, c := range r.Checks {
-		status := "ok"
-		if !c.Ok {
-			status = "VIOLATION"
-		}
-		fmt.Fprintf(&b, "check %v %s %s %s\n", c.At, c.Name, status, c.Note)
-	}
+	r.renderChecks(&b)
 	fmt.Fprintf(&b, "counts crashes=%d masterKills=%d slaveKills=%d relaunches=%d promotions=%d\n",
 		r.WorkerCrashes, r.MasterKills, r.SlaveKills, r.Relaunches, r.Promotions)
 	fmt.Fprintf(&b, "store faults=%d degradedServes=%d jobs=%d/%d done, %d failed\n",
 		r.StoreFaults, r.DegradedServes, r.JobsDone, r.JobsSubmitted, r.JobsFailed)
-	if r.MetricsText != "" {
-		b.WriteString("metrics:\n")
-		for _, line := range strings.Split(strings.TrimRight(r.MetricsText, "\n"), "\n") {
-			fmt.Fprintf(&b, "  %s\n", line)
-		}
-	}
+	r.renderMetrics(&b)
 	return b.String()
 }
 
-// Digest hashes Render with FNV-1a, giving tests a one-number
-// reproducibility witness.
-func (r *ChaosReport) Digest() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, c := range []byte(r.Render()) {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
+// Digest hashes Render; see renderDigest.
+func (r *ChaosReport) Digest() uint64 { return renderDigest(r.Render()) }
 
 // chaosMonitorConfig is the accelerated cadence chaos runs use: fast
 // enough that the slowest staleness threshold (bandwidthd: 2.5x10s) plus
@@ -148,6 +172,34 @@ func chaosMonitorConfig() monitor.Config {
 		HeartbeatTimeout:  10 * time.Second,
 		LivehostsReplicas: 2,
 	}
+}
+
+// newFaultSession builds the stack both fault scenarios run on: the
+// 2-switch, 8-node uniform cluster at the accelerated cadence, a
+// fault-injecting store (seeded with faultSeed, starting at rates) under
+// instrumentation, and one registry shared by every layer — at the end
+// its counters must reconcile exactly with the scenario's own counts.
+// Probabilistic corruption stays on monitoring data; control-plane keys
+// (heartbeats, lease) stay honest so recovery accounting is exact.
+func newFaultSession(seed, faultSeed uint64, rates store.Rates, bcfg broker.Config) (*Session, *store.FaultStore, *obs.Registry, error) {
+	cl, err := cluster.BuildUniform(2, 4, 8, 3.0, 8192)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	reg := obs.NewRegistry()
+	mcfg := chaosMonitorConfig()
+	mcfg.Obs = reg
+	bcfg.WaitLoadPerCore = 100
+	bcfg.Obs = reg
+	var fs *store.FaultStore
+	s, err := newSession(SessionConfig{Seed: seed, Cluster: cl, Monitor: mcfg, Broker: bcfg},
+		func(sched *simtime.Scheduler, st store.Store) store.Store {
+			fs = store.NewFault(st, faultSeed)
+			fs.SetScope(monitor.KeyLivehostsPrefix, monitor.KeyNodeStatePrefix, "latency/", "bandwidth/")
+			fs.SetRates(rates)
+			return store.Instrument(fs, reg, sched.Now)
+		})
+	return s, fs, reg, err
 }
 
 // chaosJobShape is the small MPI job submitted once per window.
@@ -184,43 +236,17 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	report := &ChaosReport{Seed: cfg.Seed}
 
-	cl, err := cluster.BuildUniform(2, 4, 8, 3.0, 8192)
+	// Partitions are scheduled explicitly below; the store's own faults
+	// are probabilistic from the first write.
+	s, fs, reg, err := newFaultSession(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15,
+		store.Rates{TornWrite: 0.02, StaleRead: 0.05}, broker.Config{})
 	if err != nil {
 		return nil, err
 	}
-	numNodes := cl.Size()
-	sched := simtime.NewScheduler(defaultEpoch)
-	w := world.New(cl, world.Config{Seed: cfg.Seed}, defaultEpoch)
-	stopWorld := w.Attach(sched)
-	defer stopWorld()
+	defer s.Close()
+	sched, w, mgr, b := s.Sched, s.World, s.Mgr, s.Broker
+	numNodes := w.Cluster().Size()
 
-	// One registry is shared by every layer; at the end its counters must
-	// reconcile exactly with the injector's and the report's own counts.
-	reg := obs.NewRegistry()
-
-	fs := store.NewFault(store.NewMem(), cfg.Seed^0x9e3779b97f4a7c15)
-	// Probabilistic corruption stays on monitoring data; control-plane
-	// keys (heartbeats, lease) stay honest so recovery accounting is
-	// exact. Partitions are scheduled explicitly below.
-	fs.SetScope(monitor.KeyLivehostsPrefix, monitor.KeyNodeStatePrefix,
-		"latency/", "bandwidth/")
-	fs.SetRates(store.Rates{TornWrite: 0.02, StaleRead: 0.05})
-	ist := store.Instrument(fs, reg, sched.Now)
-	// Generation tracking sits outermost so even failed (torn) writes
-	// bump generations and the broker's delta snapshot cache re-reads
-	// exactly the keys the chaos schedule perturbed.
-	vst := store.Version(ist)
-
-	pr := &monitor.WorldProber{W: w}
-	mcfg := chaosMonitorConfig()
-	mcfg.Obs = reg
-	mgr := monitor.NewManager(pr, vst, mcfg)
-	if err := mgr.Start(sched); err != nil {
-		return nil, err
-	}
-	defer mgr.Stop()
-
-	b := broker.New(vst, sched, broker.Config{Seed: cfg.Seed + 7, WaitLoadPerCore: 100, Obs: reg})
 	q := jobqueue.New(b, sched, jobqueue.Config{RetryPeriod: 3 * time.Second, Obs: reg})
 	if err := q.Start(); err != nil {
 		return nil, err
@@ -375,9 +401,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// independently-kept counts: the registry is fed by the components
 	// themselves (supervisors, broker, queue, injector), so any drift
 	// between the two paths is a bookkeeping bug.
-	store.SyncFaults(fs, reg)
-	report.Metrics = reg.Snapshot()
-	report.MetricsText = report.Metrics.Render()
+	report.freeze(fs, reg)
 	ctr := report.Metrics.Counters
 	checkCounter := func(name string, want uint64) {
 		got := ctr[name]

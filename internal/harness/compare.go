@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nlarm/internal/alloc"
-	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
@@ -84,11 +83,7 @@ func (s *Session) Compare(cfg CompareConfig) ([]Trial, error) {
 	var trials []Trial
 	for round := 0; round < repeats; round++ {
 		for _, pol := range policies {
-			snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-			if err != nil {
-				return nil, fmt.Errorf("harness: round %d policy %s: %w", round, pol.Name(), err)
-			}
-			a, err := pol.Allocate(snap, cfg.Request, r.Split())
+			snap, a, err := s.allocate(pol, cfg.Request, r.Split())
 			if err != nil {
 				return nil, fmt.Errorf("harness: round %d policy %s: %w", round, pol.Name(), err)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
-	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
@@ -99,11 +98,7 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 			// Submit all jobs back-to-back; each allocation sees the
 			// monitor's view including the previously launched jobs.
 			for j := 0; j < cfg.Jobs; j++ {
-				snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-				if err != nil {
-					return nil, err
-				}
-				a, err := pol.Allocate(snap, alloc.Request{
+				_, a, err := s.allocate(pol, alloc.Request{
 					Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7,
 				}, r.Split())
 				if err != nil {
@@ -132,21 +127,16 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 				}
 			}
 			// Run until every job in the batch completes.
-			deadline := s.Now().Add(maxJobVirtualTime)
-			for {
-				alldone := true
+			err := awaitEvents(s.Sched, s.Now().Add(maxJobVirtualTime), func() bool {
 				for _, e := range batch {
 					if !e.done {
-						alldone = false
-						break
+						return false
 					}
 				}
-				if alldone {
-					break
-				}
-				if !s.Sched.Step() || s.Now().After(deadline) {
-					return nil, fmt.Errorf("harness: cosched %s batch stalled", pol.Name())
-				}
+				return true
+			})
+			if err != nil {
+				return nil, fmt.Errorf("harness: cosched %s batch stalled: %w", pol.Name(), err)
 			}
 			var lastEnd time.Time
 			for _, e := range batch {

@@ -474,14 +474,16 @@ func AllocationAnalysis(seed uint64, iterations int) (*AnalysisData, error) {
 		Groups:     make(map[string]GroupState),
 		TimesSec:   make(map[string]float64),
 	}
-	// All four policies allocate from the same frozen snapshot.
+	// All four policies allocate from the same frozen snapshot, priced
+	// once under the weights the request defaults to.
+	model := alloc.NewCostModel(snap, alloc.PaperWeights(), false)
 	type chosen struct {
 		pol alloc.Policy
 		a   alloc.Allocation
 	}
 	var picks []chosen
 	for _, pol := range PaperPolicies() {
-		al, err := pol.Allocate(snap, req, r.Split())
+		al, err := pol.AllocateModel(model, req, r.Split())
 		if err != nil {
 			return nil, err
 		}

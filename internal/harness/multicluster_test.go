@@ -73,7 +73,7 @@ func TestGroupedPolicyStaysInsideOneCluster(t *testing.T) {
 	}
 	pol := alloc.GroupedNetLoadAware{GroupOf: clusterOf}
 	// 32 procs at ppn 4 = 8 nodes = exactly one cluster.
-	a, err := pol.Allocate(snap, alloc.Request{Procs: 32, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(1))
+	a, err := alloc.Allocate(pol, snap, alloc.Request{Procs: 32, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestExactNLAAlsoAvoidsWAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := alloc.NetLoadAware{}.Allocate(snap, alloc.Request{Procs: 16, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(2))
+	a, err := alloc.Allocate(alloc.NetLoadAware{}, snap, alloc.Request{Procs: 16, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,8 @@ import (
 	"time"
 
 	"nlarm/internal/broker"
-	"nlarm/internal/cluster"
-	"nlarm/internal/monitor"
-	"nlarm/internal/obs"
 	"nlarm/internal/rng"
-	"nlarm/internal/simtime"
 	"nlarm/internal/store"
-	"nlarm/internal/world"
 )
 
 // OverloadTenant is one synthetic client population in the overload
@@ -113,28 +108,11 @@ type OverloadReport struct {
 	ShedByTenant   map[string]int
 
 	StoreFaults uint64
-	Checks      []ChaosCheck
 
-	// Metrics is the shared registry's final snapshot; the scenario's
-	// core invariant is that these counters reconcile exactly with the
-	// callback-side accounting above.
-	Metrics     *obs.Snapshot
-	MetricsText string
+	// The scenario's core invariant is that the frozen registry's
+	// counters reconcile exactly with the callback-side accounting above.
+	checkedReport
 }
-
-// Violations returns the names and notes of every failed check.
-func (r *OverloadReport) Violations() []string {
-	var v []string
-	for _, c := range r.Checks {
-		if !c.Ok {
-			v = append(v, fmt.Sprintf("%v %s: %s", c.At, c.Name, c.Note))
-		}
-	}
-	return v
-}
-
-// Ok reports whether every invariant held.
-func (r *OverloadReport) Ok() bool { return len(r.Violations()) == 0 }
 
 // Render formats the report deterministically; two same-seed runs must
 // produce identical bytes.
@@ -152,33 +130,13 @@ func (r *OverloadReport) Render() string {
 		fmt.Fprintf(&b, "tenant %s served=%d shed=%d\n", t, r.ServedByTenant[t], r.ShedByTenant[t])
 	}
 	fmt.Fprintf(&b, "store faults=%d\n", r.StoreFaults)
-	for _, c := range r.Checks {
-		status := "ok"
-		if !c.Ok {
-			status = "VIOLATION"
-		}
-		fmt.Fprintf(&b, "check %v %s %s %s\n", c.At, c.Name, status, c.Note)
-	}
-	if r.MetricsText != "" {
-		b.WriteString("metrics:\n")
-		for _, line := range strings.Split(strings.TrimRight(r.MetricsText, "\n"), "\n") {
-			fmt.Fprintf(&b, "  %s\n", line)
-		}
-	}
+	r.renderChecks(&b)
+	r.renderMetrics(&b)
 	return b.String()
 }
 
-// Digest hashes Render with FNV-1a, giving tests a one-number
-// reproducibility witness.
-func (r *OverloadReport) Digest() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, c := range []byte(r.Render()) {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
+// Digest hashes Render; see renderDigest.
+func (r *OverloadReport) Digest() uint64 { return renderDigest(r.Render()) }
 
 // RunOverload drives the batched, admission-controlled front door
 // through a seeded overload burst with a mid-run monitoring blackout,
@@ -204,42 +162,21 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 		ShedByTenant:   map[string]int{},
 	}
 
-	cl, err := cluster.BuildUniform(2, 4, 8, 3.0, 8192)
+	// Faults stay quiet through the warm-up so the broker holds a healthy
+	// last-good snapshot before the storm starts.
+	s, fs, reg, err := newFaultSession(cfg.Seed, cfg.Seed^0xbf58476d1ce4e5b9,
+		store.Rates{}, broker.Config{SnapshotMaxAge: cfg.SnapshotMaxAge})
 	if err != nil {
 		return nil, err
 	}
-	sched := simtime.NewScheduler(defaultEpoch)
-	w := world.New(cl, world.Config{Seed: cfg.Seed}, defaultEpoch)
-	stopWorld := w.Attach(sched)
-	defer stopWorld()
-
-	reg := obs.NewRegistry()
-	fs := store.NewFault(store.NewMem(), cfg.Seed^0xbf58476d1ce4e5b9)
-	fs.SetScope(monitor.KeyLivehostsPrefix, monitor.KeyNodeStatePrefix, "latency/", "bandwidth/")
-	vst := store.Version(store.Instrument(fs, reg, sched.Now))
-
-	mcfg := chaosMonitorConfig()
-	mcfg.Obs = reg
-	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, vst, mcfg)
-	if err := mgr.Start(sched); err != nil {
-		return nil, err
-	}
-	defer mgr.Stop()
-
-	b := broker.New(vst, sched, broker.Config{
-		Seed:            cfg.Seed + 7,
-		WaitLoadPerCore: 100,
-		SnapshotMaxAge:  cfg.SnapshotMaxAge,
-		Obs:             reg,
-	})
+	defer s.Close()
+	sched, b := s.Sched, s.Broker
 	bt := broker.NewBatcher(b, nil, broker.BatcherOptions{
 		MaxBatch:  cfg.MaxBatch,
 		Admission: cfg.Admission,
 	})
 	defer bt.Close()
 
-	// Warm up with faults quiet so the broker holds a healthy last-good
-	// snapshot before the storm starts.
 	sched.RunFor(30 * time.Second)
 	if _, err := b.Allocate(broker.Request{Procs: 4, Force: true}); err != nil {
 		return nil, fmt.Errorf("harness: overload warm-up allocation failed: %w", err)
@@ -367,9 +304,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	// Reconcile the obs counters with the callback-side accounting: both
 	// paths count independently, so any drift is a bookkeeping bug.
 	report.StoreFaults = fs.TotalFaults()
-	store.SyncFaults(fs, reg)
-	report.Metrics = reg.Snapshot()
-	report.MetricsText = report.Metrics.Render()
+	report.freeze(fs, reg)
 	ctr := report.Metrics.Counters
 	checkCounter := func(name string, want uint64) {
 		got := ctr[name]

@@ -33,7 +33,7 @@ func TestPredictionTracksSimulation(t *testing.T) {
 	req := alloc.Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}
 	r := rng.New(3)
 
-	nlaAlloc, err := alloc.NetLoadAware{}.Allocate(snap, req, r.Split())
+	nlaAlloc, err := alloc.Allocate(alloc.NetLoadAware{}, snap, req, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPredictionTracksSimulation(t *testing.T) {
 	var worst alloc.Allocation
 	var worstPred time.Duration
 	for i := 0; i < 5; i++ {
-		cand, err := alloc.Random{}.Allocate(snap, req, r.Split())
+		cand, err := alloc.Allocate(alloc.Random{}, snap, req, r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}

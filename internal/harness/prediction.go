@@ -7,7 +7,6 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
-	"nlarm/internal/monitor"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
 
@@ -74,11 +73,7 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	res := &PredictionResult{Cfg: cfg}
 	for i := 0; i < cfg.Runs; i++ {
 		pol := policies[i%len(policies)]
-		snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-		if err != nil {
-			return nil, err
-		}
-		a, err := pol.Allocate(snap, alloc.Request{
+		snap, a, err := s.allocate(pol, alloc.Request{
 			Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7,
 		}, r.Split())
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
-	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
 	"nlarm/internal/rng"
 )
@@ -45,11 +44,7 @@ func (s *Session) ProfileShape(shape *mpisim.Shape, ppn int, r *rng.Rand) (*Prof
 	if short.Iterations < 5 {
 		short.Iterations = 5
 	}
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		return nil, fmt.Errorf("harness: profile: %w", err)
-	}
-	a, err := alloc.NetLoadAware{}.Allocate(snap, alloc.Request{
+	_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
 		Procs: shape.Ranks, PPN: ppn, Alpha: 0.5, Beta: 0.5,
 	}, r)
 	if err != nil {
@@ -70,24 +65,6 @@ func (s *Session) ProfileShape(shape *mpisim.Shape, ppn int, r *rng.Rand) (*Prof
 	}, nil
 }
 
-// ProfileMiniMD profiles a miniMD configuration and suggests α/β.
-func (s *Session) ProfileMiniMD(p apps.MiniMDParams, ranks, ppn int, r *rng.Rand) (*ProfileReport, error) {
-	shape, err := apps.MiniMD(p, ranks)
-	if err != nil {
-		return nil, err
-	}
-	return s.ProfileShape(shape, ppn, r)
-}
-
-// ProfileMiniFE profiles a miniFE configuration and suggests α/β.
-func (s *Session) ProfileMiniFE(p apps.MiniFEParams, ranks, ppn int, r *rng.Rand) (*ProfileReport, error) {
-	shape, err := apps.MiniFE(p, ranks)
-	if err != nil {
-		return nil, err
-	}
-	return s.ProfileShape(shape, ppn, r)
-}
-
 // ProfileAndRun is the end-to-end workflow the paper sketches: profile
 // the application once, then allocate with the derived weights and run
 // the full job.
@@ -97,11 +74,7 @@ func (s *Session) ProfileAndRun(shape *mpisim.Shape, ppn int, r *rng.Rand) (*Pro
 		return nil, mpisim.Result{}, err
 	}
 	s.Advance(30 * time.Second)
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		return nil, mpisim.Result{}, err
-	}
-	a, err := alloc.NetLoadAware{}.Allocate(snap, alloc.Request{
+	_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
 		Procs: shape.Ranks, PPN: ppn, Alpha: report.Alpha, Beta: report.Beta,
 	}, r)
 	if err != nil {

@@ -9,7 +9,11 @@ import (
 
 func TestProfileMiniMDSuggestsNetworkHeavyWeights(t *testing.T) {
 	s := smallSession(t, 31)
-	rep, err := s.ProfileMiniMD(apps.MiniMDParams{S: 8, Steps: 100}, 8, 4, rng.New(1))
+	shape, err := apps.MiniMD(apps.MiniMDParams{S: 8, Steps: 100}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.ProfileShape(shape, 4, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +84,11 @@ func TestProfileAndRun(t *testing.T) {
 
 func TestProfileMiniFE(t *testing.T) {
 	s := smallSession(t, 34)
-	rep, err := s.ProfileMiniFE(apps.MiniFEParams{NX: 32, Iters: 50}, 8, 4, rng.New(4))
+	shape, err := apps.MiniFE(apps.MiniFEParams{NX: 32, Iters: 50}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.ProfileShape(shape, 4, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"nlarm/internal/metrics"
 	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
+	"nlarm/internal/rng"
 	"nlarm/internal/simtime"
 	"nlarm/internal/store"
 	"nlarm/internal/world"
@@ -65,6 +66,17 @@ var defaultEpoch = time.Date(2020, 3, 2, 8, 0, 0, 0, time.UTC)
 // daemons). Call WarmUp before allocating so the monitor has a full
 // bandwidth matrix.
 func NewSession(cfg SessionConfig) (*Session, error) {
+	return newSession(cfg, nil)
+}
+
+// newSession is NewSession with a hook between the raw store and the
+// generation-tracking wrapper: a non-nil wrap receives the session's
+// scheduler and MemStore and returns the store the wrapper sits on (the
+// fault scenarios interpose a fault injector and instrumentation
+// there). Generation tracking stays outermost so even writes the
+// interposed layers fail still bump generations and the broker's delta
+// snapshot cache re-reads exactly the keys that were perturbed.
+func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) store.Store) (*Session, error) {
 	if cfg.Start.IsZero() {
 		cfg.Start = defaultEpoch
 	}
@@ -83,7 +95,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	stop := w.Attach(sched)
 
 	st := store.NewMem()
-	vst := store.Version(st)
+	var under store.Store = st
+	if wrap != nil {
+		under = wrap(sched, st)
+	}
+	vst := store.Version(under)
 	pr := &monitor.WorldProber{W: w}
 	mgr := monitor.NewManager(pr, vst, cfg.Monitor)
 	if err := mgr.Start(sched); err != nil {
@@ -149,6 +165,19 @@ func awaitEvents(sched *simtime.Scheduler, deadline time.Time, done func() bool)
 
 // Now returns the current virtual time.
 func (s *Session) Now() time.Time { return s.Sched.Now() }
+
+// allocate is the experiments' allocation step: read the monitor's
+// current view straight from the store and run pol on it. The snapshot
+// is returned for the experiments that evaluate the chosen group
+// (Compare) or predict the run against the view the policy saw.
+func (s *Session) allocate(pol alloc.Policy, req alloc.Request, r *rng.Rand) (*metrics.Snapshot, alloc.Allocation, error) {
+	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
+	if err != nil {
+		return nil, alloc.Allocation{}, err
+	}
+	a, err := alloc.Allocate(pol, snap, req, r)
+	return snap, a, err
+}
 
 // maxJobVirtualTime caps a single simulated job run; a run exceeding it
 // indicates a modeling bug rather than a slow allocation.

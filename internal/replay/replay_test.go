@@ -196,7 +196,7 @@ func TestRecorderArchivesLiveMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := alloc.NetLoadAware{}.Allocate(snap, alloc.Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(1))
+	a, err := alloc.Allocate(alloc.NetLoadAware{}, snap, alloc.Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,30 +335,9 @@ func (p *policyState) maybeRefresh(now time.Time) error {
 // applyNode rebuilds node i's published attributes from its immutable
 // base plus the integer committed-rank count — reconstruction, never
 // increment/decrement, so start/finish churn cannot accumulate float
-// drift. The arithmetic mirrors ReservingPolicy.Charged: ranks busy-wait
-// on every load window, occupancy is capped at 100%.
+// drift.
 func (p *policyState) applyNode(i int) {
-	na := p.ps.baseAttrs[i]
-	if r := p.ps.committed[i]; r > 0 {
-		fr := float64(r)
-		na.CPULoad.M1 += fr
-		na.CPULoad.M5 += fr
-		na.CPULoad.M15 += fr
-		cores := na.Cores
-		if cores <= 0 {
-			cores = 1
-		}
-		occ := fr / float64(cores) * 100
-		if na.CPUUtilPct.M1+occ > 100 {
-			occ = 100 - na.CPUUtilPct.M1
-		}
-		if occ > 0 {
-			na.CPUUtilPct.M1 += occ
-			na.CPUUtilPct.M5 += occ
-			na.CPUUtilPct.M15 += occ
-		}
-	}
-	p.snap.Nodes[i] = na
+	p.snap.Nodes[i] = alloc.ChargeRanks(p.ps.baseAttrs[i], p.ps.committed[i])
 }
 
 func (p *policyState) markDirty(i int) {
