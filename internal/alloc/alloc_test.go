@@ -554,7 +554,7 @@ func TestStaleAfter(t *testing.T) {
 // never a short or duplicated allocation.
 func TestPoliciesRobustOnRandomSnapshots(t *testing.T) {
 	r := rng.New(0xFEED)
-	policies := append(allPolicies(), GroupedNetLoadAware{GroupOf: func(n int) int { return n / 3 }})
+	policies := allPolicies()
 	for trial := 0; trial < 60; trial++ {
 		n := r.Intn(12) + 2
 		loads := make([]float64, n)

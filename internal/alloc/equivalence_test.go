@@ -82,7 +82,14 @@ func refGenerate(v int, ids []int, cl map[int]float64, nl map[metrics.PairKey]fl
 		}
 		addCost[u] = req.Alpha*cl[u] + req.Beta*nl[metrics.Pair(v, u)]
 	}
-	order := sortByCost(ids, addCost)
+	order := append([]int(nil), ids...)
+	sort.Slice(order, func(i, j int) bool {
+		ci, cj := addCost[order[i]], addCost[order[j]]
+		if ci != cj {
+			return ci < cj
+		}
+		return order[i] < order[j]
+	})
 	nodes, procs := fill(order, caps, req.Procs)
 
 	cand := Candidate{Start: v, Nodes: nodes, Procs: procs}

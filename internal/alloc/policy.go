@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
 
 	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
@@ -113,26 +112,11 @@ func Allocate(p Policy, snap *metrics.Snapshot, req Request, r *rng.Rand) (Alloc
 	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
 }
 
-// sortByCost orders ids ascending by cost, breaking ties by node ID for
-// determinism.
-func sortByCost(ids []int, cost map[int]float64) []int {
-	out := append([]int(nil), ids...)
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := cost[out[i]], cost[out[j]]
-		if ci != cj {
-			return ci < cj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // Compile-time checks that every shipped policy satisfies Policy.
 var (
 	_ Policy = Random{}
 	_ Policy = Sequential{}
 	_ Policy = LoadAware{}
 	_ Policy = NetLoadAware{}
-	_ Policy = GroupedNetLoadAware{}
 	_ Policy = (*ReservingPolicy)(nil)
 )

@@ -353,34 +353,6 @@ func TestShardedUpdateNodesPreservesShard(t *testing.T) {
 	}
 }
 
-// TestShardedGroupedPolicyRebuildsDense checks that the grouped policy
-// (which aggregates over the dense n×n matrix itself) transparently
-// falls back to a dense rebuild when handed a sharded model.
-func TestShardedGroupedPolicyRebuildsDense(t *testing.T) {
-	r := rng.New(11)
-	snap, groups := shardedEquivSnapshot(r, 4, 10)
-	plan := NewShardPlan(groups, "test-topology")
-	m := NewCostModelSharded(snap, PaperWeights(), false,
-		ShardOptions{Plan: plan, Threshold: 16, MaxShardSize: 10, TopK: 2})
-	if !m.Sharded() {
-		t.Fatal("model not sharded")
-	}
-	groupOf := make(map[int]int)
-	for g, members := range groups {
-		for _, id := range members {
-			groupOf[id] = g
-		}
-	}
-	p := GroupedNetLoadAware{GroupOf: func(id int) int { return groupOf[id] }}
-	a, err := p.AllocateModel(m, Request{Procs: 20, Alpha: 0.5, Beta: 0.5}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalProcs() != 20 {
-		t.Fatalf("grouped policy on sharded model covered %d of 20 procs", a.TotalProcs())
-	}
-}
-
 // TestShardOptionsSignature pins the cache-key semantics: disabled
 // options hash to zero, knob and plan changes change the hash, and
 // identical plans hash identically.

@@ -48,9 +48,6 @@ func TestSharedSnapshotNeverMutated(t *testing.T) {
 		func(*metrics.Snapshot) alloc.Policy { return alloc.Sequential{} },
 		func(*metrics.Snapshot) alloc.Policy { return alloc.LoadAware{} },
 		func(*metrics.Snapshot) alloc.Policy { return alloc.NetLoadAware{} },
-		func(*metrics.Snapshot) alloc.Policy {
-			return alloc.GroupedNetLoadAware{GroupOf: func(n int) int { return n / 4 }}
-		},
 		func(s *metrics.Snapshot) alloc.Policy { return reserving(s) },
 	}
 

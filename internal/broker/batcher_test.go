@@ -164,7 +164,7 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 				t.Fatal("request stream never exercised the dedup path")
 			}
 
-			srv, err := NewServer(wireB, "127.0.0.1:0")
+			srv, err := NewServerOpts(wireB, nil, "127.0.0.1:0", ServerOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

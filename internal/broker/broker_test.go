@@ -280,7 +280,7 @@ func TestRegisterPolicy(t *testing.T) {
 
 func TestServerClientRoundTrip(t *testing.T) {
 	r := newRig(t, 8, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 
 func TestServerErrorPropagation(t *testing.T) {
 	r := newRig(t, 9, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestServerErrorPropagation(t *testing.T) {
 
 func TestServerMultipleClients(t *testing.T) {
 	r := newRig(t, 10, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestServerMultipleClients(t *testing.T) {
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	r := newRig(t, 11, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestUseForecastAccepted(t *testing.T) {
 
 func TestServerRejectsGarbageLine(t *testing.T) {
 	r := newRig(t, 14, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,14 +140,6 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// Alive reports whether the connection is still usable (no transport
-// error and not closed). Pools use it to decide when to redial.
-func (c *Client) Alive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && !c.closed
-}
-
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	c.sem <- struct{}{}
 	defer func() { <-c.sem }()

@@ -125,46 +125,24 @@ func TestClientPipelinesConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolReconnectsAfterConnDeath kills every server-side connection
-// out from under a pool and checks the next calls transparently redial
-// and succeed — the retry path that makes server restarts invisible to
-// pool callers.
-func TestPoolReconnectsAfterConnDeath(t *testing.T) {
-	_, srv := startServer(t, 43, ServerOptions{Batching: &BatcherOptions{MaxBatch: 16}})
-	p := NewPool(srv.Addr(), PoolOptions{Size: 3})
-	defer p.Close()
-
-	for i := 0; i < 6; i++ { // warm every slot
-		if _, err := p.Allocate(Request{Procs: 4, Force: true}); err != nil {
-			t.Fatalf("warmup %d: %v", i, err)
-		}
-	}
-	srv.DisconnectAll()
-	for i := 0; i < 6; i++ { // every slot must recover
-		if _, err := p.Allocate(Request{Procs: 4, Force: true}); err != nil {
-			t.Fatalf("post-disconnect allocate %d: %v", i, err)
-		}
-	}
-	if err := p.Health(); err != nil {
-		t.Fatalf("health after recovery: %v", err)
-	}
-}
-
-// TestPoolDoesNotRetrySheds: a shed is a server answer, not a transport
-// failure — retrying it on a fresh connection would defeat admission
-// control. The pool must hand the ShedError straight back.
-func TestPoolDoesNotRetrySheds(t *testing.T) {
+// TestClientShedCrossesWire: a shed is a server answer, not a transport
+// failure. It must reach a Client caller as a *ShedError carrying the
+// server's retry hint, and the server must have shed exactly once.
+func TestClientShedCrossesWire(t *testing.T) {
 	r, srv := startServer(t, 44, ServerOptions{Batching: &BatcherOptions{
 		MaxBatch:  16,
 		Admission: AdmissionConfig{TenantRate: 1, TenantBurst: 1},
 	}})
-	p := NewPool(srv.Addr(), PoolOptions{Size: 1})
-	defer p.Close()
+	c, err := Dial(srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-	if _, err := p.Allocate(Request{Procs: 4, Force: true}); err != nil {
+	if _, err := c.Allocate(Request{Procs: 4, Force: true}); err != nil {
 		t.Fatalf("first allocate (burst token): %v", err)
 	}
-	_, err := p.Allocate(Request{Procs: 4, Force: true})
+	_, err = c.Allocate(Request{Procs: 4, Force: true})
 	var se *ShedError
 	if !errors.As(err, &se) {
 		t.Fatalf("second allocate: got %v, want shed", err)
@@ -172,24 +150,7 @@ func TestPoolDoesNotRetrySheds(t *testing.T) {
 	if se.RetryAfter <= 0 {
 		t.Fatalf("shed lost its retry hint over the wire: %+v", se)
 	}
-	shedTotal := r.b.Obs().Counter("broker.admit.shed.total").Value()
-	if shedTotal != 1 {
-		t.Fatalf("server shed %d requests; a retry would have made it 2+", shedTotal)
-	}
-}
-
-// TestPoolLazyDialFailure: a pool pointed at a dead address fails each
-// call with a dial error rather than hanging or panicking, and Close is
-// still clean.
-func TestPoolLazyDialFailure(t *testing.T) {
-	p := NewPool("127.0.0.1:1", PoolOptions{Size: 2, Client: ClientOptions{Timeout: 200 * time.Millisecond}})
-	if _, err := p.Allocate(Request{Procs: 4}); err == nil {
-		t.Fatal("allocate against dead address succeeded")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := p.Allocate(Request{Procs: 4}); !errors.Is(err, errClientClosed) {
-		t.Fatalf("allocate after close: %v", err)
+	if shedTotal := r.b.Obs().Counter("broker.admit.shed.total").Value(); shedTotal != 1 {
+		t.Fatalf("server shed %d requests, want 1", shedTotal)
 	}
 }

@@ -134,11 +134,16 @@ type connWriter struct {
 	enc      *json.Encoder
 	err      error
 	inflight atomic.Int64
+	// eof is set once the reader has seen a clean end of input; a reply
+	// that then takes inflight to zero signals idle (capacity 1: a
+	// signal nobody has consumed yet already says "look again").
+	eof  atomic.Bool
+	idle chan struct{}
 }
 
 func newConnWriter(conn net.Conn, timeout time.Duration) *connWriter {
 	bw := bufio.NewWriterSize(conn, 32*1024)
-	return &connWriter{conn: conn, timeout: timeout, bw: bw, enc: json.NewEncoder(bw)}
+	return &connWriter{conn: conn, timeout: timeout, bw: bw, enc: json.NewEncoder(bw), idle: make(chan struct{}, 1)}
 }
 
 // arm sets the write deadline ahead of a socket-touching operation; a
@@ -199,6 +204,29 @@ func (cw *connWriter) send(resp wireResponse) error {
 	return cw.finish()
 }
 
+// drain runs on the reader goroutine after a clean EOF, when no further
+// request can arrive: it waits until every batched request already
+// accepted has been answered, for at most the write timeout, and flushes
+// the answers to a peer that may have closed only its write side.
+func (cw *connWriter) drain() {
+	cw.eof.Store(true)
+	var bound <-chan time.Time
+	if cw.timeout > 0 {
+		t := time.NewTimer(cw.timeout)
+		defer t.Stop()
+		bound = t.C
+	}
+wait:
+	for cw.inflight.Load() > 0 {
+		select {
+		case <-cw.idle:
+		case <-bound:
+			break wait
+		}
+	}
+	_ = cw.flush() // the connection closes next either way
+}
+
 // Server exposes a Broker over TCP with a newline-delimited JSON
 // protocol: one request object per line, one response object per line
 // (responses to pipelined batched requests may be reordered; match by
@@ -219,20 +247,10 @@ type Server struct {
 	dirty   map[*connWriter]struct{}
 }
 
-// NewServer starts serving b on addr (e.g. "127.0.0.1:7077"; use port 0
-// for an ephemeral port). The returned server is already accepting.
-func NewServer(b *Broker, addr string) (*Server, error) {
-	return NewManagedServer(b, nil, addr)
-}
-
-// NewManagedServer is NewServer with a job-submission Manager attached;
-// the submit/job/queue wire actions are enabled when mgr is non-nil.
-func NewManagedServer(b *Broker, mgr Manager, addr string) (*Server, error) {
-	return NewServerOpts(b, mgr, addr, ServerOptions{})
-}
-
-// NewServerOpts is NewManagedServer with explicit protocol limits and
-// batcher options.
+// NewServerOpts starts serving b on addr (e.g. "127.0.0.1:7077"; use
+// port 0 for an ephemeral port) with the given protocol limits and
+// batcher options; the returned server is already accepting. The
+// submit/job/queue wire actions are enabled when mgr is non-nil.
 func NewServerOpts(b *Broker, mgr Manager, addr string, opts ServerOptions) (*Server, error) {
 	return newServer(b, mgr, addr, opts, true)
 }
@@ -332,9 +350,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
 		if !scanner.Scan() {
-			// An over-long line is a protocol violation, not a transport
-			// failure: answer it once, then close cleanly.
-			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+			switch err := scanner.Err(); {
+			case err == nil:
+				// Clean EOF: a client that half-closed after its last
+				// request (echo … | nc) is still reading.
+				cw.drain()
+			case errors.Is(err, bufio.ErrTooLong):
+				// An over-long line is a protocol violation, not a
+				// transport failure: answer it once, then close cleanly.
 				_ = cw.send(wireResponse{Error: fmt.Sprintf("bad request: line exceeds %d bytes", s.opts.MaxLineBytes)})
 			}
 			return
@@ -420,7 +443,12 @@ func (s *Server) reply(cw *connWriter, wr wireResponse) {
 	if cw.encode(wr) == nil {
 		s.markDirty(cw)
 	}
-	cw.inflight.Add(-1)
+	if cw.inflight.Add(-1) == 0 && cw.eof.Load() {
+		select {
+		case cw.idle <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // handle answers a control action inline on the reader goroutine;
@@ -459,18 +487,6 @@ func (s *Server) handle(req wireRequest) wireResponse {
 	default:
 		return wireResponse{Error: fmt.Sprintf("unknown action %q", req.Action)}
 	}
-}
-
-// DisconnectAll closes every open connection without stopping the
-// listener — a chaos/test hook standing in for a network blip between
-// clients and the broker. Clients with pooled connections are expected
-// to redial and carry on.
-func (s *Server) DisconnectAll() {
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
 }
 
 // Close stops accepting, shuts down the batcher (answering still-queued

@@ -17,7 +17,7 @@ import (
 // served, and the text rendering must be non-empty and deterministic.
 func TestServerMetricsAction(t *testing.T) {
 	r := newRig(t, 21, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestServerMetricsAction(t *testing.T) {
 // recorded decision log, honors limit, and includes the cost breakdown.
 func TestServerDecisionsAction(t *testing.T) {
 	r := newRig(t, 22, loadgen.Config{})
-	srv, err := NewServer(r.b, "127.0.0.1:0")
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +210,47 @@ func TestServerPartialLineThenSilence(t *testing.T) {
 	// Either way the connection is now closed, not hung.
 	if err := sc.Err(); err != nil {
 		t.Fatalf("expected clean close, got %v", err)
+	}
+}
+
+// TestServerAnswersHalfClosedClient is the `echo … | nc host port`
+// client: it writes its requests, shuts down its write side and only
+// then reads. The server sees a clean EOF while the allocate is still
+// in the batcher; it must answer everything it accepted before closing.
+func TestServerAnswersHalfClosedClient(t *testing.T) {
+	_, srv := startServer(t, 23, ServerOptions{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	lines := `{"id":1,"action":"allocate","request":{"procs":8,"ppn":4}}` + "\n" +
+		`{"id":2,"action":"health"}` + "\n"
+	if _, err := conn.Write([]byte(lines)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+
+	answered := map[uint64]wireResponse{}
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var resp wireResponse
+		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+			t.Fatalf("bad response line %q: %v", sc.Bytes(), err)
+		}
+		answered[resp.ID] = resp
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading answers: %v", err)
+	}
+	if r := answered[1]; !r.OK || r.Response == nil || procsOf(*r.Response) != 8 {
+		t.Fatalf("allocate sent before the half-close was not answered: %+v (got %d answers)", r, len(answered))
+	}
+	if r := answered[2]; !r.OK || r.Health != "ok" {
+		t.Fatalf("health sent before the half-close was not answered: %+v", r)
 	}
 }

@@ -132,7 +132,7 @@ func BuildIITK() (*Cluster, error) {
 // BuildMultiCluster builds a homogeneous multi-cluster deployment on the
 // given WAN-joined topology (paper §6's "large department/institute that
 // may span over multiple clusters"). It returns the cluster plus a
-// node→cluster-index mapping for grouped allocation.
+// node→cluster-index mapping.
 func BuildMultiCluster(mc topology.MultiClusterConfig, cores int, freqGHz, totalMemMB float64) (*Cluster, func(node int) int, error) {
 	cfg, err := topology.MultiCluster(mc)
 	if err != nil {

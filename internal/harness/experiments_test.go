@@ -194,12 +194,12 @@ func TestMultiClusterExperimentTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.MeanSec) != 5 {
+	if len(d.MeanSec) != 4 {
 		t.Fatalf("policies %v", d.MeanSec)
 	}
-	// Network-aware policies must not cross the WAN.
-	if d.CrossCluster["net-load-aware"] != 0 || d.CrossCluster["grouped-net-load-aware"] != 0 {
-		t.Fatalf("network-aware policies crossed clusters: %v", d.CrossCluster)
+	// The network-aware policy must not cross the WAN.
+	if d.CrossCluster["net-load-aware"] != 0 {
+		t.Fatalf("net-load-aware crossed clusters: %v", d.CrossCluster)
 	}
 	if out := FormatMultiCluster(d); !strings.Contains(out, "cross-cluster") {
 		t.Fatalf("format:\n%s", out)

@@ -13,9 +13,8 @@ import (
 )
 
 // MultiClusterConfig drives the multi-cluster extension experiment (§6
-// future work): three WAN-joined clusters, the standard baselines, the
-// exact heuristic, and the grouped heuristic that reasons at cluster
-// granularity.
+// future work): three WAN-joined clusters, the standard baselines and
+// the exact heuristic.
 type MultiClusterConfig struct {
 	Seed uint64
 	// Clusters/SwitchesPerCluster/NodesPerSwitch shape the deployment.
@@ -81,13 +80,12 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 	defer s.Close()
 	s.WarmUp(2 * time.Minute)
 
-	policies := append(PaperPolicies(), alloc.GroupedNetLoadAware{GroupOf: clusterOf})
 	trials, err := s.Compare(CompareConfig{
 		MakeShape: func() (*mpisim.Shape, error) {
 			return apps.MiniMD(apps.MiniMDParams{S: 16, Steps: cfg.Iterations}, cfg.Procs)
 		},
 		Request:  alloc.Request{Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7},
-		Policies: policies,
+		Policies: PaperPolicies(),
 		Repeats:  cfg.Repeats,
 		Spacing:  time.Minute,
 		Seed:     cfg.Seed + 17,

@@ -65,27 +65,6 @@ func TestMultiClusterMonitorSeesWANStructure(t *testing.T) {
 	}
 }
 
-func TestGroupedPolicyStaysInsideOneCluster(t *testing.T) {
-	s, clusterOf := multiClusterSession(t, 52)
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := alloc.GroupedNetLoadAware{GroupOf: clusterOf}
-	// 32 procs at ppn 4 = 8 nodes = exactly one cluster.
-	a, err := alloc.Allocate(pol, snap, alloc.Request{Procs: 32, PPN: 4, Alpha: 0.3, Beta: 0.7}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusters := map[int]bool{}
-	for _, n := range a.Nodes {
-		clusters[clusterOf(n)] = true
-	}
-	if len(clusters) != 1 {
-		t.Fatalf("grouped allocation crossed clusters: %v", a.Nodes)
-	}
-}
-
 func TestExactNLAAlsoAvoidsWAN(t *testing.T) {
 	s, clusterOf := multiClusterSession(t, 53)
 	snap, err := monitor.ReadSnapshot(s.Store, s.Now())

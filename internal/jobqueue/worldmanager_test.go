@@ -83,7 +83,7 @@ func TestWorldManagerValidatesApp(t *testing.T) {
 func TestManagedServerEndToEnd(t *testing.T) {
 	r := newRig(t, 23, 0.9)
 	m := NewWorldManager(r.q, r.w)
-	srv, err := broker.NewManagedServer(r.b, m, "127.0.0.1:0")
+	srv, err := broker.NewServerOpts(r.b, m, "127.0.0.1:0", broker.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestManagedServerEndToEnd(t *testing.T) {
 
 func TestUnmanagedServerRejectsSubmit(t *testing.T) {
 	r := newRig(t, 24, 0.9)
-	srv, err := broker.NewServer(r.b, "127.0.0.1:0")
+	srv, err := broker.NewServerOpts(r.b, nil, "127.0.0.1:0", broker.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

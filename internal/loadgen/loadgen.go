@@ -162,7 +162,6 @@ const (
 	sessMemory                     // memory-hungry analysis
 	sessNetwork                    // downloads, dataset copies
 	sessUser                       // interactive login, light load
-	numSessionKinds
 )
 
 type session struct {

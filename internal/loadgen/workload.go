@@ -474,15 +474,6 @@ func streamLess(a, b clientStream) bool {
 	return a.client < b.client
 }
 
-// Remaining returns how many arrivals are still to be generated.
-func (g *WorkloadGen) Remaining() int {
-	n := 0
-	for _, c := range g.cohorts {
-		n += c.remaining
-	}
-	return n
-}
-
 // Next returns the next arrival in time order, or ok=false when every
 // cohort has submitted its job budget.
 func (g *WorkloadGen) Next() (Arrival, bool) {

@@ -180,14 +180,6 @@ func (m *Manager) Workers() []Daemon {
 	return m.workerDaemons()
 }
 
-// NodeStateDaemon returns the NodeStateD for node id, or nil.
-func (m *Manager) NodeStateDaemon(id int) *NodeStateD {
-	if id < 0 || id >= len(m.nodeStateDs) {
-		return nil
-	}
-	return m.nodeStateDs[id]
-}
-
 // Centrals returns all central monitor instances created so far.
 func (m *Manager) Centrals() []*CentralMonitor {
 	m.mu.Lock()

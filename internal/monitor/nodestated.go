@@ -53,9 +53,6 @@ func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *N
 	}
 }
 
-// Node returns the node this daemon monitors.
-func (d *NodeStateD) Node() int { return d.node }
-
 // Start implements Daemon.
 func (d *NodeStateD) Start(rt simtime.Runtime) error {
 	return d.start(rt, d.tick)

@@ -148,9 +148,6 @@ func (j *Job) Progress() float64 {
 	return (total - j.remIters) / total
 }
 
-// Nodes returns the distinct nodes the job occupies.
-func (j *Job) Nodes() []int { return j.nodes }
-
 // RanksOnNode returns the number of the job's ranks placed on node id.
 func (j *Job) RanksOnNode(id int) int { return j.ranksOn[id] }
 

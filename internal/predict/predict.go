@@ -4,8 +4,8 @@
 // attributes and pairwise bandwidth/latency instead of ground truth.
 //
 // This is the broker-side "what-if" that the paper's cost heuristic
-// approximates implicitly: given two candidate node sets, Estimate prices
-// the actual job on each, so allocations can be ranked by predicted
+// approximates implicitly: given a candidate node set, Estimate prices
+// the actual job on it, so the queue can plan around a predicted
 // execution time and predictions can later be compared against reality.
 package predict
 
@@ -77,27 +77,4 @@ func EstimateAllocation(snap *metrics.Snapshot, shape *mpisim.Shape, rankNodes [
 		return mpisim.Result{}, fmt.Errorf("predict: %d rank slots for %d ranks", len(rankNodes), shape.Ranks)
 	}
 	return Estimate(snap, shape, mpisim.Placement{NodeOf: rankNodes})
-}
-
-// Rank orders candidate allocations (given as rank-node lists) by
-// predicted execution time, ascending. It returns the indices of the
-// candidates in predicted order along with each prediction.
-func Rank(snap *metrics.Snapshot, shape *mpisim.Shape, candidates [][]int) ([]int, []mpisim.Result, error) {
-	results := make([]mpisim.Result, len(candidates))
-	order := make([]int, len(candidates))
-	for i, rankNodes := range candidates {
-		res, err := EstimateAllocation(snap, shape, rankNodes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("predict: candidate %d: %w", i, err)
-		}
-		results[i] = res
-		order[i] = i
-	}
-	// Insertion sort by predicted elapsed (candidate lists are small).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && results[order[j]].Elapsed < results[order[j-1]].Elapsed; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order, results, nil
 }

@@ -131,38 +131,10 @@ func TestEstimateUnmeasuredPairIsPessimistic(t *testing.T) {
 	}
 }
 
-func TestRankOrdersCandidates(t *testing.T) {
-	s := snap([]float64{0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2})
-	shape, _ := apps.MiniMD(apps.MiniMDParams{S: 16, Steps: 20}, 8)
-	candidates := [][]int{
-		rankNodes([]int{0, 7}, 4), // far
-		rankNodes([]int{0, 1}, 4), // near: best
-		rankNodes([]int{0, 4}, 4), // middle
-	}
-	order, results, err := Rank(s, shape, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != 1 || order[2] != 0 {
-		t.Fatalf("predicted order %v (elapsed %v %v %v)", order,
-			results[0].Elapsed, results[1].Elapsed, results[2].Elapsed)
-	}
-}
-
-func TestRankBadCandidate(t *testing.T) {
+func TestEstimateAllocationRejectsShortPlacement(t *testing.T) {
 	s := snap([]float64{0.2, 0.2})
 	shape, _ := apps.MiniMD(apps.MiniMDParams{S: 8, Steps: 10}, 8)
-	if _, _, err := Rank(s, shape, [][]int{{0, 1}}); err == nil {
-		t.Fatal("short candidate accepted")
+	if _, err := EstimateAllocation(s, shape, []int{0, 1}); err == nil {
+		t.Fatal("2 rank slots accepted for 8 ranks")
 	}
-}
-
-func rankNodes(nodes []int, ppn int) []int {
-	var out []int
-	for _, n := range nodes {
-		for i := 0; i < ppn; i++ {
-			out = append(out, n)
-		}
-	}
-	return out
 }

@@ -1,7 +1,15 @@
+// Package sim is the discrete-event simulation core: a
+// capacity-fidelity scenario runner that schedules job arrival, start,
+// and finish events on the virtual clock (internal/simtime) against a
+// workload spec (internal/loadgen) — months of submitted traffic
+// replayed in seconds of wall time, bit-for-bit reproducible from a
+// seed. The harness's full-stack experiments advance the same
+// scheduler, so the two can be cross-checked event-for-event.
 package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -26,6 +34,12 @@ const (
 	// reservation, with an aging bound so nothing starves.
 	EASY Discipline = "backfill"
 )
+
+// ErrPastEvent is returned when the scenario would schedule an event
+// before the current virtual time. The scheduler would clamp such an
+// event to "now" — silently reordering it relative to the caller's
+// intent — so the scenario refuses instead.
+var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // scenarioEpoch is the default virtual start (the session epoch, so
 // capacity scenarios and full-stack sessions share a time origin).
@@ -205,13 +219,13 @@ type runEntry struct {
 
 // scenario is the live state of a run.
 type scenario struct {
-	cfg     ScenarioConfig
-	loop    *Loop
-	gen     *loadgen.WorkloadGen
-	tw      *trace.JobTraceWriter
-	rs   *runScratch
-	pol  *policyState
-	free int
+	cfg   ScenarioConfig
+	sched *simtime.Scheduler
+	gen   *loadgen.WorkloadGen
+	tw    *trace.JobTraceWriter
+	rs    *runScratch
+	pol   *policyState
+	free  int
 	// pending is the submit queue from pendHead on: head pops advance
 	// the index instead of reslicing, which would shed front capacity
 	// and force a reallocation on nearly every push.
@@ -278,7 +292,7 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	}
 	s := &scenario{
 		cfg:     cfg,
-		loop:    NewLoop(simtime.NewScheduler(cfg.Start)),
+		sched:   simtime.NewScheduler(cfg.Start),
 		gen:     gen,
 		tw:      tw,
 		rs:      rs,
@@ -296,13 +310,15 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	s.arrFn = s.arrival
 	if a, ok := gen.Next(); ok {
 		s.nextArr = a
-		if _, err := s.loop.ScheduleAt(a.At, "arrival", s.arrFn); err != nil {
+		if err := s.at(a.At, "arrival", s.arrFn); err != nil {
 			return nil, err
 		}
 	}
-	fired, err := s.loop.RunUntilIdle(cfg.MaxEvents)
-	if err != nil {
-		return nil, err
+	var fired uint64
+	for s.sched.Step() {
+		if fired++; fired > cfg.MaxEvents {
+			return nil, fmt.Errorf("sim: scenario exceeded %d events at %v", cfg.MaxEvents, s.sched.Now())
+		}
 	}
 	if s.err != nil {
 		return nil, s.err
@@ -330,7 +346,17 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	return &s.res, nil
 }
 
-// arrival is the loop callback for the pending arrival: submit it,
+// at schedules fn once at instant t, refusing with ErrPastEvent an
+// instant before the current virtual time.
+func (s *scenario) at(t time.Time, name string, fn func(now time.Time)) error {
+	if now := s.sched.Now(); t.Before(now) {
+		return fmt.Errorf("%w: %q at %v, now %v", ErrPastEvent, name, t, now)
+	}
+	s.sched.At(t, name, fn)
+	return nil
+}
+
+// arrival is the scheduler callback for the pending arrival: submit it,
 // chain the next one (same callback, new nextArr — the event sequence
 // is identical to a closure per arrival, without the allocation), and
 // run a scheduling pass.
@@ -339,7 +365,7 @@ func (s *scenario) arrival(now time.Time) {
 	s.submit(a, now)
 	if next, ok := s.gen.Next(); ok {
 		s.nextArr = next
-		if _, err := s.loop.ScheduleAt(next.At, "arrival", s.arrFn); err != nil && s.err == nil {
+		if err := s.at(next.At, "arrival", s.arrFn); err != nil && s.err == nil {
 			s.err = err
 		}
 	}
@@ -516,7 +542,7 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 	}
 	s.pushRun(runEntry{end: j.end, seq: s.startSeq, gen: j.gen, job: j})
 	s.startSeq++
-	if _, err := s.loop.ScheduleAt(j.end, "finish", func(fnow time.Time) {
+	if err := s.at(j.end, "finish", func(fnow time.Time) {
 		s.finishJob(j, fnow)
 	}); err != nil && s.err == nil {
 		s.err = err

@@ -3,13 +3,16 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nlarm/internal/loadgen"
+	"nlarm/internal/simtime"
 	"nlarm/internal/trace"
 )
 
@@ -265,6 +268,26 @@ func TestScenarioMaxEventsGuard(t *testing.T) {
 	cfg.MaxEvents = 10
 	if _, err := RunScenario(cfg, nil); err == nil {
 		t.Fatalf("MaxEvents guard did not trip")
+	}
+}
+
+// TestScenarioPastEventRejected pins the strictness the scenario adds
+// to the raw scheduler: an instant before Now() is ErrPastEvent and
+// queues nothing, while exactly Now() is allowed.
+func TestScenarioPastEventRejected(t *testing.T) {
+	s := &scenario{sched: simtime.NewScheduler(scenarioEpoch)}
+	err := s.at(scenarioEpoch.Add(-time.Second), "past", func(time.Time) {})
+	if !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("at(past) error = %v, want ErrPastEvent", err)
+	}
+	if s.sched.Step() {
+		t.Fatalf("a rejected event still fired")
+	}
+	if err := s.at(s.sched.Now(), "at-now", func(time.Time) {}); err != nil {
+		t.Fatalf("at(now): %v", err)
+	}
+	if !s.sched.Step() {
+		t.Fatalf("at-now event did not fire")
 	}
 }
 

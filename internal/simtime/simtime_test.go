@@ -1,10 +1,14 @@
 package simtime
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nlarm/internal/rng"
 )
 
 var epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -345,5 +349,86 @@ func TestAfterSchedulesAtomically(t *testing.T) {
 	s.RunUntil(epoch.Add(time.Second))
 	if bad.Load() != 0 {
 		t.Fatalf("%d callbacks saw a pre-start now", bad.Load())
+	}
+}
+
+// firing is one line of the log randomSchedulerRun records.
+type firing struct {
+	at   time.Duration // offset from epoch
+	name string
+}
+
+// randomSchedulerRun schedules a seeded burst of interleaved one-shot
+// and periodic events (plain, spawning a child, self-cancelling after a
+// few ticks, piling zero-delay events on their own instant), steps the
+// queue dry and returns what fired, in order.
+func randomSchedulerRun(t *testing.T, seed uint64) []firing {
+	t.Helper()
+	s := NewScheduler(epoch)
+	var log []firing
+	logged := func(name string, fn func()) func(time.Time) {
+		return func(now time.Time) {
+			log = append(log, firing{now.Sub(epoch), name})
+			if fn != nil {
+				fn()
+			}
+		}
+	}
+	r := rng.New(seed)
+	for i := 0; i < 200; i++ {
+		d := time.Duration(r.Intn(5000)) * time.Millisecond
+		name := fmt.Sprintf("one-%d", i)
+		switch i % 4 {
+		case 0: // plain one-shot
+			s.After(d, name, logged(name, nil))
+		case 1: // one-shot that spawns a child event
+			s.After(d, name, logged(name, func() {
+				s.After(time.Duration(r.Intn(1000))*time.Millisecond, name+"-child", logged(name+"-child", nil))
+			}))
+		case 2: // periodic, cancelled after a few fires
+			fires := 0
+			var cancel CancelFunc
+			cancel = s.Every(time.Duration(1+r.Intn(500))*time.Millisecond, name, logged(name, func() {
+				if fires++; fires >= 3 {
+					cancel()
+				}
+			}))
+		default: // same-instant pile-up: zero-delay chains
+			s.After(d, name, logged(name, func() {
+				s.After(0, name+"-now", logged(name+"-now", nil))
+			}))
+		}
+	}
+	steps := 0
+	for s.Step() {
+		if steps++; steps > 100000 {
+			t.Fatalf("queue did not drain within %d events", steps)
+		}
+	}
+	if steps != len(log) {
+		t.Fatalf("scheduler fired %d events, log has %d", steps, len(log))
+	}
+	return log
+}
+
+func TestSchedulerVirtualTimeNonDecreasing(t *testing.T) {
+	log := randomSchedulerRun(t, 42)
+	if len(log) < 200 {
+		t.Fatalf("only %d events fired", len(log))
+	}
+	for i := 1; i < len(log); i++ {
+		if log[i].at < log[i-1].at {
+			t.Fatalf("event %d (%s): virtual time went backwards: %v after %v", i, log[i].name, log[i].at, log[i-1].at)
+		}
+	}
+}
+
+func TestSchedulerSameSeedIdenticalLogs(t *testing.T) {
+	log1, log2 := randomSchedulerRun(t, 7), randomSchedulerRun(t, 7)
+	if !reflect.DeepEqual(log1, log2) {
+		t.Fatalf("same-seed firing logs differ (%d vs %d events)", len(log1), len(log2))
+	}
+	if reflect.DeepEqual(log1, randomSchedulerRun(t, 8)) {
+		t.Fatal("different seeds produced the same firing log")
 	}
 }

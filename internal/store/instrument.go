@@ -34,9 +34,6 @@ func Instrument(inner Store, reg *obs.Registry, now func() time.Time) *Instrumen
 	return &InstrumentedStore{inner: inner, reg: reg, now: now}
 }
 
-// Inner returns the wrapped store.
-func (s *InstrumentedStore) Inner() Store { return s.inner }
-
 func (s *InstrumentedStore) observe(op Op, start time.Time, err error) {
 	name := "store." + string(op)
 	s.reg.Counter(name + ".count").Inc()

@@ -94,7 +94,7 @@ func MultiCluster(mc MultiClusterConfig) (Config, error) {
 }
 
 // ClusterOf returns the cluster index of a node under a MultiCluster
-// layout (helper for grouped allocation).
+// layout (which cluster an allocation landed in).
 func (mc MultiClusterConfig) ClusterOf(topo *Topology) func(node int) int {
 	switchesPer := mc.SwitchesPerCluster
 	return func(node int) int {

@@ -115,9 +115,6 @@ func (w *World) Now() time.Time {
 	return w.now
 }
 
-// StepSize returns the configured step size.
-func (w *World) StepSize() time.Duration { return w.cfg.StepSize }
-
 // Attach registers the world's step on rt so it advances automatically.
 func (w *World) Attach(rt simtime.Runtime) simtime.CancelFunc {
 	return rt.Every(w.cfg.StepSize, "world.step", w.StepTo)
