@@ -145,9 +145,6 @@ func main() {
 	<-sig
 	fmt.Println("nlarm-broker: shutting down")
 	if *dumpMet {
-		if fs, ok := st.(*store.FaultStore); ok {
-			store.SyncFaults(fs, reg)
-		}
 		fmt.Print(reg.Render())
 	}
 }

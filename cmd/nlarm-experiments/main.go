@@ -7,9 +7,8 @@
 //	nlarm-experiments -run fig4 -quick    # one artifact, reduced size
 //	nlarm-experiments -run table2 -csv out/
 //
-// Artifacts: fig1, fig2, fig4, fig5, table2, fig6, table3, table4, fig7,
-// cov, ablation. fig5/table2/cov are computed from fig4's runs; table4 and
-// fig7 come from the same allocation-analysis run.
+// The -run names are the artifacts list below (-h prints it); anything
+// else exits 2.
 package main
 
 import (
@@ -20,6 +19,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"nlarm/internal/harness"
@@ -28,9 +29,15 @@ import (
 	"nlarm/internal/trace"
 )
 
+// artifacts lists every -run value in the order main regenerates them.
+// fig5, table2 and cov are computed from fig4's runs; table4 and fig7
+// come from the same allocation-analysis run.
+var artifacts = []string{"all", "fig1", "fig2", "fig4", "table2", "fig5", "cov", "fig6", "table3",
+	"table4", "fig7", "backfill", "cosched", "predict", "multicluster", "ablation", "sim", "sweep", "tuning"}
+
 func main() {
 	var (
-		run     = flag.String("run", "all", "artifact to regenerate (all, fig1, fig2, fig4, fig5, table2, fig6, table3, table4, fig7, cov, ablation, multicluster, predict, cosched, backfill, sim, sweep, tuning)")
+		run     = flag.String("run", "all", "artifact to regenerate ("+strings.Join(artifacts, ", ")+")")
 		seed    = flag.Uint64("seed", 42, "simulation seed")
 		quick   = flag.Bool("quick", false, "reduced problem sizes and repeats")
 		csv     = flag.String("csv", "", "directory to also write CSV tables into")
@@ -55,6 +62,10 @@ func main() {
 		tuneDecisions = flag.Int("tune-decisions", 0, "tuning: live broker decisions in the regret trace (0 = default)")
 	)
 	flag.Parse()
+	if !slices.Contains(artifacts, *run) {
+		fmt.Fprintf(os.Stderr, "nlarm-experiments: unknown -run %q; want one of: %s\n", *run, strings.Join(artifacts, ", "))
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -131,7 +142,7 @@ func main() {
 	}
 	if want("fig4") {
 		fmt.Println(harness.FormatScaling(mdData))
-		writeCSV(*csv, "figure4_minimd.csv", scalingTable(mdData))
+		writeCSV(*csv, "figure4_minimd.csv", mdData.Table())
 	}
 	if want("table2") {
 		fmt.Println(harness.FormatGains(mdData.Gains(), "Table 2"))
@@ -157,7 +168,7 @@ func main() {
 		}
 		if want("fig6") {
 			fmt.Println(harness.FormatScaling(feData))
-			writeCSV(*csv, "figure6_minife.csv", scalingTable(feData))
+			writeCSV(*csv, "figure6_minife.csv", feData.Table())
 		}
 		if want("table3") {
 			fmt.Println(harness.FormatGains(feData.Gains(), "Table 3"))
@@ -342,18 +353,6 @@ func runSim(seed uint64, jobs, nodes int, util float64, specPath, tracePath stri
 		fmt.Printf("EASY trace written to %s (verify with: nlarm-replay -trace %s)\n", tracePath, tracePath)
 	}
 	return nil
-}
-
-// scalingTable flattens scaling data into one CSV-able table.
-func scalingTable(d *harness.ScalingData) *harness.Table {
-	t := &harness.Table{Header: []string{"procs", "size", "policy", "mean_seconds", "cov"}}
-	for _, c := range d.Cells {
-		for pol, mean := range c.Mean {
-			t.AddRow(fmt.Sprintf("%d", c.Procs), fmt.Sprintf("%d", c.Size), pol,
-				fmt.Sprintf("%.4f", mean), fmt.Sprintf("%.4f", c.CoV[pol]))
-		}
-	}
-	return t
 }
 
 func writeCSV(dir, name string, t *harness.Table) {

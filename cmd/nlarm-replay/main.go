@@ -81,9 +81,14 @@ func main() {
 	summarize(snap)
 
 	if *procs > 0 {
-		pol, err := policyByName(*policy)
-		if err != nil {
-			fatal(err)
+		var pol alloc.Policy
+		for _, p := range alloc.PaperPolicies() {
+			if p.Name() == *policy {
+				pol = p
+			}
+		}
+		if pol == nil {
+			fatal(fmt.Errorf("unknown policy %q", *policy))
 		}
 		a, err := alloc.Allocate(pol, snap, alloc.Request{
 			Procs: *procs, PPN: *ppn, Alpha: *alpha, Beta: *beta,
@@ -142,15 +147,6 @@ func verifyJobTrace(path string) error {
 	}
 	return fmt.Errorf("replay DIVERGED: recorded digest %s, re-run %s (%d shown above)",
 		digest[:16], res.Digest[:16], len(diffs))
-}
-
-func policyByName(name string) (alloc.Policy, error) {
-	for _, p := range []alloc.Policy{alloc.Random{}, alloc.Sequential{}, alloc.LoadAware{}, alloc.NetLoadAware{}} {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
 }
 
 func summarize(snap *metrics.Snapshot) {

@@ -127,6 +127,9 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 // same arithmetic differently, so bit-equality is not expected). The
 // forecast row prices Equation 1's CPU-load column from the published
 // forecast on every node: the charge must land there too, on both paths.
+// cand is the second dimension: nil prices every row, a strict subset
+// (the branch the simulator and bench/ run) prices only its own rows and
+// leaves the rest stale by contract, so only priced rows are compared.
 func TestChargeRanksAgainstRebuild(t *testing.T) {
 	for _, forecast := range []bool{false, true} {
 		t.Run(fmt.Sprintf("forecast=%v", forecast), func(t *testing.T) {
@@ -149,21 +152,6 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 			ids := []int{m.IDs[2], m.IDs[5]}
 			ranks := []int{8, 4}
 
-			dst := &CostModel{}
-			got, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
-			if !ok {
-				t.Fatal("ChargeRanksAt refused")
-			}
-			for k, id := range ids {
-				i, _ := m.IndexOf(id)
-				if got.CL[i] <= m.CL[i] {
-					t.Fatalf("charged node %d did not get more expensive: %g <= %g", id, got.CL[i], m.CL[i])
-				}
-				if got.LoadM1[i] != m.LoadM1[i]+float64(ranks[k]) {
-					t.Fatalf("charged node %d LoadM1 %g, base %g", id, got.LoadM1[i], m.LoadM1[i])
-				}
-			}
-
 			// Reference: the generic snapshot-level path.
 			rp := NewReservingPolicy(NetLoadAware{}, time.Minute)
 			rp.Reserve(map[int]int{ids[0]: 8, ids[1]: 4}, snap.Taken)
@@ -172,15 +160,6 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 				t.Fatal("reference Charged returned the base snapshot")
 			}
 			want := m.NewLike(charged, m.Weights, m.Forecast)
-			for i := range got.CL {
-				gl, wl := got.attrRows[i][attrColCPULoad], want.attrRows[i][attrColCPULoad]
-				if d := math.Abs(gl - wl); d > 1e-9*(1+math.Abs(wl)) {
-					t.Fatalf("node %d CPU-load column: row-level %g vs rebuild %g", m.IDs[i], gl, wl)
-				}
-				if d := math.Abs(got.CL[i] - want.CL[i]); d > 1e-9*(1+math.Abs(want.CL[i])) {
-					t.Fatalf("CL[%d]: row-level %g vs rebuild %g (Δ %g)", i, got.CL[i], want.CL[i], d)
-				}
-			}
 			// The charge went onto copies: the base snapshot's forecasts
 			// are shared with every other reader.
 			for _, id := range ids {
@@ -189,15 +168,57 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 				}
 			}
 
-			// Determinism: repeat into the same dst.
-			again, ok := m.ChargeRanksAt(ids, ranks, nil, dst)
-			if !ok {
-				t.Fatal("repeat ChargeRanksAt refused")
+			all := make([]int, m.Len())
+			for i := range all {
+				all[i] = i
 			}
-			for i := range got.CL {
-				if again.CL[i] != got.CL[i] {
-					t.Fatalf("repeat charge diverged at %d", i)
-				}
+			for _, tc := range []struct {
+				name         string
+				cand, priced []int
+			}{
+				{"cand=nil", nil, all},
+				{"cand=subset", []int{1, 2, 5, 9, 12}, []int{1, 2, 5, 9, 12}},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					dst := &CostModel{}
+					got, ok := m.ChargeRanksAt(ids, ranks, tc.cand, dst)
+					if !ok {
+						t.Fatal("ChargeRanksAt refused")
+					}
+					for k, id := range ids {
+						i, _ := m.IndexOf(id)
+						if got.CL[i] <= m.CL[i] {
+							t.Fatalf("charged node %d did not get more expensive: %g <= %g", id, got.CL[i], m.CL[i])
+						}
+						if got.LoadM1[i] != m.LoadM1[i]+float64(ranks[k]) {
+							t.Fatalf("charged node %d LoadM1 %g, base %g", id, got.LoadM1[i], m.LoadM1[i])
+						}
+					}
+					for _, i := range tc.priced {
+						gl, wl := got.attrRows[i][attrColCPULoad], want.attrRows[i][attrColCPULoad]
+						if d := math.Abs(gl - wl); d > 1e-9*(1+math.Abs(wl)) {
+							t.Fatalf("node %d CPU-load column: row-level %g vs rebuild %g", m.IDs[i], gl, wl)
+						}
+						if d := math.Abs(got.CL[i] - want.CL[i]); d > 1e-9*(1+math.Abs(want.CL[i])) {
+							t.Fatalf("CL[%d]: row-level %g vs rebuild %g (Δ %g)", i, got.CL[i], want.CL[i], d)
+						}
+						if d := math.Abs(got.CLUnit[i] - want.CLUnit[i]); d > 1e-9*(1+math.Abs(want.CLUnit[i])) {
+							t.Fatalf("CLUnit[%d]: row-level %g vs rebuild %g (Δ %g)", i, got.CLUnit[i], want.CLUnit[i], d)
+						}
+					}
+
+					// Determinism: repeat into the same dst.
+					first := append([]float64(nil), got.CL...)
+					again, ok := m.ChargeRanksAt(ids, ranks, tc.cand, dst)
+					if !ok {
+						t.Fatal("repeat ChargeRanksAt refused")
+					}
+					for _, i := range tc.priced {
+						if again.CL[i] != first[i] {
+							t.Fatalf("repeat charge diverged at %d", i)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -206,35 +227,40 @@ func TestChargeRanksAgainstRebuild(t *testing.T) {
 // TestChargedModelLifecycle drives ReservingPolicy.ChargedModelAt through
 // the states the simulator exercises: pass-through with nothing live, a
 // charged model while a reservation is live, pass-through again after
-// cancel and after TTL expiry.
+// cancel and after TTL expiry — pricing every row (nil cand) and only a
+// subset that holds the reserved rows.
 func TestChargedModelLifecycle(t *testing.T) {
-	r := rng.New(9)
-	snap := randomEquivSnapshot(r, 12)
-	m := NewCostModel(snap, PaperWeights(), false)
-	rp := NewReservingPolicy(NetLoadAware{}, 30*time.Second)
-	dst := &CostModel{}
+	for name, cand := range map[string][]int{"cand=nil": nil, "cand=subset": {0, 1, 7}} {
+		t.Run(name, func(t *testing.T) {
+			r := rng.New(9)
+			snap := randomEquivSnapshot(r, 12)
+			m := NewCostModel(snap, PaperWeights(), false)
+			rp := NewReservingPolicy(NetLoadAware{}, 30*time.Second)
+			dst := &CostModel{}
 
-	now := snap.Taken
-	if got, ok := rp.ChargedModelAt(now, m, nil, dst); !ok || got != m {
-		t.Fatalf("empty policy: got %p ok=%v, want base pass-through", got, ok)
-	}
+			now := snap.Taken
+			if got, ok := rp.ChargedModelAt(now, m, cand, dst); !ok || got != m {
+				t.Fatalf("empty policy: got %p ok=%v, want base pass-through", got, ok)
+			}
 
-	cancel := rp.Reserve(map[int]int{m.IDs[0]: 6}, now)
-	got, ok := rp.ChargedModelAt(now, m, nil, dst)
-	if !ok || got == m {
-		t.Fatalf("live reservation: ok=%v, charged=%v", ok, got != m)
-	}
-	if got.CL[0] <= m.CL[0] {
-		t.Fatalf("reserved node not charged: %g <= %g", got.CL[0], m.CL[0])
-	}
+			cancel := rp.Reserve(map[int]int{m.IDs[0]: 6}, now)
+			got, ok := rp.ChargedModelAt(now, m, cand, dst)
+			if !ok || got == m {
+				t.Fatalf("live reservation: ok=%v, charged=%v", ok, got != m)
+			}
+			if got.CL[0] <= m.CL[0] {
+				t.Fatalf("reserved node not charged: %g <= %g", got.CL[0], m.CL[0])
+			}
 
-	cancel()
-	if got, ok := rp.ChargedModelAt(now, m, nil, dst); !ok || got != m {
-		t.Fatalf("after cancel: got charged=%v ok=%v, want pass-through", got != m, ok)
-	}
+			cancel()
+			if got, ok := rp.ChargedModelAt(now, m, cand, dst); !ok || got != m {
+				t.Fatalf("after cancel: got charged=%v ok=%v, want pass-through", got != m, ok)
+			}
 
-	rp.Reserve(map[int]int{m.IDs[1]: 2}, now)
-	if got, ok := rp.ChargedModelAt(now.Add(31*time.Second), m, nil, dst); !ok || got != m {
-		t.Fatalf("after TTL: got charged=%v ok=%v, want pass-through", got != m, ok)
+			rp.Reserve(map[int]int{m.IDs[1]: 2}, now)
+			if got, ok := rp.ChargedModelAt(now.Add(31*time.Second), m, cand, dst); !ok || got != m {
+				t.Fatalf("after TTL: got charged=%v ok=%v, want pass-through", got != m, ok)
+			}
+		})
 	}
 }

@@ -46,9 +46,8 @@ type CostModel struct {
 	// rescaled copy used by Algorithm 1 (see rescaleMeanDense).
 	CL     []float64
 	CLUnit []float64
-	// NL holds raw Equation 2 costs as a flat n×n symmetric matrix
-	// (NL[i*n+j]; diagonal zero); NLUnit is the mean-1 rescaled copy.
-	NL     []float64
+	// NLUnit holds Equation 2 costs as a flat n×n symmetric matrix
+	// (NLUnit[i*n+j]; diagonal zero), rescaled to mean 1 over its pairs.
 	NLUnit []float64
 
 	// Cores and LoadM1 are the dense inputs of Equation 3 so capacity
@@ -61,23 +60,23 @@ type CostModel struct {
 	// and re-normalize without touching the snapshot's other n-k nodes.
 	attrRows [][]float64
 
-	// rowArena and sawCol are scratch retained on models that serve as
-	// ChargeRanksAt destinations, so repeated charges reuse one row arena
-	// and one SAW column buffer instead of allocating per call.
+	// rowArena is scratch retained on models that serve as ChargeRanksAt
+	// destinations, so repeated charges reuse one row arena instead of
+	// allocating per call.
 	rowArena []float64
-	sawCol   []float64
 
 	// colSums/colMaxs cache the raw per-column sums and maxima of
-	// attrRows (numAttrCols wide, nil when stale), refreshed by repriceCL
-	// and consumed by ChargeRanksAt: charging k rows then shifts the
-	// cached stats by the k deltas instead of re-reducing all n rows.
+	// attrRows (numAttrCols wide, nil until first needed), reduced by
+	// cacheColStats and consumed by ChargeRanksAt: charging k rows then
+	// shifts the cached stats by the k deltas instead of re-reducing all n
+	// rows.
 	colSums []float64
 	colMaxs []float64
 
 	// shardOpts and shard carry the optional hierarchical network-load
 	// layer (see NewCostModelSharded). A nil shard means the dense n×n
-	// matrices above are authoritative; a non-nil shard means NL/NLUnit
-	// are nil and network load is priced per shard.
+	// matrix above is authoritative; a non-nil shard means NLUnit is nil
+	// and network load is priced per shard.
 	shardOpts ShardOptions
 	shard     *shardModel
 
@@ -92,11 +91,9 @@ type CostModel struct {
 // NLErr so policies that do not need the failing metric keep working.
 func NewCostModel(snap *metrics.Snapshot, w Weights, useForecast bool) *CostModel {
 	m := newComputeModel(snap, MonitoredLivehosts(snap), w, useForecast)
-	n := len(m.IDs)
-	m.NL, m.nlErr = networkLoadsDense(snap, m.IDs, w)
-	if m.nlErr == nil && n > 0 {
-		m.NLUnit = append([]float64(nil), m.NL...)
-		rescaleMeanPairDense(m.NLUnit, n)
+	m.NLUnit, m.nlErr = networkLoadsDense(snap, m)
+	if m.nlErr == nil {
+		rescaleMeanPairDense(m.NLUnit, len(m.IDs))
 	}
 	return m
 }
@@ -148,9 +145,6 @@ func (m *CostModel) CLErr() error { return m.clErr }
 
 // NLErr reports whether Equation 2 costs are available.
 func (m *CostModel) NLErr() error { return m.nlErr }
-
-// NetLoad returns the raw Equation 2 cost between indices i and j.
-func (m *CostModel) NetLoad(i, j int) float64 { return m.NL[i*len(m.IDs)+j] }
 
 // effProcs is Equation 3 on dense inputs; see EffectiveProcs. A node
 // publishing a non-positive core count is treated as having one slot
@@ -278,12 +272,12 @@ func sawFromRows(w Weights, rows [][]float64) ([]float64, error) {
 
 // UpdateNodes derives the cost model for snap from m when snap differs
 // from m's snapshot only in the dynamic attributes of the given node
-// IDs: the network layer (NL/NLUnit, built from the unchanged matrices)
-// is shared, the changed nodes' attribute rows are replaced, and the
-// Equation 1 SAW scoring re-runs over the retained rows — an O(n·k +
-// n·attrs) update instead of the O(n²) full rebuild, with bit-identical
-// results because SAW normalization always re-accumulates every row in
-// index order.
+// IDs: the network layer (NLUnit or the shard hierarchy, built from the
+// unchanged matrices) is shared, the changed nodes' attribute rows are
+// replaced, and the Equation 1 SAW scoring re-runs over the retained
+// rows — an O(n·k + n·attrs) update instead of the O(n²) full rebuild,
+// with bit-identical results because SAW normalization always
+// re-accumulates every row in index order.
 //
 // ok=false means the precondition does not hold (different monitored
 // node set, a changed ID the model does not know, a model built without
@@ -297,25 +291,9 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 	if !slices.Equal(ids, m.IDs) {
 		return nil, false
 	}
-	n := len(ids)
-	u := &CostModel{
-		Snap:     snap,
-		Weights:  m.Weights,
-		Forecast: m.Forecast,
-		Taken:    snap.Taken,
-		IDs:      m.IDs,
-		idx:      m.idx,
-		NL:       m.NL,
-		NLUnit:   m.NLUnit,
-		nlErr:    m.nlErr,
-		Cores:    append([]int(nil), m.Cores...),
-		LoadM1:   append([]float64(nil), m.LoadM1...),
-		attrRows: append([][]float64(nil), m.attrRows...),
-		// The hierarchical NL layer derives only from the (unchanged)
-		// pairwise matrices and the node set, so it is shared like NL.
-		shardOpts: m.shardOpts,
-		shard:     m.shard,
-	}
+	u := &CostModel{}
+	m.shareForUpdate(u)
+	u.Snap, u.Taken = snap, snap.Taken
 	for _, id := range changed {
 		i, ok := m.idx[id]
 		if !ok {
@@ -330,7 +308,7 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 		u.attrRows[i] = attrRow(na, m.Forecast)
 	}
 	u.CL, u.clErr = sawFromRows(m.Weights, u.attrRows)
-	if u.clErr == nil && n > 0 {
+	if u.clErr == nil && len(ids) > 0 {
 		u.CLUnit = append([]float64(nil), u.CL...)
 		rescaleMeanDense(u.CLUnit)
 	}
@@ -340,7 +318,8 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 // shareForUpdate points dst at m's immutable parts (IDs, index, the
 // network layer) and refills its mutable buffers (Cores, LoadM1,
 // attrRows) from m, reusing dst's backing arrays — the setup of
-// ChargeRanksAt's scratch-reusing destination.
+// UpdateNodes' fresh copy and of ChargeRanksAt's scratch-reusing
+// destination.
 func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.Snap = m.Snap
 	dst.Weights = m.Weights
@@ -348,7 +327,6 @@ func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.Taken = m.Snap.Taken
 	dst.IDs = m.IDs
 	dst.idx = m.idx
-	dst.NL = m.NL
 	dst.NLUnit = m.NLUnit
 	dst.nlErr = m.nlErr
 	dst.shardOpts = m.shardOpts
@@ -357,37 +335,6 @@ func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.Cores = append(dst.Cores[:0], m.Cores...)
 	dst.LoadM1 = append(dst.LoadM1[:0], m.LoadM1...)
 	dst.attrRows = append(dst.attrRows[:0], m.attrRows...)
-}
-
-// repriceCL re-runs the Equation 1 SAW scoring over dst's attribute rows
-// into dst's reused CL/CLUnit buffers. False means the scoring failed
-// (clErr is set and dst must not be used for compute-load pricing).
-func repriceCL(dst *CostModel) bool {
-	n := len(dst.IDs)
-	if n == 0 {
-		dst.CL, dst.CLUnit = dst.CL[:0], dst.CLUnit[:0]
-		return true
-	}
-	if cap(dst.CL) < n {
-		dst.CL = make([]float64, n)
-	}
-	if cap(dst.sawCol) < n {
-		dst.sawCol = make([]float64, n)
-	}
-	costs, err := stats.SAWCostsInto(dst.CL[:n], dst.sawCol[:n], sawAttrs(dst.Weights), dst.attrRows)
-	if err != nil {
-		dst.clErr = fmt.Errorf("alloc: compute loads: %w", err)
-		return false
-	}
-	dst.CL = costs
-	if cap(dst.CLUnit) < n {
-		dst.CLUnit = make([]float64, n)
-	}
-	dst.CLUnit = dst.CLUnit[:n]
-	copy(dst.CLUnit, dst.CL)
-	rescaleMeanDense(dst.CLUnit)
-	dst.cacheColStats()
-	return true
 }
 
 // cacheColStats (re)reduces attrRows into the colSums/colMaxs cache.
@@ -478,18 +425,17 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 // data, an unknown id, or a length mismatch) and the caller must fall
 // back to Charged + NewLike.
 //
-// With a non-nil cand (ascending dense indices), only those rows'
-// CL/CLUnit entries are priced and every other row's costs are left
-// stale — the contract the policy-fidelity simulator relies on, since
-// Algorithm 1 under exclusive capacities only ever reads the free nodes'
-// costs. The normalization itself still spans all n rows: charging
+// cand (ascending dense indices) names the rows whose CL/CLUnit entries
+// are priced; every other row's costs are left stale — the contract the
+// policy-fidelity simulator relies on, since Algorithm 1 under exclusive
+// capacities only ever reads the free nodes' costs. A nil cand prices
+// every row. Either way the normalization spans all n rows: charging
 // shifts the cached per-column sums and maxima by the k row deltas (O(k)
 // instead of O(n·attrs)), and the mean-1 CLUnit scale comes from the
 // closed form of the SAW column identities, so each priced entry agrees
-// with a full re-score to within float rounding (~1 ulp per term, far
-// inside the rebuild-equivalence tolerance) rather than bit-for-bit.
-// With a nil cand the re-score is the exact full Equation 1 pass over
-// all n charged rows instead.
+// with a full re-score (Charged + NewLike) to within float rounding
+// (~1 ulp per term, far inside the rebuild-equivalence tolerance) rather
+// than bit-for-bit.
 func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*CostModel, bool) {
 	if m.clErr != nil || m.attrRows == nil || dst == m || len(ids) != len(ranks) {
 		return nil, false
@@ -555,27 +501,17 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 		dst.attrRows[i] = row
 		dst.LoadM1[i] += r
 	}
-	if cand == nil {
-		// Unrestricted: the exact full Equation 1 re-score. The
-		// closed-form column-stat pricing below is reserved for the
-		// candidate-restricted simulator path, whose equivalence tolerance
-		// is explicit (TestChargeRanksAgainstRebuild).
-		if !repriceCL(dst) {
-			return nil, false
-		}
-	} else {
-		repriceChargedCL(dst, cand)
-	}
+	repriceChargedCL(dst, cand)
 	return dst, true
 }
 
-// repriceChargedCL prices the cand rows of dst's CL/CLUnit from its
-// attribute rows and cached column stats — SAW re-scoring with the
-// column reductions already in hand (see ChargeRanksAt).
-// Equivalent to repriceCL up to float rounding: normalized terms
-// multiply by precomputed reciprocals instead of dividing, and the
-// mean-1 scale uses ΣCL = Σ_min w + Σ_max w·(n·max_norm − 1), the
-// column-sum identity of the SAW matrix.
+// repriceChargedCL prices the cand rows (nil: every row) of dst's
+// CL/CLUnit from its attribute rows and cached column stats — the one
+// Equation 1 re-score, SAW with the column reductions already in hand
+// (see ChargeRanksAt). Equivalent to sawFromRows + rescaleMeanDense up to
+// float rounding: normalized terms multiply by precomputed reciprocals
+// instead of dividing, and the mean-1 scale uses ΣCL = Σ_min w +
+// Σ_max w·(n·max_norm − 1), the column-sum identity of the SAW matrix.
 func repriceChargedCL(dst *CostModel, cand []int) {
 	n := len(dst.IDs)
 	attrs := sawAttrs(dst.Weights)
@@ -605,7 +541,15 @@ func repriceChargedCL(dst *CostModel, cand []int) {
 		dst.CLUnit = make([]float64, n)
 	}
 	dst.CL, dst.CLUnit = dst.CL[:n], dst.CLUnit[:n]
-	for _, i := range cand {
+	priced := n
+	if cand != nil {
+		priced = len(cand)
+	}
+	for k := 0; k < priced; k++ {
+		i := k
+		if cand != nil {
+			i = cand[k]
+		}
 		row := dst.attrRows[i]
 		cost := 0.0
 		for c, a := range attrs {
@@ -637,128 +581,46 @@ func (m *CostModel) PairNLUnit(i, j int) float64 {
 	return m.NLUnit[i*len(m.IDs)+j]
 }
 
-// networkLoadsDense evaluates Equation 2 for every unordered pair of ids
-// (in the given order) — NL(u,v) = w_lt·LT_norm + w_bw·(peak−avail)_norm,
-// each term sum-normalized over all pairs like the compute-load
-// attributes — and returns a flat symmetric n×n matrix indexed by
-// position. Pairs with no measurement are priced at the worst observed
-// latency and complement-bandwidth (a never-measured link is assumed
-// bad, not free). Pair terms are accumulated in i<j order, which for
-// sorted ids is the sorted (U,V) order of the map-keyed reference, so
-// normalization sums are bit-identical to it.
-func networkLoadsDense(snap *metrics.Snapshot, ids []int, w Weights) ([]float64, error) {
-	n := len(ids)
+// networkLoadsDense evaluates Equation 2 for every unordered pair of m's
+// nodes — NL(u,v) = w_lt·LT_norm + w_bw·(peak−avail)_norm, each term
+// sum-normalized over all pairs like the compute-load attributes — and
+// returns a flat symmetric n×n matrix indexed by dense position. Pairs
+// with no measurement are priced at the worst observed latency and
+// complement-bandwidth (a never-measured link is assumed bad, not free).
+// Pair terms are accumulated in i<j order, which for sorted ids is the
+// sorted (U,V) order of the map-keyed reference, so normalization sums
+// are bit-identical to it.
+func networkLoadsDense(snap *metrics.Snapshot, m *CostModel) ([]float64, error) {
+	n := len(m.IDs)
 	npairs := n * (n - 1) / 2
 	out := make([]float64, n*n)
 	if npairs == 0 {
 		return out, nil
 	}
-	// Measurement maps are sparse relative to the n(n-1)/2 pair space
-	// (racks plus sampled cross-rack probes), so iterate them instead of
-	// probing every pair — at 1024 nodes the probing formulation costs
-	// ~1.5M map lookups per build. Maxima are order-independent and each
-	// pair's value is computed by the same expression, so the result is
-	// bit-identical to the probing formulation.
-	var posArr []int
-	var posMap map[int]int
-	maxID := -1
-	for _, id := range ids {
-		if id < 0 || id > 4*n+1024 {
-			maxID = -1
-			break
-		}
-		if id > maxID {
-			maxID = id
-		}
+	measured, err := measuredPairs(snap, m)
+	if err != nil {
+		return nil, err
 	}
-	if maxID >= 0 {
-		posArr = make([]int, maxID+1)
-		for i := range posArr {
-			posArr[i] = -1
+	worstLat, worstCbw := 0.0, 0.0
+	for _, p := range measured {
+		if p.lat > worstLat {
+			worstLat = p.lat
 		}
-		for i, id := range ids {
-			posArr[id] = i
-		}
-	} else {
-		posMap = make(map[int]int, n)
-		for i, id := range ids {
-			posMap[id] = i
-		}
-	}
-	lookup := func(id int) (int, bool) {
-		if posArr != nil {
-			if id < 0 || id >= len(posArr) || posArr[id] < 0 {
-				return 0, false
-			}
-			return posArr[id], true
-		}
-		i, ok := posMap[id]
-		return i, ok
-	}
-	// The "peak bandwidth" the paper complements against is the network's
-	// nominal peak — a single constant — so pairs are effectively ranked
-	// by available bandwidth. Using each pair's own bottleneck peak would
-	// make an idle low-capacity path (e.g. a WAN link between clusters)
-	// look as good as an idle local path. Take the best measured peak as
-	// the nominal value.
-	globalPeak := 0.0
-	for pk, pb := range snap.Bandwidth {
-		if _, ok := lookup(pk.U); !ok {
-			continue
-		}
-		if _, ok := lookup(pk.V); !ok {
-			continue
-		}
-		if pb.PeakBps > globalPeak {
-			globalPeak = pb.PeakBps
+		if p.cbw > worstCbw {
+			worstCbw = p.cbw
 		}
 	}
 	lat := make([]float64, npairs)
 	cbw := make([]float64, npairs) // complement of available bandwidth
-	known := make([]bool, npairs)
-	worstLat, worstCbw := 0.0, 0.0
-	anyKnown := false
-	for pk, pb := range snap.Bandwidth {
-		i, okI := lookup(pk.U)
-		j, okJ := lookup(pk.V)
-		if !okI || !okJ || i == j {
-			continue
-		}
-		pl, okL := snap.Latency[pk]
-		if !okL {
-			continue // a pair is known only when both measurements exist
-		}
-		if i > j {
-			i, j = j, i
-		}
+	for k := range lat {
+		lat[k] = worstLat
+		cbw[k] = worstCbw
+	}
+	for _, p := range measured {
+		i, j := int(p.key>>32), int(p.key&0xffffffff)
 		k := i*n - i*(i+1)/2 + (j - i - 1)
-		l := pl.Mean1
-		if l <= 0 {
-			l = pl.Last
-		}
-		lat[k] = l.Seconds()
-		c := globalPeak - pb.AvailBps
-		if c < 0 {
-			c = 0
-		}
-		cbw[k] = c
-		known[k] = true
-		anyKnown = true
-		if lat[k] > worstLat {
-			worstLat = lat[k]
-		}
-		if cbw[k] > worstCbw {
-			worstCbw = cbw[k]
-		}
-	}
-	if !anyKnown {
-		return nil, fmt.Errorf("alloc: no pairwise measurements available for %d nodes", n)
-	}
-	for k := range known {
-		if !known[k] {
-			lat[k] = worstLat
-			cbw[k] = worstCbw
-		}
+		lat[k] = p.lat
+		cbw[k] = p.cbw
 	}
 	latN, err := stats.NormalizeSum(lat)
 	if err != nil {
@@ -771,7 +633,7 @@ func networkLoadsDense(snap *metrics.Snapshot, ids []int, w Weights) ([]float64,
 	k := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := w.Latency*latN[k] + w.Bandwidth*cbwN[k]
+			v := m.Weights.Latency*latN[k] + m.Weights.Bandwidth*cbwN[k]
 			out[i*n+j] = v
 			out[j*n+i] = v
 			k++

@@ -154,7 +154,7 @@ func NetworkLoads(snap *metrics.Snapshot, ids []int, w Weights) (map[metrics.Pai
 	if n*(n-1)/2 == 0 {
 		return map[metrics.PairKey]float64{}, nil
 	}
-	dense, err := networkLoadsDense(snap, ids, w)
+	dense, err := networkLoadsDense(snap, newComputeModel(snap, ids, w, false))
 	if err != nil {
 		return nil, err
 	}
@@ -273,6 +273,16 @@ func fill(order []int, caps map[int]int, procs int) ([]int, map[int]int) {
 	return used, assigned
 }
 
+// perm returns a random permutation of [0, n).
+func perm(r *rng.Rand, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
+
 // randomEquivSnapshot builds a seeded random snapshot with heterogeneous
 // hardware, non-contiguous node IDs, optional forecasts, and a fraction
 // of pair measurements missing (pricing them at the worst observed —
@@ -291,7 +301,7 @@ func randomEquivSnapshot(r *rng.Rand, n int) *metrics.Snapshot {
 		ids = append(ids, id)
 	}
 	// Publish livehosts in shuffled order; MonitoredLivehosts re-sorts.
-	order := r.Perm(n)
+	order := perm(r, n)
 	for _, k := range order {
 		nid := ids[k]
 		snap.Livehosts = append(snap.Livehosts, nid)
@@ -480,6 +490,7 @@ func TestCostModelMatchesMapViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	RescaleMeanPair(nl) // the model keeps only the mean-1 matrix
 	for i, id := range ids {
 		if m.IDs[i] != id {
 			t.Fatalf("index %d maps to ID %d, want %d", i, m.IDs[i], id)
@@ -491,8 +502,8 @@ func TestCostModelMatchesMapViews(t *testing.T) {
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
 			want := nl[metrics.Pair(ids[i], ids[j])]
-			if got := m.NetLoad(i, j); got != want {
-				t.Errorf("NL(%d,%d) = %v, map says %v", ids[i], ids[j], got, want)
+			if got := m.PairNLUnit(i, j); got != want {
+				t.Errorf("NLUnit(%d,%d) = %v, map says %v", ids[i], ids[j], got, want)
 			}
 		}
 	}
@@ -537,7 +548,6 @@ func requireModelEqual(t *testing.T, tag string, got, want *CostModel) {
 		{"IDs", got.IDs, want.IDs},
 		{"CL", got.CL, want.CL},
 		{"CLUnit", got.CLUnit, want.CLUnit},
-		{"NL", got.NL, want.NL},
 		{"NLUnit", got.NLUnit, want.NLUnit},
 		{"Cores", got.Cores, want.Cores},
 		{"LoadM1", got.LoadM1, want.LoadM1},

@@ -201,13 +201,17 @@ func TestCostModelMatchesNaiveRecompute(t *testing.T) {
 		if m.NLErr() == nil && n > 1 {
 			nlChecked++
 			naive := naiveNetworkLoads(snap, ids, w)
+			raw, err := networkLoadsDense(snap, m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					want := naive[[2]int{i, j}]
-					if d := math.Abs(m.NetLoad(i, j) - want); d > 1e-12 {
-						t.Fatalf("trial %d: NL[%d,%d] dense=%v naive=%v diff=%v", trial, i, j, m.NetLoad(i, j), want, d)
+					if d := math.Abs(raw[i*n+j] - want); d > 1e-12 {
+						t.Fatalf("trial %d: NL[%d,%d] dense=%v naive=%v diff=%v", trial, i, j, raw[i*n+j], want, d)
 					}
-					if m.NetLoad(i, j) != m.NetLoad(j, i) {
+					if raw[i*n+j] != raw[j*n+i] {
 						t.Fatalf("trial %d: NL not symmetric at (%d,%d)", trial, i, j)
 					}
 				}

@@ -123,7 +123,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 		}
 		var universe []int
 		if trial%2 == 1 { // every other trial: a shuffled subset, like the shard union
-			universe = r.Perm(n)[:1+r.Intn(n)]
+			universe = perm(r, n)[:1+r.Intn(n)]
 		}
 		for _, procs := range []int{1, 1 + r.Intn(maxCap), 1 + r.Intn(totalCap+1), totalCap, totalCap + 1 + r.Intn(50)} {
 			if procs > 0 {

@@ -112,11 +112,12 @@ func Allocate(p Policy, snap *metrics.Snapshot, req Request, r *rng.Rand) (Alloc
 	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
 }
 
-// Compile-time checks that every shipped policy satisfies Policy.
-var (
-	_ Policy = Random{}
-	_ Policy = Sequential{}
-	_ Policy = LoadAware{}
-	_ Policy = NetLoadAware{}
-	_ Policy = (*ReservingPolicy)(nil)
-)
+// PaperPolicies returns the four policies of the paper's evaluation
+// section in its presentation order — the set the broker registers, the
+// experiments compare and the tables list.
+func PaperPolicies() []Policy {
+	return []Policy{Random{}, Sequential{}, LoadAware{}, NetLoadAware{}}
+}
+
+// Compile-time check for the one shipped policy PaperPolicies leaves out.
+var _ Policy = (*ReservingPolicy)(nil)

@@ -37,14 +37,12 @@ type ReservingPolicy struct {
 	// immortal: time only moves forward for expiry purposes.
 	seen time.Time
 	// chargeIDs/chargeRanks are ChargedModelAt's reusable aggregation
-	// buffers; chargeDense/chargeMark form the dense per-node-ID
-	// accumulator it prefers over a map when IDs are small non-negative
-	// ints (always zeroed again before the lock is released). All are
-	// guarded by mu.
+	// buffers and chargeDense its per-dense-index rank accumulator
+	// (always zeroed again before the lock is released). All are guarded
+	// by mu.
 	chargeIDs   []int
 	chargeRanks []int
 	chargeDense []int
-	chargeMark  []bool
 }
 
 // reservation is one live claim, held as parallel id/rank slices sorted
@@ -245,62 +243,31 @@ func (p *ReservingPolicy) ChargedModelAt(now time.Time, base *CostModel, cand []
 	if len(live) == 0 {
 		return base, true
 	}
-	// Aggregate ranks per node through a dense accumulator indexed by
-	// node ID: one int add per reservation entry, no hashing. Node IDs
-	// are small ints in practice; a pathological ID range falls back to
-	// a transient map so the scratch stays bounded.
-	maxID := -1
-	dense := true
+	// Aggregate ranks per node through an accumulator indexed by base's
+	// dense index: bounded by the model's size whatever the raw IDs are,
+	// and walking it in index order emits ascending node IDs, the order
+	// ChargeRanksAt's float accumulation wants.
+	n := base.Len()
+	if cap(p.chargeDense) < n {
+		p.chargeDense = make([]int, n)
+	}
+	sum := p.chargeDense[:n]
 	for _, res := range live {
-		for _, id := range res.ids {
-			if id < 0 || id >= 1<<22 {
-				dense = false
-				break
+		for k, id := range res.ids {
+			i, ok := base.denseIndex(id)
+			if !ok {
+				clear(sum)
+				return nil, false
 			}
-			if id > maxID {
-				maxID = id
-			}
-		}
-		if !dense {
-			break
+			sum[i] += res.ranks[k]
 		}
 	}
-	p.chargeIDs = p.chargeIDs[:0]
-	if dense {
-		if len(p.chargeDense) <= maxID {
-			p.chargeDense = make([]int, maxID+1)
-			p.chargeMark = make([]bool, maxID+1)
-		}
-		for _, res := range live {
-			for k, id := range res.ids {
-				p.chargeDense[id] += res.ranks[k]
-				if !p.chargeMark[id] {
-					p.chargeMark[id] = true
-					p.chargeIDs = append(p.chargeIDs, id)
-				}
-			}
-		}
-		sort.Ints(p.chargeIDs)
-		p.chargeRanks = p.chargeRanks[:0]
-		for _, id := range p.chargeIDs {
-			p.chargeRanks = append(p.chargeRanks, p.chargeDense[id])
-			p.chargeDense[id] = 0
-			p.chargeMark[id] = false
-		}
-	} else {
-		sum := make(map[int]int)
-		for _, res := range live {
-			for k, id := range res.ids {
-				sum[id] += res.ranks[k]
-			}
-		}
-		for id := range sum {
-			p.chargeIDs = append(p.chargeIDs, id)
-		}
-		sort.Ints(p.chargeIDs)
-		p.chargeRanks = p.chargeRanks[:0]
-		for _, id := range p.chargeIDs {
-			p.chargeRanks = append(p.chargeRanks, sum[id])
+	p.chargeIDs, p.chargeRanks = p.chargeIDs[:0], p.chargeRanks[:0]
+	for i, r := range sum {
+		if r != 0 {
+			p.chargeIDs = append(p.chargeIDs, base.IDs[i])
+			p.chargeRanks = append(p.chargeRanks, r)
+			sum[i] = 0
 		}
 	}
 	return base.ChargeRanksAt(p.chargeIDs, p.chargeRanks, cand, dst)

@@ -40,7 +40,6 @@ const (
 type ShardPlan struct {
 	of     map[int]int
 	source string
-	sig    uint64
 }
 
 // NewShardPlan builds a plan from explicit node groups: group i becomes
@@ -56,28 +55,8 @@ func NewShardPlan(groups [][]int, source string) *ShardPlan {
 			}
 		}
 	}
-	ids := make([]int, 0, len(p.of))
-	for id := range p.of {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	words := make([]uint64, 0, 2*len(ids))
-	for _, id := range ids {
-		words = append(words, uint64(uint32(id)), uint64(uint32(p.of[id])))
-	}
-	p.sig = fnvWords(words)
 	return p
 }
-
-// Source reports where the plan came from.
-func (p *ShardPlan) Source() string { return p.source }
-
-// Len returns the number of nodes the plan covers.
-func (p *ShardPlan) Len() int { return len(p.of) }
-
-// Signature returns a stable content hash of the node→shard mapping,
-// used in broker cache keys.
-func (p *ShardPlan) Signature() uint64 { return p.sig }
 
 // ShardOptions configures the topology-sharded hierarchical cost model.
 // The zero value disables sharding entirely: NewCostModelSharded with
@@ -112,23 +91,9 @@ func (o ShardOptions) withDefaults() ShardOptions {
 // active reports whether these options shard a model of n live nodes.
 func (o ShardOptions) active(n int) bool { return o.Threshold > 0 && n >= o.Threshold }
 
-// Signature returns a stable hash of the option set (plan content
-// included) so the broker can key cached models on it; 0 when sharding
-// is disabled.
-func (o ShardOptions) Signature() uint64 {
-	if o.Threshold <= 0 {
-		return 0
-	}
-	o = o.withDefaults()
-	var planSig uint64
-	if o.Plan != nil {
-		planSig = o.Plan.Signature()
-	}
-	return fnvWords([]uint64{uint64(o.Threshold), uint64(o.MaxShardSize), uint64(o.TopK), planSig})
-}
-
-// fnvWords hashes a word sequence FNV-style (the metrics fingerprint
-// primitive, duplicated here to keep alloc free of new dependencies).
+// fnvWords hashes a word sequence FNV-style — the fold metrics'
+// fingerprints use, which metrics keeps unexported; hash-bucket shard
+// assignment must not move if the fingerprint format ever does.
 func fnvWords(words []uint64) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -227,19 +192,19 @@ func buildShards(ids []int, plan *ShardPlan, maxSize int) (shards [][]int, sourc
 	return shards, source
 }
 
-// shardPair is one measured pair: the canonical dense-index key
+// measuredPair is one measured pair: the canonical dense-index key
 // (i<<32 | j, i<j) plus the latency seconds and complement-bandwidth
 // captured while iterating the measurement maps, so pricing never has
 // to resolve the pair through a map lookup again.
-type shardPair struct {
+type measuredPair struct {
 	key      uint64
 	lat, cbw float64
 }
 
-// shardKV is one measurement keyed by packed canonical dense indices
+// pairKV is one measurement keyed by packed canonical dense indices
 // (i<<32 | j, i<j), the intermediate form for the sort-and-merge join
 // of the latency and bandwidth maps.
-type shardKV struct {
+type pairKV struct {
 	key uint64
 	val float64
 }
@@ -251,10 +216,10 @@ type shardKV struct {
 // cannot occur when the source map's keys are canonical, but if one
 // ever appears the smaller value wins, which is independent of map
 // iteration order.
-func sortKVByKey(a []shardKV, n int) []shardKV {
-	tmp := make([]shardKV, len(a))
+func sortKVByKey(a []pairKV, n int) []pairKV {
+	tmp := make([]pairKV, len(a))
 	cnt := make([]int, n)
-	scatter := func(src, dst []shardKV, shift uint) {
+	scatter := func(src, dst []pairKV, shift uint) {
 		clear(cnt)
 		for _, e := range src {
 			cnt[uint32(e.key>>shift)]++
@@ -284,6 +249,96 @@ func sortKVByKey(a []shardKV, n int) []shardKV {
 	return out
 }
 
+// measuredPairs is the one Equation 2 join: every pair among the model's
+// nodes that has both a latency and a bandwidth measurement, sorted by
+// packed dense-index key, with the latency seconds and the complement of
+// available bandwidth against the nominal peak. It runs in O(measured +
+// n) with no per-pair map lookups: each measurement map is iterated
+// exactly once into a flat (packed key, value) array, both arrays are
+// radix-sorted by key (keys are bounded by the node count, so sorting is
+// not O(m log m)), and a linear merge joins latency with bandwidth.
+// Re-resolving pairs through the 16-byte-key maps — or comparison-sorting
+// them — dominated the whole model build in profiles. Sorting also keeps
+// every later float accumulation independent of map iteration order. A
+// snapshot with no usable pair at all is an error: the dense fill and
+// the sharded build both price unmeasured pairs from the measured ones.
+func measuredPairs(snap *metrics.Snapshot, m *CostModel) ([]measuredPair, error) {
+	n := len(m.IDs)
+	globalPeak := 0.0
+	bw := make([]pairKV, 0, len(snap.Bandwidth))
+	for k, pb := range snap.Bandwidth {
+		i, ok := m.denseIndex(k.U)
+		if !ok {
+			continue
+		}
+		j, ok := m.denseIndex(k.V)
+		if !ok {
+			continue
+		}
+		// The "peak bandwidth" the paper complements against is the
+		// network's nominal peak — one constant — so pairs rank by
+		// available bandwidth; a pair's own bottleneck peak would make an
+		// idle low-capacity path (a WAN link between clusters) look as
+		// good as an idle local one. Take the best measured peak across
+		// the model's pairs (max is order-independent).
+		if pb.PeakBps > globalPeak {
+			globalPeak = pb.PeakBps
+		}
+		if i == j {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		bw = append(bw, pairKV{uint64(i)<<32 | uint64(j), pb.AvailBps})
+	}
+	lt := make([]pairKV, 0, len(snap.Latency))
+	for k, pl := range snap.Latency {
+		i, ok := m.denseIndex(k.U)
+		if !ok {
+			continue
+		}
+		j, ok := m.denseIndex(k.V)
+		if !ok {
+			continue
+		}
+		if i == j {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		l := pl.Mean1 // LatencyOf's rule: 1-minute mean, else last sample
+		if l <= 0 {
+			l = pl.Last
+		}
+		lt = append(lt, pairKV{uint64(i)<<32 | uint64(j), l.Seconds()})
+	}
+	bw = sortKVByKey(bw, n)
+	lt = sortKVByKey(lt, n)
+	measured := make([]measuredPair, 0, min(len(bw), len(lt)))
+	for bi, li := 0, 0; bi < len(bw) && li < len(lt); {
+		switch {
+		case bw[bi].key < lt[li].key:
+			bi++
+		case bw[bi].key > lt[li].key:
+			li++
+		default:
+			c := globalPeak - bw[bi].val
+			if c < 0 {
+				c = 0
+			}
+			measured = append(measured, measuredPair{lt[li].key, lt[li].val, c})
+			bi++
+			li++
+		}
+	}
+	if len(measured) == 0 {
+		return nil, fmt.Errorf("alloc: no pairwise measurements available for %d nodes", n)
+	}
+	return measured, nil
+}
+
 // newShardModel builds the hierarchical NL layer for the given shard
 // partition: per-shard sub-matrices whose entries equal the dense
 // NLUnit values for the same pairs, and the shard×shard aggregate.
@@ -303,82 +358,9 @@ func newShardModel(snap *metrics.Snapshot, m *CostModel, shards [][]int, source 
 		}
 	}
 
-	// Every measured pair among the model's nodes, priced in O(measured)
-	// with no per-pair map lookups: each measurement map is iterated
-	// exactly once into a flat (packed key, value) array, both arrays are
-	// radix-sorted by key (keys are bounded by the node count, so sorting
-	// is O(measured + n), not O(m log m)), and a linear merge joins
-	// latency with bandwidth. Re-resolving pairs through the 16-byte-key
-	// maps — or comparison-sorting them — dominated the whole model build
-	// in profiles. Sorting also keeps every later float accumulation
-	// independent of map iteration order.
-	globalPeak := 0.0
-	bw := make([]shardKV, 0, len(snap.Bandwidth))
-	for k, pb := range snap.Bandwidth {
-		i, ok := m.idx[k.U]
-		if !ok {
-			continue
-		}
-		j, ok := m.idx[k.V]
-		if !ok {
-			continue
-		}
-		// Nominal peak bandwidth: the best measured peak across the
-		// model's pairs (the dense path's rule; max is order-independent).
-		if pb.PeakBps > globalPeak {
-			globalPeak = pb.PeakBps
-		}
-		if i == j {
-			continue
-		}
-		if i > j {
-			i, j = j, i
-		}
-		bw = append(bw, shardKV{uint64(i)<<32 | uint64(j), pb.AvailBps})
-	}
-	lt := make([]shardKV, 0, len(snap.Latency))
-	for k, pl := range snap.Latency {
-		i, ok := m.idx[k.U]
-		if !ok {
-			continue
-		}
-		j, ok := m.idx[k.V]
-		if !ok {
-			continue
-		}
-		if i == j {
-			continue
-		}
-		if i > j {
-			i, j = j, i
-		}
-		l := pl.Mean1 // LatencyOf's rule: 1-minute mean, else last sample
-		if l <= 0 {
-			l = pl.Last
-		}
-		lt = append(lt, shardKV{uint64(i)<<32 | uint64(j), l.Seconds()})
-	}
-	bw = sortKVByKey(bw, n)
-	lt = sortKVByKey(lt, n)
-	measured := make([]shardPair, 0, min(len(bw), len(lt)))
-	for bi, li := 0, 0; bi < len(bw) && li < len(lt); {
-		switch {
-		case bw[bi].key < lt[li].key:
-			bi++
-		case bw[bi].key > lt[li].key:
-			li++
-		default:
-			c := globalPeak - bw[bi].val
-			if c < 0 {
-				c = 0
-			}
-			measured = append(measured, shardPair{lt[li].key, lt[li].val, c})
-			bi++
-			li++
-		}
-	}
-	if len(measured) == 0 {
-		return nil, fmt.Errorf("alloc: no pairwise measurements available for %d nodes", n)
+	measured, err := measuredPairs(snap, m)
+	if err != nil {
+		return nil, err
 	}
 
 	// The dense path sum-normalizes each term over all n(n-1)/2 pairs,
@@ -530,10 +512,6 @@ func (m *CostModel) ShardInfo() (shards int, source string) {
 	}
 	return m.shard.numShards(), m.shard.source
 }
-
-// ShardOptions returns the sharding options the model was built with
-// (rebuilds on charged snapshots preserve them).
-func (m *CostModel) ShardOptions() ShardOptions { return m.shardOpts }
 
 // TakeShardSpills drains and returns the count of candidates that
 // crossed shard boundaries since the last call (0 on dense models). The

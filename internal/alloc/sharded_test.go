@@ -39,7 +39,7 @@ func shardedEquivSnapshot(r *rng.Rand, nShards, perShard int) (*metrics.Snapshot
 			shardOf[id] = s
 		}
 	}
-	for _, k := range r.Perm(len(ids)) {
+	for _, k := range perm(r, len(ids)) {
 		nid := ids[k]
 		snap.Livehosts = append(snap.Livehosts, nid)
 		cores := 4 * (1 + r.Intn(4))
@@ -119,7 +119,7 @@ func TestShardedFallbackBitForBit(t *testing.T) {
 		if sm.Sharded() {
 			t.Fatalf("seed %d: model sharded below threshold (n=%d)", seed, n)
 		}
-		if sm.ShardOptions() != opts {
+		if sm.shardOpts != opts {
 			t.Fatalf("seed %d: options not retained on fallback model", seed)
 		}
 		wantBest, wantCands, wantErr := explainOnSnapshot(snap, req)
@@ -350,41 +350,6 @@ func TestShardedUpdateNodesPreservesShard(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bu, bf) {
 		t.Fatalf("incremental sharded model allocated differently:\nupdate: %+v\nfresh:  %+v", bu, bf)
-	}
-}
-
-// TestShardOptionsSignature pins the cache-key semantics: disabled
-// options hash to zero, knob and plan changes change the hash, and
-// identical plans hash identically.
-func TestShardOptionsSignature(t *testing.T) {
-	if (ShardOptions{}).Signature() != 0 {
-		t.Fatal("disabled options must sign as 0")
-	}
-	if (ShardOptions{Threshold: -1, TopK: 9}).Signature() != 0 {
-		t.Fatal("negative threshold must sign as 0 (sharding off)")
-	}
-	base := ShardOptions{Threshold: 512}
-	if base.Signature() == 0 {
-		t.Fatal("enabled options must not sign as 0")
-	}
-	variants := []ShardOptions{
-		{Threshold: 256},
-		{Threshold: 512, MaxShardSize: 32},
-		{Threshold: 512, TopK: 8},
-		{Threshold: 512, Plan: NewShardPlan([][]int{{1, 2}, {3}}, "a")},
-	}
-	for i, v := range variants {
-		if v.Signature() == base.Signature() {
-			t.Fatalf("variant %d signs identically to base", i)
-		}
-	}
-	p1 := NewShardPlan([][]int{{1, 2}, {3, 4}}, "x")
-	p2 := NewShardPlan([][]int{{1, 2}, {3, 4}}, "x")
-	if p1.Signature() != p2.Signature() {
-		t.Fatal("identical plans must sign identically")
-	}
-	if p1.Len() != 4 || p1.Source() != "x" {
-		t.Fatalf("plan accessors: len=%d source=%q", p1.Len(), p1.Source())
 	}
 }
 

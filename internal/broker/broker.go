@@ -187,20 +187,19 @@ type Broker struct {
 	sfMu   sync.Mutex
 	sfCall *refreshCall
 
-	// Cost-model cache: dense Equation 1/2 evaluations keyed by snapshot
-	// content fingerprint + pricing inputs, so back-to-back Allocate
-	// calls against an unchanged monitoring view skip recomputation. A
-	// fingerprint change (the monitor republished) retires the current
-	// generation of models into prevModels for one epoch, so an
-	// incremental refresh (only k nodes' dynamic attributes changed) can
-	// update the retired model in place instead of rebuilding O(n²).
-	modelMu     sync.Mutex
-	models      map[modelKey]*alloc.CostModel
-	modelFP     uint64
-	prevModels  map[modelKey]*alloc.CostModel
-	prevFP      uint64
-	cacheHits   uint64
-	cacheMisses uint64
+	// Cost-model cache: the Equation 1/2 evaluations of the snapshot
+	// content fingerprinted modelFP, keyed by pricing inputs, so
+	// back-to-back Allocate calls against an unchanged monitoring view
+	// skip recomputation. A fingerprint change (the monitor republished)
+	// retires the current generation of models into prevModels for one
+	// epoch, so an incremental refresh (only k nodes' dynamic attributes
+	// changed) can update the retired model in place instead of
+	// rebuilding O(n²).
+	modelMu    sync.Mutex
+	models     map[modelKey]*alloc.CostModel
+	modelFP    uint64
+	prevModels map[modelKey]*alloc.CostModel
+	prevFP     uint64
 
 	// Degraded-mode state: the last snapshot that passed the freshness
 	// checks, kept (shared, see metrics.Snapshot) so a monitoring outage
@@ -224,15 +223,14 @@ type Broker struct {
 	decSeq    uint64
 }
 
-// modelKey identifies one cached cost model: the snapshot's content
-// fingerprint plus the pricing inputs (attribute weights, forecast
-// flag) and the sharding configuration signature the model was built
-// with — a re-planned shard layout must not serve a stale hierarchy.
+// modelKey identifies one cached cost model within a generation: the
+// pricing inputs a request can vary (attribute weights, forecast flag).
+// The snapshot fingerprint is not part of it because each generation map
+// holds one fingerprint's models only (models/modelFP, prevModels/prevFP),
+// and the sharding options are not because they are fixed per broker.
 type modelKey struct {
-	fp       uint64
 	weights  alloc.Weights
 	forecast bool
-	shard    uint64
 }
 
 // refreshCall is one in-flight snapshot-cache refresh; concurrent
@@ -260,7 +258,7 @@ func New(st monitor.GenSource, rt simtime.Runtime, cfg Config) *Broker {
 		obs:       cfg.Obs,
 		decisions: obs.NewRing[DecisionRecord](cfg.DecisionLog),
 	}
-	for _, p := range []alloc.Policy{alloc.Random{}, alloc.Sequential{}, alloc.LoadAware{}, alloc.NetLoadAware{}} {
+	for _, p := range alloc.PaperPolicies() {
 		b.policies[p.Name()] = p
 	}
 	return b
@@ -397,8 +395,7 @@ func (b *Broker) DegradedServed() uint64 {
 // predecessor fingerprint, the retired model is updated in place via
 // CostModel.UpdateNodes instead of being rebuilt from scratch.
 func (b *Broker) costModel(sv monitor.Refresh, w alloc.Weights, forecast bool) (*alloc.CostModel, bool) {
-	shardSig := b.cfg.Shard.Signature()
-	key := modelKey{fp: sv.FP, weights: w, forecast: forecast, shard: shardSig}
+	key := modelKey{weights: w, forecast: forecast}
 	b.modelMu.Lock()
 	defer b.modelMu.Unlock()
 	if sv.FP != b.modelFP {
@@ -407,13 +404,12 @@ func (b *Broker) costModel(sv monitor.Refresh, w alloc.Weights, forecast bool) (
 		b.modelFP = sv.FP
 	}
 	if m, ok := b.models[key]; ok {
-		b.cacheHits++
 		b.obs.Counter("broker.modelcache.hits").Inc()
 		return m, true
 	}
 	var m *alloc.CostModel
 	if sv.Incremental && sv.PrevFP != 0 && sv.PrevFP == b.prevFP {
-		if pm, ok := b.prevModels[modelKey{fp: sv.PrevFP, weights: w, forecast: forecast, shard: shardSig}]; ok {
+		if pm, ok := b.prevModels[key]; ok {
 			if um, ok := pm.UpdateNodes(sv.Snap, sv.ChangedNodes); ok {
 				m = um
 				b.obs.Counter("broker.model.update.incremental").Inc()
@@ -428,17 +424,14 @@ func (b *Broker) costModel(sv monitor.Refresh, w alloc.Weights, forecast bool) (
 		b.obs.Counter("broker.model.sharded").Inc()
 	}
 	b.models[key] = m
-	b.cacheMisses++
 	b.obs.Counter("broker.modelcache.misses").Inc()
 	return m, false
 }
 
-// ModelCacheStats reports cost-model cache hits and misses since the
-// broker was built (diagnostic).
+// ModelCacheStats reports the cost-model cache's hit and miss counters
+// (diagnostic; a registry shared between brokers counts them all).
 func (b *Broker) ModelCacheStats() (hits, misses uint64) {
-	b.modelMu.Lock()
-	defer b.modelMu.Unlock()
-	return b.cacheHits, b.cacheMisses
+	return b.obs.Counter("broker.modelcache.hits").Value(), b.obs.Counter("broker.modelcache.misses").Value()
 }
 
 // clusterLoadPerCore computes the live cluster's average CPU load per
@@ -479,18 +472,13 @@ func loadDecayETA(load, threshold float64) time.Duration {
 	return eta
 }
 
-// Allocate serves one request, recording a structured decision record
-// (request shape, candidate count, chosen nodes with per-node CL and
-// pairwise NL contributions, cache hit, degraded flag) for every outcome
-// — success, wait, or error.
+// Allocate serves one request — AllocateBatch of one — recording a
+// structured decision record (request shape, candidate count, chosen
+// nodes with per-node CL and pairwise NL contributions, cache hit,
+// degraded flag) for every outcome: success, wait, or error.
 func (b *Broker) Allocate(req Request) (Response, error) {
-	start := b.rt.Now()
-	resp, model, cacheHit, err := b.allocate(req)
-	b.finishDecision(start, req, resp, model, cacheHit, err)
-	if err != nil {
-		return Response{}, err
-	}
-	return resp, nil
+	res := b.AllocateBatch([]Request{req})[0]
+	return res.Response, res.Err
 }
 
 // BatchResult is one request's outcome from AllocateBatch. Exactly one
@@ -532,35 +520,32 @@ func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 		b.degraded += uint64(len(reqs) - 1)
 		b.lastGoodMu.Unlock()
 	}
-	type dedupKey struct {
-		req Request
+	// seen holds the first answer to each dedupable request — on error
+	// with the partial response the decision record is built from.
+	var seen map[Request]BatchResult
+	if len(reqs) > 1 {
+		seen = make(map[Request]BatchResult)
 	}
-	type dedupVal struct {
-		resp Response
-		err  error
-	}
-	seen := make(map[dedupKey]dedupVal)
 	for i, req := range reqs {
-		key := dedupKey{req: req}
-		if v, ok := seen[key]; ok {
+		res, dup := seen[req]
+		var model *alloc.CostModel
+		cacheHit := dup
+		if dup {
 			// Keep the broker's rng stream identical to the sequential
 			// execution: every served request consumes one split.
 			b.consumeSplit(req.Policy)
-			results[i] = BatchResult{Response: v.resp, Err: v.err}
-			b.finishDecision(start, req, v.resp, nil, true, v.err)
 			b.obs.Counter("broker.batch.dedup.hits").Inc()
-			continue
-		}
-		resp, model, cacheHit, err := b.allocateOn(sv, degradedReason, req)
-		if err != nil {
-			results[i] = BatchResult{Err: err}
 		} else {
-			results[i] = BatchResult{Response: resp}
+			res.Response, model, cacheHit, res.Err = b.allocateOn(sv, degradedReason, req)
+			if seen != nil && !req.Explain && b.dedupablePolicy(req.Policy) {
+				seen[req] = res
+			}
 		}
-		b.finishDecision(start, req, resp, model, cacheHit, err)
-		if !req.Explain && b.dedupablePolicy(req.Policy) {
-			seen[key] = dedupVal{resp: resp, err: err}
+		b.finishDecision(start, req, res.Response, model, cacheHit, res.Err)
+		if res.Err != nil {
+			res.Response = Response{}
 		}
+		results[i] = res
 	}
 	return results
 }
@@ -606,8 +591,7 @@ func (b *Broker) consumeSplit(policy string) {
 }
 
 // finishDecision builds and records the decision record for one served
-// request and observes the allocate latency histogram — shared by the
-// single-request and batched paths so both leave identical audit trails.
+// request and observes the allocate latency histogram.
 func (b *Broker) finishDecision(start time.Time, req Request, resp Response, model *alloc.CostModel, cacheHit bool, err error) {
 	rec := DecisionRecord{
 		At:          start,
@@ -647,20 +631,10 @@ func (b *Broker) finishDecision(start time.Time, req Request, resp Response, mod
 	b.obs.Histogram("broker.allocate.seconds").Observe(b.rt.Now().Sub(start).Seconds())
 }
 
-// allocate is Allocate's core, also reporting the priced cost model and
-// whether it came from the cache (for the decision record).
-func (b *Broker) allocate(req Request) (Response, *alloc.CostModel, bool, error) {
-	sv, degradedReason, err := b.acquireSnapshot()
-	if err != nil {
-		return Response{}, nil, false, err
-	}
-	return b.allocateOn(sv, degradedReason, req)
-}
-
 // allocateOn prices one request against an already-acquired snapshot
-// view — the shared tail of the single-request and batched paths. The
-// policy lookup, wait heuristic, cost-model fetch, and policy run all
-// happen here; only the snapshot acquisition differs between callers.
+// view: the policy lookup, wait heuristic, cost-model fetch, and policy
+// run, also reporting the priced cost model and whether it came from the
+// cache (for the decision record).
 func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Request) (Response, *alloc.CostModel, bool, error) {
 	if req.Policy == "" {
 		req.Policy = alloc.NetLoadAware{}.Name()

@@ -166,7 +166,3 @@ func (b *Broker) Decisions(limit int) []DecisionRecord {
 	}
 	return b.decisions.Last(limit)
 }
-
-// DecisionCount reports how many decisions were ever recorded (including
-// ones evicted from the ring).
-func (b *Broker) DecisionCount() uint64 { return b.decisions.Total() }

@@ -63,7 +63,7 @@ func TestShardedDecisionPricesNetworkCost(t *testing.T) {
 	}
 }
 
-// TestDecisionRingEviction pins the ring contract: DecisionCount counts
+// TestDecisionRingEviction pins the ring contract: the ring's total counts
 // every decision ever recorded, Decisions(0) returns the retained window
 // oldest first, and Decisions(limit) is the most recent limit of those.
 func TestDecisionRingEviction(t *testing.T) {
@@ -74,8 +74,8 @@ func TestDecisionRingEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := b.DecisionCount(); got != 7 {
-		t.Fatalf("DecisionCount = %d, want 7 (evicted decisions must still count)", got)
+	if got := b.decisions.Total(); got != 7 {
+		t.Fatalf("decisions.Total = %d, want 7 (evicted decisions must still count)", got)
 	}
 	recs := b.Decisions(0)
 	if len(recs) != 4 {
@@ -149,8 +149,8 @@ func TestDecisionSeqMonotonicUnderConcurrency(t *testing.T) {
 	if len(recs) != total {
 		t.Fatalf("retained %d decisions, want %d", len(recs), total)
 	}
-	if got := b.DecisionCount(); got != uint64(total) {
-		t.Fatalf("DecisionCount = %d, want %d", got, total)
+	if got := b.decisions.Total(); got != uint64(total) {
+		t.Fatalf("decisions.Total = %d, want %d", got, total)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq <= recs[i-1].Seq {

@@ -70,36 +70,6 @@ func (c *Cluster) Size() int { return len(c.Nodes) }
 // Node returns the spec of node id.
 func (c *Cluster) Node(id int) NodeSpec { return c.Nodes[id] }
 
-// ByHostname returns the node with the given hostname.
-func (c *Cluster) ByHostname(h string) (NodeSpec, bool) {
-	for _, n := range c.Nodes {
-		if n.Hostname == h {
-			return n, true
-		}
-	}
-	return NodeSpec{}, false
-}
-
-// TotalCores returns the cluster-wide logical core count.
-func (c *Cluster) TotalCores() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.Cores
-	}
-	return total
-}
-
-// MaxFreqGHz returns the highest CPU clock in the cluster.
-func (c *Cluster) MaxFreqGHz() float64 {
-	maxF := 0.0
-	for _, n := range c.Nodes {
-		if n.FreqGHz > maxF {
-			maxF = n.FreqGHz
-		}
-	}
-	return maxF
-}
-
 // BuildIITK builds the paper's testbed on the default 4-switch chain:
 // each 15-node switch hosts ten 12-core 4.6 GHz nodes followed by five
 // 8-core 2.8 GHz nodes (40 fast + 20 slow in total), all with 16 GB RAM.

@@ -42,23 +42,23 @@ func TestBuildIITKHostnames(t *testing.T) {
 	if cl.Nodes[59].Hostname != "csews60" {
 		t.Fatalf("last hostname %q", cl.Nodes[59].Hostname)
 	}
-	spec, ok := cl.ByHostname("csews30")
-	if !ok || spec.ID != 29 {
-		t.Fatalf("ByHostname(csews30) = %+v %v", spec, ok)
-	}
-	if _, ok := cl.ByHostname("nope"); ok {
-		t.Fatal("ByHostname found a ghost")
+	if spec := cl.Nodes[29]; spec.Hostname != "csews30" || spec.ID != 29 {
+		t.Fatalf("node 29 = %+v, want csews30", spec)
 	}
 }
 
 func TestTotalCoresAndMaxFreq(t *testing.T) {
 	cl, _ := BuildIITK()
-	want := 40*12 + 20*8
-	if got := cl.TotalCores(); got != want {
-		t.Fatalf("TotalCores = %d, want %d", got, want)
+	cores, maxFreq := 0, 0.0
+	for _, n := range cl.Nodes {
+		cores += n.Cores
+		maxFreq = max(maxFreq, n.FreqGHz)
 	}
-	if f := cl.MaxFreqGHz(); f != 4.6 {
-		t.Fatalf("MaxFreqGHz = %g", f)
+	if want := 40*12 + 20*8; cores != want {
+		t.Fatalf("total cores = %d, want %d", cores, want)
+	}
+	if maxFreq != 4.6 {
+		t.Fatalf("max frequency = %g GHz", maxFreq)
 	}
 }
 

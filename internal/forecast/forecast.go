@@ -296,24 +296,3 @@ func (f *Forecaster) Forecast() (value float64, method string, ok bool) {
 	}
 	return 0, "", false
 }
-
-// RMSE returns each method's root-mean-squared one-step error so far.
-func (f *Forecaster) RMSE() map[string]float64 {
-	out := make(map[string]float64, len(f.predictors))
-	for i, p := range f.predictors {
-		if f.errCount[i] > 0 {
-			out[p.Name()] = math.Sqrt(f.sqErrSum[i] / float64(f.errCount[i]))
-		}
-	}
-	return out
-}
-
-// BestMethod returns the name of the currently-winning method ("" before
-// any scoring).
-func (f *Forecaster) BestMethod() string {
-	_, m, ok := f.Forecast()
-	if !ok {
-		return ""
-	}
-	return m
-}

@@ -32,6 +32,18 @@ func TestSingleObservationFallsBackToLast(t *testing.T) {
 	}
 }
 
+// rmseOf reads each scored method's root-mean-squared one-step error out
+// of the forecaster's selection state.
+func rmseOf(f *Forecaster) map[string]float64 {
+	out := make(map[string]float64, len(f.predictors))
+	for i, p := range f.predictors {
+		if f.errCount[i] > 0 {
+			out[p.Name()] = math.Sqrt(f.sqErrSum[i] / float64(f.errCount[i]))
+		}
+	}
+	return out
+}
+
 func TestConstantSeriesPredictsConstant(t *testing.T) {
 	f := New()
 	for i := 0; i < 100; i++ {
@@ -41,7 +53,7 @@ func TestConstantSeriesPredictsConstant(t *testing.T) {
 	if !ok || math.Abs(v-5) > 1e-9 {
 		t.Fatalf("constant series forecast %g", v)
 	}
-	for name, rmse := range f.RMSE() {
+	for name, rmse := range rmseOf(f) {
 		if rmse > 1e-9 && name != "ar1" {
 			t.Fatalf("method %s has error %g on a constant series", name, rmse)
 		}
@@ -58,8 +70,8 @@ func TestRandomWalkFavoursLastValue(t *testing.T) {
 	}
 	// For a random walk, "last value" is the optimal predictor; the
 	// winner must track the series closely (error near the step size).
-	rmse := f.RMSE()
-	best := f.BestMethod()
+	rmse := rmseOf(f)
+	_, best, _ := f.Forecast()
 	if rmse[best] > rmse["running-mean"] {
 		t.Fatalf("winner %s (rmse %g) worse than running-mean (%g)", best, rmse[best], rmse["running-mean"])
 	}
@@ -75,8 +87,8 @@ func TestNoisyMeanFavoursAveraging(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		f.Observe(3 + r.NormMS(0, 1))
 	}
-	rmse := f.RMSE()
-	best := f.BestMethod()
+	rmse := rmseOf(f)
+	_, best, _ := f.Forecast()
 	if rmse[best] >= rmse["last"] {
 		t.Fatalf("winner %s (rmse %g) not better than last (%g)", best, rmse[best], rmse["last"])
 	}
@@ -95,10 +107,10 @@ func TestAR1SeriesFavoursAR1Model(t *testing.T) {
 		x = 0.6*x + r.NormMS(0, 1)
 		f.Observe(x + 10)
 	}
-	rmse := f.RMSE()
+	rmse := rmseOf(f)
 	// AR(1) should beat both extremes: last value (overreacts) and the
 	// plain mean (ignores correlation). Allow any near-optimal winner.
-	best := f.BestMethod()
+	_, best, _ := f.Forecast()
 	if rmse[best] > rmse["ar1"]*1.05 {
 		t.Fatalf("winner %s (rmse %g) much worse than ar1 (%g)", best, rmse[best], rmse["ar1"])
 	}
@@ -118,7 +130,7 @@ func TestSpikeRobustnessOfMedian(t *testing.T) {
 		}
 		f.Observe(v)
 	}
-	rmse := f.RMSE()
+	rmse := rmseOf(f)
 	if rmse["median-5"] >= rmse["mean-5"] {
 		t.Fatalf("median-5 (%g) should beat mean-5 (%g) under spikes", rmse["median-5"], rmse["mean-5"])
 	}
@@ -150,17 +162,6 @@ func TestWindowWrapAround(t *testing.T) {
 	}
 	if v, _ := wm.Predict(); v != 20 {
 		t.Fatalf("wrapped window mean %g, want 20", v)
-	}
-}
-
-func TestRMSEKeysStable(t *testing.T) {
-	f := New()
-	feed(f, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	rmse := f.RMSE()
-	for _, name := range []string{"last", "running-mean", "mean-5", "median-5", "exp-0.5", "ar1"} {
-		if _, ok := rmse[name]; !ok {
-			t.Fatalf("method %s missing from RMSE: %v", name, rmse)
-		}
 	}
 }
 

@@ -10,17 +10,6 @@ import (
 	"nlarm/internal/stats"
 )
 
-// PaperPolicies returns the four policies of the evaluation section in
-// the paper's presentation order.
-func PaperPolicies() []alloc.Policy {
-	return []alloc.Policy{
-		alloc.Random{},
-		alloc.Sequential{},
-		alloc.LoadAware{},
-		alloc.NetLoadAware{},
-	}
-}
-
 // NLAName is the heuristic's policy name, used when computing gains.
 var NLAName = alloc.NetLoadAware{}.Name()
 
@@ -47,7 +36,7 @@ type CompareConfig struct {
 	MakeShape func() (*mpisim.Shape, error)
 	// Request is the allocation request used by all policies.
 	Request alloc.Request
-	// Policies to compare; nil means PaperPolicies.
+	// Policies to compare; nil means alloc.PaperPolicies.
 	Policies []alloc.Policy
 	// Repeats is the number of rounds; 0 means 5.
 	Repeats int
@@ -64,7 +53,7 @@ func (s *Session) Compare(cfg CompareConfig) ([]Trial, error) {
 	}
 	policies := cfg.Policies
 	if policies == nil {
-		policies = PaperPolicies()
+		policies = alloc.PaperPolicies()
 	}
 	repeats := cfg.Repeats
 	if repeats == 0 {

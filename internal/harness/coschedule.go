@@ -82,7 +82,7 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 	r := rng.New(cfg.Seed + 41)
 	// The four paper policies plus the reservation-aware variant of the
 	// heuristic (the anti-herding extension motivated by this experiment).
-	policies := append(PaperPolicies(),
+	policies := append(alloc.PaperPolicies(),
 		alloc.NewReservingPolicy(alloc.NetLoadAware{}, 90*time.Second))
 	for _, pol := range policies {
 		var jobTimes []float64

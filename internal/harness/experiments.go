@@ -482,7 +482,7 @@ func AllocationAnalysis(seed uint64, iterations int) (*AnalysisData, error) {
 		a   alloc.Allocation
 	}
 	var picks []chosen
-	for _, pol := range PaperPolicies() {
+	for _, pol := range alloc.PaperPolicies() {
 		al, err := pol.AllocateModel(model, req, r.Split())
 		if err != nil {
 			return nil, err

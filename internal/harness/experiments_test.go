@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -247,5 +248,31 @@ func TestCoScheduleTiny(t *testing.T) {
 	}
 	if out := FormatCoSchedule(d); !strings.Contains(out, "makespan") {
 		t.Fatalf("format:\n%s", out)
+	}
+}
+
+// TestScalingTableDeterministic pins the CSV form of Figures 4 and 6:
+// repeated calls are equal and each cell's rows follow the paper's policy
+// order, any other policy after them by name (the cells hold maps).
+func TestScalingTableDeterministic(t *testing.T) {
+	means := map[string]float64{"net-load-aware": 1, "load-aware": 2, "sequential": 3, "random": 4, "extra": 5}
+	d := &ScalingData{App: AppMiniMD, Cells: []ScalingCell{
+		{Procs: 8, Size: 8, Mean: means, CoV: means},
+		{Procs: 16, Size: 8, Mean: means, CoV: means},
+	}}
+	first := d.Table()
+	for i := 0; i < 20; i++ {
+		if again := d.Table(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d differs:\n%v\n%v", i+2, again.Rows, first.Rows)
+		}
+	}
+	want := []string{"random", "sequential", "load-aware", "net-load-aware", "extra"}
+	if len(first.Rows) != 2*len(want) {
+		t.Fatalf("%d rows, want %d", len(first.Rows), 2*len(want))
+	}
+	for i, row := range first.Rows {
+		if row[2] != want[i%len(want)] {
+			t.Fatalf("row %d is %q, want %q (rows %v)", i, row[2], want[i%len(want)], first.Rows)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"nlarm/internal/alloc"
 	"nlarm/internal/stats"
 )
 
@@ -94,14 +95,13 @@ func FormatFig2(d *Fig2Data) string {
 	return b.String()
 }
 
-// policyOrder lists the paper's presentation order for formatting.
-var policyOrder = []string{"random", "sequential", "load-aware", "net-load-aware"}
-
+// orderedPolicies lists m's policies in the paper's presentation order,
+// any others after them by name.
 func orderedPolicies(m map[string]float64) []string {
 	var out []string
-	for _, p := range policyOrder {
-		if _, ok := m[p]; ok {
-			out = append(out, p)
+	for _, p := range alloc.PaperPolicies() {
+		if _, ok := m[p.Name()]; ok {
+			out = append(out, p.Name())
 		}
 	}
 	var extra []string
@@ -157,6 +157,19 @@ func FormatScaling(d *ScalingData) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Table flattens the scaling data into one CSV-able table, one row per
+// (cell, policy) in cell order and the paper's policy order.
+func (d *ScalingData) Table() *Table {
+	t := &Table{Header: []string{"procs", "size", "policy", "mean_seconds", "cov"}}
+	for _, c := range d.Cells {
+		for _, pol := range orderedPolicies(c.Mean) {
+			t.AddRow(fmt.Sprintf("%d", c.Procs), fmt.Sprintf("%d", c.Size), pol,
+				fmt.Sprintf("%.4f", c.Mean[pol]), fmt.Sprintf("%.4f", c.CoV[pol]))
+		}
+	}
+	return t
 }
 
 // FormatGains renders a Table 2/3-style gain summary.

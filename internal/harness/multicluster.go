@@ -85,7 +85,7 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 			return apps.MiniMD(apps.MiniMDParams{S: 16, Steps: cfg.Iterations}, cfg.Procs)
 		},
 		Request:  alloc.Request{Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7},
-		Policies: PaperPolicies(),
+		Policies: alloc.PaperPolicies(),
 		Repeats:  cfg.Repeats,
 		Spacing:  time.Minute,
 		Seed:     cfg.Seed + 17,

@@ -68,7 +68,7 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	defer s.Close()
 	s.WarmUp(DefaultWarmUp)
 
-	policies := PaperPolicies()
+	policies := alloc.PaperPolicies()
 	r := rng.New(cfg.Seed + 71)
 	res := &PredictionResult{Cfg: cfg}
 	for i := 0; i < cfg.Runs; i++ {

@@ -365,7 +365,3 @@ func (g *Generator) Flows() []Flow {
 	}
 	return out
 }
-
-// ActiveSessions returns the number of live background sessions (for
-// tests and diagnostics).
-func (g *Generator) ActiveSessions() int { return len(g.sessions) }

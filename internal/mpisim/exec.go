@@ -142,12 +142,6 @@ func (j *Job) Done() bool { return j.done }
 // Elapsed returns the wall time the job has been running.
 func (j *Job) Elapsed() time.Duration { return j.elapsed }
 
-// Progress returns the fraction of iterations completed, in [0, 1].
-func (j *Job) Progress() float64 {
-	total := float64(j.Shape.Iterations)
-	return (total - j.remIters) / total
-}
-
 // RanksOnNode returns the number of the job's ranks placed on node id.
 func (j *Job) RanksOnNode(id int) int { return j.ranksOn[id] }
 

@@ -94,16 +94,11 @@ func TestHalo3DLinearChain(t *testing.T) {
 	}
 }
 
-func TestRingAndAllToAll(t *testing.T) {
+func TestRing(t *testing.T) {
 	r := &Shape{Name: "ring", Ranks: 5, Iterations: 1, RefFreqGHz: 1}
 	Ring(r, 10, 1)
 	if len(r.P2P) != 5 {
 		t.Fatalf("ring pairs = %d", len(r.P2P))
-	}
-	a := &Shape{Name: "a2a", Ranks: 5, Iterations: 1, RefFreqGHz: 1}
-	AllToAll(a, 10, 1)
-	if len(a.P2P) != 10 {
-		t.Fatalf("alltoall pairs = %d, want C(5,2)=10", len(a.P2P))
 	}
 }
 
@@ -137,9 +132,6 @@ func TestAddP2PAccumulates(t *testing.T) {
 	}
 	if len(s.P2P) != 1 {
 		t.Fatalf("self-pair added: %d pairs", len(s.P2P))
-	}
-	if s.TotalP2PBytesPerIter() != 150 {
-		t.Fatalf("total bytes %g", s.TotalP2PBytesPerIter())
 	}
 }
 
@@ -313,8 +305,8 @@ func TestJobPartialAdvance(t *testing.T) {
 	if used != 2*time.Second {
 		t.Fatalf("partial advance used %v", used)
 	}
-	if p := j.Progress(); math.Abs(p-0.2) > 1e-9 {
-		t.Fatalf("progress %g, want 0.2", p)
+	if math.Abs(j.remIters-80) > 1e-7 {
+		t.Fatalf("%g of 100 iterations remain, want 80", j.remIters)
 	}
 	// Finish.
 	total := 2 * time.Second

@@ -93,15 +93,6 @@ func (s *Shape) Validate() error {
 	return nil
 }
 
-// TotalP2PBytesPerIter sums point-to-point payload over all rank pairs.
-func (s *Shape) TotalP2PBytesPerIter() float64 {
-	total := 0.0
-	for _, t := range s.P2P {
-		total += t.Bytes
-	}
-	return total
-}
-
 // AddP2P accumulates traffic between ranks a and b.
 func (s *Shape) AddP2P(a, b int, bytes float64, msgs int) {
 	if a == b {
@@ -281,15 +272,6 @@ func Halo2D(s *Shape, bytesPerEdge float64, msgsPerEdge int) {
 func Ring(s *Shape, bytes float64, msgs int) {
 	for r := 0; r < s.Ranks; r++ {
 		s.AddP2P(r, (r+1)%s.Ranks, bytes, msgs)
-	}
-}
-
-// AllToAll adds a full exchange of bytes between every rank pair.
-func AllToAll(s *Shape, bytesPerPair float64, msgsPerPair int) {
-	for a := 0; a < s.Ranks; a++ {
-		for b := a + 1; b < s.Ranks; b++ {
-			s.AddP2P(a, b, bytesPerPair, msgsPerPair)
-		}
 	}
 }
 

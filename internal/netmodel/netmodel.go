@@ -315,15 +315,5 @@ func (n *Network) NodeFlowRateBps(id int) float64 {
 	return 0
 }
 
-// LinkUtilization returns traffic/capacity for link l (uncapped), or 0 if
-// the link does not exist.
-func (n *Network) LinkUtilization(l topology.LinkID) float64 {
-	ls, ok := n.links[l]
-	if !ok || ls.cap == 0 {
-		return 0
-	}
-	return ls.traffic / ls.cap
-}
-
 // Topology returns the underlying static topology.
 func (n *Network) Topology() *topology.Topology { return n.topo }

@@ -146,8 +146,7 @@ func TestExternalFlowLoadsPathToGateway(t *testing.T) {
 		t.Fatalf("external flow not charged at source: %g", r)
 	}
 	for _, trunk := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		util := n.LinkUtilization(topology.TrunkLink(trunk[0], trunk[1]))
-		if util <= 0 {
+		if n.links[topology.TrunkLink(trunk[0], trunk[1])].traffic <= 0 {
 			t.Fatalf("trunk %v not loaded by external flow", trunk)
 		}
 	}
@@ -156,8 +155,8 @@ func TestExternalFlowLoadsPathToGateway(t *testing.T) {
 func TestExternalFlowFromSwitch0OnlyEdge(t *testing.T) {
 	n := testNet(t)
 	n.Update(time.Second, []Flow{{Src: 0, Dst: -1, RateBps: 40e6}})
-	if util := n.LinkUtilization(topology.TrunkLink(0, 1)); util != 0 {
-		t.Fatalf("switch-0 external flow loaded trunk 0-1: %g", util)
+	if tr := n.links[topology.TrunkLink(0, 1)].traffic; tr != 0 {
+		t.Fatalf("switch-0 external flow loaded trunk 0-1: %g", tr)
 	}
 }
 

@@ -148,28 +148,6 @@ func LoadAt(st store.Store, t time.Time) (*metrics.Snapshot, error) {
 	return Load(st, best)
 }
 
-// Replay streams archived snapshots with Taken in [from, to] in time
-// order. fn returning false stops the replay early.
-func Replay(st store.Store, from, to time.Time, fn func(*metrics.Snapshot) bool) error {
-	times, err := Timestamps(st)
-	if err != nil {
-		return err
-	}
-	for _, at := range times {
-		if at.Before(from) || at.After(to) {
-			continue
-		}
-		s, err := Load(st, at)
-		if err != nil {
-			return err
-		}
-		if !fn(s) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Prune deletes archived snapshots older than keep relative to now.
 func Prune(st store.Store, now time.Time, keep time.Duration) (deleted int, err error) {
 	times, terr := Timestamps(st)

@@ -108,33 +108,6 @@ func TestLoadAt(t *testing.T) {
 	}
 }
 
-func TestReplayRangeAndEarlyStop(t *testing.T) {
-	st := store.NewMem()
-	for m := 0; m < 5; m++ {
-		_ = Save(st, fakeSnapshot(t0.Add(time.Duration(m)*time.Minute), float64(m)))
-	}
-	var seen []time.Time
-	err := Replay(st, t0.Add(time.Minute), t0.Add(3*time.Minute), func(s *metrics.Snapshot) bool {
-		seen = append(seen, s.Taken)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("replayed %v", seen)
-	}
-	// Early stop.
-	count := 0
-	_ = Replay(st, t0, t0.Add(time.Hour), func(*metrics.Snapshot) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early stop replayed %d", count)
-	}
-}
-
 func TestPrune(t *testing.T) {
 	st := store.NewMem()
 	for m := 0; m < 10; m++ {

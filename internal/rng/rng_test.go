@@ -199,27 +199,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	if err := quick.Check(func(n uint8) bool {
-		m := int(n%50) + 1
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	r := New(41)
 	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}

@@ -708,19 +708,6 @@ func ScaledWorkload(jobs, nodes int, utilization float64) loadgen.Workload {
 	}
 }
 
-// MillionJobConfig is the acceptance scenario: one million jobs on 1024
-// nodes under EASY backfill — weeks of traffic that must complete in
-// seconds of wall time with a stable digest.
-func MillionJobConfig(seed uint64) ScenarioConfig {
-	return ScenarioConfig{
-		Seed:         seed,
-		Nodes:        1024,
-		CoresPerNode: 8,
-		Workload:     ScaledWorkload(1_000_000, 1024, 0.65),
-		Discipline:   EASY,
-	}
-}
-
 // Render formats the result as a small report table.
 func (r *ScenarioResult) Render() string {
 	var b strings.Builder

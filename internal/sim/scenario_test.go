@@ -291,13 +291,16 @@ func TestScenarioPastEventRejected(t *testing.T) {
 	}
 }
 
+// TestMillionJobConfigShape checks the acceptance scenario's shape (one
+// million jobs on 1024 nodes under EASY, the -run sim default).
 func TestMillionJobConfigShape(t *testing.T) {
-	cfg := MillionJobConfig(1)
+	cfg := ScenarioConfig{Seed: 1, Nodes: 1024, CoresPerNode: 8,
+		Workload: ScaledWorkload(1_000_000, 1024, 0.65), Discipline: EASY}
 	if got := cfg.Workload.TotalJobs(); got != 1_000_000 {
-		t.Fatalf("MillionJobConfig totals %d jobs, want 1000000", got)
+		t.Fatalf("million-job workload totals %d jobs, want 1000000", got)
 	}
 	if err := cfg.Workload.Validate(); err != nil {
-		t.Fatalf("MillionJobConfig workload invalid: %v", err)
+		t.Fatalf("million-job workload invalid: %v", err)
 	}
 	if cfg.withDefaults().BackfillDepth != 32 {
 		t.Fatalf("default backfill depth = %d, want 32", cfg.withDefaults().BackfillDepth)

@@ -54,23 +54,6 @@ func NormalizeSum(vals []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ComplementMax maps each value to max(vals)-v, converting a maximization
-// attribute into a cost ("complementing with respect to the maximum value"
-// in the paper's wording).
-func ComplementMax(vals []float64) []float64 {
-	maxV := 0.0
-	for i, v := range vals {
-		if i == 0 || v > maxV {
-			maxV = v
-		}
-	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = maxV - v
-	}
-	return out
-}
-
 // SAWCosts computes the Simple Additive Weights cost of each alternative
 // (row of matrix) against the given attributes (columns). Following the
 // paper's pipeline: each attribute column is (1) sum-normalized across
@@ -78,15 +61,6 @@ func ComplementMax(vals []float64) []float64 {
 // criterion is Maximize so every column becomes a cost, then (3) costs are
 // the weighted sums across columns. Lower cost is better.
 func SAWCosts(attrs []Attribute, matrix [][]float64) ([]float64, error) {
-	return SAWCostsInto(nil, nil, attrs, matrix)
-}
-
-// SAWCostsInto is SAWCosts writing into caller-provided buffers: dst
-// receives the costs and col is column scratch, both grown as needed and
-// otherwise reused — the zero-allocation core behind incremental model
-// updates that re-run SAW scoring per decision. The arithmetic and its
-// accumulation order are exactly SAWCosts', so results are bit-identical.
-func SAWCostsInto(dst, col []float64, attrs []Attribute, matrix [][]float64) ([]float64, error) {
 	n := len(matrix)
 	if n == 0 {
 		return nil, nil
@@ -101,7 +75,7 @@ func SAWCostsInto(dst, col []float64, attrs []Attribute, matrix [][]float64) ([]
 			return nil, fmt.Errorf("stats: SAWCosts: attribute %q has negative weight", a.Name)
 		}
 	}
-	costs := growFloats(dst, n)
+	costs := make([]float64, n)
 	// Two fused row-major passes instead of 3-4 strided column passes:
 	// pass 1 collects per-column raw sums and maxima, pass 2 prices each
 	// row in one sweep. The arithmetic stays bit-identical to the
@@ -110,8 +84,8 @@ func SAWCostsInto(dst, col []float64, attrs []Attribute, matrix [][]float64) ([]
 	// division by a positive sum is monotone in IEEE arithmetic, and each
 	// row's cost adds its weighted column terms in the same column order.
 	nc := len(attrs)
-	col = growFloats(col, 2*nc)
-	sums, maxs := col[:nc], col[nc:2*nc]
+	col := make([]float64, 2*nc)
+	sums, maxs := col[:nc], col[nc:]
 	copy(sums, matrix[0])
 	copy(maxs, matrix[0])
 	negative := false
@@ -167,23 +141,4 @@ func SAWCostsInto(dst, col []float64, attrs []Attribute, matrix [][]float64) ([]
 		costs[r] = cost
 	}
 	return costs, nil
-}
-
-// growFloats returns a length-n slice reusing s's backing array when it
-// is large enough.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// TotalWeight returns the sum of attribute weights (useful for validating
-// weight vectors that are expected to sum to 1).
-func TotalWeight(attrs []Attribute) float64 {
-	sum := 0.0
-	for _, a := range attrs {
-		sum += a.Weight
-	}
-	return sum
 }

@@ -160,41 +160,6 @@ func TestNormalizeSumProperties(t *testing.T) {
 	}
 }
 
-func TestComplementMax(t *testing.T) {
-	out := ComplementMax([]float64{1, 5, 3})
-	want := []float64{4, 0, 2}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("ComplementMax = %v, want %v", out, want)
-		}
-	}
-}
-
-// Property: ComplementMax reverses ordering and is non-negative.
-func TestComplementMaxProperties(t *testing.T) {
-	f := func(raw []uint16) bool {
-		vals := make([]float64, len(raw))
-		for i, r := range raw {
-			vals[i] = float64(r)
-		}
-		out := ComplementMax(vals)
-		for i, v := range out {
-			if v < 0 {
-				return false
-			}
-			for j := i + 1; j < len(out); j++ {
-				if (vals[i] < vals[j]) != (out[i] > out[j]) && vals[i] != vals[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSAWCostsPrefersBetterNode(t *testing.T) {
 	attrs := []Attribute{
 		{Name: "load", Weight: 0.7, Criterion: Minimize},
@@ -321,13 +286,6 @@ func TestMeanAndClamp(t *testing.T) {
 	}
 	if v := Clamp(2, 0, 3); v != 2 {
 		t.Fatalf("Clamp mid = %g", v)
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	attrs := []Attribute{{Weight: 0.3}, {Weight: 0.7}}
-	if w := TotalWeight(attrs); math.Abs(w-1) > 1e-12 {
-		t.Fatalf("TotalWeight = %g", w)
 	}
 }
 

@@ -33,8 +33,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenRecorder builds the fixture: two series with fixed timestamps
-// (including comma-bearing names that exercise CSV escaping) and a few
-// events out of emission order to exercise the export sort.
+// (including comma-bearing names that exercise CSV escaping).
 func goldenRecorder() *Recorder {
 	base := time.Date(2020, 3, 2, 8, 0, 0, 0, time.UTC)
 	r := NewRecorder()
@@ -43,9 +42,6 @@ func goldenRecorder() *Recorder {
 		r.Record("node0.cpu_load", "load", at, 0.5+0.25*float64(i))
 		r.Record("cluster,total", "procs", at, float64(4*i))
 	}
-	r.Emit(base.Add(25*time.Second), "job-launched", "chaos-job-0 on nodes [0,1]")
-	r.Emit(base.Add(5*time.Second), "daemon-crash", "nodestate/1")
-	r.Emit(base.Add(45*time.Second), "job-done", "chaos-job-0")
 	return r
 }
 
@@ -55,12 +51,4 @@ func TestWriteCSVGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "series.csv.golden", buf.Bytes())
-}
-
-func TestWriteEventsCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRecorder().WriteEventsCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "events.csv.golden", buf.Bytes())
 }

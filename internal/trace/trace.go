@@ -1,13 +1,12 @@
-// Package trace records named time series and discrete events from
-// simulation runs and exports them as CSV — the raw material behind the
-// paper's Figures 1 and 2 (two-day resource-usage traces) and for any
-// post-hoc analysis of experiment runs with external plotting tools.
+// Package trace records named time series from simulation runs and
+// exports them as CSV — the raw material behind the paper's Figures 1
+// and 2 (two-day resource-usage traces) and for any post-hoc analysis of
+// experiment runs with external plotting tools.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -24,31 +23,6 @@ type Series struct {
 	Name   string
 	Unit   string
 	Points []Point
-}
-
-// Downsample reduces the series to at most width points by
-// bucket-averaging (bucket timestamps are the bucket's first sample's).
-func (s *Series) Downsample(width int) *Series {
-	if width <= 0 || len(s.Points) <= width {
-		cp := *s
-		cp.Points = append([]Point(nil), s.Points...)
-		return &cp
-	}
-	out := &Series{Name: s.Name, Unit: s.Unit}
-	n := len(s.Points)
-	for b := 0; b < width; b++ {
-		lo := b * n / width
-		hi := (b + 1) * n / width
-		if hi <= lo {
-			hi = lo + 1
-		}
-		sum := 0.0
-		for _, p := range s.Points[lo:hi] {
-			sum += p.V
-		}
-		out.Points = append(out.Points, Point{T: s.Points[lo].T, V: sum / float64(hi-lo)})
-	}
-	return out
 }
 
 // Stats returns min, mean and max of the series (zeros when empty).
@@ -70,20 +44,11 @@ func (s *Series) Stats() (minV, mean, maxV float64) {
 	return minV, sum / float64(len(s.Points)), maxV
 }
 
-// Event is a discrete timestamped occurrence (job launched, daemon
-// crashed, ...).
-type Event struct {
-	T      time.Time
-	Kind   string
-	Detail string
-}
-
-// Recorder collects series and events. Safe for concurrent use.
+// Recorder collects series. Safe for concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
 	series map[string]*Series
 	order  []string
-	events []Event
 }
 
 // NewRecorder returns an empty recorder.
@@ -105,13 +70,6 @@ func (r *Recorder) Record(name, unit string, t time.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Emit appends an event.
-func (r *Recorder) Emit(t time.Time, kind, detail string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, Event{T: t, Kind: kind, Detail: detail})
-}
-
 // Series returns a copy of the named series, or nil.
 func (r *Recorder) Series(name string) *Series {
 	r.mu.Lock()
@@ -130,13 +88,6 @@ func (r *Recorder) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.order...)
-}
-
-// Events returns a copy of all events in emission order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
 }
 
 // WriteCSV exports every series in long form:
@@ -165,24 +116,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 				esc(name), esc(s.Unit), p.T.Format(time.RFC3339), p.T.Sub(start).Seconds(), p.V); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// WriteEventsCSV exports events as kind,timestamp,detail.
-func (r *Recorder) WriteEventsCSV(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, err := fmt.Fprintln(w, "kind,timestamp,detail"); err != nil {
-		return err
-	}
-	esc := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	evs := append([]Event(nil), r.events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T.Before(evs[j].T) })
-	for _, e := range evs {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s\n", esc(e.Kind), e.T.Format(time.RFC3339), esc(e.Detail)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -48,34 +48,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := &Series{Name: "x"}
-	for i := 0; i < 100; i++ {
-		s.Points = append(s.Points, Point{T: t0.Add(time.Duration(i) * time.Second), V: float64(i)})
-	}
-	d := s.Downsample(10)
-	if len(d.Points) != 10 {
-		t.Fatalf("downsampled to %d points", len(d.Points))
-	}
-	// First bucket averages 0..9 = 4.5.
-	if d.Points[0].V != 4.5 {
-		t.Fatalf("first bucket %g", d.Points[0].V)
-	}
-	// Downsampling preserves the overall mean.
-	_, origMean, _ := s.Stats()
-	_, dsMean, _ := d.Stats()
-	if origMean != dsMean {
-		t.Fatalf("mean changed %g -> %g", origMean, dsMean)
-	}
-	// No-op cases.
-	if got := s.Downsample(200); len(got.Points) != 100 {
-		t.Fatalf("upsample changed length: %d", len(got.Points))
-	}
-	if got := s.Downsample(0); len(got.Points) != 100 {
-		t.Fatalf("width 0 changed length: %d", len(got.Points))
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	r.Record("load", "", t0, 1.5)
@@ -96,26 +68,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestEvents(t *testing.T) {
-	r := NewRecorder()
-	r.Emit(t0.Add(time.Second), "job", "launched #2")
-	r.Emit(t0, "daemon", "crash, latencyd")
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events %v", evs)
-	}
-	var b strings.Builder
-	if err := r.WriteEventsCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	// Events are sorted by time in the CSV; the comma in the detail is
-	// escaped.
-	if !strings.HasPrefix(lines[1], "daemon,") || !strings.Contains(lines[1], "crash; latencyd") {
-		t.Fatalf("first event line %q", lines[1])
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRecorder()
 	var wg sync.WaitGroup
@@ -125,15 +77,11 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				r.Record("shared", "", t0.Add(time.Duration(i)*time.Millisecond), float64(i))
-				r.Emit(t0, "e", "x")
 			}
 		}(g)
 	}
 	wg.Wait()
 	if got := len(r.Series("shared").Points); got != 800 {
 		t.Fatalf("points %d", got)
-	}
-	if got := len(r.Events()); got != 800 {
-		t.Fatalf("events %d", got)
 	}
 }

@@ -367,25 +367,6 @@ func (w *World) LaunchJob(shape *mpisim.Shape, place mpisim.Placement, onDone fu
 	return id, nil
 }
 
-// JobRunning reports whether job id is still executing.
-func (w *World) JobRunning(id int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := slices.BinarySearchFunc(w.jobs, id, func(j *mpisim.Job, id int) int { return j.ID - id })
-	return ok
-}
-
-// RunningJobs returns the IDs of all executing jobs, ascending.
-func (w *World) RunningJobs() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ids := make([]int, len(w.jobs))
-	for i, j := range w.jobs {
-		ids[i] = j.ID
-	}
-	return ids
-}
-
 // Results returns the results of all finished jobs, in completion order.
 func (w *World) Results() []mpisim.Result {
 	w.mu.Lock()

@@ -11,6 +11,16 @@ import (
 
 var t0 = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// running reports whether job id is still executing in w.
+func running(w *World, id int) bool {
+	for _, j := range w.jobs {
+		if j.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 func testWorld(t *testing.T, seed uint64) *World {
 	t.Helper()
 	cl, err := cluster.BuildIITK()
@@ -121,18 +131,18 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.JobRunning(id) {
+	if !running(w, id) {
 		t.Fatal("job not running after launch")
 	}
-	if ids := w.RunningJobs(); len(ids) != 1 || ids[0] != id {
-		t.Fatalf("RunningJobs = %v", ids)
+	if len(w.jobs) != 1 {
+		t.Fatalf("%d running jobs, want 1", len(w.jobs))
 	}
 	now := t0
-	for i := 0; i < 10000 && w.JobRunning(id); i++ {
+	for i := 0; i < 10000 && running(w, id); i++ {
 		now = now.Add(100 * time.Millisecond)
 		w.StepTo(now)
 	}
-	if w.JobRunning(id) {
+	if running(w, id) {
 		t.Fatal("job never finished")
 	}
 	if !gotResult {
@@ -257,7 +267,7 @@ func TestTwoJobsInterfere(t *testing.T) {
 	var aloneTime time.Duration
 	idA, _ := w.LaunchJob(shape(), placeA, func(r mpisim.Result) { aloneTime = r.Elapsed })
 	now := t0
-	for w.JobRunning(idA) {
+	for running(w, idA) {
 		now = now.Add(100 * time.Millisecond)
 		w.StepTo(now)
 	}
@@ -266,7 +276,7 @@ func TestTwoJobsInterfere(t *testing.T) {
 	var contendedTime time.Duration
 	idB, _ := w.LaunchJob(shape(), placeA, func(r mpisim.Result) { contendedTime = r.Elapsed })
 	idC, _ := w.LaunchJob(shape(), placeB, nil)
-	for w.JobRunning(idB) {
+	for running(w, idB) {
 		now = now.Add(100 * time.Millisecond)
 		w.StepTo(now)
 	}
@@ -291,7 +301,7 @@ func TestNodeDownAbortsRunningJobs(t *testing.T) {
 	w.StepTo(t0.Add(time.Second))
 	// Kill one of the job's nodes.
 	w.SetNodeDown(1, true)
-	if w.JobRunning(id) {
+	if running(w, id) {
 		t.Fatal("job survived its node dying")
 	}
 	if !fired {
@@ -307,7 +317,7 @@ func TestNodeDownAbortsRunningJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetNodeDown(8, true)
-	if !w.JobRunning(id2) {
+	if !running(w, id2) {
 		t.Fatal("bystander job aborted by unrelated node failure")
 	}
 }
@@ -329,7 +339,7 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 			}
 		}
 		now := t0
-		for i := 0; i < 100000 && len(w.RunningJobs()) > 0; i++ {
+		for i := 0; i < 100000 && len(w.jobs) > 0; i++ {
 			now = now.Add(250 * time.Millisecond)
 			w.StepTo(now)
 		}
