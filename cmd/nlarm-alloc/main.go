@@ -12,27 +12,28 @@ import (
 	"nlarm/internal/broker"
 )
 
-func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:7077", "broker address")
-		procs   = flag.Int("np", 8, "total number of MPI processes")
-		ppn     = flag.Int("ppn", 0, "processes per node (0 = broker decides from Equation 3)")
-		alpha   = flag.Float64("alpha", 0, "compute-load weight (0 with beta=0 means 0.5/0.5)")
-		beta    = flag.Float64("beta", 0, "network-load weight")
-		policy  = flag.String("policy", "net-load-aware", "allocation policy (random, sequential, load-aware, net-load-aware)")
-		force   = flag.Bool("force", false, "allocate even when the broker recommends waiting")
-		explain = flag.Bool("explain", false, "also print every candidate sub-graph the heuristic considered")
-		list    = flag.Bool("policies", false, "list the broker's policies and exit")
+var (
+	addr    = flag.String("addr", "127.0.0.1:7077", "broker address")
+	procs   = flag.Int("np", 8, "total number of MPI processes")
+	ppn     = flag.Int("ppn", 0, "processes per node (0 = broker decides from Equation 3)")
+	alpha   = flag.Float64("alpha", 0, "compute-load weight (0 with beta=0 means 0.5/0.5)")
+	beta    = flag.Float64("beta", 0, "network-load weight")
+	policy  = flag.String("policy", "", "allocation policy (random, sequential, load-aware, net-load-aware; empty = the broker's default)")
+	force   = flag.Bool("force", false, "allocate even when the broker recommends waiting")
+	explain = flag.Bool("explain", false, "also print every candidate sub-graph the heuristic considered")
+	list    = flag.Bool("policies", false, "list the broker's policies and exit")
 
-		submit = flag.String("submit", "", "submit a job instead of allocating: app name (minimd or minife)")
-		size   = flag.Int("size", 16, "problem size for -submit (miniMD s / miniFE nx)")
-		iters  = flag.Int("iters", 0, "iteration count for -submit (0 = app default)")
-		name   = flag.String("name", "", "job name for -submit")
-		wall   = flag.Duration("walltime", 0, "estimated run time for -submit (0 = unknown; only estimated jobs can backfill)")
-		prio   = flag.Int("priority", 0, "queue priority for -submit (higher runs earlier, ties keep submission order)")
-		status = flag.Int("status", 0, "print the status of a submitted job ID and exit")
-		queue  = flag.Bool("queue", false, "print queue statistics and exit")
-	)
+	submit = flag.String("submit", "", "submit a job instead of allocating: app name (minimd, minife or stencil2d)")
+	size   = flag.Int("size", 16, "problem size for -submit (miniMD s / miniFE nx / stencil2d N)")
+	iters  = flag.Int("iters", 0, "iteration count for -submit (0 = app default)")
+	name   = flag.String("name", "", "job name for -submit")
+	wall   = flag.Duration("walltime", 0, "estimated run time for -submit (0 = unknown; only estimated jobs can backfill)")
+	prio   = flag.Int("priority", 0, "queue priority for -submit (higher runs earlier, ties keep submission order)")
+	status = flag.Int("status", 0, "print the status of a submitted job ID and exit")
+	queue  = flag.Bool("queue", false, "print queue statistics and exit")
+)
+
+func main() {
 	flag.Parse()
 
 	c, err := broker.Dial(*addr, 5*time.Second)

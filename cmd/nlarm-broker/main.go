@@ -38,8 +38,6 @@ func main() {
 		agingSec = flag.Duration("aging-bound", 30*time.Minute, "stop backfilling once any queued job has waited this long")
 		dumpMet  = flag.Bool("dump-metrics", false, "render the instrumentation registry to stdout on shutdown")
 		shardThr = flag.Int("shard-threshold", alloc.DefaultShardThreshold, "node count at and above which the hierarchical (sharded) cost model kicks in; <= 0 disables sharding")
-		shardSz  = flag.Int("shard-size", alloc.DefaultMaxShardSize, "maximum nodes per shard (switch shards larger than this are split)")
-		shardK   = flag.Int("shard-topk", alloc.DefaultShardTopK, "number of top-ranked shards the two-level Algorithm 1 searches densely")
 		inflight = flag.Int("max-inflight", 0, "outstanding batched requests allowed per connection before shedding (0 = default 1024, negative = unlimited)")
 		rate     = flag.Float64("tenant-rate", 0, "per-tenant sustained admission rate in requests/second (0 = no rate limit)")
 		depth    = flag.Int("queue-depth", 0, "per-tenant pending-queue bound; arrivals beyond it are shed (0 = default 1024)")
@@ -89,14 +87,10 @@ func main() {
 	// The sharded cost model is planned along the cluster's switch tree;
 	// below the threshold it is the exhaustive dense path bit for bit, so
 	// enabling it here is free at paper scale and saves the O(n²) wall at
-	// fleet scale.
-	shard := alloc.ShardOptions{
-		Threshold:    *shardThr,
-		MaxShardSize: *shardSz,
-		TopK:         *shardK,
-	}
+	// fleet scale. Shard size and top-k take alloc's defaults.
+	shard := alloc.ShardOptions{Threshold: *shardThr}
 	if *shardThr > 0 {
-		shard.Plan = alloc.NewShardPlan(cl.Topo.Shards(*shardSz), "topology")
+		shard.Plan = alloc.NewShardPlan(cl.Topo.Shards(alloc.DefaultMaxShardSize), "topology")
 	}
 	b := broker.New(vst, rt, broker.Config{Seed: *seed, Obs: reg, Shard: shard, CounterfactualK: *cfK})
 	// The reserving wrapper closes the monitoring lag for back-to-back

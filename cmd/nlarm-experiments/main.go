@@ -44,22 +44,15 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf PRs)")
 		memProf = flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
 
-		simJobs  = flag.Int("sim-jobs", 100000, "sim: total jobs to generate")
-		simNodes = flag.Int("sim-nodes", 1024, "sim: cluster size in nodes")
-		simUtil  = flag.Float64("sim-util", 0.65, "sim: target offered load (0-1) for the canned workload")
+		simJobs   = flag.Int("sim-jobs", 100000, "sim: total jobs to generate")
+		simNodes  = flag.Int("sim-nodes", 1024, "sim: cluster size in nodes")
+		simUtil   = flag.Float64("sim-util", 0.65, "sim: target offered load (0-1) for the canned workload")
 		simSpec   = flag.String("sim-spec", "", "sim: JSON workload spec file (overrides -sim-jobs/-sim-util sizing)")
 		simTrace  = flag.String("sim-trace", "", "sim: write the job trace (replayable with nlarm-replay -trace) to this file")
 		simPolicy = flag.Bool("sim-policy", false, "sim/sweep: run at policy fidelity (per-job placement over one live cost model)")
 
 		sweepSeeds   = flag.Int("sweep-seeds", 8, "sweep: number of consecutive seeds starting at -seed")
 		sweepWorkers = flag.Int("sweep-workers", 0, "sweep/tuning: RunMany worker bound (0 = GOMAXPROCS)")
-
-		tuneJobs      = flag.Int("tune-jobs", 0, "tuning: jobs per scenario run (0 = package default)")
-		tuneNodes     = flag.Int("tune-nodes", 0, "tuning: cluster size per scenario run (0 = package default)")
-		tunePop       = flag.Int("tune-pop", 0, "tuning: evolutionary population size (0 = package default)")
-		tuneGens      = flag.Int("tune-gens", 0, "tuning: evolutionary generations (0 = package default)")
-		tuneK         = flag.Int("tune-k", 0, "tuning: counterfactual candidates retained per decision (0 = default)")
-		tuneDecisions = flag.Int("tune-decisions", 0, "tuning: live broker decisions in the regret trace (0 = default)")
 	)
 	flag.Parse()
 	if !slices.Contains(artifacts, *run) {
@@ -280,14 +273,8 @@ func main() {
 
 	if want("tuning") {
 		cfg := harness.TuningConfig{
-			Seed:            *seed,
-			RegretDecisions: *tuneDecisions,
-			CounterfactualK: *tuneK,
-			Nodes:           *tuneNodes,
-			Jobs:            *tuneJobs,
-			Population:      *tunePop,
-			Generations:     *tuneGens,
-			Workers:         *sweepWorkers,
+			Seed:    *seed,
+			Workers: *sweepWorkers,
 		}
 		if *quick {
 			cfg.RegretDecisions, cfg.Nodes, cfg.Jobs = 10, 64, 1200

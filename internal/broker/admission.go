@@ -55,11 +55,6 @@ type AdmissionConfig struct {
 	// QueueDepth bounds each tenant's pending queue; arrivals beyond it
 	// are shed. Default 1024.
 	QueueDepth int
-	// Weights sets per-tenant weighted-round-robin dequeue weights
-	// (default 1 each): a tenant with weight 2 drains two requests per
-	// scheduling turn for every one of a weight-1 tenant, whenever both
-	// have work queued.
-	Weights map[string]int
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -104,20 +99,19 @@ type tenantState struct {
 	name   string
 	tokens float64
 	last   time.Time
-	weight int
 	queue  []*pendingItem
 }
 
-// admission is the token-bucket + weighted-round-robin front of the
-// batcher. It has no lock of its own: every method must be called with
-// the owning Batcher's mutex held, which keeps the bucket refill, the
-// queue bounds, and the WRR cursor consistent with the batcher's
-// dispatch state.
+// admission is the token-bucket + round-robin front of the batcher. It
+// has no lock of its own: every method must be called with the owning
+// Batcher's mutex held, which keeps the bucket refill, the queue bounds,
+// and the round-robin cursor consistent with the batcher's dispatch
+// state.
 type admission struct {
 	cfg     AdmissionConfig
 	tenants map[string]*tenantState
-	order   []string // sorted tenant names: deterministic WRR sweep order
-	cursor  int      // WRR position in order, persists across dequeues
+	order   []string // sorted tenant names: deterministic sweep order
+	cursor  int      // round-robin position in order, persists across dequeues
 	depth   int      // total queued items across tenants
 }
 
@@ -130,11 +124,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 func (a *admission) state(tenant string, now time.Time) *tenantState {
 	ts, ok := a.tenants[tenant]
 	if !ok {
-		weight := 1
-		if w, ok := a.cfg.Weights[tenant]; ok && w > 0 {
-			weight = w
-		}
-		ts = &tenantState{name: tenant, tokens: float64(a.cfg.TenantBurst), last: now, weight: weight}
+		ts = &tenantState{name: tenant, tokens: float64(a.cfg.TenantBurst), last: now}
 		a.tenants[tenant] = ts
 		i := sort.SearchStrings(a.order, tenant)
 		a.order = append(a.order, "")
@@ -185,11 +175,11 @@ func (a *admission) admit(item *pendingItem, now time.Time) *ShedError {
 	return nil
 }
 
-// dequeue removes up to max items in weighted round-robin order across
-// tenant queues: each sweep visits tenants in sorted-name order starting
-// at the persistent cursor, taking up to weight items per tenant per
-// sweep, so two equal-weight tenants with backlogs split a batch evenly
-// no matter how lopsided their offered load is.
+// dequeue removes up to max items in round-robin order across tenant
+// queues: each sweep visits tenants in sorted-name order starting at the
+// persistent cursor, taking one item per tenant per sweep, so two
+// tenants with backlogs split a batch evenly no matter how lopsided
+// their offered load is.
 func (a *admission) dequeue(max int) []*pendingItem {
 	if max <= 0 || a.depth == 0 {
 		return nil
@@ -204,17 +194,16 @@ func (a *admission) dequeue(max int) []*pendingItem {
 			name := a.order[a.cursor%len(a.order)]
 			a.cursor = (a.cursor + 1) % len(a.order)
 			ts := a.tenants[name]
-			take := ts.weight
-			for take > 0 && len(ts.queue) > 0 && len(out) < max {
-				item := ts.queue[0]
-				copy(ts.queue, ts.queue[1:])
-				ts.queue[len(ts.queue)-1] = nil
-				ts.queue = ts.queue[:len(ts.queue)-1]
-				out = append(out, item)
-				a.depth--
-				take--
-				progressed = true
+			if len(ts.queue) == 0 {
+				continue
 			}
+			item := ts.queue[0]
+			copy(ts.queue, ts.queue[1:])
+			ts.queue[len(ts.queue)-1] = nil
+			ts.queue = ts.queue[:len(ts.queue)-1]
+			out = append(out, item)
+			a.depth--
+			progressed = true
 		}
 		if !progressed {
 			break

@@ -26,9 +26,9 @@ func jain(xs ...float64) float64 {
 }
 
 // TestFairnessJainIndex is the headline fairness property: a hog tenant
-// offering 10x the load of a meek tenant, both with equal weights, must
-// not crowd the meek tenant out. Whenever both have work queued, the
-// weighted round robin splits each batch evenly, so served throughput
+// offering 10x the load of a meek tenant must not crowd the meek tenant
+// out. Whenever both have work queued, the round robin splits each
+// batch evenly, so served throughput
 // lands within epsilon of half/half (Jain index >= 0.95) across seeds
 // and arrival orders.
 func TestFairnessJainIndex(t *testing.T) {
@@ -38,7 +38,7 @@ func TestFairnessJainIndex(t *testing.T) {
 			r := newRig(t, seed, loadgen.Config{})
 			bt := NewBatcher(r.b, nil, BatcherOptions{
 				MaxBatch: 4,
-				// No rate limit: fairness must come from the WRR dequeue
+				// No rate limit: fairness must come from the round-robin dequeue
 				// alone. The bounded queue sheds the hog's excess backlog.
 				Admission: AdmissionConfig{QueueDepth: 8},
 			})
@@ -104,43 +104,6 @@ func TestFairnessJainIndex(t *testing.T) {
 	}
 }
 
-// TestFairnessWeighted checks the weighted variant: with both tenants
-// saturating their queues and weights 3:1, served throughput divides
-// 3:1 (within epsilon), not evenly.
-func TestFairnessWeighted(t *testing.T) {
-	r := newRig(t, 12, loadgen.Config{})
-	bt := NewBatcher(r.b, nil, BatcherOptions{
-		MaxBatch: 4,
-		Admission: AdmissionConfig{
-			QueueDepth: 16,
-			Weights:    map[string]int{"gold": 3, "bronze": 1},
-		},
-	})
-	served := map[string]int{}
-	record := func(tenant string) func(Response, error) {
-		return func(_ Response, err error) {
-			if err == nil {
-				served[tenant]++
-			}
-		}
-	}
-	req := Request{Procs: 4, PPN: 4}
-	for round := 0; round < 40; round++ {
-		for i := 0; i < 10; i++ {
-			_ = bt.EnqueueAllocate("gold", req, record("gold"))
-			_ = bt.EnqueueAllocate("bronze", req, record("bronze"))
-		}
-		bt.Flush()
-	}
-	gold, bronze := float64(served["gold"]), float64(served["bronze"])
-	if bronze == 0 {
-		t.Fatal("bronze tenant starved outright")
-	}
-	if ratio := gold / bronze; ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("gold:bronze served ratio %.2f, want ~3 (gold %v, bronze %v)", ratio, gold, bronze)
-	}
-}
-
 // TestShedQueueFull pins the queue-depth bound: with rate limiting off,
 // the (depth+1)-th pending request for a tenant sheds with reason
 // "queue-full" and a positive retry hint, while another tenant's queue
@@ -194,13 +157,13 @@ func TestShedErrorMatching(t *testing.T) {
 	}
 }
 
-// TestWRRDeterministic: the weighted-round-robin dequeue is a pure
-// function of the arrival sequence — two admissions fed identically
-// drain identically, which the batched/sequential equivalence property
-// quietly depends on.
+// TestWRRDeterministic: the round-robin dequeue is a pure function of
+// the arrival sequence — two admissions fed identically drain
+// identically, which the batched/sequential equivalence property quietly
+// depends on.
 func TestWRRDeterministic(t *testing.T) {
 	build := func() *admission {
-		a := newAdmission(AdmissionConfig{QueueDepth: 64, Weights: map[string]int{"b": 2}})
+		a := newAdmission(AdmissionConfig{QueueDepth: 64})
 		now := time.Unix(1000, 0)
 		for i := 0; i < 30; i++ {
 			tenant := []string{"c", "a", "b"}[i%3]
@@ -230,18 +193,10 @@ func TestWRRDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("dequeue order not deterministic:\n%v\n%v", first, second)
 	}
-	// Weight 2 means "b" items appear twice as densely early on: within
-	// the first sweep of 7, b must contribute 2 items to a's and c's 1.
-	perTenant := map[int]string{}
-	for i := 0; i < 30; i++ {
-		perTenant[i] = []string{"c", "a", "b"}[i%3]
-	}
-	counts := map[string]int{}
-	for _, p := range first[:4] {
-		counts[perTenant[p]]++
-	}
-	if counts["b"] != 2 || counts["a"] != 1 || counts["c"] != 1 {
-		t.Fatalf("first WRR sweep took %v, want b=2 a=1 c=1", counts)
+	// One item per tenant per sweep, tenants in sorted-name order: the
+	// first sweep takes a's, b's and c's oldest items (arrivals 1, 2, 0).
+	if want := []int{1, 2, 0}; !reflect.DeepEqual(first[:3], want) {
+		t.Fatalf("first round-robin sweep took %v, want %v", first[:3], want)
 	}
 }
 
@@ -255,11 +210,11 @@ func TestBurstDefaultRounding(t *testing.T) {
 		rate  float64
 		burst int
 	}{
-		{0, 1},       // no rate limit still gets a 1-token bucket
-		{0.25, 1},    // sub-1 rates keep the floor
-		{1, 1},       // exact integers are untouched
-		{1.0005, 2},  // just-above-integer rates round up, not down
-		{2.5, 3},     // plain fractional
+		{0, 1},      // no rate limit still gets a 1-token bucket
+		{0.25, 1},   // sub-1 rates keep the floor
+		{1, 1},      // exact integers are untouched
+		{1.0005, 2}, // just-above-integer rates round up, not down
+		{2.5, 3},    // plain fractional
 		{1000.25, 1001},
 	}
 	for _, c := range cases {

@@ -23,8 +23,8 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 // cost-model fetch amortized across the batch, sequential in-batch
 // application so stateful policies and Equation-3 reservations stay
 // consistent). Requests pass per-tenant token-bucket admission on entry
-// and are dequeued weighted-round-robin across tenants, so one hot
-// tenant cannot starve the rest; rejected requests get an explicit
+// and are dequeued round-robin across tenants, so one hot tenant cannot
+// starve the rest; rejected requests get an explicit
 // *ShedError with a retry hint instead of silently queuing forever.
 //
 // A Batcher is driven either by Start (a dispatcher goroutine, what the
@@ -86,14 +86,21 @@ func (bt *Batcher) enqueue(item *pendingItem) error {
 	obs := bt.b.obs
 	obs.Gauge("broker.admit.queue.depth").Set(float64(depth))
 	if shed != nil {
-		obs.Counter("broker.admit.shed.total").Inc()
-		obs.Counter("broker.admit.shed." + shed.Reason).Inc()
-		obs.Counter("broker.admit.shed.tenant." + tenantLabel(item.tenant)).Inc()
+		bt.b.countShed(shed)
 		return shed
 	}
 	obs.Counter("broker.admit.admitted.total").Inc()
 	bt.cond.Signal()
 	return nil
+}
+
+// countShed books one admission rejection: in total, by reason and by
+// tenant, so the per-reason and the per-tenant counters each sum to the
+// total.
+func (b *Broker) countShed(shed *ShedError) {
+	b.obs.Counter("broker.admit.shed.total").Inc()
+	b.obs.Counter("broker.admit.shed." + shed.Reason).Inc()
+	b.obs.Counter("broker.admit.shed.tenant." + tenantLabel(shed.Tenant)).Inc()
 }
 
 // QueueDepth reports the total number of queued requests (diagnostic).
@@ -149,7 +156,7 @@ func (bt *Batcher) Flush() int {
 	obs.Histogram("broker.batch.size", 1, 2, 4, 8, 16, 32, 64, 128, 256, 512).Observe(float64(len(items)))
 
 	// One snapshot generation for the whole batch: allocates are priced
-	// in admission (WRR) order against it. Submits only hand the job to
+	// in admission (round-robin) order against it. Submits only hand the job to
 	// the manager here — their allocation happens at launch time — so
 	// applying them after the batch's allocates does not change any
 	// pricing, and keeps the allocate path a single tight loop.

@@ -16,29 +16,11 @@ import (
 // a closed client.
 var errClientClosed = errors.New("broker: connection closed")
 
-// ClientOptions tunes a broker connection.
-type ClientOptions struct {
-	// Timeout bounds the dial. Default 5 seconds.
-	Timeout time.Duration
-	// Tenant labels every request for admission control. Empty is the
-	// default tenant.
-	Tenant string
-	// MaxInflight caps this connection's concurrently outstanding
-	// requests; further calls block until a slot frees. Default 256.
-	// Keep it at or below the server's per-connection MaxInflight or the
-	// server sheds the excess.
-	MaxInflight int
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Timeout == 0 {
-		o.Timeout = 5 * time.Second
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 256
-	}
-	return o
-}
+// clientMaxInflight caps one connection's concurrently outstanding
+// requests; further calls block until a slot frees. It sits under the
+// server's default per-connection MaxInflight (1024), past which the
+// server sheds the excess.
+const clientMaxInflight = 256
 
 // Client talks to a broker Server over one pipelined connection. It is
 // safe for concurrent use: every request carries a unique ID, writes are
@@ -49,9 +31,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // safe but allowed exactly one request per round trip; interleaving
 // without IDs would have mismatched responses under concurrency.)
 type Client struct {
-	conn   net.Conn
-	tenant string
-	sem    chan struct{} // in-flight slots
+	conn net.Conn
+	sem  chan struct{} // in-flight slots
 
 	mu      sync.Mutex
 	enc     *json.Encoder
@@ -63,22 +44,15 @@ type Client struct {
 	readerDone chan struct{}
 }
 
-// Dial connects to a broker server at addr.
+// Dial connects to a broker server at addr; timeout bounds the dial.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialOpts(addr, ClientOptions{Timeout: timeout})
-}
-
-// DialOpts connects with explicit options (tenant label, in-flight cap).
-func DialOpts(addr string, opts ClientOptions) (*Client, error) {
-	opts = opts.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, opts.Timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("broker: dial %s: %w", addr, err)
 	}
 	c := &Client{
 		conn:       conn,
-		tenant:     opts.Tenant,
-		sem:        make(chan struct{}, opts.MaxInflight),
+		sem:        make(chan struct{}, clientMaxInflight),
 		enc:        json.NewEncoder(conn),
 		pending:    make(map[uint64]chan wireResponse),
 		readerDone: make(chan struct{}),
@@ -157,9 +131,6 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	c.nextID++
 	id := c.nextID
 	req.ID = id
-	if req.Tenant == "" {
-		req.Tenant = c.tenant
-	}
 	c.pending[id] = ch
 	// Encoding under the lock serializes concurrent writers onto the
 	// socket; the reader never takes this lock while delivering, so

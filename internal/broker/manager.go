@@ -8,9 +8,9 @@ import "time"
 type SubmitRequest struct {
 	// Name labels the job.
 	Name string `json:"name"`
-	// App is "minimd" or "minife".
+	// App is "minimd", "minife" or "stencil2d".
 	App string `json:"app"`
-	// Size is miniMD's s or miniFE's nx.
+	// Size is miniMD's s, miniFE's nx or stencil2d's N.
 	Size int `json:"size"`
 	// Iterations overrides the app's default iteration count.
 	Iterations int `json:"iterations,omitempty"`

@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,7 +96,7 @@ func TestClientPipelinesConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	bt := srv.Batcher()
+	bt := srv.batcher
 
 	c, err := Dial(srv.Addr(), time.Second)
 	if err != nil {
@@ -152,5 +155,61 @@ func TestClientShedCrossesWire(t *testing.T) {
 	}
 	if shedTotal := r.b.Obs().Counter("broker.admit.shed.total").Value(); shedTotal != 1 {
 		t.Fatalf("server shed %d requests, want 1", shedTotal)
+	}
+}
+
+// TestInflightShedCountedPerTenant: an "inflight" shed is booked like
+// every other shed — in total, by reason and by tenant — so the per-tenant
+// shed counters sum to broker.admit.shed.total over the wire too. With
+// no dispatcher the first pipelined allocate stays queued (in flight)
+// and the second, read off the same connection right behind it,
+// overruns MaxInflight 1.
+func TestInflightShedCountedPerTenant(t *testing.T) {
+	r := newRig(t, 45, loadgen.Config{})
+	srv, err := newServer(r.b, nil, "127.0.0.1:0", ServerOptions{MaxInflight: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	for id := uint64(1); id <= 2; id++ {
+		req := wireRequest{ID: id, Tenant: "t", Action: "allocate", Request: Request{Procs: 4, Force: true}}
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var shed wireResponse
+	if err := dec.Decode(&shed); err != nil {
+		t.Fatal(err)
+	}
+	if shed.ID != 2 || !shed.Shed || shed.ShedReason != "inflight" {
+		t.Fatalf("first answer %+v, want request 2 shed for inflight", shed)
+	}
+	var byTenant uint64
+	counters := r.b.Obs().Snapshot().Counters
+	for name, v := range counters {
+		if strings.HasPrefix(name, "broker.admit.shed.tenant.") {
+			byTenant += v
+		}
+	}
+	total := counters["broker.admit.shed.total"]
+	if total != 1 || counters["broker.admit.shed.inflight"] != 1 || counters["broker.admit.shed.tenant.t"] != 1 || byTenant != total {
+		t.Fatalf("shed books: total=%d inflight=%d tenant.t=%d sum(tenant.*)=%d, want 1 each",
+			total, counters["broker.admit.shed.inflight"], counters["broker.admit.shed.tenant.t"], byTenant)
+	}
+	if served := srv.batcher.Flush(); served != 1 {
+		t.Fatalf("flush served %d, want the one queued request", served)
+	}
+	var ok wireResponse
+	if err := dec.Decode(&ok); err != nil {
+		t.Fatal(err)
+	}
+	if ok.ID != 1 || !ok.OK {
+		t.Fatalf("queued request answered %+v", ok)
 	}
 }

@@ -97,13 +97,14 @@ type ServerOptions struct {
 	// excess requests are shed with reason "inflight". 0 means the
 	// default 1024; negative disables the cap.
 	MaxInflight int
-	// WriteTimeout bounds every response write. Without it a client that
-	// stops reading would eventually block a batch flush on its full TCP
-	// send buffer — pinning the dispatcher the way stalled readers once
-	// pinned serving goroutines. On expiry the connection is closed and
-	// the batch moves on. Default 1 minute; negative disables.
-	WriteTimeout time.Duration
 }
+
+// writeTimeout bounds every response write. Without it a client that
+// stops reading would eventually block a batch flush on its full TCP
+// send buffer — pinning the dispatcher the way stalled readers once
+// pinned serving goroutines. On expiry the connection is closed and the
+// batch moves on.
+const writeTimeout = time.Minute
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.ReadTimeout == 0 {
@@ -115,9 +116,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.MaxInflight == 0 {
 		o.MaxInflight = 1024
 	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = time.Minute
-	}
 	return o
 }
 
@@ -128,7 +126,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // per connection per batch).
 type connWriter struct {
 	conn     net.Conn
-	timeout  time.Duration
 	mu       sync.Mutex
 	bw       *bufio.Writer
 	enc      *json.Encoder
@@ -141,18 +138,16 @@ type connWriter struct {
 	idle chan struct{}
 }
 
-func newConnWriter(conn net.Conn, timeout time.Duration) *connWriter {
+func newConnWriter(conn net.Conn) *connWriter {
 	bw := bufio.NewWriterSize(conn, 32*1024)
-	return &connWriter{conn: conn, timeout: timeout, bw: bw, enc: json.NewEncoder(bw), idle: make(chan struct{}, 1)}
+	return &connWriter{conn: conn, bw: bw, enc: json.NewEncoder(bw), idle: make(chan struct{}, 1)}
 }
 
 // arm sets the write deadline ahead of a socket-touching operation; a
 // full bufio.Writer can flush (and therefore block) inside Encode, so
 // encode arms too. Must hold mu.
 func (cw *connWriter) arm() {
-	if cw.timeout > 0 {
-		_ = cw.conn.SetWriteDeadline(time.Now().Add(cw.timeout))
-	}
+	_ = cw.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 }
 
 // finish records a write failure and closes the connection so the
@@ -210,17 +205,13 @@ func (cw *connWriter) send(resp wireResponse) error {
 // the answers to a peer that may have closed only its write side.
 func (cw *connWriter) drain() {
 	cw.eof.Store(true)
-	var bound <-chan time.Time
-	if cw.timeout > 0 {
-		t := time.NewTimer(cw.timeout)
-		defer t.Stop()
-		bound = t.C
-	}
+	bound := time.NewTimer(writeTimeout)
+	defer bound.Stop()
 wait:
 	for cw.inflight.Load() > 0 {
 		select {
 		case <-cw.idle:
-		case <-bound:
+		case <-bound.C:
 			break wait
 		}
 	}
@@ -286,10 +277,6 @@ func newServer(b *Broker, mgr Manager, addr string, opts ServerOptions, dispatch
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Batcher returns the server's batched front door (diagnostic/test
-// access to queue depth).
-func (s *Server) Batcher() *Batcher { return s.batcher }
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -344,7 +331,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		bufCap = s.opts.MaxLineBytes
 	}
 	scanner.Buffer(make([]byte, 0, bufCap), s.opts.MaxLineBytes)
-	cw := newConnWriter(conn, s.opts.WriteTimeout)
+	cw := newConnWriter(conn)
 	for {
 		if s.opts.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
@@ -393,11 +380,9 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) dispatchBatched(cw *connWriter, req wireRequest) {
 	id := req.ID
 	if s.opts.MaxInflight > 0 && cw.inflight.Load() >= int64(s.opts.MaxInflight) {
-		s.b.obs.Counter("broker.admit.shed.total").Inc()
-		s.b.obs.Counter("broker.admit.shed.inflight").Inc()
-		_ = cw.send(shedResponse(id, &ShedError{
-			Tenant: req.Tenant, RetryAfter: 10 * time.Millisecond, Reason: "inflight",
-		}))
+		shed := &ShedError{Tenant: req.Tenant, RetryAfter: 10 * time.Millisecond, Reason: "inflight"}
+		s.b.countShed(shed)
+		_ = cw.send(shedResponse(id, shed))
 		return
 	}
 	cw.inflight.Add(1)

@@ -17,8 +17,6 @@ import (
 // staleness (how much a slower BandwidthD hurts allocation quality).
 type AblationConfig struct {
 	Seed uint64
-	// Procs/Size/PPN select the miniMD configuration under test.
-	Procs, Size, PPN int
 	// Iterations overrides miniMD's step count (0 = default 100).
 	Iterations int
 	// Repeats is the number of runs averaged per point.
@@ -29,13 +27,15 @@ type AblationConfig struct {
 	BandwidthPeriods []time.Duration
 }
 
+// The miniMD configuration under ablation: the paper's §5.3 case study.
+const ablationProcs, ablationSize, ablationPPN = 32, 16, 4
+
 // DefaultAblationConfig returns the standard ablation: the paper's §5.3
 // case study (miniMD, 32 procs, s=16) under five β values and three
 // monitor cadences.
 func DefaultAblationConfig(seed uint64) AblationConfig {
 	return AblationConfig{
-		Seed:  seed,
-		Procs: 32, Size: 16, PPN: 4,
+		Seed:    seed,
 		Repeats: 3,
 		Betas:   []float64{0, 0.25, 0.5, 0.75, 1},
 		BandwidthPeriods: []time.Duration{
@@ -78,12 +78,12 @@ func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, useForecast boo
 	var times []float64
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
-			Procs: cfg.Procs, PPN: cfg.PPN, Alpha: alpha, Beta: beta, UseForecast: useForecast,
+			Procs: ablationProcs, PPN: ablationPPN, Alpha: alpha, Beta: beta, UseForecast: useForecast,
 		}, r.Split())
 		if err != nil {
 			return nil, err
 		}
-		shape, err := apps.MiniMD(apps.MiniMDParams{S: cfg.Size, Steps: cfg.Iterations}, cfg.Procs)
+		shape, err := apps.MiniMD(apps.MiniMDParams{S: ablationSize, Steps: cfg.Iterations}, ablationProcs)
 		if err != nil {
 			return nil, err
 		}
@@ -99,9 +99,6 @@ func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, useForecast boo
 
 // RunAblation executes both ablations and returns the data.
 func RunAblation(cfg AblationConfig) (*AblationData, error) {
-	if cfg.PPN == 0 {
-		cfg.PPN = 4
-	}
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 3
 	}
@@ -175,7 +172,7 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 // FormatAblation renders the ablation tables.
 func FormatAblation(d *AblationData) string {
 	t1 := Table{
-		Title:  fmt.Sprintf("Ablation — β sweep (miniMD, %d procs, s=%d; β=0 is the pure load-aware limit)", d.Cfg.Procs, d.Cfg.Size),
+		Title:  fmt.Sprintf("Ablation — β sweep (miniMD, %d procs, s=%d; β=0 is the pure load-aware limit)", ablationProcs, ablationSize),
 		Header: []string{"beta", "mean time (s)", "CoV"},
 	}
 	for _, p := range d.BetaSweep {

@@ -23,9 +23,6 @@ type BackfillConfig struct {
 	// Shorts is the number of short jobs queued behind the head
 	// (default 8).
 	Shorts int
-	// AgingBound caps how long backfill may overtake a queued job
-	// (default: the queue's default, 30m).
-	AgingBound time.Duration
 }
 
 // BackfillModeResult summarizes one queue discipline.
@@ -119,7 +116,6 @@ func runBackfillMode(cfg BackfillConfig, backfill bool) (*BackfillModeResult, er
 	q := jobqueue.New(s.Broker, s.Sched, jobqueue.Config{
 		RetryPeriod: 10 * time.Second,
 		Backfill:    backfill,
-		AgingBound:  cfg.AgingBound,
 		Reserve:     rp,
 	})
 	if err := q.Start(); err != nil {

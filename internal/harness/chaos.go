@@ -28,11 +28,14 @@ type ChaosConfig struct {
 	Seed uint64
 	// Windows is the number of one-fault windows (default 10).
 	Windows int
-	// Window is the window length (default 1 minute). Must comfortably
-	// exceed the slowest daemon's staleness threshold plus a supervision
-	// period, or relaunch accounting checks will flag false violations.
-	Window time.Duration
 }
+
+// chaosWindow is the length of one fault window; RunChaos's per-window
+// check offsets (+25s, +35s, +59s) are laid out inside it. It must
+// comfortably exceed the slowest daemon's staleness threshold plus a
+// supervision period, or relaunch accounting checks will flag false
+// violations.
+const chaosWindow = time.Minute
 
 // ChaosCheck is one invariant evaluation during the run.
 type ChaosCheck struct {
@@ -231,9 +234,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Windows <= 0 {
 		cfg.Windows = 10
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
 	report := &ChaosReport{Seed: cfg.Seed}
 
 	// Partitions are scheduled explicitly below; the store's own faults
@@ -274,7 +274,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rnd := rng.New(cfg.Seed)
 	events := chaos.Schedule(rnd, chaos.ScheduleConfig{
 		Windows: cfg.Windows,
-		Window:  cfg.Window,
+		Window:  chaosWindow,
 		Workers: workers,
 		// Only snapshot-feeding prefixes: partitioning either one forces
 		// the broker onto its degraded path. Heartbeats are never

@@ -36,8 +36,6 @@ type CompareConfig struct {
 	MakeShape func() (*mpisim.Shape, error)
 	// Request is the allocation request used by all policies.
 	Request alloc.Request
-	// Policies to compare; nil means alloc.PaperPolicies.
-	Policies []alloc.Policy
 	// Repeats is the number of rounds; 0 means 5.
 	Repeats int
 	// Spacing is virtual idle time between consecutive runs; 0 means 30s.
@@ -50,10 +48,6 @@ type CompareConfig struct {
 func (s *Session) Compare(cfg CompareConfig) ([]Trial, error) {
 	if cfg.MakeShape == nil {
 		return nil, fmt.Errorf("harness: Compare needs MakeShape")
-	}
-	policies := cfg.Policies
-	if policies == nil {
-		policies = alloc.PaperPolicies()
 	}
 	repeats := cfg.Repeats
 	if repeats == 0 {
@@ -71,7 +65,7 @@ func (s *Session) Compare(cfg CompareConfig) ([]Trial, error) {
 
 	var trials []Trial
 	for round := 0; round < repeats; round++ {
-		for _, pol := range policies {
+		for _, pol := range alloc.PaperPolicies() {
 			snap, a, err := s.allocate(pol, cfg.Request, r.Split())
 			if err != nil {
 				return nil, fmt.Errorf("harness: round %d policy %s: %w", round, pol.Name(), err)

@@ -21,17 +21,19 @@ type CoScheduleConfig struct {
 	Seed uint64
 	// Jobs is the number of concurrently-submitted jobs (default 4).
 	Jobs int
-	// Procs/PPN/Size select each job's miniMD configuration (defaults
-	// 16/4/16 — four 4-node jobs fit the 60-node cluster comfortably).
-	Procs, PPN, Size int
 	// Iterations overrides miniMD's step count.
 	Iterations int
 	// Repeats averages the whole batch this many times (default 3).
 	Repeats int
-	// SubmitGap is the virtual time between submissions (default 5s) —
-	// enough for NodeStateD to see the previous job's ranks.
-	SubmitGap time.Duration
 }
+
+// Each job's miniMD configuration: four 4-node jobs fit the 60-node
+// cluster comfortably.
+const coschedProcs, coschedPPN, coschedSize = 16, 4, 16
+
+// coschedSubmitGap is the virtual time between submissions — enough for
+// NodeStateD to see the previous job's ranks.
+const coschedSubmitGap = 5 * time.Second
 
 // CoScheduleResult summarizes the experiment.
 type CoScheduleResult struct {
@@ -51,20 +53,8 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 	if cfg.Jobs == 0 {
 		cfg.Jobs = 4
 	}
-	if cfg.Procs == 0 {
-		cfg.Procs = 16
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 4
-	}
-	if cfg.Size == 0 {
-		cfg.Size = 16
-	}
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 3
-	}
-	if cfg.SubmitGap == 0 {
-		cfg.SubmitGap = 5 * time.Second
 	}
 	s, err := NewSession(SessionConfig{Seed: cfg.Seed})
 	if err != nil {
@@ -99,12 +89,12 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 			// monitor's view including the previously launched jobs.
 			for j := 0; j < cfg.Jobs; j++ {
 				_, a, err := s.allocate(pol, alloc.Request{
-					Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7,
+					Procs: coschedProcs, PPN: coschedPPN, Alpha: 0.3, Beta: 0.7,
 				}, r.Split())
 				if err != nil {
 					return nil, fmt.Errorf("harness: cosched %s job %d: %w", pol.Name(), j, err)
 				}
-				shape, err := apps.MiniMD(apps.MiniMDParams{S: cfg.Size, Steps: cfg.Iterations}, cfg.Procs)
+				shape, err := apps.MiniMD(apps.MiniMDParams{S: coschedSize, Steps: cfg.Iterations}, coschedProcs)
 				if err != nil {
 					return nil, err
 				}
@@ -116,7 +106,7 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 				}); err != nil {
 					return nil, err
 				}
-				s.Advance(cfg.SubmitGap)
+				s.Advance(coschedSubmitGap)
 			}
 			// Count node-sharing collisions among the concurrent batch.
 			for a := 0; a < cfg.Jobs; a++ {
@@ -171,7 +161,7 @@ func shareNode(a, b []int) bool {
 func FormatCoSchedule(r *CoScheduleResult) string {
 	t := Table{
 		Title: fmt.Sprintf("Co-scheduling — %d concurrent miniMD jobs (%d procs each, mean of %d batches)",
-			r.Cfg.Jobs, r.Cfg.Procs, r.Cfg.Repeats),
+			r.Cfg.Jobs, coschedProcs, r.Cfg.Repeats),
 		Header: []string{"policy", "mean job time (s)", "batch makespan (s)", "node-sharing collisions"},
 	}
 	for _, pol := range orderedPolicies(r.MeanJobSec) {

@@ -17,26 +17,23 @@ import (
 // the exact heuristic.
 type MultiClusterConfig struct {
 	Seed uint64
-	// Clusters/SwitchesPerCluster/NodesPerSwitch shape the deployment.
-	Clusters, SwitchesPerCluster, NodesPerSwitch int
-	// Procs/PPN per job (must fit inside one cluster for the headline
-	// comparison to be meaningful).
-	Procs, PPN int
-	// Repeats per policy.
+	// Repeats per policy (0 means 3).
 	Repeats int
 	// Iterations for the miniMD runs (0 = default).
 	Iterations int
 }
 
-// DefaultMultiClusterConfig returns the standard setup: 3 clusters of
-// 2×4 nodes, 16-process jobs.
+// The deployment: 3 clusters of 2×4 nodes.
+const mcClusters, mcSwitchesPerCluster, mcNodesPerSwitch = 3, 2, 4
+
+// The job: 16 processes at 4 per node, so it fits inside one cluster and
+// the headline comparison is meaningful.
+const mcProcs, mcPPN = 16, 4
+
+// DefaultMultiClusterConfig returns the standard setup: three repeats
+// per policy.
 func DefaultMultiClusterConfig(seed uint64) MultiClusterConfig {
-	return MultiClusterConfig{
-		Seed:     seed,
-		Clusters: 3, SwitchesPerCluster: 2, NodesPerSwitch: 4,
-		Procs: 16, PPN: 4,
-		Repeats: 3,
-	}
+	return MultiClusterConfig{Seed: seed, Repeats: 3}
 }
 
 // MultiClusterResult summarizes the experiment.
@@ -53,13 +50,13 @@ type MultiClusterResult struct {
 
 // RunMultiCluster executes the experiment.
 func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
-	if cfg.Clusters == 0 {
-		cfg = DefaultMultiClusterConfig(cfg.Seed)
+	if cfg.Repeats == 0 {
+		cfg.Repeats = 3
 	}
 	mc := topology.MultiClusterConfig{
-		Clusters:           cfg.Clusters,
-		SwitchesPerCluster: cfg.SwitchesPerCluster,
-		NodesPerSwitch:     cfg.NodesPerSwitch,
+		Clusters:           mcClusters,
+		SwitchesPerCluster: mcSwitchesPerCluster,
+		NodesPerSwitch:     mcNodesPerSwitch,
 	}
 	cl, clusterOf, err := cluster.BuildMultiCluster(mc, 8, 3.0, 8192)
 	if err != nil {
@@ -82,13 +79,12 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 
 	trials, err := s.Compare(CompareConfig{
 		MakeShape: func() (*mpisim.Shape, error) {
-			return apps.MiniMD(apps.MiniMDParams{S: 16, Steps: cfg.Iterations}, cfg.Procs)
+			return apps.MiniMD(apps.MiniMDParams{S: 16, Steps: cfg.Iterations}, mcProcs)
 		},
-		Request:  alloc.Request{Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7},
-		Policies: alloc.PaperPolicies(),
-		Repeats:  cfg.Repeats,
-		Spacing:  time.Minute,
-		Seed:     cfg.Seed + 17,
+		Request: alloc.Request{Procs: mcProcs, PPN: mcPPN, Alpha: 0.3, Beta: 0.7},
+		Repeats: cfg.Repeats,
+		Spacing: time.Minute,
+		Seed:    cfg.Seed + 17,
 	})
 	if err != nil {
 		return nil, err
@@ -115,7 +111,7 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 func FormatMultiCluster(r *MultiClusterResult) string {
 	t := Table{
 		Title: fmt.Sprintf("Multi-cluster extension — %d WAN-joined clusters, miniMD %d procs (mean of %d runs)",
-			r.Cfg.Clusters, r.Cfg.Procs, r.Cfg.Repeats),
+			mcClusters, mcProcs, r.Cfg.Repeats),
 		Header: []string{"policy", "mean time (s)", "cross-cluster allocations"},
 	}
 	for _, pol := range orderedPolicies(r.MeanSec) {

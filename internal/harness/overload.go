@@ -11,80 +11,49 @@ import (
 	"nlarm/internal/store"
 )
 
-// OverloadTenant is one synthetic client population in the overload
-// scenario.
-type OverloadTenant struct {
-	// Name labels the tenant on the wire and in metrics.
-	Name string
-	// PerRound is how many allocation requests the tenant offers every
-	// round.
-	PerRound int
-}
-
 // OverloadConfig parameterizes the overload chaos scenario: a seeded
 // multi-tenant burst generator drives the batched front door far past
 // its admission limits while store faults degrade the monitoring data
-// underneath it. Zero fields take defaults tuned so admission sheds
-// heavily, the meek tenant is never starved, and a mid-run monitoring
-// blackout forces degraded serves without ever tripping the degraded
-// ceiling.
+// underneath it. Only the seed varies; the scenario's shape is the
+// constants below, tuned so admission sheds heavily, the meek tenant is
+// never starved, and a mid-run monitoring blackout forces degraded
+// serves without ever tripping the degraded ceiling.
 type OverloadConfig struct {
 	// Seed drives the world, the request stream, and the store faults.
 	Seed uint64
-	// Rounds is the number of offer/flush rounds (default 30).
-	Rounds int
-	// RoundStep is the virtual time between rounds (default 2s) — it
-	// refills token buckets and lets the monitor republish.
-	RoundStep time.Duration
-	// Tenants is the offered load mix (default: hog at 40/round, meek at
-	// 4/round — a 10:1 ratio against a much smaller admitted capacity).
-	Tenants []OverloadTenant
-	// MaxBatch caps one flush (default 16, so backlogs persist across
-	// rounds and fairness is actually contested).
-	MaxBatch int
-	// Admission is the front-door config (default: rate 8/s, burst 8,
-	// queue depth 32 per tenant).
-	Admission broker.AdmissionConfig
-	// BlackoutRounds is how many mid-run rounds reject every monitoring
-	// write so snapshots age past SnapshotMaxAge and the broker must
-	// serve degraded from last-good (default 8).
-	BlackoutRounds int
-	// SnapshotMaxAge is the broker staleness threshold (default 10s, well
-	// under the default blackout length so degradation provably engages).
-	SnapshotMaxAge time.Duration
-	// MaxDegradedFraction is the ceiling on degraded serves as a fraction
-	// of all served requests (default 0.5: degradation is expected during
-	// the blackout, but fresh serves must dominate the run).
-	MaxDegradedFraction float64
 }
 
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.Rounds <= 0 {
-		c.Rounds = 30
-	}
-	if c.RoundStep <= 0 {
-		c.RoundStep = 2 * time.Second
-	}
-	if len(c.Tenants) == 0 {
-		c.Tenants = []OverloadTenant{{Name: "hog", PerRound: 40}, {Name: "meek", PerRound: 4}}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.Admission.TenantRate == 0 {
-		c.Admission = broker.AdmissionConfig{TenantRate: 8, TenantBurst: 8, QueueDepth: 32}
-	}
-	if c.BlackoutRounds <= 0 {
-		c.BlackoutRounds = 8
-	}
-	if c.SnapshotMaxAge <= 0 {
-		c.SnapshotMaxAge = 10 * time.Second
-	}
-	if c.MaxDegradedFraction <= 0 {
-		c.MaxDegradedFraction = 0.5
-	}
-	return c
-}
+const (
+	// overloadRounds is the number of offer/flush rounds.
+	overloadRounds = 30
+	// overloadRoundStep is the virtual time between rounds — it refills
+	// token buckets and lets the monitor republish.
+	overloadRoundStep = 2 * time.Second
+	// overloadMaxBatch caps one flush, so backlogs persist across rounds
+	// and fairness is actually contested.
+	overloadMaxBatch = 16
+	// overloadBlackoutRounds is how many mid-run rounds reject every
+	// monitoring write so snapshots age past overloadSnapshotMaxAge and
+	// the broker must serve degraded from last-good.
+	overloadBlackoutRounds = 8
+	// overloadSnapshotMaxAge is the broker staleness threshold, well under
+	// the blackout length so degradation provably engages.
+	overloadSnapshotMaxAge = 10 * time.Second
+	// overloadMaxDegradedFraction is the ceiling on degraded serves as a
+	// fraction of all served requests: degradation is expected during the
+	// blackout, but fresh serves must dominate the run.
+	overloadMaxDegradedFraction = 0.5
+)
+
+// overloadAdmission is the front-door config the scenario overloads.
+var overloadAdmission = broker.AdmissionConfig{TenantRate: 8, TenantBurst: 8, QueueDepth: 32}
+
+// overloadTenants is the offered load mix, in requests per round: a 10:1
+// ratio against a much smaller admitted capacity.
+var overloadTenants = []struct {
+	name     string
+	perRound int
+}{{"hog", 40}, {"meek", 4}}
 
 // OverloadReport is the outcome of RunOverload: exact request
 // accounting, per-tenant service, and every invariant check.
@@ -148,14 +117,13 @@ func (r *OverloadReport) Digest() uint64 { return renderDigest(r.Render()) }
 //     (total, per shed reason, and per tenant)
 //   - no admitted request fails: degradation falls back to the last-good
 //     snapshot instead of erroring
-//   - degraded serves stay under MaxDegradedFraction, and every degraded
+//   - degraded serves stay under overloadMaxDegradedFraction, and every degraded
 //     response names a reason
 //   - every shed carries a positive retry-after hint
 //   - the meek tenant is never starved: its served share is at least
 //     half its fair share despite the 10:1 offered-load imbalance
 //   - the queue fully drains and the depth gauge ends at zero
 func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
-	cfg = cfg.withDefaults()
 	report := &OverloadReport{
 		Seed:           cfg.Seed,
 		ServedByTenant: map[string]int{},
@@ -165,15 +133,15 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	// Faults stay quiet through the warm-up so the broker holds a healthy
 	// last-good snapshot before the storm starts.
 	s, fs, reg, err := newFaultSession(cfg.Seed, cfg.Seed^0xbf58476d1ce4e5b9,
-		store.Rates{}, broker.Config{SnapshotMaxAge: cfg.SnapshotMaxAge})
+		store.Rates{}, broker.Config{SnapshotMaxAge: overloadSnapshotMaxAge})
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
 	sched, b := s.Sched, s.Broker
 	bt := broker.NewBatcher(b, nil, broker.BatcherOptions{
-		MaxBatch:  cfg.MaxBatch,
-		Admission: cfg.Admission,
+		MaxBatch:  overloadMaxBatch,
+		Admission: overloadAdmission,
 	})
 	defer bt.Close()
 
@@ -192,9 +160,9 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	// The blackout sits mid-run: every monitoring Put is rejected outright
 	// (PutError, not TornWrite — torn writes persist the value, so data
 	// would stay fresh) long enough that node records age past
-	// SnapshotMaxAge and the broker must serve degraded.
-	blackoutFrom := (cfg.Rounds - cfg.BlackoutRounds) / 2
-	blackoutTo := blackoutFrom + cfg.BlackoutRounds
+	// overloadSnapshotMaxAge and the broker must serve degraded.
+	blackoutFrom := (overloadRounds - overloadBlackoutRounds) / 2
+	blackoutTo := blackoutFrom + overloadBlackoutRounds
 
 	rnd := rng.New(cfg.Seed * 31)
 	shapes := [3]broker.Request{
@@ -203,17 +171,17 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 		{Procs: 2, PPN: 2, Force: true},
 	}
 	badRetry, badReason, degradedUnnamed := 0, 0, 0
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < overloadRounds; round++ {
 		if round == blackoutFrom {
 			fs.SetRates(store.Rates{PutError: 1})
 		}
 		if round == blackoutTo {
 			fs.SetRates(store.Rates{TornWrite: 0.02, StaleRead: 0.05})
 		}
-		sched.RunFor(cfg.RoundStep)
-		for _, tn := range cfg.Tenants {
-			tenant := tn.Name
-			for i := 0; i < tn.PerRound; i++ {
+		sched.RunFor(overloadRoundStep)
+		for _, tn := range overloadTenants {
+			tenant := tn.name
+			for i := 0; i < tn.perRound; i++ {
 				report.Offered++
 				req := shapes[rnd.Uint64()%3]
 				err := bt.EnqueueAllocate(tenant, req, func(resp broker.Response, err error) {
@@ -282,23 +250,21 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	if report.Served > 0 {
 		frac = float64(report.Degraded) / float64(report.Served)
 	}
-	check("degraded-under-ceiling", frac <= cfg.MaxDegradedFraction,
-		fmt.Sprintf("fraction=%.3f ceiling=%.3f", frac, cfg.MaxDegradedFraction))
+	check("degraded-under-ceiling", frac <= overloadMaxDegradedFraction,
+		fmt.Sprintf("fraction=%.3f ceiling=%.3f", frac, overloadMaxDegradedFraction))
 
 	// Fairness under the overload: the meek tenant's service may not fall
 	// below half its equal share of total served throughput.
-	if len(cfg.Tenants) > 1 {
-		fairShare := float64(report.Served) / float64(len(cfg.Tenants))
-		for _, tn := range cfg.Tenants {
-			got := float64(report.ServedByTenant[tn.Name])
-			offered := float64(tn.PerRound * cfg.Rounds)
-			want := fairShare / 2
-			if offered < want {
-				want = offered // can't serve more than was asked
-			}
-			check("tenant-not-starved-"+tn.Name, got >= want,
-				fmt.Sprintf("served=%.0f floor=%.0f fairShare=%.1f", got, want, fairShare))
+	fairShare := float64(report.Served) / float64(len(overloadTenants))
+	for _, tn := range overloadTenants {
+		got := float64(report.ServedByTenant[tn.name])
+		offered := float64(tn.perRound * overloadRounds)
+		want := fairShare / 2
+		if offered < want {
+			want = offered // can't serve more than was asked
 		}
+		check("tenant-not-starved-"+tn.name, got >= want,
+			fmt.Sprintf("served=%.0f floor=%.0f fairShare=%.1f", got, want, fairShare))
 	}
 
 	// Reconcile the obs counters with the callback-side accounting: both
@@ -314,9 +280,9 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	checkCounter("broker.admit.shed.total", uint64(report.Shed))
 	checkCounter("broker.admit.shed.rate", uint64(report.RateSheds))
 	checkCounter("broker.admit.shed.queue-full", uint64(report.QueueSheds))
-	for _, tn := range cfg.Tenants {
-		checkCounter("broker.batch.served.tenant."+tn.Name, uint64(report.ServedByTenant[tn.Name]))
-		checkCounter("broker.admit.shed.tenant."+tn.Name, uint64(report.ShedByTenant[tn.Name]))
+	for _, tn := range overloadTenants {
+		checkCounter("broker.batch.served.tenant."+tn.name, uint64(report.ServedByTenant[tn.name]))
+		checkCounter("broker.admit.shed.tenant."+tn.name, uint64(report.ShedByTenant[tn.name]))
 	}
 	// The warm-up allocation went through Allocate directly, not the
 	// batcher, and it was served fresh — so the broker's degraded counter

@@ -21,11 +21,12 @@ type PredictionConfig struct {
 	Seed uint64
 	// Runs is the number of jobs (default 24; spread across policies).
 	Runs int
-	// Procs/PPN/Size select the miniMD configuration (defaults 32/4/16).
-	Procs, PPN, Size int
 	// Iterations overrides miniMD's step count.
 	Iterations int
 }
+
+// The miniMD configuration every run of the study uses.
+const predictionProcs, predictionPPN, predictionSize = 32, 4, 16
 
 // PredictionPoint is one job's predicted-vs-actual pair.
 type PredictionPoint struct {
@@ -52,15 +53,6 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 24
 	}
-	if cfg.Procs == 0 {
-		cfg.Procs = 32
-	}
-	if cfg.PPN == 0 {
-		cfg.PPN = 4
-	}
-	if cfg.Size == 0 {
-		cfg.Size = 16
-	}
 	s, err := NewSession(SessionConfig{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -74,12 +66,12 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	for i := 0; i < cfg.Runs; i++ {
 		pol := policies[i%len(policies)]
 		snap, a, err := s.allocate(pol, alloc.Request{
-			Procs: cfg.Procs, PPN: cfg.PPN, Alpha: 0.3, Beta: 0.7,
+			Procs: predictionProcs, PPN: predictionPPN, Alpha: 0.3, Beta: 0.7,
 		}, r.Split())
 		if err != nil {
 			return nil, fmt.Errorf("harness: prediction study run %d: %w", i, err)
 		}
-		shape, err := apps.MiniMD(apps.MiniMDParams{S: cfg.Size, Steps: cfg.Iterations}, cfg.Procs)
+		shape, err := apps.MiniMD(apps.MiniMDParams{S: predictionSize, Steps: cfg.Iterations}, predictionProcs)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +125,7 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 func FormatPrediction(r *PredictionResult) string {
 	t := Table{
 		Title: fmt.Sprintf("Prediction study — miniMD s=%d on %d procs, %d runs across all policies",
-			r.Cfg.Size, r.Cfg.Procs, len(r.Points)),
+			predictionSize, predictionProcs, len(r.Points)),
 		Header: []string{"policy", "predicted (s)", "actual (s)", "ratio"},
 	}
 	for _, p := range r.Points {

@@ -37,9 +37,6 @@ type SessionConfig struct {
 	// Broker overrides the broker configuration (a zero Seed defaults to
 	// SessionConfig.Seed+7, preserving historical traces).
 	Broker broker.Config
-	// Start is the virtual start time; defaults to a fixed epoch so runs
-	// are reproducible.
-	Start time.Time
 }
 
 // Session is a fully wired simulated deployment: the world advances on a
@@ -59,7 +56,8 @@ type Session struct {
 	stopWorld simtime.CancelFunc
 }
 
-// defaultEpoch is an arbitrary fixed virtual start time.
+// defaultEpoch is the virtual start time of every session: an arbitrary
+// fixed instant, so runs are reproducible.
 var defaultEpoch = time.Date(2020, 3, 2, 8, 0, 0, 0, time.UTC)
 
 // NewSession builds and starts the full stack (world stepping + monitor
@@ -77,9 +75,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // interposed layers fail still bump generations and the broker's delta
 // snapshot cache re-reads exactly the keys that were perturbed.
 func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) store.Store) (*Session, error) {
-	if cfg.Start.IsZero() {
-		cfg.Start = defaultEpoch
-	}
 	cl := cfg.Cluster
 	if cl == nil {
 		var err error
@@ -90,8 +85,8 @@ func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) st
 	}
 	wcfg := cfg.World
 	wcfg.Seed = cfg.Seed
-	sched := simtime.NewScheduler(cfg.Start)
-	w := world.New(cl, wcfg, cfg.Start)
+	sched := simtime.NewScheduler(defaultEpoch)
+	w := world.New(cl, wcfg, defaultEpoch)
 	stop := w.Attach(sched)
 
 	st := store.NewMem()

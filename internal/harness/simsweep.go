@@ -19,8 +19,6 @@ type SimSweepConfig struct {
 	Runs int
 	// Nodes is the cluster size per run (default 256).
 	Nodes int
-	// CoresPerNode caps a cohort's PPN (default 8).
-	CoresPerNode int
 	// Jobs is the job count per run (default 10000).
 	Jobs int
 	// Util is the offered load for the canned workload (default 0.65).
@@ -38,9 +36,6 @@ func (c SimSweepConfig) withDefaults() SimSweepConfig {
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 256
-	}
-	if c.CoresPerNode <= 0 {
-		c.CoresPerNode = 8
 	}
 	if c.Jobs <= 0 {
 		c.Jobs = 10000
@@ -69,11 +64,10 @@ func RunSimSweep(cfg SimSweepConfig) (*SimSweepData, error) {
 	cfgs := make([]sim.ScenarioConfig, cfg.Runs)
 	for i := range cfgs {
 		cfgs[i] = sim.ScenarioConfig{
-			Seed:         cfg.Seed + uint64(i),
-			Nodes:        cfg.Nodes,
-			CoresPerNode: cfg.CoresPerNode,
-			Workload:     wl,
-			Discipline:   sim.EASY,
+			Seed:       cfg.Seed + uint64(i),
+			Nodes:      cfg.Nodes,
+			Workload:   wl,
+			Discipline: sim.EASY,
 		}
 		if cfg.Policy {
 			cfgs[i].Policy = &sim.PolicyConfig{}

@@ -23,11 +23,10 @@ type TuningConfig struct {
 	// candidates each decision retains (default 4).
 	RegretDecisions int
 	CounterfactualK int
-	// Nodes/Jobs/Util/TrainSeeds/HoldoutSeeds/Population/Generations/
+	// Nodes/Jobs/TrainSeeds/HoldoutSeeds/Population/Generations/
 	// Workers pass through to the tuner (zeros take tune's defaults).
 	Nodes        int
 	Jobs         int
-	Util         float64
 	TrainSeeds   int
 	HoldoutSeeds int
 	Population   int
@@ -106,7 +105,7 @@ func RunTuning(cfg TuningConfig) (*TuningData, error) {
 	rep := tune.Regret(s.Broker.Decisions(0), weights)
 
 	res, err := tune.Run(tune.TunerConfig{
-		Seed: cfg.Seed, Nodes: cfg.Nodes, Jobs: cfg.Jobs, Util: cfg.Util,
+		Seed: cfg.Seed, Nodes: cfg.Nodes, Jobs: cfg.Jobs,
 		TrainSeeds: cfg.TrainSeeds, HoldoutSeeds: cfg.HoldoutSeeds,
 		Population: cfg.Population, Generations: cfg.Generations,
 		Workers: cfg.Workers,
@@ -132,7 +131,7 @@ func FormatTuning(d *TuningData) string {
 		rep.TotalRegret, rep.MeanRegret, rep.MaxRegret, rep.WeightedRegret)
 
 	fmt.Fprintf(&b, "\nTuning study: %d sim runs, %d train + %d holdout seeds, objective %+v\n",
-		res.Runs, res.Config.TrainSeeds, res.Config.HoldoutSeeds, res.Config.Objective.WithDefaults())
+		res.Runs, res.Config.TrainSeeds, res.Config.HoldoutSeeds, tune.DefaultObjective())
 	fmt.Fprintf(&b, "%-10s %7s %7s %7s %9s\n", "source", "alpha", "w_lt", "tilt", "score")
 	row := func(e tune.Evaluation) {
 		fmt.Fprintf(&b, "%-10s %7.3f %7.3f %7.3f %9.6f\n",

@@ -25,6 +25,16 @@ func withQueue(t *testing.T, r *rig, cfg Config) {
 	r.q = q
 }
 
+// jobIDs lists the IDs of jobs, in order (tests read Queue.pending
+// through it).
+func jobIDs(jobs []*Job) []int {
+	ids := make([]int, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
 // launchEv is one observed job launch (virtual time included so traces
 // can be compared bit-for-bit between runs).
 type launchEv struct {
@@ -105,7 +115,7 @@ func TestBackfillLaunchesShortJobAroundBlockedHead(t *testing.T) {
 	if !sj.Backfilled {
 		t.Fatal("short job launched but not marked backfilled")
 	}
-	if p := r.q.Pending(); len(p) != 2 || p[0] != head || p[1] != nowall {
+	if p := jobIDs(r.q.pending); len(p) != 2 || p[0] != head || p[1] != nowall {
 		t.Fatalf("pending %v, want [%d %d]", p, head, nowall)
 	}
 	if len(*trace) != 1 || (*trace)[0].name != "short" {
@@ -296,7 +306,33 @@ func TestPrioritySubmissionOrder(t *testing.T) {
 		Start: traceSpec(r, "mid2", 8, 4, 0, &trace).Start,
 	})
 	want := []int{hi, mid1, mid2, lo}
-	if p := r.q.Pending(); len(p) != 4 || p[0] != want[0] || p[1] != want[1] || p[2] != want[2] || p[3] != want[3] {
+	if p := jobIDs(r.q.pending); len(p) != 4 || p[0] != want[0] || p[1] != want[1] || p[2] != want[2] || p[3] != want[3] {
 		t.Fatalf("pending %v, want %v (priority order, ties FIFO)", p, want)
+	}
+}
+
+// TestReserveRoutesOnlyPolicylessSubmissions pins which submissions the
+// reserving policy places: one that names no policy (what nlarm-alloc
+// -submit sends unless -policy is given) is routed to Config.Reserve,
+// one that names a policy is answered by exactly that policy.
+func TestReserveRoutesOnlyPolicylessSubmissions(t *testing.T) {
+	r := newRig(t, 27, 0.9)
+	rp := alloc.NewReservingPolicy(alloc.NetLoadAware{}, 90*time.Second)
+	r.b.RegisterPolicy(rp)
+	withQueue(t, r, Config{Reserve: rp})
+	for _, c := range []struct{ policy, want string }{
+		{"", rp.Name()},
+		{"random", "random"},
+	} {
+		spec := instantSpec("routed", nil)
+		spec.Request.Policy = c.policy
+		id, err := r.q.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := r.q.Job(id)
+		if j.State != StateDone || j.Response.Policy != c.want {
+			t.Fatalf("policy %q: state %v, answered by %q, want %q", c.policy, j.State, j.Response.Policy, c.want)
+		}
 	}
 }

@@ -98,9 +98,6 @@ type Config struct {
 	// RetryPeriod is how often the queue re-attempts the head job.
 	// Default 30s.
 	RetryPeriod time.Duration
-	// MaxAttempts fails a job after this many allocation attempts
-	// (0 = unlimited).
-	MaxAttempts int
 	// Backfill enables EASY backfill: when the head job must wait, jobs
 	// behind it with a walltime estimate that fits before the head's
 	// reserved start may launch out of order. Disabled, the queue is
@@ -273,32 +270,12 @@ func (q *Queue) launchHeads(now time.Time) (broker.Response, bool) {
 		}
 		j.Attempts++
 		if err != nil {
-			if q.cfg.MaxAttempts > 0 && j.Attempts >= q.cfg.MaxAttempts {
-				j.State = StateFailed
-				j.Err = err
-				j.Finished = now
-				q.pending = q.pending[1:]
-				delete(q.specs, j.ID)
-				q.mu.Unlock()
-				q.cfg.Obs.Counter("jobqueue.failed.total").Inc()
-				continue
-			}
 			q.mu.Unlock()
 			return broker.Response{}, false // transient (e.g. monitor warming up): retry later
 		}
 		if resp.Recommendation == broker.RecommendWait {
 			j.WaitAnswers++
 			q.cfg.Obs.Counter("jobqueue.waits.total").Inc()
-			if q.cfg.MaxAttempts > 0 && j.Attempts >= q.cfg.MaxAttempts {
-				j.State = StateFailed
-				j.Err = fmt.Errorf("jobqueue: gave up after %d wait answers", j.WaitAnswers)
-				j.Finished = now
-				q.pending = q.pending[1:]
-				delete(q.specs, j.ID)
-				q.mu.Unlock()
-				q.cfg.Obs.Counter("jobqueue.failed.total").Inc()
-				continue
-			}
 			q.mu.Unlock()
 			return resp, true // cluster busy: the head keeps its place
 		}
@@ -662,15 +639,4 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// Pending returns the IDs of queued jobs in order.
-func (q *Queue) Pending() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]int, len(q.pending))
-	for i, j := range q.pending {
-		out[i] = j.ID
-	}
-	return out
 }

@@ -139,8 +139,8 @@ func TestQueueWaitsWhileClusterBusy(t *testing.T) {
 	if j.State != StatePending {
 		t.Fatalf("job launched on a busy cluster (state %v)", j.State)
 	}
-	if len(r.q.Pending()) != 1 {
-		t.Fatalf("pending %v", r.q.Pending())
+	if len(jobIDs(r.q.pending)) != 1 {
+		t.Fatalf("pending %v", jobIDs(r.q.pending))
 	}
 	// While the hog runs, retries keep answering wait.
 	r.sched.RunFor(2 * time.Minute)
@@ -180,7 +180,7 @@ func TestHeadOfLineBlocksFollowers(t *testing.T) {
 	var launched []string
 	id1, _ := r.q.Submit(instantSpec("head", &launched))
 	id2, _ := r.q.Submit(instantSpec("tail", &launched))
-	if p := r.q.Pending(); len(p) != 2 || p[0] != id1 || p[1] != id2 {
+	if p := jobIDs(r.q.pending); len(p) != 2 || p[0] != id1 || p[1] != id2 {
 		t.Fatalf("pending %v", p)
 	}
 	if len(launched) != 0 {
@@ -193,31 +193,6 @@ func TestHeadOfLineBlocksFollowers(t *testing.T) {
 	}
 	if len(launched) != 2 || launched[0] != "head" || launched[1] != "tail" {
 		t.Fatalf("launch order %v", launched)
-	}
-}
-
-func TestMaxAttemptsFailsJob(t *testing.T) {
-	r := newRig(t, 5, 0.0001) // everything looks busy
-	r.q.Stop()
-	q := New(r.b, r.sched, Config{RetryPeriod: 5 * time.Second, MaxAttempts: 3})
-	if err := q.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer q.Stop()
-	id, err := q.Submit(instantSpec("doomed", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sched.RunFor(time.Minute)
-	j, _ := q.Job(id)
-	if j.State != StateFailed {
-		t.Fatalf("state %v after max attempts", j.State)
-	}
-	if j.Err == nil {
-		t.Fatal("no failure cause recorded")
-	}
-	if q.Stats().Failed != 1 {
-		t.Fatalf("stats %+v", q.Stats())
 	}
 }
 

@@ -136,12 +136,6 @@ func NewJob(id int, shape *Shape, place Placement, start time.Time) (*Job, error
 	return j, nil
 }
 
-// Done reports whether the job has finished.
-func (j *Job) Done() bool { return j.done }
-
-// Elapsed returns the wall time the job has been running.
-func (j *Job) Elapsed() time.Duration { return j.elapsed }
-
 // RanksOnNode returns the number of the job's ranks placed on node id.
 func (j *Job) RanksOnNode(id int) int { return j.ranksOn[id] }
 

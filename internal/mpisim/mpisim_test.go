@@ -196,8 +196,8 @@ func TestJobComputeOnly(t *testing.T) {
 	if math.Abs(used.Seconds()-1.0) > 1e-6 {
 		t.Fatalf("used %v, want 1s", used)
 	}
-	if math.Abs(j.Elapsed().Seconds()-1.0) > 1e-6 {
-		t.Fatalf("elapsed %v", j.Elapsed())
+	if math.Abs(j.elapsed.Seconds()-1.0) > 1e-6 {
+		t.Fatalf("elapsed %v", j.elapsed)
 	}
 }
 
@@ -438,7 +438,7 @@ func TestAbort(t *testing.T) {
 	j := makeJob(t, shape, []int{0}, 1)
 	j.Advance(idleEnv(), time.Second)
 	j.Abort("node 0 went down")
-	if !j.Done() {
+	if !j.done {
 		t.Fatal("aborted job not done")
 	}
 	res := j.Result()

@@ -314,6 +314,3 @@ func (n *Network) NodeFlowRateBps(id int) float64 {
 	}
 	return 0
 }
-
-// Topology returns the underlying static topology.
-func (n *Network) Topology() *topology.Topology { return n.topo }

@@ -218,7 +218,7 @@ func TestLatencySoftwareOverheadFloor(t *testing.T) {
 
 func TestTopologyAccessor(t *testing.T) {
 	n := testNet(t)
-	if n.Topology() == nil || n.Topology().NumNodes() != 60 {
+	if n.topo == nil || n.topo.NumNodes() != 60 {
 		t.Fatal("Topology accessor broken")
 	}
 }

@@ -33,9 +33,6 @@ type PolicyConfig struct {
 	// (unmeasured pairs price at the worst observed, like a real sparse
 	// probe mesh). 0 means nodes/64, minimum 1.
 	Racks int `json:"racks,omitempty"`
-	// ShardThreshold enables the hierarchical network-load layer at or
-	// above that live-node count (0 keeps the dense n×n matrices).
-	ShardThreshold int `json:"shard_threshold,omitempty"`
 	// MonitorPeriodSec is the virtual cadence at which the cost model is
 	// refreshed from the mutated snapshot (default 5s), mirroring the
 	// monitor's publish interval: decisions between refreshes see stale
@@ -163,12 +160,7 @@ func newPolicyState(cfg ScenarioConfig, ps *policyScratch) (*policyState, error)
 	if pc.Weights != nil {
 		w = *pc.Weights
 	}
-	var m *alloc.CostModel
-	if pc.ShardThreshold > 0 {
-		m = alloc.NewCostModelSharded(snap, w, false, alloc.ShardOptions{Threshold: pc.ShardThreshold})
-	} else {
-		m = alloc.NewCostModel(snap, w, false)
-	}
+	m := alloc.NewCostModel(snap, w, false)
 	if err := m.CLErr(); err != nil {
 		return nil, fmt.Errorf("sim: policy model: %w", err)
 	}

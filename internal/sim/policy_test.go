@@ -110,13 +110,12 @@ func TestPolicyAccounting(t *testing.T) {
 	}
 }
 
-// TestPolicyDeterminism runs the same policy config twice (and a
-// sharded variant twice) expecting bit-identical traces.
+// TestPolicyDeterminism runs the same policy config twice (and an
+// exhaustive-sweep variant twice) expecting bit-identical traces.
 func TestPolicyDeterminism(t *testing.T) {
 	for _, pc := range []*PolicyConfig{
 		{},
 		{Starts: -1, Racks: 4},
-		{ShardThreshold: 64},
 	} {
 		cfg := policyTestConfig(1200, 77, pc)
 		r1, err := RunScenario(cfg, nil)

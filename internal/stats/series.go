@@ -57,9 +57,6 @@ func (ts *TimeSeries) trim(now time.Time) {
 	}
 }
 
-// Len returns the number of retained samples.
-func (ts *TimeSeries) Len() int { return len(ts.samples) }
-
 // Last returns the newest sample, if any.
 func (ts *TimeSeries) Last() (Sample, bool) {
 	if len(ts.samples) == 0 {

@@ -48,8 +48,8 @@ func TestTimeSeriesTrimsOldSamples(t *testing.T) {
 		_ = ts.Add(t0.Add(time.Duration(i)*10*time.Second), 1)
 	}
 	// Only samples within the last minute survive (6-7 samples).
-	if ts.Len() > 8 {
-		t.Fatalf("series retained %d samples, maxAge 1m at 10s cadence", ts.Len())
+	if len(ts.samples) > 8 {
+		t.Fatalf("series retained %d samples, maxAge 1m at 10s cadence", len(ts.samples))
 	}
 }
 

@@ -88,13 +88,6 @@ func (s *MemStore) Delete(key string) error {
 	return nil
 }
 
-// Len returns the number of stored keys.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // FileStore persists keys as files under a root directory, one file per
 // key, with atomic replace via rename — the way the paper's daemons write
 // to NFS. Key path separators become subdirectories. Temp files carry a

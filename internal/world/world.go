@@ -37,10 +37,11 @@ type Config struct {
 	Background loadgen.Config
 	// Net configures the network model.
 	Net netmodel.Config
-	// JobMemPerRankMB is the memory a running MPI rank consumes (charged
-	// to its node's used memory). Default 120 MB.
-	JobMemPerRankMB float64
 }
+
+// jobMemPerRankMB is the memory a running MPI rank consumes (charged to
+// its node's used memory).
+const jobMemPerRankMB = 120
 
 // NodeSample is an instantaneous ground-truth reading of a node, the raw
 // material NodeStateD turns into published attributes.
@@ -86,9 +87,6 @@ func New(cl *cluster.Cluster, cfg Config, start time.Time) *World {
 	if cfg.StepSize <= 0 {
 		cfg.StepSize = 250 * time.Millisecond
 	}
-	if cfg.JobMemPerRankMB == 0 {
-		cfg.JobMemPerRankMB = 120
-	}
 	w := &World{
 		cfg:     cfg,
 		cl:      cl,
@@ -107,13 +105,6 @@ func New(cl *cluster.Cluster, cfg Config, start time.Time) *World {
 
 // Cluster returns the static cluster description.
 func (w *World) Cluster() *cluster.Cluster { return w.cl }
-
-// Now returns the world's current virtual time.
-func (w *World) Now() time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.now
-}
 
 // Attach registers the world's step on rt so it advances automatically.
 func (w *World) Attach(rt simtime.Runtime) simtime.CancelFunc {
@@ -294,7 +285,7 @@ func (w *World) sampleNodeLocked(id int) NodeSample {
 			occ = float64(spec.Cores)
 		}
 		s.CPUUtilPct += occ / float64(spec.Cores) * 100
-		s.UsedMemMB += float64(ranks) * w.cfg.JobMemPerRankMB
+		s.UsedMemMB += float64(ranks) * jobMemPerRankMB
 	}
 	if s.CPUUtilPct > 100 {
 		s.CPUUtilPct = 100
@@ -365,11 +356,4 @@ func (w *World) LaunchJob(shape *mpisim.Shape, place mpisim.Placement, onDone fu
 		w.onDone[id] = onDone
 	}
 	return id, nil
-}
-
-// Results returns the results of all finished jobs, in completion order.
-func (w *World) Results() []mpisim.Result {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]mpisim.Result(nil), w.results...)
 }

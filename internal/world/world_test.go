@@ -43,12 +43,12 @@ func advance(w *World, from time.Time, dur, step time.Duration) time.Time {
 func TestStepToMonotonic(t *testing.T) {
 	w := testWorld(t, 1)
 	w.StepTo(t0.Add(time.Second))
-	if !w.Now().Equal(t0.Add(time.Second)) {
-		t.Fatalf("now = %v", w.Now())
+	if !w.now.Equal(t0.Add(time.Second)) {
+		t.Fatalf("now = %v", w.now)
 	}
 	// Going backwards is a no-op.
 	w.StepTo(t0)
-	if !w.Now().Equal(t0.Add(time.Second)) {
+	if !w.now.Equal(t0.Add(time.Second)) {
 		t.Fatal("StepTo moved time backwards")
 	}
 }
@@ -151,7 +151,7 @@ func TestJobLifecycle(t *testing.T) {
 	if result.Elapsed <= 0 || result.Ranks != 8 {
 		t.Fatalf("result %+v", result)
 	}
-	results := w.Results()
+	results := w.results
 	if len(results) != 1 || results[0].JobID != id {
 		t.Fatalf("Results = %v", results)
 	}
@@ -231,8 +231,8 @@ func TestAttachDrivesWorld(t *testing.T) {
 	cancel := w.Attach(sched)
 	defer cancel()
 	sched.RunFor(time.Second)
-	if !w.Now().Equal(t0.Add(time.Second)) {
-		t.Fatalf("attached world at %v", w.Now())
+	if !w.now.Equal(t0.Add(time.Second)) {
+		t.Fatalf("attached world at %v", w.now)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 			now = now.Add(250 * time.Millisecond)
 			w.StepTo(now)
 		}
-		res := w.Results()
+		res := w.results
 		if len(res) != 60 {
 			t.Fatalf("%d of 60 jobs finished", len(res))
 		}

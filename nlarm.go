@@ -65,10 +65,6 @@ type SimulationConfig struct {
 	// Seed makes the whole simulation deterministic. Required; 0 is a
 	// valid seed.
 	Seed uint64
-	// WarmUp overrides the default monitor warm-up used by WarmUp()
-	// (default 17 virtual minutes: one bandwidth sweep plus the 15-minute
-	// running-mean window).
-	WarmUp time.Duration
 	// Load scales the background activity of the shared cluster: 0 or 1
 	// is the calibrated default matching the paper's Figure 1; larger
 	// values crowd the cluster (≥25 reliably triggers the broker's wait
@@ -82,8 +78,6 @@ type Simulation struct {
 	// Harness exposes the underlying experiment session for advanced use
 	// (direct policy calls, failure injection, custom experiments).
 	Harness *harness.Session
-
-	cfg SimulationConfig
 }
 
 // NewSimulation builds and starts a simulation.
@@ -102,21 +96,17 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{Harness: s, cfg: cfg}, nil
+	return &Simulation{Harness: s}, nil
 }
 
 // Close stops all simulated daemons and the world stepping.
 func (s *Simulation) Close() { s.Harness.Close() }
 
 // WarmUp advances virtual time until the monitor has published full
-// state (livehosts, node attributes, latency and bandwidth matrices).
-func (s *Simulation) WarmUp() {
-	d := s.cfg.WarmUp
-	if d == 0 {
-		d = harness.DefaultWarmUp
-	}
-	s.Harness.WarmUp(d)
-}
+// state (livehosts, node attributes, latency and bandwidth matrices):
+// 17 virtual minutes, one bandwidth sweep plus the 15-minute running-mean
+// window.
+func (s *Simulation) WarmUp() { s.Harness.WarmUp(harness.DefaultWarmUp) }
 
 // Advance moves virtual time forward by d (background activity keeps
 // evolving, monitors keep sampling).
