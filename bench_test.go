@@ -1,15 +1,16 @@
 package nlarm
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (reduced sizes so a full -bench=. pass stays in the
-// minutes range; run cmd/nlarm-experiments for the full-scale artifacts),
-// plus the three shapes bench/ does not measure: the queue experiment,
-// the 4096-node sharded allocate and the counterfactual rescore. Every
+// Benchmark harness: one sub-benchmark per experiment artifact (-quick
+// sizes so a full -bench=. pass stays in the minutes range; run
+// cmd/nlarm-experiments for the full-scale artifacts), plus the three
+// shapes bench/ does not measure: the queue experiment, the 4096-node
+// sharded allocate and the counterfactual rescore. Every
 // other hot path — allocate at 60 to 1024 nodes, the broker front door,
 // snapshot refresh, the simulators — is measured by bench/ on live,
 // churning rigs with checked outputs (bash bench/run.sh).
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -22,91 +23,21 @@ import (
 	"nlarm/internal/tune"
 )
 
-// BenchmarkFigure1ResourceTraces regenerates Figure 1 (node resource-usage
-// variation over time on the shared cluster).
-func BenchmarkFigure1ResourceTraces(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Figure1(uint64(i), 6, 20, 5*time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2BandwidthMatrix regenerates Figure 2 (P2P bandwidth
-// heatmap and per-pair variation over time).
-func BenchmarkFigure2BandwidthMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Figure2(uint64(i), 30, 3, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchScaling runs a reduced strong-scaling comparison and reports the
-// headline gain as a custom metric.
-func benchScaling(b *testing.B, cfg harness.ScalingConfig) {
-	b.Helper()
-	var lastGain float64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		data, err := harness.RunScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s, ok := data.Gains().Rows["random"]; ok {
-			lastGain = s.Mean
-		}
-	}
-	b.ReportMetric(lastGain, "gain%-vs-random")
-}
-
-// BenchmarkFigure4MiniMDScaling regenerates Figure 4 (miniMD strong
-// scaling under the four allocation policies) at reduced size.
-func BenchmarkFigure4MiniMDScaling(b *testing.B) {
-	benchScaling(b, harness.QuickScalingConfig(harness.PaperMiniMDConfig(1)))
-}
-
-// BenchmarkFigure5LoadPerCore regenerates Figure 5 (average CPU load per
-// logical core of the allocated groups) from a reduced miniMD run.
-func BenchmarkFigure5LoadPerCore(b *testing.B) {
-	cfg := harness.QuickScalingConfig(harness.PaperMiniMDConfig(2))
-	var nlaLoad float64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		data, err := harness.RunScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nlaLoad = data.LoadPerCore()[harness.NLAName]
-	}
-	b.ReportMetric(nlaLoad, "nla-load/core")
-}
-
-// BenchmarkTable2MiniMDGains regenerates Table 2 (miniMD percentage gains
-// of the network-and-load-aware policy).
-func BenchmarkTable2MiniMDGains(b *testing.B) {
-	benchScaling(b, harness.QuickScalingConfig(harness.PaperMiniMDConfig(3)))
-}
-
-// BenchmarkFigure6MiniFEScaling regenerates Figure 6 (miniFE strong
-// scaling) at reduced size.
-func BenchmarkFigure6MiniFEScaling(b *testing.B) {
-	benchScaling(b, harness.QuickScalingConfig(harness.PaperMiniFEConfig(4)))
-}
-
-// BenchmarkTable3MiniFEGains regenerates Table 3 (miniFE percentage
-// gains).
-func BenchmarkTable3MiniFEGains(b *testing.B) {
-	benchScaling(b, harness.QuickScalingConfig(harness.PaperMiniFEConfig(5)))
-}
-
-// BenchmarkTable4Figure7Analysis regenerates the §5.3 allocation analysis
-// (Table 4 group states and Figure 7's cluster snapshot).
-func BenchmarkTable4Figure7Analysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.AllocationAnalysis(uint64(i+1), 30); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkArtifacts regenerates every harness.Artifacts entry — each
+// table and figure of the paper's evaluation section and the extension
+// experiments — at -quick size, one sub-benchmark per entry and a fresh
+// seed per iteration.
+func BenchmarkArtifacts(b *testing.B) {
+	for _, a := range harness.Artifacts {
+		b.Run(strings.Join(a.Names, "_"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o := harness.DefaultOptions(uint64(i + 1))
+				o.Quick = true
+				if _, err := a.Run(harness.NewRuns(o)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

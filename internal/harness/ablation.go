@@ -19,30 +19,18 @@ type AblationConfig struct {
 	Seed uint64
 	// Iterations overrides miniMD's step count (0 = default 100).
 	Iterations int
-	// Repeats is the number of runs averaged per point.
+	// Repeats is the number of runs averaged per point (default 3).
 	Repeats int
-	// Betas are the β values swept (α = 1-β).
+	// Betas are the β values swept, α = 1-β (default 0, 0.25, 0.5,
+	// 0.75, 1).
 	Betas []float64
-	// BandwidthPeriods are the BandwidthD sweep intervals tested.
+	// BandwidthPeriods are the BandwidthD sweep intervals tested
+	// (default 1, 5 and 15 minutes).
 	BandwidthPeriods []time.Duration
 }
 
 // The miniMD configuration under ablation: the paper's §5.3 case study.
 const ablationProcs, ablationSize, ablationPPN = 32, 16, 4
-
-// DefaultAblationConfig returns the standard ablation: the paper's §5.3
-// case study (miniMD, 32 procs, s=16) under five β values and three
-// monitor cadences.
-func DefaultAblationConfig(seed uint64) AblationConfig {
-	return AblationConfig{
-		Seed:    seed,
-		Repeats: 3,
-		Betas:   []float64{0, 0.25, 0.5, 0.75, 1},
-		BandwidthPeriods: []time.Duration{
-			1 * time.Minute, 5 * time.Minute, 15 * time.Minute,
-		},
-	}
-}
 
 // BetaPoint is one β value's outcome.
 type BetaPoint struct {
@@ -101,6 +89,12 @@ func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, useForecast boo
 func RunAblation(cfg AblationConfig) (*AblationData, error) {
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 3
+	}
+	if cfg.Betas == nil {
+		cfg.Betas = []float64{0, 0.25, 0.5, 0.75, 1}
+	}
+	if cfg.BandwidthPeriods == nil {
+		cfg.BandwidthPeriods = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 	}
 	data := &AblationData{Cfg: cfg}
 
@@ -169,8 +163,8 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 	return data, nil
 }
 
-// FormatAblation renders the ablation tables.
-func FormatAblation(d *AblationData) string {
+// Render renders the ablation tables.
+func (d *AblationData) Render() string {
 	t1 := Table{
 		Title:  fmt.Sprintf("Ablation — β sweep (miniMD, %d procs, s=%d; β=0 is the pure load-aware limit)", ablationProcs, ablationSize),
 		Header: []string{"beta", "mean time (s)", "CoV"},

@@ -205,8 +205,8 @@ func runBackfillMode(cfg BackfillConfig, backfill bool) (*BackfillModeResult, er
 	return mode, nil
 }
 
-// FormatBackfill renders the experiment table.
-func FormatBackfill(r *BackfillResult) string {
+// Render renders the experiment table.
+func (r *BackfillResult) Render() string {
 	t := Table{
 		Title: fmt.Sprintf("Queue discipline — 600s hog on half the cluster, wide head, %d short jobs behind it",
 			r.Cfg.Shorts),

@@ -39,7 +39,7 @@ func TestBackfillExperimentImproves(t *testing.T) {
 	if bf.MakespanSec >= fifo.MakespanSec {
 		t.Fatalf("makespan not improved: backfill %.1fs vs fifo %.1fs", bf.MakespanSec, fifo.MakespanSec)
 	}
-	t.Logf("\n%s", FormatBackfill(res))
+	t.Logf("\n%s", res.Render())
 }
 
 // TestBackfillExperimentDeterministic re-runs the backfill mode and

@@ -157,8 +157,8 @@ func shareNode(a, b []int) bool {
 	return false
 }
 
-// FormatCoSchedule renders the experiment table.
-func FormatCoSchedule(r *CoScheduleResult) string {
+// Render renders the experiment table.
+func (r *CoScheduleResult) Render() string {
 	t := Table{
 		Title: fmt.Sprintf("Co-scheduling — %d concurrent miniMD jobs (%d procs each, mean of %d batches)",
 			r.Cfg.Jobs, coschedProcs, r.Cfg.Repeats),

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"nlarm/internal/alloc"
@@ -117,6 +118,9 @@ func (d *Fig1Data) Recorder() *trace.Recorder {
 	add("mem_used_avg", "%", d.MemAvg)
 	return r
 }
+
+// WriteCSV writes Recorder's series as CSV.
+func (d *Fig1Data) WriteCSV(w io.Writer) error { return d.Recorder().WriteCSV(w) }
 
 // --- Figure 2: P2P bandwidth variation --------------------------------------
 
@@ -234,6 +238,9 @@ func (d *Fig2Data) Recorder() *trace.Recorder {
 	}
 	return r
 }
+
+// WriteCSV writes Recorder's pair series as CSV.
+func (d *Fig2Data) WriteCSV(w io.Writer) error { return d.Recorder().WriteCSV(w) }
 
 // --- Figures 4 & 6: strong scaling under the four policies ------------------
 
@@ -410,17 +417,17 @@ func (d *ScalingData) Gains() GainTable {
 
 // LoadPerCore aggregates Figure 5's quantity over all trials: the mean
 // allocated-group CPU load per logical core, per policy.
-func (d *ScalingData) LoadPerCore() map[string]float64 {
+func (d *ScalingData) LoadPerCore() PolicyLoads {
 	var all []Trial
 	for _, c := range d.Cells {
 		all = append(all, c.Trials...)
 	}
-	return MeanGroupLoadPerCore(all)
+	return PolicyLoads(MeanGroupLoadPerCore(all))
 }
 
 // OverallCoV returns the mean coefficient of variation per policy across
 // cells (the run-stability comparison in §5.1/§5.2).
-func (d *ScalingData) OverallCoV() map[string]float64 {
+func (d *ScalingData) OverallCoV() PolicyCoVs {
 	sums := make(map[string]float64)
 	counts := make(map[string]int)
 	for _, c := range d.Cells {
@@ -429,7 +436,7 @@ func (d *ScalingData) OverallCoV() map[string]float64 {
 			counts[pol]++
 		}
 	}
-	out := make(map[string]float64, len(sums))
+	out := make(PolicyCoVs, len(sums))
 	for pol, sum := range sums {
 		out[pol] = sum / float64(counts[pol])
 	}

@@ -27,7 +27,7 @@ func TestFigure1Generates(t *testing.T) {
 			t.Fatalf("util sample %d = %g", i, u)
 		}
 	}
-	out := FormatFig1(d)
+	out := d.Render()
 	if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "CPU load") {
 		t.Fatalf("format:\n%s", out)
 	}
@@ -64,7 +64,7 @@ func TestFigure2Generates(t *testing.T) {
 			t.Fatal("ragged pair series")
 		}
 	}
-	out := FormatFig2(d)
+	out := d.Render()
 	if !strings.Contains(out, "Figure 2(a)") {
 		t.Fatalf("format:\n%s", out)
 	}
@@ -123,16 +123,16 @@ func TestRunScalingTiny(t *testing.T) {
 	if len(gains.Rows) != 3 {
 		t.Fatalf("gain rows %v", gains.Rows)
 	}
-	if out := FormatScaling(d); !strings.Contains(out, "#procs = 8") {
+	if out := d.Render(); !strings.Contains(out, "#procs = 8") {
 		t.Fatalf("scaling format:\n%s", out)
 	}
-	if out := FormatGains(gains, "Table X"); !strings.Contains(out, "Average Gain") {
+	if out := gains.Render(); !strings.Contains(out, "Average Gain") {
 		t.Fatalf("gains format:\n%s", out)
 	}
-	if out := FormatLoadPerCore(d.LoadPerCore()); !strings.Contains(out, "load/core") {
+	if out := d.LoadPerCore().Render(); !strings.Contains(out, "load/core") {
 		t.Fatalf("fig5 format:\n%s", out)
 	}
-	if out := FormatCoV(d.OverallCoV()); !strings.Contains(out, "CoV") {
+	if out := d.OverallCoV().Render(); !strings.Contains(out, "CoV") {
 		t.Fatalf("cov format:\n%s", out)
 	}
 }
@@ -150,7 +150,7 @@ func TestAllocationAnalysisSmoke(t *testing.T) {
 			t.Fatalf("%s time %g", pol, sec)
 		}
 	}
-	out := FormatAnalysis(d)
+	out := d.Render()
 	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "Figure 7") {
 		t.Fatalf("analysis format:\n%s", out)
 	}
@@ -182,16 +182,13 @@ func TestPredictionStudyTiny(t *testing.T) {
 	if d.MedianRatio < 0.3 || d.MedianRatio > 3 {
 		t.Fatalf("median ratio %g", d.MedianRatio)
 	}
-	if out := FormatPrediction(d); !strings.Contains(out, "Pearson") {
+	if out := d.Render(); !strings.Contains(out, "Pearson") {
 		t.Fatalf("prediction format:\n%s", out)
 	}
 }
 
 func TestMultiClusterExperimentTiny(t *testing.T) {
-	cfg := DefaultMultiClusterConfig(6)
-	cfg.Repeats = 1
-	cfg.Iterations = 20
-	d, err := RunMultiCluster(cfg)
+	d, err := RunMultiCluster(MultiClusterConfig{Seed: 6, Repeats: 1, Iterations: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,18 +199,14 @@ func TestMultiClusterExperimentTiny(t *testing.T) {
 	if d.CrossCluster["net-load-aware"] != 0 {
 		t.Fatalf("net-load-aware crossed clusters: %v", d.CrossCluster)
 	}
-	if out := FormatMultiCluster(d); !strings.Contains(out, "cross-cluster") {
+	if out := d.Render(); !strings.Contains(out, "cross-cluster") {
 		t.Fatalf("format:\n%s", out)
 	}
 }
 
 func TestAblationTiny(t *testing.T) {
-	cfg := DefaultAblationConfig(8)
-	cfg.Repeats = 1
-	cfg.Iterations = 20
-	cfg.Betas = []float64{0, 0.7}
-	cfg.BandwidthPeriods = []time.Duration{time.Minute}
-	d, err := RunAblation(cfg)
+	d, err := RunAblation(AblationConfig{Seed: 8, Repeats: 1, Iterations: 20,
+		Betas: []float64{0, 0.7}, BandwidthPeriods: []time.Duration{time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +218,7 @@ func TestAblationTiny(t *testing.T) {
 	if d.BetaSweep[0].MeanSec < d.BetaSweep[1].MeanSec {
 		t.Fatalf("β=0 (%.2fs) beat β=0.7 (%.2fs)", d.BetaSweep[0].MeanSec, d.BetaSweep[1].MeanSec)
 	}
-	if out := FormatAblation(d); !strings.Contains(out, "β sweep") {
+	if out := d.Render(); !strings.Contains(out, "β sweep") {
 		t.Fatalf("format:\n%s", out)
 	}
 }
@@ -246,7 +239,7 @@ func TestCoScheduleTiny(t *testing.T) {
 			t.Fatalf("%s times %g/%g", pol, sec, d.MakespanSec[pol])
 		}
 	}
-	if out := FormatCoSchedule(d); !strings.Contains(out, "makespan") {
+	if out := d.Render(); !strings.Contains(out, "makespan") {
 		t.Fatalf("format:\n%s", out)
 	}
 }

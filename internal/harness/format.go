@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,8 +58,8 @@ func seriesLine(name string, vals []float64, unit string) string {
 		name, Spark(vals, 48), s.Min, s.Mean, s.Max, unit)
 }
 
-// FormatFig1 renders Figure 1's traces.
-func FormatFig1(d *Fig1Data) string {
+// Render renders Figure 1's traces.
+func (d *Fig1Data) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 — resource-usage variation over %.0f h (nodes A=%d, B=%d, avg over cluster)\n",
 		d.Hours[len(d.Hours)-1], d.NodeA, d.NodeB)
@@ -75,9 +77,9 @@ func FormatFig1(d *Fig1Data) string {
 	return b.String()
 }
 
-// FormatFig2 renders Figure 2: the pairwise-bandwidth heatmap and the
+// Render renders Figure 2: the pairwise-bandwidth heatmap and the
 // three tracked pairs.
-func FormatFig2(d *Fig2Data) string {
+func (d *Fig2Data) Render() string {
 	labels := make([]string, d.N)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("n%02d", i+1)
@@ -87,7 +89,7 @@ func FormatFig2(d *Fig2Data) string {
 	// convention by inverting.
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2(a) — P2P available bandwidth, %d nodes (light = high bandwidth)\n", d.N)
-	b.WriteString(Heatmap("", labels, d.AvailMBps, true))
+	b.WriteString(Heatmap(labels, d.AvailMBps, true))
 	b.WriteString("Figure 2(b) — P2P bandwidth across time\n")
 	for k, p := range d.Pairs {
 		b.WriteString(seriesLine(fmt.Sprintf("pair %d-%d", p[0]+1, p[1]+1), d.PairSeries[k], "MB/s") + "\n")
@@ -106,14 +108,7 @@ func orderedPolicies(m map[string]float64) []string {
 	}
 	var extra []string
 	for p := range m {
-		found := false
-		for _, q := range out {
-			if q == p {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(out, p) {
 			extra = append(extra, p)
 		}
 	}
@@ -121,9 +116,9 @@ func orderedPolicies(m map[string]float64) []string {
 	return append(out, extra...)
 }
 
-// FormatScaling renders a Figure 4/6-style table: one block per process
+// Render renders a Figure 4/6-style table: one block per process
 // count, rows are problem sizes, columns are policy mean execution times.
-func FormatScaling(d *ScalingData) string {
+func (d *ScalingData) Render() string {
 	byProcs := make(map[int][]ScalingCell)
 	var procsList []int
 	for _, c := range d.Cells {
@@ -172,8 +167,16 @@ func (d *ScalingData) Table() *Table {
 	return t
 }
 
-// FormatGains renders a Table 2/3-style gain summary.
-func FormatGains(g GainTable, tableName string) string {
+// WriteCSV writes Table as CSV.
+func (d *ScalingData) WriteCSV(w io.Writer) error { return d.Table().WriteCSV(w) }
+
+// Render renders a Table 2/3-style gain summary (Table 2 for miniMD,
+// Table 3 for miniFE), followed by a blank line.
+func (g GainTable) Render() string {
+	tableName := "Table 2"
+	if g.App == AppMiniFE {
+		tableName = "Table 3"
+	}
 	t := Table{
 		Title:  fmt.Sprintf("%s — %% gain of net-load-aware allocation (%s)", tableName, g.App),
 		Header: []string{"Allocation Policy", "Average Gain", "Median Gain", "Maximum Gain"},
@@ -185,36 +188,38 @@ func FormatGains(g GainTable, tableName string) string {
 		}
 		t.AddRow(pol, Pct(s.Mean), Pct(s.Median), Pct(s.Max))
 	}
-	return t.String()
+	return t.String() + "\n"
 }
 
-// FormatLoadPerCore renders Figure 5: mean allocated-group CPU load per
-// logical core per policy.
-func FormatLoadPerCore(m map[string]float64) string {
-	t := Table{
-		Title:  "Figure 5 — average CPU load per logical core of the allocated groups",
-		Header: []string{"policy", "load/core"},
-	}
+// PolicyLoads is Figure 5: mean allocated-group CPU load per logical
+// core, per policy.
+type PolicyLoads map[string]float64
+
+// Render renders Figure 5, followed by a blank line.
+func (m PolicyLoads) Render() string {
+	return policyColumn("Figure 5 — average CPU load per logical core of the allocated groups", "load/core", m)
+}
+
+// PolicyCoVs is the run-stability comparison: mean coefficient of
+// variation of execution time, per policy.
+type PolicyCoVs map[string]float64
+
+// Render renders the run-stability comparison, followed by a blank line.
+func (m PolicyCoVs) Render() string {
+	return policyColumn("Coefficient of variation of execution time (lower = more stable)", "CoV", m)
+}
+
+// policyColumn renders one value per policy in the paper's order.
+func policyColumn(title, column string, m map[string]float64) string {
+	t := Table{Title: title, Header: []string{"policy", column}}
 	for _, p := range orderedPolicies(m) {
 		t.AddRow(p, F3(m[p]))
 	}
-	return t.String()
+	return t.String() + "\n"
 }
 
-// FormatCoV renders the run-stability comparison.
-func FormatCoV(m map[string]float64) string {
-	t := Table{
-		Title:  "Coefficient of variation of execution time (lower = more stable)",
-		Header: []string{"policy", "CoV"},
-	}
-	for _, p := range orderedPolicies(m) {
-		t.AddRow(p, F3(m[p]))
-	}
-	return t.String()
-}
-
-// FormatAnalysis renders Table 4 and Figure 7.
-func FormatAnalysis(d *AnalysisData) string {
+// Render renders Table 4 and Figure 7.
+func (d *AnalysisData) Render() string {
 	var b strings.Builder
 	// Table 4.
 	t := Table{
@@ -259,7 +264,7 @@ func FormatAnalysis(d *AnalysisData) string {
 		}
 	}
 	b.WriteString("Figure 7 — complement of available P2P bandwidth (darker = worse), selections, CPU load\n")
-	b.WriteString(Heatmap("", labels, cbw, false))
+	b.WriteString(Heatmap(labels, cbw, false))
 	for _, pol := range d.Policies {
 		sel := map[int]bool{}
 		for _, n := range d.Selections[pol] {

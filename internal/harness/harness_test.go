@@ -189,17 +189,17 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestHeatmapRendering(t *testing.T) {
-	out := Heatmap("hm", []string{"r1", "r2"}, [][]float64{{0, 1}, {1, 0}}, false)
+	out := Heatmap([]string{"r1", "r2"}, [][]float64{{0, 1}, {1, 0}}, false)
 	if !strings.Contains(out, "r1") || !strings.Contains(out, "|") {
 		t.Fatalf("heatmap:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // title + 2 rows
+	if len(lines) != 2 {
 		t.Fatalf("heatmap lines: %d", len(lines))
 	}
 	// Degenerate input must not panic.
-	_ = Heatmap("", nil, nil, true)
-	_ = Heatmap("", []string{"x"}, [][]float64{{5}}, true)
+	_ = Heatmap(nil, nil, true)
+	_ = Heatmap([]string{"x"}, [][]float64{{5}}, true)
 }
 
 func TestSpark(t *testing.T) {

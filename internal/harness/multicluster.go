@@ -30,12 +30,6 @@ const mcClusters, mcSwitchesPerCluster, mcNodesPerSwitch = 3, 2, 4
 // the headline comparison is meaningful.
 const mcProcs, mcPPN = 16, 4
 
-// DefaultMultiClusterConfig returns the standard setup: three repeats
-// per policy.
-func DefaultMultiClusterConfig(seed uint64) MultiClusterConfig {
-	return MultiClusterConfig{Seed: seed, Repeats: 3}
-}
-
 // MultiClusterResult summarizes the experiment.
 type MultiClusterResult struct {
 	Cfg MultiClusterConfig
@@ -107,8 +101,8 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 	return res, nil
 }
 
-// FormatMultiCluster renders the experiment table.
-func FormatMultiCluster(r *MultiClusterResult) string {
+// Render renders the experiment table.
+func (r *MultiClusterResult) Render() string {
 	t := Table{
 		Title: fmt.Sprintf("Multi-cluster extension — %d WAN-joined clusters, miniMD %d procs (mean of %d runs)",
 			mcClusters, mcProcs, r.Cfg.Repeats),

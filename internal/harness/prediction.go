@@ -121,8 +121,8 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	return res, nil
 }
 
-// FormatPrediction renders the study.
-func FormatPrediction(r *PredictionResult) string {
+// Render renders the study.
+func (r *PredictionResult) Render() string {
 	t := Table{
 		Title: fmt.Sprintf("Prediction study — miniMD s=%d on %d procs, %d runs across all policies",
 			predictionSize, predictionProcs, len(r.Points)),

@@ -87,10 +87,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 var heatShades = []byte{' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'}
 
 // Heatmap renders vals (a square or rectangular matrix) as an ASCII
-// heatmap. When invert is true, high values map to dark shades (the
-// paper's complement-of-bandwidth convention: larger number = darker =
-// less available bandwidth).
-func Heatmap(title string, rowLabels []string, vals [][]float64, invert bool) string {
+// heatmap, one labelled row per line. When invert is true, high values
+// map to dark shades (the paper's complement-of-bandwidth convention:
+// larger number = darker = less available bandwidth).
+func Heatmap(rowLabels []string, vals [][]float64, invert bool) string {
 	minV, maxV := math.Inf(1), math.Inf(-1)
 	for _, row := range vals {
 		for _, v := range row {
@@ -136,9 +136,6 @@ func Heatmap(title string, rowLabels []string, vals [][]float64, invert bool) st
 		}
 	}
 	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s  (min=%.3g max=%.3g, darker = larger)\n", title, minV, maxV)
-	}
 	for i, row := range vals {
 		label := ""
 		if i < len(rowLabels) {

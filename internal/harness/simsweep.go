@@ -2,8 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
+	"nlarm/internal/loadgen"
 	"nlarm/internal/sim"
 )
 
@@ -80,9 +83,9 @@ func RunSimSweep(cfg SimSweepConfig) (*SimSweepData, error) {
 	return &SimSweepData{Config: cfg, Sweep: sw}, nil
 }
 
-// FormatSimSweep renders the sweep as a per-seed table plus the
-// aggregate line, mirroring the other artifact formatters.
-func FormatSimSweep(d *SimSweepData) string {
+// Render renders the sweep as a per-seed table plus the aggregate
+// line, mirroring the other artifacts.
+func (d *SimSweepData) Render() string {
 	var b strings.Builder
 	mode := "capacity"
 	if d.Config.Policy {
@@ -112,4 +115,79 @@ func FormatSimSweep(d *SimSweepData) string {
 			dec, charged, refreshes)
 	}
 	return b.String()
+}
+
+// SimScenarios is the sim artifact: one scenario under each queue
+// discipline, FIFO then EASY.
+type SimScenarios struct {
+	Results []*sim.ScenarioResult
+	// TracePath is where the EASY run's trace went ("" for nowhere).
+	TracePath string
+}
+
+// simDisciplines are the disciplines the sim artifact runs, in order.
+var simDisciplines = []sim.Discipline{sim.FIFO, sim.EASY}
+
+// runSimScenarios executes the scenario under both queue disciplines —
+// at capacity fidelity, or with per-job placement under o.SimPolicy —
+// on o.SimSpec's workload or the canned one sized by o.SimJobs,
+// o.SimNodes and o.SimUtil. The EASY run's trace optionally goes to
+// o.SimTrace for offline replay.
+func runSimScenarios(o Options) (*SimScenarios, error) {
+	jobs, nodes := o.SimJobs, o.SimNodes
+	if o.Quick {
+		jobs, nodes = 10000, 256
+	}
+	var wl loadgen.Workload
+	if o.SimSpec != "" {
+		data, err := os.ReadFile(o.SimSpec)
+		if err != nil {
+			return nil, err
+		}
+		if wl, err = loadgen.ParseWorkload(data); err != nil {
+			return nil, err
+		}
+	} else {
+		wl = sim.ScaledWorkload(jobs, nodes, o.SimUtil)
+	}
+	d := &SimScenarios{TracePath: o.SimTrace}
+	for _, disc := range simDisciplines {
+		cfg := sim.ScenarioConfig{Seed: o.Seed, Nodes: nodes, Workload: wl, Discipline: disc}
+		if o.SimPolicy {
+			cfg.Policy = &sim.PolicyConfig{}
+		}
+		var out io.Writer
+		var trace *os.File
+		if o.SimTrace != "" && disc == sim.EASY {
+			f, err := os.Create(o.SimTrace)
+			if err != nil {
+				return nil, err
+			}
+			out, trace = f, f
+		}
+		res, err := sim.RunScenario(cfg, out)
+		if trace != nil {
+			if cerr := trace.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		d.Results = append(d.Results, res)
+	}
+	return d, nil
+}
+
+// Render renders each discipline's report under its name, then where
+// the trace went.
+func (d *SimScenarios) Render() string {
+	var blocks []string
+	for i, res := range d.Results {
+		blocks = append(blocks, fmt.Sprintf("[%s]\n%s", simDisciplines[i], res.Render()))
+	}
+	if d.TracePath != "" {
+		blocks = append(blocks, fmt.Sprintf("EASY trace written to %s (verify with: nlarm-replay -trace %s)", d.TracePath, d.TracePath))
+	}
+	return strings.Join(blocks, "\n")
 }

@@ -22,7 +22,7 @@ func TestRunSimSweepDeterministicAcrossWorkers(t *testing.T) {
 	if len(one.Sweep.Results) != 3 {
 		t.Fatalf("want 3 results, got %d", len(one.Sweep.Results))
 	}
-	out := FormatSimSweep(one)
+	out := one.Render()
 	if !strings.Contains(out, "capacity fidelity") || !strings.Contains(out, "3 runs") {
 		t.Fatalf("unexpected format output:\n%s", out)
 	}
@@ -44,7 +44,7 @@ func TestRunSimSweepPolicy(t *testing.T) {
 			t.Fatalf("run %d: no placement decisions", i)
 		}
 	}
-	out := FormatSimSweep(d)
+	out := d.Render()
 	if !strings.Contains(out, "policy fidelity") || !strings.Contains(out, "1 build/run") {
 		t.Fatalf("unexpected format output:\n%s", out)
 	}

@@ -116,11 +116,11 @@ func RunTuning(cfg TuningConfig) (*TuningData, error) {
 	return &TuningData{Config: cfg, Regret: rep, Result: res}, nil
 }
 
-// FormatTuning renders the study. The output carries no wall times or
+// Render renders the study. The output carries no wall times or
 // other nondeterminism and ends with a digest of its own body, so two
 // processes running the same seed must print byte-identical reports —
 // CI compares them.
-func FormatTuning(d *TuningData) string {
+func (d *TuningData) Render() string {
 	var b strings.Builder
 	rep, res := d.Regret, d.Result
 	fmt.Fprintf(&b, "Counterfactual regret trace: %d decisions, k=%d\n",

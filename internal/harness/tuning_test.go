@@ -42,7 +42,7 @@ func TestRunTuningReport(t *testing.T) {
 		t.Fatalf("recommended weights beat the baseline on 0/%d held-out seeds",
 			len(d.Result.Holdout))
 	}
-	out := FormatTuning(d)
+	out := d.Render()
 	for _, want := range []string{"Counterfactual regret trace", "Recommended weights", "Holdout", "report digest "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
@@ -61,7 +61,7 @@ func TestRunTuningDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra, rb := FormatTuning(a), FormatTuning(b); ra != rb {
+	if ra, rb := a.Render(), b.Render(); ra != rb {
 		t.Fatalf("tuning report diverged across runs:\n--- a ---\n%s\n--- b ---\n%s", ra, rb)
 	}
 	if a.Result.Digest() != b.Result.Digest() {
