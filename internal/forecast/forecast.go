@@ -102,11 +102,14 @@ func (p *windowMean) Predict() (float64, bool) {
 type windowMedian struct {
 	k    int
 	buf  []float64
+	tmp  []float64 // sort scratch, so Predict allocates nothing
 	next int
 	full bool
 }
 
-func newWindowMedian(k int) *windowMedian { return &windowMedian{k: k, buf: make([]float64, k)} }
+func newWindowMedian(k int) *windowMedian {
+	return &windowMedian{k: k, buf: make([]float64, k), tmp: make([]float64, k)}
+}
 
 func (p *windowMedian) Name() string { return fmt.Sprintf("median-%d", p.k) }
 func (p *windowMedian) Observe(v float64) {
@@ -124,7 +127,7 @@ func (p *windowMedian) Predict() (float64, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), p.buf[:n]...)
+	tmp := append(p.tmp[:0], p.buf[:n]...)
 	sort.Float64s(tmp)
 	if n%2 == 1 {
 		return tmp[n/2], true
@@ -208,6 +211,7 @@ func (p *ar1) Predict() (float64, bool) {
 // Not safe for concurrent use.
 type Forecaster struct {
 	predictors []Predictor
+	names      []string  // predictors' names, formatted once
 	pending    []float64 // last prediction per method
 	hasPending []bool
 	sqErrSum   []float64
@@ -239,8 +243,13 @@ func NewWith(ps ...Predictor) *Forecaster {
 	if len(ps) == 0 {
 		panic("forecast: empty ensemble")
 	}
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.Name()
+	}
 	return &Forecaster{
 		predictors: ps,
+		names:      names,
 		pending:    make([]float64, len(ps)),
 		hasPending: make([]bool, len(ps)),
 		sqErrSum:   make([]float64, len(ps)),
@@ -285,13 +294,13 @@ func (f *Forecaster) Forecast() (value float64, method string, ok bool) {
 		}
 	}
 	if best >= 0 {
-		return f.pending[best], f.predictors[best].Name(), true
+		return f.pending[best], f.names[best], true
 	}
 	// No scored method yet: any pending prediction (last value is always
 	// available after one observation).
 	for i := range f.predictors {
 		if f.hasPending[i] {
-			return f.pending[i], f.predictors[i].Name(), true
+			return f.pending[i], f.names[i], true
 		}
 	}
 	return 0, "", false

@@ -190,3 +190,23 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("forecasters diverged: %g/%s vs %g/%s", va, ma, vb, mb)
 	}
 }
+
+// A warmed-up Observe (every window full) and Forecast allocate nothing:
+// the monitor feeds and queries two forecasters per node on every
+// NodeStateD tick.
+func TestObserveAllocatesNothing(t *testing.T) {
+	f := New()
+	r := rng.New(4)
+	for i := 0; i < 50; i++ {
+		f.Observe(r.Float64())
+	}
+	if n := testing.AllocsPerRun(100, func() { f.Observe(r.Float64()) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per call, want 0", n)
+	}
+	// A winner whose name is formatted from its parameters.
+	g := NewWith(newWindowMedian(5), &expSmooth{alpha: 0.5})
+	feed(g, []float64{1, 2, 3, 4, 5, 6})
+	if n := testing.AllocsPerRun(100, func() { g.Forecast() }); n != 0 {
+		t.Fatalf("Forecast allocates %v times per call, want 0", n)
+	}
+}

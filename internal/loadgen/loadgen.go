@@ -259,13 +259,14 @@ func (g *Generator) Step(now time.Time, dt time.Duration) {
 		}
 	}
 	g.sessions = live
+	// Poisson session arrivals, modulated by the time of day.
+	baseRate := g.cfg.SessionRatePerHour / 3600 * dtSec * g.cfg.diurnalFactor(now)
 	for id := range g.nodes {
 		ns := &g.nodes[id]
 		ns.loadBase.step(dtSec, ns.rnd)
 		ns.utilBase.step(dtSec, ns.rnd)
 		ns.memBase.step(dtSec, ns.rnd)
-		// Poisson session arrivals, modulated by the time of day.
-		rate := g.cfg.SessionRatePerHour / 3600 * dtSec * g.cfg.diurnalFactor(now)
+		rate := baseRate
 		if ns.heavy {
 			rate *= g.cfg.HeavyMultiplier
 		}

@@ -35,7 +35,7 @@ type heartbeat struct {
 }
 
 func putJSON(st store.Store, key string, v any) error {
-	b, err := json.Marshal(v)
+	b, err := marshalJSON(v)
 	if err != nil {
 		return fmt.Errorf("monitor: marshal %s: %w", key, err)
 	}

@@ -102,22 +102,16 @@ func (d *LatencyD) tick(now time.Time) {
 				ts = stats.NewTimeSeries(6 * time.Minute)
 				d.series[key] = ts
 			}
+			// The sample just added is Means' fallback for an empty window.
 			_ = ts.Add(now, lat.Seconds())
-			m1, ok1 := ts.MeanOver(now, time.Minute)
-			m5, ok5 := ts.MeanOver(now, 5*time.Minute)
-			if !ok1 {
-				m1 = lat.Seconds()
-			}
-			if !ok5 {
-				m5 = lat.Seconds()
-			}
+			m := ts.Means(now)
 			d.matrix[key] = metrics.PairLatency{
 				U:         key.U,
 				V:         key.V,
 				Timestamp: now,
 				Last:      lat,
-				Mean1:     time.Duration(m1 * float64(time.Second)),
-				Mean5:     time.Duration(m5 * float64(time.Second)),
+				Mean1:     time.Duration(m.M1 * float64(time.Second)),
+				Mean5:     time.Duration(m.M5 * float64(time.Second)),
 			}
 		}
 	}

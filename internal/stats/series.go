@@ -21,8 +21,13 @@ type Sample struct {
 // than MaxAge relative to the newest sample are discarded on insertion.
 // The zero value is not usable; call NewTimeSeries.
 type TimeSeries struct {
-	maxAge  time.Duration
-	samples []Sample // ascending by T
+	maxAge time.Duration
+	// Live samples are t[head:], v[head:], ascending by t (UnixNano).
+	// Trimming advances head; the dead prefix is compacted away once it
+	// outgrows the live part, so an Add moves O(1) samples amortised.
+	head int
+	t    []int64
+	v    []float64
 }
 
 // NewTimeSeries returns a series that retains samples for maxAge.
@@ -38,53 +43,31 @@ func NewTimeSeries(maxAge time.Duration) *TimeSeries {
 // rejected with an error so monitoring bugs surface instead of silently
 // corrupting running means.
 func (ts *TimeSeries) Add(t time.Time, v float64) error {
-	if n := len(ts.samples); n > 0 && t.Before(ts.samples[n-1].T) {
-		return fmt.Errorf("stats: out-of-order sample at %v (newest %v)", t, ts.samples[n-1].T)
+	at := t.UnixNano()
+	if n := len(ts.t); n > 0 && at < ts.t[n-1] {
+		return fmt.Errorf("stats: out-of-order sample at %v (newest %v)", t, time.Unix(0, ts.t[n-1]))
 	}
-	ts.samples = append(ts.samples, Sample{T: t, V: v})
-	ts.trim(t)
+	ts.t = append(ts.t, at)
+	ts.v = append(ts.v, v)
+	cutoff := at - int64(ts.maxAge)
+	for ts.t[ts.head] < cutoff {
+		ts.head++
+	}
+	if ts.head > len(ts.t)/2 {
+		n := copy(ts.t, ts.t[ts.head:])
+		copy(ts.v, ts.v[ts.head:])
+		ts.t, ts.v, ts.head = ts.t[:n], ts.v[:n], 0
+	}
 	return nil
-}
-
-func (ts *TimeSeries) trim(now time.Time) {
-	cutoff := now.Add(-ts.maxAge)
-	i := 0
-	for i < len(ts.samples) && ts.samples[i].T.Before(cutoff) {
-		i++
-	}
-	if i > 0 {
-		ts.samples = append(ts.samples[:0], ts.samples[i:]...)
-	}
 }
 
 // Last returns the newest sample, if any.
 func (ts *TimeSeries) Last() (Sample, bool) {
-	if len(ts.samples) == 0 {
+	n := len(ts.t)
+	if n == 0 {
 		return Sample{}, false
 	}
-	return ts.samples[len(ts.samples)-1], true
-}
-
-// MeanOver returns the mean of samples with T in (now-window, now].
-// ok is false when no sample falls in the window.
-func (ts *TimeSeries) MeanOver(now time.Time, window time.Duration) (mean float64, ok bool) {
-	cutoff := now.Add(-window)
-	sum, n := 0.0, 0
-	for i := len(ts.samples) - 1; i >= 0; i-- {
-		s := ts.samples[i]
-		if s.T.After(now) {
-			continue
-		}
-		if !s.T.After(cutoff) {
-			break
-		}
-		sum += s.V
-		n++
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
+	return Sample{T: time.Unix(0, ts.t[n-1]), V: ts.v[n-1]}, true
 }
 
 // Windowed are the paper's 1/5/15-minute running means of an attribute.
@@ -92,24 +75,46 @@ type Windowed struct {
 	M1, M5, M15 float64
 }
 
-// Means returns the 1/5/15-minute running means ending at now. Windows
-// with no samples fall back to the newest sample's value (the paper's
-// daemons always have at least the instantaneous reading), and to 0 when
-// the series is empty.
+// windows are the running-mean spans of Windowed, shortest first.
+var windows = [3]time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
+
+// Means returns the 1/5/15-minute running means ending at now: the mean
+// of the samples with T in (now-window, now]. Windows with no samples
+// fall back to the newest sample's value (the paper's daemons always
+// have at least the instantaneous reading), and to 0 when the series is
+// empty. One newest-to-oldest walk serves all three windows: each
+// window's sum is a prefix of the next one's, added in the same order.
 func (ts *TimeSeries) Means(now time.Time) Windowed {
 	fallback := 0.0
-	if last, ok := ts.Last(); ok {
-		fallback = last.V
+	if n := len(ts.t); n > 0 {
+		fallback = ts.v[n-1]
 	}
-	pick := func(w time.Duration) float64 {
-		if m, ok := ts.MeanOver(now, w); ok {
-			return m
+	at := now.UnixNano()
+	var mean [3]float64
+	sum, count, w := 0.0, 0, 0
+	for i := len(ts.t) - 1; i >= ts.head; i-- {
+		if ts.t[i] > at {
+			continue
 		}
+		for w < len(windows) && ts.t[i] <= at-int64(windows[w]) {
+			mean[w] = meanOr(sum, count, fallback)
+			w++
+		}
+		if w == len(windows) {
+			break
+		}
+		sum += ts.v[i]
+		count++
+	}
+	for ; w < len(windows); w++ {
+		mean[w] = meanOr(sum, count, fallback)
+	}
+	return Windowed{M1: mean[0], M5: mean[1], M15: mean[2]}
+}
+
+func meanOr(sum float64, n int, fallback float64) float64 {
+	if n == 0 {
 		return fallback
 	}
-	return Windowed{
-		M1:  pick(1 * time.Minute),
-		M5:  pick(5 * time.Minute),
-		M15: pick(15 * time.Minute),
-	}
+	return sum / float64(n)
 }

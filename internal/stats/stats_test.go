@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"nlarm/internal/rng"
 )
 
 var t0 = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -48,16 +50,13 @@ func TestTimeSeriesTrimsOldSamples(t *testing.T) {
 		_ = ts.Add(t0.Add(time.Duration(i)*10*time.Second), 1)
 	}
 	// Only samples within the last minute survive (6-7 samples).
-	if len(ts.samples) > 8 {
-		t.Fatalf("series retained %d samples, maxAge 1m at 10s cadence", len(ts.samples))
+	if n := len(ts.t) - ts.head; n > 8 {
+		t.Fatalf("series retained %d samples, maxAge 1m at 10s cadence", n)
 	}
 }
 
 func TestTimeSeriesEmptyWindows(t *testing.T) {
 	ts := NewTimeSeries(16 * time.Minute)
-	if _, ok := ts.MeanOver(t0, time.Minute); ok {
-		t.Fatal("MeanOver on empty series reported ok")
-	}
 	w := ts.Means(t0)
 	if w.M1 != 0 || w.M5 != 0 || w.M15 != 0 {
 		t.Fatalf("empty Means = %+v", w)
@@ -65,8 +64,108 @@ func TestTimeSeriesEmptyWindows(t *testing.T) {
 	// Single old sample: windows fall back to last value.
 	_ = ts.Add(t0, 42)
 	w = ts.Means(t0.Add(10 * time.Minute))
-	if w.M1 != 42 {
-		t.Fatalf("fallback M1 = %g, want 42", w.M1)
+	if w.M1 != 42 || w.M5 != 42 || w.M15 != 42 {
+		t.Fatalf("fallback Means = %+v, want 42 throughout", w)
+	}
+	// Only samples after now: every window is empty and falls back too.
+	_ = ts.Add(t0.Add(time.Minute), 7)
+	if w = ts.Means(t0.Add(-time.Second)); w.M1 != 7 || w.M15 != 7 {
+		t.Fatalf("future-only Means = %+v, want fallback 7", w)
+	}
+}
+
+// refSeries is the three-pass implementation Means replaced, kept as the
+// oracle: time.Time samples, a whole-window memmove on every trim, and a
+// separate newest-to-oldest scan per window.
+type refSeries struct {
+	maxAge  time.Duration
+	samples []Sample
+}
+
+func (r *refSeries) add(t time.Time, v float64) {
+	r.samples = append(r.samples, Sample{T: t, V: v})
+	cutoff := t.Add(-r.maxAge)
+	i := 0
+	for i < len(r.samples) && r.samples[i].T.Before(cutoff) {
+		i++
+	}
+	r.samples = append(r.samples[:0], r.samples[i:]...)
+}
+
+func (r *refSeries) meanOver(now time.Time, window time.Duration) (float64, bool) {
+	cutoff := now.Add(-window)
+	sum, n := 0.0, 0
+	for i := len(r.samples) - 1; i >= 0; i-- {
+		s := r.samples[i]
+		if s.T.After(now) {
+			continue
+		}
+		if !s.T.After(cutoff) {
+			break
+		}
+		sum += s.V
+		n++
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
+}
+
+func (r *refSeries) means(now time.Time) [3]float64 {
+	fallback := 0.0
+	if n := len(r.samples); n > 0 {
+		fallback = r.samples[n-1].V
+	}
+	var out [3]float64
+	for i, w := range []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute} {
+		out[i] = fallback
+		if m, ok := r.meanOver(now, w); ok {
+			out[i] = m
+		}
+	}
+	return out
+}
+
+// Property: Means is bit-identical to the three-pass oracle for every
+// window, over irregularly spaced series (repeated timestamps, gaps that
+// empty every window), query instants before the newest sample, series
+// long enough to cross the head compaction many times, and retention
+// both longer and shorter than the 15-minute window.
+func TestMeansMatchesThreePassOracle(t *testing.T) {
+	r := rng.New(27)
+	for _, maxAge := range []time.Duration{time.Minute, 6 * time.Minute, 16 * time.Minute} {
+		for trial := 0; trial < 20; trial++ {
+			ts := NewTimeSeries(maxAge)
+			ref := &refSeries{maxAge: maxAge}
+			at := t0
+			for i := 0; i < 600; i++ {
+				switch k := r.Intn(20); {
+				case k == 0:
+					at = at.Add(time.Duration(r.Intn(20)) * time.Minute) // may empty every window
+				case k < 3:
+					// repeated timestamp
+				default:
+					at = at.Add(time.Duration(r.Intn(int(20 * time.Second))))
+				}
+				// Magnitudes far apart, so a changed summation order shows.
+				v := r.NormMS(0, 1) * math.Pow(10, float64(r.Intn(13)-6))
+				if err := ts.Add(at, v); err != nil {
+					t.Fatal(err)
+				}
+				ref.add(at, v)
+				if live := len(ts.t) - ts.head; live != len(ref.samples) {
+					t.Fatalf("maxAge %v step %d: %d live samples, oracle %d", maxAge, i, live, len(ref.samples))
+				}
+				now := at.Add(-time.Duration(r.Intn(int(2*time.Minute))) * time.Duration(r.Intn(2)))
+				got, want := ts.Means(now), ref.means(now)
+				for w, g := range []float64{got.M1, got.M5, got.M15} {
+					if math.Float64bits(g) != math.Float64bits(want[w]) {
+						t.Fatalf("maxAge %v step %d window %d: Means %v, oracle %v", maxAge, i, w, g, want[w])
+					}
+				}
+			}
+		}
 	}
 }
 
