@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -47,7 +46,7 @@ func getJSON(st store.Store, key string, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(b, v); err != nil {
+	if err := unmarshalJSON(b, v); err != nil {
 		return fmt.Errorf("monitor: unmarshal %s: %w", key, err)
 	}
 	return nil

@@ -86,7 +86,7 @@ func (g tickGen) record() any {
 		out := make([]metrics.PairLatency, n)
 		for i := range out {
 			out[i] = metrics.PairLatency{U: g.r.Intn(60), V: g.r.Intn(60) - 1, Timestamp: g.time(),
-				Last: time.Duration(g.r.Uint64()), Mean1: time.Duration(g.r.Intn(1e9)), Mean5: -time.Duration(g.r.Intn(9))}
+				Last: time.Duration(g.r.Uint64()), Mean1: time.Duration(g.r.Uint64() >> g.r.Intn(64)), Mean5: -time.Duration(g.r.Intn(9))}
 		}
 		return out
 	default:

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"nlarm/internal/forecast"
@@ -19,6 +20,7 @@ import (
 type NodeStateD struct {
 	daemonBase
 	node int
+	key  string // nodeStateKey(node)
 	pr   Prober
 
 	cpuLoad  *stats.TimeSeries
@@ -43,6 +45,7 @@ func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *N
 			st:     st,
 		},
 		node:         node,
+		key:          nodeStateKey(node),
 		pr:           pr,
 		cpuLoad:      stats.NewTimeSeries(retain),
 		cpuUtil:      stats.NewTimeSeries(retain),
@@ -99,12 +102,23 @@ func (d *NodeStateD) tick(now time.Time) {
 		}
 		attrs.FlowRateForecast = &metrics.Forecast{Value: v, Method: method}
 	}
-	_ = putJSON(d.st, fmt.Sprintf("%s%d", KeyNodeStatePrefix, d.node), attrs)
+	_ = putJSON(d.st, d.key, attrs)
+}
+
+// nodeStateKey is the store key node id's attributes are published under,
+// built in one allocation (prefix + strconv.Itoa takes two above 99).
+func nodeStateKey(id int) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(b[:0], KeyNodeStatePrefix...), int64(id), 10))
 }
 
 // ReadNodeState returns the published attributes of node id.
 func ReadNodeState(st store.Store, id int) (metrics.NodeAttrs, error) {
+	return readNodeState(st, nodeStateKey(id))
+}
+
+func readNodeState(st store.Store, key string) (metrics.NodeAttrs, error) {
 	var attrs metrics.NodeAttrs
-	err := getJSON(st, fmt.Sprintf("%s%d", KeyNodeStatePrefix, id), &attrs)
+	err := getJSON(st, key, &attrs)
 	return attrs, err
 }

@@ -216,14 +216,14 @@ func (c *SnapshotCache) refreshLocked(now time.Time, seq uint64) (Refresh, error
 	}
 	var changed []int
 	for _, id := range hosts {
-		key := fmt.Sprintf("%s%d", KeyNodeStatePrefix, id)
+		key := nodeStateKey(id)
 		g, cg := gens[key], c.gens[key]
 		_, have := nodes[id]
 		if g == cg && (have || g == 0) {
 			continue
 		}
 		reread++
-		attrs, err := ReadNodeState(c.src, id)
+		attrs, err := readNodeState(c.src, key)
 		if err != nil {
 			if !errors.Is(err, store.ErrNotFound) {
 				c.reg.Counter("monitor.snapshot.nodestate.errors").Inc()

@@ -57,10 +57,6 @@ func (w *cacheWorld) tick() time.Time {
 	return w.now
 }
 
-func (w *cacheWorld) nodeKey(id int) string {
-	return fmt.Sprintf("%s%d", KeyNodeStatePrefix, id)
-}
-
 func (w *cacheWorld) publishNode(id int) {
 	attrs := metrics.NodeAttrs{
 		NodeID:      id,
@@ -75,7 +71,7 @@ func (w *cacheWorld) publishNode(id int) {
 		FlowRateBps: windowed(w.rnd.Range(0, 1e8)),
 		AvailMemMB:  windowed(w.rnd.Range(100, 8000)),
 	}
-	w.put(w.nodeKey(id), attrs)
+	w.put(nodeStateKey(id), attrs)
 }
 
 func (w *cacheWorld) publishLivehosts() {
@@ -143,7 +139,7 @@ func (w *cacheWorld) mutate() {
 	case 4:
 		w.publishBandwidth()
 	case 5: // a node record vanishes (operator cleanup, daemon wipe)
-		if err := w.st.Delete(w.nodeKey(w.pool[w.rnd.Intn(len(w.pool))])); err != nil {
+		if err := w.st.Delete(nodeStateKey(w.pool[w.rnd.Intn(len(w.pool))])); err != nil {
 			w.t.Fatal(err)
 		}
 	case 6: // nothing changed
