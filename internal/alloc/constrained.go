@@ -32,6 +32,15 @@ type AllocScratch struct {
 	allStarts []int
 }
 
+// costBufs returns the C_G, N_G and T_G slices for k candidates, one
+// backing array reused across calls.
+func (sc *AllocScratch) costBufs(k int) (costC, costN, total []float64) {
+	if cap(sc.costs) < 3*k {
+		sc.costs = make([]float64, 3*k)
+	}
+	return sc.costs[:k], sc.costs[k : 2*k], sc.costs[2*k : 3*k]
+}
+
 // AllocateConstrained runs Algorithms 1-2 over a prebuilt cost model
 // with caller-supplied per-node capacities and a bounded start set: the
 // seam the policy-fidelity simulator drives per scheduling decision.
@@ -83,11 +92,7 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 			starts[i] = i
 		}
 	}
-	k := len(starts)
-	if cap(sc.costs) < 3*k {
-		sc.costs = make([]float64, 3*k)
-	}
-	costC, costN, total := sc.costs[:k], sc.costs[k:2*k], sc.costs[2*k:3*k]
+	costC, costN, total := sc.costBufs(len(starts))
 
 	// Algorithm 1, cost pass: one greedy sub-graph per seed, recording
 	// only C_G and N_G (the selection itself is regenerated for the

@@ -762,10 +762,8 @@ func fillIdx(order []int, caps []int, procs int) (used []int, counts []int) {
 	return used, counts
 }
 
-// lessIdx is the strict total order shared by sortIdxByCost and the
-// partial-selection heap: ascending cost, ties broken by index. Because
-// it is a strict total order, popping a min-heap built on it yields
-// exactly the permutation sortIdxByCost produces.
+// lessIdx is byCostThenIdx as a predicate, for the kernel's bounded
+// heap and insertion runs: ascending cost, ties broken by index.
 func lessIdx(cost []float64, a, b int) bool {
 	if cost[a] != cost[b] {
 		return cost[a] < cost[b]
@@ -773,39 +771,64 @@ func lessIdx(cost []float64, a, b int) bool {
 	return a < b
 }
 
-// heapifyIdx establishes the min-heap property on h under lessIdx.
-func heapifyIdx(h []int, cost []float64) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownIdx(h, i, cost)
+// bucketRange returns the lower end and the scale that map run's costs
+// onto n buckets, in one pass of two plain compares per cost (the float
+// min/max builtins cost more than the pass; they run only when the range
+// moves). It spans the second-least to second-greatest cost, so that one
+// far cost at either end — the seed's own A_v(v) = 0 is always the least
+// — clamps into an end bucket instead of crowding the others into one.
+// ok is false for sortRun or fewer positions, one cost, a NaN, or a span
+// too wide or too narrow to scale.
+func bucketRange(run []int, cost []float64, n int) (lo, scale float64, ok bool) {
+	if len(run) <= sortRun {
+		return 0, 0, false
 	}
+	lo1, hi1 := min(cost[run[0]], cost[run[1]]), max(cost[run[0]], cost[run[1]])
+	lo2, hi2, nan := hi1, lo1, hi1 != hi1
+	for _, s := range run[2:] {
+		switch c := cost[s]; {
+		case c >= lo2 && c <= hi2: // the common case once the range settles
+		case c < lo2:
+			lo1, lo2 = min(lo1, c), max(lo1, c)
+		case c > hi2:
+			hi1, hi2 = max(hi1, c), min(hi1, c)
+		default:
+			nan = true
+		}
+	}
+	if lo2 >= hi2 {
+		lo2, hi2 = lo1, hi1
+	}
+	scale = float64(n) / (hi2 - lo2)
+	return lo2, scale, !nan && hi1-lo1 <= math.MaxFloat64 && hi2 > lo2 && scale <= math.MaxFloat64
 }
 
-func siftDownIdx(h []int, i int, cost []float64) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && lessIdx(cost, h[r], h[l]) {
-			m = r
-		}
-		if !lessIdx(cost, h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+// bucket maps a cost to one of top+1 buckets, (c−lo)·scale truncated and
+// clamped: only an x in [0, top) becomes an int. IEEE subtraction and
+// multiplication by a positive scale round monotonically, so the bucket
+// never falls as the cost grows, and equal costs share one.
+func bucket(c, lo, scale float64, top int) int {
+	switch x := (c - lo) * scale; {
+	case x < 0:
+		return 0
+	case x < float64(top):
+		return int(x)
 	}
+	return top
 }
 
-// popIdx removes and returns the heap minimum, shrinking h by one.
-func popIdx(h []int, cost []float64) (int, []int) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	siftDownIdx(h, 0, cost)
-	return top, h
+// orderRun sorts a run of positions by lessIdx: by insertion when it is
+// short, else by slices.SortFunc, so no cost shape is quadratic.
+func orderRun(run []int, cost []float64) {
+	if len(run) > sortRun {
+		slices.SortFunc(run, byCostThenIdx(cost))
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && lessIdx(cost, run[j], run[j-1]); j-- {
+			run[j], run[j-1] = run[j-1], run[j]
+		}
+	}
 }
 
 // siftUpMaxIdx, siftDownMaxIdx and popMaxIdx maintain a MAX-heap under
@@ -851,33 +874,42 @@ func popMaxIdx(h []int, cost []float64) (int, []int) {
 }
 
 // minParallelWork is the size of a fan-out, in addition-cost evaluations
-// (about 15 ns each with their share of the selection), below which it
-// stays on the calling goroutine. Starting a worker on another thread
-// costs the caller a futex call and the request a cross-CPU handoff; on
-// a virtual machine whose idle vCPU has halted that is tens of
-// microseconds and follows the host's load, not the program's. A 60-node
-// dense allocate is 3,600 evaluations, ~50 µs: halving it saved at most
-// 25 µs and let the host decide, run by run, whether the broker's warm
-// path beat one thread or lost to it (bench paper60-frozen, 16 runs:
+// (8–16 ns each on a 2-vCPU Xeon with their share of the selection and
+// of N_G), below which it stays on the calling goroutine. Starting a
+// worker on another thread costs the caller a futex call and the request
+// a cross-CPU handoff; on a virtual machine whose idle vCPU has halted
+// that is tens of microseconds and follows the host's load, not the
+// program's. A 60-node dense allocate is 3,600 evaluations, 30–55 µs:
+// splitting it let the host decide, run by run, whether the broker's
+// warm path beat one thread or lost to it (bench paper60-frozen, 16 runs:
 // quartile spread of op_p50_ms 15 % of the median split, 6 % not). 128
 // dense nodes or four 64-node shards are 16,384 and worth the wake-ups.
 const minParallelWork = 1 << 14
 
+// The scratch the model-wide allocate paths draw, so a warm call reuses
+// buffers earlier calls sized: the caller's, and parallelFor's workers'.
+var (
+	allocPool = sync.Pool{New: func() any { return new(AllocScratch) }}
+	genPool   = sync.Pool{New: func() any { return new(genScratch) }}
+	shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
+)
+
 // parallelFor runs f(scratch, i) for every i in [0, n), work
 // addition-cost evaluations in all, across a GOMAXPROCS-bounded pool of
-// worker goroutines, each with its own zero-valued scratch S. Each index
-// runs exactly once, and each worker runs its calls sequentially (so its
-// scratch needs no locking); f must only write index-owned state (the
-// callers write into pre-assigned slice slots, keeping results
-// bit-identical to a sequential loop). Fan-outs below minParallelWork
-// run inline.
-func parallelFor[S any](n, work int, f func(sc *S, i int)) {
+// worker goroutines, each with its own scratch S taken from pool (which
+// must make *S) and returned to it. Each index runs exactly once, and
+// each worker runs its calls sequentially (so its scratch needs no
+// locking); f must only write index-owned state (the callers write into
+// pre-assigned slice slots, keeping results bit-identical to a
+// sequential loop). Fan-outs below minParallelWork run inline.
+func parallelFor[S any](pool *sync.Pool, n, work int, f func(sc *S, i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 || work < minParallelWork {
-		var sc S
+		sc := pool.Get().(*S)
 		for i := 0; i < n; i++ {
-			f(&sc, i)
+			f(sc, i)
 		}
+		pool.Put(sc)
 		return
 	}
 	var next atomic.Int64
@@ -886,13 +918,14 @@ func parallelFor[S any](n, work int, f func(sc *S, i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc S
+			sc := pool.Get().(*S)
+			defer pool.Put(sc)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(&sc, i)
+				f(sc, i)
 			}
 		}()
 	}

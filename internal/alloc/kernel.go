@@ -91,17 +91,15 @@ func (sc *genScratch) grow(set *candSet) {
 	}
 }
 
-// boundedHeapRatio picks coverPrefix's strategy from what the call
+// boundedHeapSquare picks coverPrefix's strategy from what the call
 // already knows. At the set's mean capacity a covering prefix is about
-// expect = ⌈procs·f / total⌉ of the f candidates long; the bounded
-// max-heap wins when that is a small share of f and heapify-and-pop when
-// it is not, crossing over between f/8 (f = 64) and f/18 (f = 1024) on
-// the kernel alone. Neither strategy can serve every caller: measured
-// alg-only on prebuilt models, bounded-everywhere costs +33 % on the
-// 16×64 sharded shape and +50 % on the 60-node paper shape,
-// heapify-everywhere +22 % on the 1024-node simulator policy run, and a
-// capacity-weighted quickselect is worse than both.
-const boundedHeapRatio = 16
+// expect = ⌈procs·f / total⌉ of the f candidates long. The bounded
+// max-heap pays per kept position and the histogram cut per candidate,
+// so the prefix where they cross grows with f but more slowly:
+// BenchmarkCoverPrefix puts it at 6–8 of 60, 12–16 of 256 and 16–24 of
+// 1024 positions, which boundedHeapSquare·expect² ≤ f follows and no
+// ratio f/expect does (DESIGN.md §7 has the table).
+const boundedHeapSquare = 2
 
 // coverPrefix returns the minimal covering prefix of the ascending
 // (addCost, position) order over set: the fewest leading positions
@@ -114,23 +112,15 @@ func (sc *genScratch) coverPrefix(addCost []float64, set *candSet, procs int) []
 	if f == 0 {
 		return nil // no capacity at all; total is 0, so do not divide by it
 	}
-	if expect := (procs*f + set.total - 1) / set.total; boundedHeapRatio*expect > f {
-		// Long prefix: heapify all f positions and pop ascending until the
-		// popped capacity covers the request.
-		h := sc.heap[:f]
-		for s := range h {
-			h[s] = s
-		}
-		heapifyIdx(h, addCost)
-		sel := sc.sel[:0]
-		for total := 0; total < procs && len(h) > 0; {
-			var s int
-			s, h = popIdx(h, addCost)
-			sel = append(sel, s)
-			total += set.caps[s]
-		}
-		return sel
+	if expect := min((procs*f+set.total-1)/set.total, f); boundedHeapSquare*expect*expect > f {
+		return sc.coverSorted(addCost, set.caps, procs)
 	}
+	return sc.coverBounded(addCost, set, procs)
+}
+
+// coverBounded is coverPrefix for a short prefix.
+func (sc *genScratch) coverBounded(addCost []float64, set *candSet, procs int) []int {
+	f := len(addCost)
 	if set.maxCap >= procs {
 		// The first position of the order is the (cost, position) minimum;
 		// when it alone covers the request — the common case of small jobs
@@ -168,6 +158,79 @@ func (sc *genScratch) coverPrefix(addCost []float64, set *candSet, procs int) []
 	sel := sc.sel[:len(h)]
 	for k := len(sel) - 1; k >= 0; k-- {
 		sel[k], h = popMaxIdx(h, addCost)
+	}
+	return sel
+}
+
+// coarseBuckets is the resolution of coverSorted's capacity histogram,
+// sortRun the longest run orderRun sorts by insertion.
+const coarseBuckets, sortRun = 32, 16
+
+// coverSorted is coverPrefix for a long prefix. A capacity histogram
+// over bucketRange cuts at the first bucket whose running capacity
+// reaches procs; bucket is monotone in cost, so the positions at or
+// below the cut (sc.heap) are a prefix of the (cost, position) order
+// that covers procs. A counting sort on a bucket per survivor orders
+// them into sc.sel, each bucket finished by orderRun, until capacity
+// covers procs. The counts borrow sc.used, which take overwrites. Where
+// bucketRange refuses, one bucket holds everything: no index is ever
+// converted from NaN or Inf.
+func (sc *genScratch) coverSorted(cost []float64, caps []int, procs int) []int {
+	surv := sc.heap[:len(cost)]
+	for s := range surv {
+		surv[s] = s
+	}
+	hist := sc.used[:min(coarseBuckets, cap(sc.used))]
+	if lo, scale, ok := bucketRange(surv, cost, len(hist)); ok {
+		top := len(hist) - 1
+		clear(hist)
+		for s, c := range cost {
+			hist[bucket(c, lo, scale, top)] += caps[s]
+		}
+		for b, run := 0, 0; b < top; b++ {
+			if run += hist[b]; run >= procs {
+				m := 0 // no branch per position: which survive is as random as the costs
+				for s, c := range cost {
+					surv[m] = s
+					if bucket(c, lo, scale, top) <= b {
+						m++
+					}
+				}
+				surv = surv[:m]
+				break
+			}
+		}
+	}
+	sel := sc.sel[:len(surv)]
+	hist = sc.used[:len(surv)]
+	lo, scale, ok := bucketRange(surv, cost, len(hist))
+	if !ok {
+		hist = hist[:1] // one bucket, which orderRun sorts
+	}
+	top := len(hist) - 1
+	clear(hist)
+	for _, s := range surv {
+		hist[bucket(cost[s], lo, scale, top)]++
+	}
+	for b, start := 0, 0; b <= top; b++ {
+		hist[b], start = start, start+hist[b]
+	}
+	for _, s := range surv { // in position order, which insertion then finds sorted
+		b := bucket(cost[s], lo, scale, top)
+		sel[hist[b]] = s
+		hist[b]++
+	}
+	start, total := 0, 0
+	for _, end := range hist { // hist[b] is now the end of bucket b
+		if end-start > 1 {
+			orderRun(sel[start:end], cost)
+		}
+		for k := start; k < end; k++ {
+			if total += caps[sel[k]]; total >= procs {
+				return sel[:k+1]
+			}
+		}
+		start = end
 	}
 	return sel
 }

@@ -66,16 +66,15 @@ func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate
 // allocate runs Algorithms 1-2 over a prebuilt cost model. Candidate
 // generation (Algorithm 1, one independent greedy sub-graph per start
 // node) fans out across a bounded worker pool; every worker writes its
-// candidate into a pre-assigned slice slot and the scoring pass
-// (Algorithm 2) runs sequentially over the slice, so results are
+// candidate's C_G and N_G into a pre-assigned slot and the scoring pass
+// (Algorithm 2) runs sequentially over them, so results are
 // bit-identical to the sequential path.
 //
-// Without explain the dense path keeps only each candidate's costs and
-// generates the winner a second time to materialise it, as
-// AllocateConstrained does: one more greedy pass instead of a Nodes
-// slice and a Procs map for each of the |V|-1 candidates the caller
-// drops (two thirds of what a warm broker allocate allocated). Same
-// costs into the same scoring, so the winner is the explain path's.
+// Without explain only the costs are kept and the winner is generated a
+// second time to materialise it, as AllocateConstrained does: one more
+// greedy pass instead of a Candidate, a Nodes slice and a Procs map for
+// each of the |V|-1 candidates the caller drops. The candidate set, the
+// cost slices and every kernel scratch come from pools.
 func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candidate, []Candidate, error) {
 	req, err := req.Validate()
 	if err != nil {
@@ -92,40 +91,44 @@ func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candida
 	if err := m.NLErr(); err != nil {
 		return Candidate{}, nil, err
 	}
+	sc := allocPool.Get().(*AllocScratch)
+	defer allocPool.Put(sc)
+	set := &sc.gen.set
 	if m.Sharded() {
-		return p.allocateSharded(m, req)
+		return p.allocateSharded(m, req, set)
 	}
-	// Algorithm 1, once per start node: |V| candidates over one shared
-	// candidate set. Each worker owns one scratch buffer set, reused
-	// across all its start nodes.
-	var set candSet
 	set.build(m, nil, m.caps(req), req.Alpha)
-	candidates := make([]Candidate, n)
-	parallelFor(n, n*len(set.idx), func(sc *genScratch, v int) {
-		candidates[v] = p.generate(m, v, &set, req, sc, explain)
+	costC, costN, total := sc.costBufs(n)
+	var candidates []Candidate
+	if explain {
+		candidates = make([]Candidate, n)
+	}
+	parallelFor(&genPool, n, n*len(set.idx), func(w *genScratch, v int) {
+		if explain {
+			candidates[v] = p.generate(m, v, set, req, w)
+			costC[v], costN[v] = candidates[v].ComputeCost, candidates[v].NetworkCost
+		} else {
+			costC[v], costN[v] = p.generateConstrained(m, v, set, req, w)
+		}
 	})
-
-	bestIdx, err := scoreCandidates(candidates, req)
+	sumC, sumN := 0.0, 0.0
+	for v := range costC {
+		sumC += costC[v]
+		sumN += costN[v]
+	}
+	bestIdx, err := scoreCosts(costC, costN, total, req, sumC, sumN)
 	if err != nil {
 		return Candidate{}, nil, err
 	}
-	if !explain {
-		best := p.generate(m, bestIdx, &set, req, new(genScratch), true)
-		best.TotalLoad = candidates[bestIdx].TotalLoad
-		return best, nil, nil
+	if explain {
+		for v := range candidates {
+			candidates[v].TotalLoad = total[v]
+		}
+		return candidates[bestIdx], candidates, nil
 	}
-	return candidates[bestIdx], candidates, nil
-}
-
-// scoreCandidates is Algorithm 2: normalize C_G and N_G across the
-// generated candidates and return the index of the minimum-T_G one.
-func scoreCandidates(candidates []Candidate, req Request) (int, error) {
-	sumC, sumN := 0.0, 0.0
-	for i := range candidates {
-		sumC += candidates[i].ComputeCost
-		sumN += candidates[i].NetworkCost
-	}
-	return scoreCandidatesNormed(candidates, req, sumC, sumN)
+	best := p.generate(m, bestIdx, set, req, &sc.gen)
+	best.TotalLoad = total[bestIdx]
+	return best, nil, nil
 }
 
 // scoreCandidatesNormed is Algorithm 2 with caller-supplied normalization
@@ -175,13 +178,10 @@ func scoreCosts(costC, costN, total []float64, req Request, sumC, sumN float64) 
 
 // generate builds the candidate sub-graph seeded at dense index v
 // (Algorithm 1): generateConstrained's selection and costs, as a
-// Candidate. materialise fills in the selection as node IDs; without it
-// the candidate carries its costs only.
-func (p NetLoadAware) generate(m *CostModel, v int, set *candSet, req Request, sc *genScratch, materialise bool) Candidate {
+// Candidate in node IDs.
+func (p NetLoadAware) generate(m *CostModel, v int, set *candSet, req Request, sc *genScratch) Candidate {
 	c := Candidate{Start: m.IDs[v]}
 	c.ComputeCost, c.NetworkCost = p.generateConstrained(m, v, set, req, sc)
-	if materialise {
-		c.Nodes, c.Procs = indicesToAllocation(m.IDs, sc.used, sc.counts)
-	}
+	c.Nodes, c.Procs = indicesToAllocation(m.IDs, sc.used, sc.counts)
 	return c
 }

@@ -583,8 +583,8 @@ func (sc *shardScratch) growShards(s int) {
 // Algorithm 2 then scores the generated candidates exactly as the dense
 // path does. The returned candidate list covers only the union's start
 // nodes — the point of the hierarchy is not scoring one candidate per
-// cluster node.
-func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []Candidate, error) {
+// cluster node. set is the caller's reused buffer for the union.
+func (p NetLoadAware) allocateSharded(m *CostModel, req Request, set *candSet) (Candidate, []Candidate, error) {
 	sm := m.shard
 	S := sm.numShards()
 	caps := m.caps(req)
@@ -613,7 +613,7 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 	score := make([]float64, S)
 	sumCs := make([]float64, S)
 	sumNs := make([]float64, S)
-	parallelFor(S, scoutWork, func(sc *genScratch, s int) {
+	parallelFor(&genPool, S, scoutWork, func(sc *genScratch, s int) {
 		score[s], sumCs[s], sumNs[s] = p.scoutShard(m, s, caps, req, sc)
 	})
 	sumC, sumN := 0.0, 0.0
@@ -640,11 +640,10 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request) (Candidate, []C
 		return Candidate{}, nil, fmt.Errorf("alloc: net-load-aware: no candidate produced")
 	}
 	spillShards := rank[topK:]
-	var set candSet
 	set.build(m, union, caps, req.Alpha)
 	candidates := make([]Candidate, len(union))
-	parallelFor(len(union), len(union)*len(set.idx), func(sc *shardScratch, i int) {
-		candidates[i] = p.generateSharded(m, union[i], &set, caps, req, spillShards, byCL, sc)
+	parallelFor(&shardPool, len(union), len(union)*len(set.idx), func(sc *shardScratch, i int) {
+		candidates[i] = p.generateSharded(m, union[i], set, caps, req, spillShards, byCL, sc)
 	})
 
 	// Score with the scout-estimated normalization sums: Algorithm 2
