@@ -79,10 +79,7 @@ func TestPaperWeightsSumToOne(t *testing.T) {
 
 func TestComputeLoadsOrdering(t *testing.T) {
 	snap := synthSnapshot([]float64{0.1, 2.0, 5.0, 0.5})
-	cl, err := ComputeLoads(snap, []int{0, 1, 2, 3}, PaperWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := NewCostModel(snap, PaperWeights(), false).CL
 	// Identical nodes except load: CL must order by load.
 	if !(cl[0] < cl[3] && cl[3] < cl[1] && cl[1] < cl[2]) {
 		t.Fatalf("compute loads not load-ordered: %v", cl)
@@ -96,10 +93,7 @@ func TestComputeLoadsHeterogeneousHardware(t *testing.T) {
 	na.Cores = 8
 	na.FreqGHz = 2.8
 	snap.Nodes[1] = na
-	cl, err := ComputeLoads(snap, []int{0, 1}, PaperWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := NewCostModel(snap, PaperWeights(), false).CL
 	if cl[0] >= cl[1] {
 		t.Fatalf("faster node should cost less: %v", cl)
 	}
@@ -107,37 +101,30 @@ func TestComputeLoadsHeterogeneousHardware(t *testing.T) {
 
 func TestComputeLoadsMissingNode(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(2, 1))
-	if _, err := ComputeLoads(snap, []int{0, 5}, PaperWeights()); err == nil {
+	if _, err := attrMatrix(snap, []int{0, 5}, false); err == nil {
 		t.Fatal("missing node accepted")
 	}
 }
 
 func TestNetworkLoadsOrdering(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(5, 0.5))
-	nl, err := NetworkLoads(snap, []int{0, 1, 2, 3, 4}, PaperWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewCostModel(snap, PaperWeights(), false)
 	// Closer pairs have lower network load.
-	if !(nl[metrics.Pair(0, 1)] < nl[metrics.Pair(0, 2)] && nl[metrics.Pair(0, 2)] < nl[metrics.Pair(0, 4)]) {
-		t.Fatalf("network loads not distance-ordered: %v", nl)
+	if !(m.PairNLUnit(0, 1) < m.PairNLUnit(0, 2) && m.PairNLUnit(0, 2) < m.PairNLUnit(0, 4)) {
+		t.Fatalf("network loads not distance-ordered: %v", m.NLUnit)
 	}
 }
 
 func TestNetworkLoadsUnmeasuredPairPricedWorst(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(4, 0.5))
 	delete(snap.Bandwidth, metrics.Pair(0, 1))
-	nl, err := NetworkLoads(snap, []int{0, 1, 2, 3}, PaperWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewCostModel(snap, PaperWeights(), false)
 	// The unmeasured near pair must not be cheaper than any measured pair.
-	for k, v := range nl {
-		if k == metrics.Pair(0, 1) {
-			continue
-		}
-		if nl[metrics.Pair(0, 1)] < v {
-			t.Fatalf("unmeasured pair cheaper than %v: %v", k, nl)
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			if m.PairNLUnit(0, 1) < m.PairNLUnit(i, j) {
+				t.Fatalf("unmeasured pair cheaper than (%d,%d): %v", i, j, m.NLUnit)
+			}
 		}
 	}
 }
@@ -145,7 +132,7 @@ func TestNetworkLoadsUnmeasuredPairPricedWorst(t *testing.T) {
 func TestNetworkLoadsNoMeasurements(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(3, 0.5))
 	snap.Bandwidth = map[metrics.PairKey]metrics.PairBandwidth{}
-	if _, err := NetworkLoads(snap, []int{0, 1, 2}, PaperWeights()); err == nil {
+	if NewCostModel(snap, PaperWeights(), false).NLErr() == nil {
 		t.Fatal("no measurements accepted")
 	}
 }
@@ -256,18 +243,36 @@ func TestAllocationHelpers(t *testing.T) {
 }
 
 func TestFillRoundRobinSpill(t *testing.T) {
-	order := []int{0, 1}
-	caps := map[int]int{0: 2, 1: 2}
-	nodes, procs := fill(order, caps, 7)
+	nodes, procs := fillIdx([]int{0, 1}, []int{2, 2}, 7)
 	if len(nodes) != 2 {
 		t.Fatalf("nodes = %v", nodes)
-	}
-	if procs[0]+procs[1] != 7 {
-		t.Fatalf("procs = %v", procs)
 	}
 	// Spill distributed round-robin: 2+2 capacity, 3 extra -> 4/3.
 	if procs[0] != 4 || procs[1] != 3 {
 		t.Fatalf("round-robin spill = %v", procs)
+	}
+}
+
+// TestPoliciesPlaceHugeRemainder asks six nodes of capacity 4 for 2^40
+// processes: every policy must place all of them, dealt evenly, and the
+// round-robin deal must cost a step per node rather than per process
+// (one step per process would run for hours).
+func TestPoliciesPlaceHugeRemainder(t *testing.T) {
+	snap := synthSnapshot(uniformLoads(6, 0.5))
+	req := Request{Procs: 1 << 40, PPN: 4}
+	for _, pol := range allPolicies() {
+		a, err := Allocate(pol, snap, req, rng.New(1))
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		if got := a.TotalProcs(); got != req.Procs || len(a.Nodes) != 6 {
+			t.Fatalf("%s placed %d of %d processes on %d nodes", pol.Name(), got, req.Procs, len(a.Nodes))
+		}
+		for _, id := range a.Nodes {
+			if c := a.Procs[id]; c != req.Procs/6 && c != req.Procs/6+1 {
+				t.Fatalf("%s: node %d got %d processes, want %d or one more", pol.Name(), id, c, req.Procs/6)
+			}
+		}
 	}
 }
 
@@ -453,7 +458,7 @@ func TestNetLoadAwareTradesLoadForConnectivity(t *testing.T) {
 func TestNetLoadAwareCandidates(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(6, 0.5))
 	req := Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7}
-	best, cands, err := explainOnSnapshot(snap, req)
+	best, cands, err := NetLoadAware{}.AllocateExplainModel(NewCostModel(snap, PaperWeights(), false), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,21 +514,26 @@ func TestNetLoadAwareDeterministicGivenSnapshot(t *testing.T) {
 }
 
 func TestRescaleMean(t *testing.T) {
-	m := map[int]float64{0: 2, 1: 4, 2: 6}
-	RescaleMeanNode(m)
-	sum := m[0] + m[1] + m[2]
-	if math.Abs(sum-3) > 1e-12 {
+	m := []float64{2, 4, 6}
+	rescaleMeanDense(m)
+	if sum := m[0] + m[1] + m[2]; math.Abs(sum-3) > 1e-12 {
 		t.Fatalf("rescaled sum %g, want n (mean 1)", sum)
 	}
 	if !(m[0] < m[1] && m[1] < m[2]) {
 		t.Fatal("rescaling broke ordering")
 	}
-	empty := map[int]float64{}
-	RescaleMeanNode(empty) // must not panic
-	zero := map[metrics.PairKey]float64{metrics.Pair(0, 1): 0}
-	RescaleMeanPair(zero) // mean 0: must not divide by zero
-	if zero[metrics.Pair(0, 1)] != 0 {
-		t.Fatal("zero map mutated")
+	rescaleMeanDense(nil) // must not panic
+	// The pair mean runs over the upper triangle only: pairs (0,1)=1 and
+	// (0,2)=(1,2)=4 have mean 3, whatever the mirrored lower triangle holds.
+	nl := []float64{0, 1, 4, 1, 0, 4, 4, 4, 0}
+	rescaleMeanPairDense(nl, 3)
+	if nl[1] != 1.0/3 || nl[5] != 4.0/3 || nl[3] != 1.0/3 {
+		t.Fatalf("pair rescale = %v, want mean 1 over the three pairs", nl)
+	}
+	zero := []float64{0, 0, 0, 0}
+	rescaleMeanPairDense(zero, 2) // mean 0: must not divide by zero
+	if zero[1] != 0 {
+		t.Fatal("zero matrix mutated")
 	}
 }
 

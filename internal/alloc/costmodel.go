@@ -741,15 +741,17 @@ func takeIdx(order, caps []int, remaining int, used, counts []int) ([]int, []int
 // roundRobin deals the processes no capacity covered out over the
 // selected nodes, one each in selection order, wrapping until none
 // remain (lines 12-13 of Algorithm 1, generalized to every policy so all
-// policies satisfy every request).
+// policies satisfy every request). Whole rounds are dealt at once, so
+// the cost is O(len(counts)) however large the remainder.
 func roundRobin(counts []int, remaining int) {
-	for remaining > 0 && len(counts) > 0 {
-		for k := range counts {
-			if remaining == 0 {
-				break
-			}
+	if remaining <= 0 || len(counts) == 0 {
+		return
+	}
+	q, r := remaining/len(counts), remaining%len(counts)
+	for k := range counts {
+		counts[k] += q
+		if k < r {
 			counts[k]++
-			remaining--
 		}
 	}
 }

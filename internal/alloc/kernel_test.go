@@ -4,42 +4,28 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"nlarm/internal/rng"
 )
 
-// oracleSelect is Algorithm 1's greedy step the obvious way: sort the
-// positive-capacity members of universe by (cost, position), take the
-// minimal covering prefix with each node filled to capacity, round-robin
-// whatever no capacity covered. cost is indexed by position in the
-// filtered universe, like the kernel's addCost.
-func oracleSelect(universe, caps []int, cost []float64, procs int) (used, counts []int) {
-	var idx []int
+// greedySelect runs the oracle's Algorithm 1 step over the
+// positive-capacity members of universe, addressed by their position in
+// that filtered list (the kernel's addCost indexing), so ties break by
+// position; it returns the selection as dense indices.
+func greedySelect(universe, caps []int, cost []float64, procs int) (used, counts []int) {
+	var idx, pos []int
+	costOf, capOf := map[int]float64{}, map[int]int{}
 	for _, u := range universe {
 		if caps[u] > 0 {
-			idx = append(idx, u)
+			s := len(idx)
+			idx, pos = append(idx, u), append(pos, s)
+			costOf[s], capOf[s] = cost[s], caps[u]
 		}
 	}
-	order := make([]int, len(idx))
-	for s := range order {
-		order[s] = s
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
-	remaining := procs
-	for _, s := range order {
-		if remaining == 0 {
-			break
-		}
-		take := min(caps[idx[s]], remaining)
+	sel, counts := greedy(pos, costOf, capOf, procs)
+	for _, s := range sel {
 		used = append(used, idx[s])
-		counts = append(counts, take)
-		remaining -= take
-	}
-	for k := 0; remaining > 0 && len(counts) > 0; k = (k + 1) % len(counts) {
-		counts[k]++
-		remaining--
 	}
 	return used, counts
 }
@@ -55,7 +41,7 @@ func kernelSelect(sc *genScratch, set *candSet, cost []float64, procs int) (used
 }
 
 // TestKernelMatchesOracle checks the positional kernel against the
-// sort-everything oracle on random inputs built to hurt: costs drawn from
+// oracle's Algorithm 1 step (greedy) on random inputs built to hurt: costs drawn from
 // a handful of values (so most comparisons are position ties), mixed and
 // zero capacities, shuffled universes, and process counts on both sides
 // of the strategy switch, exactly at it (boundedHeapSquare·expect² == f
@@ -84,7 +70,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 				histogram++
 			}
 		}
-		wantUsed, wantCounts := oracleSelect(universe, caps, cost, procs)
+		wantUsed, wantCounts := greedySelect(universe, caps, cost, procs)
 		gotUsed, gotCounts, prefix := kernelSelect(&sc, &set, cost[:len(set.idx)], procs)
 		if len(wantUsed) == 0 {
 			if len(gotUsed) != 0 || len(gotCounts) != 0 {
@@ -289,7 +275,7 @@ func TestKernelNaNCovers(t *testing.T) {
 // coverPrefix's strategy switch.
 func TestAllocateConstrainedAllocatesNothing(t *testing.T) {
 	p := NetLoadAware{}
-	snap := randomEquivSnapshot(rng.New(3), 64)
+	snap := randomSnapshot(rng.New(3), 64, false)
 	for _, procs := range []int{4, 64} { // prefixes of 2 and 32 of 64 positions
 		req := Request{Procs: procs, PPN: 2, Alpha: 0.5, Beta: 0.5}
 		vreq, err := req.Validate()

@@ -49,11 +49,11 @@ func TestChargedGuardsZeroCores(t *testing.T) {
 		t.Fatalf("zero-core node utilization %g, want clamped 100", got)
 	}
 	// Equation 1 must stay finite over the charged snapshot.
-	cl, err := ComputeLoads(charged, []int{0, 1, 2}, PaperWeights())
-	if err != nil {
-		t.Fatal(err)
+	m := NewCostModel(charged, PaperWeights(), false)
+	if m.CLErr() != nil {
+		t.Fatal(m.CLErr())
 	}
-	for id, v := range cl {
+	for id, v := range m.CL {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatalf("CL[%d] = %v on charged snapshot", id, v)
 		}

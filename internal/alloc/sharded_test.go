@@ -100,45 +100,6 @@ func denseGroupCost(m *CostModel, nodes []int, req Request) float64 {
 	return cost
 }
 
-// TestShardedFallbackBitForBit proves NewCostModelSharded below the
-// threshold is exactly the dense path: same model arrays, same best
-// candidate, same candidate list, DeepEqual to AllocateExplain.
-func TestShardedFallbackBitForBit(t *testing.T) {
-	p := NetLoadAware{}
-	for seed := uint64(1); seed <= 8; seed++ {
-		r := rng.New(seed * 31337)
-		n := 8 + r.Intn(33)
-		snap := randomEquivSnapshot(r, n)
-		opts := ShardOptions{Threshold: DefaultShardThreshold} // n << 512
-		req := Request{Procs: 1 + r.Intn(2*n), Alpha: 0.5, Beta: 0.5}
-		vreq, err := req.Validate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm := NewCostModelSharded(snap, vreq.Weights, false, opts)
-		if sm.Sharded() {
-			t.Fatalf("seed %d: model sharded below threshold (n=%d)", seed, n)
-		}
-		if sm.shardOpts != opts {
-			t.Fatalf("seed %d: options not retained on fallback model", seed)
-		}
-		wantBest, wantCands, wantErr := explainOnSnapshot(snap, req)
-		gotBest, gotCands, gotErr := p.AllocateExplainModel(sm, req)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("seed %d: error mismatch: dense=%v sharded=%v", seed, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(wantBest, gotBest) {
-			t.Errorf("seed %d: best mismatch:\ndense:   %+v\nsharded: %+v", seed, wantBest, gotBest)
-		}
-		if !reflect.DeepEqual(wantCands, gotCands) {
-			t.Errorf("seed %d: candidate list mismatch", seed)
-		}
-	}
-}
-
 // TestShardedQualityWithinBound is the randomized quality-equivalence
 // suite: 24 seeded topology-structured snapshots at 64-256 nodes, each
 // allocated by both the exhaustive dense path and the two-level sharded
@@ -266,7 +227,7 @@ func TestShardedSpillCrossesShards(t *testing.T) {
 // builds must allocate identically.
 func TestShardedHashFallbackDeterministic(t *testing.T) {
 	r := rng.New(7)
-	snap := randomEquivSnapshot(r, 80)
+	snap := randomSnapshot(r, 80, false)
 	opts := ShardOptions{Threshold: 64, MaxShardSize: 16, TopK: 3}
 	req := Request{Procs: 48, Alpha: 0.5, Beta: 0.5}
 	vreq, err := req.Validate()
@@ -470,7 +431,7 @@ func TestShardedGoldenDigests(t *testing.T) {
 			Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: perShard, TopK: topK})
 	}
 	hashed := func(seed uint64, n int) *CostModel {
-		snap := randomEquivSnapshot(rng.New(seed), n)
+		snap := randomSnapshot(rng.New(seed), n, false)
 		return NewCostModelSharded(snap, PaperWeights(), false,
 			ShardOptions{Threshold: 64, MaxShardSize: 16, TopK: 3})
 	}

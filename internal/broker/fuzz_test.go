@@ -106,6 +106,9 @@ func addWireSeeds(f *testing.F) {
 	f.Add([]byte(`{"id":18446744073709551615,"action":"health"}` + "\n"))
 	f.Add([]byte(`{"id":-1,"action":"health"}` + "\n")) // invalid for uint64: malformed line
 	f.Add([]byte(`{"id":9,"tenant":"` + string(bytes.Repeat([]byte("t"), 512)) + `","action":"allocate","request":{"procs":1}}` + "\n"))
+	// A process count far past the cluster: the round-robin remainder must
+	// not cost one step per process, or this line holds the dispatcher.
+	f.Add([]byte(`{"action":"allocate","request":{"procs":1000000000000,"force":true}}` + "\n"))
 }
 
 // FuzzWireProtocol throws arbitrary bytes at the newline-JSON server:

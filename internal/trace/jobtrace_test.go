@@ -194,3 +194,70 @@ func TestDiffJobRecords(t *testing.T) {
 		t.Fatalf("maxDiffs 2 returned %d diffs", len(diffs))
 	}
 }
+
+// rewriteJobTrace re-serializes a parsed trace through JobTraceWriter.
+func rewriteJobTrace(t *testing.T, hdr JobTraceHeader, recs []JobRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := NewJobTraceWriter(&buf, hdr)
+	if err != nil {
+		t.Fatalf("writer refused an accepted header %+v: %v", hdr, err)
+	}
+	for _, rec := range recs {
+		if err := tw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadJobTrace feeds arbitrary bytes to the reader behind
+// nlarm-replay -trace. It must never panic; an accepted trace has the
+// job-trace kind and a readable version; and rewriting an accepted trace
+// through JobTraceWriter reaches a fixed point at the second rewrite
+// (the first may normalise spacing, key order or unknown fields).
+func FuzzReadJobTrace(f *testing.F) {
+	var buf bytes.Buffer
+	tw, err := NewJobTraceWriter(&buf, JobTraceHeader{Seed: 9, Scenario: json.RawMessage(`{"nodes":64}`)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range sampleRecords() {
+		rec.CLCost, rec.NLCost = 1.5, 0.25
+		if err := tw.Write(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	trace := buf.Bytes()
+	f.Add(trace)
+	for _, cut := range []int{1, 20, len(trace) / 2, len(trace) - 3} {
+		f.Add(trace[:cut])
+	}
+	f.Add([]byte(`{"kind":"nlarm-jobtrace","version":1,"seed":7}` + "\n" + `{"id":0,"procs":32,"submit_sec":0,"start_sec":0,"end_sec":600,"nodes":4}` + "\n"))
+	f.Add([]byte(`{"kind":"other","version":2}` + "\n"))
+	f.Add([]byte(`{"kind":"nlarm-jobtrace","version":3}` + "\n"))
+	f.Add([]byte(`{"kind":"nlarm-jobtrace","version":2}` + "\n\n   \n" + `{"id":1}` + "\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, recs, _, err := ReadJobTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if hdr.Kind != JobTraceKind || hdr.Version < JobTraceMinVersion || hdr.Version > JobTraceVersion {
+			t.Fatalf("accepted header %+v", hdr)
+		}
+		once := rewriteJobTrace(t, hdr, recs)
+		hdr, recs, _, err = ReadJobTrace(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("rewritten trace rejected: %v\n%s", err, once)
+		}
+		if twice := rewriteJobTrace(t, hdr, recs); !bytes.Equal(once, twice) {
+			t.Fatalf("second rewrite differs:\n%s\n%s", once, twice)
+		}
+	})
+}
