@@ -133,7 +133,7 @@ func BenchmarkAllocate4096Nodes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := alloc.NewCostModelSharded(snap, req.Weights, req.UseForecast, opts)
+		m := alloc.NewCostModelSharded(snap, req.Weights, false, opts)
 		if _, err := (alloc.NetLoadAware{}).AllocateModel(m, req, r); err != nil {
 			b.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func TestComputeLoadsHeterogeneousHardware(t *testing.T) {
 
 func TestComputeLoadsMissingNode(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(2, 1))
-	if _, err := attrMatrix(snap, []int{0, 5}, false); err == nil {
+	if _, err := attrMatrix(snap, []int{0, 5}); err == nil {
 		t.Fatal("missing node accepted")
 	}
 }

@@ -54,8 +54,8 @@ func (sc *AllocScratch) costBufs(k int) (costC, costN, total []float64) {
 // 2's normalization runs over those k candidates only, so the result is
 // the paper's heuristic restricted to k seeds.
 //
-// The model must already be priced with the request's weights and
-// forecast flag — this path never rebuilds a model. Results are written
+// The model must already be priced with the request's weights — this
+// path never rebuilds a model. Results are written
 // into sc's reused buffers (see ConstrainedAlloc); the call allocates
 // nothing in steady state.
 func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int, starts []int, sc *AllocScratch) (ConstrainedAlloc, error) {
@@ -64,7 +64,7 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		return ConstrainedAlloc{}, err
 	}
 	if !m.matches(req) {
-		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: model priced with different weights or forecast flag than the request")
+		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: model priced with different weights than the request")
 	}
 	n := m.Len()
 	if n == 0 {

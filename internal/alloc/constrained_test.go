@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -17,7 +16,7 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 	snap := randomSnapshot(r, 24, false)
 	req := Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}
 	vreq, _ := req.Validate()
-	m := NewCostModel(snap, vreq.Weights, vreq.UseForecast)
+	m := NewCostModel(snap, vreq.Weights, false)
 	caps := make([]int, m.Len())
 	for i := range caps {
 		if i%3 != 0 {
@@ -62,21 +61,16 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 // TestChargeRanksAgainstRebuild holds CostModel.ChargeRanksAt (the
 // attribute-row form of the charge) to its definition, ChargeRanks
 // applied to the snapshot and priced by the oracle — the hub's charge
-// spoke on one fixed snapshot, with forecast pricing off and on (on
-// charges the published forecast) and cand nil (every row priced) or a
+// spoke on one fixed snapshot, with cand nil (every row priced) or a
 // strict subset (the branch the simulator and bench/ run; rows outside
 // it are stale by contract and not compared).
 func TestChargeRanksAgainstRebuild(t *testing.T) {
 	snap := randomSnapshot(rng.New(7), 16, false)
-	for _, forecast := range []bool{false, true} {
-		t.Run(fmt.Sprintf("forecast=%v", forecast), func(t *testing.T) {
-			for _, tc := range []struct {
-				name string
-				cand []int
-			}{{"cand=nil", nil}, {"cand=subset", []int{1, 2, 5, 9, 12}}} {
-				t.Run(tc.name, func(t *testing.T) { checkCharge(t, snap, forecast, tc.cand) })
-			}
-		})
+	for _, tc := range []struct {
+		name string
+		cand []int
+	}{{"cand=nil", nil}, {"cand=subset", []int{1, 2, 5, 9, 12}}} {
+		t.Run(tc.name, func(t *testing.T) { checkCharge(t, snap, tc.cand) })
 	}
 }
 

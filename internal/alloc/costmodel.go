@@ -22,8 +22,7 @@ import (
 //
 // The model is immutable after construction and safe to share across
 // goroutines and across back-to-back allocations against the same
-// snapshot (the broker caches it keyed by snapshot fingerprint, weights,
-// and forecast flag).
+// snapshot (the broker caches one per snapshot generation).
 //
 // CL/NL construction can fail independently (e.g. a snapshot with no
 // pairwise measurements still supports the random and sequential
@@ -32,9 +31,8 @@ import (
 type CostModel struct {
 	// Snap is the snapshot the model was derived from.
 	Snap *metrics.Snapshot
-	// Weights and Forecast record the pricing inputs (cache key parts).
-	Weights  Weights
-	Forecast bool
+	// Weights records the pricing input the model was built with.
+	Weights Weights
 	// Taken mirrors Snap.Taken for cache bookkeeping.
 	Taken time.Time
 
@@ -89,8 +87,12 @@ type CostModel struct {
 // costs over all pairs, and their mean-1 rescaled copies. Construction
 // itself never fails; metric-specific failures are reported by CLErr and
 // NLErr so policies that do not need the failing metric keep working.
-func NewCostModel(snap *metrics.Snapshot, w Weights, useForecast bool) *CostModel {
-	m := newComputeModel(snap, MonitoredLivehosts(snap), w, useForecast)
+//
+// The third argument is ignored: Equation 1 reads only the published
+// running means. It remains because the benchmark module passes it by
+// position, and goes when that module's call sites drop it.
+func NewCostModel(snap *metrics.Snapshot, w Weights, _ bool) *CostModel {
+	m := newComputeModel(snap, MonitoredLivehosts(snap), w)
 	m.NLUnit, m.nlErr = networkLoadsDense(snap, m)
 	if m.nlErr == nil {
 		rescaleMeanPairDense(m.NLUnit, len(m.IDs))
@@ -102,17 +104,16 @@ func NewCostModel(snap *metrics.Snapshot, w Weights, useForecast bool) *CostMode
 // constructors share: the ID->index remap, Equation 3's inputs, and
 // Equation 1 costs with their mean-1 rescaled copy. The caller adds its
 // network half.
-func newComputeModel(snap *metrics.Snapshot, ids []int, w Weights, useForecast bool) *CostModel {
+func newComputeModel(snap *metrics.Snapshot, ids []int, w Weights) *CostModel {
 	n := len(ids)
 	m := &CostModel{
-		Snap:     snap,
-		Weights:  w,
-		Forecast: useForecast,
-		Taken:    snap.Taken,
-		IDs:      ids,
-		idx:      make(map[int]int, n),
-		Cores:    make([]int, n),
-		LoadM1:   make([]float64, n),
+		Snap:    snap,
+		Weights: w,
+		Taken:   snap.Taken,
+		IDs:     ids,
+		idx:     make(map[int]int, n),
+		Cores:   make([]int, n),
+		LoadM1:  make([]float64, n),
 	}
 	for i, id := range ids {
 		m.idx[id] = i
@@ -120,7 +121,7 @@ func newComputeModel(snap *metrics.Snapshot, ids []int, w Weights, useForecast b
 		m.Cores[i] = na.Cores
 		m.LoadM1[i] = na.CPULoad.M1
 	}
-	m.attrRows, m.clErr = attrMatrix(snap, ids, useForecast)
+	m.attrRows, m.clErr = attrMatrix(snap, ids)
 	if m.clErr == nil {
 		m.CL, m.clErr = sawFromRows(w, m.attrRows)
 	}
@@ -173,9 +174,9 @@ func (m *CostModel) caps(req Request) []int {
 }
 
 // matches reports whether the model was priced with the request's
-// weights and forecast flag (guard against stale cache handoffs).
+// weights (guard against stale cache handoffs).
 func (m *CostModel) matches(req Request) bool {
-	return m.Weights == req.Weights && m.Forecast == req.UseForecast
+	return m.Weights == req.Weights
 }
 
 // modelFor returns m when it matches the validated request, otherwise
@@ -186,7 +187,7 @@ func modelFor(m *CostModel, req Request) *CostModel {
 	if m.matches(req) {
 		return m
 	}
-	return m.NewLike(m.Snap, req.Weights, req.UseForecast)
+	return m.NewLike(m.Snap, req.Weights)
 }
 
 // sawAttrs is the fixed Equation 1 attribute schema under weights w.
@@ -213,28 +214,20 @@ const (
 
 // attrRow is one node's raw Equation 1 attribute vector in sawAttrs
 // column order.
-func attrRow(na metrics.NodeAttrs, useForecast bool) []float64 {
+func attrRow(na metrics.NodeAttrs) []float64 {
 	row := make([]float64, numAttrCols)
-	attrRowInto(na, useForecast, row)
+	attrRowInto(na, row)
 	return row
 }
 
 // attrRowInto fills a numAttrCols-wide row with na's raw Equation 1
-// attribute vector — attrRow without the allocation.
-func attrRowInto(na metrics.NodeAttrs, useForecast bool, row []float64) {
-	cpuLoad := windowAvg(na.CPULoad)
-	flowRate := windowAvg(na.FlowRateBps)
-	if useForecast {
-		if na.CPULoadForecast != nil {
-			cpuLoad = na.CPULoadForecast.Value
-		}
-		if na.FlowRateForecast != nil {
-			flowRate = na.FlowRateForecast.Value
-		}
-	}
-	row[0] = cpuLoad
+// attribute vector — attrRow without the allocation. The dynamic
+// attributes are priced at the mean of the three running means NodeStateD
+// publishes, and at nothing else.
+func attrRowInto(na metrics.NodeAttrs, row []float64) {
+	row[0] = windowAvg(na.CPULoad)
 	row[1] = windowAvg(na.CPUUtilPct)
-	row[2] = flowRate
+	row[2] = windowAvg(na.FlowRateBps)
 	row[3] = windowAvg(na.AvailMemMB)
 	row[4] = float64(na.Cores)
 	row[5] = na.FreqGHz
@@ -243,7 +236,7 @@ func attrRowInto(na metrics.NodeAttrs, useForecast bool, row []float64) {
 }
 
 // attrMatrix builds the SAW input matrix for ids (in the given order).
-func attrMatrix(snap *metrics.Snapshot, ids []int, useForecast bool) ([][]float64, error) {
+func attrMatrix(snap *metrics.Snapshot, ids []int) ([][]float64, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -253,7 +246,7 @@ func attrMatrix(snap *metrics.Snapshot, ids []int, useForecast bool) ([][]float6
 		if !ok {
 			return nil, fmt.Errorf("alloc: node %d has no published state", id)
 		}
-		matrix = append(matrix, attrRow(na, useForecast))
+		matrix = append(matrix, attrRow(na))
 	}
 	return matrix, nil
 }
@@ -305,7 +298,7 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 		}
 		u.Cores[i] = na.Cores
 		u.LoadM1[i] = na.CPULoad.M1
-		u.attrRows[i] = attrRow(na, m.Forecast)
+		u.attrRows[i] = attrRow(na)
 	}
 	u.CL, u.clErr = sawFromRows(m.Weights, u.attrRows)
 	if u.clErr == nil && len(ids) > 0 {
@@ -323,7 +316,6 @@ func (m *CostModel) UpdateNodes(snap *metrics.Snapshot, changed []int) (*CostMod
 func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.Snap = m.Snap
 	dst.Weights = m.Weights
-	dst.Forecast = m.Forecast
 	dst.Taken = m.Snap.Taken
 	dst.IDs = m.IDs
 	dst.idx = m.idx
@@ -395,7 +387,7 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 		}
 		m.Cores[i] = na.Cores
 		m.LoadM1[i] = na.CPULoad.M1
-		attrRowInto(na, m.Forecast, m.attrRows[i])
+		attrRowInto(na, m.attrRows[i])
 	}
 	if len(m.IDs) > 0 {
 		// Full re-reduction, not an incremental shift: finished jobs move
@@ -409,8 +401,7 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 // charged onto the given nodes' published attributes — no snapshot copy
 // and no model rebuild, just k replaced rows and an Equation 1 re-score.
 // The rule is ChargeRanks; this is its attribute-row form (the CPU-load
-// column plus the rank count, whichever of windows or forecast filled
-// it; the CPU-utilization column plus the occupancy share, capped at
+// column plus the rank count; the CPU-utilization column plus the occupancy share, capped at
 // 100 on the row's window mean where ChargeRanks caps on the 1-minute
 // window). It is kept as a second spelling on purpose: a row holds the
 // window mean, not the windows, and charging the three windows and

@@ -282,7 +282,7 @@ func TestAllocateConstrainedAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewCostModel(snap, vreq.Weights, vreq.UseForecast)
+		m := NewCostModel(snap, vreq.Weights, false)
 		caps := m.caps(vreq)
 		var sc AllocScratch
 		run := func() {

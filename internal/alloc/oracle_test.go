@@ -38,7 +38,7 @@ type oracle struct {
 	nlErr  error // no pair measured
 }
 
-func newOracle(snap *metrics.Snapshot, w Weights, forecast bool) *oracle {
+func newOracle(snap *metrics.Snapshot, w Weights) *oracle {
 	o := &oracle{nodes: snap.Nodes, cl: map[int]float64{}, clUnit: map[int]float64{},
 		nlUnit: map[metrics.PairKey]float64{}}
 	for _, id := range snap.Livehosts {
@@ -55,14 +55,7 @@ func newOracle(snap *metrics.Snapshot, w Weights, forecast bool) *oracle {
 	rows := map[int][8]float64{}
 	for _, id := range o.ids {
 		na := snap.Nodes[id]
-		load, flow := mean(na.CPULoad), mean(na.FlowRateBps)
-		if forecast && na.CPULoadForecast != nil {
-			load = na.CPULoadForecast.Value
-		}
-		if forecast && na.FlowRateForecast != nil {
-			flow = na.FlowRateForecast.Value
-		}
-		rows[id] = [8]float64{load, mean(na.CPUUtilPct), flow, mean(na.AvailMemMB),
+		rows[id] = [8]float64{mean(na.CPULoad), mean(na.CPUUtilPct), mean(na.FlowRateBps), mean(na.AvailMemMB),
 			float64(na.Cores), na.FreqGHz, na.TotalMemMB, float64(na.Users)}
 	}
 	weights := [8]float64{w.CPULoad, w.CPUUtil, w.FlowRate, w.AvailMem, w.Cores, w.Freq, w.TotalMem, w.Users}
@@ -361,12 +354,12 @@ func oracleCases() []oracleCase {
 // spokes are the fast paths the oracle checks, by name.
 var spokes = map[string]func(t *testing.T, c oracleCase, o *oracle){
 	"model": func(t *testing.T, c oracleCase, o *oracle) {
-		checkModel(t, NewCostModel(c.snap, c.req.Weights, c.req.UseForecast), o, c.req)
+		checkModel(t, NewCostModel(c.snap, c.req.Weights, false), o, c.req)
 	},
 	"update":  spokeUpdate,
 	"sharded": spokeSharded,
 	"explain": func(t *testing.T, c oracleCase, o *oracle) {
-		checkExplain(t, NewCostModel(c.snap, c.req.Weights, c.req.UseForecast), o, c.req)
+		checkExplain(t, NewCostModel(c.snap, c.req.Weights, false), o, c.req)
 	},
 	"policies":    spokePolicies,
 	"constrained": spokeConstrained,
@@ -375,14 +368,13 @@ var spokes = map[string]func(t *testing.T, c oracleCase, o *oracle){
 		for i := 0; i < len(o.ids); i += 2 {
 			even = append(even, i)
 		}
-		checkCharge(t, c.snap, c.req.UseForecast, nil)
-		checkCharge(t, c.snap, c.req.UseForecast, even)
+		checkCharge(t, c.snap, nil)
+		checkCharge(t, c.snap, even)
 	},
 }
 
 // runOracleHub runs the named spokes (all of them when none are named)
-// on every case whose name has the given prefix, with UseForecast off
-// and on.
+// on every case whose name has the given prefix.
 func runOracleHub(t *testing.T, prefix string, names ...string) {
 	if len(names) == 0 {
 		for name := range spokes {
@@ -395,32 +387,28 @@ func runOracleHub(t *testing.T, prefix string, names ...string) {
 		if !strings.HasPrefix(c.name, prefix) {
 			continue
 		}
-		for _, forecast := range []bool{false, true} {
-			c := c
-			c.req.UseForecast = forecast
-			var err error
-			if c.req, err = c.req.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			o := newOracle(c.snap, c.req.Weights, forecast)
-			if total++; o.nlErr == nil && len(o.ids) > 1 {
-				priced++
-			}
-			if c.workers > 0 && len(o.ids) < 136 {
-				t.Fatalf("%s: %d monitored nodes, too few for the worker pool", c.name, len(o.ids))
-			}
-			t.Run(fmt.Sprintf("%s/forecast=%v", c.name, forecast), func(t *testing.T) {
-				if c.workers > 0 {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
-				}
-				for _, name := range names {
-					if c.spokes != nil && !slices.Contains(c.spokes, name) {
-						continue
-					}
-					t.Run(name, func(t *testing.T) { spokes[name](t, c, o) })
-				}
-			})
+		var err error
+		if c.req, err = c.req.Validate(); err != nil {
+			t.Fatal(err)
 		}
+		o := newOracle(c.snap, c.req.Weights)
+		if total++; o.nlErr == nil && len(o.ids) > 1 {
+			priced++
+		}
+		if c.workers > 0 && len(o.ids) < 136 {
+			t.Fatalf("%s: %d monitored nodes, too few for the worker pool", c.name, len(o.ids))
+		}
+		t.Run(c.name, func(t *testing.T) {
+			if c.workers > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
+			}
+			for _, name := range names {
+				if c.spokes != nil && !slices.Contains(c.spokes, name) {
+					continue
+				}
+				t.Run(name, func(t *testing.T) { spokes[name](t, c, o) })
+			}
+		})
 	}
 	if priced*4 < total*3 {
 		t.Fatalf("only %d of %d cases price a network: generator too hostile", priced, total)
@@ -522,7 +510,7 @@ func spokeUpdate(t *testing.T, c oracleCase, o *oracle) {
 		return
 	}
 	r := rng.New(c.seed)
-	snap, m := c.snap, NewCostModel(c.snap, c.req.Weights, c.req.UseForecast)
+	snap, m := c.snap, NewCostModel(c.snap, c.req.Weights, false)
 	for step := 0; step < 8; step++ {
 		next := snap.Clone()
 		next.Taken = next.Taken.Add(time.Second)
@@ -536,14 +524,14 @@ func spokeUpdate(t *testing.T, c oracleCase, o *oracle) {
 		if !ok {
 			t.Fatalf("step %d: UpdateNodes refused a pure dynamic-attribute change", step)
 		}
-		checkModel(t, u, newOracle(next, c.req.Weights, c.req.UseForecast), c.req)
+		checkModel(t, u, newOracle(next, c.req.Weights), c.req)
 		snap, m = next, u
 	}
 }
 
 func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 	below := ShardOptions{Threshold: DefaultShardThreshold}
-	m := NewCostModelSharded(c.snap, c.req.Weights, c.req.UseForecast, below)
+	m := NewCostModelSharded(c.snap, c.req.Weights, false, below)
 	if m.Sharded() || m.shardOpts != below {
 		t.Fatalf("below the threshold: sharded=%v, options %+v", m.Sharded(), m.shardOpts)
 	}
@@ -553,7 +541,7 @@ func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 	if len(o.ids) < 2 {
 		return
 	}
-	m = NewCostModelSharded(c.snap, c.req.Weights, c.req.UseForecast, ShardOptions{Threshold: 2, MaxShardSize: 8})
+	m = NewCostModelSharded(c.snap, c.req.Weights, false, ShardOptions{Threshold: 2, MaxShardSize: 8})
 	if !m.Sharded() || (m.NLErr() == nil) != (o.nlErr == nil) {
 		t.Fatalf("above the threshold: sharded=%v, NL error %v, oracle %v", m.Sharded(), m.NLErr(), o.nlErr)
 	}
@@ -573,7 +561,7 @@ func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 }
 
 func spokePolicies(t *testing.T, c oracleCase, o *oracle) {
-	m := NewCostModel(c.snap, c.req.Weights, c.req.UseForecast)
+	m := NewCostModel(c.snap, c.req.Weights, false)
 	for _, p := range PaperPolicies() {
 		got, err := p.AllocateModel(m, c.req, rng.New(c.seed))
 		want, wantErr := o.allocate(p.Name(), c.req, rng.New(c.seed))
@@ -588,7 +576,7 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 	if n == 0 {
 		return
 	}
-	m := NewCostModel(c.snap, c.req.Weights, c.req.UseForecast)
+	m := NewCostModel(c.snap, c.req.Weights, false)
 	eq3 := o.caps(c.req)
 	caps := make([]int, n)
 	for i, id := range o.ids {
@@ -641,18 +629,13 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 // chargeRegime pins snap's nodes (in place) to where charging a row's
 // window mean and charging each window agree: uniform load and
 // utilisation windows, utilisation at most 50 % and 32 cores, so no
-// charge below reaches the 100 % cap; under forecast every node
-// publishes a CPU-load forecast, so the charge must land there too.
-func chargeRegime(snap *metrics.Snapshot, forecast bool) {
+// charge below reaches the 100 % cap.
+func chargeRegime(snap *metrics.Snapshot) {
 	for id, na := range snap.Nodes {
 		na.Cores = 32
 		na.CPULoad.M5, na.CPULoad.M15 = na.CPULoad.M1, na.CPULoad.M1
 		u := math.Min(na.CPUUtilPct.M1, 50)
 		na.CPUUtilPct = stats.Windowed{M1: u, M5: u, M15: u}
-		na.CPULoadForecast = nil
-		if forecast {
-			na.CPULoadForecast = &metrics.Forecast{Value: na.CPULoad.M1 + 0.25, Method: "ar"}
-		}
 		snap.Nodes[id] = na
 	}
 }
@@ -662,11 +645,11 @@ func chargeRegime(snap *metrics.Snapshot, forecast bool) {
 // within 1e-9 of the oracle over the ChargeRanks-charged snapshot, and
 // the charged capacities exactly; then again after RefreshAttrs folds a
 // republish of two nodes into the base model.
-func checkCharge(t *testing.T, snap *metrics.Snapshot, forecast bool, cand []int) {
+func checkCharge(t *testing.T, snap *metrics.Snapshot, cand []int) {
 	t.Helper()
 	base := snap.Clone()
-	chargeRegime(base, forecast)
-	m := NewCostModel(base, PaperWeights(), forecast)
+	chargeRegime(base)
+	m := NewCostModel(base, PaperWeights(), false)
 	n := m.Len()
 	if n < 2 || m.CLErr() != nil {
 		return
@@ -692,11 +675,8 @@ func checkCharge(t *testing.T, snap *metrics.Snapshot, forecast bool, cand []int
 		charged := published.Clone()
 		for k, id := range ids {
 			charged.Nodes[id] = ChargeRanks(charged.Nodes[id], ranks[k])
-			if f := published.Nodes[id].CPULoadForecast; f != nil && f.Value != published.Nodes[id].CPULoad.M1+0.25 {
-				t.Fatalf("%s: charging node %d wrote through the shared forecast", tag, id)
-			}
 		}
-		o := newOracle(charged, PaperWeights(), forecast)
+		o := newOracle(charged, PaperWeights())
 		req := Request{Procs: 1}
 		caps := o.caps(req)
 		for i, c := range got.caps(req) {
@@ -719,7 +699,7 @@ func checkCharge(t *testing.T, snap *metrics.Snapshot, forecast bool, cand []int
 	for _, id := range changed {
 		mutateDynamicAttrs(r, next, id)
 	}
-	chargeRegime(next, forecast)
+	chargeRegime(next)
 	if !m.RefreshAttrs(next, changed) {
 		t.Fatal("RefreshAttrs refused")
 	}
@@ -738,7 +718,7 @@ func perm(r *rng.Rand, n int) []int {
 
 // randomSnapshot builds a seeded snapshot of n live hosts: non-contiguous
 // IDs published in shuffled order, heterogeneous hardware, loads above
-// the core count, forecasts on some nodes, 15 % of the pairs unmeasured.
+// the core count, 15 % of the pairs unmeasured.
 // hostile adds what a monitor publishes mid-recovery: live hosts with no
 // node record yet, nodes publishing zero cores, and 25 % of the pairs
 // unmeasured. hostile=false draws exactly the stream
@@ -776,12 +756,7 @@ func randomSnapshot(r *rng.Rand, n int, hostile bool) *metrics.Snapshot {
 		na.CPUUtilPct = stats.Windowed{M1: r.Range(0, 100), M5: r.Range(0, 100), M15: r.Range(0, 100)}
 		na.FlowRateBps = stats.Windowed{M1: r.Range(0, 5e7), M5: r.Range(0, 5e7), M15: r.Range(0, 5e7)}
 		na.AvailMemMB = stats.Windowed{M1: r.Range(1000, na.TotalMemMB), M5: 9000, M15: 9000}
-		if r.Bool(0.5) {
-			na.CPULoadForecast = &metrics.Forecast{Value: r.Range(0, float64(cores)), Method: "ar"}
-		}
-		if r.Bool(0.3) {
-			na.FlowRateForecast = &metrics.Forecast{Value: r.Range(0, 5e7), Method: "mean"}
-		}
+		skipRetiredDraws(r, cores)
 		snap.Nodes[nid] = na
 	}
 	unmeasured := 0.15
@@ -818,14 +793,21 @@ func mutateDynamicAttrs(r *rng.Rand, snap *metrics.Snapshot, id int) {
 	na.AvailMemMB = stats.Windowed{M1: r.Range(1000, na.TotalMemMB), M5: 9000, M15: 9000}
 	na.Users = r.Intn(4)
 	na.Timestamp = na.Timestamp.Add(time.Second)
-	na.CPULoadForecast, na.FlowRateForecast = nil, nil
+	skipRetiredDraws(r, na.Cores)
+	snap.Nodes[id] = na
+}
+
+// skipRetiredDraws consumes, and discards, the draws that used to give a
+// node its published forecasts, so that every seeded snapshot and
+// mutation keeps the stream TestShardedGoldenDigests and the oracle cases
+// were pinned on.
+func skipRetiredDraws(r *rng.Rand, cores int) {
 	if r.Bool(0.5) {
-		na.CPULoadForecast = &metrics.Forecast{Value: r.Range(0, float64(na.Cores)), Method: "ar"}
+		r.Range(0, float64(cores))
 	}
 	if r.Bool(0.3) {
-		na.FlowRateForecast = &metrics.Forecast{Value: r.Range(0, 5e7), Method: "mean"}
+		r.Range(0, 5e7)
 	}
-	snap.Nodes[id] = na
 }
 
 // TestCostModelUpdateNodesFallsBack pins the conditions under which the

@@ -22,10 +22,6 @@ type Request struct {
 	Beta float64
 	// Weights are the attribute weights; zero value means PaperWeights.
 	Weights Weights
-	// UseForecast prices CPU load and data-flow rate at their NWS-style
-	// forecast values instead of the windowed means, when the monitor has
-	// published forecasts.
-	UseForecast bool
 }
 
 // Validate checks the request and fills defaulted fields, returning the
@@ -100,8 +96,8 @@ type Policy interface {
 }
 
 // Allocate runs p on a snapshot nobody has priced yet: validate the
-// request, build the dense cost model under its weights and forecast
-// flag, allocate from it. Callers that allocate repeatedly against one
+// request, build the dense cost model under its weights, allocate from
+// it. Callers that allocate repeatedly against one
 // snapshot (the broker, the simulator) keep the model and call
 // AllocateModel themselves.
 func Allocate(p Policy, snap *metrics.Snapshot, req Request, r *rng.Rand) (Allocation, error) {
@@ -109,7 +105,7 @@ func Allocate(p Policy, snap *metrics.Snapshot, req Request, r *rng.Rand) (Alloc
 	if err != nil {
 		return Allocation{}, err
 	}
-	return p.AllocateModel(NewCostModel(snap, req.Weights, req.UseForecast), req, r)
+	return p.AllocateModel(NewCostModel(snap, req.Weights, false), req, r)
 }
 
 // PaperPolicies returns the four policies of the paper's evaluation

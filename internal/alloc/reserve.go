@@ -99,7 +99,7 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 		if err != nil {
 			return Allocation{}, err
 		}
-		m = m.NewLike(charged, vreq.Weights, vreq.UseForecast)
+		m = m.NewLike(charged, vreq.Weights)
 	}
 	a, err := p.Inner.AllocateModel(m, req, r)
 	if err != nil {
@@ -167,11 +167,7 @@ func (p *ReservingPolicy) Charged(snap *metrics.Snapshot) *metrics.Snapshot {
 // ranks/cores·100 is added to the three utilisation windows, capped so
 // the 1-minute window never passes 100 %. A node publishing no core
 // count is charged as one core, like effProcs guards Equation 3: it
-// would otherwise price at ±Inf/NaN and poison Equation 1. A published
-// CPU-load forecast is charged too, on a copy (published snapshots are
-// immutable, and the pointer is shared with them): under
-// Request.UseForecast Equation 1 reads the forecast instead of the
-// windows, and a reservation must not vanish from it. ranks <= 0
+// would otherwise price at ±Inf/NaN and poison Equation 1. ranks <= 0
 // charges nothing.
 //
 // Reservations (Charged) and the simulator's committed-rank overlay call
@@ -185,11 +181,6 @@ func ChargeRanks(na metrics.NodeAttrs, ranks int) metrics.NodeAttrs {
 	na.CPULoad.M1 += r
 	na.CPULoad.M5 += r
 	na.CPULoad.M15 += r
-	if f := na.CPULoadForecast; f != nil {
-		charged := *f
-		charged.Value += r
-		na.CPULoadForecast = &charged
-	}
 	cores := na.Cores
 	if cores <= 0 {
 		cores = 1

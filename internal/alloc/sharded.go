@@ -530,27 +530,28 @@ func (m *CostModel) TakeShardSpills() uint64 {
 // (or with the zero options) it is exactly NewCostModel: the dense
 // exhaustive path, bit for bit. The options are retained on the model so
 // rebuilds (weight changes, reservation-charged snapshots) stay sharded.
-func NewCostModelSharded(snap *metrics.Snapshot, w Weights, useForecast bool, opts ShardOptions) *CostModel {
+// The bool is ignored, as in NewCostModel.
+func NewCostModelSharded(snap *metrics.Snapshot, w Weights, _ bool, opts ShardOptions) *CostModel {
 	ids := MonitoredLivehosts(snap)
 	if !opts.active(len(ids)) {
-		m := NewCostModel(snap, w, useForecast)
+		m := NewCostModel(snap, w, false)
 		m.shardOpts = opts
 		return m
 	}
 	eff := opts.withDefaults()
-	m := newComputeModel(snap, ids, w, useForecast)
+	m := newComputeModel(snap, ids, w)
 	m.shardOpts = opts
 	shards, source := buildShards(ids, eff.Plan, eff.MaxShardSize)
 	m.shard, m.nlErr = newShardModel(snap, m, shards, source)
 	return m
 }
 
-// NewLike builds a cost model for snap priced with the given inputs,
+// NewLike builds a cost model for snap priced with weights w,
 // preserving m's sharding options — the rebuild path modelFor and the
 // reserving policy use so a charged or re-priced snapshot keeps the
 // hierarchical representation.
-func (m *CostModel) NewLike(snap *metrics.Snapshot, w Weights, useForecast bool) *CostModel {
-	return NewCostModelSharded(snap, w, useForecast, m.shardOpts)
+func (m *CostModel) NewLike(snap *metrics.Snapshot, w Weights) *CostModel {
+	return NewCostModelSharded(snap, w, false, m.shardOpts)
 }
 
 // shardScratch is one worker's reusable buffers for hierarchical

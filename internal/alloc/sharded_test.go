@@ -342,7 +342,7 @@ func TestShardedReservingPolicyKeepsHierarchy(t *testing.T) {
 	if a.TotalProcs() != 16 {
 		t.Fatalf("charged-path allocation covered %d of 16 procs", a.TotalProcs())
 	}
-	if got := m.NewLike(snap, PaperWeights(), false); !got.Sharded() {
+	if got := m.NewLike(snap, PaperWeights()); !got.Sharded() {
 		t.Fatal("NewLike dropped the shard layer")
 	}
 }

@@ -117,13 +117,12 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 			reqs := make([]Request, 64)
 			for i := range reqs {
 				reqs[i] = Request{
-					Procs:       2 + int(rnd.Uint64()%8),
-					PPN:         1 + int(rnd.Uint64()%4),
-					Alpha:       float64(rnd.Uint64()%10) / 10,
-					Policy:      policies[rnd.Uint64()%uint64(len(policies))],
-					Force:       rnd.Uint64()%4 == 0,
-					UseForecast: rnd.Uint64()%5 == 0,
-					Explain:     rnd.Uint64()%7 == 0,
+					Procs:   2 + int(rnd.Uint64()%8),
+					PPN:     1 + int(rnd.Uint64()%4),
+					Alpha:   float64(rnd.Uint64()%10) / 10,
+					Policy:  policies[rnd.Uint64()%uint64(len(policies))],
+					Force:   rnd.Uint64()%4 == 0,
+					Explain: rnd.Uint64()%7 == 0,
 				}
 				if reqs[i].Alpha > 0 {
 					reqs[i].Beta = 1 - reqs[i].Alpha

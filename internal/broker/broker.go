@@ -51,9 +51,6 @@ type Request struct {
 	// Force requests an allocation even when the broker would recommend
 	// waiting.
 	Force bool `json:"force,omitempty"`
-	// UseForecast prices nodes by their NWS-style forecasts instead of the
-	// windowed means.
-	UseForecast bool `json:"use_forecast,omitempty"`
 	// Explain additionally returns every candidate sub-graph the heuristic
 	// considered (net-load-aware only) — the machine-readable version of
 	// the paper's Figure 7 analysis.
@@ -187,19 +184,19 @@ type Broker struct {
 	sfMu   sync.Mutex
 	sfCall *refreshCall
 
-	// Cost-model cache: the Equation 1/2 evaluations of the snapshot
-	// content fingerprinted modelFP, keyed by pricing inputs, so
-	// back-to-back Allocate calls against an unchanged monitoring view
-	// skip recomputation. A fingerprint change (the monitor republished)
-	// retires the current generation of models into prevModels for one
-	// epoch, so an incremental refresh (only k nodes' dynamic attributes
-	// changed) can update the retired model in place instead of
-	// rebuilding O(n²).
-	modelMu    sync.Mutex
-	models     map[modelKey]*alloc.CostModel
-	modelFP    uint64
-	prevModels map[modelKey]*alloc.CostModel
-	prevFP     uint64
+	// Cost-model cache: the Equation 1/2 evaluation of the snapshot
+	// content fingerprinted modelFP, so back-to-back Allocate calls against
+	// an unchanged monitoring view skip recomputation. Requests carry no
+	// attribute weights, so one model per generation serves them all. A
+	// fingerprint change (the monitor republished) retires the current
+	// model into prevModel for one epoch, so an incremental refresh (only k
+	// nodes' dynamic attributes changed) can update the retired model in
+	// place instead of rebuilding O(n²).
+	modelMu   sync.Mutex
+	model     *alloc.CostModel
+	modelFP   uint64
+	prevModel *alloc.CostModel
+	prevFP    uint64
 
 	// Degraded-mode state: the last snapshot that passed the freshness
 	// checks, kept (shared, see metrics.Snapshot) so a monitoring outage
@@ -223,16 +220,6 @@ type Broker struct {
 	decSeq    uint64
 }
 
-// modelKey identifies one cached cost model within a generation: the
-// pricing inputs a request can vary (attribute weights, forecast flag).
-// The snapshot fingerprint is not part of it because each generation map
-// holds one fingerprint's models only (models/modelFP, prevModels/prevFP),
-// and the sharding options are not because they are fixed per broker.
-type modelKey struct {
-	weights  alloc.Weights
-	forecast bool
-}
-
 // refreshCall is one in-flight snapshot-cache refresh; concurrent
 // requests wait on done and share its result (singleflight).
 type refreshCall struct {
@@ -254,7 +241,6 @@ func New(st monitor.GenSource, rt simtime.Runtime, cfg Config) *Broker {
 		rnd:       rng.New(cfg.Seed),
 		policies:  make(map[string]alloc.Policy),
 		cache:     monitor.NewSnapshotCache(st, cfg.Obs, rt.Now),
-		models:    make(map[modelKey]*alloc.CostModel),
 		obs:       cfg.Obs,
 		decisions: obs.NewRing[DecisionRecord](cfg.DecisionLog),
 	}
@@ -385,45 +371,40 @@ func (b *Broker) DegradedServed() uint64 {
 	return b.degraded
 }
 
-// costModel returns the dense cost model for the served view priced
-// with the given weights and forecast flag, reusing the cached
-// evaluation when the monitoring content is unchanged since it was
-// built. A fingerprint change (the monitor republished) retires the
-// current model generation; when the view says the change was
-// incremental (same node set, same matrices, k nodes' dynamic
-// attributes moved) and the retired generation belongs to the view's
-// predecessor fingerprint, the retired model is updated in place via
+// costModel returns the cost model for the served view, priced with
+// alloc.PaperWeights, reusing the cached evaluation when the monitoring
+// content is unchanged since it was built. A fingerprint change (the
+// monitor republished) retires the current model; when the view says the
+// change was incremental (same node set, same matrices, k nodes' dynamic
+// attributes moved) and the retired model belongs to the view's
+// predecessor fingerprint, it is updated in place via
 // CostModel.UpdateNodes instead of being rebuilt from scratch.
-func (b *Broker) costModel(sv monitor.Refresh, w alloc.Weights, forecast bool) (*alloc.CostModel, bool) {
-	key := modelKey{weights: w, forecast: forecast}
+func (b *Broker) costModel(sv monitor.Refresh) (*alloc.CostModel, bool) {
 	b.modelMu.Lock()
 	defer b.modelMu.Unlock()
 	if sv.FP != b.modelFP {
-		b.prevModels, b.prevFP = b.models, b.modelFP
-		b.models = make(map[modelKey]*alloc.CostModel)
-		b.modelFP = sv.FP
+		b.prevModel, b.prevFP = b.model, b.modelFP
+		b.model, b.modelFP = nil, sv.FP
 	}
-	if m, ok := b.models[key]; ok {
+	if b.model != nil {
 		b.obs.Counter("broker.modelcache.hits").Inc()
-		return m, true
+		return b.model, true
 	}
 	var m *alloc.CostModel
-	if sv.Incremental && sv.PrevFP != 0 && sv.PrevFP == b.prevFP {
-		if pm, ok := b.prevModels[key]; ok {
-			if um, ok := pm.UpdateNodes(sv.Snap, sv.ChangedNodes); ok {
-				m = um
-				b.obs.Counter("broker.model.update.incremental").Inc()
-			}
+	if sv.Incremental && sv.PrevFP != 0 && sv.PrevFP == b.prevFP && b.prevModel != nil {
+		if um, ok := b.prevModel.UpdateNodes(sv.Snap, sv.ChangedNodes); ok {
+			m = um
+			b.obs.Counter("broker.model.update.incremental").Inc()
 		}
 	}
 	if m == nil {
-		m = alloc.NewCostModelSharded(sv.Snap, w, forecast, b.cfg.Shard)
+		m = alloc.NewCostModelSharded(sv.Snap, alloc.PaperWeights(), false, b.cfg.Shard)
 		b.obs.Counter("broker.model.update.full").Inc()
 	}
 	if m.Sharded() {
 		b.obs.Counter("broker.model.sharded").Inc()
 	}
-	b.models[key] = m
+	b.model = m
 	b.obs.Counter("broker.modelcache.misses").Inc()
 	return m, false
 }
@@ -594,15 +575,14 @@ func (b *Broker) consumeSplit(policy string) {
 // request and observes the allocate latency histogram.
 func (b *Broker) finishDecision(start time.Time, req Request, resp Response, model *alloc.CostModel, cacheHit bool, err error) {
 	rec := DecisionRecord{
-		At:          start,
-		Policy:      req.Policy,
-		Procs:       req.Procs,
-		PPN:         req.PPN,
-		Alpha:       req.Alpha,
-		Beta:        req.Beta,
-		UseForecast: req.UseForecast,
-		Forced:      req.Force,
-		CacheHit:    cacheHit,
+		At:       start,
+		Policy:   req.Policy,
+		Procs:    req.Procs,
+		PPN:      req.PPN,
+		Alpha:    req.Alpha,
+		Beta:     req.Beta,
+		Forced:   req.Force,
+		CacheHit: cacheHit,
 	}
 	if rec.Policy == "" {
 		rec.Policy = alloc.NetLoadAware{}.Name()
@@ -666,18 +646,15 @@ func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Reque
 		return resp, nil, false, nil
 	}
 
-	allocReq := alloc.Request{
-		Procs: req.Procs, PPN: req.PPN, Alpha: req.Alpha, Beta: req.Beta,
-		UseForecast: req.UseForecast,
-	}
-	validated, err := allocReq.Validate()
+	allocReq := alloc.Request{Procs: req.Procs, PPN: req.PPN, Alpha: req.Alpha, Beta: req.Beta}
+	_, err := allocReq.Validate()
 	if err != nil {
 		// Error returns past this point keep resp: its Degraded fields
 		// already reflect how the snapshot was served, and the decision
 		// record must see them even for failed requests.
 		return resp, nil, false, err
 	}
-	model, cacheHit := b.costModel(sv, validated.Weights, validated.UseForecast)
+	model, cacheHit := b.costModel(sv)
 	var a alloc.Allocation
 	if nla, ok := pol.(alloc.NetLoadAware); ok && (req.Explain || b.cfg.CounterfactualK > 0) {
 		// With CounterfactualK set, non-explain net-load-aware requests

@@ -117,14 +117,13 @@ func TestCostModelCacheReuse(t *testing.T) {
 			first.Nodes, first.Procs, second.Nodes, second.Procs)
 	}
 
-	// Different pricing inputs share the fingerprint but not the model:
-	// a second key is built (miss), no invalidation.
-	if _, err := r.b.Allocate(Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7, UseForecast: true}); err != nil {
+	// Requests carry no attribute weights, so a different α/β or policy
+	// is served by the same model: one model per generation.
+	if _, err := r.b.Allocate(Request{Procs: 6, Alpha: 0.8, Beta: 0.2, Policy: "load-aware"}); err != nil {
 		t.Fatal(err)
 	}
-	_, misses = r.b.ModelCacheStats()
-	if misses != 2 {
-		t.Fatalf("forecast pricing should be a distinct cache entry, got %d misses", misses)
+	if _, misses = r.b.ModelCacheStats(); misses != 1 {
+		t.Fatalf("a different α/β built a second model, got %d misses", misses)
 	}
 
 	// Advancing time republishes monitoring data, changing the snapshot
@@ -134,7 +133,7 @@ func TestCostModelCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, missesAfter := r.b.ModelCacheStats()
-	if missesAfter != 3 {
+	if missesAfter != 2 {
 		t.Fatalf("republished snapshot should miss the cache, got %d misses", missesAfter)
 	}
 }
@@ -421,17 +420,6 @@ func TestExplainReturnsCandidates(t *testing.T) {
 	}
 	if len(resp.Candidates) != 0 {
 		t.Fatal("random policy returned candidates")
-	}
-}
-
-func TestUseForecastAccepted(t *testing.T) {
-	r := newRig(t, 13, loadgen.Config{})
-	resp, err := r.b.Allocate(Request{Procs: 8, PPN: 4, UseForecast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Recommendation != RecommendAllocate {
-		t.Fatalf("forecast-priced request got %v", resp.Recommendation)
 	}
 }
 

@@ -51,13 +51,12 @@ type DecisionRecord struct {
 	At time.Time `json:"at"`
 
 	// Request shape.
-	Policy      string  `json:"policy"`
-	Procs       int     `json:"procs"`
-	PPN         int     `json:"ppn,omitempty"`
-	Alpha       float64 `json:"alpha,omitempty"`
-	Beta        float64 `json:"beta,omitempty"`
-	UseForecast bool    `json:"use_forecast,omitempty"`
-	Forced      bool    `json:"forced,omitempty"`
+	Policy string  `json:"policy"`
+	Procs  int     `json:"procs"`
+	PPN    int     `json:"ppn,omitempty"`
+	Alpha  float64 `json:"alpha,omitempty"`
+	Beta   float64 `json:"beta,omitempty"`
+	Forced bool    `json:"forced,omitempty"`
 
 	// Outcome.
 	Recommendation Recommendation `json:"recommendation,omitempty"`

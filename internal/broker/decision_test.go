@@ -173,7 +173,6 @@ func TestCounterfactualOffIsBitIdentical(t *testing.T) {
 	reqs := []Request{
 		{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7},
 		{Procs: 4, PPN: 2},
-		{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7, UseForecast: true},
 		{Procs: 6, PPN: 2, Alpha: 0.8, Beta: 0.2, Force: true},
 	}
 	for i, req := range reqs {

@@ -371,16 +371,15 @@ func TestFaultCostModelCacheRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := alloc.Weights{CPULoad: 1}
 	finalView := monitor.Refresh{Snap: final, FP: final.Fingerprint()}
-	got, _ := r.b.costModel(finalView, w, false)
-	want := alloc.NewCostModel(final, w, false)
+	got, _ := r.b.costModel(finalView)
+	want := alloc.NewCostModel(final, alloc.PaperWeights(), false)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cost model cache returned a model that does not match a fresh build for the current snapshot")
 	}
 	// And an immediate second lookup is a hit on that same model.
 	hitsBefore, _ := r.b.ModelCacheStats()
-	if again, hit := r.b.costModel(finalView, w, false); !reflect.DeepEqual(again, want) || !hit {
+	if again, hit := r.b.costModel(finalView); !reflect.DeepEqual(again, want) || !hit {
 		t.Fatal("second lookup diverged")
 	}
 	if hitsAfter, _ := r.b.ModelCacheStats(); hitsAfter != hitsBefore+1 {

@@ -45,28 +45,21 @@ type StalenessPoint struct {
 	MeanSec         float64
 }
 
-// ForecastPoint is one forecast-mode outcome.
-type ForecastPoint struct {
-	UseForecast bool
-	MeanSec     float64
-}
-
 // AblationData is the full ablation result.
 type AblationData struct {
 	Cfg       AblationConfig
 	BetaSweep []BetaPoint
 	Staleness []StalenessPoint
-	Forecast  []ForecastPoint
 }
 
-// runNLA allocates with the heuristic under the given α/β and forecast
-// flag and executes one miniMD run, cfg.Repeats times over; it returns
-// the run times in seconds.
-func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, useForecast bool, r *rng.Rand) ([]float64, error) {
+// runNLA allocates with the heuristic under the given α/β and executes
+// one miniMD run, cfg.Repeats times over; it returns the run times in
+// seconds.
+func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, r *rng.Rand) ([]float64, error) {
 	var times []float64
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
-			Procs: ablationProcs, PPN: ablationPPN, Alpha: alpha, Beta: beta, UseForecast: useForecast,
+			Procs: ablationProcs, PPN: ablationPPN, Alpha: alpha, Beta: beta,
 		}, r.Split())
 		if err != nil {
 			return nil, err
@@ -107,7 +100,7 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 	s.WarmUp(DefaultWarmUp)
 	r := rng.New(cfg.Seed + 31)
 	for _, beta := range cfg.Betas {
-		times, err := runNLA(s, cfg, 1-beta, beta, false, r)
+		times, err := runNLA(s, cfg, 1-beta, beta, r)
 		if err != nil {
 			return nil, fmt.Errorf("harness: ablation β=%g: %w", beta, err)
 		}
@@ -131,7 +124,7 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 			warm = period*2 + 2*time.Minute
 		}
 		ss.WarmUp(warm)
-		times, err := runNLA(ss, cfg, alpha, beta, false, rng.New(cfg.Seed+67))
+		times, err := runNLA(ss, cfg, alpha, beta, rng.New(cfg.Seed+67))
 		ss.Close()
 		if err != nil {
 			return nil, fmt.Errorf("harness: ablation period=%v: %w", period, err)
@@ -139,25 +132,6 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 		data.Staleness = append(data.Staleness, StalenessPoint{
 			BandwidthPeriod: period,
 			MeanSec:         stats.Mean(times),
-		})
-	}
-
-	// Forecast ablation: instantaneous attributes vs NWS-style forecasts
-	// (internal/forecast), same session and request sequence.
-	for _, useForecast := range []bool{false, true} {
-		fs, err := NewSession(SessionConfig{Seed: cfg.Seed + 101})
-		if err != nil {
-			return nil, err
-		}
-		fs.WarmUp(DefaultWarmUp)
-		times, err := runNLA(fs, cfg, alpha, beta, useForecast, rng.New(cfg.Seed+103))
-		fs.Close()
-		if err != nil {
-			return nil, fmt.Errorf("harness: ablation forecast=%v: %w", useForecast, err)
-		}
-		data.Forecast = append(data.Forecast, ForecastPoint{
-			UseForecast: useForecast,
-			MeanSec:     stats.Mean(times),
 		})
 	}
 	return data, nil
@@ -179,16 +153,5 @@ func (d *AblationData) Render() string {
 	for _, p := range d.Staleness {
 		t2.AddRow(p.BandwidthPeriod.String(), Sec(p.MeanSec))
 	}
-	t3 := Table{
-		Title:  "Ablation — NWS-style forecasting of node attributes",
-		Header: []string{"forecast", "mean time (s)"},
-	}
-	for _, p := range d.Forecast {
-		label := "off (windowed means)"
-		if p.UseForecast {
-			label = "on (best-method prediction)"
-		}
-		t3.AddRow(label, Sec(p.MeanSec))
-	}
-	return t1.String() + "\n" + t2.String() + "\n" + t3.String()
+	return t1.String() + "\n" + t2.String()
 }

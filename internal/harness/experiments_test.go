@@ -210,7 +210,7 @@ func TestAblationTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.BetaSweep) != 2 || len(d.Staleness) != 1 || len(d.Forecast) != 2 {
+	if len(d.BetaSweep) != 2 || len(d.Staleness) != 1 {
 		t.Fatalf("ablation %+v", d)
 	}
 	// β=0 (pure load-aware limit) must not beat the paper's β=0.7 in this

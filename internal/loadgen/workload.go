@@ -232,6 +232,9 @@ func (w Workload) Validate() error {
 		if c.DailyJobs <= 0 && c.Interarrival.Mean <= 0 && c.Interarrival.Kind != "uniform" {
 			return fmt.Errorf("loadgen: cohort %d (%q): needs daily_jobs or interarrival.mean", i, c.Name)
 		}
+		if c.Interarrival.Kind == "uniform" && c.Interarrival.Min < 0 {
+			return fmt.Errorf("loadgen: cohort %d (%q): negative interarrival.min %g", i, c.Name, c.Interarrival.Min)
+		}
 		if c.Hourly != nil {
 			if len(c.Hourly) != 24 {
 				return fmt.Errorf("loadgen: cohort %d (%q): hourly needs 24 entries, got %d", i, c.Name, len(c.Hourly))
@@ -311,8 +314,10 @@ type compiledCohort struct {
 	walltime  Sampler
 	service   Sampler
 	priority  Sampler
-	// hourly is the normalized (mean 1) diurnal rate vector, nil if flat.
+	// hourly is the normalized (mean 1) diurnal rate vector, nil if flat;
+	// dayCap is the operational time one whole day of it holds.
 	hourly []float64
+	dayCap float64
 }
 
 // WorkloadGen expands a Workload into a merged, time-ordered arrival
@@ -377,33 +382,62 @@ func NewWorkloadGen(w Workload, start time.Time, seed uint64) (*WorkloadGen, err
 			cc.hourly = make([]float64, 24)
 			for h, v := range c.Hourly {
 				cc.hourly[h] = v * 24 / sum
+				cc.dayCap += cc.hourly[h] * 3600
 			}
 		}
 		g.cohorts = append(g.cohorts, cc)
 		for cl := 0; cl < clients; cl++ {
-			st := clientStream{cohort: ci, client: cl, rnd: root.Split()}
-			st.next = g.warp(ci, 0, cc.gap(st.rnd))
-			g.pushStream(st)
+			g.schedule(clientStream{cohort: ci, client: cl, rnd: root.Split()})
 		}
 	}
 	return g, nil
+}
+
+// horizon is the latest offset from the start, in seconds, that a
+// time.Duration can hold (about 292 years). A stream whose next arrival
+// falls past it ends there.
+const horizon = float64(math.MaxInt64 / int64(time.Second))
+
+// seconds converts s seconds to a time.Duration, saturating at the
+// largest one past horizon (and on NaN) instead of wrapping.
+func seconds(s float64) time.Duration {
+	if !(s < horizon) {
+		return math.MaxInt64
+	}
+	return time.Duration(s * float64(time.Second))
+}
+
+// schedule draws st's next gap and puts the stream back on the heap,
+// unless that arrival falls past horizon (or is not a number), which
+// retires the stream.
+func (g *WorkloadGen) schedule(st clientStream) {
+	st.next = g.warp(st.cohort, st.next, g.cohorts[st.cohort].gap(st.rnd))
+	if st.next <= horizon {
+		g.pushStream(st)
+	}
 }
 
 // warp maps an operational-time gap (seconds at unit rate) starting at
 // offset from (seconds since start) into wall seconds under the cohort's
 // piecewise-constant diurnal rate. With a flat shape it is the identity;
 // otherwise heavy hours consume operational time faster than wall time,
-// preserving the daily integral (the rate vector has mean 1).
+// preserving the daily integral (the rate vector has mean 1). Any 24
+// hours hold dayCap, so a gap of two days or more skips all but the last
+// whole day at once, and the hour-by-hour walk stops past horizon.
 func (g *WorkloadGen) warp(cohort int, from, gap float64) float64 {
-	hourly := g.cohorts[cohort].hourly
-	if hourly == nil {
+	c := &g.cohorts[cohort]
+	if c.hourly == nil {
 		return from + gap
 	}
 	t := from
-	for gap > 0 {
-		abs := g.start.Add(time.Duration(t * float64(time.Second)))
+	if days := math.Floor(gap/c.dayCap) - 1; days > 0 {
+		t += days * 86400
+		gap -= days * c.dayCap
+	}
+	for gap > 0 && t <= horizon {
+		abs := g.start.Add(seconds(t))
 		hour := abs.Hour()
-		rate := hourly[hour]
+		rate := c.hourly[hour]
 		// Wall seconds to the next hour boundary.
 		boundary := 3600 - (float64(abs.Minute()*60+abs.Second()) + float64(abs.Nanosecond())/1e9)
 		if boundary <= 0 {
@@ -485,7 +519,7 @@ func (g *WorkloadGen) Next() (Arrival, bool) {
 		}
 		c.remaining--
 		a := Arrival{
-			At:     g.start.Add(time.Duration(st.next * float64(time.Second))),
+			At:     g.start.Add(seconds(st.next)),
 			Seq:    g.seq,
 			Cohort: c.spec.Name,
 			Client: st.client,
@@ -502,7 +536,7 @@ func (g *WorkloadGen) Next() (Arrival, bool) {
 		}
 		wt := c.walltime(st.rnd)
 		if wt > 0 {
-			a.Walltime = time.Duration(wt * float64(time.Second))
+			a.Walltime = seconds(wt)
 		}
 		svc := wt
 		if c.service != nil {
@@ -511,11 +545,10 @@ func (g *WorkloadGen) Next() (Arrival, bool) {
 		if svc <= 0 {
 			svc = 1
 		}
-		a.Service = time.Duration(svc * float64(time.Second))
+		a.Service = seconds(svc)
 		a.Priority = int(math.Round(c.priority(st.rnd)))
 		if c.remaining > 0 {
-			st.next = g.warp(st.cohort, st.next, c.gap(st.rnd))
-			g.pushStream(st)
+			g.schedule(st)
 		}
 		return a, true
 	}

@@ -64,6 +64,16 @@ func TestDistMoments(t *testing.T) {
 	}
 }
 
+// streamSpec is one client submitting jobs with interarrival gaps ia.
+func streamSpec(name string, ia Dist, jobs int) Workload {
+	return Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
+		Name: name, Clients: 1, Jobs: jobs,
+		Interarrival: ia,
+		Procs:        Dist{Kind: "constant", Mean: 1},
+		Walltime:     Dist{Kind: "constant", Mean: 60},
+	}}}
+}
+
 // TestStreamInterarrivalMoments measures the gaps of actual generated
 // streams (single client, so the renewal process is observable) rather
 // than raw sampler output.
@@ -80,12 +90,7 @@ func TestStreamInterarrivalMoments(t *testing.T) {
 	const jobs = 50_000
 	for _, tc := range cases {
 		for _, seed := range []uint64{7, 8, 9} {
-			w := Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
-				Name: tc.name, Clients: 1, Jobs: jobs,
-				Interarrival: tc.ia,
-				Procs:        Dist{Kind: "constant", Mean: 1},
-				Walltime:     Dist{Kind: "constant", Mean: 60},
-			}}}
+			w := streamSpec(tc.name, tc.ia, jobs)
 			g, err := NewWorkloadGen(w, wlStart, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -123,14 +128,13 @@ func TestStreamInterarrivalMoments(t *testing.T) {
 	}
 }
 
-// TestDiurnalDailyIntegral checks the diurnal warp preserves the daily
-// rate: a cohort pinned at DailyJobs per day with a strong afternoon
-// peak must submit DailyJobs +/- Poisson noise in every simulated day,
-// and visibly more in the peak hour than in the trough.
-func TestDiurnalDailyIntegral(t *testing.T) {
-	const dailyJobs = 2400.0
-	const days = 7
-	w := Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
+// The daily rate and length of diurnalSpec.
+const dailyJobs, days = 2400.0, 7
+
+// diurnalSpec is a cohort pinned at dailyJobs per day with a strong
+// afternoon peak.
+func diurnalSpec() Workload {
+	return Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
 		Name: "diurnal", Clients: 32, Jobs: int(dailyJobs) * days,
 		Interarrival: Dist{Kind: "exponential"},
 		DailyJobs:    dailyJobs,
@@ -138,6 +142,13 @@ func TestDiurnalDailyIntegral(t *testing.T) {
 		Procs:        Dist{Kind: "constant", Mean: 1},
 		Walltime:     Dist{Kind: "constant", Mean: 60},
 	}}}
+}
+
+// TestDiurnalDailyIntegral checks the diurnal warp preserves the daily
+// rate: diurnalSpec must submit dailyJobs +/- Poisson noise in every
+// simulated day, and visibly more in the peak hour than in the trough.
+func TestDiurnalDailyIntegral(t *testing.T) {
+	w := diurnalSpec()
 	for _, seed := range []uint64{3, 14, 159} {
 		g, err := NewWorkloadGen(w, wlStart, seed)
 		if err != nil {
@@ -178,8 +189,9 @@ func TestDiurnalDailyIntegral(t *testing.T) {
 	}
 }
 
-func TestWorkloadGenDeterminismAndOrdering(t *testing.T) {
-	w := Workload{Version: WorkloadVersion, Cohorts: []Cohort{
+// mixedSpec is two cohorts of bursty and regular renewal streams.
+func mixedSpec() Workload {
+	return Workload{Version: WorkloadVersion, Cohorts: []Cohort{
 		{
 			Name: "a", Clients: 8, Jobs: 2000,
 			Interarrival: Dist{Kind: "gamma", Mean: 30, CV: 2},
@@ -193,6 +205,10 @@ func TestWorkloadGenDeterminismAndOrdering(t *testing.T) {
 			Priority:     Dist{Kind: "constant", Mean: 2},
 		},
 	}}
+}
+
+func TestWorkloadGenDeterminismAndOrdering(t *testing.T) {
+	w := mixedSpec()
 	gen := func(seed uint64) []Arrival {
 		g, err := NewWorkloadGen(w, wlStart, seed)
 		if err != nil {
@@ -239,13 +255,18 @@ func TestWorkloadGenDeterminismAndOrdering(t *testing.T) {
 	}
 }
 
-func TestWorkloadJSONRoundTrip(t *testing.T) {
-	w := Workload{Version: WorkloadVersion, Name: "rt", Cohorts: []Cohort{{
+// roundTripSpec sets every optional cohort field JSON carries.
+func roundTripSpec() Workload {
+	return Workload{Version: WorkloadVersion, Name: "rt", Cohorts: []Cohort{{
 		Name: "c", Clients: 4, Jobs: 10, DailyJobs: 100,
 		Interarrival: Dist{Kind: "exponential"},
 		Hourly:       SinusoidHourly(0.5, 12),
 		Procs:        Dist{Kind: "gamma", Mean: 8, CV: 1, Min: 1, Max: 64},
 	}}}
+}
+
+func TestWorkloadJSONRoundTrip(t *testing.T) {
+	w := roundTripSpec()
 	data, err := json.Marshal(w)
 	if err != nil {
 		t.Fatal(err)
@@ -259,26 +280,31 @@ func TestWorkloadJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// minimalSpec is the smallest valid spec, which invalidSpecs break.
+func minimalSpec() Workload {
+	return Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
+		Name: "c", Jobs: 1, Interarrival: Dist{Kind: "exponential", Mean: 10},
+	}}}
+}
+
+// invalidSpecs each break minimalSpec in one way Validate must refuse.
+var invalidSpecs = []struct {
+	name   string
+	break_ func(*Workload)
+}{
+	{"bad version", func(w *Workload) { w.Version = 99 }},
+	{"no cohorts", func(w *Workload) { w.Cohorts = nil }},
+	{"zero jobs", func(w *Workload) { w.Cohorts[0].Jobs = 0 }},
+	{"no rate", func(w *Workload) { w.Cohorts[0].Interarrival.Mean = 0 }},
+	{"short hourly", func(w *Workload) { w.Cohorts[0].Hourly = []float64{1, 2} }},
+	{"negative hourly", func(w *Workload) { w.Cohorts[0].Hourly = make([]float64, 24); w.Cohorts[0].Hourly[5] = -1 }},
+	{"all-zero hourly", func(w *Workload) { w.Cohorts[0].Hourly = make([]float64, 24) }},
+	{"negative gap", func(w *Workload) { w.Cohorts[0].Interarrival = Dist{Kind: "uniform", Min: -10, Max: 10} }},
+}
+
 func TestWorkloadValidationErrors(t *testing.T) {
-	base := func() Workload {
-		return Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
-			Name: "c", Jobs: 1, Interarrival: Dist{Kind: "exponential", Mean: 10},
-		}}}
-	}
-	cases := []struct {
-		name   string
-		break_ func(*Workload)
-	}{
-		{"bad version", func(w *Workload) { w.Version = 99 }},
-		{"no cohorts", func(w *Workload) { w.Cohorts = nil }},
-		{"zero jobs", func(w *Workload) { w.Cohorts[0].Jobs = 0 }},
-		{"no rate", func(w *Workload) { w.Cohorts[0].Interarrival.Mean = 0 }},
-		{"short hourly", func(w *Workload) { w.Cohorts[0].Hourly = []float64{1, 2} }},
-		{"negative hourly", func(w *Workload) { w.Cohorts[0].Hourly = make([]float64, 24); w.Cohorts[0].Hourly[5] = -1 }},
-		{"all-zero hourly", func(w *Workload) { w.Cohorts[0].Hourly = make([]float64, 24) }},
-	}
-	for _, tc := range cases {
-		w := base()
+	for _, tc := range invalidSpecs {
+		w := minimalSpec()
 		tc.break_(&w)
 		if err := w.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid spec", tc.name)
@@ -319,4 +345,131 @@ func TestWeibullShapeForCV(t *testing.T) {
 	if k, _ := weibullShapeForCV(1); math.Abs(k-1) > 1e-6 {
 		t.Errorf("weibull shape for CV 1 = %g, want 1", k)
 	}
+}
+
+// generateWithin expands w (seed 1) on another goroutine and fails the
+// test unless every arrival is out within limit.
+func generateWithin(t *testing.T, w Workload, limit time.Duration) []Arrival {
+	t.Helper()
+	done := make(chan []Arrival, 1)
+	go func() {
+		var out []Arrival
+		g, err := NewWorkloadGen(w, wlStart, 1)
+		for err == nil {
+			a, ok := g.Next()
+			if !ok {
+				break
+			}
+			out = append(out, a)
+		}
+		done <- out
+	}()
+	select {
+	case out := <-done:
+		return out
+	case <-time.After(limit):
+		t.Fatalf("no end to the stream after %v", limit)
+		return nil
+	}
+}
+
+// A diurnal cohort with a huge constant gap used to walk the warp one
+// hour per iteration, about 10²⁹⁶ of them. Now its first arrival already
+// lies past the horizon, so the stream ends at once; and a 30-day gap,
+// which skips whole days, still lands 30 days later to the microsecond.
+func TestWarpHugeDiurnalGapReturns(t *testing.T) {
+	w := Workload{Version: WorkloadVersion, Cohorts: []Cohort{{
+		Name: "huge", Clients: 2, Jobs: 3, Interarrival: Dist{Kind: "constant", Mean: 1e300},
+		Hourly: SinusoidHourly(0.5, 12), Procs: Dist{Mean: 1},
+	}}}
+	if got := generateWithin(t, w, 5*time.Second); len(got) != 0 {
+		t.Fatalf("%d arrivals past the horizon, the first at %v", len(got), got[0].At)
+	}
+	const month = 30 * 86400
+	w.Cohorts[0].Interarrival.Mean = month
+	got := generateWithin(t, w, 5*time.Second)
+	if len(got) != 3 {
+		t.Fatalf("%d arrivals, want 3", len(got))
+	}
+	for i := 2; i < len(got); i++ {
+		if d := got[i].At.Sub(got[i-2].At) - month*time.Second; d < -time.Microsecond || d > time.Microsecond {
+			t.Fatalf("arrival %d is %v off one month after arrival %d", i, d, i-2)
+		}
+	}
+}
+
+// A stream whose next arrival lies past what a time.Duration holds
+// (about 292 years) used to wrap to an instant before the previous one,
+// and so did a walltime that long. Now the stream ends at the horizon,
+// and the walltime (and with it the service time) saturates there.
+func TestStreamEndsAtDurationHorizon(t *testing.T) {
+	const gap = 1e9 // seconds: the tenth arrival would be at 1e10
+	w := streamSpec("long", Dist{Kind: "constant", Mean: gap}, 20)
+	w.Cohorts[0].Walltime.Mean = 1e300
+	got := generateWithin(t, w, 5*time.Second)
+	if len(got) != 9 {
+		t.Fatalf("%d arrivals, want the 9 before the horizon", len(got))
+	}
+	for i, a := range got {
+		if want := wlStart.Add(time.Duration(i+1) * gap * time.Second); !a.At.Equal(want) {
+			t.Fatalf("arrival %d at %v, want %v", i, a.At, want)
+		}
+		if a.Walltime != math.MaxInt64 || a.Service != math.MaxInt64 {
+			t.Fatalf("arrival %d: walltime %v, service %v, want both saturated", i, a.Walltime, a.Service)
+		}
+	}
+}
+
+// FuzzParseWorkload feeds arbitrary bytes to ParseWorkload, seeded with
+// every spec the tests above use. No input may panic, and for an
+// accepted spec the first 64 arrivals come out in time order, each with
+// at least one process and one process per node. Specs with more than
+// 4,096 client streams are skipped: seeding them costs memory, not
+// coverage.
+func FuzzParseWorkload(f *testing.F) {
+	seeds := []Workload{diurnalSpec(), mixedSpec(), roundTripSpec(), minimalSpec(),
+		streamSpec("poisson", Dist{Kind: "exponential", Mean: 90}, 10),
+		streamSpec("weibull", Dist{Kind: "weibull", Mean: 90, CV: 0.6}, 10)}
+	for _, tc := range invalidSpecs {
+		w := minimalSpec()
+		tc.break_(&w)
+		seeds = append(seeds, w)
+	}
+	for _, w := range seeds {
+		b, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		w, err := ParseWorkload(b)
+		if err != nil {
+			return
+		}
+		streams := 0
+		for _, c := range w.Cohorts {
+			if streams += max(c.Clients, 1); c.Clients > 1<<12 || streams > 1<<12 {
+				t.Skip("too many client streams")
+			}
+		}
+		g, err := NewWorkloadGen(w, wlStart, 1)
+		if err != nil {
+			return // a distribution that does not compile
+		}
+		var prev time.Time
+		for i := 0; i < 64; i++ {
+			a, ok := g.Next()
+			if !ok {
+				break
+			}
+			if i > 0 && a.At.Before(prev) {
+				t.Fatalf("arrival %d at %v, before %v", i, a.At, prev)
+			}
+			if a.Procs < 1 || a.PPN < 1 {
+				t.Fatalf("arrival %d: procs %d, ppn %d", i, a.Procs, a.PPN)
+			}
+			prev = a.At
+		}
+	})
 }

@@ -33,18 +33,6 @@ type NodeAttrs struct {
 	CPUUtilPct  stats.Windowed `json:"cpu_util_pct"`
 	FlowRateBps stats.Windowed `json:"flow_rate_bps"`
 	AvailMemMB  stats.Windowed `json:"avail_mem_mb"`
-
-	// One-step-ahead forecasts (NWS-style ensemble in internal/forecast);
-	// nil when the node's daemon has too little history.
-	CPULoadForecast  *Forecast `json:"cpu_load_forecast,omitempty"`
-	FlowRateForecast *Forecast `json:"flow_rate_forecast,omitempty"`
-}
-
-// Forecast is a published one-step-ahead prediction together with the
-// time-series method that produced it (the ensemble's current best).
-type Forecast struct {
-	Value  float64 `json:"value"`
-	Method string  `json:"method"`
 }
 
 // PairLatency is a published point-to-point latency measurement with the

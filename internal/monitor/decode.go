@@ -13,10 +13,9 @@ import (
 // records the broker and the central monitor read from the store: what
 // tickEncoder writes for metrics.NodeAttrs, heartbeat and both matrices,
 // and what json.Marshal writes for livehostsRecord. Canonical means the
-// exact key literals in declared order (omitempty forecasts present or
-// absent), no whitespace, strings of ASCII without a control byte, a quote
-// or a backslash, and numbers in the JSON grammar (integers without a
-// fraction or an exponent). Anything else clears ok — whitespace, escapes,
+// exact key literals in declared order, no whitespace, strings of ASCII
+// without a control byte, a quote or a backslash, and numbers in the JSON
+// grammar (integers without a fraction or an exponent). Anything else clears ok — whitespace, escapes,
 // non-ASCII, reordered, duplicate, unknown or case-folded keys, null for a
 // scalar, trailing bytes — because encoding/json gives each of those a
 // meaning of its own, and unmarshalJSON then leaves the value, or the
@@ -28,9 +27,8 @@ type tickDecoder struct {
 
 // unmarshalJSON is json.Unmarshal(b, v). Every caller passes a pointer to a
 // zero value (getJSON's callers each declare a fresh variable), which the
-// fast path relies on: it decodes into a zero value of its own, so an
-// absent forecast reads as nil, where json.Unmarshal would keep whatever
-// *v already held.
+// fast path relies on: it replaces *v whole, where json.Unmarshal keeps
+// what *v already held in any member the input lacks.
 func unmarshalJSON(b []byte, v any) error {
 	if decodeRecord(b, v) {
 		return nil
@@ -116,8 +114,6 @@ func (d *tickDecoder) nodeAttrs(a *metrics.NodeAttrs) {
 	a.CPUUtilPct = d.windowed(`,"cpu_util_pct":`)
 	a.FlowRateBps = d.windowed(`,"flow_rate_bps":`)
 	a.AvailMemMB = d.windowed(`,"avail_mem_mb":`)
-	a.CPULoadForecast = d.forecast(`,"cpu_load_forecast":`)
-	a.FlowRateForecast = d.forecast(`,"flow_rate_forecast":`)
 	d.lit(`}`)
 }
 
@@ -129,20 +125,6 @@ func (d *tickDecoder) windowed(key string) stats.Windowed {
 	w.M15 = d.float(`,"M15":`)
 	d.lit(`}`)
 	return w
-}
-
-// forecast reads nil when key is absent (omitempty). A present forecast
-// is allocated only once it has parsed.
-func (d *tickDecoder) forecast(key string) *metrics.Forecast {
-	if !d.skip(key) {
-		return nil
-	}
-	value := d.float(`{"value":`)
-	method := d.str(`,"method":`)
-	if !d.lit(`}`) {
-		return nil
-	}
-	return &metrics.Forecast{Value: value, Method: method}
 }
 
 func (d *tickDecoder) latency(p *metrics.PairLatency) {

@@ -108,15 +108,13 @@ func TestUnmarshalMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeNodeAttrsAllocs pins the warmed NodeAttrs decode at its
-// allocations: the hostname, and each forecast with its method name.
+// TestDecodeNodeAttrsAllocs pins the warmed NodeAttrs decode at its one
+// allocation: the hostname.
 func TestDecodeNodeAttrsAllocs(t *testing.T) {
 	w := stats.Windowed{M1: 0.25, M5: 1.5, M15: 3}
 	b, err := marshalJSON(metrics.NodeAttrs{
 		NodeID: 7, Hostname: "csews8", Timestamp: t0.Add(1500 * time.Millisecond), Cores: 8, FreqGHz: 3.4,
 		TotalMemMB: 16384, Users: 2, CPULoad: w, CPUUtilPct: w, FlowRateBps: w, AvailMemMB: w,
-		CPULoadForecast:  &metrics.Forecast{Value: 0.75, Method: "median-20"},
-		FlowRateForecast: &metrics.Forecast{Value: 1.2e6, Method: "exp-0.2"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +126,41 @@ func TestDecodeNodeAttrsAllocs(t *testing.T) {
 			t.Fatalf("fell back: %s", b)
 		}
 	})
-	if n != 5 {
-		t.Fatalf("NodeAttrs decode allocates %v times, want 5", n)
+	if n != 1 {
+		t.Fatalf("NodeAttrs decode allocates %v times, want 1", n)
+	}
+}
+
+// TestDecodeNodeAttrsPreviousFormat reads a node record as earlier
+// daemons published it, with the two one-step-ahead forecast members
+// after the running means. The reflection-free path refuses the unknown
+// keys, json.Unmarshal drops them, and every other member reads as
+// before.
+func TestDecodeNodeAttrsPreviousFormat(t *testing.T) {
+	b := []byte(`{"node_id":7,"hostname":"csews8","timestamp":"2020-01-01T00:00:01.5Z","cores":8,` +
+		`"freq_ghz":3.4,"total_mem_mb":16384,"users":2,` +
+		`"cpu_load":{"M1":0.25,"M5":1.5,"M15":3},"cpu_util_pct":{"M1":12.5,"M5":10,"M15":9.75},` +
+		`"flow_rate_bps":{"M1":1200000,"M5":1100000,"M15":1000000},"avail_mem_mb":{"M1":9000,"M5":9100,"M15":9200},` +
+		`"cpu_load_forecast":{"value":0.75,"method":"median-20"},` +
+		`"flow_rate_forecast":{"value":1200000,"method":"exp-0.2"}}`)
+	want := metrics.NodeAttrs{
+		NodeID: 7, Hostname: "csews8", Timestamp: time.Date(2020, 1, 1, 0, 0, 1, 5e8, time.UTC),
+		Cores: 8, FreqGHz: 3.4, TotalMemMB: 16384, Users: 2,
+		CPULoad:     stats.Windowed{M1: 0.25, M5: 1.5, M15: 3},
+		CPUUtilPct:  stats.Windowed{M1: 12.5, M5: 10, M15: 9.75},
+		FlowRateBps: stats.Windowed{M1: 1.2e6, M5: 1.1e6, M15: 1e6},
+		AvailMemMB:  stats.Windowed{M1: 9000, M5: 9100, M15: 9200},
+	}
+	var fast metrics.NodeAttrs
+	if decodeRecord(b, &fast) {
+		t.Fatal("the reflection-free path took a record with unknown members")
+	}
+	var got metrics.NodeAttrs
+	if err := unmarshalJSON(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %+v\nwant %+v", got, want)
 	}
 }
 

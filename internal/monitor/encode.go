@@ -14,11 +14,11 @@ import (
 // tickEncoder appends the JSON of the four records the daemons publish on
 // every tick (metrics.NodeAttrs, heartbeat, the latency and bandwidth
 // matrices) without reflection, byte for byte what json.Marshal writes for
-// them: fields in declared order, omitempty forecasts, encoding/json's
-// float formatting, RFC 3339 times. ok turns false on anything it does not
-// reproduce — NaN or ±Inf, a year outside 0–9999, a zone hour past 23, a
-// string that needs escaping — and marshalJSON then leaves the bytes, or
-// the error, to json.Marshal.
+// them: fields in declared order, encoding/json's float formatting, RFC
+// 3339 times. ok turns false on anything it does not reproduce — NaN or
+// ±Inf, a year outside 0–9999, a zone hour past 23, a string that needs
+// escaping — and marshalJSON then leaves the bytes, or the error, to
+// json.Marshal.
 type tickEncoder struct {
 	b  []byte
 	ok bool
@@ -76,8 +76,6 @@ func (e *tickEncoder) nodeAttrs(a *metrics.NodeAttrs) {
 	e.windowed(`,"cpu_util_pct":`, a.CPUUtilPct)
 	e.windowed(`,"flow_rate_bps":`, a.FlowRateBps)
 	e.windowed(`,"avail_mem_mb":`, a.AvailMemMB)
-	e.forecast(`,"cpu_load_forecast":`, a.CPULoadForecast)
-	e.forecast(`,"flow_rate_forecast":`, a.FlowRateForecast)
 	e.raw(`}`)
 }
 
@@ -86,17 +84,6 @@ func (e *tickEncoder) windowed(key string, w stats.Windowed) {
 	e.float(`{"M1":`, w.M1)
 	e.float(`,"M5":`, w.M5)
 	e.float(`,"M15":`, w.M15)
-	e.raw(`}`)
-}
-
-// forecast writes nothing for a nil forecast (omitempty).
-func (e *tickEncoder) forecast(key string, f *metrics.Forecast) {
-	if f == nil {
-		return
-	}
-	e.raw(key)
-	e.float(`{"value":`, f.Value)
-	e.str(`,"method":`, f.Method)
 	e.raw(`}`)
 }
 

@@ -60,13 +60,6 @@ func (g tickGen) windowed() stats.Windowed {
 	return stats.Windowed{M1: g.float(), M5: g.float(), M15: g.float()}
 }
 
-func (g tickGen) forecast() *metrics.Forecast {
-	if g.r.Intn(3) == 0 {
-		return nil
-	}
-	return &metrics.Forecast{Value: g.float(), Method: g.str()}
-}
-
 func (g tickGen) record() any {
 	n := g.r.Intn(4)
 	switch g.r.Intn(4) {
@@ -75,7 +68,6 @@ func (g tickGen) record() any {
 			NodeID: g.r.Intn(1 << 20), Hostname: g.str(), Timestamp: g.time(),
 			Cores: g.r.Intn(64), FreqGHz: g.float(), TotalMemMB: g.float(), Users: g.r.Intn(9) - 1,
 			CPULoad: g.windowed(), CPUUtilPct: g.windowed(), FlowRateBps: g.windowed(), AvailMemMB: g.windowed(),
-			CPULoadForecast: g.forecast(), FlowRateForecast: g.forecast(),
 		}
 	case 1:
 		return heartbeat{Name: g.str(), At: g.time()}

@@ -433,29 +433,3 @@ func TestSnapshotExcludesUnpublishedNodes(t *testing.T) {
 		t.Fatalf("livehosts = %v", snap.Livehosts)
 	}
 }
-
-func TestNodeStateDPublishesForecasts(t *testing.T) {
-	r := newRig(t, 44)
-	d := NewNodeStateD(0, r.pr, r.st, 2*time.Second)
-	if err := d.Start(r.sched); err != nil {
-		t.Fatal(err)
-	}
-	// After one sample there is no scored prediction yet.
-	r.sched.RunFor(3 * time.Second)
-	attrs, err := ReadNodeState(r.st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After a few minutes the forecasters have history and publish.
-	r.sched.RunFor(3 * time.Minute)
-	attrs, err = ReadNodeState(r.st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attrs.CPULoadForecast == nil || attrs.FlowRateForecast == nil {
-		t.Fatalf("no forecasts published: %+v", attrs)
-	}
-	if attrs.CPULoadForecast.Value < 0 || attrs.CPULoadForecast.Method == "" {
-		t.Fatalf("bad load forecast %+v", attrs.CPULoadForecast)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"nlarm/internal/forecast"
 	"nlarm/internal/metrics"
 	"nlarm/internal/simtime"
 	"nlarm/internal/stats"
@@ -27,12 +26,6 @@ type NodeStateD struct {
 	cpuUtil  *stats.TimeSeries
 	flowRate *stats.TimeSeries
 	availMem *stats.TimeSeries
-
-	// NWS-style forecasters for the attributes the allocator may want to
-	// extrapolate (§2 cites NWS; internal/forecast implements the
-	// lowest-error-method selection).
-	loadForecast *forecast.Forecaster
-	flowForecast *forecast.Forecaster
 }
 
 // NewNodeStateD builds the state daemon for node id.
@@ -44,15 +37,13 @@ func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *N
 			period: period,
 			st:     st,
 		},
-		node:         node,
-		key:          nodeStateKey(node),
-		pr:           pr,
-		cpuLoad:      stats.NewTimeSeries(retain),
-		cpuUtil:      stats.NewTimeSeries(retain),
-		flowRate:     stats.NewTimeSeries(retain),
-		availMem:     stats.NewTimeSeries(retain),
-		loadForecast: forecast.New(),
-		flowForecast: forecast.New(),
+		node:     node,
+		key:      nodeStateKey(node),
+		pr:       pr,
+		cpuLoad:  stats.NewTimeSeries(retain),
+		cpuUtil:  stats.NewTimeSeries(retain),
+		flowRate: stats.NewTimeSeries(retain),
+		availMem: stats.NewTimeSeries(retain),
 	}
 }
 
@@ -73,8 +64,6 @@ func (d *NodeStateD) tick(now time.Time) {
 	_ = d.cpuUtil.Add(now, sample.CPUUtilPct)
 	_ = d.flowRate.Add(now, sample.FlowRateBps)
 	_ = d.availMem.Add(now, totalMem-sample.UsedMemMB)
-	d.loadForecast.Observe(sample.CPULoad)
-	d.flowForecast.Observe(sample.FlowRateBps)
 
 	attrs := metrics.NodeAttrs{
 		NodeID:      d.node,
@@ -88,19 +77,6 @@ func (d *NodeStateD) tick(now time.Time) {
 		CPUUtilPct:  d.cpuUtil.Means(now),
 		FlowRateBps: d.flowRate.Means(now),
 		AvailMemMB:  d.availMem.Means(now),
-	}
-	// Publish forecasts once the ensemble has scored at least one method.
-	if v, method, ok := d.loadForecast.Forecast(); ok && d.loadForecast.N() > 1 {
-		if v < 0 {
-			v = 0
-		}
-		attrs.CPULoadForecast = &metrics.Forecast{Value: v, Method: method}
-	}
-	if v, method, ok := d.flowForecast.Forecast(); ok && d.flowForecast.N() > 1 {
-		if v < 0 {
-			v = 0
-		}
-		attrs.FlowRateForecast = &metrics.Forecast{Value: v, Method: method}
 	}
 	_ = putJSON(d.st, d.key, attrs)
 }
