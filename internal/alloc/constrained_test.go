@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -61,16 +62,21 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 // TestChargeRanksAgainstRebuild holds CostModel.ChargeRanksAt (the
 // attribute-row form of the charge) to its definition, ChargeRanks
 // applied to the snapshot and priced by the oracle — the hub's charge
-// spoke on one fixed snapshot, with cand nil (every row priced) or a
-// strict subset (the branch the simulator and bench/ run; rows outside
-// it are stale by contract and not compared).
+// spoke on one fixed snapshot, with NewCostModel's ignored forecast
+// argument false and true, and cand nil (every row priced) or a strict
+// subset (the branch the simulator and bench/ run; rows outside it are
+// stale by contract and not compared).
 func TestChargeRanksAgainstRebuild(t *testing.T) {
 	snap := randomSnapshot(rng.New(7), 16, false)
-	for _, tc := range []struct {
-		name string
-		cand []int
-	}{{"cand=nil", nil}, {"cand=subset", []int{1, 2, 5, 9, 12}}} {
-		t.Run(tc.name, func(t *testing.T) { checkCharge(t, snap, tc.cand) })
+	for _, forecast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forecast=%v", forecast), func(t *testing.T) {
+			for _, tc := range []struct {
+				name string
+				cand []int
+			}{{"cand=nil", nil}, {"cand=subset", []int{1, 2, 5, 9, 12}}} {
+				t.Run(tc.name, func(t *testing.T) { checkCharge(t, snap, forecast, tc.cand) })
+			}
+		})
 	}
 }
 

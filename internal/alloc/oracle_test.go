@@ -313,14 +313,17 @@ func closeRel(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.A
 
 // oracleCase is one snapshot and request the hub runs its spokes on:
 // every spoke, or only those named in spokes. workers > 0 runs the case
-// at that GOMAXPROCS.
+// at that GOMAXPROCS. forecast is the third argument the spokes pass to
+// NewCostModel and NewCostModelSharded — the retired forecast flag, kept
+// and ignored because the benchmark module passes it by position.
 type oracleCase struct {
-	name    string
-	snap    *metrics.Snapshot
-	req     Request
-	seed    uint64
-	workers int
-	spokes  []string
+	name     string
+	snap     *metrics.Snapshot
+	req      Request
+	seed     uint64
+	workers  int
+	spokes   []string
+	forecast bool
 }
 
 // oracleCases are the hub's inputs: seeded hostile random snapshots of
@@ -354,12 +357,12 @@ func oracleCases() []oracleCase {
 // spokes are the fast paths the oracle checks, by name.
 var spokes = map[string]func(t *testing.T, c oracleCase, o *oracle){
 	"model": func(t *testing.T, c oracleCase, o *oracle) {
-		checkModel(t, NewCostModel(c.snap, c.req.Weights, false), o, c.req)
+		checkModel(t, NewCostModel(c.snap, c.req.Weights, c.forecast), o, c.req)
 	},
 	"update":  spokeUpdate,
 	"sharded": spokeSharded,
 	"explain": func(t *testing.T, c oracleCase, o *oracle) {
-		checkExplain(t, NewCostModel(c.snap, c.req.Weights, false), o, c.req)
+		checkExplain(t, NewCostModel(c.snap, c.req.Weights, c.forecast), o, c.req)
 	},
 	"policies":    spokePolicies,
 	"constrained": spokeConstrained,
@@ -368,13 +371,15 @@ var spokes = map[string]func(t *testing.T, c oracleCase, o *oracle){
 		for i := 0; i < len(o.ids); i += 2 {
 			even = append(even, i)
 		}
-		checkCharge(t, c.snap, nil)
-		checkCharge(t, c.snap, even)
+		checkCharge(t, c.snap, c.forecast, nil)
+		checkCharge(t, c.snap, c.forecast, even)
 	},
 }
 
 // runOracleHub runs the named spokes (all of them when none are named)
-// on every case whose name has the given prefix.
+// on every case whose name has the given prefix, with the ignored
+// forecast argument false and true: the oracle reads only the running
+// means, so both must match it.
 func runOracleHub(t *testing.T, prefix string, names ...string) {
 	if len(names) == 0 {
 		for name := range spokes {
@@ -398,17 +403,21 @@ func runOracleHub(t *testing.T, prefix string, names ...string) {
 		if c.workers > 0 && len(o.ids) < 136 {
 			t.Fatalf("%s: %d monitored nodes, too few for the worker pool", c.name, len(o.ids))
 		}
-		t.Run(c.name, func(t *testing.T) {
-			if c.workers > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
-			}
-			for _, name := range names {
-				if c.spokes != nil && !slices.Contains(c.spokes, name) {
-					continue
+		for _, forecast := range []bool{false, true} {
+			c := c
+			c.forecast = forecast
+			t.Run(fmt.Sprintf("%s/forecast=%v", c.name, forecast), func(t *testing.T) {
+				if c.workers > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
 				}
-				t.Run(name, func(t *testing.T) { spokes[name](t, c, o) })
-			}
-		})
+				for _, name := range names {
+					if c.spokes != nil && !slices.Contains(c.spokes, name) {
+						continue
+					}
+					t.Run(name, func(t *testing.T) { spokes[name](t, c, o) })
+				}
+			})
+		}
 	}
 	if priced*4 < total*3 {
 		t.Fatalf("only %d of %d cases price a network: generator too hostile", priced, total)
@@ -510,7 +519,7 @@ func spokeUpdate(t *testing.T, c oracleCase, o *oracle) {
 		return
 	}
 	r := rng.New(c.seed)
-	snap, m := c.snap, NewCostModel(c.snap, c.req.Weights, false)
+	snap, m := c.snap, NewCostModel(c.snap, c.req.Weights, c.forecast)
 	for step := 0; step < 8; step++ {
 		next := snap.Clone()
 		next.Taken = next.Taken.Add(time.Second)
@@ -531,7 +540,7 @@ func spokeUpdate(t *testing.T, c oracleCase, o *oracle) {
 
 func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 	below := ShardOptions{Threshold: DefaultShardThreshold}
-	m := NewCostModelSharded(c.snap, c.req.Weights, false, below)
+	m := NewCostModelSharded(c.snap, c.req.Weights, c.forecast, below)
 	if m.Sharded() || m.shardOpts != below {
 		t.Fatalf("below the threshold: sharded=%v, options %+v", m.Sharded(), m.shardOpts)
 	}
@@ -541,7 +550,7 @@ func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 	if len(o.ids) < 2 {
 		return
 	}
-	m = NewCostModelSharded(c.snap, c.req.Weights, false, ShardOptions{Threshold: 2, MaxShardSize: 8})
+	m = NewCostModelSharded(c.snap, c.req.Weights, c.forecast, ShardOptions{Threshold: 2, MaxShardSize: 8})
 	if !m.Sharded() || (m.NLErr() == nil) != (o.nlErr == nil) {
 		t.Fatalf("above the threshold: sharded=%v, NL error %v, oracle %v", m.Sharded(), m.NLErr(), o.nlErr)
 	}
@@ -561,7 +570,7 @@ func spokeSharded(t *testing.T, c oracleCase, o *oracle) {
 }
 
 func spokePolicies(t *testing.T, c oracleCase, o *oracle) {
-	m := NewCostModel(c.snap, c.req.Weights, false)
+	m := NewCostModel(c.snap, c.req.Weights, c.forecast)
 	for _, p := range PaperPolicies() {
 		got, err := p.AllocateModel(m, c.req, rng.New(c.seed))
 		want, wantErr := o.allocate(p.Name(), c.req, rng.New(c.seed))
@@ -576,7 +585,7 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 	if n == 0 {
 		return
 	}
-	m := NewCostModel(c.snap, c.req.Weights, false)
+	m := NewCostModel(c.snap, c.req.Weights, c.forecast)
 	eq3 := o.caps(c.req)
 	caps := make([]int, n)
 	for i, id := range o.ids {
@@ -644,12 +653,13 @@ func chargeRegime(snap *metrics.Snapshot) {
 // ChargeRanksAt with cand and holds every priced row of CL and CLUnit
 // within 1e-9 of the oracle over the ChargeRanks-charged snapshot, and
 // the charged capacities exactly; then again after RefreshAttrs folds a
-// republish of two nodes into the base model.
-func checkCharge(t *testing.T, snap *metrics.Snapshot, cand []int) {
+// republish of two nodes into the base model. forecast is passed to
+// NewCostModel as its ignored third argument.
+func checkCharge(t *testing.T, snap *metrics.Snapshot, forecast bool, cand []int) {
 	t.Helper()
 	base := snap.Clone()
 	chargeRegime(base)
-	m := NewCostModel(base, PaperWeights(), false)
+	m := NewCostModel(base, PaperWeights(), forecast)
 	n := m.Len()
 	if n < 2 || m.CLErr() != nil {
 		return

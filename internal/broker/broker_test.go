@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"encoding/json"
 	"net"
 	"reflect"
 	"strings"
@@ -420,6 +421,45 @@ func TestExplainReturnsCandidates(t *testing.T) {
 	}
 	if len(resp.Candidates) != 0 {
 		t.Fatal("random policy returned candidates")
+	}
+}
+
+// TestUseForecastAccepted sends the line a client written while the
+// broker still priced forecasts sends — an allocate request carrying
+// use_forecast — and expects it served as if the field were absent: the
+// retired field is ignored, not a bad request.
+func TestUseForecastAccepted(t *testing.T) {
+	r := newRig(t, 13, loadgen.Config{})
+	want, err := r.b.Allocate(Request{Procs: 8, PPN: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerOpts(r.b, nil, "127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	line := `{"action":"allocate","request":{"procs":8,"ppn":4,"use_forecast":true}}` + "\n"
+	if _, err := conn.Write([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	var resp wireResponse
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.Response == nil {
+		t.Fatalf("request with use_forecast answered %+v", resp)
+	}
+	if got := resp.Response; got.Recommendation != RecommendAllocate ||
+		!reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Procs, want.Procs) {
+		t.Fatalf("with use_forecast: %v %v %v; without: %v %v %v",
+			got.Recommendation, got.Nodes, got.Procs, want.Recommendation, want.Nodes, want.Procs)
 	}
 }
 
