@@ -223,6 +223,23 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// TestRequestValidateRejectsNaN pins that a NaN α or β is refused: NaN
+// fails neither a < 0 test nor the α+β range test, and Algorithm 1's
+// seed-alone step relies on β ≥ 0 for every validated request.
+func TestRequestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, ab := range [][2]float64{{nan, nan}, {nan, 0.5}, {0.5, nan}, {nan, 1}, {1, nan}} {
+		if _, err := (Request{Procs: 4, Alpha: ab[0], Beta: ab[1]}).Validate(); err == nil {
+			t.Errorf("α=%g β=%g accepted", ab[0], ab[1])
+		}
+	}
+	for _, ab := range [][2]float64{{0, 1}, {1, 0}, {0.3, 0.7}, {0.4995, 0.5}} {
+		if _, err := (Request{Procs: 4, Alpha: ab[0], Beta: ab[1]}).Validate(); err != nil {
+			t.Errorf("α=%g β=%g refused: %v", ab[0], ab[1], err)
+		}
+	}
+}
+
 func TestAllocationHelpers(t *testing.T) {
 	a := Allocation{
 		Nodes: []int{3, 7},

@@ -30,6 +30,9 @@ type AllocScratch struct {
 	gen       genScratch
 	costs     []float64 // C_G, N_G and T_G per seed, one backing array
 	allStarts []int
+	// kept holds every seed's selection, back to back: nodes and counts,
+	// seed s's in [keptEnd[s-1], keptEnd[s]) (from 0 for s = 0).
+	keptNodes, keptCounts, keptEnd []int
 }
 
 // costBufs returns the C_G, N_G and T_G slices for k candidates, one
@@ -59,6 +62,15 @@ func (sc *AllocScratch) costBufs(k int) (costC, costN, total []float64) {
 // into sc's reused buffers (see ConstrainedAlloc); the call allocates
 // nothing in steady state.
 func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int, starts []int, sc *AllocScratch) (ConstrainedAlloc, error) {
+	return p.AllocateConstrainedFree(m, req, caps, nil, starts, sc)
+}
+
+// AllocateConstrainedFree is AllocateConstrained over a free list the
+// caller already holds: free lists, in ascending order, every dense
+// index whose capacity is positive (others it lists are skipped), so the
+// candidate set is built in O(|free|) instead of O(n). nil means every
+// node. The answer is AllocateConstrained's, bit for bit.
+func (p NetLoadAware) AllocateConstrainedFree(m *CostModel, req Request, caps, free, starts []int, sc *AllocScratch) (ConstrainedAlloc, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return ConstrainedAlloc{}, err
@@ -80,9 +92,11 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: %d capacities for %d nodes", len(caps), n)
 	}
 	// The start-independent half of the call — a mostly-busy cluster
-	// prices only its free nodes per seed.
+	// prices only its free nodes per seed. Presized to n, so a free list
+	// that grows between calls never regrows the scratch.
 	set := &sc.gen.set
-	set.build(m, nil, caps, req.Alpha)
+	set.reserve(n)
+	set.build(m, free, caps, req.Alpha)
 	if len(starts) == 0 {
 		if cap(sc.allStarts) < n {
 			sc.allStarts = make([]int, n)
@@ -94,10 +108,9 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 	}
 	costC, costN, total := sc.costBufs(len(starts))
 
-	// Algorithm 1, cost pass: one greedy sub-graph per seed, recording
-	// only C_G and N_G (the selection itself is regenerated for the
-	// winner, trading one extra generation for zero per-candidate
-	// materialization).
+	// Algorithm 1: one greedy sub-graph per seed, its C_G and N_G, and its
+	// selection kept so the winner needs no second generation.
+	sc.keptNodes, sc.keptCounts, sc.keptEnd = sc.keptNodes[:0], sc.keptCounts[:0], sc.keptEnd[:0]
 	sumC, sumN := 0.0, 0.0
 	for s, v := range starts {
 		if v < 0 || v >= n {
@@ -106,6 +119,9 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 		costC[s], costN[s] = p.generateConstrained(m, v, set, req, &sc.gen)
 		sumC += costC[s]
 		sumN += costN[s]
+		sc.keptNodes = append(sc.keptNodes, sc.gen.used...)
+		sc.keptCounts = append(sc.keptCounts, sc.gen.counts...)
+		sc.keptEnd = append(sc.keptEnd, len(sc.keptNodes))
 	}
 
 	// Algorithm 2 over the seeded candidates: with all starts the winner
@@ -114,16 +130,19 @@ func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int,
 	if err != nil {
 		return ConstrainedAlloc{}, err
 	}
-	cG, nG := p.generateConstrained(m, starts[best], set, req, &sc.gen)
-	if len(sc.gen.used) == 0 {
+	lo, hi := 0, sc.keptEnd[best]
+	if best > 0 {
+		lo = sc.keptEnd[best-1]
+	}
+	if lo == hi {
 		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: no capacity for %d procs", req.Procs)
 	}
 	return ConstrainedAlloc{
 		Start:       starts[best],
-		Nodes:       sc.gen.used,
-		Counts:      sc.gen.counts,
-		ComputeCost: cG,
-		NetworkCost: nG,
+		Nodes:       sc.keptNodes[lo:hi:hi],
+		Counts:      sc.keptCounts[lo:hi:hi],
+		ComputeCost: costC[best],
+		NetworkCost: costN[best],
 		TotalLoad:   total[best],
 	}, nil
 }

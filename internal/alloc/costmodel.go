@@ -47,6 +47,9 @@ type CostModel struct {
 	// NLUnit holds Equation 2 costs as a flat n×n symmetric matrix
 	// (NLUnit[i*n+j]; diagonal zero), rescaled to mean 1 over its pairs.
 	NLUnit []float64
+	// nlNonNeg is whether every NLUnit entry is finite and ≥ 0 (false on
+	// sharded models): one of Algorithm 1's seed-alone conditions.
+	nlNonNeg bool
 
 	// Cores and LoadM1 are the dense inputs of Equation 3 so capacity
 	// evaluation needs no snapshot map lookups.
@@ -67,9 +70,11 @@ type CostModel struct {
 	// attrRows (numAttrCols wide, nil until first needed), reduced by
 	// cacheColStats and consumed by ChargeRanksAt: charging k rows then
 	// shifts the cached stats by the k deltas instead of re-reducing all n
-	// rows.
-	colSums []float64
-	colMaxs []float64
+	// rows. colShifted marks a cache so shifted (a ChargeRanksAt
+	// destination's) rather than reduced in row order by cacheColStats.
+	colSums    []float64
+	colMaxs    []float64
+	colShifted bool
 
 	// shardOpts and shard carry the optional hierarchical network-load
 	// layer (see NewCostModelSharded). A nil shard means the dense n×n
@@ -212,6 +217,23 @@ const (
 	attrColCPUUtil = 1
 )
 
+// attrSign is sawAttrs' criteria as arithmetic: +1 for a minimised
+// column, −1 for a maximised one.
+var attrSign = func() (sign [numAttrCols]float64) {
+	for c, a := range sawAttrs(Weights{}) {
+		sign[c] = 1
+		if a.Criterion == stats.Maximize {
+			sign[c] = -1
+		}
+	}
+	return sign
+}()
+
+// attrWeights is w's attribute weights in sawAttrs column order.
+func (w Weights) attrWeights() [numAttrCols]float64 {
+	return [numAttrCols]float64{w.CPULoad, w.CPUUtil, w.FlowRate, w.AvailMem, w.Cores, w.Freq, w.TotalMem, w.Users}
+}
+
 // attrRow is one node's raw Equation 1 attribute vector in sawAttrs
 // column order.
 func attrRow(na metrics.NodeAttrs) []float64 {
@@ -320,6 +342,7 @@ func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.IDs = m.IDs
 	dst.idx = m.idx
 	dst.NLUnit = m.NLUnit
+	dst.nlNonNeg = m.nlNonNeg
 	dst.nlErr = m.nlErr
 	dst.shardOpts = m.shardOpts
 	dst.shard = m.shard
@@ -336,14 +359,26 @@ func (m *CostModel) cacheColStats() {
 		m.colSums = make([]float64, numAttrCols)
 		m.colMaxs = make([]float64, numAttrCols)
 	}
-	m.colSums, m.colMaxs = m.colSums[:numAttrCols], m.colMaxs[:numAttrCols]
-	copy(m.colSums, m.attrRows[0])
-	copy(m.colMaxs, m.attrRows[0])
+	m.colSums, m.colMaxs, m.colShifted = m.colSums[:numAttrCols], m.colMaxs[:numAttrCols], false
+	m.reduceCols([]int{0, 1, 2, 3, 4, 5, 6, 7})
+}
+
+// reduceCols re-reduces the given columns of attrRows into the cache in
+// one pass over the rows, each column in row order.
+func (m *CostModel) reduceCols(cols []int) {
+	if len(cols) == 0 {
+		return
+	}
+	sums, maxs := m.colSums, m.colMaxs
+	for _, c := range cols {
+		sums[c], maxs[c] = m.attrRows[0][c], m.attrRows[0][c]
+	}
 	for _, row := range m.attrRows[1:] {
-		for c, v := range row {
-			m.colSums[c] += v
-			if v > m.colMaxs[c] {
-				m.colMaxs[c] = v
+		for _, c := range cols {
+			v := row[c]
+			sums[c] += v
+			if v > maxs[c] {
+				maxs[c] = v
 			}
 		}
 	}
@@ -361,7 +396,10 @@ func (m *CostModel) denseIndex(id int) (int, bool) {
 
 // RefreshAttrs is the in-place, deferred-pricing sibling of UpdateNodes:
 // it folds the changed nodes' published attributes into the model's own
-// rows and re-reduces the cached column stats, but skips the Equation 1
+// rows and re-reduces the cached stats of the columns whose bits any
+// rewritten row changed (every column when the cache is absent or was
+// shifted by a charge), each in row order, so the stats equal a full
+// re-reduction bit for bit. It skips the Equation 1
 // re-score, so CL/CLUnit keep their previous (now stale) values. It
 // exists for callers that price every row they read through
 // ChargeRanksAt — which scores from the attribute rows and column stats,
@@ -376,6 +414,9 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 	}
 	m.Snap = snap
 	m.Taken = snap.Taken
+	var touched [numAttrCols]bool
+	var row [numAttrCols]float64
+	var cols [numAttrCols]int
 	for _, id := range changed {
 		i, ok := m.denseIndex(id)
 		if !ok {
@@ -387,12 +428,30 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 		}
 		m.Cores[i] = na.Cores
 		m.LoadM1[i] = na.CPULoad.M1
-		attrRowInto(na, m.attrRows[i])
+		attrRowInto(na, row[:])
+		old := m.attrRows[i]
+		for c, x := range row {
+			if math.Float64bits(x) != math.Float64bits(old[c]) {
+				old[c], touched[c] = x, true
+			}
+		}
 	}
-	if len(m.IDs) > 0 {
-		// Full re-reduction, not an incremental shift: finished jobs move
-		// rows down, so cached maxima cannot be maintained monotonically.
+	// A touched column is re-reduced, not shifted by its deltas: finished
+	// jobs move rows down, so cached maxima cannot be maintained
+	// monotonically, and a shifted sum rounds differently.
+	switch {
+	case len(m.IDs) == 0:
+	case m.colSums == nil || m.colShifted:
 		m.cacheColStats()
+	default:
+		k := 0
+		for c, t := range touched {
+			if t {
+				cols[k] = c
+				k++
+			}
+		}
+		m.reduceCols(cols[:k])
 	}
 	return true
 }
@@ -448,6 +507,7 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 	m.shareForUpdate(dst)
 	dst.colSums = append(dst.colSums[:0], m.colSums...)
 	dst.colMaxs = append(dst.colMaxs[:0], m.colMaxs...)
+	dst.colShifted = true
 	need := len(ids) * numAttrCols
 	if cap(dst.rowArena) < need {
 		dst.rowArena = make([]float64, need)
@@ -503,22 +563,26 @@ func (m *CostModel) ChargeRanksAt(ids, ranks, cand []int, dst *CostModel) (*Cost
 // float rounding: normalized terms multiply by precomputed reciprocals
 // instead of dividing, and the mean-1 scale uses ΣCL = Σ_min w +
 // Σ_max w·(n·max_norm − 1), the column-sum identity of the SAW matrix.
+// Each term is cmax + sign·x, with cmax = 0 and sign = +1 on minimised
+// columns: IEEE arithmetic makes 0 + 1·x ≡ x (a −0 term cannot change a
+// sum that starts at +0) and cmax + (−1)·x ≡ cmax − x, so no column
+// branches.
 func repriceChargedCL(dst *CostModel, cand []int) {
 	n := len(dst.IDs)
-	attrs := sawAttrs(dst.Weights)
+	w := dst.Weights.attrWeights()
 	var inv, cmax [numAttrCols]float64
 	sumCL := 0.0
-	for c, a := range attrs {
+	for c, sign := range attrSign {
 		s := dst.colSums[c]
 		if s == 0 {
 			continue // zero-sum column normalizes to all zeros
 		}
 		inv[c] = 1 / s
-		if a.Criterion == stats.Maximize {
+		if sign < 0 {
 			cmax[c] = dst.colMaxs[c] / s
-			sumCL += a.Weight * (float64(n)*cmax[c] - 1)
+			sumCL += w[c] * (float64(n)*cmax[c] - 1)
 		} else {
-			sumCL += a.Weight
+			sumCL += w[c]
 		}
 	}
 	invMean := 0.0
@@ -541,14 +605,10 @@ func repriceChargedCL(dst *CostModel, cand []int) {
 		if cand != nil {
 			i = cand[k]
 		}
-		row := dst.attrRows[i]
+		row := dst.attrRows[i][:numAttrCols]
 		cost := 0.0
-		for c, a := range attrs {
-			x := row[c] * inv[c]
-			if a.Criterion == stats.Maximize {
-				x = cmax[c] - x
-			}
-			cost += a.Weight * x
+		for c, x := range row {
+			cost += w[c] * (cmax[c] + attrSign[c]*(x*inv[c]))
 		}
 		dst.CL[i] = cost
 		if invMean != 0 {
@@ -622,14 +682,19 @@ func networkLoadsDense(snap *metrics.Snapshot, m *CostModel) ([]float64, error) 
 		return nil, fmt.Errorf("alloc: network loads: %w", err)
 	}
 	k := 0
+	nonNeg := true
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v := m.Weights.Latency*latN[k] + m.Weights.Bandwidth*cbwN[k]
 			out[i*n+j] = v
 			out[j*n+i] = v
+			nonNeg = nonNeg && v >= 0 && v <= math.MaxFloat64
 			k++
 		}
 	}
+	// The mean-1 rescale keeps this: it divides finite non-negative
+	// entries by their positive mean (≥ each entry / npairs), or not at all.
+	m.nlNonNeg = nonNeg
 	return out, nil
 }
 

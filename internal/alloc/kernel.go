@@ -1,5 +1,7 @@
 package alloc
 
+import "slices"
+
 // This file is Algorithm 1's greedy step, written once: build the
 // start-independent candSet, fill the seed's addition costs, then
 // coverPrefix → take → roundRobin. The dense broker path (generate), the
@@ -12,8 +14,8 @@ package alloc
 
 // candSet is the start-independent half of an Algorithm 1 call: the
 // positive-capacity candidates in the caller's order (ascending dense
-// index; rank-then-ascending for the sharded union), addressed by
-// position. Zero-capacity nodes can never be selected, so they are
+// index on dense models; rank-then-ascending for the sharded union),
+// addressed by position. Zero-capacity nodes can never be selected, so they are
 // dropped here once instead of being costed, heaped and popped on every
 // seed. That cannot change a selection: ties break by position and the
 // survivors keep their relative order, so they pop in the same order.
@@ -23,8 +25,20 @@ type candSet struct {
 	// alphaCL is α·CLUnit per position: the half of every addition cost
 	// that does not depend on the seed, priced once per set.
 	alphaCL []float64
-	maxCap  int // largest capacity; 0 exactly when the set is empty
-	total   int // summed capacity
+	// alphaPos is whether every alphaCL is > 0 (a NaN makes it false):
+	// one of selectFrom's seed-alone conditions.
+	alphaPos bool
+	maxCap   int // largest capacity; 0 exactly when the set is empty
+	total    int // summed capacity
+}
+
+// reserve presizes the set's buffers for n positions.
+func (set *candSet) reserve(n int) {
+	if cap(set.idx) < n {
+		set.idx = make([]int, 0, n)
+		set.caps = make([]int, 0, n)
+		set.alphaCL = make([]float64, 0, n)
+	}
 }
 
 // build fills the set from universe (dense indices in the caller's
@@ -37,12 +51,9 @@ func (set *candSet) build(m *CostModel, universe, caps []int, alpha float64) {
 	if universe == nil {
 		n = len(caps)
 	}
-	if cap(set.idx) < n {
-		set.idx = make([]int, 0, n)
-		set.caps = make([]int, 0, n)
-		set.alphaCL = make([]float64, 0, n)
-	}
+	set.reserve(n)
 	set.idx, set.caps, set.alphaCL, set.maxCap, set.total = set.idx[:0], set.caps[:0], set.alphaCL[:0], 0, 0
+	set.alphaPos = true
 	for k := 0; k < n; k++ {
 		u := k
 		if universe != nil {
@@ -52,9 +63,11 @@ func (set *candSet) build(m *CostModel, universe, caps []int, alpha float64) {
 		if c <= 0 {
 			continue
 		}
+		a := alpha * m.CLUnit[u]
 		set.idx = append(set.idx, u)
 		set.caps = append(set.caps, c)
-		set.alphaCL = append(set.alphaCL, alpha*m.CLUnit[u])
+		set.alphaCL = append(set.alphaCL, a)
+		set.alphaPos = set.alphaPos && a > 0
 		set.total += c
 		if c > set.maxCap {
 			set.maxCap = c
@@ -139,11 +152,13 @@ func (sc *genScratch) coverBounded(addCost []float64, set *candSet, procs int) [
 	// while it beats the kept maximum or the kept set does not cover yet,
 	// and evict the maximum while coverage survives without it. Most
 	// positions cost one comparison against the heap root instead of
-	// taking part in a full heapify.
+	// taking part in a full heapify. That comparison reads a cached root
+	// cost and no position: s comes after every kept position, so it
+	// loses a cost tie, and lessIdx(s, root) is c < rootCost.
 	h := sc.heap[:0]
-	total := 0
-	for s := range addCost {
-		if total >= procs && !lessIdx(addCost, s, h[0]) {
+	total, rootCost := 0, 0.0
+	for s, c := range addCost {
+		if total >= procs && !(c < rootCost) {
 			continue
 		}
 		h = append(h, s)
@@ -153,6 +168,7 @@ func (sc *genScratch) coverBounded(addCost []float64, set *candSet, procs int) [
 			total -= set.caps[h[0]]
 			_, h = popMaxIdx(h, addCost)
 		}
+		rootCost = addCost[h[0]]
 	}
 	// Drain the max-heap back to front to recover ascending order.
 	sel := sc.sel[:len(h)]
@@ -252,8 +268,21 @@ func (sc *genScratch) take(sel []int, set *candSet, procs int) (remaining int) {
 // from the dense NLUnit row or through the shard hierarchy, and take the
 // minimal covering prefix. The selection is left in sc.used/sc.counts;
 // the return is the uncovered remainder.
+//
+// Seed-alone step: when the seed is in the set with capacity for the
+// whole request, every α·CLUnit in the set is > 0, β ≥ 0 and the dense
+// NL matrix is finite and non-negative, every other position's addition
+// cost is > 0 = A_v(v), so the minimal covering prefix is the seed
+// alone. That answer is found in O(log f) by binary search (dense sets
+// ascend in dense index) instead of pricing f costs and scanning them.
+// Where any condition fails, the scan below runs.
 func (sc *genScratch) selectFrom(m *CostModel, v int, set *candSet, req Request) (remaining int) {
 	sc.grow(set)
+	if m.nlNonNeg && set.alphaPos && req.Beta >= 0 && set.maxCap >= req.Procs {
+		if s, ok := slices.BinarySearch(set.idx, v); ok && set.caps[s] >= req.Procs {
+			return sc.take(append(sc.sel[:0], s), set, req.Procs)
+		}
+	}
 	addCost := sc.addCost[:len(set.idx)]
 	if m.NLUnit != nil {
 		n := m.Len()

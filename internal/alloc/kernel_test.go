@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nlarm/internal/rng"
@@ -231,6 +232,115 @@ func TestKernelMatchesOracle(t *testing.T) {
 	check("single", nil, []int{3}, []float64{0.7}, 2)
 	check("single-oversubscribed", nil, []int{3}, []float64{0.7}, 11)
 	check("all-zero", nil, []int{0, 0, 0, 0}, []float64{0, 0, 0, 0}, 5)
+
+	checkSeedAlone(t, r)
+}
+
+// checkSeedAlone holds selectFrom, seed-alone step included, to the
+// oracle's Algorithm 1 step on small dense models: shapes where the step
+// fires, and shapes where one of its conditions fails and the scan must
+// answer — a zero α·CLUnit at a position below the seed (the seed loses
+// the tie at cost 0 by position), a negative NL entry, and a NaN at
+// position 0 (a NaN has no place in the order, so the oracle's sort is
+// kept to insertion sort, 12 or fewer positions, where a NaN at the front
+// stays there, as the kernel's argmin leaves it) — each with single-node
+// and larger requests.
+func checkSeedAlone(t *testing.T, r *rng.Rand) {
+	t.Helper()
+	var sc genScratch
+	var set candSet
+	fired := 0
+	for trial := 0; trial < 400; trial++ {
+		shape := []string{"fires", "zero-below", "negative-nl", "nan-cl", "nan-nl"}[trial%5]
+		n := 2 + r.Intn(11)
+		m := &CostModel{IDs: make([]int, n), CLUnit: make([]float64, n), NLUnit: make([]float64, n*n)}
+		for i := range m.CLUnit {
+			m.IDs[i] = i
+			m.CLUnit[i] = 0.1 + r.Float64()
+			for j := i + 1; j < n; j++ {
+				v := r.Float64()
+				m.NLUnit[i*n+j], m.NLUnit[j*n+i] = v, v
+			}
+		}
+		caps := make([]int, n)
+		for i := range caps {
+			if !r.Bool(0.2) {
+				caps[i] = 1 + r.Intn(4)
+			}
+		}
+		v := r.Intn(n)
+		caps[v] = max(caps[v], 1) // the seed is a candidate
+		// The lowest other candidate, which every failing shape prices at or
+		// below the seed's own zero.
+		low := -1
+		for u := range caps {
+			if u != v && caps[u] > 0 {
+				low = u
+				break
+			}
+		}
+		alpha := []float64{0.3, 0.5, 1}[r.Intn(3)]
+		req := Request{Alpha: alpha, Beta: 1 - alpha}
+		switch shape {
+		case "zero-below":
+			if low < 0 || low > v {
+				continue
+			}
+			m.CLUnit[low] = 0
+			req = Request{Alpha: 1, Beta: 0}
+		case "negative-nl":
+			if low < 0 {
+				continue
+			}
+			m.NLUnit[v*n+low], m.NLUnit[low*n+v] = -5, -5
+		case "nan-cl":
+			if low != 0 {
+				continue
+			}
+			m.CLUnit[0] = math.NaN()
+		case "nan-nl":
+			if low != 0 {
+				continue
+			}
+			m.NLUnit[v*n], m.NLUnit[v] = math.NaN(), math.NaN()
+			req = Request{Alpha: 1, Beta: 0}
+		}
+		m.nlNonNeg = true
+		for _, x := range m.NLUnit {
+			m.nlNonNeg = m.nlNonNeg && x >= 0 && x <= math.MaxFloat64
+		}
+		set.build(m, nil, caps, req.Alpha)
+		var universe []int
+		cost := make([]float64, 0, n)
+		for u, c := range caps {
+			if c > 0 {
+				universe = append(universe, u)
+				if u == v {
+					cost = append(cost, 0)
+				} else {
+					cost = append(cost, float64(req.Alpha*m.CLUnit[u])+float64(req.Beta*m.NLUnit[v*n+u]))
+				}
+			}
+		}
+		for _, procs := range []int{1, caps[v], 1 + r.Intn(set.total+2)} {
+			if strings.HasPrefix(shape, "nan") && procs > caps[low] {
+				continue // the NaN stays in front only while it covers alone
+			}
+			req.Procs = procs
+			if shape == "fires" && procs <= caps[v] {
+				fired++
+			}
+			wantUsed, wantCounts := greedySelect(universe, caps, cost, procs)
+			roundRobin(sc.counts, sc.selectFrom(m, v, &set, req))
+			if !reflect.DeepEqual(sc.used, wantUsed) || !reflect.DeepEqual(sc.counts, wantCounts) {
+				t.Fatalf("seed-alone %s (n=%d seed=%d procs=%d α=%g):\nkernel %v / %v\noracle %v / %v",
+					shape, n, v, procs, req.Alpha, sc.used, sc.counts, wantUsed, wantCounts)
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no case where the seed-alone step applies")
+	}
 }
 
 // TestKernelNaNCovers feeds costs with NaNs, which have no place in the

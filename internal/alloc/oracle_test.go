@@ -351,6 +351,39 @@ func oracleCases() []oracleCase {
 		oracleCase{name: "pool", snap: randomSnapshot(rng.New(136), 160, true),
 			req: Request{Procs: 150, Alpha: 0.4, Beta: 0.6}, seed: 4, workers: 4,
 			spokes: []string{"explain", "policies"}})
+
+	// Where Algorithm 1's seed-alone step must not fire, so the scan
+	// answers. zero-cl: the lowest node idles on the best hardware, so its
+	// Equation 1 cost is exactly 0 and, at β = 0, it ties every seed's own
+	// zero and wins the tie by position. neg-nl: a negative latency weight
+	// makes NL entries < 0 (a negative published latency cannot: Equation
+	// 2's normalisation refuses it). nan-nl: one NaN available bandwidth
+	// makes every NL entry NaN, so at β = 0 every other addition cost is
+	// NaN; single-node requests keep it to the argmin, where NaN has a
+	// place, and 12 nodes keep the oracle's sort to insertion sort.
+	zero := randomSnapshot(rng.New(31), 12, false)
+	lowest := slices.Min(zero.Livehosts)
+	na := zero.Nodes[lowest]
+	na.CPULoad, na.CPUUtilPct, na.FlowRateBps = stats.Windowed{}, stats.Windowed{}, stats.Windowed{}
+	na.AvailMemMB = stats.Windowed{M1: 1e6, M5: 1e6, M15: 1e6}
+	na.Cores, na.FreqGHz, na.TotalMemMB, na.Users = 64, 9, 1e6, 0
+	zero.Nodes[lowest] = na
+	negLat := PaperWeights()
+	negLat.Latency = -0.25
+	nan := randomSnapshot(rng.New(37), 12, false)
+	for k, pb := range nan.Bandwidth {
+		if k.V == slices.Max(nan.Livehosts) {
+			pb.AvailBps = math.NaN()
+			nan.Bandwidth[k] = pb
+		}
+	}
+	cs = append(cs,
+		oracleCase{name: "zero-cl", snap: zero, req: Request{Procs: 3, PPN: 4, Alpha: 1}, seed: 5},
+		oracleCase{name: "zero-cl-eq3", snap: zero, req: Request{Procs: 20, Alpha: 1}, seed: 6},
+		oracleCase{name: "neg-nl", snap: randomSnapshot(rng.New(41), 20, false),
+			req: Request{Procs: 6, PPN: 8, Alpha: 0.3, Beta: 0.7, Weights: negLat}, seed: 7},
+		oracleCase{name: "nan-nl", snap: nan, req: Request{Procs: 4, PPN: 4, Alpha: 1}, seed: 8,
+			spokes: []string{"explain", "constrained"}})
 	return cs
 }
 
@@ -598,11 +631,19 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 			zeroed[i] = 0
 		}
 	}
+	// Each case's request, and the single-node one every capacity covers,
+	// where Algorithm 1's seed-alone step answers whenever it applies.
+	single := c.req
+	single.Procs = 1
 	var sc AllocScratch
 	for _, tc := range []struct {
+		req          Request
 		caps, starts []int
-	}{{caps, nil}, {zeroed, perm(r, n)[:min(4, n)]}} {
-		got, err := NetLoadAware{}.AllocateConstrained(m, c.req, tc.caps, tc.starts, &sc)
+	}{
+		{c.req, caps, nil}, {c.req, zeroed, perm(r, n)[:min(4, n)]},
+		{single, caps, nil}, {single, zeroed, perm(r, n)[:min(4, n)]},
+	} {
+		got, err := NetLoadAware{}.AllocateConstrained(m, tc.req, tc.caps, tc.starts, &sc)
 		starts, capOf, pos := o.ids, map[int]int{}, map[int]int{}
 		if tc.starts != nil {
 			starts = nil
@@ -613,12 +654,12 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 		for i, id := range o.ids {
 			capOf[id], pos[id] = tc.caps[i], i
 		}
-		best, cands, wantErr := o.explain(c.req, starts, capOf)
+		best, cands, wantErr := o.explain(tc.req, starts, capOf)
 		if wantErr == nil && len(cands[best].Nodes) == 0 {
 			wantErr = fmt.Errorf("oracle: no capacity")
 		}
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("starts %v: error %v, oracle %v", tc.starts, err, wantErr)
+			t.Fatalf("procs %d starts %v: error %v, oracle %v", tc.req.Procs, tc.starts, err, wantErr)
 		}
 		if err != nil {
 			continue
@@ -630,7 +671,7 @@ func spokeConstrained(t *testing.T, c oracleCase, o *oracle) {
 			want.Counts = append(want.Counts, w.Procs[id])
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("starts %v:\ngot    %+v\noracle %+v", tc.starts, got, want)
+			t.Fatalf("procs %d starts %v:\ngot    %+v\noracle %+v", tc.req.Procs, tc.starts, got, want)
 		}
 	}
 }

@@ -36,8 +36,10 @@ func (r Request) Validate() (Request, error) {
 	if r.Alpha == 0 && r.Beta == 0 {
 		r.Alpha, r.Beta = 0.5, 0.5
 	}
-	if r.Alpha < 0 || r.Beta < 0 {
-		return r, fmt.Errorf("alloc: negative α/β (%g, %g)", r.Alpha, r.Beta)
+	// Written so that NaN fails too: NaN < 0 is false. Algorithm 1's
+	// seed-alone step relies on β ≥ 0 holding for every valid request.
+	if !(r.Alpha >= 0) || !(r.Beta >= 0) {
+		return r, fmt.Errorf("alloc: negative or NaN α/β (%g, %g)", r.Alpha, r.Beta)
 	}
 	if sum := r.Alpha + r.Beta; sum < 0.999 || sum > 1.001 {
 		return r, fmt.Errorf("alloc: α+β must be 1, got %g", sum)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nlarm/internal/alloc"
@@ -105,12 +106,14 @@ type placement struct {
 // policyScratch holds the policy layer's reusable buffers. It lives in
 // runScratch so a sweep worker carries one set of buffers across runs.
 type policyScratch struct {
-	caps      []int
-	cand      []int
+	caps []int
+	// free lists the nodes no running job holds, ascending: the
+	// candidate set of every decision, kept up to date by place and
+	// release so no decision scans all n nodes.
+	free      []int
 	startsBuf []int
 	committed []int
 	dirty     []int
-	busy      []bool
 	dirtySet  []bool
 	baseAttrs []metrics.NodeAttrs
 	dec       alloc.CostModel
@@ -130,7 +133,6 @@ func (ps *policyScratch) getPlacement() *placement {
 // policyState is the live placement layer of one policy-fidelity run.
 type policyState struct {
 	ps      *policyScratch
-	n       int
 	kStarts int
 	period  time.Duration
 	req     alloc.Request
@@ -185,7 +187,6 @@ func newPolicyState(cfg ScenarioConfig, ps *policyScratch) (*policyState, error)
 	}
 	p := &policyState{
 		ps:      ps,
-		n:       n,
 		kStarts: pc.Starts,
 		period:  time.Duration(pc.MonitorPeriodSec * float64(time.Second)),
 		req:     vreq,
@@ -198,18 +199,18 @@ func newPolicyState(cfg ScenarioConfig, ps *policyScratch) (*policyState, error)
 	if cap(ps.caps) < n {
 		ps.caps = make([]int, n)
 		ps.committed = make([]int, n)
-		ps.busy = make([]bool, n)
+		ps.free = make([]int, 0, n)
 		ps.dirtySet = make([]bool, n)
 		ps.baseAttrs = make([]metrics.NodeAttrs, n)
 	}
 	ps.caps = ps.caps[:n]
 	ps.committed = ps.committed[:n]
-	ps.busy = ps.busy[:n]
+	ps.free = ps.free[:n]
 	ps.dirtySet = ps.dirtySet[:n]
 	ps.baseAttrs = ps.baseAttrs[:n]
 	for i := 0; i < n; i++ {
 		ps.committed[i] = 0
-		ps.busy[i] = false
+		ps.free[i] = i
 		ps.dirtySet[i] = false
 		ps.baseAttrs[i] = snap.Nodes[i]
 	}
@@ -339,20 +340,17 @@ func (p *policyState) markDirty(i int) {
 	}
 }
 
-// selectStarts picks the k cheapest free nodes by unit compute load on
-// the decision model (ties break to the lower index). Nil means
-// exhaustive: every node seeds a candidate.
-func (p *policyState) selectStarts(dec *alloc.CostModel) []int {
+// selectStarts picks the k cheapest of the free nodes (ascending) by
+// unit compute load on the decision model (ties break to the lower
+// index). Nil means exhaustive: every node seeds a candidate.
+func (p *policyState) selectStarts(dec *alloc.CostModel, free []int) []int {
 	k := p.kStarts
 	if k < 0 {
 		return nil
 	}
 	buf := p.ps.startsBuf[:0]
 	cl := dec.CLUnit
-	for i := 0; i < p.n; i++ {
-		if p.ps.busy[i] {
-			continue
-		}
+	for _, i := range free {
 		if len(buf) < k {
 			buf = append(buf, i)
 		} else if cl[i] < cl[buf[k-1]] {
@@ -371,27 +369,20 @@ func (p *policyState) selectStarts(dec *alloc.CostModel) []int {
 // place decides job j's node assignment: refresh the model if the
 // monitor tick passed, charge live reservations onto it (in dec's
 // reused buffers), run the constrained Algorithms 1-2, then commit the
-// placement — mark nodes busy, stage the load delta for the next
-// refresh, and register the reservation.
+// placement — take its nodes off the free list, stage the load delta
+// for the next refresh, and register the reservation.
 func (p *policyState) place(j *simJob, now time.Time) error {
 	if err := p.maybeRefresh(now); err != nil {
 		return err
 	}
 	p.stats.Decisions++
-	// Build capacities and the free-node candidate list first: charging
-	// then prices only the rows Algorithm 1 can actually select (busy
-	// nodes have zero capacity and are never read).
-	caps := p.ps.caps
-	cand := p.ps.cand[:0]
-	for i := range caps {
-		if p.ps.busy[i] {
-			caps[i] = 0
-		} else {
-			caps[i] = j.ppn
-			cand = append(cand, i)
-		}
+	// Capacities first, over the free list only (a placed node's drops to
+	// 0 when it is committed): charging then prices only the rows
+	// Algorithm 1 can actually select.
+	caps, cand := p.ps.caps, p.ps.free
+	for _, i := range cand {
+		caps[i] = j.ppn
 	}
-	p.ps.cand = cand
 	dec, ok := p.rp.ChargedModelAt(now, p.model, cand, &p.ps.dec)
 	if !ok {
 		dec = p.model
@@ -402,7 +393,7 @@ func (p *policyState) place(j *simJob, now time.Time) error {
 	req := p.req
 	req.Procs = j.procs
 	req.PPN = j.ppn
-	ca, err := p.pol.AllocateConstrained(dec, req, caps, p.selectStarts(dec), &p.ps.sc)
+	ca, err := p.pol.AllocateConstrainedFree(dec, req, caps, cand, p.selectStarts(dec, cand), &p.ps.sc)
 	if err != nil {
 		return fmt.Errorf("sim: placement for job %d: %w", j.id, err)
 	}
@@ -412,7 +403,9 @@ func (p *policyState) place(j *simJob, now time.Time) error {
 	for k, i := range pl.nodes {
 		c := pl.counts[k]
 		p.ps.committed[i] += c
-		p.ps.busy[i] = true
+		p.ps.caps[i] = 0
+		at, _ := slices.BinarySearch(p.ps.free, i)
+		p.ps.free = slices.Delete(p.ps.free, at, at+1)
 		p.markDirty(i)
 	}
 	pl.cancel = p.rp.ReserveRanks(pl.nodes, pl.counts, now)
@@ -434,7 +427,8 @@ func (p *policyState) release(j *simJob) {
 	}
 	for k, i := range pl.nodes {
 		p.ps.committed[i] -= pl.counts[k]
-		p.ps.busy[i] = false
+		at, _ := slices.BinarySearch(p.ps.free, i)
+		p.ps.free = slices.Insert(p.ps.free, at, i)
 		p.markDirty(i)
 	}
 	pl.cancel()
