@@ -84,7 +84,9 @@ func (LoadAware) AllocateModel(m *CostModel, req Request, r *rng.Rand) (Allocati
 	if err != nil {
 		return Allocation{}, err
 	}
-	m = modelFor(m, req)
+	if !m.matches(req) {
+		return Allocation{}, errWeights
+	}
 	if m.Len() == 0 {
 		return Allocation{}, fmt.Errorf("alloc: load-aware: no live monitored nodes")
 	}

@@ -57,8 +57,8 @@ func (sc *AllocScratch) costBufs(k int) (costC, costN, total []float64) {
 // 2's normalization runs over those k candidates only, so the result is
 // the paper's heuristic restricted to k seeds.
 //
-// The model must already be priced with the request's weights — this
-// path never rebuilds a model. Results are written
+// The model must already be priced with the request's weights
+// (errWeights otherwise). Results are written
 // into sc's reused buffers (see ConstrainedAlloc); the call allocates
 // nothing in steady state.
 func (p NetLoadAware) AllocateConstrained(m *CostModel, req Request, caps []int, starts []int, sc *AllocScratch) (ConstrainedAlloc, error) {
@@ -76,7 +76,7 @@ func (p NetLoadAware) AllocateConstrainedFree(m *CostModel, req Request, caps, f
 		return ConstrainedAlloc{}, err
 	}
 	if !m.matches(req) {
-		return ConstrainedAlloc{}, fmt.Errorf("alloc: constrained allocate: model priced with different weights than the request")
+		return ConstrainedAlloc{}, errWeights
 	}
 	n := m.Len()
 	if n == 0 {

@@ -63,10 +63,10 @@ func TestAllocateConstrainedBoundedStarts(t *testing.T) {
 	}
 }
 
-// TestRefreshAttrsTouchedColumns holds RefreshAttrs' cached column stats,
-// which re-reduce only the columns a refresh changed, to a full
-// cacheColStats over the same rows, bit for bit: the first refresh on a
-// model with no cache, then randomized sequences mixing charged load
+// TestRefreshAttrsTouchedColumns holds RefreshAttrs' column stats, which
+// re-reduce only the columns a refresh changed, to a full reduction over
+// the same rows, bit for bit: a fresh model, a first refresh, then
+// randomized sequences mixing charged load
 // rising and falling (the simulator's shape), a job finishing on the
 // column's maximum, a republish of every dynamic attribute, and a
 // refresh that changes no value; last, a refresh of a charged
@@ -80,8 +80,8 @@ func TestRefreshAttrsTouchedColumns(t *testing.T) {
 	check := func(tag string, m *CostModel) {
 		t.Helper()
 		want := &CostModel{attrRows: m.attrRows}
-		want.cacheColStats()
-		if !sameBits(m.colSums, want.colSums) || !sameBits(m.colMaxs, want.colMaxs) {
+		want.reduceCols(nil)
+		if !sameBits(m.colSums[:], want.colSums[:]) || !sameBits(m.colMaxs[:], want.colMaxs[:]) {
 			t.Fatalf("%s: cached sums %v maxima %v, full re-reduction %v %v", tag, m.colSums, m.colMaxs, want.colSums, want.colMaxs)
 		}
 	}
@@ -93,9 +93,7 @@ func TestRefreshAttrsTouchedColumns(t *testing.T) {
 		check(tag, m)
 		snap = next
 	}
-	if m.colSums != nil {
-		t.Fatal("a fresh model already caches column stats")
-	}
+	check("fresh", m)
 	refresh("first", snap.Clone(), []int{m.IDs[0]})
 
 	for step := 0; step < 60; step++ {

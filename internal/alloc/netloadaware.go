@@ -71,16 +71,19 @@ func (p NetLoadAware) AllocateExplainModel(m *CostModel, req Request) (Candidate
 // bit-identical to the sequential path.
 //
 // Without explain only the costs are kept and the winner is generated a
-// second time to materialise it, as AllocateConstrained does: one more
-// greedy pass instead of a Candidate, a Nodes slice and a Procs map for
-// each of the |V|-1 candidates the caller drops. The candidate set, the
-// cost slices and every kernel scratch come from pools.
+// second time to materialise it: one more greedy pass instead of a
+// Candidate, a Nodes slice and a Procs map for each of the |V|-1
+// candidates the caller drops. (AllocateConstrained keeps each seed's
+// selection instead.) The candidate set, the cost slices and every
+// kernel scratch come from pools.
 func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candidate, []Candidate, error) {
 	req, err := req.Validate()
 	if err != nil {
 		return Candidate{}, nil, err
 	}
-	m = modelFor(m, req)
+	if !m.matches(req) {
+		return Candidate{}, nil, errWeights
+	}
 	n := m.Len()
 	if n == 0 {
 		return Candidate{}, nil, fmt.Errorf("alloc: net-load-aware: no live monitored nodes")

@@ -31,7 +31,7 @@ type ReservingPolicy struct {
 
 	mu           sync.Mutex
 	reservations []*reservation
-	// seen is the latest snapshot clock observed by record/Charged.
+	// seen is the latest snapshot clock observed by reserve/Charged.
 	// Pruning uses max(snap.Taken, seen) so a degraded or stale-read
 	// snapshot carrying an old (or zero) Taken cannot make reservations
 	// immortal: time only moves forward for expiry purposes.
@@ -46,7 +46,7 @@ type ReservingPolicy struct {
 }
 
 // reservation is one live claim, held as parallel id/rank slices sorted
-// ascending by node ID — built once at record time so the per-decision
+// ascending by node ID — built once at reserve time so the per-decision
 // charge aggregation walks flat ints instead of iterating maps.
 type reservation struct {
 	ids       []int
@@ -95,17 +95,13 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 	}
 	snap := m.Snap
 	if charged := p.Charged(snap); charged != snap {
-		vreq, err := req.Validate()
-		if err != nil {
-			return Allocation{}, err
-		}
-		m = m.NewLike(charged, vreq.Weights)
+		m = m.NewLike(charged)
 	}
 	a, err := p.Inner.AllocateModel(m, req, r)
 	if err != nil {
 		return Allocation{}, err
 	}
-	p.record(a.Procs, snap.Taken)
+	p.reserve(newReservation(a.Procs), snap.Taken)
 	a.Policy = p.Name()
 	return a, nil
 }
@@ -274,17 +270,6 @@ func (p *ReservingPolicy) advanceLocked(taken time.Time) time.Time {
 	return p.seen
 }
 
-// record registers a grant as a new reservation. A zero or stale stamp
-// is lifted to the latest clock seen so the reservation still expires
-// TTL from "now" rather than living (or dying) on a skewed clock.
-func (p *ReservingPolicy) record(procs map[int]int, at time.Time) {
-	res := newReservation(procs)
-	p.mu.Lock()
-	res.at = p.advanceLocked(at)
-	p.reservations = append(p.reservations, res)
-	p.mu.Unlock()
-}
-
 // Reserve charges an externally computed claim (node → reserved ranks)
 // like a grant, so every subsequent Charged/AllocateModel prices it into
 // Equation 1. It returns a cancel function that releases the claim
@@ -307,7 +292,9 @@ func (p *ReservingPolicy) ReserveRanks(ids, ranks []int, at time.Time) func() {
 	return p.reserve(res, at)
 }
 
-// reserve registers res and returns its cancel closure.
+// reserve registers res, stamped at the later of at and the latest clock
+// seen (so a zero or stale stamp neither lives nor dies on a skewed
+// clock), and returns its cancel closure.
 func (p *ReservingPolicy) reserve(res *reservation, at time.Time) func() {
 	p.mu.Lock()
 	res.at = p.advanceLocked(at)

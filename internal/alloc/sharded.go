@@ -262,6 +262,8 @@ func sortKVByKey(a []pairKV, n int) []pairKV {
 // every later float accumulation independent of map iteration order. A
 // snapshot with no usable pair at all is an error: the dense fill and
 // the sharded build both price unmeasured pairs from the measured ones.
+// So is a negative latency on a joined pair, which Equation 2's
+// sum-normalisation cannot price; refusing it here refuses it for both.
 func measuredPairs(snap *metrics.Snapshot, m *CostModel) ([]measuredPair, error) {
 	n := len(m.IDs)
 	globalPeak := 0.0
@@ -324,6 +326,10 @@ func measuredPairs(snap *metrics.Snapshot, m *CostModel) ([]measuredPair, error)
 		case bw[bi].key > lt[li].key:
 			li++
 		default:
+			if l := lt[li].val; l < 0 {
+				i, j := int(lt[li].key>>32), int(lt[li].key&0xffffffff)
+				return nil, fmt.Errorf("alloc: network loads: negative latency %g s between nodes %d and %d", l, m.IDs[i], m.IDs[j])
+			}
 			c := globalPeak - bw[bi].val
 			if c < 0 {
 				c = 0
@@ -344,8 +350,7 @@ func measuredPairs(snap *metrics.Snapshot, m *CostModel) ([]measuredPair, error)
 // NLUnit values for the same pairs, and the shard×shard aggregate.
 // Construction is O(Σ sᵢ² + measured pairs) — never O(n²) — and
 // deterministic (measured pairs are sorted before any float
-// accumulation). It fails like networkLoadsDense when the snapshot has
-// no usable pairwise measurements at all.
+// accumulation). It fails like networkLoadsDense, through measuredPairs.
 func newShardModel(snap *metrics.Snapshot, m *CostModel, shards [][]int, source string) (*shardModel, error) {
 	n := len(m.IDs)
 	S := len(shards)
@@ -529,7 +534,7 @@ func (m *CostModel) TakeShardSpills() uint64 {
 // — once the live-node count reaches opts.Threshold. Below the threshold
 // (or with the zero options) it is exactly NewCostModel: the dense
 // exhaustive path, bit for bit. The options are retained on the model so
-// rebuilds (weight changes, reservation-charged snapshots) stay sharded.
+// rebuilds (NewLike, for reservation-charged snapshots) stay sharded.
 // The bool is ignored, as in NewCostModel.
 func NewCostModelSharded(snap *metrics.Snapshot, w Weights, _ bool, opts ShardOptions) *CostModel {
 	ids := MonitoredLivehosts(snap)
@@ -546,12 +551,11 @@ func NewCostModelSharded(snap *metrics.Snapshot, w Weights, _ bool, opts ShardOp
 	return m
 }
 
-// NewLike builds a cost model for snap priced with weights w,
-// preserving m's sharding options — the rebuild path modelFor and the
-// reserving policy use so a charged or re-priced snapshot keeps the
-// hierarchical representation.
-func (m *CostModel) NewLike(snap *metrics.Snapshot, w Weights) *CostModel {
-	return NewCostModelSharded(snap, w, false, m.shardOpts)
+// NewLike builds a cost model for snap priced like m — its weights and
+// its sharding options — the rebuild the reserving policy uses so a
+// charged snapshot keeps the hierarchical representation.
+func (m *CostModel) NewLike(snap *metrics.Snapshot) *CostModel {
+	return NewCostModelSharded(snap, m.Weights, false, m.shardOpts)
 }
 
 // shardScratch is one worker's reusable buffers for hierarchical

@@ -342,8 +342,8 @@ func TestShardedReservingPolicyKeepsHierarchy(t *testing.T) {
 	if a.TotalProcs() != 16 {
 		t.Fatalf("charged-path allocation covered %d of 16 procs", a.TotalProcs())
 	}
-	if got := m.NewLike(snap, PaperWeights()); !got.Sharded() {
-		t.Fatal("NewLike dropped the shard layer")
+	if got := m.NewLike(snap); !got.Sharded() || got.Weights != m.Weights {
+		t.Fatal("NewLike dropped the shard layer or the weights")
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package stats implements the numerical machinery the paper's allocator
-// relies on: time-windowed running means (the 1/5/15-minute histories kept
-// by the monitoring daemons), sum-normalization and sign-unification of
-// attributes, the Simple Additive Weights (SAW) scoring method, and the
-// summary statistics (mean, median, max, coefficient of variation) used in
-// the evaluation section.
+// Package stats implements the numerical machinery around the paper's
+// allocator: time-windowed running means (the 1/5/15-minute histories kept
+// by the monitoring daemons) and the summary statistics (mean, median,
+// max, coefficient of variation) used in the evaluation section. Equations
+// 1 and 2's normalisation and scoring live with the cost model, in
+// internal/alloc.
 package stats
 
 import (

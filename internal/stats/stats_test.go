@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"nlarm/internal/rng"
@@ -191,130 +190,6 @@ func TestNewTimeSeriesPanicsOnBadAge(t *testing.T) {
 	NewTimeSeries(0)
 }
 
-func TestNormalizeSumBasic(t *testing.T) {
-	out, err := NormalizeSum([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range out {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("normalized sum = %g", sum)
-	}
-	if out[0] != 0.1 || out[3] != 0.4 {
-		t.Fatalf("normalized = %v", out)
-	}
-}
-
-func TestNormalizeSumZeros(t *testing.T) {
-	out, err := NormalizeSum([]float64{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if v != 0 {
-			t.Fatalf("all-zero input normalized to %v", out)
-		}
-	}
-}
-
-func TestNormalizeSumRejectsNegative(t *testing.T) {
-	if _, err := NormalizeSum([]float64{1, -1}); err == nil {
-		t.Fatal("negative input accepted")
-	}
-}
-
-// Property: normalization preserves order and sums to 1 (or 0).
-func TestNormalizeSumProperties(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]float64, len(raw))
-		for i, r := range raw {
-			vals[i] = float64(r)
-		}
-		out, err := NormalizeSum(vals)
-		if err != nil {
-			return false
-		}
-		sum := 0.0
-		for _, v := range out {
-			sum += v
-		}
-		if sum != 0 && math.Abs(sum-1) > 1e-9 {
-			return false
-		}
-		for i := 1; i < len(vals); i++ {
-			if (vals[i] > vals[i-1]) != (out[i] > out[i-1]) && vals[i] != vals[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSAWCostsPrefersBetterNode(t *testing.T) {
-	attrs := []Attribute{
-		{Name: "load", Weight: 0.7, Criterion: Minimize},
-		{Name: "mem", Weight: 0.3, Criterion: Maximize},
-	}
-	// Row 0 dominates row 1: less load, more memory.
-	costs, err := SAWCosts(attrs, [][]float64{{1, 8}, {5, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costs[0] >= costs[1] {
-		t.Fatalf("dominating alternative scored worse: %v", costs)
-	}
-}
-
-func TestSAWCostsWeightSensitivity(t *testing.T) {
-	// Node A: low load, low memory. Node B: high load, high memory.
-	matrix := [][]float64{{1, 1}, {9, 9}}
-	loadHeavy := []Attribute{
-		{Name: "load", Weight: 0.9, Criterion: Minimize},
-		{Name: "mem", Weight: 0.1, Criterion: Maximize},
-	}
-	memHeavy := []Attribute{
-		{Name: "load", Weight: 0.1, Criterion: Minimize},
-		{Name: "mem", Weight: 0.9, Criterion: Maximize},
-	}
-	c1, err := SAWCosts(loadHeavy, matrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := SAWCosts(memHeavy, matrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1[0] >= c1[1] {
-		t.Fatalf("load-heavy weights should prefer node A: %v", c1)
-	}
-	if c2[1] >= c2[0] {
-		t.Fatalf("mem-heavy weights should prefer node B: %v", c2)
-	}
-}
-
-func TestSAWCostsValidation(t *testing.T) {
-	attrs := []Attribute{{Name: "a", Weight: 1, Criterion: Minimize}}
-	if _, err := SAWCosts(attrs, [][]float64{{1, 2}}); err == nil {
-		t.Fatal("ragged matrix accepted")
-	}
-	bad := []Attribute{{Name: "a", Weight: -1, Criterion: Minimize}}
-	if _, err := SAWCosts(bad, [][]float64{{1}}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if out, err := SAWCosts(attrs, nil); err != nil || out != nil {
-		t.Fatalf("empty matrix: %v %v", out, err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{4, 2, 8, 6})
 	if s.N != 4 || s.Mean != 5 || s.Median != 5 || s.Min != 2 || s.Max != 8 {
@@ -385,15 +260,6 @@ func TestMeanAndClamp(t *testing.T) {
 	}
 	if v := Clamp(2, 0, 3); v != 2 {
 		t.Fatalf("Clamp mid = %g", v)
-	}
-}
-
-func TestCriterionString(t *testing.T) {
-	if Minimize.String() != "minimize" || Maximize.String() != "maximize" {
-		t.Fatal("Criterion.String broken")
-	}
-	if Criterion(9).String() == "" {
-		t.Fatal("unknown criterion produced empty string")
 	}
 }
 
