@@ -107,8 +107,10 @@ func NodeFreeSlots(na metrics.NodeAttrs) int {
 // the cluster's aggregate free capacity estimate.
 func FreeSlots(snap *metrics.Snapshot) int {
 	total := 0
-	for _, id := range MonitoredLivehosts(snap) {
-		total += NodeFreeSlots(snap.Nodes[id])
+	for _, id := range snap.Livehosts {
+		if na, ok := snap.Nodes[id]; ok {
+			total += NodeFreeSlots(na)
+		}
 	}
 	return total
 }

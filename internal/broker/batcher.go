@@ -45,7 +45,11 @@ type Batcher struct {
 	closed bool
 
 	flushMu sync.Mutex // serializes Flush bodies against each other
-	wg      sync.WaitGroup
+	// allocReqs and allocItems are Flush's per-batch lists, reused under
+	// flushMu.
+	allocReqs  []Request
+	allocItems []*pendingItem
+	wg         sync.WaitGroup
 }
 
 // NewBatcher builds a batcher over b. mgr may be nil, in which case
@@ -160,8 +164,7 @@ func (bt *Batcher) Flush() int {
 	// the manager here — their allocation happens at launch time — so
 	// applying them after the batch's allocates does not change any
 	// pricing, and keeps the allocate path a single tight loop.
-	var allocReqs []Request
-	var allocItems []*pendingItem
+	allocReqs, allocItems := bt.allocReqs[:0], bt.allocItems[:0]
 	for _, item := range items {
 		if item.alloc != nil {
 			allocReqs = append(allocReqs, *item.alloc)
@@ -175,6 +178,8 @@ func (bt *Batcher) Flush() int {
 			item.doneAlloc(results[i].Response, results[i].Err)
 		}
 	}
+	clear(allocItems) // served items are not kept alive until the next batch
+	bt.allocReqs, bt.allocItems = allocReqs, allocItems
 	for _, item := range items {
 		if item.submit == nil {
 			continue

@@ -155,9 +155,15 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 						i, reqs[i], want[i].Response, got[i].Response)
 				}
 			}
-			// Both paths must leave the same audit trail size behind.
-			if ns, nb := len(seqB.Decisions(0)), len(batB.Decisions(0)); ns != nb {
-				t.Fatalf("decision records diverged: sequential %d, batched %d", ns, nb)
+			// Both paths must leave the same audit trail behind, a
+			// deduplicated member's costs included.
+			if seqD, batD := seqB.Decisions(0), batB.Decisions(0); !reflect.DeepEqual(seqD, batD) {
+				for i := range seqD {
+					if i < len(batD) && !reflect.DeepEqual(seqD[i], batD[i]) {
+						t.Fatalf("decision %d diverged\nsequential: %+v\nbatched:    %+v", i, seqD[i], batD[i])
+					}
+				}
+				t.Fatalf("decision records diverged: sequential %d, batched %d", len(seqD), len(batD))
 			}
 			if hits := batB.Obs().Counter("broker.batch.dedup.hits").Value(); hits == 0 {
 				t.Fatal("request stream never exercised the dedup path")
@@ -188,6 +194,30 @@ func TestBatchEquivalentToSequential(t *testing.T) {
 				t.Fatal("wire path left different decision records than in-process Allocate")
 			}
 		})
+	}
+}
+
+// TestBatchDedupRecordsLikeSequential pins what a deduplicated repeat
+// records: its sequential twin's record, with the priced model's costs
+// when the first copy fetched a model, and no cache hit when it did not
+// (a wait, a refused request).
+func TestBatchDedupRecordsLikeSequential(t *testing.T) {
+	r := newRig(t, 3, loadgen.Config{})
+	for _, waitLoad := range []float64{0, 1e-9} {
+		seqB := New(r.st, r.sched, Config{Seed: 5, WaitLoadPerCore: waitLoad})
+		batB := New(r.st, r.sched, Config{Seed: 5, WaitLoadPerCore: waitLoad})
+		reqs := []Request{{Procs: 6, PPN: 2, Force: true}, {Procs: 6, PPN: 2, Force: true},
+			{Procs: 4}, {Procs: 4}, {Procs: -1, Force: true}, {Procs: -1, Force: true}}
+		for _, req := range reqs {
+			_, _ = seqB.Allocate(req)
+		}
+		batB.AllocateBatch(reqs)
+		if seqD, batD := seqB.Decisions(0), batB.Decisions(0); !reflect.DeepEqual(seqD, batD) {
+			t.Fatalf("wait load %g: decision records diverged\nsequential: %+v\nbatched:    %+v", waitLoad, seqD, batD)
+		}
+		if hits := batB.Obs().Counter("broker.batch.dedup.hits").Value(); hits != 3 {
+			t.Fatalf("wait load %g: %d dedup hits, want 3", waitLoad, hits)
+		}
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -501,16 +503,21 @@ func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 		b.degraded += uint64(len(reqs) - 1)
 		b.lastGoodMu.Unlock()
 	}
-	// seen holds the first answer to each dedupable request — on error
-	// with the partial response the decision record is built from.
-	var seen map[Request]BatchResult
+	// seen holds the first answer to each dedupable request (on error
+	// the partial response the decision record is built from) and the
+	// model it was priced on, which a repeat records too.
+	type answer struct {
+		res   BatchResult
+		model *alloc.CostModel
+	}
+	var seen map[Request]answer
 	if len(reqs) > 1 {
-		seen = make(map[Request]BatchResult)
+		seen = make(map[Request]answer)
 	}
 	for i, req := range reqs {
-		res, dup := seen[req]
-		var model *alloc.CostModel
-		cacheHit := dup
+		ans, dup := seen[req]
+		res, model := ans.res, ans.model
+		cacheHit := model != nil // as a repeat finds its first's model cached
 		if dup {
 			// Keep the broker's rng stream identical to the sequential
 			// execution: every served request consumes one split.
@@ -519,7 +526,7 @@ func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 		} else {
 			res.Response, model, cacheHit, res.Err = b.allocateOn(sv, degradedReason, req)
 			if seen != nil && !req.Explain && b.dedupablePolicy(req.Policy) {
-				seen[req] = res
+				seen[req] = answer{res, model}
 			}
 		}
 		b.finishDecision(start, req, res.Response, model, cacheHit, res.Err)
@@ -706,10 +713,32 @@ func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Reque
 	resp.Nodes = a.Nodes
 	resp.Procs = a.Procs
 	resp.Allocation = a
-	for _, n := range a.Nodes {
-		resp.Hostfile = append(resp.Hostfile, fmt.Sprintf("%s:%d", snap.Nodes[n].Hostname, a.Procs[n]))
-	}
+	resp.Hostfile = hostfile(snap, a)
 	return resp, model, cacheHit, nil
+}
+
+// hostfile renders a's MPI hostfile lines, "host:procs" in node order,
+// into one string and slices each line from it.
+func hostfile(snap *metrics.Snapshot, a alloc.Allocation) []string {
+	if len(a.Nodes) == 0 {
+		return nil
+	}
+	var num [20]byte
+	size := 0
+	for _, n := range a.Nodes {
+		size += len(snap.Nodes[n].Hostname) + 1 + len(strconv.AppendInt(num[:0], int64(a.Procs[n]), 10))
+	}
+	var sb strings.Builder // never rewrites what it holds: substrings stay valid
+	sb.Grow(size)
+	lines := make([]string, len(a.Nodes))
+	for i, n := range a.Nodes {
+		start := sb.Len()
+		sb.WriteString(snap.Nodes[n].Hostname)
+		sb.WriteByte(':')
+		sb.Write(strconv.AppendInt(num[:0], int64(a.Procs[n]), 10))
+		lines[i] = sb.String()[start:]
+	}
+	return lines
 }
 
 // Obs returns the broker's instrumentation registry (never nil).

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -35,7 +34,7 @@ type Client struct {
 	sem  chan struct{} // in-flight slots
 
 	mu      sync.Mutex
-	enc     *json.Encoder
+	wbuf    []byte // the request line being written
 	pending map[uint64]chan wireResponse
 	nextID  uint64
 	err     error // first transport error; sticky
@@ -53,7 +52,6 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	c := &Client{
 		conn:       conn,
 		sem:        make(chan struct{}, clientMaxInflight),
-		enc:        json.NewEncoder(conn),
 		pending:    make(map[uint64]chan wireResponse),
 		readerDone: make(chan struct{}),
 	}
@@ -72,8 +70,8 @@ func (c *Client) readLoop() {
 		if len(line) == 0 {
 			continue
 		}
-		var resp wireResponse
-		if err := json.Unmarshal(line, &resp); err != nil {
+		resp, err := unmarshalWire[wireResponse](line)
+		if err != nil {
 			c.fail(fmt.Errorf("broker: decode: %w", err))
 			return
 		}
@@ -132,10 +130,13 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	id := c.nextID
 	req.ID = id
 	c.pending[id] = ch
-	// Encoding under the lock serializes concurrent writers onto the
-	// socket; the reader never takes this lock while delivering, so
-	// pipelined calls overlap freely.
-	err := c.enc.Encode(req)
+	// Writing under the lock serializes concurrent writers onto the
+	// socket, one Write per line; the reader never takes this lock while
+	// delivering, so pipelined calls overlap freely.
+	var err error
+	if c.wbuf, err = appendRequest(c.wbuf[:0], &req); err == nil {
+		_, err = c.conn.Write(c.wbuf)
+	}
 	if err != nil {
 		delete(c.pending, id)
 		c.mu.Unlock()

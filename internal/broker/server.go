@@ -2,7 +2,7 @@ package broker
 
 import (
 	"bufio"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nlarm/internal/canon"
 	"nlarm/internal/obs"
 )
 
@@ -127,27 +128,19 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type connWriter struct {
 	conn     net.Conn
 	mu       sync.Mutex
-	bw       *bufio.Writer
-	enc      *json.Encoder
+	buf      []byte
 	err      error
 	inflight atomic.Int64
 	// eof is set once the reader has seen a clean end of input; a reply
 	// that then takes inflight to zero signals idle (capacity 1: a
 	// signal nobody has consumed yet already says "look again").
-	eof  atomic.Bool
-	idle chan struct{}
+	eof   atomic.Bool
+	idle  chan struct{}
+	dirty bool // on the server's dirty list (guarded by Server.dirtyMu)
 }
 
 func newConnWriter(conn net.Conn) *connWriter {
-	bw := bufio.NewWriterSize(conn, 32*1024)
-	return &connWriter{conn: conn, bw: bw, enc: json.NewEncoder(bw), idle: make(chan struct{}, 1)}
-}
-
-// arm sets the write deadline ahead of a socket-touching operation; a
-// full bufio.Writer can flush (and therefore block) inside Encode, so
-// encode arms too. Must hold mu.
-func (cw *connWriter) arm() {
-	_ = cw.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	return &connWriter{conn: conn, idle: make(chan struct{}, 1)}
 }
 
 // finish records a write failure and closes the connection so the
@@ -159,44 +152,52 @@ func (cw *connWriter) finish() error {
 	return cw.err
 }
 
-// encode appends one response to the buffer without flushing (a full
-// buffer may still spill to the socket under the armed deadline).
-func (cw *connWriter) encode(resp wireResponse) error {
+// encode appends json.Encoder's bytes for resp, with ans (if set) as its
+// Response, to the buffer without touching the socket. Only the
+// encoding/json path lets values escape, and it escapes copies.
+func (cw *connWriter) encode(resp *wireResponse, ans *Response) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	if cw.err != nil {
 		return cw.err
 	}
-	cw.arm()
-	cw.err = cw.enc.Encode(resp)
+	e := canon.Encoder{B: cw.buf, OK: true}
+	if appendResponse(&e, resp, cmp.Or(ans, resp.Response)); e.OK {
+		cw.buf = e.B
+		return nil
+	}
+	wireFallbacks[endResponseEncode].Add(1)
+	w := *resp
+	if ans != nil {
+		a := *ans
+		w.Response = &a
+	}
+	cw.buf, cw.err = appendJSON(cw.buf, &w)
 	return cw.finish()
 }
 
-// flush pushes buffered responses to the socket.
+// flush pushes buffered responses to the socket under the write
+// deadline.
 func (cw *connWriter) flush() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if cw.err != nil {
+	if cw.err != nil || len(cw.buf) == 0 {
 		return cw.err
 	}
-	cw.arm()
-	cw.err = cw.bw.Flush()
+	_ = cw.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, cw.err = cw.conn.Write(cw.buf)
+	if cw.buf = cw.buf[:0]; cap(cw.buf) > 64<<10 {
+		cw.buf = nil // a one-off large answer is not kept per connection
+	}
 	return cw.finish()
 }
 
 // send encodes and flushes one response (control actions, sheds, errors).
 func (cw *connWriter) send(resp wireResponse) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if cw.err != nil {
-		return cw.err
+	if err := cw.encode(&resp, nil); err != nil {
+		return err
 	}
-	cw.arm()
-	if cw.err = cw.enc.Encode(resp); cw.err != nil {
-		return cw.finish()
-	}
-	cw.err = cw.bw.Flush()
-	return cw.finish()
+	return cw.flush()
 }
 
 // drain runs on the reader goroutine after a clean EOF, when no further
@@ -234,8 +235,11 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
+	// dirty lists the writers holding unflushed batch responses; spare
+	// is flushDirty's previous list, kept for reuse.
 	dirtyMu sync.Mutex
-	dirty   map[*connWriter]struct{}
+	dirty   []*connWriter
+	spare   []*connWriter
 }
 
 // NewServerOpts starts serving b on addr (e.g. "127.0.0.1:7077"; use
@@ -257,7 +261,6 @@ func newServer(b *Broker, mgr Manager, addr string, opts ServerOptions, dispatch
 	s := &Server{
 		b: b, mgr: mgr, ln: ln, opts: opts.withDefaults(),
 		conns: make(map[net.Conn]struct{}),
-		dirty: make(map[*connWriter]struct{}),
 	}
 	var bo BatcherOptions
 	if opts.Batching != nil {
@@ -301,18 +304,27 @@ func (s *Server) acceptLoop() {
 // responses; flushDirty runs at the end of every batch.
 func (s *Server) markDirty(cw *connWriter) {
 	s.dirtyMu.Lock()
-	s.dirty[cw] = struct{}{}
+	if !cw.dirty {
+		cw.dirty = true
+		s.dirty = append(s.dirty, cw)
+	}
 	s.dirtyMu.Unlock()
 }
 
+// flushDirty runs as the batcher's afterBatch, under its flushMu, so two
+// never overlap and the list it swaps out is its own until the next one.
 func (s *Server) flushDirty() {
 	s.dirtyMu.Lock()
 	dirty := s.dirty
-	s.dirty = make(map[*connWriter]struct{})
+	s.dirty, s.spare = s.spare[:0], dirty
+	for _, cw := range dirty {
+		cw.dirty = false
+	}
 	s.dirtyMu.Unlock()
-	for cw := range dirty {
+	for _, cw := range dirty {
 		_ = cw.flush() // write errors surface as the conn's read loop exits
 	}
+	clear(dirty)
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -353,8 +365,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		var req wireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		req, err := unmarshalWire[wireRequest](line)
+		if err != nil {
 			if cw.send(wireResponse{Error: fmt.Sprintf("bad request: %v", err)}) != nil {
 				return
 			}
@@ -391,10 +403,10 @@ func (s *Server) dispatchBatched(cw *connWriter, req wireRequest) {
 	case req.Action == "allocate":
 		err = s.batcher.EnqueueAllocate(req.Tenant, req.Request, func(resp Response, aerr error) {
 			if aerr != nil {
-				s.reply(cw, wireResponse{ID: id, Error: aerr.Error(), Shed: errors.Is(aerr, ErrShed)})
+				s.reply(cw, wireResponse{ID: id, Error: aerr.Error(), Shed: errors.Is(aerr, ErrShed)}, nil)
 				return
 			}
-			s.reply(cw, wireResponse{ID: id, OK: true, Response: &resp})
+			s.reply(cw, wireResponse{ID: id, OK: true}, &resp)
 		})
 	case s.mgr == nil:
 		err = errNoManager
@@ -403,10 +415,10 @@ func (s *Server) dispatchBatched(cw *connWriter, req wireRequest) {
 	default:
 		err = s.batcher.EnqueueSubmit(req.Tenant, *req.Submit, func(jobID int, serr error) {
 			if serr != nil {
-				s.reply(cw, wireResponse{ID: id, Error: serr.Error()})
+				s.reply(cw, wireResponse{ID: id, Error: serr.Error()}, nil)
 				return
 			}
-			s.reply(cw, wireResponse{ID: id, OK: true, JobID: jobID})
+			s.reply(cw, wireResponse{ID: id, OK: true, JobID: jobID}, nil)
 		})
 	}
 	if err == nil {
@@ -424,8 +436,8 @@ func (s *Server) dispatchBatched(cw *connWriter, req wireRequest) {
 
 // reply buffers the response of a request a batch served; the batch's
 // flush sends it.
-func (s *Server) reply(cw *connWriter, wr wireResponse) {
-	if cw.encode(wr) == nil {
+func (s *Server) reply(cw *connWriter, wr wireResponse, ans *Response) {
+	if cw.encode(&wr, ans) == nil {
 		s.markDirty(cw)
 	}
 	if cw.inflight.Add(-1) == 0 && cw.eof.Load() {

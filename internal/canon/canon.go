@@ -1,0 +1,279 @@
+// Package canon writes and reads canonical JSON without reflection: the
+// bytes encoding/json writes for a value, and only those. Callers spell
+// their keys and hand what it refuses to encoding/json.
+package canon
+
+import (
+	"math"
+	"strconv"
+	"time"
+)
+
+// Encoder appends canonical JSON to B; OK turns false on anything it does
+// not reproduce byte for byte. Each writer takes the literal before its
+// value: the key, with the brace or comma before it.
+type Encoder struct {
+	B  []byte
+	OK bool
+}
+
+// Raw writes s as it is: a key, a brace, a literal.
+func (e *Encoder) Raw(s string) { e.B = append(e.B, s...) }
+
+// Int writes key and v.
+func (e *Encoder) Int(key string, v int64) { e.B = strconv.AppendInt(append(e.B, key...), v, 10) }
+
+// Uint writes key and v.
+func (e *Encoder) Uint(key string, v uint64) { e.B = strconv.AppendUint(append(e.B, key...), v, 10) }
+
+// Bool writes key and true or false.
+func (e *Encoder) Bool(key string, v bool) { e.B = strconv.AppendBool(append(e.B, key...), v) }
+
+// Float follows encoding/json: %f between 1e-6 and 1e21, %e outside it
+// with the exponent's leading zero dropped (e-07 becomes e-7).
+func (e *Encoder) Float(key string, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		e.OK = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.B = strconv.AppendFloat(append(e.B, key...), f, format, -1, 64)
+	if n := len(e.B); format == 'e' && e.B[n-4] == 'e' && e.B[n-3] == '-' && e.B[n-2] == '0' {
+		e.B[n-2] = e.B[n-1]
+		e.B = e.B[:n-1]
+	}
+}
+
+// Str writes s quoted when it needs no escaping under encoding/json's
+// rules (printable ASCII other than the quote, the backslash and the HTML
+// characters <, > and &).
+func (e *Encoder) Str(key, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			e.OK = false
+			return
+		}
+	}
+	e.B = append(append(append(append(e.B, key...), '"'), s...), '"')
+}
+
+// Time writes t as Time.MarshalJSON does, which refuses a year that is not
+// four digits wide and a zone offset of a day or more.
+func (e *Encoder) Time(key string, t time.Time) {
+	_, off := t.Zone()
+	e.OK = e.OK && 0 <= t.Year() && t.Year() <= 9999 && -24*3600 < off && off < 24*3600
+	e.B = t.AppendFormat(append(append(e.B, key...), '"'), time.RFC3339Nano)
+	e.B = append(e.B, '"')
+}
+
+// AppendList writes key and then list the way encoding/json does: null
+// when nil, item writing each element.
+func AppendList[T any](e *Encoder, key string, list []T, item func(*T)) {
+	if e.Raw(key); list == nil {
+		e.Raw(`null`)
+		return
+	}
+	e.Raw(`[`)
+	for i := range list {
+		if i > 0 {
+			e.Raw(`,`)
+		}
+		item(&list[i])
+	}
+	e.Raw(`]`)
+}
+
+// Omit writes an omitempty member, key and v with write unless v is zero,
+// and reports whether it wrote. It takes no strings, which would escape.
+func Omit[T int64 | uint64 | float64 | bool](key string, v T, write func(string, T)) bool {
+	if v == *new(T) {
+		return false
+	}
+	write(key, v)
+	return true
+}
+
+// Decoder reads back what Encoder writes: the exact key literals in
+// declared order, no whitespace, strings of ASCII without a control byte,
+// a quote or a backslash, numbers in the JSON grammar (integers without a
+// fraction or an exponent). Anything else clears OK — whitespace, escapes,
+// non-ASCII, reordered, duplicate, unknown or case-folded keys, null for
+// a scalar, trailing bytes — as encoding/json gives each a meaning of its
+// own. Src, when set, is the whole input as a string, which Str then
+// slices instead of copying.
+type Decoder struct {
+	B   []byte // input not yet consumed
+	OK  bool
+	Src string
+}
+
+// Done reports whether the whole input decoded.
+func (d *Decoder) Done() bool { return d.OK && len(d.B) == 0 }
+
+// Skip consumes s if the input starts with it.
+func (d *Decoder) Skip(s string) bool {
+	if d.OK && len(d.B) >= len(s) && string(d.B[:len(s)]) == s {
+		d.B = d.B[len(s):]
+		return true
+	}
+	return false
+}
+
+// Lit consumes s, or clears OK.
+func (d *Decoder) Lit(s string) bool {
+	if !d.Skip(s) {
+		d.OK = false
+	}
+	return d.OK
+}
+
+// number consumes key and the number after it, and returns the number's
+// text: -?(0|[1-9][0-9]*), then for a float an optional fraction and
+// exponent. strconv parses more than JSON does (inf, 0x1p3, +1, 01), so
+// the grammar is checked first; whatever ends the match must be the next
+// literal.
+func (d *Decoder) number(key string, float bool) []byte {
+	if !d.Lit(key) {
+		return nil
+	}
+	b, i := d.B, 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	j := digits(b, i)
+	ok := j > i && (b[i] != '0' || j == i+1)
+	if i = j; ok && float && i < len(b) && b[i] == '.' {
+		j = digits(b, i+1)
+		ok, i = j > i+1, j
+	}
+	if ok && float && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		i = digits(b, i) // ParseFloat refuses an exponent without digits
+	}
+	if !ok {
+		d.OK = false
+		return nil
+	}
+	d.B = b[i:]
+	return b[:i]
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// integer consumes key and an integer, parsed the way encoding/json fills
+// an integer field of bitSize bits; a value out of range clears OK.
+func (d *Decoder) integer(key string, bitSize int) int64 {
+	n, err := strconv.ParseInt(string(d.number(key, false)), 10, bitSize)
+	d.OK = d.OK && err == nil
+	return n
+}
+
+// Int consumes key and an integer that fits an int.
+func (d *Decoder) Int(key string) int { return int(d.integer(key, strconv.IntSize)) }
+
+// Int64 consumes key and an integer that fits an int64.
+func (d *Decoder) Int64(key string) int64 { return d.integer(key, 64) }
+
+// Uint consumes key and an integer, parsed the way encoding/json fills a
+// uint64 field: a minus sign, even on zero, clears OK.
+func (d *Decoder) Uint(key string) uint64 {
+	n, err := strconv.ParseUint(string(d.number(key, false)), 10, 64)
+	d.OK = d.OK && err == nil
+	return n
+}
+
+// Float consumes key and a number, parsed as encoding/json fills a
+// float64 field; a value out of range clears OK.
+func (d *Decoder) Float(key string) float64 {
+	f, err := strconv.ParseFloat(string(d.number(key, true)), 64)
+	d.OK = d.OK && err == nil
+	return f
+}
+
+// Bool consumes key and true or false.
+func (d *Decoder) Bool(key string) bool {
+	if d.Lit(key) && d.Skip(`true`) {
+		return true
+	}
+	d.Lit(`false`)
+	return false
+}
+
+// Quoted consumes key and the string after it, and returns the string
+// with its quotes.
+func (d *Decoder) Quoted(key string) []byte {
+	if d.Lit(key) && len(d.B) > 0 && d.B[0] == '"' {
+		for i := 1; i < len(d.B); i++ {
+			c := d.B[i]
+			if c == '"' {
+				q := d.B[:i+1]
+				d.B = d.B[i+1:]
+				return q
+			}
+			if c < 0x20 || c >= 0x80 || c == '\\' {
+				break
+			}
+		}
+	}
+	d.OK = false
+	return nil
+}
+
+// Str consumes key and a string, and returns it unquoted.
+func (d *Decoder) Str(key string) string {
+	q := d.Quoted(key)
+	if len(q) <= 2 {
+		return ""
+	}
+	if d.Src != "" {
+		end := len(d.Src) - len(d.B) - 1
+		return d.Src[end-(len(q)-2) : end]
+	}
+	return string(q[1 : len(q)-1])
+}
+
+// Time decodes through (*time.Time).UnmarshalJSON, the method
+// encoding/json calls, so the location and wall bits are the same.
+func (d *Decoder) Time(key string, t *time.Time) {
+	if q := d.Quoted(key); q == nil || t.UnmarshalJSON(q) != nil {
+		d.OK = false
+	}
+}
+
+// ReadList consumes key and reads a list the way json.Unmarshal fills a
+// nil slice — null is a nil list, [] an empty one — with item decoding
+// each element in place. hint sizes the list.
+func ReadList[T any](d *Decoder, key string, hint int, item func(*T)) []T {
+	if !d.Lit(key) || d.Skip(`null`) {
+		return nil
+	}
+	l := make([]T, 0, hint)
+	if d.Lit(`[`); d.Skip(`]`) {
+		return l
+	}
+	for more := d.OK; more; more = d.Skip(`,`) {
+		l = append(l, *new(T))
+		item(&l[len(l)-1])
+	}
+	d.Lit(`]`)
+	return l
+}
+
+// Opt reads an omitempty member into *v with read, if key comes next.
+func Opt[T any](d *Decoder, key string, v *T, read func(string) T) bool {
+	if !d.Skip(key) {
+		return false
+	}
+	*v = read(``)
+	return true
+}
