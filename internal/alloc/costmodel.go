@@ -252,8 +252,9 @@ func attrMatrix(snap *metrics.Snapshot, ids []int) ([][]float64, error) {
 // reduces every column into colSums/colMaxs, then prices each row into CL
 // (x = v/s, or max/s − v/s on a maximised column, a zero-sum column
 // pricing 0; w·x added in column order) and CLUnit at mean 1. A negative
-// weight or attribute value is refused; a model with no rows prices
-// nothing.
+// weight is refused, and so is an attribute value that is negative or not
+// finite (a window mean can overflow to +Inf, which would price its
+// column NaN); a model with no rows prices nothing.
 func (m *CostModel) priceCL() error {
 	if len(m.attrRows) == 0 {
 		return nil
@@ -278,9 +279,9 @@ func (m *CostModel) priceCL() error {
 	for r, row := range m.attrRows {
 		cost := 0.0
 		for c, v := range row {
-			if v < 0 {
+			if !(v >= 0 && v <= math.MaxFloat64) {
 				m.CL = nil
-				return fmt.Errorf("alloc: compute loads: attribute %q: negative value %g on node %d", attrNames[c], v, m.IDs[r])
+				return fmt.Errorf("alloc: compute loads: attribute %q: value %g on node %d is negative or not finite", attrNames[c], v, m.IDs[r])
 			}
 			x := 0.0
 			if s := m.colSums[c]; s != 0 {

@@ -3,6 +3,7 @@ package alloc
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 )
 
 // TestCostModelRefusals pins what Equations 1 and 2 refuse and what they
-// price at a degenerate input: a negative attribute value or weight sets
-// CLErr naming the attribute, a zero-sum maximised column prices 0 (CL
+// price at a degenerate input: a negative attribute value or weight, or
+// a window mean that overflows to +Inf, sets CLErr naming the attribute, a zero-sum maximised column prices 0 (CL
 // equals the oracle's and a model's that gives the column no weight), and
 // a negative measured latency sets NLErr on the dense and the sharded
 // model alike.
@@ -30,6 +31,11 @@ func TestCostModelRefusals(t *testing.T) {
 		{name: "negative attribute", clErr: `"freq"`, edit: func(snap *metrics.Snapshot, _ *Weights) {
 			na := snap.Nodes[first(snap)]
 			na.FreqGHz = -1
+			snap.Nodes[first(snap)] = na
+		}},
+		{name: "overflowing window mean", clErr: `"avail_mem"`, edit: func(snap *metrics.Snapshot, _ *Weights) {
+			na := snap.Nodes[first(snap)]
+			na.AvailMemMB = stats.Windowed{M1: math.MaxFloat64, M5: math.MaxFloat64, M15: math.MaxFloat64}
 			snap.Nodes[first(snap)] = na
 		}},
 		{name: "negative weight", clErr: `"cores"`, edit: func(_ *metrics.Snapshot, w *Weights) { w.Cores = -0.1 }},
@@ -136,6 +142,7 @@ const (
 	opPeak
 	opUnmeasure
 	opUnpublish
+	opOverflowMean
 	numFuzzOps
 )
 
@@ -144,7 +151,9 @@ const (
 // ninth is odd) over 1 + (tenth mod 12) nodes, then each following 4-byte
 // op edits it: op[0] names the edit, op[1] the node (or, with op[2], the
 // pair) and op[3] the value — zero, negative, huge (up to 2.55e18, inside
-// int64 so Equation 3's ceiling converts) or ordinary.
+// int64 so Equation 3's ceiling converts) or ordinary. opOverflowMean
+// instead makes one windowed attribute's (op[3] mod 4) mean overflow to
+// +Inf.
 func fuzzSnapshot(data []byte) *metrics.Snapshot {
 	var head [10]byte
 	copy(head[:], data)
@@ -209,6 +218,11 @@ func fuzzSnapshot(data []byte) *metrics.Snapshot {
 		case opUnpublish:
 			delete(snap.Nodes, u)
 			continue
+		case opOverflowMean:
+			// M5 + M15 overflows, so the window mean is +Inf; M1, which
+			// Equation 3 reads as the load, keeps its value.
+			w := []*stats.Windowed{&na.CPULoad, &na.CPUUtilPct, &na.FlowRateBps, &na.AvailMemMB}[ops[3]%4]
+			w.M5, w.M15 = math.MaxFloat64, math.MaxFloat64
 		}
 		snap.Nodes[u] = na
 	}
@@ -245,11 +259,13 @@ func FuzzCostModel(f *testing.F) {
 	// One pair at a negative latency, which both models must refuse; zero
 	// and huge attributes, a zero-core node, an unmeasured pair and an
 	// unpublished node; a huge peak and available bandwidth, and a
-	// negative load.
+	// negative load; an available-memory window whose mean overflows,
+	// which both models must refuse.
 	f.Add(fuzzSeed(3, 12, false, [4]byte{opLatency, 0, 1, 0x11}))
 	f.Add(fuzzSeed(7, 9, false, [4]byte{opFreq, 2, 0, 0}, [4]byte{opAvailMemM5, 3, 0, 0xfe},
 		[4]byte{opCores, 4, 0, 0}, [4]byte{opUnmeasure, 0, 5, 0}, [4]byte{opUnpublish, 6, 0, 0}))
 	f.Add(fuzzSeed(11, 6, true, [4]byte{opPeak, 1, 2, 0x06}, [4]byte{opAvail, 2, 3, 0xfe}, [4]byte{opCPULoad, 0, 0, 0x01}))
+	f.Add(fuzzSeed(5, 8, false, [4]byte{opOverflowMean, 1, 0, 3}))
 
 	w := PaperWeights()
 	req := Request{Procs: 6, Alpha: 0.5, Beta: 0.5}

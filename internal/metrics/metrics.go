@@ -7,7 +7,10 @@
 package metrics
 
 import (
+	"cmp"
+	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"nlarm/internal/stats"
@@ -144,18 +147,12 @@ func (s *Snapshot) Alive(id int) bool {
 // republished" without comparing every record. Map entries are folded
 // order-independently, so iteration order never changes the hash.
 func (s *Snapshot) Fingerprint() uint64 {
-	var accNodes, accLat, accBW uint64
+	var accNodes uint64
 	for id, na := range s.Nodes {
 		accNodes += FingerprintNode(id, na) // commutative fold: map order independent
 	}
-	for k, pl := range s.Latency {
-		accLat += FingerprintLatency(k, pl)
-	}
-	for k, pb := range s.Bandwidth {
-		accBW += FingerprintBandwidth(k, pb)
-	}
 	return CombineFingerprint(s.Livehosts, len(s.Nodes), len(s.Latency), len(s.Bandwidth),
-		accNodes, accLat, accBW)
+		accNodes, FoldPairs(s.Latency), FoldPairs(s.Bandwidth))
 }
 
 const (
@@ -188,9 +185,26 @@ func FingerprintNode(id int, na NodeAttrs) uint64 {
 	)
 }
 
-// FingerprintLatency is one latency entry's contribution to the
-// snapshot fingerprint's latency accumulator.
-func FingerprintLatency(k PairKey, pl PairLatency) uint64 {
+// PairRecord is what the two published pair matrices have in common:
+// their records are keyed by an unordered node pair and each contributes
+// one entry hash to its section of the snapshot fingerprint. PairMap,
+// SortedPairs and FoldPairs are written once over it.
+type PairRecord interface {
+	PairLatency | PairBandwidth
+	// Key returns the record's canonical pair.
+	Key() PairKey
+	// fingerprint is the record's contribution, stored under k, to its
+	// section accumulator of the snapshot fingerprint.
+	fingerprint(k PairKey) uint64
+}
+
+// Key returns the measured pair.
+func (pl PairLatency) Key() PairKey { return Pair(pl.U, pl.V) }
+
+// Key returns the measured pair.
+func (pb PairBandwidth) Key() PairKey { return Pair(pb.U, pb.V) }
+
+func (pl PairLatency) fingerprint(k PairKey) uint64 {
 	return fnvFold(
 		uint64(uint32(k.U))<<32^uint64(uint32(k.V)),
 		uint64(pl.Timestamp.UnixNano()),
@@ -199,9 +213,7 @@ func FingerprintLatency(k PairKey, pl PairLatency) uint64 {
 	)
 }
 
-// FingerprintBandwidth is one bandwidth entry's contribution to the
-// snapshot fingerprint's bandwidth accumulator.
-func FingerprintBandwidth(k PairKey, pb PairBandwidth) uint64 {
+func (pb PairBandwidth) fingerprint(k PairKey) uint64 {
 	return fnvFold(
 		uint64(uint32(k.U))<<32^uint64(uint32(k.V)),
 		uint64(pb.Timestamp.UnixNano()),
@@ -210,9 +222,47 @@ func FingerprintBandwidth(k PairKey, pb PairBandwidth) uint64 {
 	)
 }
 
+// PairMap keys a published pair list by pair; of two records for one
+// pair the later wins.
+func PairMap[T PairRecord](list []T) map[PairKey]T {
+	m := make(map[PairKey]T, len(list))
+	for _, p := range list {
+		m[p.Key()] = p
+	}
+	return m
+}
+
+// SortedPairs lists a pair matrix ascending by (U, V), the order the
+// daemons publish and the archive stores; nil when m is empty.
+func SortedPairs[T PairRecord](m map[PairKey]T) []T {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]T, 0, len(m))
+	for _, p := range m {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b T) int {
+		ka, kb := a.Key(), b.Key()
+		return cmp.Or(cmp.Compare(ka.U, kb.U), cmp.Compare(ka.V, kb.V))
+	})
+	return out
+}
+
+// FoldPairs is a pair matrix's section accumulator of the snapshot
+// fingerprint: the sum of its entry hashes, so map order never matters.
+// Snapshot.Fingerprint and monitor.SnapshotCache both fold through it.
+func FoldPairs[T PairRecord](m map[PairKey]T) uint64 {
+	var acc uint64
+	for k, p := range m {
+		acc += p.fingerprint(k)
+	}
+	return acc
+}
+
 // CombineFingerprint folds the livehosts list, the three section sizes,
-// and the three per-section accumulators (sums of the per-entry
-// Fingerprint* hashes) into the final snapshot fingerprint. Fingerprint
+// and the three per-section accumulators (FingerprintNode's sum and the
+// two FoldPairs) into the final snapshot fingerprint. Fingerprint
 // is defined in terms of this function, so a cache that maintains the
 // accumulators incrementally reproduces it bit for bit.
 func CombineFingerprint(livehosts []int, nNodes, nLat, nBW int, accNodes, accLat, accBW uint64) uint64 {
@@ -248,14 +298,8 @@ func (s *Snapshot) Clone() *Snapshot {
 		Latency:         make(map[PairKey]PairLatency, len(s.Latency)),
 		Bandwidth:       make(map[PairKey]PairBandwidth, len(s.Bandwidth)),
 	}
-	for k, v := range s.Nodes {
-		c.Nodes[k] = v
-	}
-	for k, v := range s.Latency {
-		c.Latency[k] = v
-	}
-	for k, v := range s.Bandwidth {
-		c.Bandwidth[k] = v
-	}
+	maps.Copy(c.Nodes, s.Nodes)
+	maps.Copy(c.Latency, s.Latency)
+	maps.Copy(c.Bandwidth, s.Bandwidth)
 	return c
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -217,10 +218,8 @@ func ReadSnapshot(st store.Store, now time.Time) (*metrics.Snapshot, error) {
 // look unmeasured and quietly distort Equation 2.
 func ReadSnapshotObs(st store.Store, now time.Time, reg *obs.Registry) (*metrics.Snapshot, error) {
 	snap := &metrics.Snapshot{
-		Taken:     now,
-		Nodes:     make(map[int]metrics.NodeAttrs),
-		Latency:   make(map[metrics.PairKey]metrics.PairLatency),
-		Bandwidth: make(map[metrics.PairKey]metrics.PairBandwidth),
+		Taken: now,
+		Nodes: make(map[int]metrics.NodeAttrs),
 	}
 	hosts, _, err := ReadLivehosts(st)
 	if err != nil {
@@ -237,29 +236,25 @@ func ReadSnapshotObs(st store.Store, now time.Time, reg *obs.Registry) (*metrics
 		}
 		snap.Nodes[id] = attrs
 	}
-	lat, err := ReadLatencyMatrix(st)
-	switch {
-	case err == nil:
-		snap.Latency = lat
-	case errors.Is(err, store.ErrNotFound):
-		// Not yet published; the empty matrix is the truth.
-	default:
-		snap.Degraded = true
-		snap.DegradedReasons = append(snap.DegradedReasons, fmt.Sprintf("latency matrix read failed: %v", err))
-		reg.Counter("monitor.snapshot.matrix.errors").Inc()
-	}
-	bw, err := ReadBandwidthMatrix(st)
-	switch {
-	case err == nil:
-		snap.Bandwidth = bw
-	case errors.Is(err, store.ErrNotFound):
-		// Not yet published.
-	default:
-		snap.Degraded = true
-		snap.DegradedReasons = append(snap.DegradedReasons, fmt.Sprintf("bandwidth matrix read failed: %v", err))
-		reg.Counter("monitor.snapshot.matrix.errors").Inc()
-	}
+	snap.Latency = readMatrixObs[metrics.PairLatency](st, KeyLatencyMatrix, reg, &snap.DegradedReasons)
+	snap.Bandwidth = readMatrixObs[metrics.PairBandwidth](st, KeyBandwidthMatrix, reg, &snap.DegradedReasons)
+	snap.Degraded = len(snap.DegradedReasons) > 0
 	return snap, nil
+}
+
+// readMatrixObs reads one pair matrix with ReadSnapshotObs' failure
+// semantics, appending to reasons when the snapshot is degraded.
+func readMatrixObs[T metrics.PairRecord](st store.Store, key string, reg *obs.Registry, reasons *[]string) map[metrics.PairKey]T {
+	m, err := readMatrix[T](st, key)
+	if err == nil {
+		return m
+	}
+	if !errors.Is(err, store.ErrNotFound) {
+		name, _, _ := strings.Cut(key, "/") // "latency" or "bandwidth"
+		*reasons = append(*reasons, fmt.Sprintf("%s matrix read failed: %v", name, err))
+		reg.Counter("monitor.snapshot.matrix.errors").Inc()
+	}
+	return map[metrics.PairKey]T{}
 }
 
 // Snapshot is a convenience wrapper over ReadSnapshot using the manager's

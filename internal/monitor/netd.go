@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"sort"
 	"time"
 
 	"nlarm/internal/metrics"
@@ -63,86 +62,101 @@ func livehostsOrAll(st store.Store, pr Prober) []int {
 	return all
 }
 
-// LatencyD sweeps pairwise latency at a regular interval (1 minute in the
-// paper), maintains 1- and 5-minute running means per pair, and publishes
-// the full latency matrix.
-type LatencyD struct {
+// pairSweep is the sweep-and-publish loop LatencyD and BandwidthD
+// share: each tick measures every pair of live hosts on the Rounds
+// schedule, keeps the newest record per pair (a pair that fails to
+// measure keeps its last one), and publishes the whole matrix under key,
+// ascending by pair.
+type pairSweep[T metrics.PairRecord] struct {
 	daemonBase
-	pr     Prober
-	series map[metrics.PairKey]*stats.TimeSeries
-	matrix map[metrics.PairKey]metrics.PairLatency
+	pr      Prober
+	key     string
+	matrix  map[metrics.PairKey]T
+	measure func(now time.Time, k metrics.PairKey) (T, error)
 }
 
-// NewLatencyD builds the latency measurement daemon.
-func NewLatencyD(pr Prober, st store.Store, period time.Duration) *LatencyD {
-	return &LatencyD{
-		daemonBase: daemonBase{name: "latencyd", period: period, st: st},
+func newPairSweep[T metrics.PairRecord](name, key string, pr Prober, st store.Store, period time.Duration,
+	measure func(now time.Time, k metrics.PairKey) (T, error)) pairSweep[T] {
+	return pairSweep[T]{
+		daemonBase: daemonBase{name: name, period: period, st: st},
 		pr:         pr,
-		series:     make(map[metrics.PairKey]*stats.TimeSeries),
-		matrix:     make(map[metrics.PairKey]metrics.PairLatency),
+		key:        key,
+		matrix:     make(map[metrics.PairKey]T),
+		measure:    measure,
 	}
 }
 
 // Start implements Daemon.
-func (d *LatencyD) Start(rt simtime.Runtime) error {
+func (d *pairSweep[T]) Start(rt simtime.Runtime) error {
 	return d.start(rt, d.tick)
 }
 
-func (d *LatencyD) tick(now time.Time) {
-	hosts := livehostsOrAll(d.st, d.pr)
-	for _, round := range Rounds(hosts) {
+func (d *pairSweep[T]) tick(now time.Time) {
+	for _, round := range Rounds(livehostsOrAll(d.st, d.pr)) {
 		for _, p := range round {
-			lat, err := d.pr.MeasureLatency(p[0], p[1])
-			if err != nil {
-				continue
-			}
-			key := metrics.Pair(p[0], p[1])
-			ts, ok := d.series[key]
-			if !ok {
-				ts = stats.NewTimeSeries(6 * time.Minute)
-				d.series[key] = ts
-			}
-			// The sample just added is Means' fallback for an empty window.
-			_ = ts.Add(now, lat.Seconds())
-			m := ts.Means(now)
-			d.matrix[key] = metrics.PairLatency{
-				U:         key.U,
-				V:         key.V,
-				Timestamp: now,
-				Last:      lat,
-				Mean1:     time.Duration(m.M1 * float64(time.Second)),
-				Mean5:     time.Duration(m.M5 * float64(time.Second)),
+			k := metrics.Pair(p[0], p[1])
+			if rec, err := d.measure(now, k); err == nil {
+				d.matrix[k] = rec
 			}
 		}
 	}
-	d.publish()
+	list := metrics.SortedPairs(d.matrix)
+	if list == nil {
+		list = []T{} // an empty matrix is published as [], not null
+	}
+	_ = putJSON(d.st, d.key, list)
 }
 
-func (d *LatencyD) publish() {
-	out := make([]metrics.PairLatency, 0, len(d.matrix))
-	for _, v := range d.matrix {
-		out = append(out, v)
+// readMatrix returns the pair matrix published under key, keyed by pair.
+func readMatrix[T metrics.PairRecord](st store.Store, key string) (map[metrics.PairKey]T, error) {
+	var list []T
+	if err := getJSON(st, key, &list); err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	_ = putJSON(d.st, KeyLatencyMatrix, out)
+	return metrics.PairMap(list), nil
+}
+
+// LatencyD sweeps pairwise latency at a regular interval (1 minute in the
+// paper), maintains 1- and 5-minute running means per pair, and publishes
+// the full latency matrix.
+type LatencyD struct {
+	pairSweep[metrics.PairLatency]
+	series map[metrics.PairKey]*stats.TimeSeries
+}
+
+// NewLatencyD builds the latency measurement daemon.
+func NewLatencyD(pr Prober, st store.Store, period time.Duration) *LatencyD {
+	d := &LatencyD{series: make(map[metrics.PairKey]*stats.TimeSeries)}
+	d.pairSweep = newPairSweep("latencyd", KeyLatencyMatrix, pr, st, period, d.measurePair)
+	return d
+}
+
+func (d *LatencyD) measurePair(now time.Time, k metrics.PairKey) (metrics.PairLatency, error) {
+	lat, err := d.pr.MeasureLatency(k.U, k.V)
+	if err != nil {
+		return metrics.PairLatency{}, err
+	}
+	ts, ok := d.series[k]
+	if !ok {
+		ts = stats.NewTimeSeries(6 * time.Minute)
+		d.series[k] = ts
+	}
+	// The sample just added is Means' fallback for an empty window.
+	_ = ts.Add(now, lat.Seconds())
+	m := ts.Means(now)
+	return metrics.PairLatency{
+		U:         k.U,
+		V:         k.V,
+		Timestamp: now,
+		Last:      lat,
+		Mean1:     time.Duration(m.M1 * float64(time.Second)),
+		Mean5:     time.Duration(m.M5 * float64(time.Second)),
+	}, nil
 }
 
 // ReadLatencyMatrix returns the published latency matrix keyed by pair.
 func ReadLatencyMatrix(st store.Store) (map[metrics.PairKey]metrics.PairLatency, error) {
-	var list []metrics.PairLatency
-	if err := getJSON(st, KeyLatencyMatrix, &list); err != nil {
-		return nil, err
-	}
-	m := make(map[metrics.PairKey]metrics.PairLatency, len(list))
-	for _, pl := range list {
-		m[metrics.Pair(pl.U, pl.V)] = pl
-	}
-	return m, nil
+	return readMatrix[metrics.PairLatency](st, KeyLatencyMatrix)
 }
 
 // BandwidthD sweeps pairwise effective bandwidth at a regular interval
@@ -150,69 +164,19 @@ func ReadLatencyMatrix(st store.Store) (map[metrics.PairKey]metrics.PairLatency,
 // the instantaneous values (§4: the allocator uses instantaneous
 // bandwidth).
 type BandwidthD struct {
-	daemonBase
-	pr     Prober
-	matrix map[metrics.PairKey]metrics.PairBandwidth
+	pairSweep[metrics.PairBandwidth]
 }
 
 // NewBandwidthD builds the bandwidth measurement daemon.
 func NewBandwidthD(pr Prober, st store.Store, period time.Duration) *BandwidthD {
-	return &BandwidthD{
-		daemonBase: daemonBase{name: "bandwidthd", period: period, st: st},
-		pr:         pr,
-		matrix:     make(map[metrics.PairKey]metrics.PairBandwidth),
-	}
-}
-
-// Start implements Daemon.
-func (d *BandwidthD) Start(rt simtime.Runtime) error {
-	return d.start(rt, d.tick)
-}
-
-func (d *BandwidthD) tick(now time.Time) {
-	hosts := livehostsOrAll(d.st, d.pr)
-	for _, round := range Rounds(hosts) {
-		for _, p := range round {
-			avail, peak, err := d.pr.MeasureBandwidth(p[0], p[1])
-			if err != nil {
-				continue
-			}
-			key := metrics.Pair(p[0], p[1])
-			d.matrix[key] = metrics.PairBandwidth{
-				U:         key.U,
-				V:         key.V,
-				Timestamp: now,
-				AvailBps:  avail,
-				PeakBps:   peak,
-			}
-		}
-	}
-	d.publish()
-}
-
-func (d *BandwidthD) publish() {
-	out := make([]metrics.PairBandwidth, 0, len(d.matrix))
-	for _, v := range d.matrix {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	_ = putJSON(d.st, KeyBandwidthMatrix, out)
+	return &BandwidthD{newPairSweep("bandwidthd", KeyBandwidthMatrix, pr, st, period,
+		func(now time.Time, k metrics.PairKey) (metrics.PairBandwidth, error) {
+			avail, peak, err := pr.MeasureBandwidth(k.U, k.V)
+			return metrics.PairBandwidth{U: k.U, V: k.V, Timestamp: now, AvailBps: avail, PeakBps: peak}, err
+		})}
 }
 
 // ReadBandwidthMatrix returns the published bandwidth matrix keyed by pair.
 func ReadBandwidthMatrix(st store.Store) (map[metrics.PairKey]metrics.PairBandwidth, error) {
-	var list []metrics.PairBandwidth
-	if err := getJSON(st, KeyBandwidthMatrix, &list); err != nil {
-		return nil, err
-	}
-	m := make(map[metrics.PairKey]metrics.PairBandwidth, len(list))
-	for _, pb := range list {
-		m[metrics.Pair(pb.U, pb.V)] = pb
-	}
-	return m, nil
+	return readMatrix[metrics.PairBandwidth](st, KeyBandwidthMatrix)
 }

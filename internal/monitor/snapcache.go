@@ -72,17 +72,41 @@ type SnapshotCache struct {
 	fp      uint64
 	gens    map[string]uint64
 
-	// Incremental fingerprint state: per-node entry hashes and the three
-	// commutative section accumulators of metrics.CombineFingerprint.
+	// Incremental fingerprint state: per-node entry hashes and the node
+	// section accumulator of metrics.CombineFingerprint (each matrix
+	// keeps its own).
 	nodeHash map[int]uint64
 	accNodes uint64
-	accLat   uint64
-	accBW    uint64
+	lat      matrixCache[metrics.PairLatency]
+	bw       matrixCache[metrics.PairBandwidth]
 
 	monitored []int // sorted livehosts∩nodes at the last refresh
-	latDirty  bool  // last latency-matrix read failed; retry next refresh
-	bwDirty   bool
 	reasons   []string
+}
+
+// matrixCache is SnapshotCache's state for one published pair matrix.
+type matrixCache[T metrics.PairRecord] struct {
+	key   string
+	m     map[metrics.PairKey]T
+	acc   uint64 // metrics.FoldPairs(m)
+	dirty bool   // the last read failed; retry on the next refresh
+}
+
+// refresh is the matrix half of a delta refresh, run once per matrix: it
+// re-reads the matrix when the cache is cold, the last read failed, or
+// the key's generation moved, appending a degraded reason on failure. It
+// returns the values it re-read (0 or 1) and whether the content is still
+// what the previous refresh served: a republish of the same values is,
+// a failed read is not.
+func (x *matrixCache[T]) refresh(c *SnapshotCache, gens map[string]uint64, reasons *[]string) (reread int, same bool) {
+	if c.valid && !x.dirty && gens[x.key] == c.gens[x.key] {
+		return 0, true
+	}
+	prev, n := x.acc, len(*reasons)
+	x.m = readMatrixObs[T](c.src, x.key, c.reg, reasons)
+	x.dirty = len(*reasons) > n
+	x.acc = metrics.FoldPairs(x.m)
+	return 1, x.acc == prev && !x.dirty
 }
 
 // NewSnapshotCache builds a cache over src. reg may be nil; now is the
@@ -98,6 +122,8 @@ func NewSnapshotCache(src GenSource, reg *obs.Registry, now func() time.Time) *S
 		now:      now,
 		gens:     make(map[string]uint64),
 		nodeHash: make(map[int]uint64),
+		lat:      matrixCache[metrics.PairLatency]{key: KeyLatencyMatrix},
+		bw:       matrixCache[metrics.PairBandwidth]{key: KeyBandwidthMatrix},
 	}
 }
 
@@ -109,7 +135,7 @@ func (c *SnapshotCache) Refresh(now time.Time) (Refresh, error) {
 	defer c.mu.Unlock()
 	t0 := c.now()
 	seq := c.src.Seq()
-	if c.valid && seq == c.lastSeq && !c.latDirty && !c.bwDirty {
+	if c.valid && seq == c.lastSeq && !c.lat.dirty && !c.bw.dirty {
 		c.reg.Counter("monitor.snapcache.refresh.unchanged").Inc()
 		c.reg.Histogram("monitor.snapcache.refresh.seconds").Observe(c.now().Sub(t0).Seconds())
 		return c.resultLocked(now, c.fp, 0, nil, true), nil
@@ -133,7 +159,7 @@ func (c *SnapshotCache) resultLocked(now time.Time, prevFP uint64, reread int, c
 	s.Taken = now
 	s.Degraded = len(c.reasons) > 0
 	s.DegradedReasons = c.reasons
-	c.reg.Gauge("monitor.snapcache.stale").Set(boolGauge(c.latDirty || c.bwDirty))
+	c.reg.Gauge("monitor.snapcache.stale").Set(boolGauge(c.lat.dirty || c.bw.dirty))
 	c.reg.Gauge("monitor.snapcache.valid").Set(1)
 	return Refresh{
 		Snap:         &s,
@@ -242,73 +268,24 @@ func (c *SnapshotCache) refreshLocked(now time.Time, seq uint64) (Refresh, error
 	}
 	slices.Sort(changed)
 
-	prevAccLat, prevAccBW := c.accLat, c.accBW
 	var reasons []string
-	lat, latRead := c.cachedLat(), false
-	if !c.valid || c.latDirty || gens[KeyLatencyMatrix] != c.gens[KeyLatencyMatrix] {
-		latRead = true
-		reread++
-		m, err := ReadLatencyMatrix(c.src)
-		switch {
-		case err == nil:
-			lat = m
-			c.latDirty = false
-		case errors.Is(err, store.ErrNotFound):
-			lat = map[metrics.PairKey]metrics.PairLatency{}
-			c.latDirty = false
-		default:
-			lat = map[metrics.PairKey]metrics.PairLatency{}
-			c.latDirty = true
-			reasons = append(reasons, fmt.Sprintf("latency matrix read failed: %v", err))
-			c.reg.Counter("monitor.snapshot.matrix.errors").Inc()
-		}
-		c.accLat = 0
-		for k, pl := range lat {
-			c.accLat += metrics.FingerprintLatency(k, pl)
-		}
-	}
-	bw, bwRead := c.cachedBW(), false
-	if !c.valid || c.bwDirty || gens[KeyBandwidthMatrix] != c.gens[KeyBandwidthMatrix] {
-		bwRead = true
-		reread++
-		m, err := ReadBandwidthMatrix(c.src)
-		switch {
-		case err == nil:
-			bw = m
-			c.bwDirty = false
-		case errors.Is(err, store.ErrNotFound):
-			bw = map[metrics.PairKey]metrics.PairBandwidth{}
-			c.bwDirty = false
-		default:
-			bw = map[metrics.PairKey]metrics.PairBandwidth{}
-			c.bwDirty = true
-			reasons = append(reasons, fmt.Sprintf("bandwidth matrix read failed: %v", err))
-			c.reg.Counter("monitor.snapshot.matrix.errors").Inc()
-		}
-		c.accBW = 0
-		for k, pb := range bw {
-			c.accBW += metrics.FingerprintBandwidth(k, pb)
-		}
-	}
+	latReread, latSame := c.lat.refresh(c, gens, &reasons)
+	bwReread, bwSame := c.bw.refresh(c, gens, &reasons)
+	reread += latReread + bwReread
 
 	monitored := monitoredOf(hosts, nodes)
 	// In-place cost-model updates are sound when the model's node set is
-	// unchanged and the matrices are content-identical: matrix re-reads
-	// with an unchanged accumulator (a republish of the same values) are
-	// still content-identical, so compare accumulators, not read flags.
-	incremental := c.valid &&
-		slices.Equal(monitored, c.monitored) &&
-		c.accLat == prevAccLat && c.accBW == prevAccBW &&
-		(!latRead || !c.latDirty) && (!bwRead || !c.bwDirty)
+	// unchanged and the matrices are content-identical.
+	incremental := c.valid && slices.Equal(monitored, c.monitored) && latSame && bwSame
 
 	c.snap = &metrics.Snapshot{
 		Taken:     now,
 		Livehosts: hosts,
 		Nodes:     nodes,
-		Latency:   lat,
-		Bandwidth: bw,
+		Latency:   c.lat.m,
+		Bandwidth: c.bw.m,
 	}
-	c.fp = metrics.CombineFingerprint(hosts, len(nodes), len(lat), len(bw), c.accNodes, c.accLat, c.accBW)
+	c.fp = metrics.CombineFingerprint(hosts, len(nodes), len(c.lat.m), len(c.bw.m), c.accNodes, c.lat.acc, c.bw.acc)
 	c.gens = gens
 	c.lastSeq = seq
 	c.valid = true
@@ -317,27 +294,13 @@ func (c *SnapshotCache) refreshLocked(now time.Time, seq uint64) (Refresh, error
 	return c.resultLocked(now, prevFP, reread, changed, incremental), nil
 }
 
-// cachedNodes/cachedLat/cachedBW return the cached section maps, or empty
-// maps when the cache has never refreshed.
+// cachedNodes returns the cached node map, or an empty map when the
+// cache has never refreshed.
 func (c *SnapshotCache) cachedNodes() map[int]metrics.NodeAttrs {
 	if c.snap == nil {
 		return map[int]metrics.NodeAttrs{}
 	}
 	return c.snap.Nodes
-}
-
-func (c *SnapshotCache) cachedLat() map[metrics.PairKey]metrics.PairLatency {
-	if c.snap == nil {
-		return map[metrics.PairKey]metrics.PairLatency{}
-	}
-	return c.snap.Latency
-}
-
-func (c *SnapshotCache) cachedBW() map[metrics.PairKey]metrics.PairBandwidth {
-	if c.snap == nil {
-		return map[metrics.PairKey]metrics.PairBandwidth{}
-	}
-	return c.snap.Bandwidth
 }
 
 // prefixGensChanged reports whether the generation maps differ for any

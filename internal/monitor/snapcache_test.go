@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -321,53 +322,82 @@ func TestSnapshotCachePartitionRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheMatrixErrorDegrades pins the fixed error semantics:
-// a failing matrix read no longer silently serves an empty matrix as
-// fresh — the snapshot is marked Degraded with a reason, and the dirty
+// TestSnapshotCacheMatrixErrorDegrades pins the fixed error semantics
+// for each matrix in turn: a failing matrix read does not silently serve
+// an empty matrix as fresh — the snapshot is marked Degraded with a
+// reason naming that matrix, the other matrix is still served, and the
+// full read over the same store degrades the same way — and the dirty
 // matrix is retried on the next refresh even with no new generation.
 func TestSnapshotCacheMatrixErrorDegrades(t *testing.T) {
-	fs := store.NewFault(store.NewMem(), 5)
-	vst := store.Version(fs)
-	w := newCacheWorld(t, vst, 5, 4)
-	cache := NewSnapshotCache(vst, nil, nil)
-	if r, err := cache.Refresh(w.tick()); err != nil || r.Snap.Degraded {
-		t.Fatalf("healthy refresh: err=%v degraded=%v", err, r.Snap.Degraded)
-	}
+	for _, tc := range []struct {
+		name    string // the reason's name for the matrix; its key prefix is name + "/"
+		publish func(*cacheWorld)
+		split   func(*metrics.Snapshot) (failed, other any)
+	}{
+		{"latency", (*cacheWorld).publishLatency, func(s *metrics.Snapshot) (any, any) { return s.Latency, s.Bandwidth }},
+		{"bandwidth", (*cacheWorld).publishBandwidth, func(s *metrics.Snapshot) (any, any) { return s.Bandwidth, s.Latency }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := store.NewFault(store.NewMem(), 5)
+			vst := store.Version(fs)
+			w := newCacheWorld(t, vst, 5, 4)
+			cache := NewSnapshotCache(vst, nil, nil)
+			if r, err := cache.Refresh(w.tick()); err != nil || r.Snap.Degraded {
+				t.Fatalf("healthy refresh: err=%v degraded=%v", err, r.Snap.Degraded)
+			}
 
-	fs.Partition("latency/")
-	w.lenient = true
-	w.publishLatency() // fails through the partition, but bumps the generation
-	w.lenient = false
-	r, err := cache.Refresh(w.tick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Snap.Degraded || len(r.Snap.DegradedReasons) == 0 {
-		t.Fatal("failed latency read served as a fresh empty matrix")
-	}
-	if len(r.Snap.Latency) != 0 {
-		t.Fatal("failed latency read left stale entries in the snapshot")
-	}
-	if r.Incremental {
-		t.Fatal("matrix loss reported as incremental")
-	}
+			fs.Partition(tc.name + "/")
+			w.lenient = true
+			tc.publish(w) // fails through the partition, but bumps the generation
+			w.lenient = false
+			now := w.tick()
+			r, err := cache.Refresh(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Snap.Degraded || len(r.Snap.DegradedReasons) != 1 ||
+				!strings.HasPrefix(r.Snap.DegradedReasons[0], tc.name+" matrix read failed") {
+				t.Fatalf("failed %s read: degraded=%v reasons=%q", tc.name, r.Snap.Degraded, r.Snap.DegradedReasons)
+			}
+			failed, other := tc.split(r.Snap)
+			if reflect.ValueOf(failed).Len() != 0 {
+				t.Fatalf("failed %s read left stale entries in the snapshot", tc.name)
+			}
+			if r.Incremental {
+				t.Fatal("matrix loss reported as incremental")
+			}
+			full, err := ReadSnapshot(vst, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Degraded != r.Snap.Degraded || !reflect.DeepEqual(full.DegradedReasons, r.Snap.DegradedReasons) {
+				t.Fatalf("full read degraded=%v reasons=%q; cache degraded=%v reasons=%q",
+					full.Degraded, full.DegradedReasons, r.Snap.Degraded, r.Snap.DegradedReasons)
+			}
+			fullFailed, fullOther := tc.split(full)
+			if reflect.ValueOf(other).Len() == 0 || !reflect.DeepEqual(other, fullOther) || reflect.ValueOf(fullFailed).Len() != 0 {
+				t.Fatalf("the matrix that did not fail is not served as the full read serves it")
+			}
 
-	// Healing alone (no republish) must be enough: the dirty matrix is
-	// retried and the cache reconverges with the full read.
-	fs.HealAll()
-	now := w.tick()
-	r, err = cache.Refresh(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ReadSnapshot(vst, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Snap.Degraded {
-		t.Fatalf("healed refresh still degraded: %v", r.Snap.DegradedReasons)
-	}
-	if !reflect.DeepEqual(r.Snap.Latency, full.Latency) || r.FP != full.Fingerprint() {
-		t.Fatal("cache did not reconverge after matrix heal")
+			// Healing alone (no republish) must be enough: the dirty matrix
+			// is retried and the cache reconverges with the full read.
+			fs.HealAll()
+			now = w.tick()
+			r, err = cache.Refresh(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err = ReadSnapshot(vst, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Snap.Degraded {
+				t.Fatalf("healed refresh still degraded: %v", r.Snap.DegradedReasons)
+			}
+			if !reflect.DeepEqual(r.Snap.Latency, full.Latency) || !reflect.DeepEqual(r.Snap.Bandwidth, full.Bandwidth) ||
+				r.FP != full.Fingerprint() {
+				t.Fatal("cache did not reconverge after matrix heal")
+			}
+		})
 	}
 }

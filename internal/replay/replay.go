@@ -36,29 +36,16 @@ type archived struct {
 }
 
 func toArchived(s *metrics.Snapshot) archived {
-	a := archived{Taken: s.Taken, Livehosts: append([]int(nil), s.Livehosts...)}
+	a := archived{
+		Taken:     s.Taken,
+		Livehosts: append([]int(nil), s.Livehosts...),
+		Latency:   metrics.SortedPairs(s.Latency),
+		Bandwidth: metrics.SortedPairs(s.Bandwidth),
+	}
 	for _, na := range s.Nodes {
 		a.Nodes = append(a.Nodes, na)
 	}
 	sort.Slice(a.Nodes, func(i, j int) bool { return a.Nodes[i].NodeID < a.Nodes[j].NodeID })
-	for _, pl := range s.Latency {
-		a.Latency = append(a.Latency, pl)
-	}
-	sort.Slice(a.Latency, func(i, j int) bool {
-		if a.Latency[i].U != a.Latency[j].U {
-			return a.Latency[i].U < a.Latency[j].U
-		}
-		return a.Latency[i].V < a.Latency[j].V
-	})
-	for _, pb := range s.Bandwidth {
-		a.Bandwidth = append(a.Bandwidth, pb)
-	}
-	sort.Slice(a.Bandwidth, func(i, j int) bool {
-		if a.Bandwidth[i].U != a.Bandwidth[j].U {
-			return a.Bandwidth[i].U < a.Bandwidth[j].U
-		}
-		return a.Bandwidth[i].V < a.Bandwidth[j].V
-	})
 	return a
 }
 
@@ -67,17 +54,11 @@ func (a archived) toSnapshot() *metrics.Snapshot {
 		Taken:     a.Taken,
 		Livehosts: append([]int(nil), a.Livehosts...),
 		Nodes:     make(map[int]metrics.NodeAttrs, len(a.Nodes)),
-		Latency:   make(map[metrics.PairKey]metrics.PairLatency, len(a.Latency)),
-		Bandwidth: make(map[metrics.PairKey]metrics.PairBandwidth, len(a.Bandwidth)),
+		Latency:   metrics.PairMap(a.Latency),
+		Bandwidth: metrics.PairMap(a.Bandwidth),
 	}
 	for _, na := range a.Nodes {
 		s.Nodes[na.NodeID] = na
-	}
-	for _, pl := range a.Latency {
-		s.Latency[metrics.Pair(pl.U, pl.V)] = pl
-	}
-	for _, pb := range a.Bandwidth {
-		s.Bandwidth[metrics.Pair(pb.U, pb.V)] = pb
 	}
 	return s
 }

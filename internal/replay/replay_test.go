@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -66,7 +67,24 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if avail, peak, ok := got.BandwidthOf(1, 2); !ok || avail != 100e6 || peak != 125e6 {
 		t.Fatal("bandwidth lost")
 	}
+	if got.Fingerprint() != orig.Fingerprint() {
+		t.Fatal("loaded snapshot's fingerprint differs from the saved one")
+	}
+	// The archived bytes are pinned, so a reordering shows.
+	b, err := st.Get(keyFor(t0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	if d := h.Sum64(); d != archiveDigest {
+		t.Fatalf("archived bytes digest %#x, want %#x:\n%s", d, archiveDigest, b)
+	}
 }
+
+// archiveDigest is the FNV-64a digest of fakeSnapshot(t0, 1.5) as Save
+// archives it: nodes by ID, pairs ascending by (U, V).
+const archiveDigest uint64 = 0xa76a1441d1874a2c
 
 func TestTimestampsOrdered(t *testing.T) {
 	st := store.NewMem()
