@@ -399,6 +399,7 @@ var spokes = map[string]func(t *testing.T, c oracleCase, o *oracle){
 	},
 	"policies":    spokePolicies,
 	"constrained": spokeConstrained,
+	"one-shard":   spokeOneShard,
 	"charge": func(t *testing.T, c oracleCase, o *oracle) {
 		var even []int
 		for i := 0; i < len(o.ids); i += 2 {
@@ -477,6 +478,8 @@ func runOracleHub(t *testing.T, prefix string, names ...string) {
 //     RefreshAttrs, within 1e-9 of the oracle over ChargeRanks-charged
 //     attributes (the row form charges the window mean, the snapshot
 //     form each window).
+//   - one-shard: the one-shard twin (twin_test.go), sharded with every
+//     node in one shard against dense, on requests within free capacity.
 func TestFastPathsMatchOracle(t *testing.T) { runOracleHub(t, "") }
 
 // TestAllocateExplainEquivalence runs the hub's explain spoke alone.

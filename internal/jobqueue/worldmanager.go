@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -50,10 +51,15 @@ func (m *WorldManager) WithPredictions(snapFn func() (*metrics.Snapshot, error))
 	return m
 }
 
-// buildShape constructs the workload model for a submission.
-func buildShape(req broker.SubmitRequest) (*mpisim.Shape, error) {
-	if req.Request.Procs <= 0 {
-		return nil, fmt.Errorf("jobqueue: submission %q requests %d processes", req.Name, req.Request.Procs)
+// buildShape constructs the workload model for a submission. A shape loops over
+// every rank, so it first refuses more processes than the world hosts (Σ cores, or nodes × PPN).
+func (m *WorldManager) buildShape(req broker.SubmitRequest) (*mpisim.Shape, error) {
+	unhosted := req.Request.Procs
+	for _, n := range m.w.Cluster().Nodes {
+		unhosted -= cmp.Or(max(req.Request.PPN, 0), n.Cores)
+	}
+	if req.Request.Procs <= 0 || unhosted > 0 {
+		return nil, fmt.Errorf("jobqueue: submission %q requests %d processes, the cluster hosts %d", req.Name, req.Request.Procs, req.Request.Procs-unhosted)
 	}
 	switch strings.ToLower(req.App) {
 	case "minimd":
@@ -69,24 +75,17 @@ func buildShape(req broker.SubmitRequest) (*mpisim.Shape, error) {
 
 // Submit implements broker.Manager.
 func (m *WorldManager) Submit(req broker.SubmitRequest) (int, error) {
-	// Validate the workload up front so bad submissions fail fast.
-	if _, err := buildShape(req); err != nil {
+	shape, err := m.buildShape(req) // up front, so bad submissions fail fast
+	if err != nil {
 		return 0, err
 	}
-	name := req.Name
-	if name == "" {
-		name = fmt.Sprintf("%s-%d", strings.ToLower(req.App), req.Size)
-	}
+	name := cmp.Or(req.Name, fmt.Sprintf("%s-%d", strings.ToLower(req.App), req.Size))
 	spec := Spec{
 		Name:     name,
 		Request:  req.Request,
 		Walltime: req.Walltime,
 		Priority: req.Priority,
 		Start: func(queueID int, resp broker.Response, done func(error)) error {
-			shape, err := buildShape(req)
-			if err != nil {
-				return err
-			}
 			rankNodes := resp.Allocation.RankNodes()
 			if len(rankNodes) != shape.Ranks {
 				return fmt.Errorf("jobqueue: allocation has %d rank slots, shape needs %d", len(rankNodes), shape.Ranks)
@@ -102,7 +101,7 @@ func (m *WorldManager) Submit(req broker.SubmitRequest) (int, error) {
 			m.mu.Lock()
 			m.runs[queueID] = run
 			m.mu.Unlock()
-			_, err = m.w.LaunchJob(shape, mpisim.Placement{NodeOf: rankNodes}, func(res mpisim.Result) {
+			_, err := m.w.LaunchJob(shape, mpisim.Placement{NodeOf: rankNodes}, func(res mpisim.Result) {
 				m.mu.Lock()
 				run.result = &res
 				m.mu.Unlock()

@@ -75,6 +75,20 @@ func TestWorldManagerValidatesApp(t *testing.T) {
 	if _, err := m.Submit(broker.SubmitRequest{App: "minimd", Size: 8, Request: broker.Request{Procs: 0}}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
+	// Refused before a shape is built: the shape loops over every rank.
+	if _, err := m.Submit(broker.SubmitRequest{App: "minimd", Size: 8, Request: broker.Request{Procs: 1 << 40}}); err == nil {
+		t.Fatal("2^40 procs accepted")
+	}
+	hosts := 0
+	for _, n := range r.w.Cluster().Nodes {
+		hosts += n.Cores
+	}
+	if _, err := m.Submit(broker.SubmitRequest{App: "minimd", Size: 8, Request: broker.Request{Procs: hosts + 1}}); err == nil {
+		t.Fatalf("%d procs accepted on %d cores", hosts+1, hosts)
+	}
+	if _, err := m.Submit(broker.SubmitRequest{App: "minimd", Size: 8, Request: broker.Request{Procs: 2*r.w.Cluster().Size() + 1, PPN: 2}}); err == nil {
+		t.Fatal("procs above nodes × PPN accepted")
+	}
 	if _, ok := m.Status(12345); ok {
 		t.Fatal("ghost job has status")
 	}
