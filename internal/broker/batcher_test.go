@@ -99,148 +99,110 @@ func TestBatchSameGeneration(t *testing.T) {
 // TestBatchEquivalentToSequential is the bit-identical property: a
 // seeded random request stream answered by AllocateBatch must equal the
 // same stream answered by back-to-back Allocate calls on an identically
-// built broker over the same store — every field, including dedup'd
-// members, wait answers, and errors. A third identically built broker
+// built broker over the same store — every field, including repeated
+// members, wait answers, and errors. The stream ends with repeated
+// forced, plain and refused requests; at the second wait threshold
+// every unforced request waits. A third identically built broker
 // answers the stream over TCP, one request at a time from one client:
 // the wire adds a batcher and an encoding, never a different decision.
 func TestBatchEquivalentToSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			r := newRig(t, seed, loadgen.Config{})
-			seqB := New(r.st, r.sched, Config{Seed: 999})
-			batB := New(r.st, r.sched, Config{Seed: 999})
-			wireB := New(r.st, r.sched, Config{Seed: 999})
-
-			policies := []string{"", "net-load-aware", "load-aware", "sequential", "random", "bogus"}
-			rnd := rng.New(seed * 77)
-			reqs := make([]Request, 64)
-			for i := range reqs {
-				reqs[i] = Request{
-					Procs:   2 + int(rnd.Uint64()%8),
-					PPN:     1 + int(rnd.Uint64()%4),
-					Alpha:   float64(rnd.Uint64()%10) / 10,
-					Policy:  policies[rnd.Uint64()%uint64(len(policies))],
-					Force:   rnd.Uint64()%4 == 0,
-					Explain: rnd.Uint64()%7 == 0,
-				}
-				if reqs[i].Alpha > 0 {
-					reqs[i].Beta = 1 - reqs[i].Alpha
-				}
-				// Repeat runs of identical requests exercise the dedup path.
-				if i > 0 && rnd.Uint64()%3 == 0 {
-					reqs[i] = reqs[i-1]
-				}
-			}
-
-			want := make([]BatchResult, len(reqs))
-			for i, req := range reqs {
-				resp, err := seqB.Allocate(req)
-				want[i] = BatchResult{Response: resp, Err: err}
-			}
-			got := batB.AllocateBatch(reqs)
-
-			for i := range reqs {
-				if (want[i].Err == nil) != (got[i].Err == nil) {
-					t.Fatalf("req %d (%+v): sequential err=%v batched err=%v", i, reqs[i], want[i].Err, got[i].Err)
-				}
-				if want[i].Err != nil {
-					if want[i].Err.Error() != got[i].Err.Error() {
-						t.Fatalf("req %d: error text diverged: %q vs %q", i, want[i].Err, got[i].Err)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(want[i].Response, got[i].Response) {
-					t.Fatalf("req %d (%+v): responses diverged\nsequential: %+v\nbatched:    %+v",
-						i, reqs[i], want[i].Response, got[i].Response)
-				}
-			}
-			// Both paths must leave the same audit trail behind, a
-			// deduplicated member's costs included.
-			if seqD, batD := seqB.Decisions(0), batB.Decisions(0); !reflect.DeepEqual(seqD, batD) {
-				for i := range seqD {
-					if i < len(batD) && !reflect.DeepEqual(seqD[i], batD[i]) {
-						t.Fatalf("decision %d diverged\nsequential: %+v\nbatched:    %+v", i, seqD[i], batD[i])
-					}
-				}
-				t.Fatalf("decision records diverged: sequential %d, batched %d", len(seqD), len(batD))
-			}
-			if hits := batB.Obs().Counter("broker.batch.dedup.hits").Value(); hits == 0 {
-				t.Fatal("request stream never exercised the dedup path")
-			}
-
-			srv, err := NewServerOpts(wireB, nil, "127.0.0.1:0", ServerOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			for i, req := range reqs {
-				resp, err := c.Allocate(req)
-				if (want[i].Err == nil) != (err == nil) || (err != nil && err.Error() != want[i].Err.Error()) {
-					t.Fatalf("req %d (%+v): in-process err=%v wire err=%v", i, req, want[i].Err, err)
-				}
-				w := want[i].Response
-				if !reflect.DeepEqual(resp.Nodes, w.Nodes) || !reflect.DeepEqual(resp.Procs, w.Procs) ||
-					resp.Recommendation != w.Recommendation || resp.SnapshotFP != w.SnapshotFP {
-					t.Fatalf("req %d (%+v): wire answer diverged\nin-process: %+v\nwire:       %+v", i, req, w, resp)
-				}
-			}
-			if !reflect.DeepEqual(seqB.Decisions(0), wireB.Decisions(0)) {
-				t.Fatal("wire path left different decision records than in-process Allocate")
+			for _, waitLoad := range []float64{0, 1e-9} {
+				t.Run(fmt.Sprintf("wait%g", waitLoad), func(t *testing.T) {
+					batchEquivalentToSequential(t, seed, Config{Seed: 999, WaitLoadPerCore: waitLoad})
+				})
 			}
 		})
 	}
 }
 
-// TestBatchDedupRecordsLikeSequential pins what a deduplicated repeat
-// records: its sequential twin's record, with the priced model's costs
-// when the first copy fetched a model, and no cache hit when it did not
-// (a wait, a refused request).
-func TestBatchDedupRecordsLikeSequential(t *testing.T) {
-	r := newRig(t, 3, loadgen.Config{})
-	for _, waitLoad := range []float64{0, 1e-9} {
-		seqB := New(r.st, r.sched, Config{Seed: 5, WaitLoadPerCore: waitLoad})
-		batB := New(r.st, r.sched, Config{Seed: 5, WaitLoadPerCore: waitLoad})
-		reqs := []Request{{Procs: 6, PPN: 2, Force: true}, {Procs: 6, PPN: 2, Force: true},
-			{Procs: 4}, {Procs: 4}, {Procs: -1, Force: true}, {Procs: -1, Force: true}}
-		for _, req := range reqs {
-			_, _ = seqB.Allocate(req)
-		}
-		batB.AllocateBatch(reqs)
-		if seqD, batD := seqB.Decisions(0), batB.Decisions(0); !reflect.DeepEqual(seqD, batD) {
-			t.Fatalf("wait load %g: decision records diverged\nsequential: %+v\nbatched:    %+v", waitLoad, seqD, batD)
-		}
-		if hits := batB.Obs().Counter("broker.batch.dedup.hits").Value(); hits != 3 {
-			t.Fatalf("wait load %g: %d dedup hits, want 3", waitLoad, hits)
-		}
-	}
-}
+// batchEquivalentToSequential checks one seed's stream on three brokers
+// built with cfg: sequential, batched and over the wire.
+func batchEquivalentToSequential(t *testing.T, seed uint64, cfg Config) {
+	r := newRig(t, seed, loadgen.Config{})
+	seqB := New(r.st, r.sched, cfg)
+	batB := New(r.st, r.sched, cfg)
+	wireB := New(r.st, r.sched, cfg)
 
-// TestBatchDedupSkipsStatefulPolicies pins the dedup whitelist: the
-// reserving wrapper (stateful by design — identical back-to-back
-// requests must see each other's reservations) is never deduplicated.
-func TestBatchDedupSkipsStatefulPolicies(t *testing.T) {
-	r := newRig(t, 31, loadgen.Config{})
-	if r.b.dedupablePolicy("") != true || r.b.dedupablePolicy("net-load-aware") != true {
-		t.Fatal("net-load-aware must be dedupable")
+	policies := []string{"", "net-load-aware", "load-aware", "sequential", "random", "bogus"}
+	rnd := rng.New(seed * 77)
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{
+			Procs:   2 + int(rnd.Uint64()%8),
+			PPN:     1 + int(rnd.Uint64()%4),
+			Alpha:   float64(rnd.Uint64()%10) / 10,
+			Policy:  policies[rnd.Uint64()%uint64(len(policies))],
+			Force:   rnd.Uint64()%4 == 0,
+			Explain: rnd.Uint64()%7 == 0,
+		}
+		if reqs[i].Alpha > 0 {
+			reqs[i].Beta = 1 - reqs[i].Alpha
+		}
+		// Runs of identical requests: a batch prices each repeat.
+		if i > 0 && rnd.Uint64()%3 == 0 {
+			reqs[i] = reqs[i-1]
+		}
 	}
-	if r.b.dedupablePolicy("random") {
-		t.Fatal("random policy must not be dedupable")
+	reqs = append(reqs, Request{Procs: 6, PPN: 2, Force: true}, Request{Procs: 6, PPN: 2, Force: true},
+		Request{Procs: 4}, Request{Procs: 4}, Request{Procs: -1, Force: true}, Request{Procs: -1, Force: true})
+
+	want := make([]BatchResult, len(reqs))
+	for i, req := range reqs {
+		resp, err := seqB.Allocate(req)
+		want[i] = BatchResult{Response: resp, Err: err}
 	}
-	if r.b.dedupablePolicy("sequential") {
-		t.Fatal("sequential draws its rotation start from the rng; not dedupable")
+	got := batB.AllocateBatch(reqs)
+
+	for i := range reqs {
+		if (want[i].Err == nil) != (got[i].Err == nil) {
+			t.Fatalf("req %d (%+v): sequential err=%v batched err=%v", i, reqs[i], want[i].Err, got[i].Err)
+		}
+		if want[i].Err != nil {
+			if want[i].Err.Error() != got[i].Err.Error() {
+				t.Fatalf("req %d: error text diverged: %q vs %q", i, want[i].Err, got[i].Err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(want[i].Response, got[i].Response) {
+			t.Fatalf("req %d (%+v): responses diverged\nsequential: %+v\nbatched:    %+v",
+				i, reqs[i], want[i].Response, got[i].Response)
+		}
 	}
-	if r.b.dedupablePolicy("no-such-policy") {
-		t.Fatal("unknown policy must not be dedupable")
+	// Both paths must leave the same audit trail behind.
+	if seqD, batD := seqB.Decisions(0), batB.Decisions(0); !reflect.DeepEqual(seqD, batD) {
+		for i := range seqD {
+			if i < len(batD) && !reflect.DeepEqual(seqD[i], batD[i]) {
+				t.Fatalf("decision %d diverged\nsequential: %+v\nbatched:    %+v", i, seqD[i], batD[i])
+			}
+		}
+		t.Fatalf("decision records diverged: sequential %d, batched %d", len(seqD), len(batD))
 	}
-	r.b.RegisterPolicy(fakePolicy{})
-	if r.b.dedupablePolicy("fake") {
-		t.Fatal("registered wrapper policies must not be dedupable")
+
+	srv, err := NewServerOpts(wireB, nil, "127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, req := range reqs {
+		resp, err := c.Allocate(req)
+		if (want[i].Err == nil) != (err == nil) || (err != nil && err.Error() != want[i].Err.Error()) {
+			t.Fatalf("req %d (%+v): in-process err=%v wire err=%v", i, req, want[i].Err, err)
+		}
+		w := want[i].Response
+		if !reflect.DeepEqual(resp.Nodes, w.Nodes) || !reflect.DeepEqual(resp.Procs, w.Procs) ||
+			resp.Recommendation != w.Recommendation || resp.SnapshotFP != w.SnapshotFP {
+			t.Fatalf("req %d (%+v): wire answer diverged\nin-process: %+v\nwire:       %+v", i, req, w, resp)
+		}
+	}
+	if !reflect.DeepEqual(seqB.Decisions(0), wireB.Decisions(0)) {
+		t.Fatal("wire path left different decision records than in-process Allocate")
 	}
 }
 

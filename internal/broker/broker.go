@@ -472,15 +472,11 @@ type BatchResult struct {
 }
 
 // AllocateBatch prices every request against one snapshot generation:
-// the snapshot (and its singleflight refresh) is acquired once, then the
-// requests are applied sequentially in order, exactly as back-to-back
-// Allocate calls against an unchanged store would be — results are
-// bit-identical to that sequential execution, including decision
-// records and policy-rng consumption. Identical requests under a
-// stateless deterministic policy are additionally deduplicated within
-// the batch (the first answer is reused), which cannot change results
-// precisely because sequential identical requests on one snapshot are
-// deterministic for those policies.
+// the snapshot (and its singleflight refresh) is acquired once, then
+// each request, repeats included, is priced in order, exactly as
+// back-to-back Allocate calls against an unchanged store would be —
+// results are bit-identical to that sequential execution, including
+// decision records and policy-rng consumption.
 func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 	results := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -503,79 +499,15 @@ func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 		b.degraded += uint64(len(reqs) - 1)
 		b.lastGoodMu.Unlock()
 	}
-	// seen holds the first answer to each dedupable request (on error
-	// the partial response the decision record is built from) and the
-	// model it was priced on, which a repeat records too.
-	type answer struct {
-		res   BatchResult
-		model *alloc.CostModel
-	}
-	var seen map[Request]answer
-	if len(reqs) > 1 {
-		seen = make(map[Request]answer)
-	}
 	for i, req := range reqs {
-		ans, dup := seen[req]
-		res, model := ans.res, ans.model
-		cacheHit := model != nil // as a repeat finds its first's model cached
-		if dup {
-			// Keep the broker's rng stream identical to the sequential
-			// execution: every served request consumes one split.
-			b.consumeSplit(req.Policy)
-			b.obs.Counter("broker.batch.dedup.hits").Inc()
-		} else {
-			res.Response, model, cacheHit, res.Err = b.allocateOn(sv, degradedReason, req)
-			if seen != nil && !req.Explain && b.dedupablePolicy(req.Policy) {
-				seen[req] = answer{res, model}
-			}
+		resp, model, cacheHit, err := b.allocateOn(sv, degradedReason, req)
+		b.finishDecision(start, req, resp, model, cacheHit, err)
+		if err != nil {
+			resp = Response{}
 		}
-		b.finishDecision(start, req, res.Response, model, cacheHit, res.Err)
-		if res.Err != nil {
-			res.Response = Response{}
-		}
-		results[i] = res
+		results[i] = BatchResult{Response: resp, Err: err}
 	}
 	return results
-}
-
-// dedupablePolicy reports whether identical requests under the named
-// policy are safe to answer once per batch: the policy must be
-// stateless, never draw from its rng split, and be deterministic on a
-// fixed snapshot. The built-in net-load-aware and load-aware policies
-// qualify; Random and Sequential do not (both draw from the rng, so
-// identical back-to-back requests legitimately differ), and registered
-// wrappers like ReservingPolicy do not (reservations make back-to-back
-// answers differ by design).
-func (b *Broker) dedupablePolicy(name string) bool {
-	if name == "" {
-		name = alloc.NetLoadAware{}.Name()
-	}
-	b.mu.Lock()
-	pol, ok := b.policies[name]
-	b.mu.Unlock()
-	if !ok {
-		return false
-	}
-	switch pol.(type) {
-	case alloc.NetLoadAware, alloc.LoadAware:
-		return true
-	}
-	return false
-}
-
-// consumeSplit advances the policy rng exactly as serving the request
-// would, so deduplicated batch members leave the same rng stream behind
-// as the sequential execution they stand in for. Unknown policies
-// consume nothing (the sequential path errors before splitting).
-func (b *Broker) consumeSplit(policy string) {
-	if policy == "" {
-		policy = alloc.NetLoadAware{}.Name()
-	}
-	b.mu.Lock()
-	if _, ok := b.policies[policy]; ok {
-		b.rnd.Split()
-	}
-	b.mu.Unlock()
 }
 
 // finishDecision builds and records the decision record for one served
@@ -618,24 +550,48 @@ func (b *Broker) finishDecision(start time.Time, req Request, resp Response, mod
 	b.obs.Histogram("broker.allocate.seconds").Observe(b.rt.Now().Sub(start).Seconds())
 }
 
+// policy looks name up in the registry; empty means net-load-aware.
+func (b *Broker) policy(name string) (alloc.Policy, error) {
+	if name == "" {
+		name = alloc.NetLoadAware{}.Name()
+	}
+	b.mu.Lock()
+	pol, ok := b.policies[name]
+	b.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("broker: unknown policy %q", name)
+	}
+	return pol, nil
+}
+
+// allocRequest is req's shape as the allocator takes it.
+func (req Request) allocRequest() alloc.Request {
+	return alloc.Request{Procs: req.Procs, PPN: req.PPN, Alpha: req.Alpha, Beta: req.Beta}
+}
+
+// CheckRequest returns the error that keeps the broker from ever
+// placing req: an unknown policy, or a shape alloc.Request.Validate
+// refuses. Nil does not promise an allocation.
+func (b *Broker) CheckRequest(req Request) error {
+	if _, err := b.policy(req.Policy); err != nil {
+		return err
+	}
+	_, err := req.allocRequest().Validate()
+	return err
+}
+
 // allocateOn prices one request against an already-acquired snapshot
 // view: the policy lookup, wait heuristic, cost-model fetch, and policy
 // run, also reporting the priced cost model and whether it came from the
 // cache (for the decision record).
 func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Request) (Response, *alloc.CostModel, bool, error) {
-	if req.Policy == "" {
-		req.Policy = alloc.NetLoadAware{}.Name()
+	pol, err := b.policy(req.Policy)
+	if err != nil {
+		return Response{}, nil, false, err
 	}
 	b.mu.Lock()
-	pol, ok := b.policies[req.Policy]
-	var r *rng.Rand
-	if ok {
-		r = b.rnd.Split()
-	}
+	r := b.rnd.Split()
 	b.mu.Unlock()
-	if !ok {
-		return Response{}, nil, false, fmt.Errorf("broker: unknown policy %q", req.Policy)
-	}
 	snap := sv.Snap
 
 	loadPerCore := clusterLoadPerCore(snap)
@@ -653,9 +609,8 @@ func (b *Broker) allocateOn(sv monitor.Refresh, degradedReason string, req Reque
 		return resp, nil, false, nil
 	}
 
-	allocReq := alloc.Request{Procs: req.Procs, PPN: req.PPN, Alpha: req.Alpha, Beta: req.Beta}
-	_, err := allocReq.Validate()
-	if err != nil {
+	allocReq := req.allocRequest()
+	if _, err := allocReq.Validate(); err != nil {
 		// Error returns past this point keep resp: its Degraded fields
 		// already reflect how the snapshot was served, and the decision
 		// record must see them even for failed requests.

@@ -198,6 +198,11 @@ func (q *Queue) Submit(spec Spec) (int, error) {
 	if q.cfg.Reserve != nil && spec.Request.Policy == "" {
 		spec.Request.Policy = q.cfg.Reserve.Name()
 	}
+	// A request the broker refuses on any cluster state would sit at the
+	// head and be retried forever, with backfill never running past it.
+	if err := q.b.CheckRequest(spec.Request); err != nil {
+		return 0, fmt.Errorf("jobqueue: spec %q: %w", spec.Name, err)
+	}
 	q.mu.Lock()
 	id := q.nextID
 	q.nextID++

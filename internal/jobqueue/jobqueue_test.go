@@ -94,6 +94,37 @@ func TestSubmitLaunchesImmediatelyWhenCalm(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesAlwaysRefusedRequests: a request the broker refuses
+// on any cluster state is refused at submit. Queued, it would hold the
+// head through every retry, and the valid job behind it would never
+// launch.
+func TestSubmitRefusesAlwaysRefusedRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  broker.Request
+	}{
+		{"unknown-policy", broker.Request{Procs: 8, PPN: 4, Policy: "no-such-policy"}},
+		{"alpha-beta-sum", broker.Request{Procs: 8, PPN: 4, Alpha: 0.9, Beta: 0.9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, 0.9)
+			bad := instantSpec("bad", nil)
+			bad.Request = tc.req
+			if id, err := r.q.Submit(bad); err == nil {
+				t.Errorf("submit accepted job %d", id)
+			}
+			id, err := r.q.Submit(instantSpec("good", nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.sched.RunFor(2 * time.Hour)
+			if j, _ := r.q.Job(id); j.State != StateDone {
+				t.Fatalf("valid job %s after 2 h, %d attempts", j.State, j.Attempts)
+			}
+		})
+	}
+}
+
 func TestFIFOOrder(t *testing.T) {
 	r := newRig(t, 2, 0.9)
 	var launched []string

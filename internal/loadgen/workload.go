@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"nlarm/internal/heapq"
 	"nlarm/internal/rng"
 )
 
@@ -328,7 +329,7 @@ type compiledCohort struct {
 type WorkloadGen struct {
 	start   time.Time
 	cohorts []compiledCohort
-	// streams is a binary min-heap ordered by (next, cohort, client).
+	// streams is a heapq min-heap under streamLess.
 	streams []clientStream
 	seq     int
 }
@@ -413,7 +414,7 @@ func seconds(s float64) time.Duration {
 func (g *WorkloadGen) schedule(st clientStream) {
 	st.next = g.warp(st.cohort, st.next, g.cohorts[st.cohort].gap(st.rnd))
 	if st.next <= horizon {
-		g.pushStream(st)
+		g.streams = heapq.Push(g.streams, st, streamLess)
 	}
 }
 
@@ -458,45 +459,6 @@ func (g *WorkloadGen) warp(cohort int, from, gap float64) float64 {
 	return t
 }
 
-// pushStream inserts st into the heap.
-func (g *WorkloadGen) pushStream(st clientStream) {
-	g.streams = append(g.streams, st)
-	i := len(g.streams) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !streamLess(g.streams[i], g.streams[p]) {
-			break
-		}
-		g.streams[i], g.streams[p] = g.streams[p], g.streams[i]
-		i = p
-	}
-}
-
-// popStream removes and returns the earliest stream.
-func (g *WorkloadGen) popStream() clientStream {
-	top := g.streams[0]
-	last := len(g.streams) - 1
-	g.streams[0] = g.streams[last]
-	g.streams = g.streams[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(g.streams) && streamLess(g.streams[l], g.streams[small]) {
-			small = l
-		}
-		if r < len(g.streams) && streamLess(g.streams[r], g.streams[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		g.streams[i], g.streams[small] = g.streams[small], g.streams[i]
-		i = small
-	}
-	return top
-}
-
 // streamLess orders streams by (next arrival, cohort, client).
 func streamLess(a, b clientStream) bool {
 	if a.next != b.next {
@@ -512,7 +474,8 @@ func streamLess(a, b clientStream) bool {
 // cohort has submitted its job budget.
 func (g *WorkloadGen) Next() (Arrival, bool) {
 	for len(g.streams) > 0 {
-		st := g.popStream()
+		var st clientStream
+		st, g.streams = heapq.Pop(g.streams, streamLess)
 		c := &g.cohorts[st.cohort]
 		if c.remaining <= 0 {
 			continue // cohort budget exhausted: retire the stream

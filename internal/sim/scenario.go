@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"nlarm/internal/heapq"
 	"nlarm/internal/loadgen"
 	"nlarm/internal/simtime"
 	"nlarm/internal/trace"
@@ -182,11 +183,9 @@ func cohortStats(m map[string]*cohortAcc) []CohortStat {
 }
 
 // simJob is one job's state inside the capacity model. Jobs are
-// recycled through a freelist; gen counts reincarnations so stale
-// runHeap entries from a previous life are recognizable.
+// recycled through a freelist.
 type simJob struct {
 	id       int
-	gen      uint32
 	cohort   string
 	client   int
 	procs    int
@@ -198,7 +197,6 @@ type simJob struct {
 	submit   time.Time
 	start    time.Time
 	end      time.Time
-	running  bool
 	backfill bool
 	// place and the costs are the policy-fidelity overlay (nil / zero on
 	// capacity runs).
@@ -207,13 +205,10 @@ type simJob struct {
 	nlCost float64
 }
 
-// runEntry orders running jobs by completion time for reservations. gen
-// snapshots job.gen at push time: a mismatch means the job object was
-// recycled and the entry is stale.
+// runEntry orders running jobs by completion time for reservations.
 type runEntry struct {
 	end time.Time
 	seq int
-	gen uint32
 	job *simJob
 }
 
@@ -231,10 +226,6 @@ type scenario struct {
 	// and force a reallocation on nearly every push.
 	pending  []*simJob
 	pendHead int
-	// runHeap is a min-heap by (end, seq). Finished jobs are removed
-	// lazily: a finished entry's end is <= now <= every live entry's end,
-	// so stale entries surface at the front of any scan.
-	runHeap  []runEntry
 	startSeq int
 	res      ScenarioResult
 	cohorts  map[string]*cohortAcc
@@ -290,6 +281,7 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	if err != nil {
 		return nil, err
 	}
+	rs.runs = rs.runs[:0] // a run that failed may have left jobs in it
 	s := &scenario{
 		cfg:     cfg,
 		sched:   simtime.NewScheduler(cfg.Start),
@@ -372,21 +364,19 @@ func (s *scenario) arrival(now time.Time) {
 	s.schedulePass(now)
 }
 
-// getJob takes a job object off the freelist (bumping its generation)
-// or allocates one.
+// getJob takes a job object off the freelist or allocates one.
 func (s *scenario) getJob() *simJob {
 	if k := len(s.rs.jobFree); k > 0 {
 		j := s.rs.jobFree[k-1]
 		s.rs.jobFree = s.rs.jobFree[:k-1]
-		*j = simJob{gen: j.gen + 1}
+		*j = simJob{}
 		return j
 	}
 	return &simJob{}
 }
 
 // releaseJob recycles j once it can never be touched again (recorded,
-// and any placement returned). Its runHeap entry may still be pending a
-// lazy pop; the generation check makes it stale.
+// any placement returned, and its run-heap entry popped).
 func (s *scenario) releaseJob(j *simJob) {
 	s.rs.jobFree = append(s.rs.jobFree, j)
 }
@@ -496,11 +486,9 @@ func (s *scenario) earliestStart(now time.Time, needed int) time.Time {
 	acc := s.free
 	popped := s.rs.popped[:0]
 	var at time.Time
-	for len(s.runHeap) > 0 {
-		e := s.popRun()
-		if e.gen != e.job.gen || !e.job.running {
-			continue // stale entry: drop it for good
-		}
+	for len(s.rs.runs) > 0 {
+		var e runEntry
+		e, s.rs.runs = heapq.Pop(s.rs.runs, runLess)
 		popped = append(popped, e)
 		acc += e.job.nodes
 		if acc >= needed {
@@ -509,7 +497,7 @@ func (s *scenario) earliestStart(now time.Time, needed int) time.Time {
 		}
 	}
 	for _, e := range popped {
-		s.pushRun(e)
+		s.rs.runs = heapq.Push(s.rs.runs, e, runLess)
 	}
 	s.rs.popped = popped[:0]
 	return at
@@ -531,7 +519,6 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 	s.free -= j.nodes
 	j.start = now
 	j.end = now.Add(j.service)
-	j.running = true
 	j.backfill = backfilled
 	if backfilled {
 		s.res.Backfilled++
@@ -540,7 +527,7 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 	if w := now.Sub(j.submit).Seconds(); w > s.res.MaxWaitSec {
 		s.res.MaxWaitSec = w
 	}
-	s.pushRun(runEntry{end: j.end, seq: s.startSeq, gen: j.gen, job: j})
+	s.rs.runs = heapq.Push(s.rs.runs, runEntry{end: j.end, seq: s.startSeq, job: j}, runLess)
 	s.startSeq++
 	if err := s.at(j.end, "finish", func(fnow time.Time) {
 		s.finishJob(j, fnow)
@@ -549,9 +536,14 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 	}
 }
 
-// finishJob releases j's nodes, records it, and reschedules.
+// finishJob pops j off the run heap, releases its nodes, records it,
+// and reschedules. j is the heap's root: same-instant finishes fire in
+// start order, which is also the heap's tie order.
 func (s *scenario) finishJob(j *simJob, now time.Time) {
-	j.running = false
+	var e runEntry
+	if e, s.rs.runs = heapq.Pop(s.rs.runs, runLess); e.job != j && s.err == nil {
+		s.err = fmt.Errorf("sim: job %d finished at %v, but the run heap's root is job %d", j.id, now, e.job.id)
+	}
 	s.free += j.nodes
 	if s.pol != nil {
 		s.pol.release(j)
@@ -596,45 +588,6 @@ func (s *scenario) record(j *simJob, startSec, endSec float64) {
 	if err := s.tw.Write(rec); err != nil && s.err == nil {
 		s.err = err
 	}
-}
-
-// pushRun inserts e into the run heap.
-func (s *scenario) pushRun(e runEntry) {
-	s.runHeap = append(s.runHeap, e)
-	i := len(s.runHeap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !runLess(s.runHeap[i], s.runHeap[p]) {
-			break
-		}
-		s.runHeap[i], s.runHeap[p] = s.runHeap[p], s.runHeap[i]
-		i = p
-	}
-}
-
-// popRun removes and returns the earliest-ending entry.
-func (s *scenario) popRun() runEntry {
-	top := s.runHeap[0]
-	last := len(s.runHeap) - 1
-	s.runHeap[0] = s.runHeap[last]
-	s.runHeap = s.runHeap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s.runHeap) && runLess(s.runHeap[l], s.runHeap[small]) {
-			small = l
-		}
-		if r < len(s.runHeap) && runLess(s.runHeap[r], s.runHeap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.runHeap[i], s.runHeap[small] = s.runHeap[small], s.runHeap[i]
-		i = small
-	}
-	return top
 }
 
 // runLess orders run entries by (end, start sequence).

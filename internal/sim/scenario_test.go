@@ -127,6 +127,23 @@ func TestScenarioBackfillImprovesWaits(t *testing.T) {
 	}
 }
 
+// TestScenarioRunHeapDrains checks that the run heap holds exactly the
+// running jobs, so both disciplines end a run with it empty. FIFO never
+// reads the heap, so an entry left for a later pop to discard would
+// stay there for good.
+func TestScenarioRunHeapDrains(t *testing.T) {
+	for _, d := range []Discipline{FIFO, EASY} {
+		rs := &runScratch{}
+		res, err := runScenario(testConfig(2000, d, 3), nil, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.runs) != 0 {
+			t.Fatalf("%s: %d run-heap entries left after %d jobs completed", d, len(rs.runs), res.Completed)
+		}
+	}
+}
+
 // TestScenarioDeterminism runs the same seeded 100k-job scenario twice
 // and requires bit-identical trace digests — the property the CI
 // sim-determinism job pins down (two separate processes there).

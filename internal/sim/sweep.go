@@ -16,6 +16,9 @@ import (
 // layer's scratch. Runs that share a scratch must be sequential; the
 // sweep gives each worker its own.
 type runScratch struct {
+	// runs is the run heap, a heapq min-heap under runLess holding
+	// exactly the running jobs: a completed run leaves it empty.
+	runs    []runEntry
 	popped  []runEntry
 	jobFree []*simJob
 	pol     policyScratch

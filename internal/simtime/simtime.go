@@ -9,10 +9,11 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
+
+	"nlarm/internal/heapq"
 )
 
 // Runtime is the time abstraction shared by the simulated and real modes.
@@ -38,35 +39,14 @@ type event struct {
 	fn     func(now time.Time)
 	period time.Duration // 0 for one-shot
 	done   bool
-	index  int // heap index
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// eventLess orders events by (at, seq), a strict total order.
+func eventLess(a, b *event) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Scheduler is a deterministic discrete-event scheduler. It is safe for
@@ -76,7 +56,7 @@ type Scheduler struct {
 	mu    sync.Mutex
 	now   time.Time
 	seq   uint64
-	queue eventQueue
+	queue []*event // a heapq min-heap under eventLess
 }
 
 // NewScheduler returns a scheduler whose virtual clock starts at start.
@@ -91,15 +71,9 @@ func (s *Scheduler) Now() time.Time {
 	return s.now
 }
 
-func (s *Scheduler) schedule(at time.Time, name string, fn func(time.Time), period time.Duration) *event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scheduleLocked(at, name, fn, period)
-}
-
-// scheduleLocked is schedule with s.mu already held. Callers that derive
-// the target from the current clock (After, Every) use it so the Now()
-// read and the heap insert are one atomic step — with two separate lock
+// scheduleLocked queues an event with s.mu held. Callers that derive
+// the target from the current clock (After, Every) hold the lock across
+// the Now() read and the heap insert — with two separate lock
 // acquisitions a concurrent Step could advance the clock in between and
 // the event would be silently clamped to a later instant.
 func (s *Scheduler) scheduleLocked(at time.Time, name string, fn func(time.Time), period time.Duration) *event {
@@ -108,7 +82,7 @@ func (s *Scheduler) scheduleLocked(at time.Time, name string, fn func(time.Time)
 	}
 	e := &event{at: at, seq: s.seq, name: name, fn: fn, period: period}
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue = heapq.Push(s.queue, e, eventLess)
 	return e
 }
 
@@ -120,7 +94,9 @@ func (s *Scheduler) cancel(e *event) {
 
 // At schedules fn to run once at time at (clamped to Now if in the past).
 func (s *Scheduler) At(at time.Time, name string, fn func(now time.Time)) CancelFunc {
-	e := s.schedule(at, name, fn, 0)
+	s.mu.Lock()
+	e := s.scheduleLocked(at, name, fn, 0)
+	s.mu.Unlock()
 	return func() { s.cancel(e) }
 }
 
@@ -154,27 +130,22 @@ func (s *Scheduler) Step() bool {
 			s.mu.Unlock()
 			return false
 		}
-		e := heap.Pop(&s.queue).(*event)
+		var e *event
+		e, s.queue = heapq.Pop(s.queue, eventLess)
 		if e.done {
 			s.mu.Unlock()
 			continue
 		}
 		s.now = e.at
+		now, fn := e.at, e.fn
 		if e.period > 0 {
 			// Re-push the same event object so the CancelFunc's done flag
 			// keeps covering all future occurrences.
-			now := e.at
 			e.at = e.at.Add(e.period)
 			e.seq = s.seq
 			s.seq++
-			heap.Push(&s.queue, e)
-			fn := e.fn
-			s.mu.Unlock()
-			fn(now)
-			return true
+			s.queue = heapq.Push(s.queue, e, eventLess)
 		}
-		now := e.at
-		fn := e.fn
 		s.mu.Unlock()
 		fn(now)
 		return true
@@ -192,7 +163,7 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 		// event, which may lie beyond the deadline (Step skips cancelled
 		// entries internally and would run past the horizon).
 		for len(s.queue) > 0 && s.queue[0].done {
-			heap.Pop(&s.queue)
+			_, s.queue = heapq.Pop(s.queue, eventLess)
 		}
 		if len(s.queue) == 0 || s.queue[0].at.After(deadline) {
 			if s.now.Before(deadline) {
