@@ -81,6 +81,11 @@ type CostModel struct {
 	// and network load is priced per shard.
 	shardOpts ShardOptions
 	shard     *shardModel
+	// memo is a sharded model's level 1 for the last request shape it
+	// served (see NetLoadAware.level1); dense models never set it. It
+	// reads the capacities and CLUnit, so the two paths that rewrite
+	// them in place, shareForUpdate and RefreshAttrs, drop it.
+	memo atomic.Pointer[shardLevel1]
 
 	clErr error
 	nlErr error
@@ -356,11 +361,20 @@ func (m *CostModel) shareForUpdate(dst *CostModel) {
 	dst.nlErr = m.nlErr
 	dst.shardOpts = m.shardOpts
 	dst.shard = m.shard
+	dst.dropMemo()
 	dst.clErr = nil
 	dst.Cores = append(dst.Cores[:0], m.Cores...)
 	dst.LoadM1 = append(dst.LoadM1[:0], m.LoadM1...)
 	dst.attrRows = append(dst.attrRows[:0], m.attrRows...)
 	dst.colSums, dst.colMaxs, dst.colShifted = m.colSums, m.colMaxs, m.colShifted
+}
+
+// dropMemo forgets the level-1 memo. The load comes first so that a
+// dense model, which never holds one, pays no atomic store.
+func (m *CostModel) dropMemo() {
+	if m.memo.Load() != nil {
+		m.memo.Store(nil)
+	}
 }
 
 // reduceCols re-reduces the listed columns of attrRows (every column for
@@ -426,6 +440,7 @@ func (m *CostModel) RefreshAttrs(snap *metrics.Snapshot, changed []int) bool {
 	if m.clErr != nil || m.attrRows == nil {
 		return false
 	}
+	m.dropMemo()
 	m.Snap = snap
 	m.Taken = snap.Taken
 	var touched [numAttrCols]bool

@@ -96,10 +96,10 @@ func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candida
 	}
 	sc := allocPool.Get().(*AllocScratch)
 	defer allocPool.Put(sc)
-	set := &sc.gen.set
 	if m.Sharded() {
-		return p.allocateSharded(m, req, set)
+		return p.allocateSharded(m, req, sc, explain)
 	}
+	set := &sc.gen.set
 	set.build(m, nil, m.caps(req), req.Alpha)
 	costC, costN, total := sc.costBufs(n)
 	var candidates []Candidate
@@ -132,24 +132,6 @@ func (p NetLoadAware) allocate(m *CostModel, req Request, explain bool) (Candida
 	best := p.generate(m, bestIdx, set, req, &sc.gen)
 	best.TotalLoad = total[bestIdx]
 	return best, nil, nil
-}
-
-// scoreCandidatesNormed is Algorithm 2 with caller-supplied normalization
-// sums: the sharded path passes scout-estimated totals over all n starts
-// so its biased (uniformly good) candidate subset is scored on the same
-// scale the dense path would use. Every candidate's TotalLoad is set.
-func scoreCandidatesNormed(candidates []Candidate, req Request, sumC, sumN float64) (int, error) {
-	k := len(candidates)
-	buf := make([]float64, 3*k)
-	costC, costN, total := buf[:k], buf[k:2*k], buf[2*k:]
-	for i := range candidates {
-		costC[i], costN[i] = candidates[i].ComputeCost, candidates[i].NetworkCost
-	}
-	bestIdx, err := scoreCosts(costC, costN, total, req, sumC, sumN)
-	for i := range candidates {
-		candidates[i].TotalLoad = total[i]
-	}
-	return bestIdx, err
 }
 
 // scoreCosts is Algorithm 2 over parallel C_G/N_G slices: it writes

@@ -577,38 +577,55 @@ func (sc *shardScratch) growShards(s int) {
 	}
 }
 
-// allocateSharded is the two-level Algorithm 1 over a sharded model.
-// Level 1 scouts every shard (Algorithm 1 confined to the shard's exact
-// sub-matrix), ranks shards by their best local candidate's raw cost,
-// and keeps the top-k; level 2
-// runs the paper's per-start greedy generation over the union of the
-// top-k shards' nodes, pricing pairs hierarchically (exact sub-matrix
-// within a shard, boundary aggregate across), and spills into the
-// remaining ranked shards only when the union cannot satisfy req.Procs.
-// Algorithm 2 then scores the generated candidates exactly as the dense
-// path does. The returned candidate list covers only the union's start
-// nodes — the point of the hierarchy is not scoring one candidate per
-// cluster node. set is the caller's reused buffer for the union.
-func (p NetLoadAware) allocateSharded(m *CostModel, req Request, set *candSet) (Candidate, []Candidate, error) {
+// level1Key is what level 1 of allocateSharded reads from a validated
+// request; the model fixes the rest (a request priced with other weights
+// is refused before level 1). α and β key by their bits.
+type level1Key struct {
+	alpha, beta uint64
+	procs, ppn  int
+}
+
+// shardLevel1 is level 1 of allocateSharded for one request shape on one
+// model: the Equation 3 capacities, every shard's members by compute
+// load, the shard ranking split into the searched union and the spill
+// order, and the scouts' normalization sums. It is a function of the
+// model and the key alone and is never written after it is built, so
+// concurrent allocates may share it.
+type shardLevel1 struct {
+	key        level1Key
+	caps       []int
+	byCL       [][]int
+	union      []int // members of the top-k shards, rank order
+	spill      []int // the remaining shards, rank order
+	sumC, sumN float64
+}
+
+// level1 returns m's level-1 result for req: the memoised one when the
+// last request on m had the same shape, else a fresh scout of every
+// shard, which replaces the memo.
+func (p NetLoadAware) level1(m *CostModel, req Request) *shardLevel1 {
+	key := level1Key{math.Float64bits(req.Alpha), math.Float64bits(req.Beta), req.Procs, req.PPN}
+	if l1 := m.memo.Load(); l1 != nil && l1.key == key {
+		return l1
+	}
 	sm := m.shard
 	S := sm.numShards()
-	caps := m.caps(req)
+	l1 := &shardLevel1{key: key, caps: m.caps(req), byCL: make([][]int, S)}
 
 	// Members of every shard ordered by compute load: the spill fill
 	// reads it (within one spill shard the boundary NL term is constant,
 	// so the addition cost α·CL(u) + β·boundary(s,t) orders by CL).
-	byCL := make([][]int, S)
 	scoutWork := 0 // every member of a shard seeds a pass over its members
 	for s, members := range sm.shards {
 		order := append([]int(nil), members...)
 		slices.SortFunc(order, byCostThenIdx(m.CLUnit))
-		byCL[s] = order
+		l1.byCL[s] = order
 		scoutWork += len(members) * len(members)
 	}
 
-	// Level 1: each shard is scouted by running Algorithm 1 confined to
-	// its members over its exact sub-matrix, and ranked by the raw cost
-	// of its best local candidate. Statistical aggregates (mean CL, mean
+	// Each shard is scouted by running Algorithm 1 confined to its
+	// members over its exact sub-matrix, and ranked by the raw cost of
+	// its best local candidate. Statistical aggregates (mean CL, mean
 	// intra NL) rank poorly because the groups the paper's greedy builds
 	// are small — a shard is exactly as good as the best sub-group it
 	// contains, which the scout measures directly. Total scout work is
@@ -619,36 +636,63 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request, set *candSet) (
 	sumCs := make([]float64, S)
 	sumNs := make([]float64, S)
 	parallelFor(&genPool, S, scoutWork, func(sc *genScratch, s int) {
-		score[s], sumCs[s], sumNs[s] = p.scoutShard(m, s, caps, req, sc)
+		score[s], sumCs[s], sumNs[s] = p.scoutShard(m, s, l1.caps, req, sc)
 	})
-	sumC, sumN := 0.0, 0.0
 	for s := 0; s < S; s++ { // shard order: deterministic accumulation
-		sumC += sumCs[s]
-		sumN += sumNs[s]
+		l1.sumC += sumCs[s]
+		l1.sumN += sumNs[s]
 	}
 	rank := sortIdxByCost(score)
-	topK := m.shardOpts.withDefaults().TopK
-	if topK > S {
-		topK = S
+	topK := min(m.shardOpts.withDefaults().TopK, S)
+	for _, s := range rank[:topK] {
+		l1.union = append(l1.union, sm.shards[s]...)
 	}
-	// Level 2: the search universe is the union of the top-k shards'
-	// members (rank order, ascending within a shard). A candidate can
-	// mix nodes across the searched shards exactly like the dense path
-	// mixes across the whole cluster, with pair costs priced through the
-	// hierarchy. Shards outside the top-k only receive nodes via spill
-	// (rank order, cheapest CL first within each).
-	var union []int
-	for k := 0; k < topK; k++ {
-		union = append(union, sm.shards[rank[k]]...)
-	}
-	if len(union) == 0 {
+	l1.spill = rank[topK:]
+	m.memo.Store(l1)
+	return l1
+}
+
+// allocateSharded is the two-level Algorithm 1 over a sharded model.
+// Level 1 (see level1) scouts every shard, ranks shards by their best
+// local candidate's raw cost, and keeps the top-k; level 2 runs the
+// paper's per-start greedy generation over the union of the top-k
+// shards' nodes, pricing pairs hierarchically (exact sub-matrix within a
+// shard, boundary aggregate across), and spills into the remaining
+// ranked shards only when the union cannot satisfy req.Procs. A
+// candidate can mix nodes across the searched shards exactly like the
+// dense path mixes across the whole cluster. Algorithm 2 then scores the
+// generated candidates' costs exactly as the dense path does. The
+// candidate list covers only the union's start nodes — the point of the
+// hierarchy is not scoring one candidate per cluster node — and, as in
+// allocate, is built only with explain: otherwise the costs go to sc's
+// buffers and the winner is generated a second time to materialise it.
+func (p NetLoadAware) allocateSharded(m *CostModel, req Request, sc *AllocScratch, explain bool) (Candidate, []Candidate, error) {
+	l1 := p.level1(m, req)
+	k := len(l1.union)
+	if k == 0 {
 		return Candidate{}, nil, fmt.Errorf("alloc: net-load-aware: no candidate produced")
 	}
-	spillShards := rank[topK:]
-	set.build(m, union, caps, req.Alpha)
-	candidates := make([]Candidate, len(union))
-	parallelFor(&shardPool, len(union), len(union)*len(set.idx), func(sc *shardScratch, i int) {
-		candidates[i] = p.generateSharded(m, union[i], set, caps, req, spillShards, byCL, sc)
+	set := &sc.gen.set
+	set.build(m, l1.union, l1.caps, req.Alpha)
+	costC, costN, total := sc.costBufs(k)
+	candidate := func(w *shardScratch, i int, spill bool) Candidate {
+		nodes, procs := indicesToAllocation(m.IDs, w.used, w.counts)
+		return Candidate{Start: m.IDs[l1.union[i]], Nodes: nodes, Procs: procs,
+			ComputeCost: costC[i], NetworkCost: costN[i], Spill: spill}
+	}
+	var candidates []Candidate
+	if explain {
+		candidates = make([]Candidate, k)
+	}
+	parallelFor(&shardPool, k, k*len(set.idx), func(w *shardScratch, i int) {
+		var spill bool
+		costC[i], costN[i], spill = p.generateSharded(m, l1.union[i], set, l1, req, w)
+		if spill {
+			m.shard.spills.Add(1)
+		}
+		if explain {
+			candidates[i] = candidate(w, i, spill)
+		}
 	})
 
 	// Score with the scout-estimated normalization sums: Algorithm 2
@@ -657,11 +701,22 @@ func (p NetLoadAware) allocateSharded(m *CostModel, req Request, set *candSet) (
 	// own sums would skew the α/β mix relative to the dense path's
 	// n-candidate set. The scouts' per-start candidates stand in for the
 	// dense candidate set instead.
-	bestIdx, err := scoreCandidatesNormed(candidates, req, sumC, sumN)
+	bestIdx, err := scoreCosts(costC, costN, total, req, l1.sumC, l1.sumN)
 	if err != nil {
 		return Candidate{}, nil, err
 	}
-	return candidates[bestIdx], candidates, nil
+	if explain {
+		for i := range candidates {
+			candidates[i].TotalLoad = total[i]
+		}
+		return candidates[bestIdx], candidates, nil
+	}
+	w := shardPool.Get().(*shardScratch)
+	defer shardPool.Put(w)
+	_, _, spill := p.generateSharded(m, l1.union[bestIdx], set, l1, req, w)
+	best := candidate(w, bestIdx, spill)
+	best.TotalLoad = total[bestIdx]
+	return best, nil, nil
 }
 
 // scoutShard runs the paper's greedy generation confined to shard s —
@@ -721,32 +776,27 @@ func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, s
 	return best, sumC, sumN
 }
 
-// generateSharded builds the candidate sub-graph seeded at dense index v:
-// the kernel's selection over set — the union of the searched (top-k)
-// shards' members, pair costs priced through the hierarchy (exact
-// sub-matrix within a shard, boundary aggregate across) — then
-// rank-ordered spill into the unsearched shards when the union's
-// capacity cannot cover the request, then the round-robin remainder.
-// The candidate's NetworkCost prices same-shard pairs exactly and
-// cross-shard pairs at the boundary aggregate, grouped per shard pair so
-// cost accumulation is O(Σ kₛ² + S²) instead of O(k²).
-func (p NetLoadAware) generateSharded(m *CostModel, v int, set *candSet, caps []int, req Request, spillShards []int, byCL [][]int, sc *shardScratch) Candidate {
+// generateSharded selects the candidate sub-graph seeded at dense index
+// v into sc.used/sc.counts: the kernel's selection over set — the union
+// of the searched (top-k) shards' members, pair costs priced through the
+// hierarchy (exact sub-matrix within a shard, boundary aggregate across)
+// — then rank-ordered spill into the unsearched shards when the union's
+// capacity cannot cover the request, then the round-robin remainder. It
+// returns C_G, N_G and whether the selection spilled. N_G prices
+// same-shard pairs exactly and cross-shard pairs at the boundary
+// aggregate, grouped per shard pair so cost accumulation is
+// O(Σ kₛ² + S²) instead of O(k²).
+func (p NetLoadAware) generateSharded(m *CostModel, v int, set *candSet, l1 *shardLevel1, req Request, sc *shardScratch) (cG, nG float64, spilled bool) {
 	sm := m.shard
 	remaining := sc.selectFrom(m, v, set, req)
 	searched := len(sc.used)
-	for _, t := range spillShards {
-		sc.used, sc.counts, remaining = takeIdx(byCL[t], caps, remaining, sc.used, sc.counts)
+	for _, t := range l1.spill {
+		sc.used, sc.counts, remaining = takeIdx(l1.byCL[t], l1.caps, remaining, sc.used, sc.counts)
 	}
-	spilled := len(sc.used) > searched
+	spilled = len(sc.used) > searched
 	roundRobin(sc.counts, remaining)
-	if spilled {
-		sm.spills.Add(1)
-	}
-
-	nodes, procs := indicesToAllocation(m.IDs, sc.used, sc.counts)
-	cand := Candidate{Start: m.IDs[v], Nodes: nodes, Procs: procs, Spill: spilled}
 	for _, i := range sc.used {
-		cand.ComputeCost += m.CLUnit[i]
+		cG += m.CLUnit[i]
 	}
 
 	// Grouped network cost: selected indices bucketed per shard (buckets
@@ -770,12 +820,12 @@ func (p NetLoadAware) generateSharded(m *CostModel, v int, set *candSet, caps []
 		sizeA := len(sm.shards[ta])
 		for x := 0; x < len(ga); x++ {
 			for y := x + 1; y < len(ga); y++ {
-				cand.NetworkCost += sm.sub[ta][sm.posOf[ga[x]]*sizeA+sm.posOf[ga[y]]]
+				nG += sm.sub[ta][sm.posOf[ga[x]]*sizeA+sm.posOf[ga[y]]]
 			}
 		}
 		for b := a + 1; b < len(touched); b++ {
 			tb := touched[b]
-			cand.NetworkCost += float64(len(ga)*len(sc.perShard[tb])) * sm.agg[ta*S+tb]
+			nG += float64(len(ga)*len(sc.perShard[tb])) * sm.agg[ta*S+tb]
 		}
 	}
 	for _, t := range touched {
@@ -783,5 +833,5 @@ func (p NetLoadAware) generateSharded(m *CostModel, v int, set *candSet, caps []
 		sc.inTouched[t] = false
 	}
 	sc.touched = touched[:0]
-	return cand
+	return cG, nG, spilled
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -469,4 +471,238 @@ func TestShardedGoldenDigests(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// shardedAnswer is what an allocate decides, compared bit for bit.
+type shardedAnswer struct {
+	nodes     []int
+	procs     map[int]int
+	totalBits uint64
+}
+
+func allocateAnswer(t testing.TB, m *CostModel, req Request) shardedAnswer {
+	t.Helper()
+	a, err := NetLoadAware{}.AllocateModel(m, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shardedAnswer{a.Nodes, a.Procs, math.Float64bits(a.TotalLoad)}
+}
+
+// memoShapes differ pairwise in one key field each: A and B in PPN, C
+// and D in β alone (α+β stays within Validate's tolerance), and B and C
+// in everything else.
+var memoShapes = []Request{
+	{Procs: 64, PPN: 2, Alpha: 0.3, Beta: 0.7},
+	{Procs: 64, PPN: 4, Alpha: 0.3, Beta: 0.7},
+	{Procs: 40, PPN: 2, Alpha: 0.9992, Beta: 0},
+	{Procs: 40, PPN: 2, Alpha: 0.9992, Beta: 0.0016},
+}
+
+// memoModels returns a constructor for two 8×16-node sharded models: a
+// seeded one, and one whose nodes all publish the same attributes, so
+// every CLUnit is 1 and β = 0 against β > 0 reorders every selection
+// (a small β change barely moves the seeded model's).
+func memoModels() []func() *CostModel {
+	snap, groups := shardedEquivSnapshot(rng.New(31), 8, 16)
+	flat := snap.Clone()
+	same := flat.Nodes[flat.Livehosts[0]]
+	for _, id := range flat.Livehosts {
+		na := same
+		na.NodeID = id
+		flat.Nodes[id] = na
+	}
+	opts := ShardOptions{Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: 16, TopK: 2}
+	return []func() *CostModel{
+		func() *CostModel { return NewCostModelSharded(snap, PaperWeights(), false, opts) },
+		func() *CostModel { return NewCostModelSharded(flat, PaperWeights(), false, opts) },
+	}
+}
+
+// TestShardedMemoAnswersLikeFreshModel pins the level-1 memo: a model
+// that served other shapes, or whose state was rewritten in place after
+// it served one, answers exactly like a model that never held a memo.
+func TestShardedMemoAnswersLikeFreshModel(t *testing.T) {
+	for mi, build := range memoModels() {
+		want := make([]shardedAnswer, len(memoShapes))
+		for k, req := range memoShapes {
+			want[k] = allocateAnswer(t, build(), req)
+		}
+		// (a) Alternating shapes replace the slot on every call.
+		m := build()
+		for round := 0; round < 3; round++ {
+			for k, req := range memoShapes {
+				if got := allocateAnswer(t, m, req); !reflect.DeepEqual(got, want[k]) {
+					t.Fatalf("model %d round %d shape %d: memoised %+v, fresh %+v", mi, round, k, got, want[k])
+				}
+			}
+		}
+		// (c) Concurrent allocates on one model share its slot.
+		shared := build()
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 6; i++ {
+					k := (g + i) % 3
+					a, err := NetLoadAware{}.AllocateModel(shared, memoShapes[k], nil)
+					got := shardedAnswer{a.Nodes, a.Procs, math.Float64bits(a.TotalLoad)}
+					if err != nil || !reflect.DeepEqual(got, want[k]) {
+						errs <- fmt.Sprintf("model %d goroutine %d shape %d: %+v, %v", mi, g, k, got, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+
+	// (b) In-place rewrites of a model that holds a memo.
+	snap, groups := shardedEquivSnapshot(rng.New(43), 8, 16)
+	opts := ShardOptions{Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: 16, TopK: 2}
+	build := func(s *metrics.Snapshot) *CostModel { return NewCostModelSharded(s, PaperWeights(), false, opts) }
+	req := Request{Procs: 48, Alpha: 0.5, Beta: 0.5} // PPN 0: capacities read the loads
+	next := snap.Clone()
+	next.Taken = next.Taken.Add(time.Second)
+	first := allocateAnswer(t, build(snap), req)
+	r := rng.New(44)
+	var changed []int
+	for _, id := range first.nodes {
+		mutateDynamicAttrs(r, next, id)
+		changed = append(changed, id)
+	}
+	slices.Sort(changed)
+
+	m := build(snap)
+	allocateAnswer(t, m, req)
+	if !m.RefreshAttrs(next, changed) {
+		t.Fatal("RefreshAttrs refused")
+	}
+	ref := build(snap)
+	ref.RefreshAttrs(next, changed)
+	if got, want := allocateAnswer(t, m, req), allocateAnswer(t, ref, req); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after RefreshAttrs: memoised %+v, fresh %+v", got, want)
+	}
+
+	other, base := build(next), build(snap)
+	ids, ranks := changed[:4], []int{3, 1, 4, 1}
+	dst, ok := other.ChargeRanksAt(ids, ranks, nil, nil)
+	if !ok {
+		t.Fatal("ChargeRanksAt refused")
+	}
+	allocateAnswer(t, dst, req)
+	if _, ok := base.ChargeRanksAt(ids, ranks, nil, dst); !ok {
+		t.Fatal("ChargeRanksAt refused a reused destination")
+	}
+	fresh, _ := base.ChargeRanksAt(ids, ranks, nil, nil)
+	if got, want := allocateAnswer(t, dst, req), allocateAnswer(t, fresh, req); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after ChargeRanksAt into a reused destination: memoised %+v, fresh %+v", got, want)
+	}
+
+	m = build(snap)
+	allocateAnswer(t, m, req)
+	u, ok := m.UpdateNodes(next, changed)
+	if !ok {
+		t.Fatal("UpdateNodes refused")
+	}
+	if got, want := allocateAnswer(t, u, req), allocateAnswer(t, build(next), req); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after UpdateNodes: memoised %+v, fresh %+v", got, want)
+	}
+}
+
+// TestShardedWinnerOnlyMatchesExplain checks the winner-only level 2
+// against the explain path on the golden fixtures' shapes: the same
+// winner, and the spill counter advanced once per spilled candidate, so
+// regenerating the winner never counts its spill twice.
+func TestShardedWinnerOnlyMatchesExplain(t *testing.T) {
+	topo := func(seed uint64, nShards, perShard, topK int) *CostModel {
+		snap, groups := shardedEquivSnapshot(rng.New(seed), nShards, perShard)
+		return NewCostModelSharded(snap, PaperWeights(), false, ShardOptions{
+			Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: perShard, TopK: topK})
+	}
+	hashed := func(seed uint64, n int) *CostModel {
+		return NewCostModelSharded(randomSnapshot(rng.New(seed), n, false), PaperWeights(), false,
+			ShardOptions{Threshold: 64, MaxShardSize: 16, TopK: 3})
+	}
+	cases := []struct {
+		model func() *CostModel
+		req   Request
+	}{
+		{func() *CostModel { return topo(3, 8, 16, 4) }, Request{Procs: 2, Alpha: 0.5, Beta: 0.5}},
+		{func() *CostModel { return topo(3, 8, 16, 4) }, Request{Procs: 24, Alpha: 0.2, Beta: 0.8}},
+		{func() *CostModel { return topo(5, 8, 16, 4) }, Request{Procs: 24, PPN: 2, Alpha: 0.8, Beta: 0.2}},
+		{func() *CostModel { return topo(7, 6, 12, 3) }, Request{Procs: 150, Alpha: 0.5, Beta: 0.5}},
+		{func() *CostModel { return topo(7, 6, 12, 3) }, Request{Procs: 40, Alpha: 1, Beta: 0}},
+		{func() *CostModel { return topo(9, 16, 16, 4) }, Request{Procs: 40, PPN: 4, Alpha: 0, Beta: 1}},
+		{func() *CostModel { return hashed(7, 80) }, Request{Procs: 48, Alpha: 0.5, Beta: 0.5}},
+		{func() *CostModel { return hashed(11, 130) }, Request{Procs: 64, PPN: 1, Alpha: 0.3, Beta: 0.7}},
+		{func() *CostModel { return topo(99, 4, 8, 1) }, Request{Procs: 40, PPN: 2, Alpha: 0.5, Beta: 0.5}},
+		{func() *CostModel { return topo(99, 4, 8, 2) }, Request{Procs: 50, PPN: 2, Alpha: 0.4, Beta: 0.6}},
+		{func() *CostModel { return topo(99, 4, 8, 1) }, Request{Procs: 81, PPN: 2, Alpha: 0.5, Beta: 0.5}},
+	}
+	sawSpill := false
+	for i, tc := range cases {
+		m := tc.model()
+		got, err := NetLoadAware{}.AllocateModel(m, tc.req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spills := m.TakeShardSpills()
+		best, cands, err := NetLoadAware{}.AllocateExplainModel(tc.model(), tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Nodes, best.Nodes) || !reflect.DeepEqual(got.Procs, best.Procs) ||
+			math.Float64bits(got.TotalLoad) != math.Float64bits(best.TotalLoad) {
+			t.Errorf("case %d: winner-only %+v, explain winner %+v", i, got, best)
+		}
+		want := uint64(0)
+		for _, c := range cands {
+			if c.Spill {
+				want++
+			}
+		}
+		if spills != want {
+			t.Errorf("case %d: TakeShardSpills = %d after one allocate, explain lists %d spilled candidates", i, spills, want)
+		}
+		sawSpill = sawSpill || want > 0
+	}
+	if !sawSpill {
+		t.Fatal("no fixture spilled")
+	}
+}
+
+// BenchmarkAllocateSharded times one allocate on a 16×64-node sharded
+// model: fresh on a model that has served no request (level 1 runs),
+// warm on one that has just served the same shape (level 1 is the memo).
+// Model builds are outside the timer.
+func BenchmarkAllocateSharded(b *testing.B) {
+	snap, groups := shardedEquivSnapshot(rng.New(1024), 16, 64)
+	opts := ShardOptions{Plan: NewShardPlan(groups, "bench"), Threshold: DefaultShardThreshold}
+	req := Request{Procs: 64, PPN: 2, Alpha: 0.3, Beta: 0.7}
+	build := func() *CostModel { return NewCostModelSharded(snap, PaperWeights(), false, opts) }
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := build()
+			b.StartTimer()
+			allocateAnswer(b, m, req)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		m := build()
+		allocateAnswer(b, m, req)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			allocateAnswer(b, m, req)
+		}
+	})
 }
