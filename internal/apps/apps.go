@@ -213,15 +213,14 @@ func Stencil2D(p Stencil2DParams, ranks int) (*mpisim.Shape, error) {
 		Iterations:        p.Steps,
 		ComputeSecPerIter: stencilSecPerPoint * perRank,
 		RefFreqGHz:        RefFreqGHz,
-		SetupSeconds:      0.05 + perRank*2e-8,
+		// Per-sweep residual norm: one 8-byte allreduce.
+		CollectivesPerIter: 1,
+		CollectiveBytes:    8,
+		SetupSeconds:       0.05 + perRank*2e-8,
 	}
 	// Each subdomain edge is ~sqrt(perRank) points.
 	edgeBytes := math.Sqrt(perRank) * stencilBytesPerEdgePoint
 	mpisim.Halo2D(s, edgeBytes, 2)
-	// Per-sweep residual norm: one 8-byte allreduce.
-	s.Collectives = []mpisim.CollectiveSpec{
-		{Kind: mpisim.Allreduce, Bytes: 8, Count: 1},
-	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -218,8 +218,8 @@ func TestStencil2DShape(t *testing.T) {
 	if len(s.P2P) != 24 {
 		t.Fatalf("stencil pairs %d, want 24", len(s.P2P))
 	}
-	if len(s.Collectives) != 1 || s.Collectives[0].Kind != mpisim.Allreduce {
-		t.Fatalf("collectives %+v", s.Collectives)
+	if s.CollectivesPerIter != 1 || s.CollectiveBytes != 8 {
+		t.Fatalf("allreduces per sweep %d x %g bytes, want 1 x 8", s.CollectivesPerIter, s.CollectiveBytes)
 	}
 }
 

@@ -1,78 +1,22 @@
 package mpisim
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
 
-// CollectiveKind enumerates the collective operations the cost model
-// understands. Costs follow the classic latency-bandwidth (α-β) models
-// used in MPI performance analysis (Thakur et al.'s MPICH algorithms):
-//
-//	broadcast:  binomial tree          — ⌈log₂ p⌉·(α + m·β)
-//	reduce:     binomial tree          — ⌈log₂ p⌉·(α + m·β)
-//	allreduce:  recursive doubling     — ⌈log₂ p⌉·(α + m·β)
-//	allgather:  ring                   — (p−1)·(α + (m/p)·β)
-//	alltoall:   pairwise exchange      — (p−1)·(α + (m/p)·β)
-//	barrier:    dissemination          — ⌈log₂ p⌉·α
-//
-// where p is the number of *nodes* (intra-node stages ride shared
-// memory), α the per-message latency and 1/β the bandwidth.
-type CollectiveKind int
-
-const (
-	// Broadcast is MPI_Bcast.
-	Broadcast CollectiveKind = iota
-	// Reduce is MPI_Reduce.
-	Reduce
-	// Allreduce is MPI_Allreduce.
-	Allreduce
-	// Allgather is MPI_Allgather.
-	Allgather
-	// AlltoAllColl is MPI_Alltoall.
-	AlltoAllColl
-	// Barrier is MPI_Barrier.
-	Barrier
-)
-
-// String names the collective for traces.
-func (k CollectiveKind) String() string {
-	switch k {
-	case Broadcast:
-		return "broadcast"
-	case Reduce:
-		return "reduce"
-	case Allreduce:
-		return "allreduce"
-	case Allgather:
-		return "allgather"
-	case AlltoAllColl:
-		return "alltoall"
-	case Barrier:
-		return "barrier"
-	default:
-		return fmt.Sprintf("CollectiveKind(%d)", int(k))
-	}
-}
-
-// CollectiveCost prices one collective over the given nodes under the
-// environment's current latency/bandwidth, for a payload of msgBytes per
-// rank. The job (exceptJob) is excluded from its own bandwidth view.
-// Single-node collectives cost only the shared-memory copy.
-func CollectiveCost(env Env, kind CollectiveKind, nodes []int, msgBytes float64, exceptJob int) (time.Duration, error) {
-	if len(nodes) == 0 {
-		return 0, fmt.Errorf("mpisim: collective over zero nodes")
-	}
-	if msgBytes < 0 {
-		return 0, fmt.Errorf("mpisim: negative collective payload")
-	}
+// allreduceCost prices one MPI_Allreduce of bytes per rank over the given
+// nodes under the environment's current latency/bandwidth, with the
+// recursive-doubling α-β model of Thakur et al.'s MPICH algorithms:
+// ⌈log₂ p⌉·(α + m·β), where p is the number of *nodes* (intra-node stages
+// ride shared memory), α the mean pairwise latency (the stages traverse
+// different pairs) and 1/β the worst pair's bandwidth (the bottleneck
+// edge). The job (exceptJob) is excluded from its own bandwidth view. A
+// single-node allreduce costs only the shared-memory copy.
+func allreduceCost(env Env, nodes []int, bytes float64, exceptJob int) time.Duration {
 	if len(nodes) == 1 {
-		sec := msgBytes / localMemBandwidth
-		return time.Duration(sec * float64(time.Second)), nil
+		return time.Duration(bytes / localMemBandwidth * float64(time.Second))
 	}
-	// α: mean pairwise latency (tree stages traverse different pairs);
-	// β-term bandwidth: the worst pair (the algorithm's bottleneck edge).
 	latSum, pairs := 0.0, 0
 	minBW := math.Inf(1)
 	for i := 0; i < len(nodes); i++ {
@@ -88,57 +32,18 @@ func CollectiveCost(env Env, kind CollectiveKind, nodes []int, msgBytes float64,
 	if minBW <= 0 || math.IsInf(minBW, 1) {
 		minBW = 1
 	}
-	p := float64(len(nodes))
-	logP := float64(Log2Ceil(len(nodes)))
-	var sec float64
-	switch kind {
-	case Broadcast, Reduce, Allreduce:
-		sec = logP * (alpha + msgBytes/minBW)
-	case Allgather, AlltoAllColl:
-		sec = (p - 1) * (alpha + (msgBytes/p)/minBW)
-	case Barrier:
-		sec = logP * alpha
-	default:
-		return 0, fmt.Errorf("mpisim: unknown collective %v", kind)
-	}
-	return time.Duration(sec * float64(time.Second)), nil
+	sec := float64(log2Ceil(len(nodes))) * (alpha + bytes/minBW)
+	return time.Duration(sec * float64(time.Second))
 }
 
-// CollectiveSpec is a per-iteration collective in an extended shape.
-type CollectiveSpec struct {
-	Kind CollectiveKind
-	// Bytes is the payload per rank.
-	Bytes float64
-	// Count is how many such operations run per iteration.
-	Count int
-}
-
-// Validate checks the spec.
-func (c CollectiveSpec) Validate() error {
-	if c.Bytes < 0 {
-		return fmt.Errorf("mpisim: collective %v with negative bytes", c.Kind)
+// log2Ceil returns ceil(log2(n)) with log2Ceil(1) == 0.
+func log2Ceil(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	if c.Count < 0 {
-		return fmt.Errorf("mpisim: collective %v with negative count", c.Kind)
+	k := 0
+	for v := n - 1; v > 0; v >>= 1 {
+		k++
 	}
-	if c.Kind < Broadcast || c.Kind > Barrier {
-		return fmt.Errorf("mpisim: unknown collective kind %d", int(c.Kind))
-	}
-	return nil
-}
-
-// CollectivesCost prices a set of per-iteration collectives.
-func CollectivesCost(env Env, specs []CollectiveSpec, nodes []int, exceptJob int) (time.Duration, error) {
-	var total time.Duration
-	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return 0, err
-		}
-		one, err := CollectiveCost(env, spec.Kind, nodes, spec.Bytes, exceptJob)
-		if err != nil {
-			return 0, err
-		}
-		total += time.Duration(spec.Count) * one
-	}
-	return total, nil
+	return k
 }

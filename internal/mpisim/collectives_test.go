@@ -10,132 +10,69 @@ func collEnv() flatEnv {
 	return flatEnv{cores: 12, freq: 4.6, bwBps: 100e6, latency: 100 * time.Microsecond}
 }
 
-func cost(t *testing.T, kind CollectiveKind, nodes int, bytes float64) time.Duration {
-	t.Helper()
+func cost(nodes int, bytes float64) time.Duration {
 	ids := make([]int, nodes)
 	for i := range ids {
 		ids[i] = i
 	}
-	d, err := CollectiveCost(collEnv(), kind, ids, bytes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return allreduceCost(collEnv(), ids, bytes, 1)
 }
 
-func TestBroadcastLogScaling(t *testing.T) {
-	// Latency-bound broadcast: cost grows with ceil(log2 p).
-	c2 := cost(t, Broadcast, 2, 8)
-	c8 := cost(t, Broadcast, 8, 8)
-	c16 := cost(t, Broadcast, 16, 8)
+func TestAllreduceLogScaling(t *testing.T) {
+	// Latency-bound allreduce: cost grows with ceil(log2 p).
+	c2 := cost(2, 8)
+	c8 := cost(8, 8)
+	c16 := cost(16, 8)
 	if r := float64(c8) / float64(c2); math.Abs(r-3) > 0.01 {
-		t.Fatalf("8/2-node broadcast ratio %g, want 3 (log2 8 / log2 2)", r)
+		t.Fatalf("8/2-node allreduce ratio %g, want 3 (log2 8 / log2 2)", r)
 	}
 	if r := float64(c16) / float64(c8); math.Abs(r-4.0/3) > 0.01 {
-		t.Fatalf("16/8 broadcast ratio %g, want 4/3", r)
+		t.Fatalf("16/8 allreduce ratio %g, want 4/3", r)
 	}
 }
 
 func TestAllreduceExactCost(t *testing.T) {
 	// 8 nodes: 3 stages x (100µs + 1e6/100e6 s) = 3 x 10.1ms = 30.3ms.
-	got := cost(t, Allreduce, 8, 1e6)
+	got := cost(8, 1e6)
 	want := 3 * (100e-6 + 0.01)
 	if math.Abs(got.Seconds()-want) > 1e-6 {
 		t.Fatalf("allreduce cost %v, want %gs", got, want)
 	}
 }
 
-func TestAllgatherRingCost(t *testing.T) {
-	// 4 nodes, 4KB total: (p-1) x (α + (m/p)β) = 3 x (100µs + 1KB/100MB).
-	got := cost(t, Allgather, 4, 4096)
-	want := 3 * (100e-6 + 1024/100e6)
-	if math.Abs(got.Seconds()-want) > 1e-7 {
-		t.Fatalf("allgather cost %v, want %gs", got, want)
-	}
-}
-
-func TestBarrierIsLatencyOnly(t *testing.T) {
-	small := cost(t, Barrier, 8, 0)
-	// Payload must not matter for barrier.
-	big, err := CollectiveCost(collEnv(), Barrier, []int{0, 1, 2, 3, 4, 5, 6, 7}, 1e9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small != big {
-		t.Fatalf("barrier depends on payload: %v vs %v", small, big)
-	}
-	want := 3 * 100e-6
-	if math.Abs(small.Seconds()-want) > 1e-9 {
-		t.Fatalf("barrier cost %v, want %gs", small, want)
-	}
-}
-
 func TestSingleNodeCollectiveIsSharedMemory(t *testing.T) {
-	got := cost(t, Allreduce, 1, 4e9)
+	got := cost(1, 4e9)
 	// 4GB over the 4GB/s shared-memory model = 1s; no network term.
 	if math.Abs(got.Seconds()-1) > 1e-9 {
 		t.Fatalf("single-node collective %v", got)
 	}
 }
 
-func TestAlltoallBeatsNaivePairwise(t *testing.T) {
-	// Pairwise-exchange alltoall splits the payload: with p nodes the
-	// per-step payload is m/p, so total bytes moved is (p-1)m/p < m·log p
-	// for big messages. Just check it scales linearly in (p-1).
-	c4 := cost(t, AlltoAllColl, 4, 1e6)
-	c8 := cost(t, AlltoAllColl, 8, 1e6)
-	// (p-1)·(α+(m/p)β): 3·(1e-4+2.5e-3)=7.8ms vs 7·(1e-4+1.25e-3)=9.45ms.
-	want4 := 3 * (100e-6 + 0.25e6/100e6)
-	want8 := 7 * (100e-6 + 0.125e6/100e6)
-	if math.Abs(c4.Seconds()-want4) > 1e-6 || math.Abs(c8.Seconds()-want8) > 1e-6 {
-		t.Fatalf("alltoall costs %v/%v, want %g/%g", c4, c8, want4, want8)
-	}
-}
-
 func TestCollectiveErrors(t *testing.T) {
-	if _, err := CollectiveCost(collEnv(), Allreduce, nil, 8, 1); err == nil {
-		t.Fatal("empty node set accepted")
+	ok := func() *Shape {
+		return &Shape{Name: "coll", Ranks: 2, Iterations: 1, RefFreqGHz: 1, CollectivesPerIter: 1, CollectiveBytes: 8}
 	}
-	if _, err := CollectiveCost(collEnv(), Allreduce, []int{0, 1}, -1, 1); err == nil {
-		t.Fatal("negative payload accepted")
-	}
-	if _, err := CollectiveCost(collEnv(), CollectiveKind(99), []int{0, 1}, 8, 1); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestCollectivesCostAggregates(t *testing.T) {
-	specs := []CollectiveSpec{
-		{Kind: Allreduce, Bytes: 8, Count: 2},
-		{Kind: Barrier, Count: 1},
-	}
-	total, err := CollectivesCost(collEnv(), specs, []int{0, 1, 2, 3}, 1)
+	place, err := NewPlacement(2, []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := cost(t, Allreduce, 4, 8)
-	bar := cost(t, Barrier, 4, 0)
-	want := 2*one + bar
-	if total != want {
-		t.Fatalf("aggregate %v, want %v", total, want)
+	if _, err := NewJob(1, ok(), place, t0); err != nil {
+		t.Fatal(err)
 	}
-	bad := []CollectiveSpec{{Kind: Allreduce, Bytes: -1, Count: 1}}
-	if _, err := CollectivesCost(collEnv(), bad, []int{0, 1}, 1); err == nil {
-		t.Fatal("bad spec accepted")
+	if _, err := NewJob(1, ok(), Placement{}, t0); err == nil {
+		t.Fatal("empty node set accepted")
 	}
-}
-
-func TestCollectiveKindString(t *testing.T) {
-	for k, want := range map[CollectiveKind]string{
-		Broadcast: "broadcast", Reduce: "reduce", Allreduce: "allreduce",
-		Allgather: "allgather", AlltoAllColl: "alltoall", Barrier: "barrier",
-	} {
-		if k.String() != want {
-			t.Fatalf("%d.String() = %q", int(k), k.String())
+	negBytes := ok()
+	negBytes.CollectiveBytes = -1
+	negCount := ok()
+	negCount.CollectivesPerIter = -1
+	for _, s := range []*Shape{negBytes, negCount} {
+		if err := s.Validate(); err == nil {
+			t.Fatalf("negative allreduce accepted: %d x %g bytes", s.CollectivesPerIter, s.CollectiveBytes)
 		}
-	}
-	if CollectiveKind(42).String() == "" {
-		t.Fatal("unknown kind empty string")
+		if _, err := NewJob(1, s, place, t0); err == nil {
+			t.Fatalf("NewJob accepted %d x %g-byte allreduces", s.CollectivesPerIter, s.CollectiveBytes)
+		}
 	}
 }
 
@@ -145,9 +82,19 @@ func TestCollectiveDegradedNetwork(t *testing.T) {
 	bad.latency = 2 * time.Millisecond
 	bad.bwBps = 5e6
 	nodes := []int{0, 1, 2, 3}
-	g, _ := CollectiveCost(good, Allreduce, nodes, 1e6, 1)
-	b, _ := CollectiveCost(bad, Allreduce, nodes, 1e6, 1)
+	g := allreduceCost(good, nodes, 1e6, 1)
+	b := allreduceCost(bad, nodes, 1e6, 1)
 	if b < g*5 {
 		t.Fatalf("degraded network barely hurts collectives: %v -> %v", g, b)
+	}
+}
+
+func TestCollectivesCostAggregates(t *testing.T) {
+	// n allreduces per iteration cost n times one, rounded to a Duration
+	// before the sum: the comm phase of a shape with no P2P is exactly that.
+	shape := &Shape{Name: "coll", Ranks: 8, Iterations: 1, RefFreqGHz: 4.6, CollectivesPerIter: 3, CollectiveBytes: 8}
+	j := makeJob(t, shape, []int{0, 1, 2, 3}, 2)
+	if got, want := j.commSecPerIter(collEnv()), (3 * cost(4, 8)).Seconds(); got != want {
+		t.Fatalf("3 allreduces cost %gs, want %gs", got, want)
 	}
 }

@@ -1,8 +1,10 @@
 package mpisim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -111,28 +113,37 @@ func NewJob(id int, shape *Shape, place Placement, start time.Time) (*Job, error
 		remSetupSec: shape.SetupSeconds,
 		remIters:    float64(shape.Iterations),
 	}
-	agg := make(map[[2]int]*nodeTraffic)
-	for rp, t := range shape.P2P {
+	// Visit rank pairs in (Lo, Hi) order and keep node pairs in (a, b)
+	// order, so the float sums here, in commSecPerIter and in every link
+	// Flows feeds never follow Go's randomised map order.
+	pairs := make([]RankPair, 0, len(shape.P2P))
+	for rp := range shape.P2P {
+		pairs = append(pairs, rp)
+	}
+	slices.SortFunc(pairs, func(x, y RankPair) int {
+		return cmp.Or(cmp.Compare(x.Lo, y.Lo), cmp.Compare(x.Hi, y.Hi))
+	})
+	at := make(map[[2]int]int)
+	for _, rp := range pairs {
+		t := shape.P2P[rp]
 		na, nb := place.NodeOf[rp.Lo], place.NodeOf[rp.Hi]
 		if na == nb {
 			j.localBytes += t.Bytes
 			continue
 		}
-		k := [2]int{na, nb}
-		if na > nb {
-			k = [2]int{nb, na}
-		}
-		nt, ok := agg[k]
+		k := [2]int{min(na, nb), max(na, nb)}
+		i, ok := at[k]
 		if !ok {
-			nt = &nodeTraffic{a: k[0], b: k[1]}
-			agg[k] = nt
+			i = len(j.crossTraffic)
+			at[k] = i
+			j.crossTraffic = append(j.crossTraffic, nodeTraffic{a: k[0], b: k[1]})
 		}
-		nt.bytes += t.Bytes
-		nt.msgs += t.Msgs
+		j.crossTraffic[i].bytes += t.Bytes
+		j.crossTraffic[i].msgs += t.Msgs
 	}
-	for _, nt := range agg {
-		j.crossTraffic = append(j.crossTraffic, *nt)
-	}
+	slices.SortFunc(j.crossTraffic, func(x, y nodeTraffic) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
 	return j, nil
 }
 
@@ -221,21 +232,9 @@ func (j *Job) commSecPerIter(env Env) float64 {
 	local := j.localBytes / localMemBandwidth
 	t := math.Max(pairMax, nodeMax) + local
 
-	// Collectives: the α-β algorithm models of CollectiveCost over the
-	// job's nodes. The shorthand CollectivesPerIter/CollectiveBytes pair
-	// is treated as that many allreduces.
-	specs := j.Shape.Collectives
-	if j.Shape.CollectivesPerIter > 0 {
-		specs = append(append([]CollectiveSpec(nil), specs...), CollectiveSpec{
-			Kind:  Allreduce,
-			Bytes: j.Shape.CollectiveBytes,
-			Count: j.Shape.CollectivesPerIter,
-		})
-	}
-	if len(specs) > 0 {
-		if collSec, err := CollectivesCost(env, specs, j.nodes, j.ID); err == nil {
-			t += collSec.Seconds()
-		}
+	if n := j.Shape.CollectivesPerIter; n > 0 {
+		one := allreduceCost(env, j.nodes, j.Shape.CollectiveBytes, j.ID)
+		t += (time.Duration(n) * one).Seconds()
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,8 +60,8 @@ func TestDims3DProductProperty(t *testing.T) {
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 64: 6}
 	for n, want := range cases {
-		if got := Log2Ceil(n); got != want {
-			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
+		if got := log2Ceil(n); got != want {
+			t.Errorf("log2Ceil(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -501,5 +502,34 @@ func TestJobTimeAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewJobTrafficOrderDeterminism builds one multi-node job many times:
+// its node-pair flows must come out in the same order and its comm phase
+// with the same bits every time, or same-seed worlds diverge.
+func TestNewJobTrafficOrderDeterminism(t *testing.T) {
+	shape := &Shape{Name: "halo", Ranks: 64, Iterations: 10, RefFreqGHz: 4.6}
+	Halo3D(shape, 1e5/3, 2)
+	Ring(shape, 1e4/7, 1)
+	nodes := make([]int, 22)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	build := func() ([]NodeFlow, uint64) {
+		j := makeJob(t, shape, nodes, 3)
+		j.Advance(idleEnv(), time.Millisecond)
+		return slices.Clone(j.Flows()), math.Float64bits(j.commSecPerIter(idleEnv()))
+	}
+	wantFlows, wantComm := build()
+	for rep := 1; rep < 100; rep++ {
+		flows, comm := build()
+		if !slices.Equal(flows, wantFlows) {
+			t.Fatalf("build %d: flows %v, first build had %v", rep, flows, wantFlows)
+		}
+		if comm != wantComm {
+			t.Fatalf("build %d: comm phase %v, first build had %v",
+				rep, math.Float64frombits(comm), math.Float64frombits(wantComm))
+		}
 	}
 }

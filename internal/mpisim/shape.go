@@ -1,7 +1,7 @@
 // Package mpisim simulates the execution of bulk-synchronous MPI programs
 // on the shared cluster. A program is described by its Shape — per-rank
 // compute work and the per-iteration communication pattern (point-to-point
-// messages between ranks plus collectives) — and executed against an Env
+// messages between ranks plus allreduces) — and executed against an Env
 // that prices CPU contention and network transfers. The executor advances
 // jobs in small time steps so that execution time reflects the cluster
 // conditions *while the job runs*, exactly like the paper's real runs on a
@@ -54,14 +54,11 @@ type Shape struct {
 	RefFreqGHz float64
 	// P2P holds the per-iteration point-to-point traffic between ranks.
 	P2P map[RankPair]Traffic
-	// CollectivesPerIter is the number of allreduce operations per
-	// iteration (shorthand for a Collectives entry; both may be used).
+	// CollectivesPerIter is the number of MPI_Allreduce operations per
+	// iteration, each priced by allreduceCost over the job's nodes.
 	CollectivesPerIter int
-	// CollectiveBytes is the payload of each shorthand allreduce.
+	// CollectiveBytes is the per-rank payload of each allreduce.
 	CollectiveBytes float64
-	// Collectives lists arbitrary per-iteration collective operations
-	// priced by the α-β models in CollectiveCost.
-	Collectives []CollectiveSpec
 	// SetupSeconds is one-off start-up cost (problem setup, MPI_Init).
 	SetupSeconds float64
 }
@@ -77,17 +74,15 @@ func (s *Shape) Validate() error {
 	if s.ComputeSecPerIter < 0 || s.SetupSeconds < 0 {
 		return fmt.Errorf("mpisim: shape %q: negative time", s.Name)
 	}
+	if s.CollectivesPerIter < 0 || s.CollectiveBytes < 0 {
+		return fmt.Errorf("mpisim: shape %q: negative allreduce count or bytes", s.Name)
+	}
 	for p, t := range s.P2P {
 		if p.Lo < 0 || p.Hi >= s.Ranks || p.Lo >= p.Hi {
 			return fmt.Errorf("mpisim: shape %q: invalid rank pair %v", s.Name, p)
 		}
 		if t.Bytes < 0 || t.Msgs < 0 {
 			return fmt.Errorf("mpisim: shape %q: negative traffic for %v", s.Name, p)
-		}
-	}
-	for _, c := range s.Collectives {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("mpisim: shape %q: %w", s.Name, err)
 		}
 	}
 	return nil
@@ -273,16 +268,4 @@ func Ring(s *Shape, bytes float64, msgs int) {
 	for r := 0; r < s.Ranks; r++ {
 		s.AddP2P(r, (r+1)%s.Ranks, bytes, msgs)
 	}
-}
-
-// Log2Ceil returns ceil(log2(n)) with Log2Ceil(1) == 0.
-func Log2Ceil(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	k := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		k++
-	}
-	return k
 }

@@ -47,17 +47,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by d (compare-and-swap loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -74,7 +63,7 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1
 	count  atomic.Uint64
-	sum    Gauge
+	sum    atomic.Uint64 // float64 bits
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -91,14 +80,19 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // HistogramSnapshot is a histogram's point-in-time state, JSON-exportable.
 type HistogramSnapshot struct {
@@ -111,7 +105,7 @@ type HistogramSnapshot struct {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count:  h.count.Load(),
-		Sum:    h.sum.Value(),
+		Sum:    h.Sum(),
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]uint64, len(h.counts)),
 	}

@@ -18,9 +18,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("a.level")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := r.Gauge("a.level").Value(); got != 1.5 {
-		t.Fatalf("gauge = %g, want 1.5", got)
+	if got := r.Gauge("a.level").Value(); got != 2.5 {
+		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 }
 
@@ -146,7 +145,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(float64(i))
 				r.Emit(time.Unix(int64(i), 0), "e", "")
 			}
@@ -156,11 +154,11 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("g").Value(); got != 8000 {
-		t.Fatalf("gauge = %g, want 8000", got)
-	}
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Fatalf("hist count = %d, want 8000", got)
+	}
+	if got := r.Histogram("h").Sum(); got != 8*999*1000/2 {
+		t.Fatalf("hist sum = %g, want %d", got, 8*999*1000/2)
 	}
 	if got := len(r.Events()); got != defaultEventCap {
 		t.Fatalf("events retained = %d, want %d", got, defaultEventCap)

@@ -322,41 +322,61 @@ func TestNodeDownAbortsRunningJobs(t *testing.T) {
 	}
 }
 
-// TestWorldSameSeedSameCompletions oversubscribes four nodes with 60
+// TestWorldSameSeedSameCompletions oversubscribes a few nodes with
 // concurrent jobs whose finish times interleave: every job's rate depends
 // on which others are still running, so any dependence on the order jobs
 // are visited in shows up as a different completion order or end time.
+// The six-node jobs span many node pairs, so they also catch a job's own
+// traffic being visited in map order.
 func TestWorldSameSeedSameCompletions(t *testing.T) {
-	run := func() []mpisim.Result {
-		w := testWorld(t, 21)
-		for i := 0; i < 60; i++ {
-			place, err := mpisim.NewPlacement(4, []int{i % 4, (i + 1) % 4}, 2)
-			if err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name             string
+		jobs, ranks, ppn int
+		nodes            func(i int) []int
+	}{
+		{"two-node", 60, 4, 2, func(i int) []int { return []int{i % 4, (i + 1) % 4} }},
+		{"six-node", 12, 36, 6, func(i int) []int {
+			nodes := make([]int, 6)
+			for k := range nodes {
+				nodes[k] = (i + 2*k) % 9
 			}
-			if _, err := w.LaunchJob(simpleShape(4, 200+10*(i%7)), place, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now := t0
-		for i := 0; i < 100000 && len(w.jobs) > 0; i++ {
-			now = now.Add(250 * time.Millisecond)
-			w.StepTo(now)
-		}
-		res := w.results
-		if len(res) != 60 {
-			t.Fatalf("%d of 60 jobs finished", len(res))
-		}
-		return res
+			return nodes
+		}},
 	}
-	want := run()
-	for rep := 1; rep < 20; rep++ {
-		got := run()
-		for i := range want {
-			if got[i].JobID != want[i].JobID || !got[i].End.Equal(want[i].End) {
-				t.Fatalf("repeat %d, completion %d: job %d at %v, first run had job %d at %v",
-					rep, i, got[i].JobID, got[i].End, want[i].JobID, want[i].End)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() []mpisim.Result {
+				w := testWorld(t, 21)
+				for i := 0; i < c.jobs; i++ {
+					place, err := mpisim.NewPlacement(c.ranks, c.nodes(i), c.ppn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := w.LaunchJob(simpleShape(c.ranks, 200+10*(i%7)), place, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				now := t0
+				for i := 0; i < 100000 && len(w.jobs) > 0; i++ {
+					now = now.Add(250 * time.Millisecond)
+					w.StepTo(now)
+				}
+				res := w.results
+				if len(res) != c.jobs {
+					t.Fatalf("%d of %d jobs finished", len(res), c.jobs)
+				}
+				return res
 			}
-		}
+			want := run()
+			for rep := 1; rep < 20; rep++ {
+				got := run()
+				for i := range want {
+					if got[i].JobID != want[i].JobID || !got[i].End.Equal(want[i].End) {
+						t.Fatalf("repeat %d, completion %d: job %d at %v, first run had job %d at %v",
+							rep, i, got[i].JobID, got[i].End, want[i].JobID, want[i].End)
+					}
+				}
+			}
+		})
 	}
 }
