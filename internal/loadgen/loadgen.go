@@ -206,6 +206,7 @@ type Generator struct {
 	nodes    []nodeState
 	sessions []*session
 	now      time.Time
+	flows    []Flow // Flows' buffer
 }
 
 // New builds a generator over cl seeded with seed. The same (cluster,
@@ -356,13 +357,14 @@ func (g *Generator) NodeLoad(id int) NodeLoad {
 	return nl
 }
 
-// Flows returns the currently active background network flows.
+// Flows returns the currently active background network flows, in
+// session order. The slice is reused: it is valid until the next call.
 func (g *Generator) Flows() []Flow {
-	var out []Flow
+	g.flows = g.flows[:0]
 	for _, s := range g.sessions {
 		if s.flow != nil {
-			out = append(out, *s.flow)
+			g.flows = append(g.flows, *s.flow)
 		}
 	}
-	return out
+	return g.flows
 }

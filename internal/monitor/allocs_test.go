@@ -1,0 +1,59 @@
+package monitor
+
+import (
+	"testing"
+	"time"
+
+	"nlarm/internal/obs"
+	"nlarm/internal/store"
+)
+
+// TestNodeStateTickAllocs pins a warmed NodeStateD tick (sample, the
+// four running means, encode, put, heartbeat and publish accounting)
+// over the versioned store the daemons write through at zero
+// allocations.
+func TestNodeStateTickAllocs(t *testing.T) {
+	r := newRig(t, 3)
+	st := store.Version(store.NewMem())
+	d := NewNodeStateD(1, r.pr, st, 5*time.Second)
+	d.SetObs(obs.NewRegistry())
+	if err := d.Start(r.sched); err != nil {
+		t.Fatal(err)
+	}
+	// An hour at 5 s holds the 16-minute series at its largest, past
+	// several compactions.
+	r.sched.RunFor(time.Hour)
+	now := r.sched.Now()
+	if a := testing.AllocsPerRun(200, func() {
+		now = now.Add(5 * time.Second)
+		d.fire(now, d.tick)
+	}); a != 0 {
+		t.Fatalf("warmed NodeStateD tick allocates %v times, want 0", a)
+	}
+}
+
+// TestLatencySweepAllocs pins a latency sweep after the first: the
+// measurements, running means, matrix, put and heartbeat allocate
+// nothing. The seven allocations left are the livehosts read: the key
+// list, the value copy, the decoded record, and four appends growing its
+// host list to the rig's eight nodes.
+func TestLatencySweepAllocs(t *testing.T) {
+	r := newRig(t, 3)
+	st := store.Version(store.NewMem())
+	lh := NewLivehostsD(0, r.pr, st, 10*time.Second)
+	d := NewLatencyD(r.pr, st, time.Minute)
+	for _, dm := range []Daemon{lh, d} {
+		if err := dm.Start(r.sched); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.sched.RunFor(10 * time.Minute)
+	lh.Stop()
+	now := r.sched.Now()
+	if a := testing.AllocsPerRun(50, func() {
+		now = now.Add(time.Minute)
+		d.fire(now, d.tick)
+	}); a != 7 {
+		t.Fatalf("latency sweep allocates %v times, want 7", a)
+	}
+}

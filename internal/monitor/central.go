@@ -60,6 +60,9 @@ type CentralMonitor struct {
 	rt         simtime.Runtime
 	supervised []Daemon
 	peerName   string // the other central monitor instance's daemon name
+	// hbKeys[i] is supervised[i]'s heartbeat key, peerKey peerName's.
+	hbKeys     []string
+	peerKey    string
 	relaunches int
 	promotions int
 }
@@ -70,14 +73,25 @@ type CentralMonitor struct {
 // daemon name of the sibling instance (for slave-death detection).
 func NewCentralMonitor(name string, role Role, supervised []Daemon, peerName string, st store.Store, cfg Config, hooks Hooks) *CentralMonitor {
 	cfg = cfg.withDefaults()
-	return &CentralMonitor{
+	m := &CentralMonitor{
 		daemonBase: daemonBase{name: name, period: cfg.SupervisePeriod, st: st},
 		cfg:        cfg,
 		hooks:      hooks,
 		role:       role,
-		supervised: supervised,
-		peerName:   peerName,
 	}
+	m.setSupervised(supervised, peerName)
+	return m
+}
+
+// setSupervised replaces the supervised set and builds its heartbeat
+// keys once.
+func (m *CentralMonitor) setSupervised(ds []Daemon, peerName string) {
+	m.supervised, m.peerName = ds, peerName
+	m.hbKeys = make([]string, len(ds))
+	for i, d := range ds {
+		m.hbKeys[i] = heartbeatKey(d.Name())
+	}
+	m.peerKey = heartbeatKey(peerName)
 }
 
 // Role returns the instance's current role.
@@ -128,21 +142,24 @@ func (m *CentralMonitor) masterTick(now time.Time) {
 	// its leadership.
 	_ = putJSON(m.st, KeyLeader, leaderLease{ID: m.name, At: now})
 
-	for _, d := range m.supervised {
-		if m.staleFor(d.Name(), d.Period(), now) {
+	m.roleMu.Lock()
+	supervised, keys := m.supervised, m.hbKeys
+	m.roleMu.Unlock()
+	for i, d := range supervised {
+		if m.staleKey(keys[i], d.Period(), now) {
 			d.Stop() // clear any half-alive state before relaunch
 			if err := d.Start(m.rt); err == nil {
 				m.roleMu.Lock()
 				m.relaunches++
 				m.roleMu.Unlock()
-				writeHeartbeat(m.st, d.Name(), now)
+				_ = m.enc.putHeartbeat(m.st, keys[i], d.Name(), now)
 				m.obs.Counter("monitor.relaunches.total").Inc()
 				m.obs.Emit(now, "relaunch", d.Name()+" by "+m.name)
 			}
 		}
 	}
 
-	if m.peerName != "" && m.staleFor(m.peerName, m.cfg.SupervisePeriod, now) && m.hooks.OnSlaveDead != nil {
+	if m.peerName != "" && m.staleKey(m.peerKey, m.cfg.SupervisePeriod, now) && m.hooks.OnSlaveDead != nil {
 		m.hooks.OnSlaveDead(m)
 	}
 }
@@ -172,16 +189,15 @@ func (m *CentralMonitor) slaveTick(now time.Time) {
 func (m *CentralMonitor) AdoptSupervised(ds []Daemon, peerName string) {
 	m.roleMu.Lock()
 	defer m.roleMu.Unlock()
-	m.supervised = ds
-	m.peerName = peerName
+	m.setSupervised(ds, peerName)
 }
 
-// staleFor reports whether the named daemon's heartbeat is too old. The
+// staleKey reports whether the heartbeat under key is too old. The
 // threshold comes from stalenessThreshold — the same rule the doctor's
 // thresholdFor applies — so supervision and diagnosis can never disagree
 // about who is dead.
-func (m *CentralMonitor) staleFor(name string, period time.Duration, now time.Time) bool {
-	at, ok := readHeartbeat(m.st, name)
+func (m *CentralMonitor) staleKey(key string, period time.Duration, now time.Time) bool {
+	at, ok := readHeartbeat(m.st, key)
 	if !ok {
 		return true
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -33,8 +34,10 @@ type heartbeat struct {
 	At   time.Time `json:"at"`
 }
 
+// putJSON puts v's encoding/json bytes under key: the records no daemon
+// publishes every tick, and what tickEncoder refuses.
 func putJSON(st store.Store, key string, v any) error {
-	b, err := marshalJSON(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("monitor: marshal %s: %w", key, err)
 	}
@@ -52,17 +55,24 @@ func getJSON(st store.Store, key string, v any) error {
 	return nil
 }
 
+// writeHeartbeat refreshes the named daemon's heartbeat with a buffer of
+// its own: for the heartbeat a daemon writes when it starts, which may
+// overlap its last tick before a restart. Ticks use the daemon's buffer.
 func writeHeartbeat(st store.Store, name string, now time.Time) {
+	var e tickEncoder
 	// Heartbeat failures are deliberately swallowed: a daemon that cannot
 	// reach the store looks dead to the central monitor, which is exactly
 	// the failure semantics we want.
-	_ = putJSON(st, KeyHeartbeatPrefix+name, heartbeat{Name: name, At: now})
+	_ = e.putHeartbeat(st, heartbeatKey(name), name, now)
 }
 
-// readHeartbeat returns the last heartbeat time of the named daemon.
-func readHeartbeat(st store.Store, name string) (time.Time, bool) {
+// heartbeatKey is the store key of the named daemon's heartbeat.
+func heartbeatKey(name string) string { return KeyHeartbeatPrefix + name }
+
+// readHeartbeat returns the last heartbeat time stored under key.
+func readHeartbeat(st store.Store, key string) (time.Time, bool) {
 	var hb heartbeat
-	if err := getJSON(st, KeyHeartbeatPrefix+name, &hb); err != nil {
+	if err := getJSON(st, key, &hb); err != nil {
 		return time.Time{}, false
 	}
 	return hb.At, true
@@ -101,6 +111,14 @@ type daemonBase struct {
 	ticks    int
 	obs      *obs.Registry // nil = recording disabled
 	lastTick time.Time
+	// published and interval are obs's monitor.publish.<kind> counter
+	// and interval gauge, resolved once by SetObs (nil with obs).
+	published *obs.Counter
+	interval  *obs.Gauge
+	// hbKey is heartbeatKey(name), built by the first start; enc is the
+	// buffer every tick encodes into, heartbeat included.
+	hbKey string
+	enc   tickEncoder
 }
 
 // SetObs attaches an instrumentation registry; each tick then records a
@@ -109,7 +127,12 @@ type daemonBase struct {
 // before Start; nil disables recording.
 func (d *daemonBase) SetObs(reg *obs.Registry) {
 	d.mu.Lock()
-	d.obs = reg
+	d.obs, d.published, d.interval = reg, nil, nil
+	if reg != nil {
+		kind := d.kind()
+		d.published = reg.Counter("monitor.publish." + kind)
+		d.interval = reg.Gauge("monitor.publish.interval." + kind)
+	}
 	d.mu.Unlock()
 }
 
@@ -144,34 +167,42 @@ func (d *daemonBase) start(rt simtime.Runtime, tick func(now time.Time)) error {
 	if d.cancel != nil {
 		return fmt.Errorf("monitor: daemon %s already running", d.name)
 	}
-	d.cancel = rt.Every(d.period, d.name, func(now time.Time) {
-		d.mu.Lock()
-		running := d.cancel != nil
-		reg := d.obs
-		last := d.lastTick
-		if running {
-			d.ticks++
-			d.lastTick = now
-		}
-		d.mu.Unlock()
-		if !running {
-			return
-		}
-		tick(now)
-		writeHeartbeat(d.st, d.name, now)
-		// Publish accounting: count per daemon family, and gauge the
-		// achieved cadence so a stalled or slow family is visible as a
-		// widening interval relative to its configured period.
-		kind := d.kind()
-		reg.Counter("monitor.publish." + kind).Inc()
-		if !last.IsZero() {
-			reg.Gauge("monitor.publish.interval." + kind).Set(now.Sub(last).Seconds())
-		}
-	})
+	if d.hbKey == "" {
+		d.hbKey = heartbeatKey(d.name)
+	}
+	d.cancel = rt.Every(d.period, d.name, func(now time.Time) { d.fire(now, tick) })
 	// Write an immediate heartbeat so the supervisor does not see a fresh
 	// daemon as dead before its first tick.
 	writeHeartbeat(d.st, d.name, rt.Now())
 	return nil
+}
+
+// fire runs one tick of a running daemon: tick, then the heartbeat and
+// the publish accounting.
+func (d *daemonBase) fire(now time.Time, tick func(now time.Time)) {
+	d.mu.Lock()
+	running := d.cancel != nil
+	published, interval := d.published, d.interval
+	last := d.lastTick
+	if running {
+		d.ticks++
+		d.lastTick = now
+	}
+	d.mu.Unlock()
+	if !running {
+		return
+	}
+	tick(now)
+	_ = d.enc.putHeartbeat(d.st, d.hbKey, d.name, now) // swallowed, as in writeHeartbeat
+	// Publish accounting: count per daemon family, and gauge the
+	// achieved cadence so a stalled or slow family is visible as a
+	// widening interval relative to its configured period.
+	if published != nil {
+		published.Inc()
+		if !last.IsZero() {
+			interval.Set(now.Sub(last).Seconds())
+		}
+	}
 }
 
 func (d *daemonBase) stop() {

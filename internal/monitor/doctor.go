@@ -60,7 +60,7 @@ func (d *Diagnosis) Healthy() bool {
 // heartbeat may be before a daemon with the given tick period counts as
 // dead: the larger of the configured timeout and 2.5 periods, so slow
 // daemons like BandwidthD are not declared dead (or relaunched) between
-// legitimate ticks. Both the central monitor's supervision (staleFor)
+// legitimate ticks. Both the central monitor's supervision (staleKey)
 // and the doctor's diagnosis (thresholdFor) apply this rule.
 func stalenessThreshold(period time.Duration, cfg Config) time.Duration {
 	threshold := cfg.HeartbeatTimeout
@@ -109,7 +109,7 @@ func Diagnose(st store.Store, now time.Time, cfg Config) (*Diagnosis, error) {
 	}
 	for _, k := range keys {
 		name := strings.TrimPrefix(k, KeyHeartbeatPrefix)
-		at, ok := readHeartbeat(st, name)
+		at, ok := readHeartbeat(st, k)
 		if !ok {
 			continue
 		}

@@ -1,57 +1,61 @@
 package monitor
 
 import (
-	"encoding/json"
-	"sync"
+	"time"
 
 	"nlarm/internal/canon"
 	"nlarm/internal/metrics"
 	"nlarm/internal/stats"
+	"nlarm/internal/store"
 )
 
-// tickEncoder appends the JSON of the four records the daemons publish on
-// every tick (metrics.NodeAttrs, heartbeat, the latency and bandwidth
-// matrices) with canon's writers, byte for byte what json.Marshal writes
-// for them. Whatever canon refuses, marshalJSON leaves, with its error, to
-// json.Marshal.
+// tickEncoder appends the JSON of the records the daemons publish on
+// every tick (metrics.NodeAttrs, heartbeat, livehostsRecord, the latency
+// and bandwidth matrices) with canon's writers, byte for byte what
+// json.Marshal writes for them. Each daemon owns one and reuses its
+// buffer on every tick, which is safe because a daemon's ticks never
+// overlap; the store copies what it keeps, so a steady-state publish
+// allocates nothing. Each put method hands what canon refuses, with its
+// error, to putJSON; the record is boxed only on that path.
 type tickEncoder struct{ canon.Encoder }
 
-var tickEncoders = sync.Pool{New: func() any { return new(tickEncoder) }}
+func (e *tickEncoder) reset() { e.B, e.OK = e.B[:0], true }
 
-// marshalJSON returns json.Marshal(v). The tick records are encoded into
-// a pooled buffer and copied out at their exact length.
-func marshalJSON(v any) ([]byte, error) {
-	e := tickEncoders.Get().(*tickEncoder)
-	var out []byte
-	ok := e.encode(v)
-	if ok {
-		out = append([]byte(nil), e.B...)
+func (e *tickEncoder) putNodeAttrs(st store.Store, key string, a *metrics.NodeAttrs) error {
+	e.reset()
+	e.nodeAttrs(a)
+	if !e.OK {
+		return putJSON(st, key, *a)
 	}
-	tickEncoders.Put(e)
-	if !ok {
-		return json.Marshal(v)
-	}
-	return out, nil
+	return st.Put(key, e.B)
 }
 
-// encode replaces e.B with v's JSON and reports whether it could.
-func (e *tickEncoder) encode(v any) bool {
-	e.B, e.OK = e.B[:0], true
-	switch r := v.(type) {
-	case metrics.NodeAttrs:
-		e.nodeAttrs(&r)
-	case heartbeat:
-		e.Str(`{"name":`, r.Name)
-		e.Time(`,"at":`, r.At)
-		e.Raw(`}`)
-	case []metrics.PairLatency:
-		canon.AppendList(&e.Encoder, ``, r, e.latency)
-	case []metrics.PairBandwidth:
-		canon.AppendList(&e.Encoder, ``, r, e.bandwidth)
-	default:
-		return false
+func (e *tickEncoder) putHeartbeat(st store.Store, key, name string, at time.Time) error {
+	e.reset()
+	e.heartbeat(name, at)
+	if !e.OK {
+		return putJSON(st, key, heartbeat{Name: name, At: at})
 	}
-	return e.OK
+	return st.Put(key, e.B)
+}
+
+func (e *tickEncoder) putLivehosts(st store.Store, key string, r *livehostsRecord) error {
+	e.reset()
+	e.livehosts(r)
+	if !e.OK {
+		return putJSON(st, key, *r)
+	}
+	return st.Put(key, e.B)
+}
+
+// putMatrix puts a pair list, item writing each record.
+func putMatrix[T metrics.PairRecord](e *tickEncoder, st store.Store, key string, list []T, item func(*tickEncoder, *T)) error {
+	e.reset()
+	canon.AppendList(&e.Encoder, ``, list, func(p *T) { item(e, p) })
+	if !e.OK {
+		return putJSON(st, key, list)
+	}
+	return st.Put(key, e.B)
 }
 
 func (e *tickEncoder) nodeAttrs(a *metrics.NodeAttrs) {
@@ -74,6 +78,19 @@ func (e *tickEncoder) windowed(key string, w stats.Windowed) {
 	e.Float(`{"M1":`, w.M1)
 	e.Float(`,"M5":`, w.M5)
 	e.Float(`,"M15":`, w.M15)
+	e.Raw(`}`)
+}
+
+func (e *tickEncoder) heartbeat(name string, at time.Time) {
+	e.Str(`{"name":`, name)
+	e.Time(`,"at":`, at)
+	e.Raw(`}`)
+}
+
+func (e *tickEncoder) livehosts(r *livehostsRecord) {
+	e.Int(`{"replica":`, int64(r.Replica))
+	e.Time(`,"at":`, r.At)
+	canon.AppendList(&e.Encoder, `,"hosts":`, r.Hosts, func(h *int) { e.Int(``, int64(*h)) })
 	e.Raw(`}`)
 }
 

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"nlarm/internal/canon"
 	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
+	"nlarm/internal/store"
 )
 
 // tickGen draws the tick records with the inputs json.Marshal treats
@@ -129,4 +131,51 @@ func must(b []byte, err error) []byte {
 		panic(err)
 	}
 	return b
+}
+
+// marshalJSON returns json.Marshal(v): the tick records through
+// tickEncoder, anything else, and what it refuses, through json.Marshal.
+func marshalJSON(v any) ([]byte, error) {
+	var e tickEncoder
+	if e.encode(v) {
+		return e.B, nil
+	}
+	return json.Marshal(v)
+}
+
+// encode replaces e.B with v's JSON, the way the daemons' put methods
+// write it, and reports whether it could.
+func (e *tickEncoder) encode(v any) bool {
+	e.reset()
+	switch r := v.(type) {
+	case metrics.NodeAttrs:
+		e.nodeAttrs(&r)
+	case heartbeat:
+		e.heartbeat(r.Name, r.At)
+	case []metrics.PairLatency:
+		canon.AppendList(&e.Encoder, ``, r, e.latency)
+	case []metrics.PairBandwidth:
+		canon.AppendList(&e.Encoder, ``, r, e.bandwidth)
+	default:
+		return false
+	}
+	return e.OK
+}
+
+// Property: the record a LivehostsD puts is json.Marshal's bytes, nil and
+// empty host lists included, and it fails exactly when json.Marshal does.
+func TestPutLivehostsMatchesJSON(t *testing.T) {
+	g := tickGen{rng.New(29)}
+	st := store.NewMem()
+	var e tickEncoder
+	for i := 0; i < 2000; i++ {
+		rec := g.livehosts()
+		want, wantErr := json.Marshal(rec)
+		_ = st.Delete("k")
+		gotErr := e.putLivehosts(st, "k", &rec)
+		got, _ := st.Get("k")
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("%#v:\n got %s (err %v)\nwant %s (err %v)", rec, got, gotErr, want, wantErr)
+		}
+	}
 }

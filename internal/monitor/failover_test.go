@@ -77,6 +77,11 @@ func TestFaultThresholdSingleSourceOfTruth(t *testing.T) {
 	}
 }
 
+// staleFor is staleKey for the named daemon's heartbeat.
+func (m *CentralMonitor) staleFor(name string, period time.Duration, now time.Time) bool {
+	return m.staleKey(heartbeatKey(name), period, now)
+}
+
 // TestFaultStaleForMatchesDoctorThreshold pins supervision and diagnosis
 // to the same verdict: a heartbeat exactly at the threshold is alive to
 // both, one tick past it is dead to both.

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"hash/fnv"
 	"strings"
 	"sync"
@@ -64,11 +65,13 @@ var golden = sync.OnceValue(func() goldenRun {
 			if !decodeRecord(value, v) {
 				run.fellBack = append(run.fellBack, key+" "+string(value))
 			}
+			// Put does not keep value (the store.Store contract), so
+			// neither may the hook: the daemons reuse their buffers.
 			if run.decoded[family] == 0 && family == "nodestate" {
-				run.seeds["nodestate0"] = value
+				run.seeds["nodestate0"] = bytes.Clone(value)
 			}
 			run.decoded[family]++
-			run.seeds[family] = value
+			run.seeds[family] = bytes.Clone(value)
 		}
 	}}
 	mgr := NewManager(&WorldProber{W: w}, st, Config{})

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"nlarm/internal/simtime"
@@ -22,7 +23,9 @@ type livehostsRecord struct {
 type LivehostsD struct {
 	daemonBase
 	replica int
+	key     string // KeyLivehostsPrefix + replica
 	pr      Prober
+	hosts   []int // the last tick's live hosts, reused
 }
 
 // NewLivehostsD builds replica `replica` with the given ping period.
@@ -34,6 +37,7 @@ func NewLivehostsD(replica int, pr Prober, st store.Store, period time.Duration)
 			st:     st,
 		},
 		replica: replica,
+		key:     KeyLivehostsPrefix + strconv.Itoa(replica),
 		pr:      pr,
 	}
 }
@@ -44,13 +48,17 @@ func (d *LivehostsD) Start(rt simtime.Runtime) error {
 }
 
 func (d *LivehostsD) tick(now time.Time) {
-	rec := livehostsRecord{Replica: d.replica, At: now}
+	d.hosts = d.hosts[:0]
 	for id := 0; id < d.pr.NumNodes(); id++ {
 		if d.pr.Ping(id) {
-			rec.Hosts = append(rec.Hosts, id)
+			d.hosts = append(d.hosts, id)
 		}
 	}
-	_ = putJSON(d.st, fmt.Sprintf("%s%d", KeyLivehostsPrefix, d.replica), rec)
+	rec := livehostsRecord{Replica: d.replica, At: now}
+	if len(d.hosts) > 0 { // no live host is published as null
+		rec.Hosts = d.hosts
+	}
+	_ = d.enc.putLivehosts(d.st, d.key, &rec)
 }
 
 // ReadLivehosts merges the replicas' published lists, preferring the most

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"time"
 
 	"nlarm/internal/metrics"
@@ -71,18 +72,27 @@ type pairSweep[T metrics.PairRecord] struct {
 	daemonBase
 	pr      Prober
 	key     string
-	matrix  map[metrics.PairKey]T
 	measure func(now time.Time, k metrics.PairKey) (T, error)
+	// write encodes one record of the published list.
+	write func(*tickEncoder, *T)
+	// matrix is the published list, ascending by pair; at maps a pair to
+	// its index there. Only a pair seen for the first time re-sorts it.
+	matrix []T
+	at     map[metrics.PairKey]int
+	// rounds is Rounds(hosts), rebuilt when the live hosts change.
+	hosts  []int
+	rounds [][][2]int
 }
 
 func newPairSweep[T metrics.PairRecord](name, key string, pr Prober, st store.Store, period time.Duration,
-	measure func(now time.Time, k metrics.PairKey) (T, error)) pairSweep[T] {
+	measure func(now time.Time, k metrics.PairKey) (T, error), write func(*tickEncoder, *T)) pairSweep[T] {
 	return pairSweep[T]{
 		daemonBase: daemonBase{name: name, period: period, st: st},
 		pr:         pr,
 		key:        key,
-		matrix:     make(map[metrics.PairKey]T),
 		measure:    measure,
+		write:      write,
+		at:         make(map[metrics.PairKey]int),
 	}
 }
 
@@ -92,19 +102,37 @@ func (d *pairSweep[T]) Start(rt simtime.Runtime) error {
 }
 
 func (d *pairSweep[T]) tick(now time.Time) {
-	for _, round := range Rounds(livehostsOrAll(d.st, d.pr)) {
+	if hosts := livehostsOrAll(d.st, d.pr); !slices.Equal(hosts, d.hosts) {
+		d.hosts, d.rounds = hosts, Rounds(hosts)
+	}
+	grown := false
+	for _, round := range d.rounds {
 		for _, p := range round {
 			k := metrics.Pair(p[0], p[1])
-			if rec, err := d.measure(now, k); err == nil {
-				d.matrix[k] = rec
+			rec, err := d.measure(now, k)
+			if err != nil {
+				continue
 			}
+			if i, ok := d.at[k]; ok {
+				d.matrix[i] = rec
+				continue
+			}
+			d.at[k] = len(d.matrix)
+			d.matrix = append(d.matrix, rec)
+			grown = true
 		}
 	}
-	list := metrics.SortedPairs(d.matrix)
+	if grown {
+		slices.SortFunc(d.matrix, metrics.ComparePairs[T])
+		for i, rec := range d.matrix {
+			d.at[rec.Key()] = i
+		}
+	}
+	list := d.matrix
 	if list == nil {
 		list = []T{} // an empty matrix is published as [], not null
 	}
-	_ = putJSON(d.st, d.key, list)
+	_ = putMatrix(&d.enc, d.st, d.key, list, d.write)
 }
 
 // readMatrix returns the pair matrix published under key, keyed by pair.
@@ -127,7 +155,7 @@ type LatencyD struct {
 // NewLatencyD builds the latency measurement daemon.
 func NewLatencyD(pr Prober, st store.Store, period time.Duration) *LatencyD {
 	d := &LatencyD{series: make(map[metrics.PairKey]*stats.TimeSeries)}
-	d.pairSweep = newPairSweep("latencyd", KeyLatencyMatrix, pr, st, period, d.measurePair)
+	d.pairSweep = newPairSweep("latencyd", KeyLatencyMatrix, pr, st, period, d.measurePair, (*tickEncoder).latency)
 	return d
 }
 
@@ -138,19 +166,20 @@ func (d *LatencyD) measurePair(now time.Time, k metrics.PairKey) (metrics.PairLa
 	}
 	ts, ok := d.series[k]
 	if !ok {
-		ts = stats.NewTimeSeries(6 * time.Minute)
+		ts = stats.NewTimeSeries(6*time.Minute, 1)
 		d.series[k] = ts
 	}
 	// The sample just added is Means' fallback for an empty window.
 	_ = ts.Add(now, lat.Seconds())
-	m := ts.Means(now)
+	var m [1]stats.Windowed
+	ts.Means(now, m[:])
 	return metrics.PairLatency{
 		U:         k.U,
 		V:         k.V,
 		Timestamp: now,
 		Last:      lat,
-		Mean1:     time.Duration(m.M1 * float64(time.Second)),
-		Mean5:     time.Duration(m.M5 * float64(time.Second)),
+		Mean1:     time.Duration(m[0].M1 * float64(time.Second)),
+		Mean5:     time.Duration(m[0].M5 * float64(time.Second)),
 	}, nil
 }
 
@@ -173,7 +202,7 @@ func NewBandwidthD(pr Prober, st store.Store, period time.Duration) *BandwidthD 
 		func(now time.Time, k metrics.PairKey) (metrics.PairBandwidth, error) {
 			avail, peak, err := pr.MeasureBandwidth(k.U, k.V)
 			return metrics.PairBandwidth{U: k.U, V: k.V, Timestamp: now, AvailBps: avail, PeakBps: peak}, err
-		})}
+		}, (*tickEncoder).bandwidth)}
 }
 
 // ReadBandwidthMatrix returns the published bandwidth matrix keyed by pair.

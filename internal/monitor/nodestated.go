@@ -22,10 +22,9 @@ type NodeStateD struct {
 	key  string // nodeStateKey(node)
 	pr   Prober
 
-	cpuLoad  *stats.TimeSeries
-	cpuUtil  *stats.TimeSeries
-	flowRate *stats.TimeSeries
-	availMem *stats.TimeSeries
+	// series holds the four sampled attributes as columns: CPU load, CPU
+	// utilisation, flow rate and available memory.
+	series *stats.TimeSeries
 }
 
 // NewNodeStateD builds the state daemon for node id.
@@ -37,13 +36,10 @@ func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *N
 			period: period,
 			st:     st,
 		},
-		node:     node,
-		key:      nodeStateKey(node),
-		pr:       pr,
-		cpuLoad:  stats.NewTimeSeries(retain),
-		cpuUtil:  stats.NewTimeSeries(retain),
-		flowRate: stats.NewTimeSeries(retain),
-		availMem: stats.NewTimeSeries(retain),
+		node:   node,
+		key:    nodeStateKey(node),
+		pr:     pr,
+		series: stats.NewTimeSeries(retain, 4),
 	}
 }
 
@@ -60,10 +56,9 @@ func (d *NodeStateD) tick(now time.Time) {
 		return
 	}
 	cores, freq, totalMem := d.pr.StaticAttrs(d.node)
-	_ = d.cpuLoad.Add(now, sample.CPULoad)
-	_ = d.cpuUtil.Add(now, sample.CPUUtilPct)
-	_ = d.flowRate.Add(now, sample.FlowRateBps)
-	_ = d.availMem.Add(now, totalMem-sample.UsedMemMB)
+	_ = d.series.Add(now, sample.CPULoad, sample.CPUUtilPct, sample.FlowRateBps, totalMem-sample.UsedMemMB)
+	var m [4]stats.Windowed
+	d.series.Means(now, m[:])
 
 	attrs := metrics.NodeAttrs{
 		NodeID:      d.node,
@@ -73,12 +68,12 @@ func (d *NodeStateD) tick(now time.Time) {
 		FreqGHz:     freq,
 		TotalMemMB:  totalMem,
 		Users:       sample.Users,
-		CPULoad:     d.cpuLoad.Means(now),
-		CPUUtilPct:  d.cpuUtil.Means(now),
-		FlowRateBps: d.flowRate.Means(now),
-		AvailMemMB:  d.availMem.Means(now),
+		CPULoad:     m[0],
+		CPUUtilPct:  m[1],
+		FlowRateBps: m[2],
+		AvailMemMB:  m[3],
 	}
-	_ = putJSON(d.st, d.key, attrs)
+	_ = d.enc.putNodeAttrs(d.st, d.key, &attrs)
 }
 
 // nodeStateKey is the store key node id's attributes are published under,

@@ -94,11 +94,21 @@ type linkState struct {
 
 // Network is the dynamic network state. Not safe for concurrent use; the
 // world steps and queries it from one goroutine (monitor daemons access it
-// through the world's lock).
+// through the world's lock), which also guards the lazily built routes.
 type Network struct {
 	cfg   Config
 	topo  *topology.Topology
 	links map[topology.LinkID]*linkState
+	// all lists every link state once, in no particular order: resetting
+	// traffic and stepping jitter are per link (each link owns its RNG).
+	all []*linkState
+	// edge[id] is node id's access link.
+	edge []*linkState
+	// routes[u][v] is Path(u, v) and external[u] externalPath(u) resolved
+	// to link states in path order, each built on first use; a row of
+	// routes is allocated when u first sends.
+	routes   [][][]*linkState
+	external [][]*linkState
 	// gateway is a node attached to switch 0 used to route external
 	// flows, cached once (-1 when switch 0 has no nodes).
 	gateway int
@@ -109,22 +119,67 @@ type Network struct {
 // model is reproducible regardless of map iteration order.
 func New(topo *topology.Topology, cfg Config, seed uint64) *Network {
 	cfg = cfg.withDefaults()
-	n := &Network{cfg: cfg, topo: topo, links: make(map[topology.LinkID]*linkState), gateway: -1}
+	nodes := topo.NumNodes()
+	n := &Network{
+		cfg:      cfg,
+		topo:     topo,
+		links:    make(map[topology.LinkID]*linkState),
+		edge:     make([]*linkState, nodes),
+		routes:   make([][][]*linkState, nodes),
+		external: make([][]*linkState, nodes),
+		gateway:  -1,
+	}
 	if at0 := topo.NodesAt(0); len(at0) > 0 {
 		n.gateway = at0[0]
 	}
 	for _, l := range topo.Links() {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(l.String()))
-		n.links[l] = &linkState{
+		ls := &linkState{
 			id:      l,
 			cap:     topo.Capacity(l),
 			jitter:  1,
 			rnd:     rng.New(seed ^ h.Sum64()),
 			byOwner: make(map[int]float64),
 		}
+		n.links[l] = ls
+		n.all = append(n.all, ls)
+	}
+	for id := range n.edge {
+		n.edge[id] = n.links[topology.EdgeLink(id, topo.SwitchOf(id))]
 	}
 	return n
+}
+
+// resolve maps a path's links to their states, in path order.
+func (n *Network) resolve(path []topology.LinkID) []*linkState {
+	out := make([]*linkState, len(path))
+	for i, l := range path {
+		out[i] = n.links[l]
+	}
+	return out
+}
+
+// route returns the link states of Path(u, v), resolving them once.
+func (n *Network) route(u, v int) []*linkState {
+	row := n.routes[u]
+	if row == nil {
+		row = make([][]*linkState, len(n.routes))
+		n.routes[u] = row
+	}
+	if row[v] == nil {
+		row[v] = n.resolve(n.topo.Path(u, v))
+	}
+	return row[v]
+}
+
+// externalRoute returns the link states of externalPath(src), resolving
+// them once.
+func (n *Network) externalRoute(src int) []*linkState {
+	if n.external[src] == nil {
+		n.external[src] = n.resolve(n.externalPath(src))
+	}
+	return n.external[src]
 }
 
 // externalPath routes a flow from src to the external gateway: src's edge
@@ -145,38 +200,35 @@ func (n *Network) externalPath(src int) []topology.LinkID {
 	return full[:len(full)-1]
 }
 
-func (n *Network) pathOf(f Flow) []topology.LinkID {
+func (n *Network) routeOf(f Flow) []*linkState {
 	if f.Dst < 0 {
-		return n.externalPath(f.Src)
+		return n.externalRoute(f.Src)
 	}
-	return n.topo.Path(f.Src, f.Dst)
+	return n.route(f.Src, f.Dst)
 }
 
 // Update replaces the active flow set and advances the jitter processes
-// by dt. Call once per simulation step.
+// by dt. Call once per simulation step. Each link sums its flows in flow
+// order.
 func (n *Network) Update(dt time.Duration, flows []Flow) {
-	for _, ls := range n.links {
+	for _, ls := range n.all {
 		ls.traffic = 0
-		for k := range ls.byOwner {
-			delete(ls.byOwner, k)
-		}
+		clear(ls.byOwner)
 	}
 	for _, f := range flows {
 		if f.RateBps <= 0 || f.Src == f.Dst {
 			continue
 		}
-		for _, l := range n.pathOf(f) {
-			if ls, ok := n.links[l]; ok {
-				ls.traffic += f.RateBps
-				if f.Owner != BackgroundOwner {
-					ls.byOwner[f.Owner] += f.RateBps
-				}
+		for _, ls := range n.routeOf(f) {
+			ls.traffic += f.RateBps
+			if f.Owner != BackgroundOwner {
+				ls.byOwner[f.Owner] += f.RateBps
 			}
 		}
 	}
 	if dt > 0 {
 		dtSec := dt.Seconds()
-		for _, ls := range n.links {
+		for _, ls := range n.all {
 			// Mean-reverting multiplicative jitter around 1, clamped to a
 			// physical range.
 			ls.jitter += (1 - ls.jitter) * dtSec / 120
@@ -191,14 +243,10 @@ func (n *Network) Update(dt time.Duration, flows []Flow) {
 	}
 }
 
-// linkAvail returns the residual capacity of link l for one new transfer,
-// ignoring traffic charged to excludeOwner (pass BackgroundOwner to count
-// everything).
-func (n *Network) linkAvail(l topology.LinkID, excludeOwner int) float64 {
-	ls, ok := n.links[l]
-	if !ok {
-		return 0
-	}
+// linkAvail returns the residual capacity of link ls for one new
+// transfer, ignoring traffic charged to excludeOwner (pass BackgroundOwner
+// to count everything).
+func (n *Network) linkAvail(ls *linkState, excludeOwner int) float64 {
 	traffic := ls.traffic
 	if excludeOwner != BackgroundOwner {
 		traffic -= ls.byOwner[excludeOwner]
@@ -237,8 +285,8 @@ func (n *Network) AvailBandwidthBpsExcl(u, v int, excludeOwner int) float64 {
 		return n.topo.EdgeCapacityBps() * 10
 	}
 	avail := math.Inf(1)
-	for _, l := range n.topo.Path(u, v) {
-		if a := n.linkAvail(l, excludeOwner); a < avail {
+	for _, ls := range n.route(u, v) {
+		if a := n.linkAvail(ls, excludeOwner); a < avail {
 			avail = a
 		}
 	}
@@ -256,9 +304,9 @@ func (n *Network) PeakBandwidthBps(u, v int) float64 {
 		return n.topo.EdgeCapacityBps() * 10
 	}
 	peak := math.Inf(1)
-	for _, l := range n.topo.Path(u, v) {
-		if c := n.topo.Capacity(l); c < peak {
-			peak = c
+	for _, ls := range n.route(u, v) {
+		if ls.cap < peak {
+			peak = ls.cap
 		}
 	}
 	if math.IsInf(peak, 1) {
@@ -271,9 +319,8 @@ func (n *Network) PeakBandwidthBps(u, v int) float64 {
 // 1) along the u-v path.
 func (n *Network) maxPathUtil(u, v int) float64 {
 	maxU := 0.0
-	for _, l := range n.topo.Path(u, v) {
-		ls, ok := n.links[l]
-		if !ok || ls.cap == 0 {
+	for _, ls := range n.route(u, v) {
+		if ls.cap == 0 {
 			continue
 		}
 		util := ls.traffic / ls.cap
@@ -308,9 +355,5 @@ func (n *Network) Latency(u, v int) time.Duration {
 // NodeFlowRateBps returns the total data in+out currently crossing node
 // id's access link — the paper's "node data flow rate" attribute.
 func (n *Network) NodeFlowRateBps(id int) float64 {
-	l := topology.EdgeLink(id, n.topo.SwitchOf(id))
-	if ls, ok := n.links[l]; ok {
-		return ls.traffic
-	}
-	return 0
+	return n.edge[id].traffic
 }

@@ -11,63 +11,56 @@ import (
 	"time"
 )
 
-// Sample is a timestamped observation.
-type Sample struct {
-	T time.Time
-	V float64
-}
-
-// TimeSeries is a bounded window of timestamped samples. Samples older
-// than MaxAge relative to the newest sample are discarded on insertion.
-// The zero value is not usable; call NewTimeSeries.
+// TimeSeries is a bounded window of timestamped samples of k columns
+// sampled at the same instants (NodeStateD keeps four attributes in one
+// series). Samples older than MaxAge relative to the newest sample are
+// discarded on insertion. The zero value is not usable; call
+// NewTimeSeries.
 type TimeSeries struct {
 	maxAge time.Duration
-	// Live samples are t[head:], v[head:], ascending by t (UnixNano).
-	// Trimming advances head; the dead prefix is compacted away once it
-	// outgrows the live part, so an Add moves O(1) samples amortised.
+	k      int
+	// Live samples are t[head:] and v[head*k:], ascending by t
+	// (UnixNano); sample i's columns are v[i*k : i*k+k]. Trimming
+	// advances head; the dead prefix is compacted away once it outgrows
+	// the live part, so an Add moves O(1) samples amortised.
 	head int
 	t    []int64
 	v    []float64
 }
 
-// NewTimeSeries returns a series that retains samples for maxAge.
-// It panics if maxAge <= 0.
-func NewTimeSeries(maxAge time.Duration) *TimeSeries {
-	if maxAge <= 0 {
-		panic(fmt.Sprintf("stats: NewTimeSeries(%v): maxAge must be positive", maxAge))
+// NewTimeSeries returns a series of k columns that retains samples for
+// maxAge. It panics if maxAge <= 0 or k < 1.
+func NewTimeSeries(maxAge time.Duration, k int) *TimeSeries {
+	if maxAge <= 0 || k < 1 {
+		panic(fmt.Sprintf("stats: NewTimeSeries(%v, %d): maxAge and k must be positive", maxAge, k))
 	}
-	return &TimeSeries{maxAge: maxAge}
+	return &TimeSeries{maxAge: maxAge, k: k}
 }
 
-// Add appends a sample. Out-of-order samples (t before the newest) are
+// Add appends a sample of one value per column; it panics unless len(v)
+// is the series' k. Out-of-order samples (t before the newest) are
 // rejected with an error so monitoring bugs surface instead of silently
 // corrupting running means.
-func (ts *TimeSeries) Add(t time.Time, v float64) error {
+func (ts *TimeSeries) Add(t time.Time, v ...float64) error {
+	if len(v) != ts.k {
+		panic(fmt.Sprintf("stats: Add of %d values to a %d-column series", len(v), ts.k))
+	}
 	at := t.UnixNano()
 	if n := len(ts.t); n > 0 && at < ts.t[n-1] {
 		return fmt.Errorf("stats: out-of-order sample at %v (newest %v)", t, time.Unix(0, ts.t[n-1]))
 	}
 	ts.t = append(ts.t, at)
-	ts.v = append(ts.v, v)
+	ts.v = append(ts.v, v...)
 	cutoff := at - int64(ts.maxAge)
 	for ts.t[ts.head] < cutoff {
 		ts.head++
 	}
 	if ts.head > len(ts.t)/2 {
 		n := copy(ts.t, ts.t[ts.head:])
-		copy(ts.v, ts.v[ts.head:])
-		ts.t, ts.v, ts.head = ts.t[:n], ts.v[:n], 0
+		copy(ts.v, ts.v[ts.head*ts.k:])
+		ts.t, ts.v, ts.head = ts.t[:n], ts.v[:n*ts.k], 0
 	}
 	return nil
-}
-
-// Last returns the newest sample, if any.
-func (ts *TimeSeries) Last() (Sample, bool) {
-	n := len(ts.t)
-	if n == 0 {
-		return Sample{}, false
-	}
-	return Sample{T: time.Unix(0, ts.t[n-1]), V: ts.v[n-1]}, true
 }
 
 // Windowed are the paper's 1/5/15-minute running means of an attribute.
@@ -78,38 +71,49 @@ type Windowed struct {
 // windows are the running-mean spans of Windowed, shortest first.
 var windows = [3]time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 
-// Means returns the 1/5/15-minute running means ending at now: the mean
-// of the samples with T in (now-window, now]. Windows with no samples
-// fall back to the newest sample's value (the paper's daemons always
-// have at least the instantaneous reading), and to 0 when the series is
-// empty. One newest-to-oldest walk serves all three windows: each
-// window's sum is a prefix of the next one's, added in the same order.
-func (ts *TimeSeries) Means(now time.Time) Windowed {
-	fallback := 0.0
-	if n := len(ts.t); n > 0 {
-		fallback = ts.v[n-1]
+// Means writes each column's 1/5/15-minute running means ending at now
+// into dst, which must hold k entries: the mean of the samples with T in
+// (now-window, now]. Windows with no samples fall back to the column's
+// newest value (the paper's daemons always have at least the
+// instantaneous reading), and to 0 when the series is empty. The window
+// boundaries are found once for all columns; each column then sums its
+// values newest first from 0, each window's sum a prefix of the next
+// one's.
+func (ts *TimeSeries) Means(now time.Time, dst []Windowed) {
+	k := ts.k
+	if len(dst) != k {
+		panic(fmt.Sprintf("stats: Means into %d entries of a %d-column series", len(dst), k))
 	}
+	// Samples are ascending, so those after now are a suffix: the
+	// windows end at end, and window w starts at from[w].
 	at := now.UnixNano()
-	var mean [3]float64
-	sum, count, w := 0.0, 0, 0
-	for i := len(ts.t) - 1; i >= ts.head; i-- {
-		if ts.t[i] > at {
-			continue
-		}
-		for w < len(windows) && ts.t[i] <= at-int64(windows[w]) {
-			mean[w] = meanOr(sum, count, fallback)
-			w++
-		}
-		if w == len(windows) {
-			break
-		}
-		sum += ts.v[i]
-		count++
+	end := len(ts.t)
+	for end > ts.head && ts.t[end-1] > at {
+		end--
 	}
-	for ; w < len(windows); w++ {
-		mean[w] = meanOr(sum, count, fallback)
+	var from [len(windows)]int
+	i := end
+	for w, span := range windows {
+		for i > ts.head && ts.t[i-1] > at-int64(span) {
+			i--
+		}
+		from[w] = i
 	}
-	return Windowed{M1: mean[0], M5: mean[1], M15: mean[2]}
+	for c := range dst {
+		fallback := 0.0
+		if n := len(ts.t); n > 0 {
+			fallback = ts.v[(n-1)*k+c]
+		}
+		var mean [len(windows)]float64
+		sum, i := 0.0, end
+		for w := range windows {
+			for ; i > from[w]; i-- {
+				sum += ts.v[(i-1)*k+c]
+			}
+			mean[w] = meanOr(sum, end-from[w], fallback)
+		}
+		dst[c] = Windowed{M1: mean[0], M5: mean[1], M15: mean[2]}
+	}
 }
 
 func meanOr(sum float64, n int, fallback float64) float64 {

@@ -21,10 +21,14 @@ var ErrNotFound = fmt.Errorf("store: key not found")
 // Store is a small key-value abstraction. Keys are slash-separated paths
 // like "nodestate/csews3" or "bandwidth/3-17". Implementations must be
 // safe for concurrent use: many daemons write while the allocator reads.
+// Values are copied at the boundary in both directions, so writers can
+// reuse one buffer for every put and readers can keep what they read.
 type Store interface {
-	// Put atomically replaces the value at key.
+	// Put atomically replaces the value at key. It does not keep value
+	// after it returns: the caller may overwrite it at once.
 	Put(key string, value []byte) error
-	// Get returns the value at key, or ErrNotFound.
+	// Get returns the value at key, or ErrNotFound. The caller owns the
+	// returned bytes; changing them changes nothing in the store.
 	Get(key string) ([]byte, error)
 	// List returns all keys with the given prefix, sorted.
 	List(prefix string) ([]string, error)
@@ -43,27 +47,32 @@ func NewMem() *MemStore {
 	return &MemStore{m: make(map[string][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store. It copies value into the key's existing
+// buffer, so rewriting a key with a value no longer than its largest
+// allocates nothing.
 func (s *MemStore) Put(key string, value []byte) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
-	cp := append([]byte(nil), value...)
 	s.mu.Lock()
-	s.m[key] = cp
+	s.m[key] = append(s.m[key][:0], value...)
 	s.mu.Unlock()
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. It copies under the read lock, because a later
+// Put reuses the key's buffer.
 func (s *MemStore) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	v, ok := s.m[key]
+	if ok {
+		v = append([]byte(nil), v...)
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
 
 // List implements Store.

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"nlarm/internal/obs"
 )
 
 // storeImpls returns both backends for shared conformance tests.
@@ -218,5 +221,94 @@ func TestFileStoreNestedKeys(t *testing.T) {
 	got, err := st.Get("a/b/c/d")
 	if err != nil || string(got) != "deep" {
 		t.Fatalf("deep key: %q %v", got, err)
+	}
+}
+
+// contractImpls returns every Store of the package, the wrappers over a
+// MemStore: the implementations the Store contract binds.
+func contractImpls(t *testing.T) map[string]Store {
+	t.Helper()
+	impls := storeImpls(t)
+	impls["version"] = Version(NewMem())
+	impls["instrument"] = Instrument(NewMem(), obs.NewRegistry(), nil)
+	impls["fault"] = NewFault(NewMem(), 1)
+	stale := NewFault(NewMem(), 1)
+	stale.SetRates(Rates{StaleRead: 1}) // every Get of a rewritten key serves the previous value
+	impls["fault-stale"] = stale
+	return impls
+}
+
+// TestStoreContract pins the ownership rules on Store: Put does not keep
+// value, so a writer may reuse one buffer for every put, and Get returns
+// bytes the caller owns.
+func TestStoreContract(t *testing.T) {
+	for name, st := range contractImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			buf := []byte("alpha")
+			if err := st.Put("k", buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "bravo")
+			if err := st.Put("k", buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "zzzzz")
+			want := "bravo"
+			if name == "fault-stale" {
+				want = "alpha"
+			}
+			got, err := st.Get("k")
+			if err != nil || string(got) != want {
+				t.Fatalf("Get after the put buffer changed = %q, %v; want %q", got, err, want)
+			}
+			got[0] = 'Q'
+			if again, err := st.Get("k"); err != nil || string(again) != want {
+				t.Fatalf("Get after the returned bytes changed = %q, %v; want %q", again, err, want)
+			}
+		})
+	}
+}
+
+// TestStoreSameKeyConcurrent has writers rewrite one key from buffers
+// they reuse while readers read it: every read is one whole value, and
+// under -race any access the store does not synchronise is reported.
+func TestStoreSameKeyConcurrent(t *testing.T) {
+	for name, st := range contractImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var buf []byte
+					for i := 0; i < 100; i++ {
+						// Values of one repeated letter, of varying length.
+						buf = append(buf[:0], bytes.Repeat([]byte{byte('a' + w)}, 1+(i*7+w)%13)...)
+						if err := st.Put("same", buf); err != nil {
+							t.Errorf("put: %v", err)
+							return
+						}
+					}
+				}(w)
+			}
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						v, err := st.Get("same")
+						if err != nil {
+							continue // not written yet
+						}
+						if len(v) == 0 || len(bytes.Trim(v, string(v[:1]))) != 0 {
+							t.Errorf("torn value %q", v)
+							return
+						}
+						v[0] = '!'
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }

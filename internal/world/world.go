@@ -78,6 +78,7 @@ type World struct {
 	results []mpisim.Result
 	down    map[int]bool
 	probes  []probe
+	flows   []netmodel.Flow // collectFlowsLocked's buffer
 
 	pendingDone []func() // callbacks to fire outside the lock
 }
@@ -169,9 +170,10 @@ func (w *World) compactJobsLocked() {
 	w.jobs = slices.DeleteFunc(w.jobs, func(j *mpisim.Job) bool { return j == nil })
 }
 
-// collectFlowsLocked gathers background, job, and probe flows.
+// collectFlowsLocked gathers background, job, and probe flows, in that
+// order, into a buffer reused by the next call.
 func (w *World) collectFlowsLocked() []netmodel.Flow {
-	var flows []netmodel.Flow
+	flows := w.flows[:0]
 	for _, f := range w.bg.Flows() {
 		flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
 	}
@@ -183,6 +185,7 @@ func (w *World) collectFlowsLocked() []netmodel.Flow {
 	for _, p := range w.probes {
 		flows = append(flows, p.flow)
 	}
+	w.flows = flows
 	return flows
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"nlarm/internal/cluster"
 	"nlarm/internal/mpisim"
+	"nlarm/internal/netmodel"
 	"nlarm/internal/simtime"
 )
 
@@ -378,5 +379,34 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCollectFlowsAllocs pins collecting a step's flows (background
+// sessions, a job's traffic and a probe) at zero allocations once the
+// world's buffers are warm.
+func TestCollectFlowsAllocs(t *testing.T) {
+	w := testWorld(t, 9)
+	place, err := mpisim.NewPlacement(8, []int{0, 16}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.LaunchJob(simpleShape(8, 1000000), place, nil); err != nil {
+		t.Fatal(err)
+	}
+	now := advance(w, t0, 2*time.Hour, 5*time.Second)
+	w.InjectProbe(3, 40, 1e6, time.Hour)
+	w.StepTo(now.Add(time.Second))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	owners := map[bool]int{}
+	for _, f := range w.collectFlowsLocked() {
+		owners[f.Owner == netmodel.BackgroundOwner]++
+	}
+	if owners[true] < 2 || owners[false] == 0 {
+		t.Fatalf("%d background and %d job flows: too few to collect", owners[true], owners[false])
+	}
+	if a := testing.AllocsPerRun(100, func() { w.collectFlowsLocked() }); a != 0 {
+		t.Fatalf("warmed collectFlowsLocked allocates %v times, want 0", a)
 	}
 }
