@@ -171,3 +171,41 @@ func TestPolicyReplayFromHeader(t *testing.T) {
 		t.Fatalf("replay diverged:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }
+
+// policyDigestConfig is a ~2,000-job EASY run on 128 nodes whose batch
+// cohort asks for one process per node, so its long tail overflows the
+// cluster: the trace holds backfilled starts and rejections (-1 start
+// and end, no cost columns) beside the placed jobs' cl_cost/nl_cost.
+func policyDigestConfig(pc *PolicyConfig) ScenarioConfig {
+	cfg := policyTestConfig(2000, 42, pc)
+	cfg.Workload.Cohorts[0].PPN = 1
+	return cfg
+}
+
+// TestPolicyTraceDigests pins the sha256 of two policy-fidelity traces,
+// at the default 8 starts and at the exhaustive sweep. TestScenarioGolden
+// pins only capacity records, which carry no cost columns; these pin the
+// float bytes of cl_cost/nl_cost and the placement decisions behind them.
+func TestPolicyTraceDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pc   *PolicyConfig
+		want string
+	}{
+		{"starts-8", &PolicyConfig{}, "e1f1cf8df8eb01d125f9e97ca1764a0c5e248c853865867524b85d0fdc76f430"},
+		{"starts-all", &PolicyConfig{Starts: -1}, "787cf0da64410d246c2cf821013c984247e80dccd577a98398513a37fe9bfda3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunScenario(policyDigestConfig(tc.pc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rejected == 0 || res.Backfilled == 0 {
+				t.Fatalf("want rejections and backfills, got %d rejected, %d backfilled", res.Rejected, res.Backfilled)
+			}
+			if res.Digest != tc.want {
+				t.Fatalf("trace digest %s, want %s", res.Digest, tc.want)
+			}
+		})
+	}
+}
