@@ -207,9 +207,18 @@ type simJob struct {
 
 // runEntry orders running jobs by completion time for reservations.
 type runEntry struct {
-	end time.Time
-	seq int
-	job *simJob
+	endSec  int64 // job.end as integers; see newRunEntry
+	endNsec int32
+	seq     int
+	job     *simJob
+}
+
+// newRunEntry keys j's entry by its end time as two integers that order
+// as Before and Equal do: seconds since January 1 of year 1 (Unix seconds
+// plus the gap between the epochs, exact for every Time as int64
+// addition wraps), then the nanosecond.
+func newRunEntry(j *simJob, seq int) runEntry {
+	return runEntry{j.end.Unix() + 62135596800, int32(j.end.Nanosecond()), seq, j}
 }
 
 // scenario is the live state of a run.
@@ -344,7 +353,7 @@ func (s *scenario) at(t time.Time, name string, fn func(now time.Time)) error {
 	if now := s.sched.Now(); t.Before(now) {
 		return fmt.Errorf("%w: %q at %v, now %v", ErrPastEvent, name, t, now)
 	}
-	s.sched.At(t, name, fn)
+	s.sched.Post(t, name, fn)
 	return nil
 }
 
@@ -492,7 +501,7 @@ func (s *scenario) earliestStart(now time.Time, needed int) time.Time {
 		popped = append(popped, e)
 		acc += e.job.nodes
 		if acc >= needed {
-			at = e.end
+			at = e.job.end
 			break
 		}
 	}
@@ -527,7 +536,7 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 	if w := now.Sub(j.submit).Seconds(); w > s.res.MaxWaitSec {
 		s.res.MaxWaitSec = w
 	}
-	s.rs.runs = heapq.Push(s.rs.runs, runEntry{end: j.end, seq: s.startSeq, job: j}, runLess)
+	s.rs.runs = heapq.Push(s.rs.runs, newRunEntry(j, s.startSeq), runLess)
 	s.startSeq++
 	if err := s.at(j.end, "finish", func(fnow time.Time) {
 		s.finishJob(j, fnow)
@@ -592,8 +601,11 @@ func (s *scenario) record(j *simJob, startSec, endSec float64) {
 
 // runLess orders run entries by (end, start sequence).
 func runLess(a, b runEntry) bool {
-	if !a.end.Equal(b.end) {
-		return a.end.Before(b.end)
+	if a.endSec != b.endSec {
+		return a.endSec < b.endSec
+	}
+	if a.endNsec != b.endNsec {
+		return a.endNsec < b.endNsec
 	}
 	return a.seq < b.seq
 }

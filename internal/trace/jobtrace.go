@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash"
 	"io"
+
+	"nlarm/internal/canon"
 )
 
 // JobTraceKind is the format discriminator in the header line.
@@ -85,17 +87,8 @@ type JobTraceWriter struct {
 	hash    hash.Hash
 	records int
 	err     error
-	// encBuf/enc re-encode each record into one reused buffer:
-	// json.Encoder writes the same bytes json.Marshal would (plus the
-	// trailing newline the line format needs anyway), without a fresh
-	// allocation per record — the 1M-job scenario loop writes through
-	// here.
-	encBuf bytes.Buffer
-	enc    *json.Encoder
-	// rec parks the record being encoded: Encode takes an interface, and
-	// boxing the record value directly would heap-allocate a copy per
-	// call. Boxing the pointer to this field does not.
-	rec JobRecord
+	// line is the record being written, reused from record to record.
+	line []byte
 }
 
 // NewJobTraceWriter writes the header line for hdr (Kind is filled in;
@@ -117,7 +110,6 @@ func NewJobTraceWriter(w io.Writer, hdr JobTraceHeader) (*JobTraceWriter, error)
 		return nil, fmt.Errorf("trace: marshal job-trace header: %w", err)
 	}
 	tw := &JobTraceWriter{w: bufio.NewWriterSize(w, 1<<16), hash: sha256.New()}
-	tw.enc = json.NewEncoder(&tw.encBuf)
 	tw.writeLine(line)
 	return tw, tw.err
 }
@@ -136,19 +128,24 @@ func (tw *JobTraceWriter) writeLine(line []byte) {
 	tw.err = tw.w.WriteByte('\n')
 }
 
-// Write appends one record line.
+// Write appends one record line, the bytes json.Marshal writes for rec
+// and a newline.
 func (tw *JobTraceWriter) Write(rec JobRecord) error {
 	if tw.err != nil {
 		return tw.err
 	}
-	tw.encBuf.Reset()
-	tw.rec = rec
-	if err := tw.enc.Encode(&tw.rec); err != nil {
-		return fmt.Errorf("trace: marshal job record: %w", err)
+	line, ok := appendJobRecord(tw.line[:0], &rec)
+	if !ok {
+		// A cohort that needs escaping or a NaN or infinite float:
+		// encoding/json writes the one, and refuses the other as it always
+		// has.
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("trace: marshal job record: %w", err)
+		}
+		line = append(append(line[:0], b...), '\n')
 	}
-	// Encode already appended the '\n', so write the buffer verbatim —
-	// byte-identical to the json.Marshal + newline path.
-	line := tw.encBuf.Bytes()
+	tw.line = line
 	tw.hash.Write(line)
 	if _, err := tw.w.Write(line); err != nil {
 		tw.err = err
@@ -156,6 +153,31 @@ func (tw *JobTraceWriter) Write(rec JobRecord) error {
 	}
 	tw.records++
 	return nil
+}
+
+// appendJobRecord appends r's line to b without reflection: its members
+// in struct order, omitempty as encoding/json omits them, then "}\n".
+// ok is false when canon cannot reproduce encoding/json's bytes.
+func appendJobRecord(b []byte, r *JobRecord) ([]byte, bool) {
+	e := canon.Encoder{B: b, OK: true}
+	e.Int(`{"id":`, int64(r.ID))
+	if r.Cohort != "" {
+		e.Str(`,"cohort":`, r.Cohort)
+	}
+	canon.Omit(`,"client":`, int64(r.Client), e.Int)
+	e.Int(`,"procs":`, int64(r.Procs))
+	canon.Omit(`,"ppn":`, int64(r.PPN), e.Int)
+	canon.Omit(`,"priority":`, int64(r.Priority), e.Int)
+	e.Float(`,"submit_sec":`, r.SubmitSec)
+	e.Float(`,"start_sec":`, r.StartSec)
+	e.Float(`,"end_sec":`, r.EndSec)
+	canon.Omit(`,"walltime_sec":`, r.WalltimeSec, e.Float)
+	e.Int(`,"nodes":`, int64(r.Nodes))
+	canon.Omit(`,"backfilled":`, r.Backfilled, e.Bool)
+	canon.Omit(`,"cl_cost":`, r.CLCost, e.Float)
+	canon.Omit(`,"nl_cost":`, r.NLCost, e.Float)
+	e.Raw("}\n")
+	return e.B, e.OK
 }
 
 // Flush drains the buffered output. Call it once after the last record.
