@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -230,34 +231,56 @@ func (p *ReservingPolicy) ChargedModelAt(now time.Time, base *CostModel, cand []
 	if len(live) == 0 {
 		return base, true
 	}
-	// Aggregate ranks per node through an accumulator indexed by base's
-	// dense index: bounded by the model's size whatever the raw IDs are,
-	// and walking it in index order emits ascending node IDs, the order
-	// ChargeRanksAt's float accumulation wants.
+	if !p.chargesLocked(base, live) {
+		return nil, false
+	}
+	return base.ChargeRanksAt(p.chargeIDs, p.chargeRanks, cand, dst)
+}
+
+// chargesLocked sums live's ranks per node into chargeIDs/chargeRanks,
+// ascending by node ID, the order ChargeRanksAt's float accumulation
+// wants, and leaves out nodes whose ranks sum to zero. It reports false,
+// with nothing written, when a node is not in base. The sums go through
+// an accumulator indexed by base's dense index, bounded by the model's
+// size whatever the raw IDs are; dense order is ascending ID order, so
+// the touched indices are collected, sorted and emitted, and only those
+// slots are read and zeroed again.
+func (p *ReservingPolicy) chargesLocked(base *CostModel, live []*reservation) bool {
 	n := base.Len()
 	if cap(p.chargeDense) < n {
 		p.chargeDense = make([]int, n)
 	}
 	sum := p.chargeDense[:n]
+	// touched holds dense indices (repeated when a sum returns to zero),
+	// then is overwritten in place by the node IDs it emits.
+	touched := p.chargeIDs[:0]
 	for _, res := range live {
 		for k, id := range res.ids {
 			i, ok := base.denseIndex(id)
 			if !ok {
-				clear(sum)
-				return nil, false
+				for _, i := range touched {
+					sum[i] = 0
+				}
+				p.chargeIDs = touched[:0]
+				return false
+			}
+			if sum[i] == 0 {
+				touched = append(touched, i)
 			}
 			sum[i] += res.ranks[k]
 		}
 	}
-	p.chargeIDs, p.chargeRanks = p.chargeIDs[:0], p.chargeRanks[:0]
-	for i, r := range sum {
-		if r != 0 {
-			p.chargeIDs = append(p.chargeIDs, base.IDs[i])
-			p.chargeRanks = append(p.chargeRanks, r)
+	slices.Sort(touched)
+	ids, ranks := touched[:0], p.chargeRanks[:0]
+	for _, i := range touched {
+		if r := sum[i]; r != 0 {
+			ids = append(ids, base.IDs[i])
+			ranks = append(ranks, r)
 			sum[i] = 0
 		}
 	}
-	return base.ChargeRanksAt(p.chargeIDs, p.chargeRanks, cand, dst)
+	p.chargeIDs, p.chargeRanks = ids, ranks
+	return true
 }
 
 // advanceLocked folds a snapshot clock reading into the policy's

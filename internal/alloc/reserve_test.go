@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -273,5 +274,62 @@ func TestChargedKeepsUniverseWhenOnlyUnmonitoredSurvive(t *testing.T) {
 	r := rng.New(12)
 	if _, err := Allocate(p, snap, Request{Procs: 6, PPN: 6}, r.Split()); err != nil {
 		t.Fatalf("allocation on saturated cluster failed: %v", err)
+	}
+}
+
+// TestChargesMatchDenseWalk checks the charge aggregation against the
+// walk it replaced: add every live rank into an n-slot accumulator, then
+// emit the nonzero slots in dense order, which is ascending ID order.
+// The live sets repeat node IDs within and across reservations, with
+// zero and negative ranks so some sums cancel; an ID the model does not
+// hold must fail. One policy serves every trial, so each call must
+// leave its accumulator zeroed for the next.
+func TestChargesMatchDenseWalk(t *testing.T) {
+	r := rng.New(41)
+	p := &ReservingPolicy{}
+	for trial := 0; trial < 500; trial++ {
+		m := NewCostModel(randomSnapshot(r, 1+r.Intn(40), false), PaperWeights(), false)
+		live := make([]*reservation, r.Intn(6))
+		for k := range live {
+			res := &reservation{}
+			for j := r.Intn(6); j >= 0; j-- {
+				res.ids = append(res.ids, m.IDs[r.Intn(m.Len())])
+				res.ranks = append(res.ranks, r.Intn(9)-2)
+			}
+			live[k] = res
+		}
+		if len(live) > 0 && r.Intn(8) == 0 {
+			res := live[r.Intn(len(live))]
+			res.ids[r.Intn(len(res.ids))] = m.IDs[m.Len()-1] + 1
+		}
+		sum, wantOK := make([]int, m.Len()), true
+		for _, res := range live {
+			for k, id := range res.ids {
+				i, ok := m.denseIndex(id)
+				wantOK = wantOK && ok
+				if ok {
+					sum[i] += res.ranks[k]
+				}
+			}
+		}
+		var wantIDs, wantRanks []int
+		for i, s := range sum {
+			if s != 0 {
+				wantIDs = append(wantIDs, m.IDs[i])
+				wantRanks = append(wantRanks, s)
+			}
+		}
+		ok := p.chargesLocked(m, live)
+		if ok != wantOK {
+			t.Fatalf("trial %d: ok=%v, want %v", trial, ok, wantOK)
+		}
+		if ok && (!slices.Equal(p.chargeIDs, wantIDs) || !slices.Equal(p.chargeRanks, wantRanks)) {
+			t.Fatalf("trial %d: charged %v/%v, want %v/%v", trial, p.chargeIDs, p.chargeRanks, wantIDs, wantRanks)
+		}
+		for i, s := range p.chargeDense[:cap(p.chargeDense)] {
+			if s != 0 {
+				t.Fatalf("trial %d: accumulator slot %d left at %d", trial, i, s)
+			}
+		}
 	}
 }
