@@ -237,14 +237,12 @@ func (p *ReservingPolicy) ChargedModelAt(now time.Time, base *CostModel, cand []
 	return base.ChargeRanksAt(p.chargeIDs, p.chargeRanks, cand, dst)
 }
 
-// chargesLocked sums live's ranks per node into chargeIDs/chargeRanks,
-// ascending by node ID, the order ChargeRanksAt's float accumulation
-// wants, and leaves out nodes whose ranks sum to zero. It reports false,
-// with nothing written, when a node is not in base. The sums go through
-// an accumulator indexed by base's dense index, bounded by the model's
-// size whatever the raw IDs are; dense order is ascending ID order, so
-// the touched indices are collected, sorted and emitted, and only those
-// slots are read and zeroed again.
+// chargesLocked sums live's ranks per node into chargeIDs/chargeRanks in
+// ascending ID order, the order ChargeRanksAt's float accumulation wants,
+// leaving out zero sums; it reports false when a node is not in base.
+// The sums go through chargeDense, indexed by base's dense index, which
+// is bounded by the model's size whatever the raw IDs are and ascends
+// with the ID, so only the touched slots are sorted, emitted and zeroed.
 func (p *ReservingPolicy) chargesLocked(base *CostModel, live []*reservation) bool {
 	n := base.Len()
 	if cap(p.chargeDense) < n {
@@ -258,10 +256,7 @@ func (p *ReservingPolicy) chargesLocked(base *CostModel, live []*reservation) bo
 		for k, id := range res.ids {
 			i, ok := base.denseIndex(id)
 			if !ok {
-				for _, i := range touched {
-					sum[i] = 0
-				}
-				p.chargeIDs = touched[:0]
+				clear(sum)
 				return false
 			}
 			if sum[i] == 0 {
