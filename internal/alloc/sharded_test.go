@@ -471,6 +471,63 @@ func TestShardedGoldenDigests(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
+
+	// Shards of 16 or fewer members never reach coverPrefix's histogram:
+	// these 64-member shards do, on the scouts' own shape (prefix 32 of
+	// 64), where no shard covers (extrapolation, every member selected),
+	// and at β = 0 (every cost but the seed's is its α·CLUnit).
+	wide := []struct {
+		name  string
+		model *CostModel
+		req   Request
+		want  string
+	}{
+		{"scout/bench-shape", topo(1024, 16, 64, 4), Request{Procs: 64, PPN: 2, Alpha: 0.3, Beta: 0.7}, "b28ff00b1367ee4633a91b05"},
+		{"scout/over-shard", topo(61, 4, 64, 2), Request{Procs: 400, Alpha: 0.5, Beta: 0.5}, "c4e38914d0b8fd4e35ff4120"},
+		{"scout/beta-zero", topo(62, 4, 64, 2), Request{Procs: 48, PPN: 2, Alpha: 1, Beta: 0}, "df5adfde86eef2e78590df9d"},
+	}
+	for _, tc := range wide {
+		best, cands, err := NetLoadAware{}.AllocateExplainModel(tc.model, tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := candidatesDigest(best, cands); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	// Equation 3 never prices a node at zero capacity, so the scouts meet
+	// one only through a caller's capacities: every third member here, and
+	// all of shard 1. The digest is every shard's (best, sumC, sumN) bits.
+	m := topo(63, 4, 64, 2)
+	req := Request{Procs: 40, PPN: 2, Alpha: 0.3, Beta: 0.7}
+	caps := m.caps(req)
+	for s, members := range m.shard.shards {
+		for k, i := range members {
+			if s == 1 || k%3 == 0 {
+				caps[i] = 0
+			}
+		}
+	}
+	if got, want := scoutDigest(m, caps, req), "a8dc3ab5e5aed90a3433bb1a"; got != want {
+		t.Errorf("scout/zero-caps: digest %s, want %s", got, want)
+	}
+}
+
+// scoutDigest hashes every shard's scout result under caps, in shard
+// order: the exact bits of its best cost and its two summed costs.
+func scoutDigest(m *CostModel, caps []int, req Request) string {
+	h := sha256.New()
+	var sc genScratch
+	for s := range m.shard.shards {
+		best, sumC, sumN := NetLoadAware{}.scoutShard(m, s, caps, req, &sc)
+		for _, v := range []float64{best, sumC, sumN} {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
 // shardedAnswer is what an allocate decides, compared bit for bit.
