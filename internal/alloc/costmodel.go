@@ -857,36 +857,56 @@ func lessIdx(cost []float64, a, b int) bool {
 	return a < b
 }
 
-// bucketRange returns the lower end and the scale that map run's costs
-// onto n buckets, in one pass of two plain compares per cost (the float
-// min/max builtins cost more than the pass; they run only when the range
-// moves). It spans the second-least to second-greatest cost, so that one
-// far cost at either end — the seed's own A_v(v) = 0 is always the least
-// — clamps into an end bucket instead of crowding the others into one.
-// ok is false for sortRun or fewer positions, one cost, a NaN, or a span
-// too wide or too narrow to scale.
-func bucketRange(run []int, cost []float64, n int) (lo, scale float64, ok bool) {
-	if len(run) <= sortRun {
-		return 0, 0, false
+// costSpan is what a fill saw of one seed's addition costs, the seed's
+// own A_v(v) = 0 left out: the least, the greatest and the
+// second-greatest cost, and whether a NaN appeared. see costs the fill
+// two plain compares per cost (the float min/max builtins cost more than
+// the fill; widen runs only when the range moves), so coverSorted never
+// reads the costs a second time to find its span.
+type costSpan struct {
+	lo, hi1, hi2 float64
+	nan          bool
+}
+
+// emptySpan is the span of no costs: every cost widens it.
+var emptySpan = costSpan{lo: math.Inf(1), hi1: math.Inf(-1), hi2: math.Inf(-1)}
+
+// see adds one cost to the span.
+func (sp *costSpan) see(c float64) {
+	if !(c >= sp.lo && c <= sp.hi2) {
+		sp.widen(c)
 	}
-	lo1, hi1 := min(cost[run[0]], cost[run[1]]), max(cost[run[0]], cost[run[1]])
-	lo2, hi2, nan := hi1, lo1, hi1 != hi1
-	for _, s := range run[2:] {
-		switch c := cost[s]; {
-		case c >= lo2 && c <= hi2: // the common case once the range settles
-		case c < lo2:
-			lo1, lo2 = min(lo1, c), max(lo1, c)
-		case c > hi2:
-			hi1, hi2 = max(hi1, c), min(hi1, c)
-		default:
-			nan = true
+}
+
+func (sp *costSpan) widen(c float64) {
+	if c != c {
+		sp.nan = true
+	}
+	if c < sp.lo {
+		sp.lo = c
+	}
+	if c > sp.hi2 {
+		if c > sp.hi1 {
+			sp.hi1, sp.hi2 = c, sp.hi1
+		} else {
+			sp.hi2 = c
 		}
 	}
-	if lo2 >= hi2 {
-		lo2, hi2 = lo1, hi1
+}
+
+// scale returns the lower end and the scale that map the span onto n
+// buckets. It spans the least to the second-greatest cost, so one far
+// cost at the top clamps into the last bucket instead of crowding the
+// others into the first; the seed's 0, left out, clamps into the first.
+// ok is false for a NaN, fewer than two distinct costs, or a span too
+// wide or too narrow to scale.
+func (sp costSpan) scale(n int) (lo, scale float64, ok bool) {
+	hi := sp.hi2
+	if !(hi > sp.lo) {
+		hi = sp.hi1
 	}
-	scale = float64(n) / (hi2 - lo2)
-	return lo2, scale, !nan && hi1-lo1 <= math.MaxFloat64 && hi2 > lo2 && scale <= math.MaxFloat64
+	scale = float64(n) / (hi - sp.lo)
+	return sp.lo, scale, !sp.nan && sp.hi1-sp.lo <= math.MaxFloat64 && hi > sp.lo && scale <= math.MaxFloat64
 }
 
 // bucket maps a cost to one of top+1 buckets, (c−lo)·scale truncated and

@@ -3,11 +3,12 @@ package alloc
 import "slices"
 
 // This file is Algorithm 1's greedy step, written once: build the
-// start-independent candSet, fill the seed's addition costs, then
-// coverPrefix → take → roundRobin. The dense broker path (generate), the
-// simulator's constrained path (generateConstrained) and the sharded
-// union pass (generateSharded) price their costs through selectFrom; the
-// shard scout fills them from its own sub-matrix row. What stays with a
+// start-independent candSet, fill the seed's addition costs and their
+// span, then coverPrefix → take → roundRobin. The dense broker path
+// (generate), the simulator's constrained path (generateConstrained) and
+// the sharded union pass (generateSharded) price their costs through
+// selectFrom; the shard scout fills them from its own sub-matrix row
+// with fillRow, the dense fill's loop. What stays with a
 // caller is only what is its own: the sharded spill continuation between
 // take and roundRobin, materialising a Candidate, and its N_G
 // accumulation order (pairwise or grouped per shard).
@@ -76,18 +77,21 @@ func (set *candSet) build(m *CostModel, universe, caps []int, alpha float64) {
 }
 
 // genScratch is one worker's reusable kernel buffers: the addition-cost
-// vector, the selection heap and prefix, and the used/counts output.
-// Reusing them leaves a Candidate's own (escaping) Nodes slice and Procs
-// map as the hot path's only per-candidate allocations. set is for
-// callers that build one candSet per scratch (the scout per shard, the
-// constrained path per call); the broker paths share one set across
-// their workers instead.
+// vector, the selection heap, each position's histogram bucket and the
+// prefix, the used/counts output, and the scout's shard-local position
+// of each set position. Reusing them leaves a Candidate's own (escaping)
+// Nodes slice and Procs map as the hot path's only per-candidate
+// allocations. set is for callers that build one candSet per scratch
+// (the scout per shard, the constrained path per call); the broker paths
+// share one set across their workers instead.
 type genScratch struct {
 	addCost []float64
 	heap    []int
+	bucket  []int32
 	sel     []int
 	used    []int
 	counts  []int
+	local   []int
 	set     candSet
 }
 
@@ -98,9 +102,11 @@ func (sc *genScratch) grow(set *candSet) {
 	if n := cap(set.idx); cap(sc.addCost) < n {
 		sc.addCost = make([]float64, n)
 		sc.heap = make([]int, n)
+		sc.bucket = make([]int32, n)
 		sc.sel = make([]int, n)
 		sc.used = make([]int, 0, n)
 		sc.counts = make([]int, 0, n)
+		sc.local = make([]int, n)
 	}
 }
 
@@ -119,14 +125,15 @@ const boundedHeapSquare = 2
 // whose capacities sum to procs, or every position, in order, when the
 // whole set cannot cover. The order is the strict total order of
 // lessIdx, so both strategies below return the same positions in the
-// same order. The result aliases the scratch.
-func (sc *genScratch) coverPrefix(addCost []float64, set *candSet, procs int) []int {
+// same order. sp is the span of the costs the fill saw, which only the
+// sorted strategy reads. The result aliases the scratch.
+func (sc *genScratch) coverPrefix(addCost []float64, set *candSet, procs int, sp costSpan) []int {
 	f := len(set.idx)
 	if f == 0 {
 		return nil // no capacity at all; total is 0, so do not divide by it
 	}
 	if expect := min((procs*f+set.total-1)/set.total, f); boundedHeapSquare*expect*expect > f {
-		return sc.coverSorted(addCost, set.caps, procs)
+		return sc.coverSorted(addCost, set.caps, procs, sp)
 	}
 	return sc.coverBounded(addCost, set, procs)
 }
@@ -178,77 +185,86 @@ func (sc *genScratch) coverBounded(addCost []float64, set *candSet, procs int) [
 	return sel
 }
 
-// coarseBuckets is the resolution of coverSorted's capacity histogram,
-// sortRun the longest run orderRun sorts by insertion.
-const coarseBuckets, sortRun = 32, 16
+// sortRun is the longest run orderRun sorts by insertion, and the
+// longest set coverSorted orders as one bucket.
+const sortRun = 16
 
-// coverSorted is coverPrefix for a long prefix. A capacity histogram
-// over bucketRange cuts at the first bucket whose running capacity
-// reaches procs; bucket is monotone in cost, so the positions at or
-// below the cut (sc.heap) are a prefix of the (cost, position) order
-// that covers procs. A counting sort on a bucket per survivor orders
-// them into sc.sel, each bucket finished by orderRun, until capacity
-// covers procs. The counts borrow sc.used, which take overwrites. Where
-// bucketRange refuses, one bucket holds everything: no index is ever
-// converted from NaN or Inf.
-func (sc *genScratch) coverSorted(cost []float64, caps []int, procs int) []int {
-	surv := sc.heap[:len(cost)]
-	for s := range surv {
-		surv[s] = s
-	}
-	hist := sc.used[:min(coarseBuckets, cap(sc.used))]
-	if lo, scale, ok := bucketRange(surv, cost, len(hist)); ok {
-		top := len(hist) - 1
-		clear(hist)
-		for s, c := range cost {
-			hist[bucket(c, lo, scale, top)] += caps[s]
+// coverSorted is coverPrefix for a long prefix. One histogram over the
+// fill's span, a bucket per position, counts the positions and sums the
+// capacities of each bucket, and cuts at the first bucket whose running
+// capacity reaches procs (or at the last, when the set cannot cover).
+// bucket is monotone in cost, so the positions at or below the cut are a
+// prefix of the (cost, position) order that covers procs, whole ties
+// included. A counting sort places just those into sc.sel, in position
+// order within a bucket, and orderRun finishes each bucket; the cut
+// bucket is walked until capacity covers procs. The counts and sums
+// borrow sc.used and sc.counts, which take overwrites. Where the span
+// gives no scale, or the set is short, one bucket holds everything: no
+// index is ever converted from NaN or Inf.
+func (sc *genScratch) coverSorted(cost []float64, caps []int, procs int, sp costSpan) []int {
+	f := len(cost)
+	sel := sc.sel[:f]
+	lo, scale, ok := sp.scale(f)
+	if !ok || f <= sortRun {
+		for s := range sel {
+			sel[s] = s
 		}
-		for b, run := 0, 0; b < top; b++ {
-			if run += hist[b]; run >= procs {
-				m := 0 // no branch per position: which survive is as random as the costs
-				for s, c := range cost {
-					surv[m] = s
-					if bucket(c, lo, scale, top) <= b {
-						m++
-					}
-				}
-				surv = surv[:m]
-				break
-			}
-		}
-	}
-	sel := sc.sel[:len(surv)]
-	hist = sc.used[:len(surv)]
-	lo, scale, ok := bucketRange(surv, cost, len(hist))
-	if !ok {
-		hist = hist[:1] // one bucket, which orderRun sorts
-	}
-	top := len(hist) - 1
-	clear(hist)
-	for _, s := range surv {
-		hist[bucket(cost[s], lo, scale, top)]++
-	}
-	for b, start := 0, 0; b <= top; b++ {
-		hist[b], start = start, start+hist[b]
-	}
-	for _, s := range surv { // in position order, which insertion then finds sorted
-		b := bucket(cost[s], lo, scale, top)
-		sel[hist[b]] = s
-		hist[b]++
-	}
-	start, total := 0, 0
-	for _, end := range hist { // hist[b] is now the end of bucket b
-		if end-start > 1 {
-			orderRun(sel[start:end], cost)
-		}
-		for k := start; k < end; k++ {
-			if total += caps[sel[k]]; total >= procs {
+		orderRun(sel, cost)
+		total := 0
+		for k, s := range sel {
+			if total += caps[s]; total >= procs {
 				return sel[:k+1]
 			}
 		}
+		return sel
+	}
+	top := f - 1
+	bkt, count, capSum := sc.bucket[:f], sc.used[:f], sc.counts[:f]
+	clear(count)
+	clear(capSum)
+	for s, c := range cost {
+		b := bucket(c, lo, scale, top)
+		bkt[s] = int32(b)
+		count[b]++
+		capSum[b] += caps[s]
+	}
+	cut, below := 0, 0 // below: the capacity of the buckets before the cut
+	for cut < top && below+capSum[cut] < procs {
+		below += capSum[cut]
+		cut++
+	}
+	kept := 0
+	for b := 0; b <= cut; b++ {
+		count[b], kept = kept, kept+count[b]
+	}
+	for b := cut + 1; b <= top; b++ {
+		count[b] = kept // past the cut every position lands on one spare slot
+	}
+	for s, b := range bkt { // in position order, which insertion then finds sorted
+		k := count[b]
+		sel[k] = s
+		step := 0
+		if int(b) <= cut {
+			step = 1
+		}
+		count[b] = k + step
+	}
+	start := 0
+	for _, end := range count[:cut] { // count[b] is now the end of bucket b
+		if end-start > 1 {
+			orderRun(sel[start:end], cost)
+		}
 		start = end
 	}
-	return sel
+	end := count[cut]
+	orderRun(sel[start:end], cost)
+	total := below
+	for k := start; k < end; k++ {
+		if total += caps[sel[k]]; total >= procs {
+			return sel[:k+1]
+		}
+	}
+	return sel[:end]
 }
 
 // take assigns procs over the selected positions in order, each taking
@@ -284,26 +300,61 @@ func (sc *genScratch) selectFrom(m *CostModel, v int, set *candSet, req Request)
 		}
 	}
 	addCost := sc.addCost[:len(set.idx)]
+	sp := sc.fill(m, v, set, req.Beta)
+	return sc.take(sc.coverPrefix(addCost, set, req.Procs, sp), set, req.Procs)
+}
+
+// fill prices seed v's addition costs over set into sc.addCost and
+// returns their span. On a sharded model the seed's shard, its
+// sub-matrix row and its aggregate row are resolved once, so a position
+// costs one shard lookup and one of two reads: the same NL values
+// pairNL returns, without resolving the seed again per position.
+func (sc *genScratch) fill(m *CostModel, v int, set *candSet, beta float64) costSpan {
+	addCost := sc.addCost[:len(set.idx)]
 	if m.NLUnit != nil {
 		n := m.Len()
-		nlRow := m.NLUnit[v*n : (v+1)*n]
-		for s, u := range set.idx {
-			if u == v {
-				addCost[s] = 0
-			} else {
-				addCost[s] = set.alphaCL[s] + req.Beta*nlRow[u]
-			}
-		}
-	} else {
-		for s, u := range set.idx {
-			if u == v {
-				addCost[s] = 0
-			} else {
-				addCost[s] = set.alphaCL[s] + req.Beta*m.shard.pairNL(v, u)
-			}
-		}
+		return fillRow(addCost, set.alphaCL, beta, m.NLUnit[v*n:(v+1)*n], set.idx, v)
 	}
-	return sc.take(sc.coverPrefix(addCost, set, req.Procs), set, req.Procs)
+	sm := m.shard
+	sv, pv := sm.shardOf[v], sm.posOf[v]
+	size, S := len(sm.shards[sv]), sm.numShards()
+	subRow, aggRow := sm.sub[sv][pv*size:(pv+1)*size], sm.agg[sv*S:(sv+1)*S]
+	sp := emptySpan
+	for s, u := range set.idx {
+		if u == v {
+			addCost[s] = 0
+			continue
+		}
+		var nl float64
+		if t := sm.shardOf[u]; t == sv {
+			nl = subRow[sm.posOf[u]]
+		} else {
+			nl = aggRow[t]
+		}
+		c := set.alphaCL[s] + beta*nl
+		addCost[s] = c
+		sp.see(c)
+	}
+	return sp
+}
+
+// fillRow prices one seed's addition costs from its NL row:
+// addCost[k] = alphaCL[k] + β·row[at[k]], and 0 where at[k] is the
+// seed's own entry. It returns the span of every cost but the seed's.
+// The dense fill indexes the row by dense index, the scout by shard-local
+// position.
+func fillRow(addCost, alphaCL []float64, beta float64, row []float64, at []int, seed int) costSpan {
+	sp := emptySpan
+	for k, p := range at {
+		if p == seed {
+			addCost[k] = 0
+			continue
+		}
+		c := alphaCL[k] + beta*row[p]
+		addCost[k] = c
+		sp.see(c)
+	}
+	return sp
 }
 
 // pairCosts returns C_G = Σ CLUnit and N_G = Σ NL over all pairs of the

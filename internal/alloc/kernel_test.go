@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,11 +35,41 @@ func greedySelect(universe, caps []int, cost []float64, procs int) (used, counts
 // kernelSelect drives coverPrefix + take + roundRobin the way every
 // Algorithm 1 caller does. prefix is the length coverPrefix returned:
 // take would silently trim a prefix that is longer than minimal.
-func kernelSelect(sc *genScratch, set *candSet, cost []float64, procs int) (used, counts []int, prefix int) {
+func kernelSelect(sc *genScratch, set *candSet, cost []float64, procs int, sp costSpan) (used, counts []int, prefix int) {
 	sc.grow(set)
-	sel := sc.coverPrefix(cost, set, procs)
+	sel := sc.coverPrefix(cost, set, procs, sp)
 	roundRobin(sc.counts, sc.take(sel, set, procs))
 	return sc.used, sc.counts, len(sel)
+}
+
+// naiveSpan is costSpan by its definition: the least, the greatest and
+// the second-greatest of the costs but position seed's (-1 for none),
+// and whether a NaN is among them.
+func naiveSpan(cost []float64, seed int) costSpan {
+	sp := emptySpan
+	var rest []float64
+	for s, c := range cost {
+		switch {
+		case s == seed:
+		case math.IsNaN(c):
+			sp.nan = true
+		default:
+			rest = append(rest, c)
+		}
+	}
+	sort.Float64s(rest)
+	if n := len(rest); n > 0 {
+		sp.lo, sp.hi1 = rest[0], rest[n-1]
+		if n > 1 {
+			sp.hi2 = rest[n-2]
+		}
+	}
+	return sp
+}
+
+// sameSpan compares spans by value, so −0 and +0 bounds are equal.
+func sameSpan(a, b costSpan) bool {
+	return a.lo == b.lo && a.hi1 == b.hi1 && a.hi2 == b.hi2 && a.nan == b.nan
 }
 
 // TestKernelMatchesOracle checks the positional kernel against the
@@ -49,12 +80,17 @@ func kernelSelect(sc *genScratch, set *candSet, cost []float64, procs int) (used
 // and f±1), above the total capacity, on a single position and on an
 // all-zero set; then cost shapes that hurt a histogram (a cluster beside
 // a zero and a far outlier, geometric, all equal, −0 beside +0,
-// subnormals, spans up to and past the float range, +Inf).
+// subnormals, spans up to and past the float range, +Inf). Every case
+// runs under the span a fill reports — over every cost, or, seeded, with
+// one position's cost set to the seed's 0 and left out of it — and again
+// under that span flagged with a NaN, which must take the one-bucket
+// path to the same answer.
 func TestKernelMatchesOracle(t *testing.T) {
 	var sc genScratch // one scratch across all cases: reuse must not leak state
 	var set candSet
-	bounded, histogram := 0, 0
-	check := func(tag string, universe, caps []int, cost []float64, procs int) {
+	r := rng.New(20240913)
+	bounded, histogram, outside := 0, 0, 0
+	check := func(tag string, universe, caps []int, cost []float64, procs int, seeded bool) {
 		t.Helper()
 		m := &CostModel{CLUnit: make([]float64, len(caps))}
 		set.build(m, universe, caps, 0.5)
@@ -64,39 +100,53 @@ func TestKernelMatchesOracle(t *testing.T) {
 				universe[i] = i
 			}
 		}
-		if f := len(set.idx); f > 0 {
+		f := len(set.idx)
+		seed := -1
+		if seeded && f > 0 {
+			seed = r.Intn(f)
+			cost = append([]float64(nil), cost...)
+			cost[seed] = 0
+		}
+		sp := naiveSpan(cost[:f], seed)
+		if f > 0 {
 			if expect := min((procs*f+set.total-1)/set.total, f); boundedHeapSquare*expect*expect <= f {
 				bounded++
-			} else if f > sortRun {
+			} else if _, _, ok := sp.scale(f); ok && f > sortRun {
 				histogram++
+				if seed >= 0 && !(cost[seed] >= sp.lo && cost[seed] <= sp.hi2) {
+					outside++
+				}
 			}
 		}
 		wantUsed, wantCounts := greedySelect(universe, caps, cost, procs)
-		gotUsed, gotCounts, prefix := kernelSelect(&sc, &set, cost[:len(set.idx)], procs)
-		if len(wantUsed) == 0 {
-			if len(gotUsed) != 0 || len(gotCounts) != 0 {
-				t.Fatalf("%s: selected %v/%v from a set with no capacity", tag, gotUsed, gotCounts)
+		nanSpan := sp
+		nanSpan.nan = true
+		for _, sp := range []costSpan{sp, nanSpan} {
+			gotUsed, gotCounts, prefix := kernelSelect(&sc, &set, cost[:f], procs, sp)
+			if len(wantUsed) == 0 {
+				if len(gotUsed) != 0 || len(gotCounts) != 0 {
+					t.Fatalf("%s: selected %v/%v from a set with no capacity", tag, gotUsed, gotCounts)
+				}
+				return
 			}
-			return
-		}
-		if !reflect.DeepEqual(gotUsed, wantUsed) || !reflect.DeepEqual(gotCounts, wantCounts) {
-			t.Fatalf("%s (f=%d maxCap=%d procs=%d):\nkernel %v / %v\noracle %v / %v",
-				tag, len(set.idx), set.maxCap, procs, gotUsed, gotCounts, wantUsed, wantCounts)
-		}
-		if prefix != len(wantUsed) {
-			t.Fatalf("%s (f=%d maxCap=%d procs=%d): prefix of %d positions, minimal is %d",
-				tag, len(set.idx), set.maxCap, procs, prefix, len(wantUsed))
-		}
-		total := 0
-		for _, c := range gotCounts {
-			total += c
-		}
-		if total != procs {
-			t.Fatalf("%s: placed %d of %d procs", tag, total, procs)
+			if !reflect.DeepEqual(gotUsed, wantUsed) || !reflect.DeepEqual(gotCounts, wantCounts) {
+				t.Fatalf("%s (f=%d maxCap=%d procs=%d seed=%d nan=%v):\nkernel %v / %v\noracle %v / %v",
+					tag, f, set.maxCap, procs, seed, sp.nan, gotUsed, gotCounts, wantUsed, wantCounts)
+			}
+			if prefix != len(wantUsed) {
+				t.Fatalf("%s (f=%d maxCap=%d procs=%d seed=%d nan=%v): prefix of %d positions, minimal is %d",
+					tag, f, set.maxCap, procs, seed, sp.nan, prefix, len(wantUsed))
+			}
+			total := 0
+			for _, c := range gotCounts {
+				total += c
+			}
+			if total != procs {
+				t.Fatalf("%s: placed %d of %d procs", tag, total, procs)
+			}
 		}
 	}
 
-	r := rng.New(20240913)
 	for trial := 0; trial < 600; trial++ {
 		n := 1 + r.Intn(160)
 		caps := make([]int, n)
@@ -119,7 +169,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 		}
 		for _, procs := range []int{1, 1 + r.Intn(maxCap), 1 + r.Intn(totalCap+1), totalCap, totalCap + 1 + r.Intn(50)} {
 			if procs > 0 {
-				check("random", universe, caps, cost, procs)
+				check("random", universe, caps, cost, procs, trial%3 == 0)
 			}
 		}
 	}
@@ -135,7 +185,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 			cost[i] = float64(r.Intn(3))
 		}
 		for procs := 13; procs <= 16; procs++ {
-			check("switch", nil, caps, cost, procs)
+			check("switch", nil, caps, cost, procs, false)
 		}
 	}
 
@@ -220,18 +270,19 @@ func TestKernelMatchesOracle(t *testing.T) {
 			cost := shape.cost(f)
 			for _, procs := range []int{1, 3, totalCap / 8, totalCap / 3, totalCap - 1, totalCap + 5} {
 				if procs > 0 {
-					check(shape.name, nil, caps, cost, procs)
+					check(shape.name, nil, caps, cost, procs, false)
+					check(shape.name+"/seeded", nil, caps, cost, procs, true)
 				}
 			}
 		}
 	}
-	if bounded == 0 || histogram == 0 {
-		t.Fatalf("strategy coverage: %d bounded, %d histogram cases", bounded, histogram)
+	if bounded == 0 || histogram == 0 || outside == 0 {
+		t.Fatalf("strategy coverage: %d bounded, %d histogram cases, %d with the seed outside the span", bounded, histogram, outside)
 	}
 
-	check("single", nil, []int{3}, []float64{0.7}, 2)
-	check("single-oversubscribed", nil, []int{3}, []float64{0.7}, 11)
-	check("all-zero", nil, []int{0, 0, 0, 0}, []float64{0, 0, 0, 0}, 5)
+	check("single", nil, []int{3}, []float64{0.7}, 2, true)
+	check("single-oversubscribed", nil, []int{3}, []float64{0.7}, 11, false)
+	check("all-zero", nil, []int{0, 0, 0, 0}, []float64{0, 0, 0, 0}, 5, true)
 
 	checkSeedAlone(t, r)
 }
@@ -366,7 +417,7 @@ func TestKernelNaNCovers(t *testing.T) {
 		for _, procs := range []int{1, 5, set.total / 3, set.total, set.total + 3} {
 			seen := map[int]bool{}
 			got := 0
-			for _, s := range sc.coverPrefix(cost, &set, procs) {
+			for _, s := range sc.coverPrefix(cost, &set, procs, naiveSpan(cost, -1)) {
 				if seen[s] || s < 0 || s >= f {
 					t.Fatalf("f=%d procs=%d: position %d repeated or out of range", f, procs, s)
 				}
@@ -408,80 +459,95 @@ func TestAllocateConstrainedAllocatesNothing(t *testing.T) {
 }
 
 // kernelShape is one coverPrefix input for BenchmarkCoverPrefix: f
-// positions of capacity 4, so a request for 4k procs has a covering
-// prefix of exactly k, and 16 cost vectors cycled so that the branch
-// predictor cannot learn one of them.
+// positions of one capacity, so a request for capacity·k procs has a
+// covering prefix of exactly k, and 16 cost vectors cycled so that the
+// branch predictor cannot learn one of them, each with the span its fill
+// would report.
 type kernelShape struct {
 	set   candSet
 	costs [][]float64
+	spans []costSpan
 	procs int
 }
 
-func newKernelShape(f, k int, fill func(r *rng.Rand, cost []float64)) *kernelShape {
-	ks := &kernelShape{procs: 4 * k}
+// newKernelShape fills each cost vector with fill, which returns the
+// seed's position (its cost is left out of the span).
+func newKernelShape(f, k, capacity int, fill func(r *rng.Rand, cost []float64) (seed int)) *kernelShape {
+	ks := &kernelShape{procs: capacity * k}
 	caps := make([]int, f)
 	for i := range caps {
-		caps[i] = 4
+		caps[i] = capacity
 	}
 	ks.set.build(&CostModel{CLUnit: make([]float64, f)}, nil, caps, 0.5)
 	r := rng.New(uint64(f*1000 + k))
 	for v := 0; v < 16; v++ {
 		cost := make([]float64, f)
-		fill(r, cost)
 		ks.costs = append(ks.costs, cost)
+		ks.spans = append(ks.spans, naiveSpan(cost, fill(r, cost)))
 	}
 	return ks
 }
 
 var sinkSel []int
 
-func (ks *kernelShape) bench(b *testing.B, cover func(sc *genScratch, cost []float64, set *candSet, procs int) []int) {
+func (ks *kernelShape) bench(b *testing.B, cover func(sc *genScratch, cost []float64, set *candSet, procs int, sp costSpan) []int) {
 	var sc genScratch
 	sc.grow(&ks.set)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkSel = cover(&sc, ks.costs[i%len(ks.costs)], &ks.set, ks.procs)
+		v := i % len(ks.costs)
+		sinkSel = cover(&sc, ks.costs[v], &ks.set, ks.procs, ks.spans[v])
 	}
 }
 
 // BenchmarkCoverPrefix times Algorithm 1's selection alone: both of
-// coverPrefix's strategies at f ∈ {60, 256, 1024} and prefix lengths on
-// both sides of the switch (uniform costs with the seed's own zero, as
-// A_v(v) = 0), and the switch itself on the shape that hurts a
-// histogram most, a tight cluster beside a zero and one far outlier.
-// DESIGN.md §7's crossover table, and boundedHeapSquare, come from it.
+// coverPrefix's strategies at f ∈ {60, 64, 256, 1024} and prefix lengths
+// on both sides of the switch (uniform costs with the seed's own zero,
+// as A_v(v) = 0), capacity 4 except at f = 64, which is the shard
+// scouts' shape (capacity 2 under PPN 2, prefix 32 for 64 procs); and
+// the switch itself on the shape that hurts a histogram most, a tight
+// cluster beside a zero and one far outlier. DESIGN.md §7's crossover
+// table, and boundedHeapSquare, come from it.
 func BenchmarkCoverPrefix(b *testing.B) {
-	uniform := func(r *rng.Rand, cost []float64) {
+	uniform := func(r *rng.Rand, cost []float64) int {
 		for s := range cost {
 			cost[s] = r.Float64()
 		}
-		cost[r.Intn(len(cost))] = 0
+		seed := r.Intn(len(cost))
+		cost[seed] = 0
+		return seed
 	}
-	bounded := func(sc *genScratch, cost []float64, set *candSet, procs int) []int {
+	bounded := func(sc *genScratch, cost []float64, set *candSet, procs int, _ costSpan) []int {
 		return sc.coverBounded(cost, set, procs)
 	}
-	sorted := func(sc *genScratch, cost []float64, set *candSet, procs int) []int {
-		return sc.coverSorted(cost, set.caps, procs)
+	sorted := func(sc *genScratch, cost []float64, set *candSet, procs int, sp costSpan) []int {
+		return sc.coverSorted(cost, set.caps, procs, sp)
 	}
-	for _, f := range []int{60, 256, 1024} {
+	for _, f := range []int{60, 64, 256, 1024} {
+		capacity := 4
+		if f == 64 {
+			capacity = 2
+		}
 		for _, k := range []int{2, 4, 6, 8, 12, 16, 24, 32, 64, 128} {
 			if 2*k > f {
 				break
 			}
-			ks := newKernelShape(f, k, uniform)
+			ks := newKernelShape(f, k, capacity, uniform)
 			b.Run(fmt.Sprintf("f=%d/k=%d/bounded", f, k), func(b *testing.B) { ks.bench(b, bounded) })
 			b.Run(fmt.Sprintf("f=%d/k=%d/sorted", f, k), func(b *testing.B) { ks.bench(b, sorted) })
 		}
 	}
-	clustered := func(r *rng.Rand, cost []float64) {
+	clustered := func(r *rng.Rand, cost []float64) int {
 		for s := range cost {
 			cost[s] = 1 + 1e-9*r.Float64()
 		}
 		cost[r.Intn(len(cost))] = 1e6
-		cost[r.Intn(len(cost))] = 0
+		seed := r.Intn(len(cost))
+		cost[seed] = 0
+		return seed
 	}
 	for _, f := range []int{60, 256, 1024} {
-		ks := newKernelShape(f, f/4, clustered)
+		ks := newKernelShape(f, f/4, 4, clustered)
 		b.Run(fmt.Sprintf("clustered/f=%d/k=%d", f, f/4), func(b *testing.B) {
 			ks.bench(b, (*genScratch).coverPrefix)
 		})

@@ -738,28 +738,35 @@ func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, s
 		return best, 0, 0
 	}
 	// Seed and candidates share shard s, so both the addition costs and
-	// the pairwise N_G read its sub-matrix rows directly; going through
-	// selectFrom/pairCosts would re-resolve the shard of every pair
-	// (measured about +5 % and +20 % on the 16×64 shape).
+	// the pairwise N_G read its sub-matrix rows directly, at each set
+	// position's shard-local index, resolved once per shard: going
+	// through selectFrom/pairCosts would re-resolve the shard of every
+	// pair (measured about +5 % and +20 % on the 16×64 shape), and
+	// through posOf once per start and pair.
 	size := len(members)
 	sc.grow(set)
+	local := sc.local[:len(set.idx)]
+	for k, u := range set.idx {
+		local[k] = sm.posOf[u]
+	}
 	addCost := sc.addCost[:len(set.idx)]
-	for pv, v := range members {
+	for pv := range members {
 		row := sub[pv*size : (pv+1)*size]
-		for k, u := range set.idx {
-			if u == v {
-				addCost[k] = 0 // A_v(v) = 0
-			} else {
-				addCost[k] = set.alphaCL[k] + req.Beta*row[sm.posOf[u]]
-			}
+		sp := fillRow(addCost, set.alphaCL, req.Beta, row, local, pv) // A_v(v) = 0
+		sel := sc.coverPrefix(addCost, set, req.Procs, sp)
+		remaining := sc.take(sel, set, req.Procs)
+		// take keeps sel's order, one used node per position; sc.heap is
+		// free once coverPrefix returns.
+		at := sc.heap[:len(sc.used)]
+		for a := range at {
+			at[a] = local[sel[a]]
 		}
-		remaining := sc.take(sc.coverPrefix(addCost, set, req.Procs), set, req.Procs)
 		c, nn := 0.0, 0.0
 		for a, i := range sc.used {
 			c += m.CLUnit[i]
-			ri := sub[sm.posOf[i]*size : (sm.posOf[i]+1)*size]
-			for _, j := range sc.used[a+1:] {
-				nn += ri[sm.posOf[j]]
+			ri := sub[at[a]*size : (at[a]+1)*size]
+			for _, p := range at[a+1:] {
+				nn += ri[p]
 			}
 		}
 		if remaining > 0 {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -530,6 +531,160 @@ func scoutDigest(m *CostModel, caps []int, req Request) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
+// refScout is scoutShard written naively: from every member of shard s,
+// price the members with capacity (the seed at 0), order them by
+// (cost, position), take the shortest prefix that covers req.Procs, and
+// sum C and N in selection order, scaled up when even the whole shard
+// falls short.
+func refScout(m *CostModel, s int, caps []int, req Request) (best, sumC, sumN float64) {
+	members, sub := m.shard.shards[s], m.shard.sub[s]
+	size := len(members)
+	var cand []int // shard-local positions with capacity
+	for p, u := range members {
+		if caps[u] > 0 {
+			cand = append(cand, p)
+		}
+	}
+	best = math.Inf(1)
+	if len(cand) == 0 {
+		return best, 0, 0
+	}
+	for pv := range members {
+		cost := map[int]float64{}
+		for _, p := range cand {
+			if p != pv {
+				cost[p] = float64(req.Alpha*m.CLUnit[members[p]]) + float64(req.Beta*sub[pv*size+p])
+			}
+		}
+		order := slices.Clone(cand)
+		sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
+		var used []int
+		left := req.Procs
+		for _, p := range order {
+			if left <= 0 {
+				break
+			}
+			used = append(used, p)
+			left -= min(caps[members[p]], left)
+		}
+		c, nn := 0.0, 0.0
+		for a, p := range used {
+			c += m.CLUnit[members[p]]
+			for _, q := range used[a+1:] {
+				nn += sub[p*size+q]
+			}
+		}
+		if left > 0 {
+			scale := float64(req.Procs) / float64(req.Procs-left)
+			c *= scale
+			nn *= scale
+		}
+		sumC += c
+		sumN += nn
+		if cost := req.Alpha*c + req.Beta*nn; cost < best {
+			best = cost
+		}
+	}
+	return best, sumC, sumN
+}
+
+// TestScoutMatchesReference holds scoutShard's (best, sumC, sumN) bits
+// to refScout on seeded shards of 17–96 members, which reach the
+// histogram cut: costs with ties (CLUnit and NL rounded to a few
+// levels), zero capacities, α = 0, requests a shard cannot cover, and
+// one far outlier. It also holds both fills to their contract: the
+// scout's row fill and level 2's sharded fill price what pairNL prices,
+// and report the span of every cost but the seed's.
+func TestScoutMatchesReference(t *testing.T) {
+	r := rng.New(1729)
+	var sc genScratch
+	for trial := 0; trial < 24; trial++ {
+		perShard := 17 + r.Intn(80)
+		snap, groups := shardedEquivSnapshot(r, 2, perShard)
+		m := NewCostModelSharded(snap, PaperWeights(), false, ShardOptions{
+			Plan: NewShardPlan(groups, "test-topology"), Threshold: 16, MaxShardSize: perShard, TopK: 1})
+		sm := m.shard
+		if trial%2 == 1 { // ties: a handful of levels (rounding keeps each sub-matrix symmetric)
+			for i := range m.CLUnit {
+				m.CLUnit[i] = math.Round(m.CLUnit[i] * 4)
+			}
+			for _, sub := range sm.sub {
+				for k := range sub {
+					sub[k] = math.Round(sub[k] * 2)
+				}
+			}
+		}
+		if trial%3 == 2 { // one far outlier: a node's compute load, or an intra-shard pair
+			m.CLUnit[r.Intn(len(m.CLUnit))] = 1e6
+			a, b := r.Intn(perShard), r.Intn(perShard)
+			if a != b {
+				sm.sub[0][a*perShard+b], sm.sub[0][b*perShard+a] = 1e6, 1e6
+			}
+		}
+		alpha := []float64{0, 0.3, 0.5, 1}[trial%4]
+		caps := m.caps(Request{PPN: r.Intn(3)})
+		shardCap := 0
+		for i := range caps {
+			if r.Bool(0.2) {
+				caps[i] = 0
+			}
+			if sm.shardOf[i] == 0 {
+				shardCap += caps[i]
+			}
+		}
+		for _, procs := range []int{1, 2 + r.Intn(8), 1 + shardCap/2, shardCap, shardCap + 1 + r.Intn(40)} {
+			req := Request{Procs: max(procs, 1), Alpha: alpha, Beta: 1 - alpha}
+			for s := range sm.shards {
+				gb, gc, gn := NetLoadAware{}.scoutShard(m, s, caps, req, &sc)
+				wb, wc, wn := refScout(m, s, caps, req)
+				for k, pair := range [][2]float64{{gb, wb}, {gc, wc}, {gn, wn}} {
+					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+						t.Fatalf("trial %d shard %d (size %d, α %g, procs %d): scout %s = %v, reference %v",
+							trial, s, perShard, alpha, req.Procs, []string{"best", "sumC", "sumN"}[k], pair[0], pair[1])
+					}
+				}
+			}
+		}
+
+		// The fills, from every seed: the scout's over shard 0's positions,
+		// level 2's over every node of both shards.
+		req := Request{Alpha: alpha, Beta: 1 - alpha}
+		var set candSet
+		set.build(m, nil, caps, alpha)
+		sc.grow(&set)
+		for v := range m.IDs {
+			sp := sc.fill(m, v, &set, req.Beta)
+			seed := -1
+			for k, u := range set.idx {
+				want := 0.0
+				if u == v {
+					seed = k
+				} else {
+					want = set.alphaCL[k] + req.Beta*sm.pairNL(v, u)
+				}
+				if math.Float64bits(sc.addCost[k]) != math.Float64bits(want) {
+					t.Fatalf("trial %d seed %d: level-2 fill prices node %d at %v, pairNL at %v", trial, v, u, sc.addCost[k], want)
+				}
+			}
+			if want := naiveSpan(sc.addCost[:len(set.idx)], seed); !sameSpan(sp, want) {
+				t.Fatalf("trial %d seed %d: level-2 fill span %+v, want %+v", trial, v, sp, want)
+			}
+		}
+		set.build(m, sm.shards[0], caps, alpha)
+		local := make([]int, len(set.idx))
+		for k, u := range set.idx {
+			local[k] = sm.posOf[u]
+		}
+		cost := make([]float64, len(set.idx))
+		for pv := range sm.shards[0] {
+			sp := fillRow(cost, set.alphaCL, req.Beta, sm.sub[0][pv*perShard:(pv+1)*perShard], local, pv)
+			if want := naiveSpan(cost, slices.Index(local, pv)); !sameSpan(sp, want) {
+				t.Fatalf("trial %d seed position %d: scout fill span %+v, want %+v", trial, pv, sp, want)
+			}
+		}
+	}
+}
+
 // shardedAnswer is what an allocate decides, compared bit for bit.
 type shardedAnswer struct {
 	nodes     []int
@@ -736,20 +891,22 @@ func TestShardedWinnerOnlyMatchesExplain(t *testing.T) {
 }
 
 // BenchmarkAllocateSharded times one allocate on a 16×64-node sharded
-// model: fresh on a model that has served no request (level 1 runs),
-// warm on one that has just served the same shape (level 1 is the memo).
-// Model builds are outside the timer.
+// model: fresh with level 1 scouted, its memo dropped before each call
+// as UpdateNodes drops it on the broker's fresh path, and warm on the
+// model that has just served the same shape (level 1 is the memo). The
+// model is built once, outside the timer.
 func BenchmarkAllocateSharded(b *testing.B) {
 	snap, groups := shardedEquivSnapshot(rng.New(1024), 16, 64)
 	opts := ShardOptions{Plan: NewShardPlan(groups, "bench"), Threshold: DefaultShardThreshold}
 	req := Request{Procs: 64, PPN: 2, Alpha: 0.3, Beta: 0.7}
 	build := func() *CostModel { return NewCostModelSharded(snap, PaperWeights(), false, opts) }
 	b.Run("fresh", func(b *testing.B) {
+		m := build()
+		allocateAnswer(b, m, req)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			m := build()
-			b.StartTimer()
+			m.dropMemo()
 			allocateAnswer(b, m, req)
 		}
 	})
