@@ -128,14 +128,26 @@ const boundedHeapSquare = 2
 // same order. sp is the span of the costs the fill saw, which only the
 // sorted strategy reads. The result aliases the scratch.
 func (sc *genScratch) coverPrefix(addCost []float64, set *candSet, procs int, sp costSpan) []int {
-	f := len(set.idx)
-	if f == 0 {
-		return nil // no capacity at all; total is 0, so do not divide by it
-	}
-	if expect := min((procs*f+set.total-1)/set.total, f); boundedHeapSquare*expect*expect > f {
+	switch {
+	case len(set.idx) == 0:
+		return nil
+	case set.sorted(procs):
 		return sc.coverSorted(addCost, set.caps, procs, sp)
 	}
 	return sc.coverBounded(addCost, set, procs)
+}
+
+// sorted reports whether coverPrefix orders set for procs by its sorted
+// strategy, the one that reads the fill's span; the fills track the
+// span only then (on the simulator's short prefixes the tracking cost
+// more than 5 % of a constrained decision).
+func (set *candSet) sorted(procs int) bool {
+	f := len(set.idx)
+	if f == 0 {
+		return false // no capacity at all; total is 0, so do not divide by it
+	}
+	expect := min((procs*f+set.total-1)/set.total, f)
+	return boundedHeapSquare*expect*expect > f
 }
 
 // coverBounded is coverPrefix for a short prefix.
@@ -299,21 +311,20 @@ func (sc *genScratch) selectFrom(m *CostModel, v int, set *candSet, req Request)
 			return sc.take(append(sc.sel[:0], s), set, req.Procs)
 		}
 	}
-	addCost := sc.addCost[:len(set.idx)]
-	sp := sc.fill(m, v, set, req.Beta)
-	return sc.take(sc.coverPrefix(addCost, set, req.Procs, sp), set, req.Procs)
+	sp := sc.fill(m, v, set, req.Beta, set.sorted(req.Procs))
+	return sc.take(sc.coverPrefix(sc.addCost[:len(set.idx)], set, req.Procs, sp), set, req.Procs)
 }
 
-// fill prices seed v's addition costs over set into sc.addCost and
-// returns their span. On a sharded model the seed's shard, its
+// fill prices seed v's addition costs over set into sc.addCost and, if
+// track, returns their span. On a sharded model the seed's shard, its
 // sub-matrix row and its aggregate row are resolved once, so a position
 // costs one shard lookup and one of two reads: the same NL values
 // pairNL returns, without resolving the seed again per position.
-func (sc *genScratch) fill(m *CostModel, v int, set *candSet, beta float64) costSpan {
+func (sc *genScratch) fill(m *CostModel, v int, set *candSet, beta float64, track bool) costSpan {
 	addCost := sc.addCost[:len(set.idx)]
 	if m.NLUnit != nil {
 		n := m.Len()
-		return fillRow(addCost, set.alphaCL, beta, m.NLUnit[v*n:(v+1)*n], set.idx, v)
+		return fillRow(addCost, set.alphaCL, beta, m.NLUnit[v*n:(v+1)*n], set.idx, v, track)
 	}
 	sm := m.shard
 	sv, pv := sm.shardOf[v], sm.posOf[v]
@@ -333,17 +344,19 @@ func (sc *genScratch) fill(m *CostModel, v int, set *candSet, beta float64) cost
 		}
 		c := set.alphaCL[s] + beta*nl
 		addCost[s] = c
-		sp.see(c)
+		if track {
+			sp.see(c)
+		}
 	}
 	return sp
 }
 
 // fillRow prices one seed's addition costs from its NL row:
 // addCost[k] = alphaCL[k] + β·row[at[k]], and 0 where at[k] is the
-// seed's own entry. It returns the span of every cost but the seed's.
-// The dense fill indexes the row by dense index, the scout by shard-local
-// position.
-func fillRow(addCost, alphaCL []float64, beta float64, row []float64, at []int, seed int) costSpan {
+// seed's own entry. If track, it returns the span of every cost but the
+// seed's (else the empty span). The dense fill indexes the row by dense
+// index, the scout by shard-local position.
+func fillRow(addCost, alphaCL []float64, beta float64, row []float64, at []int, seed int, track bool) costSpan {
 	sp := emptySpan
 	for k, p := range at {
 		if p == seed {
@@ -352,7 +365,9 @@ func fillRow(addCost, alphaCL []float64, beta float64, row []float64, at []int, 
 		}
 		c := alphaCL[k] + beta*row[p]
 		addCost[k] = c
-		sp.see(c)
+		if track {
+			sp.see(c)
+		}
 	}
 	return sp
 }

@@ -750,9 +750,10 @@ func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, s
 		local[k] = sm.posOf[u]
 	}
 	addCost := sc.addCost[:len(set.idx)]
+	track := set.sorted(req.Procs)
 	for pv := range members {
 		row := sub[pv*size : (pv+1)*size]
-		sp := fillRow(addCost, set.alphaCL, req.Beta, row, local, pv) // A_v(v) = 0
+		sp := fillRow(addCost, set.alphaCL, req.Beta, row, local, pv, track) // A_v(v) = 0
 		sel := sc.coverPrefix(addCost, set, req.Procs, sp)
 		remaining := sc.take(sel, set, req.Procs)
 		// take keeps sel's order, one used node per position; sc.heap is

@@ -653,7 +653,7 @@ func TestScoutMatchesReference(t *testing.T) {
 		set.build(m, nil, caps, alpha)
 		sc.grow(&set)
 		for v := range m.IDs {
-			sp := sc.fill(m, v, &set, req.Beta)
+			sp := sc.fill(m, v, &set, req.Beta, true)
 			seed := -1
 			for k, u := range set.idx {
 				want := 0.0
@@ -677,7 +677,7 @@ func TestScoutMatchesReference(t *testing.T) {
 		}
 		cost := make([]float64, len(set.idx))
 		for pv := range sm.shards[0] {
-			sp := fillRow(cost, set.alphaCL, req.Beta, sm.sub[0][pv*perShard:(pv+1)*perShard], local, pv)
+			sp := fillRow(cost, set.alphaCL, req.Beta, sm.sub[0][pv*perShard:(pv+1)*perShard], local, pv, true)
 			if want := naiveSpan(cost, slices.Index(local, pv)); !sameSpan(sp, want) {
 				t.Fatalf("trial %d seed position %d: scout fill span %+v, want %+v", trial, pv, sp, want)
 			}
