@@ -860,9 +860,9 @@ func lessIdx(cost []float64, a, b int) bool {
 // costSpan is what a fill saw of one seed's addition costs, the seed's
 // own A_v(v) = 0 left out: the least, the greatest and the
 // second-greatest cost, and whether a NaN appeared. see costs the fill
-// two plain compares per cost (the float min/max builtins cost more than
-// the fill; widen runs only when the range moves), so coverSorted never
-// reads the costs a second time to find its span.
+// two plain compares per cost once the range settles (the float min/max
+// builtins cost more than the fill), so coverSorted never reads the
+// costs a second time to find its span.
 type costSpan struct {
 	lo, hi1, hi2 float64
 	nan          bool
@@ -873,12 +873,9 @@ var emptySpan = costSpan{lo: math.Inf(1), hi1: math.Inf(-1), hi2: math.Inf(-1)}
 
 // see adds one cost to the span.
 func (sp *costSpan) see(c float64) {
-	if !(c >= sp.lo && c <= sp.hi2) {
-		sp.widen(c)
+	if c >= sp.lo && c <= sp.hi2 {
+		return
 	}
-}
-
-func (sp *costSpan) widen(c float64) {
 	if c != c {
 		sp.nan = true
 	}

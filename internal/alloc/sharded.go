@@ -739,10 +739,10 @@ func (p NetLoadAware) scoutShard(m *CostModel, s int, caps []int, req Request, s
 	}
 	// Seed and candidates share shard s, so both the addition costs and
 	// the pairwise N_G read its sub-matrix rows directly, at each set
-	// position's shard-local index, resolved once per shard: going
-	// through selectFrom/pairCosts would re-resolve the shard of every
-	// pair (measured about +5 % and +20 % on the 16×64 shape), and
-	// through posOf once per start and pair.
+	// position's shard-local index, resolved once per shard rather than
+	// through posOf per start and pair. Going through
+	// selectFrom/pairCosts would re-resolve the shard of every pair
+	// (measured about +5 % and +20 % on the 16×64 shape).
 	size := len(members)
 	sc.grow(set)
 	local := sc.local[:len(set.idx)]
