@@ -109,7 +109,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 		}
 		sp := naiveSpan(cost[:f], seed)
 		if f > 0 {
-			if expect := min((procs*f+set.total-1)/set.total, f); boundedHeapSquare*expect*expect <= f {
+			if !set.sorted(procs) {
 				bounded++
 			} else if _, _, ok := sp.scale(f); ok && f > sortRun {
 				histogram++
