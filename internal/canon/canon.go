@@ -30,8 +30,17 @@ func (e *Encoder) Uint(key string, v uint64) { e.B = strconv.AppendUint(append(e
 func (e *Encoder) Bool(key string, v bool) { e.B = strconv.AppendBool(append(e.B, key...), v) }
 
 // Float follows encoding/json: %f between 1e-6 and 1e21, %e outside it
-// with the exponent's leading zero dropped (e-07 becomes e-7).
+// with the exponent's leading zero dropped (e-07 becomes e-7). A whole
+// number of nanoseconds is written from its integer (see nanos).
 func (e *Encoder) Float(key string, f float64) {
+	if n, ok := nanos(f); ok {
+		e.B = appendNanos(append(e.B, key...), n)
+		return
+	}
+	if f == 0 && !math.Signbit(f) {
+		e.B = append(append(e.B, key...), '0')
+		return
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		e.OK = false
 		return
@@ -45,6 +54,61 @@ func (e *Encoder) Float(key string, f float64) {
 		e.B[n-2] = e.B[n-1]
 		e.B = e.B[:n-1]
 	}
+}
+
+// nanos reports f as n nanoseconds, 1e3 <= |n| < 1e15, when n/1e9 rounds
+// to f. That decimal has at most 15 significant digits and two such
+// decimals never round to the same double (DBL_DIG), so it is f's only
+// shortest form: the digits strconv's %f would find, since |f| >= 1e-6.
+// n is round(f·1e9): were f n/1e9 rounded, f·1e9 would lie within 0.25
+// of n, so no such n is missed.
+func nanos(f float64) (int64, bool) {
+	n := math.Round(f * 1e9)
+	return int64(n), 1e3 <= math.Abs(n) && math.Abs(n) < 1e15 && n/1e9 == f
+}
+
+// pairs holds "00" to "99", so the digit writers divide once per two digits.
+var pairs = func() (p [200]byte) {
+	for i := range 100 {
+		p[2*i], p[2*i+1] = byte('0'+i/10), byte('0'+i%10)
+	}
+	return p
+}()
+
+// appendNanos writes n nanoseconds, |n| < 1e15, as seconds: the integer
+// part, then the nine-digit fraction with its trailing zeros trimmed.
+func appendNanos(b []byte, n int64) []byte {
+	if n < 0 {
+		b, n = append(b, '-'), -n
+	}
+	sec, frac := uint64(n)/1e9, uint64(n)%1e9
+	var buf [16]byte // at most six integer digits, the point, nine digits
+	end := 6
+	if frac != 0 {
+		buf[6] = '.'
+		for i := 14; i > 7; i -= 2 {
+			q := frac / 100
+			r := 2 * (frac - 100*q)
+			buf[i], buf[i+1], frac = pairs[r], pairs[r+1], q
+		}
+		buf[7] = byte('0' + frac)
+		for end = 16; buf[end-1] == '0'; end-- {
+		}
+	}
+	i := 6
+	for ; sec >= 100; sec /= 100 {
+		r := 2 * (sec % 100)
+		i -= 2
+		buf[i], buf[i+1] = pairs[r], pairs[r+1]
+	}
+	if sec >= 10 {
+		i -= 2
+		buf[i], buf[i+1] = pairs[2*sec], pairs[2*sec+1]
+	} else {
+		i--
+		buf[i] = byte('0' + sec)
+	}
+	return append(b, buf[i:end]...)
 }
 
 // Str writes s quoted when it needs no escaping under encoding/json's

@@ -1,0 +1,125 @@
+package canon
+
+import (
+	"encoding/json"
+	"math"
+	"testing"
+	"time"
+
+	"nlarm/internal/rng"
+)
+
+// checkFloat requires Float to write json.Marshal's bytes after the key,
+// or, for a value json.Marshal refuses, to clear OK and write nothing.
+func checkFloat(t testing.TB, f float64) {
+	t.Helper()
+	e := Encoder{B: []byte(`{"k":`), OK: true}
+	e.Float(``, f)
+	want, err := json.Marshal(f)
+	if err != nil {
+		if e.OK || string(e.B) != `{"k":` {
+			t.Fatalf("Float(%v): wrote %q, OK %v; json.Marshal refuses it", f, e.B, e.OK)
+		}
+		return
+	}
+	if got := string(e.B[len(`{"k":`):]); !e.OK || got != string(want) {
+		t.Fatalf("Float(%v) = %q (OK %v), json.Marshal %q", f, got, e.OK, want)
+	}
+}
+
+// below draws from [0, n).
+func below(r *rng.Rand, n int64) int64 { return int64(r.Uint64() % uint64(n)) }
+
+// TestFloatMatchesJSON compares Float with json.Marshal on seeded values:
+// the job trace's times (Duration.Seconds, which must take the integer
+// path whenever it is the double nearest its nanoseconds), n/1e9 and its
+// neighbours, the edges of the integer path and of %f, values with 16 and
+// 17 significant digits that must fall back, and NaN and ±Inf.
+func TestFloatMatchesJSON(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), -1, 1, 999e-9, 1e-6, 1e6 - 1e-9, -(1e6 - 1e-9), 1e6, 1e21,
+		5e-324, math.MaxFloat64, math.Pi, 0.1, 1234567.123456789, -987654.3210987654, 0.12345678901234567} {
+		checkFloat(t, f)
+	}
+	for _, f := range []float64{1e6 - 1e-9, -(1e6 - 1e-9), 1e-6, -1e-6, 1.5, 86400} {
+		if _, ok := nanos(f); !ok {
+			t.Errorf("%v falls back; want the integer path", f)
+		}
+	}
+	for _, f := range []float64{999e-9, 1e6, math.Pi, 1234567.123456789, -987654.3210987654, 0.12345678901234567, 1e-10} {
+		if _, ok := nanos(f); ok {
+			t.Errorf("%v takes the integer path; want the fallback", f)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, ok := nanos(f); ok {
+			t.Errorf("%v takes the integer path", f)
+		}
+		checkFloat(t, f)
+	}
+
+	r := rng.New(44)
+	const draws = 40000
+	eligible, fast := 0, 0
+	for i := 0; i < draws; i++ {
+		d := time.Duration(below(r, 1e15))
+		if i%2 == 0 { // every magnitude, not mostly 1e14
+			d = time.Duration(below(r, int64(math.Pow10(1+r.Intn(15)))))
+		}
+		if i%5 == 0 {
+			d = -d
+		}
+		f := d.Seconds()
+		checkFloat(t, f)
+		// Seconds rounds twice, so it is n/1e9's nearest double almost,
+		// not quite, always; whenever it is, the integer path applies.
+		if _, ok := nanos(f); d.Abs() >= 1000 {
+			eligible++
+			if ok {
+				fast++
+			} else if f == float64(d)/1e9 {
+				t.Fatalf("%v (%d ns) falls back", f, d)
+			}
+		}
+
+		n := below(r, 2e15) - 1e15
+		g := float64(n) / 1e9
+		checkFloat(t, g)
+		checkFloat(t, math.Nextafter(g, math.Inf(1)))
+		checkFloat(t, math.Nextafter(g, math.Inf(-1)))
+		if m, ok := nanos(g); n <= -1000 || n >= 1000 {
+			if !ok || m != n {
+				t.Fatalf("%v (%d ns): nanos = %d, %v", g, n, m, ok)
+			}
+		}
+		checkFloat(t, math.Float64frombits(r.Uint64()))
+	}
+	if fast < eligible*99/100 {
+		t.Fatalf("%d of %d Duration.Seconds values of 1 µs or more took the integer path", fast, eligible)
+	}
+}
+
+// FuzzFloat holds Float to json.Marshal's bytes on any float64, and on
+// the seconds of any duration.
+func FuzzFloat(f *testing.F) {
+	for _, v := range []float64{0, -1, 999e-9, 1e-6, 1e6 - 1e-9, 1.5, math.Pi, 1e21} {
+		f.Add(v, int64(v*1e9))
+	}
+	f.Fuzz(func(t *testing.T, v float64, ns int64) {
+		checkFloat(t, v)
+		checkFloat(t, time.Duration(ns).Seconds())
+	})
+}
+
+func BenchmarkFloat(b *testing.B) {
+	r := rng.New(1)
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = time.Duration(below(r, 1e14)).Seconds()
+	}
+	e := Encoder{OK: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.B = e.B[:0]
+		e.Float(`,"t":`, vals[i%len(vals)])
+	}
+}
