@@ -1,7 +1,10 @@
 package simtime
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,14 +274,13 @@ func TestSchedulerOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPostStepAllocatesOneEvent guards Post: an event nobody can cancel
-// costs its event object and nothing else, firing included.
-func TestPostStepAllocatesOneEvent(t *testing.T) {
+// TestPostStepAllocatesNothing guards Post's free list: once a fired
+// posted event is back on it, posting and firing the next allocates
+// nothing, whether the driver posts it or the callback before it does.
+func TestPostStepAllocatesNothing(t *testing.T) {
 	s := NewScheduler(epoch)
 	fn := func(time.Time) {}
-	for i := 0; i < 8; i++ {
-		s.Post(s.Now().Add(time.Second), "warm", fn)
-	}
+	s.Post(s.Now().Add(time.Second), "warm", fn)
 	for s.Step() {
 	}
 	if n := testing.AllocsPerRun(200, func() {
@@ -286,7 +288,93 @@ func TestPostStepAllocatesOneEvent(t *testing.T) {
 		if !s.Step() {
 			t.Fatal("posted event did not fire")
 		}
-	}); n != 1 {
-		t.Fatalf("Post + Step allocates %v objects per event, want 1", n)
+	}); n != 0 {
+		t.Fatalf("Post + Step allocates %v objects per event, want 0", n)
+	}
+
+	var fired []time.Time
+	var chain func(now time.Time)
+	chain = func(now time.Time) {
+		fired = append(fired, now)
+		s.Post(now.Add(time.Second), "chain", chain)
+	}
+	fired = make([]time.Time, 0, 202)
+	start := s.Now()
+	s.Post(start, "chain", chain)
+	if n := testing.AllocsPerRun(200, func() {
+		if !s.Step() {
+			t.Fatal("chain broke")
+		}
+	}); n != 0 {
+		t.Fatalf("a callback posting its successor allocates %v objects per event, want 0", n)
+	}
+	for i, now := range fired {
+		if want := start.Add(time.Duration(i) * time.Second); !now.Equal(want) {
+			t.Fatalf("chain firing %d at %v, want %v", i, now, want)
+		}
+	}
+	if len(fired) != 201 || s.Pending() != 1 {
+		t.Fatalf("chain fired %d times with %d pending, want 201 and 1", len(fired), s.Pending())
+	}
+}
+
+// TestPostReusesUnderConcurrentStep posts from several goroutines while
+// another steps, so events go back to the free list and come off it
+// concurrently: under the race detector, every posted event fires once.
+func TestPostReusesUnderConcurrentStep(t *testing.T) {
+	s := NewScheduler(epoch)
+	var fired atomic.Int64
+	fn := func(time.Time) { fired.Add(1) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Post(s.Now().Add(time.Duration(i%7)*time.Millisecond), "conc", fn)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 600; i++ {
+			s.Step()
+		}
+	}()
+	wg.Wait()
+	<-done
+	for s.Step() {
+	}
+	if n := fired.Load(); n != 800 {
+		t.Fatalf("%d of 800 posted events fired", n)
+	}
+}
+
+// TestCancelFuncNeverTouchesReusedEvent fires an At, an After and an
+// Every event, then posts events while calling the fired events'
+// CancelFuncs: the CancelFuncs still hold their events, so none may come
+// back through Post, and every posted event fires.
+func TestCancelFuncNeverTouchesReusedEvent(t *testing.T) {
+	s := NewScheduler(epoch)
+	var fired []string
+	log := func(name string) func(time.Time) { return func(time.Time) { fired = append(fired, name) } }
+	s.Post(epoch, "warm", log("warm")) // one event on the free list
+	cancels := []CancelFunc{
+		s.At(epoch.Add(time.Second), "at", log("at")),
+		s.After(2*time.Second, "after", log("after")),
+		s.Every(3*time.Second, "every", log("every")),
+	}
+	s.RunUntil(epoch.Add(3 * time.Second))
+	for i, cancel := range cancels {
+		cancel()
+		name := fmt.Sprint("post-", i)
+		s.Post(s.Now().Add(time.Second), name, log(name))
+		cancel()
+	}
+	s.RunUntil(epoch.Add(time.Minute))
+	want := []string{"warm", "at", "after", "every", "post-0", "post-1", "post-2"}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
