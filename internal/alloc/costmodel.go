@@ -998,13 +998,14 @@ var (
 )
 
 // parallelFor runs f(scratch, i) for every i in [0, n), work
-// addition-cost evaluations in all, across a GOMAXPROCS-bounded pool of
-// worker goroutines, each with its own scratch S taken from pool (which
-// must make *S) and returned to it. Each index runs exactly once, and
-// each worker runs its calls sequentially (so its scratch needs no
-// locking); f must only write index-owned state (the callers write into
-// pre-assigned slice slots, keeping results bit-identical to a
-// sequential loop). Fan-outs below minParallelWork run inline.
+// addition-cost evaluations in all, across a GOMAXPROCS-bounded set of
+// workers, the calling goroutine one of them, each with its own scratch S
+// taken from pool (which must make *S) and returned to it. Each index
+// runs exactly once, and each worker runs its calls sequentially (so its
+// scratch needs no locking); f must only write index-owned state (the
+// callers write into pre-assigned slice slots, keeping results
+// bit-identical to a sequential loop). Fan-outs below minParallelWork run
+// inline.
 func parallelFor[S any](pool *sync.Pool, n, work int, f func(sc *S, i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 || work < minParallelWork {
@@ -1015,22 +1016,37 @@ func parallelFor[S any](pool *sync.Pool, n, work int, f func(sc *S, i int)) {
 		pool.Put(sc)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	p := &fanOut[S]{pool: pool, n: n, f: f}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			sc := pool.Get().(*S)
-			defer pool.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(sc, i)
-			}
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-	wg.Wait()
+	p.work()
+	p.wg.Wait()
+}
+
+// fanOut is what the workers of one parallelFor share, allocated once
+// per fan-out.
+type fanOut[S any] struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	pool *sync.Pool
+	n    int
+	f    func(sc *S, i int)
+}
+
+// work claims indices until none is left, with one scratch from the pool.
+func (p *fanOut[S]) work() {
+	sc := p.pool.Get().(*S)
+	defer p.pool.Put(sc)
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		p.f(sc, i)
+	}
 }
