@@ -135,7 +135,7 @@ func TestSharedSnapshotRace(t *testing.T) {
 	if _, err := r.b.Allocate(Request{Procs: 4}); err != nil {
 		t.Fatal(err)
 	}
-	base, err := r.b.Snapshot()
+	base, err := monitor.ReadSnapshot(r.vst, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSharedSnapshotRace(t *testing.T) {
 
 	// Whatever interleaving ran, the store's content is what a fresh
 	// read says it is: the shared views were never written through.
-	want, err := r.b.Snapshot()
+	want, err := monitor.ReadSnapshot(r.vst, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

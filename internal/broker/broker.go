@@ -271,14 +271,6 @@ func (b *Broker) Policies() []string {
 	return names
 }
 
-// Snapshot returns the current consolidated monitoring view from a full
-// store read. It deliberately bypasses the snapshot cache: a second
-// consumer of Refresh would swallow the PrevFP/ChangedNodes delta the
-// cost-model cache needs and turn the next allocate into a full rebuild.
-func (b *Broker) Snapshot() (*metrics.Snapshot, error) {
-	return monitor.ReadSnapshotObs(b.st, b.rt.Now(), b.obs)
-}
-
 // freshView obtains the current monitoring view by a delta refresh of
 // the snapshot cache. Concurrent refreshes coalesce — one caller sweeps
 // the store, the rest wait on its result.
@@ -469,6 +461,10 @@ func (b *Broker) Allocate(req Request) (Response, error) {
 type BatchResult struct {
 	Response Response
 	Err      error
+	// Snapshot is the view the whole batch was priced on (nil when none
+	// was acquired). Not on Response: a job queue keeps each launched
+	// job's Response, which would pin one snapshot generation per job.
+	Snapshot *metrics.Snapshot
 }
 
 // AllocateBatch prices every request against one snapshot generation:
@@ -505,7 +501,7 @@ func (b *Broker) AllocateBatch(reqs []Request) []BatchResult {
 		if err != nil {
 			resp = Response{}
 		}
-		results[i] = BatchResult{Response: resp, Err: err}
+		results[i] = BatchResult{Response: resp, Err: err, Snapshot: sv.Snap}
 	}
 	return results
 }

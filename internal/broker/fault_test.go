@@ -221,7 +221,7 @@ func TestFaultStaleReadCannotSkewReservationClock(t *testing.T) {
 	if resp, err := r.b.Allocate(req); err != nil || resp.Degraded {
 		t.Fatalf("fresh allocate: degraded=%v err=%v", resp.Degraded, err)
 	}
-	base, err := r.b.Snapshot()
+	base, err := monitor.ReadSnapshot(r.vst, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestFaultStaleReadCannotSkewReservationClock(t *testing.T) {
 	// policy's clock to T+6s without touching the broker's last-good copy
 	// or its fingerprint-keyed model cache.
 	r.sched.RunFor(6 * time.Second)
-	snap6, err := r.b.Snapshot()
+	snap6, err := monitor.ReadSnapshot(r.vst, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +310,63 @@ func TestFaultNoLastGoodStillErrors(t *testing.T) {
 	}
 }
 
+// TestBatchResultCarriesPricedView pins BatchResult.Snapshot: every
+// result of a batch carries the one view the batch was priced on, a
+// degraded batch carries the livehosts-filtered last-good view, and a
+// batch that acquired no view carries nil.
+func TestBatchResultCarriesPricedView(t *testing.T) {
+	t.Run("shared", func(t *testing.T) {
+		r := newFaultRig(t, 25)
+		res := r.b.AllocateBatch([]Request{{Procs: 4}, {Procs: 8, PPN: 4, Force: true}, {Procs: 4, Policy: "bogus"}})
+		snap := res[0].Snapshot
+		if snap == nil {
+			t.Fatal("healthy batch carried no view")
+		}
+		for i, br := range res {
+			if br.Snapshot != snap {
+				t.Fatalf("result %d carried a different view", i)
+			}
+			if br.Err == nil && br.Response.SnapshotFP != snap.Fingerprint() {
+				t.Fatalf("result %d: SnapshotFP %#x, view fingerprint %#x", i, br.Response.SnapshotFP, snap.Fingerprint())
+			}
+		}
+		if res[2].Err == nil {
+			t.Fatal("unknown policy accepted")
+		}
+	})
+	t.Run("degraded", func(t *testing.T) {
+		r := newFaultRig(t, 23)
+		if _, err := r.b.Allocate(Request{Procs: 4}); err != nil {
+			t.Fatal(err)
+		}
+		const dead = 3
+		r.w.SetNodeDown(dead, true)
+		r.sched.RunFor(6 * time.Second)
+		r.fs.Partition(monitor.KeyNodeStatePrefix)
+		br := r.b.AllocateBatch([]Request{{Procs: 4, Force: true}})[0]
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		if !br.Response.Degraded || br.Snapshot == nil || !br.Snapshot.Degraded {
+			t.Fatalf("node-state partition: degraded=%v view=%v", br.Response.Degraded, br.Snapshot != nil)
+		}
+		if br.Snapshot.Alive(dead) {
+			t.Fatalf("degraded view lists dead node %d: %v", dead, br.Snapshot.Livehosts)
+		}
+		if br.Response.SnapshotFP != br.Snapshot.Fingerprint() {
+			t.Fatalf("SnapshotFP %#x, view fingerprint %#x", br.Response.SnapshotFP, br.Snapshot.Fingerprint())
+		}
+	})
+	t.Run("failed acquire", func(t *testing.T) {
+		b := New(store.Version(store.NewMem()), simtime.NewScheduler(t0), Config{})
+		for i, br := range b.AllocateBatch([]Request{{Procs: 4}, {Procs: 2}}) {
+			if br.Err == nil || br.Snapshot != nil {
+				t.Fatalf("result %d from an empty store: err=%v view=%v", i, br.Err, br.Snapshot)
+			}
+		}
+	})
+}
+
 // TestFaultCostModelCacheRace hammers the PR 1 cost-model cache with
 // concurrent Allocate calls while a republisher keeps rewriting node
 // state (changing the snapshot fingerprint), then verifies the cache was
@@ -317,7 +374,7 @@ func TestFaultNoLastGoodStillErrors(t *testing.T) {
 // -race.
 func TestFaultCostModelCacheRace(t *testing.T) {
 	r := newRig(t, 31, loadgen.Config{})
-	snap0, err := r.b.Snapshot()
+	snap0, err := monitor.ReadSnapshot(r.st, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +424,7 @@ func TestFaultCostModelCacheRace(t *testing.T) {
 	// The cache must now rebuild for the final snapshot exactly as a
 	// from-scratch build would: a missed invalidation would surface here
 	// as a model computed from a superseded snapshot.
-	final, err := r.b.Snapshot()
+	final, err := monitor.ReadSnapshot(r.st, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
+	"nlarm/internal/broker"
 	"nlarm/internal/monitor"
-	"nlarm/internal/rng"
 	"nlarm/internal/stats"
 )
 
@@ -52,15 +51,14 @@ type AblationData struct {
 	Staleness []StalenessPoint
 }
 
-// runNLA allocates with the heuristic under the given α/β and executes
-// one miniMD run, cfg.Repeats times over; it returns the run times in
-// seconds.
-func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, r *rng.Rand) ([]float64, error) {
+// runNLA allocates with the heuristic under the given α/β through the
+// session's broker and executes one miniMD run, cfg.Repeats times over;
+// it returns the run times in seconds.
+func runNLA(s *Session, cfg AblationConfig, alpha, beta float64) ([]float64, error) {
+	req := broker.Request{Procs: ablationProcs, PPN: ablationPPN, Alpha: alpha, Beta: beta, Policy: NLAName, Force: true}
 	var times []float64
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		_, a, err := s.allocate(alloc.NetLoadAware{}, alloc.Request{
-			Procs: ablationProcs, PPN: ablationPPN, Alpha: alpha, Beta: beta,
-		}, r.Split())
+		resp, err := s.Broker.Allocate(req)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +66,7 @@ func runNLA(s *Session, cfg AblationConfig, alpha, beta float64, r *rng.Rand) ([
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.RunJob(shape, a)
+		res, err := s.RunJob(shape, resp.Allocation)
 		if err != nil {
 			return nil, err
 		}
@@ -92,15 +90,14 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 	data := &AblationData{Cfg: cfg}
 
 	// β sweep on one long-lived session.
-	s, err := NewSession(SessionConfig{Seed: cfg.Seed})
+	s, err := NewSession(SessionConfig{Seed: cfg.Seed, Broker: broker.Config{Seed: cfg.Seed + 31}})
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
 	s.WarmUp(DefaultWarmUp)
-	r := rng.New(cfg.Seed + 31)
 	for _, beta := range cfg.Betas {
-		times, err := runNLA(s, cfg, 1-beta, beta, r)
+		times, err := runNLA(s, cfg, 1-beta, beta)
 		if err != nil {
 			return nil, fmt.Errorf("harness: ablation β=%g: %w", beta, err)
 		}
@@ -115,6 +112,7 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 		ss, err := NewSession(SessionConfig{
 			Seed:    cfg.Seed,
 			Monitor: monitor.Config{BandwidthPeriod: period},
+			Broker:  broker.Config{Seed: cfg.Seed + 67},
 		})
 		if err != nil {
 			return nil, err
@@ -124,7 +122,7 @@ func RunAblation(cfg AblationConfig) (*AblationData, error) {
 			warm = period*2 + 2*time.Minute
 		}
 		ss.WarmUp(warm)
-		times, err := runNLA(ss, cfg, alpha, beta, rng.New(cfg.Seed+67))
+		times, err := runNLA(ss, cfg, alpha, beta)
 		ss.Close()
 		if err != nil {
 			return nil, fmt.Errorf("harness: ablation period=%v: %w", period, err)

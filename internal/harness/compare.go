@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"nlarm/internal/alloc"
+	"nlarm/internal/broker"
 	"nlarm/internal/mpisim"
-	"nlarm/internal/rng"
 	"nlarm/internal/stats"
 )
 
@@ -34,13 +34,15 @@ func (t Trial) ElapsedSec() float64 { return t.Result.Elapsed.Seconds() }
 type CompareConfig struct {
 	// MakeShape builds a fresh shape per run.
 	MakeShape func() (*mpisim.Shape, error)
-	// Request is the allocation request used by all policies.
-	Request alloc.Request
+	// Request is the allocation request used by all policies; Compare
+	// sets its Policy and Force.
+	Request broker.Request
 	// Repeats is the number of rounds; 0 means 5.
 	Repeats int
 	// Spacing is virtual idle time between consecutive runs; 0 means 30s.
 	Spacing time.Duration
-	// Seed drives policy randomness; derived from the session seed when 0.
+	// Seed seeds the comparison's own broker, whose per-request stream
+	// drives policy randomness; 0 means 0xC0FFEE.
 	Seed uint64
 }
 
@@ -61,16 +63,20 @@ func (s *Session) Compare(cfg CompareConfig) ([]Trial, error) {
 	if seed == 0 {
 		seed = 0xC0FFEE
 	}
-	r := rng.New(seed)
+	b := broker.New(s.VStore, s.Sched, broker.Config{Seed: seed})
+	req := cfg.Request
+	req.Force = true
 
 	var trials []Trial
 	for round := 0; round < repeats; round++ {
 		for _, pol := range alloc.PaperPolicies() {
-			snap, a, err := s.allocate(pol, cfg.Request, r.Split())
-			if err != nil {
-				return nil, fmt.Errorf("harness: round %d policy %s: %w", round, pol.Name(), err)
+			req.Policy = pol.Name()
+			ans := b.AllocateBatch([]broker.Request{req})[0]
+			if ans.Err != nil {
+				return nil, fmt.Errorf("harness: round %d policy %s: %w", round, pol.Name(), ans.Err)
 			}
-			group := GroupStateOf(snap, a.Nodes)
+			a := ans.Response.Allocation
+			group := GroupStateOf(ans.Snapshot, a.Nodes)
 			shape, err := cfg.MakeShape()
 			if err != nil {
 				return nil, err

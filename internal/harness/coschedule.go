@@ -6,8 +6,8 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
+	"nlarm/internal/broker"
 	"nlarm/internal/mpisim"
-	"nlarm/internal/rng"
 	"nlarm/internal/stats"
 )
 
@@ -56,7 +56,7 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 	if cfg.Repeats == 0 {
 		cfg.Repeats = 3
 	}
-	s, err := NewSession(SessionConfig{Seed: cfg.Seed})
+	s, err := NewSession(SessionConfig{Seed: cfg.Seed, Broker: broker.Config{Seed: cfg.Seed + 41}})
 	if err != nil {
 		return nil, err
 	}
@@ -69,11 +69,11 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 		MakespanSec: make(map[string]float64),
 		Overlaps:    make(map[string]int),
 	}
-	r := rng.New(cfg.Seed + 41)
 	// The four paper policies plus the reservation-aware variant of the
 	// heuristic (the anti-herding extension motivated by this experiment).
-	policies := append(alloc.PaperPolicies(),
-		alloc.NewReservingPolicy(alloc.NetLoadAware{}, 90*time.Second))
+	reserving := alloc.NewReservingPolicy(alloc.NetLoadAware{}, 90*time.Second)
+	s.Broker.RegisterPolicy(reserving)
+	policies := append(alloc.PaperPolicies(), reserving)
 	for _, pol := range policies {
 		var jobTimes []float64
 		var makespans []float64
@@ -88,9 +88,9 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 			// Submit all jobs back-to-back; each allocation sees the
 			// monitor's view including the previously launched jobs.
 			for j := 0; j < cfg.Jobs; j++ {
-				_, a, err := s.allocate(pol, alloc.Request{
-					Procs: coschedProcs, PPN: coschedPPN, Alpha: 0.3, Beta: 0.7,
-				}, r.Split())
+				resp, err := s.Broker.Allocate(broker.Request{
+					Procs: coschedProcs, PPN: coschedPPN, Alpha: 0.3, Beta: 0.7, Policy: pol.Name(), Force: true,
+				})
 				if err != nil {
 					return nil, fmt.Errorf("harness: cosched %s job %d: %w", pol.Name(), j, err)
 				}
@@ -98,9 +98,9 @@ func RunCoSchedule(cfg CoScheduleConfig) (*CoScheduleResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				entry := &launched{nodes: a.Nodes}
+				entry := &launched{nodes: resp.Nodes}
 				batch[j] = entry
-				if _, err := s.World.LaunchJob(shape, mpisim.Placement{NodeOf: a.RankNodes()}, func(r mpisim.Result) {
+				if _, err := s.World.LaunchJob(shape, mpisim.Placement{NodeOf: resp.Allocation.RankNodes()}, func(r mpisim.Result) {
 					entry.res = r
 					entry.done = true
 				}); err != nil {

@@ -7,9 +7,9 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
+	"nlarm/internal/broker"
 	"nlarm/internal/cluster"
 	"nlarm/internal/metrics"
-	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
@@ -371,7 +371,7 @@ func RunScalingOn(s *Session, cfg ScalingConfig) (*ScalingData, error) {
 			trialSeed++
 			trials, err := s.Compare(CompareConfig{
 				MakeShape: func() (*mpisim.Shape, error) { return cfg.makeShape(procs, size) },
-				Request: alloc.Request{
+				Request: broker.Request{
 					Procs: procs, PPN: cfg.PPN, Alpha: cfg.Alpha, Beta: cfg.Beta,
 				},
 				Repeats: cfg.Repeats,
@@ -460,44 +460,35 @@ type AnalysisData struct {
 // AllocationAnalysis runs the paper's §5.3 case study: miniMD on 32
 // processes, 4 per node, s=16 (16K atoms).
 func AllocationAnalysis(seed uint64, iterations int) (*AnalysisData, error) {
-	s, err := NewSession(SessionConfig{Seed: seed})
+	s, err := NewSession(SessionConfig{Seed: seed, Broker: broker.Config{Seed: seed + 5}})
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
 	s.WarmUp(DefaultWarmUp)
 
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		return nil, err
+	// All four policies allocate in one batch: one frozen snapshot, priced
+	// once under the weights the request defaults to.
+	alpha, beta := apps.PaperAlphaBetaMiniMD()
+	var reqs []broker.Request
+	for _, pol := range alloc.PaperPolicies() {
+		reqs = append(reqs, broker.Request{Procs: 32, PPN: 4, Alpha: alpha, Beta: beta, Policy: pol.Name(), Force: true})
 	}
-	a, b := apps.PaperAlphaBetaMiniMD()
-	req := alloc.Request{Procs: 32, PPN: 4, Alpha: a, Beta: b}
-	r := rng.New(seed + 5)
+	picks := s.Broker.AllocateBatch(reqs)
 	d := &AnalysisData{
-		Snap:       snap,
+		Snap:       picks[0].Snapshot,
 		Cluster:    s.World.Cluster(),
 		Selections: make(map[string][]int),
 		Groups:     make(map[string]GroupState),
 		TimesSec:   make(map[string]float64),
 	}
-	// All four policies allocate from the same frozen snapshot, priced
-	// once under the weights the request defaults to.
-	model := alloc.NewCostModel(snap, alloc.PaperWeights(), false)
-	type chosen struct {
-		pol alloc.Policy
-		a   alloc.Allocation
-	}
-	var picks []chosen
-	for _, pol := range alloc.PaperPolicies() {
-		al, err := pol.AllocateModel(model, req, r.Split())
-		if err != nil {
-			return nil, err
+	for _, p := range picks {
+		if p.Err != nil {
+			return nil, p.Err
 		}
-		d.Policies = append(d.Policies, pol.Name())
-		d.Selections[pol.Name()] = al.Nodes
-		d.Groups[pol.Name()] = GroupStateOf(snap, al.Nodes)
-		picks = append(picks, chosen{pol, al})
+		d.Policies = append(d.Policies, p.Response.Policy)
+		d.Selections[p.Response.Policy] = p.Response.Nodes
+		d.Groups[p.Response.Policy] = GroupStateOf(d.Snap, p.Response.Nodes)
 	}
 	// Execute each allocation (in sequence, like the paper).
 	for _, p := range picks {
@@ -505,11 +496,11 @@ func AllocationAnalysis(seed uint64, iterations int) (*AnalysisData, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.RunJob(shape, p.a)
+		res, err := s.RunJob(shape, p.Response.Allocation)
 		if err != nil {
 			return nil, err
 		}
-		d.TimesSec[p.pol.Name()] = res.Elapsed.Seconds()
+		d.TimesSec[p.Response.Policy] = res.Elapsed.Seconds()
 		s.Advance(time.Minute)
 	}
 	return d, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
 	"nlarm/internal/broker"
 	"nlarm/internal/cluster"
@@ -97,7 +96,7 @@ func TestCompareRunsProtocol(t *testing.T) {
 		MakeShape: func() (*mpisim.Shape, error) {
 			return apps.MiniMD(apps.MiniMDParams{S: 8, Steps: 20}, 8)
 		},
-		Request: alloc.Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7},
+		Request: broker.Request{Procs: 8, PPN: 4, Alpha: 0.3, Beta: 0.7},
 		Repeats: 2,
 		Spacing: 10 * time.Second,
 	})

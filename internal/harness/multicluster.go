@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
+	"nlarm/internal/broker"
 	"nlarm/internal/cluster"
 	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
@@ -75,7 +75,7 @@ func RunMultiCluster(cfg MultiClusterConfig) (*MultiClusterResult, error) {
 		MakeShape: func() (*mpisim.Shape, error) {
 			return apps.MiniMD(apps.MiniMDParams{S: 16, Steps: cfg.Iterations}, mcProcs)
 		},
-		Request: alloc.Request{Procs: mcProcs, PPN: mcPPN, Alpha: 0.3, Beta: 0.7},
+		Request: broker.Request{Procs: mcProcs, PPN: mcPPN, Alpha: 0.3, Beta: 0.7},
 		Repeats: cfg.Repeats,
 		Spacing: time.Minute,
 		Seed:    cfg.Seed + 17,

@@ -7,7 +7,7 @@ import (
 
 	"nlarm/internal/alloc"
 	"nlarm/internal/apps"
-	"nlarm/internal/rng"
+	"nlarm/internal/broker"
 	"nlarm/internal/stats"
 
 	"nlarm/internal/predict"
@@ -53,7 +53,7 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 24
 	}
-	s, err := NewSession(SessionConfig{Seed: cfg.Seed})
+	s, err := NewSession(SessionConfig{Seed: cfg.Seed, Broker: broker.Config{Seed: cfg.Seed + 71}})
 	if err != nil {
 		return nil, err
 	}
@@ -61,21 +61,22 @@ func RunPredictionStudy(cfg PredictionConfig) (*PredictionResult, error) {
 	s.WarmUp(DefaultWarmUp)
 
 	policies := alloc.PaperPolicies()
-	r := rng.New(cfg.Seed + 71)
 	res := &PredictionResult{Cfg: cfg}
 	for i := 0; i < cfg.Runs; i++ {
 		pol := policies[i%len(policies)]
-		snap, a, err := s.allocate(pol, alloc.Request{
-			Procs: predictionProcs, PPN: predictionPPN, Alpha: 0.3, Beta: 0.7,
-		}, r.Split())
-		if err != nil {
-			return nil, fmt.Errorf("harness: prediction study run %d: %w", i, err)
+		ans := s.Broker.AllocateBatch([]broker.Request{{
+			Procs: predictionProcs, PPN: predictionPPN, Alpha: 0.3, Beta: 0.7, Policy: pol.Name(), Force: true,
+		}})[0]
+		if ans.Err != nil {
+			return nil, fmt.Errorf("harness: prediction study run %d: %w", i, ans.Err)
 		}
+		a := ans.Response.Allocation
 		shape, err := apps.MiniMD(apps.MiniMDParams{S: predictionSize, Steps: cfg.Iterations}, predictionProcs)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := predict.EstimateAllocation(snap, shape, a.RankNodes())
+		// The priced view's Taken is the predicted job's start.
+		pred, err := predict.EstimateAllocation(ans.Snapshot, shape, a.RankNodes())
 		if err != nil {
 			return nil, err
 		}

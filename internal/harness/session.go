@@ -15,7 +15,6 @@ import (
 	"nlarm/internal/metrics"
 	"nlarm/internal/monitor"
 	"nlarm/internal/mpisim"
-	"nlarm/internal/rng"
 	"nlarm/internal/simtime"
 	"nlarm/internal/store"
 	"nlarm/internal/world"
@@ -160,19 +159,6 @@ func awaitEvents(sched *simtime.Scheduler, deadline time.Time, done func() bool)
 
 // Now returns the current virtual time.
 func (s *Session) Now() time.Time { return s.Sched.Now() }
-
-// allocate is the experiments' allocation step: read the monitor's
-// current view straight from the store and run pol on it. The snapshot
-// is returned for the experiments that evaluate the chosen group
-// (Compare) or predict the run against the view the policy saw.
-func (s *Session) allocate(pol alloc.Policy, req alloc.Request, r *rng.Rand) (*metrics.Snapshot, alloc.Allocation, error) {
-	snap, err := monitor.ReadSnapshot(s.Store, s.Now())
-	if err != nil {
-		return nil, alloc.Allocation{}, err
-	}
-	a, err := alloc.Allocate(pol, snap, req, r)
-	return snap, a, err
-}
 
 // maxJobVirtualTime caps a single simulated job run; a run exceeding it
 // indicates a modeling bug rather than a slow allocation.

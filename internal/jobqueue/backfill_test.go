@@ -7,6 +7,7 @@ import (
 	"nlarm/internal/alloc"
 	"nlarm/internal/broker"
 	"nlarm/internal/mpisim"
+	"nlarm/internal/obs"
 )
 
 // withQueue replaces the rig's default queue with one built from cfg
@@ -179,6 +180,46 @@ func TestNoWalltimeJobsNeverBackfill(t *testing.T) {
 	}
 	if got := r.q.Stats(); got.Pending != 4 || got.Backfilled != 0 {
 		t.Fatalf("stats %+v, want 4 pending and 0 backfilled", got)
+	}
+}
+
+// TestBackfillSkipsDegradedHead pins the pass's one view: backfill
+// admits against the snapshot the head's wait answer was priced on, so
+// a head answered from the broker's last-good copy gets no pass at all,
+// even with idle slots and a short walltimed job that would fit.
+func TestBackfillSkipsDegradedHead(t *testing.T) {
+	r := newRig(t, 21, 0.35)
+	reg := obs.NewRegistry()
+	withQueue(t, r, Config{Backfill: true, Obs: reg})
+	halfClusterHog(t, r, 600)
+	// A healthy read gives the broker its last-good copy; with the
+	// monitor stopped, the data then ages past SnapshotMaxAge.
+	if _, err := r.b.Allocate(broker.Request{Procs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	r.mgr.Stop()
+	r.sched.RunFor(3 * time.Minute)
+
+	var trace []launchEv
+	head, err := r.q.Submit(traceSpec(r, "head", 64, 8, 0, &trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.q.Submit(traceSpec(r, "short", 8, 4, 2*time.Minute, &trace)); err != nil {
+		t.Fatal(err)
+	}
+	r.sched.RunFor(time.Minute)
+	if hj, _ := r.q.Job(head); hj.State != StatePending || hj.WaitAnswers == 0 {
+		t.Fatalf("head state %v after %d wait answers, want pending on a wait", hj.State, hj.WaitAnswers)
+	}
+	if r.b.DegradedServed() == 0 {
+		t.Fatal("the head's answers were not served degraded")
+	}
+	if got := reg.Counter("jobqueue.backfill.candidates.total").Value(); got != 0 {
+		t.Fatalf("backfill tried %d candidates behind a degraded head", got)
+	}
+	if len(trace) != 0 {
+		t.Fatalf("jobs launched behind a degraded head: %v", trace)
 	}
 }
 

@@ -244,28 +244,30 @@ func (q *Queue) tryLaunch(now time.Time) {
 		q.headShadow = nil
 	}
 	q.mu.Unlock()
-	headResp, waiting := q.launchHeads(now)
+	head, waiting := q.launchHeads(now)
 	if waiting && q.cfg.Backfill {
-		q.backfillPass(now, headResp)
+		q.backfillPass(now, head)
 	}
 }
 
 // launchHeads attempts to start queued jobs in order, stopping at the
 // first that must keep waiting (head-of-line ordering, like the paper's
 // single-cluster FIFO assumption). It reports the head's wait answer
-// when it stopped on one, so a backfill pass can reuse its estimates.
-func (q *Queue) launchHeads(now time.Time) (broker.Response, bool) {
+// when it stopped on one, with the view it was priced on, so a backfill
+// pass can reuse both.
+func (q *Queue) launchHeads(now time.Time) (broker.BatchResult, bool) {
 	for {
 		q.mu.Lock()
 		if len(q.pending) == 0 {
 			q.mu.Unlock()
-			return broker.Response{}, false
+			return broker.BatchResult{}, false
 		}
 		j := q.pending[0]
 		spec := q.specs[j.ID]
 		q.mu.Unlock()
 
-		resp, err := q.b.Allocate(spec.Request)
+		res := q.b.AllocateBatch([]broker.Request{spec.Request})[0]
+		resp, err := res.Response, res.Err
 
 		q.mu.Lock()
 		// The head may have changed while we were allocating.
@@ -276,13 +278,13 @@ func (q *Queue) launchHeads(now time.Time) (broker.Response, bool) {
 		j.Attempts++
 		if err != nil {
 			q.mu.Unlock()
-			return broker.Response{}, false // transient (e.g. monitor warming up): retry later
+			return broker.BatchResult{}, false // transient (e.g. monitor warming up): retry later
 		}
 		if resp.Recommendation == broker.RecommendWait {
 			j.WaitAnswers++
 			q.cfg.Obs.Counter("jobqueue.waits.total").Inc()
 			q.mu.Unlock()
-			return resp, true // cluster busy: the head keeps its place
+			return res, true // cluster busy: the head keeps its place
 		}
 		// Launch.
 		j.State = StateRunning
@@ -305,7 +307,10 @@ func (q *Queue) launchHeads(now time.Time) (broker.Response, bool) {
 }
 
 // backfillPass tries to start jobs behind a waiting head without
-// delaying it: EASY backfill over the broker's monitoring snapshot.
+// delaying it: EASY backfill over the monitoring view the head's wait
+// answer was priced on. A head answered from the broker's last-good
+// copy (Degraded) gets no pass: admission against a view the broker
+// itself distrusts could overtake the head on capacity that is gone.
 //
 // The head's reserved start is estimated as the later of the broker's
 // load-decay ETA (Response.EarliestStart) and the time enough running
@@ -331,7 +336,7 @@ func (q *Queue) launchHeads(now time.Time) (broker.Response, bool) {
 // broker's whole-cluster wait heuristic cannot see (a cluster half-busy
 // running the long job reads as loaded even though the other half is
 // idle).
-func (q *Queue) backfillPass(now time.Time, headResp broker.Response) {
+func (q *Queue) backfillPass(now time.Time, headRes broker.BatchResult) {
 	q.mu.Lock()
 	if q.backfilling || len(q.pending) < 2 {
 		q.mu.Unlock()
@@ -355,9 +360,9 @@ func (q *Queue) backfillPass(now time.Time, headResp broker.Response) {
 		q.mu.Unlock()
 	}()
 
-	snap, err := q.b.Snapshot()
-	if err != nil {
-		return // no monitoring view: nothing safe to admit
+	headResp, snap := headRes.Response, headRes.Snapshot
+	if headResp.Degraded {
+		return // no trusted monitoring view: nothing safe to admit
 	}
 	// Price capacity the way the allocator will see it: with every live
 	// reservation (just-granted allocations the load means have not

@@ -20,6 +20,7 @@ type rig struct {
 	sched *simtime.Scheduler
 	w     *world.World
 	st    *store.VersionedStore // shared by daemons and broker, as in production
+	mgr   *monitor.Manager
 	b     *broker.Broker
 	q     *Queue
 }
@@ -54,7 +55,7 @@ func newRig(t *testing.T, seed uint64, waitThreshold float64) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(q.Stop)
-	return &rig{sched: sched, w: w, st: st, b: b, q: q}
+	return &rig{sched: sched, w: w, st: st, mgr: mgr, b: b, q: q}
 }
 
 // instantSpec is a job whose Start completes immediately.

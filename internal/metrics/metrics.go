@@ -66,7 +66,7 @@ type PairBandwidth struct {
 // Snapshot is the consolidated monitoring view the allocator consumes.
 //
 // Ownership: a Snapshot handed out by monitor.SnapshotCache.Refresh,
-// monitor.ReadSnapshotObs or the broker is immutable. Its maps and slices
+// monitor.ReadSnapshot or the broker is immutable. Its maps and slices
 // are shared — with the cache's own state, the broker's last-good view,
 // cached cost models and every concurrent request — so nobody writes
 // through them; whoever needs a variant copies the struct header and

@@ -202,21 +202,17 @@ func (m *Manager) Master() *CentralMonitor {
 	return nil
 }
 
-// ReadSnapshot assembles the consolidated monitoring view from the
-// store — the allocator's entire input.
+// ReadSnapshot assembles the consolidated monitoring view from a full
+// store read — the allocator's entire input. A missing livehosts list
+// fails the whole read; a missing node record or matrix is normal
+// startup state (not yet published) and is skipped silently. Any
+// *other* read failure is partial data being served as if complete: a
+// failed node-state read drops that node, and a failed matrix read
+// marks the snapshot Degraded with a reason — an empty matrix silently
+// passed off as fresh would make every pair look unmeasured and quietly
+// distort Equation 2. SnapshotCache applies the same semantics and
+// counts the failures.
 func ReadSnapshot(st store.Store, now time.Time) (*metrics.Snapshot, error) {
-	return ReadSnapshotObs(st, now, nil)
-}
-
-// ReadSnapshotObs is ReadSnapshot with instrumentation. A missing
-// livehosts list fails the whole read; a missing node record or matrix
-// is normal startup state (not yet published) and is skipped silently.
-// Any *other* read failure is partial data being served as if complete:
-// node-state failures count into monitor.snapshot.nodestate.errors, and
-// matrix failures additionally mark the snapshot Degraded with a reason
-// — an empty matrix silently passed off as fresh would make every pair
-// look unmeasured and quietly distort Equation 2.
-func ReadSnapshotObs(st store.Store, now time.Time, reg *obs.Registry) (*metrics.Snapshot, error) {
 	snap := &metrics.Snapshot{
 		Taken: now,
 		Nodes: make(map[int]metrics.NodeAttrs),
@@ -229,21 +225,19 @@ func ReadSnapshotObs(st store.Store, now time.Time, reg *obs.Registry) (*metrics
 	for _, id := range hosts {
 		attrs, err := ReadNodeState(st, id)
 		if err != nil {
-			if !errors.Is(err, store.ErrNotFound) {
-				reg.Counter("monitor.snapshot.nodestate.errors").Inc()
-			}
 			continue // node state unavailable; skip
 		}
 		snap.Nodes[id] = attrs
 	}
-	snap.Latency = readMatrixObs[metrics.PairLatency](st, KeyLatencyMatrix, reg, &snap.DegradedReasons)
-	snap.Bandwidth = readMatrixObs[metrics.PairBandwidth](st, KeyBandwidthMatrix, reg, &snap.DegradedReasons)
+	snap.Latency = readMatrixObs[metrics.PairLatency](st, KeyLatencyMatrix, nil, &snap.DegradedReasons)
+	snap.Bandwidth = readMatrixObs[metrics.PairBandwidth](st, KeyBandwidthMatrix, nil, &snap.DegradedReasons)
 	snap.Degraded = len(snap.DegradedReasons) > 0
 	return snap, nil
 }
 
-// readMatrixObs reads one pair matrix with ReadSnapshotObs' failure
-// semantics, appending to reasons when the snapshot is degraded.
+// readMatrixObs reads one pair matrix with ReadSnapshot's failure
+// semantics, appending to reasons when the snapshot is degraded and
+// counting the failure into reg (which may be nil).
 func readMatrixObs[T metrics.PairRecord](st store.Store, key string, reg *obs.Registry, reasons *[]string) map[metrics.PairKey]T {
 	m, err := readMatrix[T](st, key)
 	if err == nil {

@@ -54,7 +54,7 @@ type Refresh struct {
 // matrices — and maintains the snapshot's content fingerprint
 // incrementally from per-entry hashes instead of rehashing the world.
 //
-// Failure semantics mirror ReadSnapshotObs: an unreadable livehosts
+// Failure semantics mirror ReadSnapshot: an unreadable livehosts
 // list fails the refresh (and leaves the cache untouched, so the broker
 // falls back to its last-good copy exactly as with full reads); a
 // failed node read drops that node; a failed matrix read serves an
