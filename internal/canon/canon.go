@@ -31,14 +31,16 @@ func (e *Encoder) Bool(key string, v bool) { e.B = strconv.AppendBool(append(e.B
 
 // Float follows encoding/json: %f between 1e-6 and 1e21, %e outside it
 // with the exponent's leading zero dropped (e-07 becomes e-7). A whole
-// number of nanoseconds is written from its integer (see nanos).
+// number of nanoseconds is written from its integer (see nanos), and so
+// is an integral |f| < 2^53 other than -0: every integer up to 2^53 is a
+// double, so no shorter decimal rounds to f and %f prints its digits.
 func (e *Encoder) Float(key string, f float64) {
 	if n, ok := nanos(f); ok {
 		e.B = appendNanos(append(e.B, key...), n)
 		return
 	}
-	if f == 0 && !math.Signbit(f) {
-		e.B = append(append(e.B, key...), '0')
+	if f == math.Trunc(f) && math.Abs(f) < 1<<53 && (f != 0 || !math.Signbit(f)) {
+		e.B = strconv.AppendInt(append(e.B, key...), int64(f), 10)
 		return
 	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {

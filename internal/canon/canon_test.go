@@ -34,7 +34,8 @@ func below(r *rng.Rand, n int64) int64 { return int64(r.Uint64() % uint64(n)) }
 // the job trace's times (Duration.Seconds, which must take the integer
 // path whenever it is the double nearest its nanoseconds), n/1e9 and its
 // neighbours, the edges of the integer path and of %f, values with 16 and
-// 17 significant digits that must fall back, and NaN and ±Inf.
+// 17 significant digits that must fall back, integral doubles near 1e6,
+// 1e15, 2^53-1 and 2^53 with both neighbours, and NaN and ±Inf.
 func TestFloatMatchesJSON(t *testing.T) {
 	for _, f := range []float64{0, math.Copysign(0, -1), -1, 1, 999e-9, 1e-6, 1e6 - 1e-9, -(1e6 - 1e-9), 1e6, 1e21,
 		5e-324, math.MaxFloat64, math.Pi, 0.1, 1234567.123456789, -987654.3210987654, 0.12345678901234567} {
@@ -48,6 +49,14 @@ func TestFloatMatchesJSON(t *testing.T) {
 	for _, f := range []float64{999e-9, 1e6, math.Pi, 1234567.123456789, -987654.3210987654, 0.12345678901234567, 1e-10} {
 		if _, ok := nanos(f); ok {
 			t.Errorf("%v takes the integer path; want the fallback", f)
+		}
+	}
+	// Integral doubles from their int64, up to 2^53 and past it, with both
+	// neighbours: above 1e6 they miss the nanosecond path.
+	for _, n := range []float64{1e6, 1e15, 1<<53 - 1, 1 << 53} {
+		for _, f := range []float64{n, math.Nextafter(n, 0), math.Nextafter(n, math.Inf(1))} {
+			checkFloat(t, f)
+			checkFloat(t, -f)
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -98,15 +107,19 @@ func TestFloatMatchesJSON(t *testing.T) {
 	}
 }
 
-// FuzzFloat holds Float to json.Marshal's bytes on any float64, and on
-// the seconds of any duration.
+// FuzzFloat holds Float to json.Marshal's bytes on any float64, on the
+// seconds of any duration, and on any integral double.
 func FuzzFloat(f *testing.F) {
 	for _, v := range []float64{0, -1, 999e-9, 1e-6, 1e6 - 1e-9, 1.5, math.Pi, 1e21} {
 		f.Add(v, int64(v*1e9))
 	}
+	for _, n := range []int64{1e6 + 1, 1e15, 1<<53 - 1, 1 << 53, -(1<<53 + 1)} {
+		f.Add(float64(n), n)
+	}
 	f.Fuzz(func(t *testing.T, v float64, ns int64) {
 		checkFloat(t, v)
 		checkFloat(t, time.Duration(ns).Seconds())
+		checkFloat(t, float64(ns))
 	})
 }
 
