@@ -242,15 +242,11 @@ func SortedPairs[T PairRecord](m map[PairKey]T) []T {
 	for _, p := range m {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, ComparePairs[T])
+	slices.SortFunc(out, func(a, b T) int {
+		ka, kb := a.Key(), b.Key()
+		return cmp.Or(cmp.Compare(ka.U, kb.U), cmp.Compare(ka.V, kb.V))
+	})
 	return out
-}
-
-// ComparePairs orders pair records ascending by (U, V), the order
-// SortedPairs lists them in.
-func ComparePairs[T PairRecord](a, b T) int {
-	ka, kb := a.Key(), b.Key()
-	return cmp.Or(cmp.Compare(ka.U, kb.U), cmp.Compare(ka.V, kb.V))
 }
 
 // FoldPairs is a pair matrix's section accumulator of the snapshot

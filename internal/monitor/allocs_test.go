@@ -20,7 +20,7 @@ func TestNodeStateTickAllocs(t *testing.T) {
 	if err := d.Start(r.sched); err != nil {
 		t.Fatal(err)
 	}
-	// An hour at 5 s holds the 16-minute series at its largest, past
+	// An hour at 5 s holds the 15-minute series at its largest, past
 	// several compactions.
 	r.sched.RunFor(time.Hour)
 	now := r.sched.Now()

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"time"
 
 	"nlarm/internal/canon"
@@ -48,12 +49,22 @@ func (e *tickEncoder) putLivehosts(st store.Store, key string, r *livehostsRecor
 	return st.Put(key, e.B)
 }
 
-// putMatrix puts a pair list, item writing each record.
-func putMatrix[T metrics.PairRecord](e *tickEncoder, st store.Store, key string, list []T, item func(*tickEncoder, *T)) error {
+// putMatrix puts recs as one list, item writing each record, less the
+// zero records of pairs never measured (key (0, 0), which is no pair).
+func putMatrix[T metrics.PairRecord](e *tickEncoder, st store.Store, key string, recs []T, item func(*tickEncoder, *T)) error {
+	var none metrics.PairKey
 	e.reset()
-	canon.AppendList(&e.Encoder, ``, list, func(p *T) { item(e, p) })
-	if !e.OK {
-		return putJSON(st, key, list)
+	e.Raw(`[`)
+	sep := ``
+	for i := range recs {
+		if recs[i].Key() != none {
+			e.Raw(sep)
+			item(e, &recs[i])
+			sep = `,`
+		}
+	}
+	if e.Raw(`]`); !e.OK {
+		return putJSON(st, key, slices.DeleteFunc(slices.Clone(recs), func(r T) bool { return r.Key() == none }))
 	}
 	return st.Put(key, e.B)
 }

@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"nlarm/internal/cluster"
 	"nlarm/internal/simtime"
+	"nlarm/internal/stats"
 	"nlarm/internal/store"
 	"nlarm/internal/world"
 )
@@ -161,6 +163,68 @@ func TestNodeStateDPublishesRunningMeans(t *testing.T) {
 	}
 	if attrs.Timestamp.IsZero() {
 		t.Fatal("no timestamp")
+	}
+}
+
+// onCanonIntegerPath reports whether canon.Encoder.Float writes f from
+// an integer: an integral |f| < 2^53, or a whole number n of nanoseconds
+// with 1e3 <= |n| < 1e15 and n/1e9 rounding to f.
+func onCanonIntegerPath(f float64) bool {
+	if f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+		return true
+	}
+	n := math.Round(f * 1e9)
+	return 1e3 <= math.Abs(n) && math.Abs(n) < 1e15 && n/1e9 == f
+}
+
+// Every mean NodeStateD publishes, and every bandwidth BandwidthD
+// publishes, sits on its resolution's grid (thousandths, or whole bps)
+// and takes canon's integer path, minute after minute as the windows
+// fill and slide.
+func TestPublishedMeansOnUnitGrid(t *testing.T) {
+	r := newRig(t, 5)
+	var daemons []Daemon
+	for id := 0; id < r.pr.NumNodes(); id++ {
+		daemons = append(daemons, NewNodeStateD(id, r.pr, r.st, 2*time.Second))
+	}
+	daemons = append(daemons, NewBandwidthD(r.pr, r.st, 30*time.Second))
+	for _, d := range daemons {
+		if err := d.Start(r.sched); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, f, res float64) {
+		t.Helper()
+		if math.Round(f*res)/res != f || !onCanonIntegerPath(f) {
+			t.Fatalf("%s %v: off the 1/%g grid or off canon's integer path", what, f, res)
+		}
+	}
+	for minute := 0; minute < 20; minute++ {
+		r.sched.RunFor(time.Minute)
+		for id := 0; id < r.pr.NumNodes(); id++ {
+			a, err := ReadNodeState(r.st, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range []struct {
+				name string
+				w    stats.Windowed
+				res  float64
+			}{{"cpu_load", a.CPULoad, milli}, {"cpu_util_pct", a.CPUUtilPct, milli},
+				{"flow_rate_bps", a.FlowRateBps, whole}, {"avail_mem_mb", a.AvailMemMB, milli}} {
+				for _, m := range []float64{col.w.M1, col.w.M5, col.w.M15} {
+					check(col.name, m, col.res)
+				}
+			}
+		}
+		bw, err := ReadBandwidthMatrix(r.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range bw {
+			check("avail_bps", p.AvailBps, whole)
+			check("peak_bps", p.PeakBps, whole)
+		}
 	}
 }
 

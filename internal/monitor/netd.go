@@ -70,29 +70,33 @@ func livehostsOrAll(st store.Store, pr Prober) []int {
 // ascending by pair.
 type pairSweep[T metrics.PairRecord] struct {
 	daemonBase
-	pr      Prober
-	key     string
-	measure func(now time.Time, k metrics.PairKey) (T, error)
+	pr  Prober
+	key string
+	// measure measures pair k, whose index is i.
+	measure func(now time.Time, k metrics.PairKey, i int) (T, error)
 	// write encodes one record of the published list.
 	write func(*tickEncoder, *T)
-	// matrix is the published list, ascending by pair; at maps a pair to
-	// its index there. Only a pair seen for the first time re-sorts it.
-	matrix []T
-	at     map[metrics.PairKey]int
+	// recs holds each pair's newest record at its pairIndex; a pair
+	// never measured holds the zero record.
+	recs []T
 	// rounds is Rounds(hosts), rebuilt when the live hosts change.
 	hosts  []int
 	rounds [][][2]int
 }
 
+// pairIndex is pair (u, v)'s place, u < v < n, in the n(n-1)/2 pairs of
+// n nodes ascending by (u, v).
+func pairIndex(n, u, v int) int { return u*(2*n-u-1)/2 + v - u - 1 }
+
 func newPairSweep[T metrics.PairRecord](name, key string, pr Prober, st store.Store, period time.Duration,
-	measure func(now time.Time, k metrics.PairKey) (T, error), write func(*tickEncoder, *T)) pairSweep[T] {
+	measure func(now time.Time, k metrics.PairKey, i int) (T, error), write func(*tickEncoder, *T)) pairSweep[T] {
 	return pairSweep[T]{
 		daemonBase: daemonBase{name: name, period: period, st: st},
 		pr:         pr,
 		key:        key,
 		measure:    measure,
 		write:      write,
-		at:         make(map[metrics.PairKey]int),
+		recs:       make([]T, pr.NumNodes()*(pr.NumNodes()-1)/2),
 	}
 }
 
@@ -105,34 +109,15 @@ func (d *pairSweep[T]) tick(now time.Time) {
 	if hosts := livehostsOrAll(d.st, d.pr); !slices.Equal(hosts, d.hosts) {
 		d.hosts, d.rounds = hosts, Rounds(hosts)
 	}
-	grown := false
 	for _, round := range d.rounds {
 		for _, p := range round {
-			k := metrics.Pair(p[0], p[1])
-			rec, err := d.measure(now, k)
-			if err != nil {
-				continue
+			i := pairIndex(d.pr.NumNodes(), p[0], p[1])
+			if rec, err := d.measure(now, metrics.Pair(p[0], p[1]), i); err == nil {
+				d.recs[i] = rec
 			}
-			if i, ok := d.at[k]; ok {
-				d.matrix[i] = rec
-				continue
-			}
-			d.at[k] = len(d.matrix)
-			d.matrix = append(d.matrix, rec)
-			grown = true
 		}
 	}
-	if grown {
-		slices.SortFunc(d.matrix, metrics.ComparePairs[T])
-		for i, rec := range d.matrix {
-			d.at[rec.Key()] = i
-		}
-	}
-	list := d.matrix
-	if list == nil {
-		list = []T{} // an empty matrix is published as [], not null
-	}
-	_ = putMatrix(&d.enc, d.st, d.key, list, d.write)
+	_ = putMatrix(&d.enc, d.st, d.key, d.recs, d.write)
 }
 
 // readMatrix returns the pair matrix published under key, keyed by pair.
@@ -145,41 +130,41 @@ func readMatrix[T metrics.PairRecord](st store.Store, key string) (map[metrics.P
 }
 
 // LatencyD sweeps pairwise latency at a regular interval (1 minute in the
-// paper), maintains 1- and 5-minute running means per pair, and publishes
-// the full latency matrix.
+// paper), maintains 1- and 5-minute running means per pair in whole
+// nanoseconds, and publishes the full latency matrix.
 type LatencyD struct {
 	pairSweep[metrics.PairLatency]
-	series map[metrics.PairKey]*stats.TimeSeries
+	// series holds each pair's latencies at its pairIndex, from its first
+	// measurement.
+	series []*stats.Series
 }
 
 // NewLatencyD builds the latency measurement daemon.
 func NewLatencyD(pr Prober, st store.Store, period time.Duration) *LatencyD {
-	d := &LatencyD{series: make(map[metrics.PairKey]*stats.TimeSeries)}
+	d := &LatencyD{}
 	d.pairSweep = newPairSweep("latencyd", KeyLatencyMatrix, pr, st, period, d.measurePair, (*tickEncoder).latency)
+	d.series = make([]*stats.Series, len(d.recs))
 	return d
 }
 
-func (d *LatencyD) measurePair(now time.Time, k metrics.PairKey) (metrics.PairLatency, error) {
+func (d *LatencyD) measurePair(now time.Time, k metrics.PairKey, i int) (metrics.PairLatency, error) {
 	lat, err := d.pr.MeasureLatency(k.U, k.V)
 	if err != nil {
 		return metrics.PairLatency{}, err
 	}
-	ts, ok := d.series[k]
-	if !ok {
-		ts = stats.NewTimeSeries(6*time.Minute, 1)
-		d.series[k] = ts
+	s := d.series[i]
+	if s == nil {
+		s = stats.NewSeries(1, windowSpans[:2]...)
+		d.series[i] = s
 	}
-	// The sample just added is Means' fallback for an empty window.
-	_ = ts.Add(now, lat.Seconds())
-	var m [1]stats.Windowed
-	ts.Means(now, m[:])
+	_ = s.Add(now, int64(lat))
 	return metrics.PairLatency{
 		U:         k.U,
 		V:         k.V,
 		Timestamp: now,
 		Last:      lat,
-		Mean1:     time.Duration(m[0].M1 * float64(time.Second)),
-		Mean5:     time.Duration(m[0].M5 * float64(time.Second)),
+		Mean1:     time.Duration(s.Mean(0, 0)),
+		Mean5:     time.Duration(s.Mean(1, 0)),
 	}, nil
 }
 
@@ -190,8 +175,8 @@ func ReadLatencyMatrix(st store.Store) (map[metrics.PairKey]metrics.PairLatency,
 
 // BandwidthD sweeps pairwise effective bandwidth at a regular interval
 // (5 minutes in the paper) using the same round schedule, and publishes
-// the instantaneous values (§4: the allocator uses instantaneous
-// bandwidth).
+// the instantaneous values in whole bps (§4: the allocator uses
+// instantaneous bandwidth).
 type BandwidthD struct {
 	pairSweep[metrics.PairBandwidth]
 }
@@ -199,9 +184,10 @@ type BandwidthD struct {
 // NewBandwidthD builds the bandwidth measurement daemon.
 func NewBandwidthD(pr Prober, st store.Store, period time.Duration) *BandwidthD {
 	return &BandwidthD{newPairSweep("bandwidthd", KeyBandwidthMatrix, pr, st, period,
-		func(now time.Time, k metrics.PairKey) (metrics.PairBandwidth, error) {
+		func(now time.Time, k metrics.PairKey, _ int) (metrics.PairBandwidth, error) {
 			avail, peak, err := pr.MeasureBandwidth(k.U, k.V)
-			return metrics.PairBandwidth{U: k.U, V: k.V, Timestamp: now, AvailBps: avail, PeakBps: peak}, err
+			return metrics.PairBandwidth{U: k.U, V: k.V, Timestamp: now,
+				AvailBps: float64(stats.Round(avail, whole)), PeakBps: float64(stats.Round(peak, whole))}, err
 		}, (*tickEncoder).bandwidth)}
 }
 

@@ -24,12 +24,20 @@ type NodeStateD struct {
 
 	// series holds the four sampled attributes as columns: CPU load, CPU
 	// utilisation, flow rate and available memory.
-	series *stats.TimeSeries
+	series *stats.Series
 }
+
+// The fixed resolutions, in steps per unit, that a sample enters a window
+// at (stats.Round) and a mean is published at (stats.Series.Mean), as
+// from OS counters: load, utilisation (%) and available memory (MB) in
+// thousandths; flow rate and bandwidth in whole bps.
+const milli, whole = 1000, 1
+
+// windowSpans are the 1/5/15-minute windows of stats.Windowed.
+var windowSpans = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 
 // NewNodeStateD builds the state daemon for node id.
 func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *NodeStateD {
-	const retain = 16 * time.Minute // covers the 15-minute window
 	return &NodeStateD{
 		daemonBase: daemonBase{
 			name:   fmt.Sprintf("nodestated/%d", node),
@@ -39,7 +47,7 @@ func NewNodeStateD(node int, pr Prober, st store.Store, period time.Duration) *N
 		node:   node,
 		key:    nodeStateKey(node),
 		pr:     pr,
-		series: stats.NewTimeSeries(retain, 4),
+		series: stats.NewSeries(4, windowSpans...),
 	}
 }
 
@@ -56,9 +64,8 @@ func (d *NodeStateD) tick(now time.Time) {
 		return
 	}
 	cores, freq, totalMem := d.pr.StaticAttrs(d.node)
-	_ = d.series.Add(now, sample.CPULoad, sample.CPUUtilPct, sample.FlowRateBps, totalMem-sample.UsedMemMB)
-	var m [4]stats.Windowed
-	d.series.Means(now, m[:])
+	_ = d.series.Add(now, stats.Round(sample.CPULoad, milli), stats.Round(sample.CPUUtilPct, milli),
+		stats.Round(sample.FlowRateBps, whole), stats.Round(totalMem-sample.UsedMemMB, milli))
 
 	attrs := metrics.NodeAttrs{
 		NodeID:      d.node,
@@ -68,12 +75,19 @@ func (d *NodeStateD) tick(now time.Time) {
 		FreqGHz:     freq,
 		TotalMemMB:  totalMem,
 		Users:       sample.Users,
-		CPULoad:     m[0],
-		CPUUtilPct:  m[1],
-		FlowRateBps: m[2],
-		AvailMemMB:  m[3],
+		CPULoad:     d.windowed(0, milli),
+		CPUUtilPct:  d.windowed(1, milli),
+		FlowRateBps: d.windowed(2, whole),
+		AvailMemMB:  d.windowed(3, milli),
 	}
 	_ = d.enc.putNodeAttrs(d.st, d.key, &attrs)
+}
+
+// windowed returns column c's three means in published units, c sampled
+// at res steps per unit.
+func (d *NodeStateD) windowed(c int, res float64) stats.Windowed {
+	s := d.series
+	return stats.Windowed{M1: float64(s.Mean(0, c)) / res, M5: float64(s.Mean(1, c)) / res, M15: float64(s.Mean(2, c)) / res}
 }
 
 // nodeStateKey is the store key node id's attributes are published under,

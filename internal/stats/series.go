@@ -8,117 +8,103 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
-
-// TimeSeries is a bounded window of timestamped samples of k columns
-// sampled at the same instants (NodeStateD keeps four attributes in one
-// series). Samples older than MaxAge relative to the newest sample are
-// discarded on insertion. The zero value is not usable; call
-// NewTimeSeries.
-type TimeSeries struct {
-	maxAge time.Duration
-	k      int
-	// Live samples are t[head:] and v[head*k:], ascending by t
-	// (UnixNano); sample i's columns are v[i*k : i*k+k]. Trimming
-	// advances head; the dead prefix is compacted away once it outgrows
-	// the live part, so an Add moves O(1) samples amortised.
-	head int
-	t    []int64
-	v    []float64
-}
-
-// NewTimeSeries returns a series of k columns that retains samples for
-// maxAge. It panics if maxAge <= 0 or k < 1.
-func NewTimeSeries(maxAge time.Duration, k int) *TimeSeries {
-	if maxAge <= 0 || k < 1 {
-		panic(fmt.Sprintf("stats: NewTimeSeries(%v, %d): maxAge and k must be positive", maxAge, k))
-	}
-	return &TimeSeries{maxAge: maxAge, k: k}
-}
-
-// Add appends a sample of one value per column; it panics unless len(v)
-// is the series' k. Out-of-order samples (t before the newest) are
-// rejected with an error so monitoring bugs surface instead of silently
-// corrupting running means.
-func (ts *TimeSeries) Add(t time.Time, v ...float64) error {
-	if len(v) != ts.k {
-		panic(fmt.Sprintf("stats: Add of %d values to a %d-column series", len(v), ts.k))
-	}
-	at := t.UnixNano()
-	if n := len(ts.t); n > 0 && at < ts.t[n-1] {
-		return fmt.Errorf("stats: out-of-order sample at %v (newest %v)", t, time.Unix(0, ts.t[n-1]))
-	}
-	ts.t = append(ts.t, at)
-	ts.v = append(ts.v, v...)
-	cutoff := at - int64(ts.maxAge)
-	for ts.t[ts.head] < cutoff {
-		ts.head++
-	}
-	if ts.head > len(ts.t)/2 {
-		n := copy(ts.t, ts.t[ts.head:])
-		copy(ts.v, ts.v[ts.head*ts.k:])
-		ts.t, ts.v, ts.head = ts.t[:n], ts.v[:n*ts.k], 0
-	}
-	return nil
-}
 
 // Windowed are the paper's 1/5/15-minute running means of an attribute.
 type Windowed struct {
 	M1, M5, M15 float64
 }
 
-// windows are the running-mean spans of Windowed, shortest first.
-var windows = [3]time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
+// Series is a timestamped series of k int64 columns sampled at the same
+// instants (NodeStateD keeps four attributes in one series), with up to
+// three running windows ending at its newest sample: window w holds the
+// samples with t in (newest-spans[w], newest]. Each window keeps an exact
+// integer sum per column, adding a sample on Add and subtracting it as it
+// ages out, so a mean costs O(1) and no summation order can move it.
+// Samples older than the longest window are dropped. The zero value is
+// not usable; call NewSeries.
+type Series struct {
+	k     int
+	spans []time.Duration
+	// rows holds one row per sample, its time (UnixNano) then its k
+	// columns, ascending by time. Window w starts at row head[w]; rows
+	// before the longest window's are dead, and compacted away once they
+	// outgrow the live part, so an Add moves O(1) rows amortised.
+	head [3]int
+	rows []int64
+	sum  []int64 // sum[w*k+c] is column c's sum over window w
+}
 
-// Means writes each column's 1/5/15-minute running means ending at now
-// into dst, which must hold k entries: the mean of the samples with T in
-// (now-window, now]. Windows with no samples fall back to the column's
-// newest value (the paper's daemons always have at least the
-// instantaneous reading), and to 0 when the series is empty. The window
-// boundaries are found once for all columns; each column then sums its
-// values newest first from 0, each window's sum a prefix of the next
-// one's.
-func (ts *TimeSeries) Means(now time.Time, dst []Windowed) {
-	k := ts.k
-	if len(dst) != k {
-		panic(fmt.Sprintf("stats: Means into %d entries of a %d-column series", len(dst), k))
+// NewSeries returns a series of k columns with a window of each span,
+// shortest first; spans is kept, not copied. It panics unless k >= 1 and
+// there are one to three spans, positive and ascending.
+func NewSeries(k int, spans ...time.Duration) *Series {
+	ok := k >= 1 && len(spans) >= 1 && len(spans) <= 3 && spans[0] > 0
+	for i := 1; ok && i < len(spans); i++ {
+		ok = spans[i] > spans[i-1]
 	}
-	// Samples are ascending, so those after now are a suffix: the
-	// windows end at end, and window w starts at from[w].
-	at := now.UnixNano()
-	end := len(ts.t)
-	for end > ts.head && ts.t[end-1] > at {
-		end--
+	if !ok {
+		panic(fmt.Sprintf("stats: NewSeries(%d, %v): want k >= 1 and 1-3 positive ascending spans", k, spans))
 	}
-	var from [len(windows)]int
-	i := end
-	for w, span := range windows {
-		for i > ts.head && ts.t[i-1] > at-int64(span) {
-			i--
+	return &Series{k: k, spans: spans, sum: make([]int64, len(spans)*k)}
+}
+
+// Add appends a sample of one value per column; it panics unless len(v)
+// is the series' k. Out-of-order samples (t before the newest) are
+// rejected with an error so monitoring bugs surface instead of silently
+// corrupting running means.
+func (s *Series) Add(t time.Time, v ...int64) error {
+	k, r := s.k, s.k+1
+	if len(v) != k {
+		panic(fmt.Sprintf("stats: Add of %d values to a %d-column series", len(v), k))
+	}
+	at := t.UnixNano()
+	if n := len(s.rows); n > 0 && at < s.rows[n-r] {
+		return fmt.Errorf("stats: out-of-order sample at %v (newest %v)", t, time.Unix(0, s.rows[n-r]))
+	}
+	s.rows = append(append(s.rows, at), v...)
+	for w, span := range s.spans {
+		sum := s.sum[w*k : w*k+k]
+		for c, x := range v {
+			sum[c] += x
 		}
-		from[w] = i
-	}
-	for c := range dst {
-		fallback := 0.0
-		if n := len(ts.t); n > 0 {
-			fallback = ts.v[(n-1)*k+c]
-		}
-		var mean [len(windows)]float64
-		sum, i := 0.0, end
-		for w := range windows {
-			for ; i > from[w]; i-- {
-				sum += ts.v[(i-1)*k+c]
+		i := s.head[w]
+		for ; s.rows[i*r] <= at-int64(span); i++ {
+			for c, x := range s.rows[i*r+1 : i*r+r] {
+				sum[c] -= x
 			}
-			mean[w] = meanOr(sum, end-from[w], fallback)
 		}
-		dst[c] = Windowed{M1: mean[0], M5: mean[1], M15: mean[2]}
+		s.head[w] = i
 	}
+	if h := s.head[len(s.spans)-1]; h*r > len(s.rows)/2 {
+		s.rows = s.rows[:copy(s.rows, s.rows[h*r:])]
+		for w := range s.spans {
+			s.head[w] -= h
+		}
+	}
+	return nil
 }
 
-func meanOr(sum float64, n int, fallback float64) float64 {
+// Mean returns column c's mean over window w, rounded as Round rounds:
+// to the nearest integer, halves away from zero. Every window holds the
+// newest sample, so after a gap longer than a window its mean is that
+// sample (the paper's daemons always have at least the instantaneous
+// reading); before the first Add every mean is 0.
+func (s *Series) Mean(w, c int) int64 {
+	n := int64(len(s.rows)/(s.k+1) - s.head[w])
 	if n == 0 {
-		return fallback
+		return 0
 	}
-	return sum / float64(n)
+	sum := s.sum[w*s.k+c]
+	if sum < 0 {
+		return -((-sum + n/2) / n)
+	}
+	return (sum + n/2) / n
 }
+
+// Round returns v·unit, computed in float64, rounded to the nearest
+// integer with halves away from zero: the fixed resolution at which a
+// monitor sample enters a Series, in units of 1/unit.
+func Round(v, unit float64) int64 { return int64(math.Round(v * unit)) }
