@@ -8,7 +8,7 @@ import (
 )
 
 // TestVerdictsFull asserts the verdicts over the full-size listing,
-// ~20 s a seed:
+// ~15 s a seed:
 //
 //	go test -tags verdicts -run 'TestVerdictsFull/seed1729' ./internal/harness
 func TestVerdictsFull(t *testing.T) {
