@@ -58,16 +58,51 @@ func (e *Encoder) Float(key string, f float64) {
 	}
 }
 
-// nanos reports f as n nanoseconds, 1e3 <= |n| < 1e15, when n/1e9 rounds
-// to f. That decimal has at most 15 significant digits and two such
-// decimals never round to the same double (DBL_DIG), so it is f's only
-// shortest form: the digits strconv's %f would find, since |f| >= 1e-6.
-// n is round(f·1e9): were f n/1e9 rounded, f·1e9 would lie within 0.25
-// of n, so no such n is missed.
+// nanos reports f as n nanoseconds, 1e3 <= |n| < 2^53, when the decimal
+// n/1e9 is f's shortest form: the digits strconv's %f would find, since
+// |f| >= 1e-6. n is the rounded product f·1e9 rounded to an integer or,
+// where that misses, the integer nearest the exact product, the rounded
+// one plus its error, which math.FMA gives exactly; n/1e9 is one
+// correctly rounded division of exact operands. Below 1e15 the decimal
+// has at most 15 significant digits and two such decimals never round to
+// the same double (DBL_DIG), so it is f's only shortest form. From 1e15 on
+// it has 16 unless n ends in 0, and a double spans less than 2 ns there
+// (2^-29 s below 2^53 ns). So any shorter decimal that rounds to f is one
+// of n's 15-digit neighbours ⌊n/10⌋·10 and ⌊n/10⌋·10+10, and any other
+// 16-digit one, which strconv might prefer as closer, is n-1 or n+1: each
+// of the four must round elsewhere.
 func nanos(f float64) (int64, bool) {
-	n := math.Round(f * 1e9)
-	return int64(n), 1e3 <= math.Abs(n) && math.Abs(n) < 1e15 && n/1e9 == f
+	p := f * 1e9
+	n := math.Round(p)
+	if n/1e9 != f {
+		// The product may have rounded across a half.
+		if d := p - n + math.FMA(f, 1e9, -p); d > 0.5 {
+			n++
+		} else if d < -0.5 {
+			n--
+		} else {
+			return 0, false
+		}
+		if n/1e9 != f {
+			return 0, false
+		}
+	}
+	a := math.Abs(n)
+	if !(1e3 <= a && a < 1<<53) {
+		return 0, false
+	}
+	// Rounding is symmetric, so the neighbours are checked on |n| and |f|.
+	if u, g := int64(a), math.Abs(f); u >= 1e15 && u%10 != 0 {
+		t := u / 10 * 10
+		if roundsTo(t, g) || roundsTo(t+10, g) || roundsTo(u-1, g) || roundsTo(u+1, g) {
+			return 0, false
+		}
+	}
+	return int64(n), true
 }
+
+// roundsTo reports whether the decimal m/1e9 rounds to f.
+func roundsTo(m int64, f float64) bool { return float64(m)/1e9 == f }
 
 // pairs holds "00" to "99", so the digit writers divide once per two digits.
 var pairs = func() (p [200]byte) {
@@ -77,27 +112,27 @@ var pairs = func() (p [200]byte) {
 	return p
 }()
 
-// appendNanos writes n nanoseconds, |n| < 1e15, as seconds: the integer
+// appendNanos writes n nanoseconds, |n| < 2^53, as seconds: the integer
 // part, then the nine-digit fraction with its trailing zeros trimmed.
 func appendNanos(b []byte, n int64) []byte {
 	if n < 0 {
 		b, n = append(b, '-'), -n
 	}
 	sec, frac := uint64(n)/1e9, uint64(n)%1e9
-	var buf [16]byte // at most six integer digits, the point, nine digits
-	end := 6
+	var buf [17]byte // at most seven integer digits, the point, nine digits
+	end := 7
 	if frac != 0 {
-		buf[6] = '.'
-		for i := 14; i > 7; i -= 2 {
+		buf[7] = '.'
+		for i := 15; i > 8; i -= 2 {
 			q := frac / 100
 			r := 2 * (frac - 100*q)
 			buf[i], buf[i+1], frac = pairs[r], pairs[r+1], q
 		}
-		buf[7] = byte('0' + frac)
-		for end = 16; buf[end-1] == '0'; end-- {
+		buf[8] = byte('0' + frac)
+		for end = 17; buf[end-1] == '0'; end-- {
 		}
 	}
-	i := 6
+	i := 7
 	for ; sec >= 100; sec /= 100 {
 		r := 2 * (sec % 100)
 		i -= 2

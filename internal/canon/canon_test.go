@@ -33,20 +33,25 @@ func below(r *rng.Rand, n int64) int64 { return int64(r.Uint64() % uint64(n)) }
 // TestFloatMatchesJSON compares Float with json.Marshal on seeded values:
 // the job trace's times (Duration.Seconds, which must take the integer
 // path whenever it is the double nearest its nanoseconds), n/1e9 and its
-// neighbours, the edges of the integer path and of %f, values with 16 and
-// 17 significant digits that must fall back, integral doubles near 1e6,
-// 1e15, 2^53-1 and 2^53 with both neighbours, and NaN and ±Inf.
+// neighbours below 1e15 and up to 2^53 (see checkNanos), the edges of the integer path and of %f,
+// values with 16 and 17 significant digits that must fall back, integral
+// doubles near 1e6, 1e15, 2^53-1 and 2^53 with both neighbours, and NaN
+// and ±Inf.
 func TestFloatMatchesJSON(t *testing.T) {
 	for _, f := range []float64{0, math.Copysign(0, -1), -1, 1, 999e-9, 1e-6, 1e6 - 1e-9, -(1e6 - 1e-9), 1e6, 1e21,
 		5e-324, math.MaxFloat64, math.Pi, 0.1, 1234567.123456789, -987654.3210987654, 0.12345678901234567} {
 		checkFloat(t, f)
 	}
-	for _, f := range []float64{1e6 - 1e-9, -(1e6 - 1e-9), 1e-6, -1e-6, 1.5, 86400} {
+	for _, f := range []float64{1e6 - 1e-9, -(1e6 - 1e-9), 1e-6, -1e-6, 1.5, 86400, 1e6, 1234567.123456789, -4503599.627370497} {
 		if _, ok := nanos(f); !ok {
 			t.Errorf("%v falls back; want the integer path", f)
 		}
 	}
-	for _, f := range []float64{999e-9, 1e6, math.Pi, 1234567.123456789, -987654.3210987654, 0.12345678901234567, 1e-10} {
+	// Past 1e15 ns they fall back on 17 digits, on the 2^53 ns bound, and
+	// where the 15-digit 8388608.00000001 or two 16-digit decimals
+	// (8388608.000000001 and ...002) round to the same double.
+	for _, f := range []float64{999e-9, math.Pi, -987654.3210987654, 0.12345678901234567, 1e-10,
+		1 << 53 / 1e9, 8388608.00000001, -8388608.000000002} {
 		if _, ok := nanos(f); ok {
 			t.Errorf("%v takes the integer path; want the fallback", f)
 		}
@@ -57,6 +62,19 @@ func TestFloatMatchesJSON(t *testing.T) {
 		for _, f := range []float64{n, math.Nextafter(n, 0), math.Nextafter(n, math.Inf(1))} {
 			checkFloat(t, f)
 			checkFloat(t, -f)
+		}
+	}
+	// n/1e9 for every n within 64 ns of 1e15, 2^52, 2^23 s and 2^53, of
+	// either sign, and the doubles on either side.
+	for _, c := range []int64{1e15, 1 << 52, 1 << 23 * 1e9, 1 << 53} {
+		for n := c - 64; n <= c+64; n++ {
+			for _, m := range []int64{n, -n} {
+				f := float64(m) / 1e9
+				checkFloat(t, f)
+				checkFloat(t, math.Nextafter(f, 0))
+				checkFloat(t, math.Nextafter(f, math.Inf(1)))
+				checkNanos(t, f, m)
+			}
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -101,9 +119,34 @@ func TestFloatMatchesJSON(t *testing.T) {
 			}
 		}
 		checkFloat(t, math.Float64frombits(r.Uint64()))
+
+		n = 1e15 + below(r, 1<<53-1e15)
+		if i%3 == 0 {
+			n = -n
+		}
+		g = float64(n) / 1e9
+		checkFloat(t, g)
+		checkFloat(t, math.Nextafter(g, math.Inf(1)))
+		checkFloat(t, math.Nextafter(g, math.Inf(-1)))
+		checkNanos(t, g, n)
 	}
 	if fast < eligible*99/100 {
 		t.Fatalf("%d of %d Duration.Seconds values of 1 µs or more took the integer path", fast, eligible)
+	}
+}
+
+// checkNanos holds nanos to n/1e9's double g, 1e3 <= |n| <= 2^53. Below
+// 2^23 s a double is narrower than a nanosecond, so g takes the integer
+// path with n itself. Above, g may fall back, or give a shorter decimal
+// that rounds to g as well (a multiple of 10 ns), never another n.
+func checkNanos(t testing.TB, g float64, n int64) {
+	t.Helper()
+	m, ok := nanos(g)
+	switch a := max(n, -n); {
+	case ok && m != n && (m%10 != 0 || float64(m)/1e9 != g):
+		t.Fatalf("%v (%d ns): nanos = %d", g, n, m)
+	case (!ok || m != n) && a < 1<<23*1e9:
+		t.Fatalf("%v (%d ns): nanos = %d, %v", g, n, m, ok)
 	}
 }
 
@@ -115,6 +158,11 @@ func FuzzFloat(f *testing.F) {
 	}
 	for _, n := range []int64{1e6 + 1, 1e15, 1<<53 - 1, 1 << 53, -(1<<53 + 1)} {
 		f.Add(float64(n), n)
+	}
+	// Seconds past 1e6: the 16-digit integer path, a double wider than a
+	// nanosecond above 2^23 s, and the path's upper end.
+	for _, n := range []int64{1e15 + 1, -(1e15 + 7), 1<<52 + 1, 1<<23*1e9 + 3, 1<<53 - 1, -(1<<53 - 3)} {
+		f.Add(float64(n)/1e9, n)
 	}
 	f.Fuzz(func(t *testing.T, v float64, ns int64) {
 		checkFloat(t, v)
