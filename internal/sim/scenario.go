@@ -8,13 +8,13 @@
 package sim
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"nlarm/internal/heapq"
@@ -225,8 +225,6 @@ func newRunEntry(j *simJob, seq int) runEntry {
 type scenario struct {
 	cfg   ScenarioConfig
 	sched *simtime.Scheduler
-	gen   *loadgen.WorkloadGen
-	tw    *trace.JobTraceWriter
 	rs    *runScratch
 	pol   *policyState
 	free  int
@@ -247,6 +245,16 @@ type scenario struct {
 	// callback instead of a closure per arrival.
 	nextArr loadgen.Arrival
 	arrFn   func(time.Time)
+	// The pipeline (pipeline.go): the loop reads arrivals from arrBatch
+	// at arrNext and fills recBatch; stages counts the producer and the
+	// consumer, and writeErr is the consumer's, read after the join.
+	arrivals ring[loadgen.Arrival]
+	records  ring[trace.JobRecord]
+	arrBatch []loadgen.Arrival
+	arrNext  int
+	recBatch []trace.JobRecord
+	stages   sync.WaitGroup
+	writeErr error
 }
 
 // RunScenario executes cfg, streaming the job trace to traceOut (nil
@@ -275,7 +283,7 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	if traceOut == nil {
 		traceOut = io.Discard
 	}
-	scenJSON, err := json.Marshal(cfg)
+	scenJSON, err := scenarioJSON(&cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: marshal scenario config: %w", err)
 	}
@@ -294,8 +302,6 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	s := &scenario{
 		cfg:     cfg,
 		sched:   simtime.NewScheduler(cfg.Start),
-		gen:     gen,
-		tw:      tw,
 		rs:      rs,
 		free:    cfg.Nodes,
 		cohorts: make(map[string]*cohortAcc),
@@ -309,28 +315,14 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	}
 	s.res.Jobs = cfg.Workload.TotalJobs()
 	s.arrFn = s.arrival
-	if a, ok := gen.Next(); ok {
-		s.nextArr = a
-		if err := s.at(a.At, "arrival", s.arrFn); err != nil {
-			return nil, err
-		}
+	s.start(gen, tw)
+	err = s.run()
+	if werr := s.join(); err == nil {
+		err = werr
 	}
-	var fired uint64
-	for s.sched.Step() {
-		if fired++; fired > cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: scenario exceeded %d events at %v", cfg.MaxEvents, s.sched.Now())
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	if pend := len(s.pending) - s.pendHead; pend != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still pending after the event queue drained", pend)
-	}
-	if err := tw.Flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	s.res.EventsFired = fired
 	if n := s.res.Completed; n > 0 {
 		s.res.MeanWaitSec = s.waitSum / float64(n)
 	}
@@ -345,6 +337,29 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	}
 	s.res.WallTime = time.Since(wallStart)
 	return &s.res, nil
+}
+
+// run plays the event loop out and returns the loop's own first error;
+// the writer's comes from join.
+func (s *scenario) run() error {
+	if a, ok := s.nextArrival(); ok {
+		s.nextArr = a
+		if err := s.at(a.At, "arrival", s.arrFn); err != nil {
+			return err
+		}
+	}
+	for s.sched.Step() {
+		if s.res.EventsFired++; s.res.EventsFired > s.cfg.MaxEvents {
+			return fmt.Errorf("sim: scenario exceeded %d events at %v", s.cfg.MaxEvents, s.sched.Now())
+		}
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if pend := len(s.pending) - s.pendHead; pend != 0 {
+		return fmt.Errorf("sim: %d jobs still pending after the event queue drained", pend)
+	}
+	return nil
 }
 
 // at schedules fn once at instant t, refusing with ErrPastEvent an
@@ -364,7 +379,7 @@ func (s *scenario) at(t time.Time, name string, fn func(now time.Time)) error {
 func (s *scenario) arrival(now time.Time) {
 	a := s.nextArr
 	s.submit(a, now)
-	if next, ok := s.gen.Next(); ok {
+	if next, ok := s.nextArrival(); ok {
 		s.nextArr = next
 		if err := s.at(next.At, "arrival", s.arrFn); err != nil && s.err == nil {
 			s.err = err
@@ -574,7 +589,8 @@ func (s *scenario) finishJob(j *simJob, now time.Time) {
 	s.releaseJob(j)
 }
 
-// record writes j's trace record (startSec/endSec -1 for rejections).
+// record hands j's trace record to the writer (startSec/endSec -1 for
+// rejections).
 func (s *scenario) record(j *simJob, startSec, endSec float64) {
 	rec := trace.JobRecord{
 		ID:         j.id,
@@ -594,9 +610,7 @@ func (s *scenario) record(j *simJob, startSec, endSec float64) {
 	if j.walltime > 0 {
 		rec.WalltimeSec = j.walltime.Seconds()
 	}
-	if err := s.tw.Write(rec); err != nil && s.err == nil {
-		s.err = err
-	}
+	s.emit(rec)
 }
 
 // runLess orders run entries by (end, start sequence).

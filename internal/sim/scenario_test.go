@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -285,6 +287,61 @@ func TestScenarioMaxEventsGuard(t *testing.T) {
 	cfg.MaxEvents = 10
 	if _, err := RunScenario(cfg, nil); err == nil {
 		t.Fatalf("MaxEvents guard did not trip")
+	}
+}
+
+// failAfter accepts n bytes, then fails every write with err.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestScenarioJoinsPipeline leaves RunScenario four ways — success,
+// MaxEvents exceeded, a bad PolicyConfig, a trace writer that fails
+// part-way — each with more arrivals and records than the batch rings
+// hold, and requires the goroutine count back at its baseline after
+// every one, and a failing writer's own error returned.
+func TestScenarioJoinsPipeline(t *testing.T) {
+	errSink := errors.New("trace sink full")
+	const jobs = 3000 // about 3 rings' worth of arrivals and of records
+	ok := testConfig(jobs, EASY, 5)
+	capped := ok
+	capped.MaxEvents = jobs
+	badPolicy := ok
+	badPolicy.Policy = &PolicyConfig{Alpha: -1, Beta: 2}
+	base := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name string
+		cfg  ScenarioConfig
+		out  io.Writer
+		want func(error) bool
+	}{
+		{"success", ok, nil, func(err error) bool { return err == nil }},
+		{"max events", capped, nil, func(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeded") }},
+		{"bad policy", badPolicy, nil, func(err error) bool { return err != nil && strings.Contains(err.Error(), "α/β") }},
+		{"failing writer", ok, &failAfter{n: 100_000, err: errSink}, func(err error) bool { return errors.Is(err, errSink) }},
+	} {
+		_, err := RunScenario(c.cfg, c.out)
+		if !c.want(err) {
+			t.Errorf("%s: RunScenario error %v", c.name, err)
+		}
+		// The stages are joined; give their goroutines a moment to exit.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines after the run, %d before", c.name, n, base)
+		}
 	}
 }
 
