@@ -33,8 +33,8 @@ func below(r *rng.Rand, n int64) int64 { return int64(r.Uint64() % uint64(n)) }
 // TestFloatMatchesJSON compares Float with json.Marshal on seeded values:
 // the job trace's times (Duration.Seconds, which must take the integer
 // path whenever it is the double nearest its nanoseconds), n/1e9 and its
-// neighbours below 1e15 and up to 2^53 (see checkNanos), the edges of the integer path and of %f,
-// values with 16 and 17 significant digits that must fall back, integral
+// neighbours below 1e15 and up to 2^53 (see checkNanos), the edges of
+// the integer path and of %f, values that must fall back, integral
 // doubles near 1e6, 1e15, 2^53-1 and 2^53 with both neighbours, and NaN
 // and ±Inf.
 func TestFloatMatchesJSON(t *testing.T) {
