@@ -226,6 +226,84 @@ func TestScenarioGolden(t *testing.T) {
 	t.Fatalf("trace deviates from golden file (rerun with -update if intended):\n  %s", strings.Join(diffs, "\n  "))
 }
 
+// tieConfig is a 16-node scenario at ~95 % load on a 30-second grid:
+// every cohort's interarrival, service and walltime is constant, so
+// arrivals land on the same instants as each other and as finishes, and
+// a backfill candidate's walltime can end exactly at the head's
+// reservation.
+func tieConfig(d Discipline, pc *PolicyConfig) ScenarioConfig {
+	cohort := func(name string, clients, jobs int, gap, procs, service, prio float64) loadgen.Cohort {
+		return loadgen.Cohort{
+			Name: name, Clients: clients, Jobs: jobs,
+			Interarrival: loadgen.Dist{Kind: "constant", Mean: gap},
+			Procs:        loadgen.Dist{Kind: "constant", Mean: procs},
+			PPN:          4,
+			Walltime:     loadgen.Dist{Kind: "constant", Mean: service},
+			Service:      loadgen.Dist{Kind: "constant", Mean: service},
+			Priority:     loadgen.Dist{Kind: "constant", Mean: prio},
+		}
+	}
+	return ScenarioConfig{
+		Seed: 4, Nodes: 16, CoresPerNode: 4, Discipline: d, Policy: pc,
+		Workload: loadgen.Workload{
+			Version: loadgen.WorkloadVersion,
+			Name:    "ties",
+			Cohorts: []loadgen.Cohort{
+				cohort("wide", 1, 80, 300, 48, 240, 0),
+				cohort("narrow", 3, 600, 120, 8, 90, 0),
+				cohort("urgent", 1, 160, 150, 16, 60, 1),
+			},
+		},
+	}
+}
+
+// TestScenarioTieOrderDigests pins the trace digests of scenarios whose
+// arrivals and finishes share instants: same-instant events fire in the
+// order they were scheduled, and these digests are the reference for
+// that order (the random-time goldens almost never tie).
+func TestScenarioTieOrderDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ScenarioConfig
+		want string
+	}{
+		{"fifo", tieConfig(FIFO, nil), "bf91df795c6298a3ba30c259674cd8158cd5373c9f3e25f6c73b27b7c4569483"},
+		{"easy", tieConfig(EASY, nil), "4b1d55bd37c0cd03946d3172ee7079a30624d4c89877b4834d040a981e1f86c5"},
+		{"easy-policy", tieConfig(EASY, &PolicyConfig{}), "59f897f76d1a4108938c00a623ad1c480e6955c8b9f80c7d40a624ade2de186f"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			res, err := RunScenario(tc.cfg, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, recs, _, err := trace.ReadJobTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := make(map[float64]bool)
+			for _, r := range recs {
+				ends[r.EndSec] = true
+			}
+			ties := 0
+			for _, r := range recs {
+				if ends[r.SubmitSec] {
+					ties++
+				}
+			}
+			if ties < 100 {
+				t.Fatalf("only %d submits share an instant with a finish", ties)
+			}
+			if tc.cfg.Discipline == EASY && res.Backfilled == 0 {
+				t.Fatalf("EASY run backfilled nothing")
+			}
+			if res.Digest != tc.want {
+				t.Fatalf("trace digest %s, want %s", res.Digest, tc.want)
+			}
+		})
+	}
+}
+
 // TestScenarioReplayFromHeader re-runs a scenario from nothing but its
 // recorded trace header and checks every decision matches — the
 // contract nlarm-replay -trace relies on.
