@@ -7,10 +7,11 @@ import (
 
 // A scenario runs as three stages: a producer goroutine that owns the
 // WorkloadGen, the event loop on the caller's goroutine, and a consumer
-// goroutine that owns the JobTraceWriter. Neither end stage reads
-// scheduler state, so moving them off the loop changes no byte; they
-// trade batches with it, so a handoff costs one channel operation per
-// batchLen entries, not one per job.
+// goroutine that owns the JobTraceWriter and turns the loop's integer
+// nanoseconds into the trace's seconds. The end stages share nothing
+// with the loop but the batches, which they take and return in the
+// loop's order, so moving them off it changes no byte; a handoff costs
+// one channel operation per batchLen entries, not one per job.
 const (
 	batchLen = 256
 	ringLen  = 4
@@ -21,10 +22,15 @@ const (
 // blocks and only a receive waits for the other side.
 type ring[T any] struct{ free, full chan []T }
 
-func newRing[T any]() ring[T] {
+// newRing makes a run's channels and fills free with bufs, the batches
+// a runScratch keeps across runs, making those it does not have yet.
+func newRing[T any](bufs *[ringLen][]T) ring[T] {
 	r := ring[T]{make(chan []T, ringLen), make(chan []T, ringLen)}
-	for range ringLen {
-		r.free <- make([]T, 0, batchLen)
+	for i := range bufs {
+		if bufs[i] == nil {
+			bufs[i] = make([]T, 0, batchLen)
+		}
+		r.free <- bufs[i][:0]
 	}
 	return r
 }
@@ -35,7 +41,7 @@ func newRing[T any]() ring[T] {
 // consumer writes every record batch it is sent, in order, flushes when
 // its full channel closes, and keeps the first error.
 func (s *scenario) start(gen *loadgen.WorkloadGen, tw *trace.JobTraceWriter) {
-	s.arrivals, s.records = newRing[loadgen.Arrival](), newRing[trace.JobRecord]()
+	s.arrivals, s.records = newRing(&s.rs.arrBufs), newRing(&s.rs.recBufs)
 	s.recBatch = <-s.records.free
 	s.stages.Add(2)
 	go func(r ring[loadgen.Arrival]) {
@@ -57,11 +63,11 @@ func (s *scenario) start(gen *loadgen.WorkloadGen, tw *trace.JobTraceWriter) {
 			}
 		}
 	}(s.arrivals)
-	go func(r ring[trace.JobRecord]) {
+	go func(r ring[simJob]) {
 		defer s.stages.Done()
 		for b := range r.full {
 			for i := range b {
-				if err := tw.Write(b[i]); err != nil && s.writeErr == nil {
+				if err := tw.Write(b[i].record()); err != nil && s.writeErr == nil {
 					s.writeErr = err
 				}
 			}
@@ -91,20 +97,21 @@ func (s *scenario) nextArrival() (loadgen.Arrival, bool) {
 	return s.arrBatch[s.arrNext-1], true
 }
 
-// emit hands rec to the consumer, a batch at a time.
-func (s *scenario) emit(rec trace.JobRecord) {
+// emit hands a copy of j, recorded or rejected, to the consumer, a batch
+// at a time.
+func (s *scenario) emit(j *simJob) {
 	if len(s.recBatch) == batchLen {
 		s.records.full <- s.recBatch
 		s.recBatch = <-s.records.free
 	}
-	s.recBatch = append(s.recBatch, rec)
+	s.recBatch = append(s.recBatch, *j)
 }
 
 // join ends both stages on every way out of a run and waits for them:
 // the producer is stopped and drained, the last record batch goes to the
 // consumer, which writes and flushes it. It returns the writer's first
-// error and drops the rings, which the returned result, a field of s,
-// would otherwise keep alive.
+// error. Once it returns, no goroutine holds a batch, so the next run on
+// the same runScratch may refill them.
 func (s *scenario) join() error {
 	close(s.arrivals.free)
 	for range s.arrivals.full {
@@ -114,7 +121,5 @@ func (s *scenario) join() error {
 	}
 	close(s.records.full)
 	s.stages.Wait()
-	s.arrivals, s.records = ring[loadgen.Arrival]{}, ring[trace.JobRecord]{}
-	s.arrBatch, s.recBatch = nil, nil
 	return s.writeErr
 }

@@ -1,10 +1,11 @@
 // Package sim is the discrete-event simulation core: a
-// capacity-fidelity scenario runner that schedules job arrival, start,
-// and finish events on the virtual clock (internal/simtime) against a
-// workload spec (internal/loadgen) — months of submitted traffic
+// capacity-fidelity scenario runner that plays a workload spec
+// (internal/loadgen) through job arrival, start and finish events on a
+// virtual clock of integer nanoseconds — months of submitted traffic
 // replayed in seconds of wall time, bit-for-bit reproducible from a
-// seed. The harness's full-stack experiments advance the same
-// scheduler, so the two can be cross-checked event-for-event.
+// seed. A scenario has only two kinds of pending event, so it merges
+// them itself; the harness's full-stack experiments run on
+// internal/simtime's general-purpose scheduler instead.
 package sim
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"nlarm/internal/heapq"
 	"nlarm/internal/loadgen"
-	"nlarm/internal/simtime"
 	"nlarm/internal/trace"
 )
 
@@ -36,10 +36,10 @@ const (
 	EASY Discipline = "backfill"
 )
 
-// ErrPastEvent is returned when the scenario would schedule an event
-// before the current virtual time. The scheduler would clamp such an
-// event to "now" — silently reordering it relative to the caller's
-// intent — so the scenario refuses instead.
+// ErrPastEvent is returned when the scenario would queue an arrival or
+// a finish before the current virtual time. Clamping it to "now" would
+// silently reorder it relative to the caller's intent, so the scenario
+// refuses instead.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // scenarioEpoch is the default virtual start (the session epoch, so
@@ -182,8 +182,8 @@ func cohortStats(m map[string]*cohortAcc) []CohortStat {
 	return out
 }
 
-// simJob is one job's state inside the capacity model. Jobs are
-// recycled through a freelist.
+// simJob is one job's state inside the capacity model, its instants in
+// nanoseconds since cfg.Start. Jobs are recycled through a freelist.
 type simJob struct {
 	id       int
 	cohort   string
@@ -194,10 +194,11 @@ type simJob struct {
 	nodes    int
 	walltime time.Duration
 	service  time.Duration
-	submit   time.Time
-	start    time.Time
-	end      time.Time
+	submit   int64
+	start    int64
+	end      int64
 	backfill bool
+	rejected bool
 	// place and the costs are the policy-fidelity overlay (nil / zero on
 	// capacity runs).
 	place  *placement
@@ -205,54 +206,49 @@ type simJob struct {
 	nlCost float64
 }
 
-// runEntry orders running jobs by completion time for reservations.
+// runEntry is a running job's finish event, keyed by (end, schedule
+// sequence). The run heap holds them in firing order; the pending
+// arrival's key has the same shape and a nil job.
 type runEntry struct {
-	endSec  int64 // job.end as integers; see newRunEntry
-	endNsec int32
-	seq     int
-	job     *simJob
-}
-
-// newRunEntry keys j's entry by its end time as two integers that order
-// as Before and Equal do: seconds since January 1 of year 1 (Unix seconds
-// plus the gap between the epochs, exact for every Time as int64
-// addition wraps), then the nanosecond.
-func newRunEntry(j *simJob, seq int) runEntry {
-	return runEntry{j.end.Unix() + 62135596800, int32(j.end.Nanosecond()), seq, j}
+	end int64
+	seq int
+	job *simJob
 }
 
 // scenario is the live state of a run.
 type scenario struct {
-	cfg   ScenarioConfig
-	sched *simtime.Scheduler
-	rs    *runScratch
-	pol   *policyState
-	free  int
+	cfg  ScenarioConfig
+	rs   *runScratch
+	pol  *policyState
+	free int
+	// now is the current instant and seq the next schedule sequence,
+	// which arrivals and finishes draw from alike.
+	now int64
+	seq int
 	// pending is the submit queue from pendHead on: head pops advance
 	// the index instead of reslicing, which would shed front capacity
 	// and force a reallocation on nearly every push.
 	pending  []*simJob
 	pendHead int
-	startSeq int
 	res      ScenarioResult
 	cohorts  map[string]*cohortAcc
-	firstSub time.Time
-	lastEnd  time.Time
+	firstSub int64
+	lastEnd  int64
 	waitSum  float64
 	busySec  float64
 	err      error
-	// nextArr and arrFn implement the arrival chain with one persistent
-	// callback instead of a closure per arrival.
+	// nextArr is the pending arrival while armed, queued at arrKey.
 	nextArr loadgen.Arrival
-	arrFn   func(time.Time)
+	arrKey  runEntry
+	armed   bool
 	// The pipeline (pipeline.go): the loop reads arrivals from arrBatch
 	// at arrNext and fills recBatch; stages counts the producer and the
 	// consumer, and writeErr is the consumer's, read after the join.
 	arrivals ring[loadgen.Arrival]
-	records  ring[trace.JobRecord]
+	records  ring[simJob]
 	arrBatch []loadgen.Arrival
 	arrNext  int
-	recBatch []trace.JobRecord
+	recBatch []simJob
 	stages   sync.WaitGroup
 	writeErr error
 }
@@ -301,7 +297,6 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	rs.runs = rs.runs[:0] // a run that failed may have left jobs in it
 	s := &scenario{
 		cfg:     cfg,
-		sched:   simtime.NewScheduler(cfg.Start),
 		rs:      rs,
 		free:    cfg.Nodes,
 		cohorts: make(map[string]*cohortAcc),
@@ -314,7 +309,6 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 		s.pol = pol
 	}
 	s.res.Jobs = cfg.Workload.TotalJobs()
-	s.arrFn = s.arrival
 	s.start(gen, tw)
 	err = s.run()
 	if werr := s.join(); err == nil {
@@ -326,8 +320,8 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 	if n := s.res.Completed; n > 0 {
 		s.res.MeanWaitSec = s.waitSum / float64(n)
 	}
-	if !s.lastEnd.IsZero() && s.lastEnd.After(s.firstSub) {
-		s.res.MakespanSec = s.lastEnd.Sub(s.firstSub).Seconds()
+	if s.res.Completed > 0 && s.lastEnd > s.firstSub {
+		s.res.MakespanSec = time.Duration(s.lastEnd - s.firstSub).Seconds()
 		s.res.UtilizationPct = 100 * s.busySec / (float64(cfg.Nodes) * s.res.MakespanSec)
 	}
 	s.res.Digest = tw.Digest()
@@ -336,25 +330,26 @@ func runScenario(cfg ScenarioConfig, traceOut io.Writer, rs *runScratch) (*Scena
 		s.res.Policy = s.pol.finalize()
 	}
 	s.res.WallTime = time.Since(wallStart)
-	return &s.res, nil
+	res := s.res // a copy, so the caller does not keep s and its scratch alive
+	return &res, nil
 }
 
 // run plays the event loop out and returns the loop's own first error;
 // the writer's comes from join.
 func (s *scenario) run() error {
 	if a, ok := s.nextArrival(); ok {
-		s.nextArr = a
-		if err := s.at(a.At, "arrival", s.arrFn); err != nil {
+		s.nextArr, s.firstSub = a, int64(a.At.Sub(s.cfg.Start))
+		if err := s.queue(s.firstSub, nil); err != nil {
 			return err
 		}
 	}
-	for s.sched.Step() {
+	for s.step() {
 		if s.res.EventsFired++; s.res.EventsFired > s.cfg.MaxEvents {
-			return fmt.Errorf("sim: scenario exceeded %d events at %v", s.cfg.MaxEvents, s.sched.Now())
+			return fmt.Errorf("sim: scenario exceeded %d events at %v", s.cfg.MaxEvents, s.instant(s.now))
 		}
-	}
-	if s.err != nil {
-		return s.err
+		if s.err != nil {
+			return s.err
+		}
 	}
 	if pend := len(s.pending) - s.pendHead; pend != 0 {
 		return fmt.Errorf("sim: %d jobs still pending after the event queue drained", pend)
@@ -362,30 +357,58 @@ func (s *scenario) run() error {
 	return nil
 }
 
-// at schedules fn once at instant t, refusing with ErrPastEvent an
-// instant before the current virtual time.
-func (s *scenario) at(t time.Time, name string, fn func(now time.Time)) error {
-	if now := s.sched.Now(); t.Before(now) {
-		return fmt.Errorf("%w: %q at %v, now %v", ErrPastEvent, name, t, now)
+// step fires the earlier of the pending arrival and the run heap's
+// root by (instant, schedule sequence) and reports whether either was
+// pending. Finishes are queued in start order, so this is the order a
+// general event queue would keep.
+func (s *scenario) step() bool {
+	if len(s.rs.runs) > 0 && (!s.armed || runLess(s.rs.runs[0], s.arrKey)) {
+		var e runEntry
+		e, s.rs.runs = heapq.Pop(s.rs.runs, runLess)
+		s.now = e.end
+		s.finishJob(e.job)
+		return true
 	}
-	s.sched.Post(t, name, fn)
+	if !s.armed {
+		return false
+	}
+	s.armed, s.now = false, s.arrKey.end
+	s.arrival()
+	return true
+}
+
+// queue puts j's finish on the run heap at instant at, or with j nil
+// arms nextArr's arrival there, under the next schedule sequence. An
+// instant before now is ErrPastEvent and queues nothing.
+func (s *scenario) queue(at int64, j *simJob) error {
+	if at < s.now {
+		return fmt.Errorf("%w: at %v, now %v", ErrPastEvent, s.instant(at), s.instant(s.now))
+	}
+	e := runEntry{at, s.seq, j}
+	if s.seq++; j != nil {
+		s.rs.runs = heapq.Push(s.rs.runs, e, runLess)
+	} else {
+		s.arrKey, s.armed = e, true
+	}
 	return nil
 }
 
-// arrival is the scheduler callback for the pending arrival: submit it,
-// chain the next one (same callback, new nextArr — the event sequence
-// is identical to a closure per arrival, without the allocation), and
+// instant is ns, nanoseconds since cfg.Start, as a time.
+func (s *scenario) instant(ns int64) time.Time {
+	return s.cfg.Start.Add(time.Duration(ns))
+}
+
+// arrival fires the pending arrival: submit it, queue the next one, and
 // run a scheduling pass.
-func (s *scenario) arrival(now time.Time) {
-	a := s.nextArr
-	s.submit(a, now)
+func (s *scenario) arrival() {
+	s.submit(s.nextArr)
 	if next, ok := s.nextArrival(); ok {
 		s.nextArr = next
-		if err := s.at(next.At, "arrival", s.arrFn); err != nil && s.err == nil {
+		if err := s.queue(int64(next.At.Sub(s.cfg.Start)), nil); err != nil && s.err == nil {
 			s.err = err
 		}
 	}
-	s.schedulePass(now)
+	s.schedulePass()
 }
 
 // getJob takes a job object off the freelist or allocates one.
@@ -406,7 +429,7 @@ func (s *scenario) releaseJob(j *simJob) {
 }
 
 // submit enqueues arrival a (or rejects it if it can never fit).
-func (s *scenario) submit(a loadgen.Arrival, now time.Time) {
+func (s *scenario) submit(a loadgen.Arrival) {
 	effPPN := a.PPN
 	if effPPN <= 0 || effPPN > s.cfg.CoresPerNode {
 		effPPN = s.cfg.CoresPerNode
@@ -421,13 +444,11 @@ func (s *scenario) submit(a loadgen.Arrival, now time.Time) {
 	j.nodes = (a.Procs + effPPN - 1) / effPPN
 	j.walltime = a.Walltime
 	j.service = a.Service
-	j.submit = now
-	if s.firstSub.IsZero() {
-		s.firstSub = now
-	}
+	j.submit = s.now
 	if j.nodes > s.cfg.Nodes {
 		s.res.Rejected++
-		s.record(j, -1, -1)
+		j.rejected = true
+		s.emit(j)
 		s.releaseJob(j)
 		return
 	}
@@ -447,12 +468,13 @@ func (s *scenario) submit(a loadgen.Arrival, now time.Time) {
 
 // schedulePass launches queue heads in order until one does not fit,
 // then (under EASY) backfills around the blocked head.
-func (s *scenario) schedulePass(now time.Time) {
+func (s *scenario) schedulePass() {
+	now := s.now
 	for s.pendHead < len(s.pending) && s.pending[s.pendHead].nodes <= s.free {
 		j := s.pending[s.pendHead]
 		s.pending[s.pendHead] = nil
 		s.pendHead++
-		s.startJob(j, now, false)
+		s.startJob(j, false)
 	}
 	if s.pendHead == len(s.pending) {
 		s.pending = s.pending[:0]
@@ -471,29 +493,29 @@ func (s *scenario) schedulePass(now time.Time) {
 		return
 	}
 	head := s.pending[s.pendHead]
-	maxWait := now.Sub(head.submit)
+	maxWait := time.Duration(now - head.submit)
 	if maxWait >= s.cfg.AgingBound {
 		return // the head has aged out: nothing may overtake it
 	}
-	reserve := s.earliestStart(now, head.nodes)
-	if reserve.IsZero() {
+	reserve, ok := s.earliestStart(head.nodes)
+	if !ok {
 		return
 	}
 	scanned := 0
 	for i := s.pendHead + 1; i < len(s.pending) && scanned < s.cfg.BackfillDepth; {
 		j := s.pending[i]
-		if w := now.Sub(j.submit); w > maxWait {
+		if w := time.Duration(now - j.submit); w > maxWait {
 			maxWait = w
 		}
 		if maxWait >= s.cfg.AgingBound {
 			return // aging barrier: a scanned job has waited too long
 		}
 		scanned++
-		if j.walltime > 0 && j.nodes <= s.free && !now.Add(j.walltime).After(reserve) {
+		if j.walltime > 0 && j.nodes <= s.free && now+int64(j.walltime) <= reserve {
 			copy(s.pending[i:], s.pending[i+1:])
 			s.pending[len(s.pending)-1] = nil
 			s.pending = s.pending[:len(s.pending)-1]
-			s.startJob(j, now, true)
+			s.startJob(j, true)
 			continue // the slice shifted; re-examine index i
 		}
 		i++
@@ -502,38 +524,34 @@ func (s *scenario) schedulePass(now time.Time) {
 
 // earliestStart is the head's node reservation: the earliest instant at
 // which enough running jobs will have completed to free `needed` nodes.
-// The zero time means never (cannot happen for admitted jobs).
-func (s *scenario) earliestStart(now time.Time, needed int) time.Time {
+// False means never (cannot happen for admitted jobs).
+func (s *scenario) earliestStart(needed int) (at int64, ok bool) {
 	if s.free >= needed {
-		return now
+		return s.now, true
 	}
 	acc := s.free
 	popped := s.rs.popped[:0]
-	var at time.Time
-	for len(s.rs.runs) > 0 {
+	for len(s.rs.runs) > 0 && !ok {
 		var e runEntry
 		e, s.rs.runs = heapq.Pop(s.rs.runs, runLess)
 		popped = append(popped, e)
 		acc += e.job.nodes
-		if acc >= needed {
-			at = e.job.end
-			break
-		}
+		at, ok = e.end, acc >= needed
 	}
 	for _, e := range popped {
 		s.rs.runs = heapq.Push(s.rs.runs, e, runLess)
 	}
 	s.rs.popped = popped[:0]
-	return at
+	return at, ok
 }
 
-// startJob commits j to n nodes now and schedules its completion. On
-// policy runs the placement decision happens here — a failure aborts
-// the run (capacity admission guarantees placement feasibility, so a
-// refusal is a bug, not a full cluster).
-func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
+// startJob commits j to n nodes now and queues its finish. On policy
+// runs the placement decision happens here — a failure aborts the run
+// (capacity admission guarantees placement feasibility, so a refusal is
+// a bug, not a full cluster).
+func (s *scenario) startJob(j *simJob, backfilled bool) {
 	if s.pol != nil {
-		if err := s.pol.place(j, now); err != nil {
+		if err := s.pol.place(j, s.instant(s.now)); err != nil {
 			if s.err == nil {
 				s.err = err
 			}
@@ -541,57 +559,49 @@ func (s *scenario) startJob(j *simJob, now time.Time, backfilled bool) {
 		}
 	}
 	s.free -= j.nodes
-	j.start = now
-	j.end = now.Add(j.service)
+	j.start = s.now
+	j.end = s.now + int64(j.service)
 	j.backfill = backfilled
 	if backfilled {
 		s.res.Backfilled++
 	}
-	s.waitSum += now.Sub(j.submit).Seconds()
-	if w := now.Sub(j.submit).Seconds(); w > s.res.MaxWaitSec {
+	w := time.Duration(s.now - j.submit).Seconds()
+	s.waitSum += w
+	if w > s.res.MaxWaitSec {
 		s.res.MaxWaitSec = w
 	}
-	s.rs.runs = heapq.Push(s.rs.runs, newRunEntry(j, s.startSeq), runLess)
-	s.startSeq++
-	if err := s.at(j.end, "finish", func(fnow time.Time) {
-		s.finishJob(j, fnow)
-	}); err != nil && s.err == nil {
+	if err := s.queue(j.end, j); err != nil && s.err == nil {
 		s.err = err
 	}
 }
 
-// finishJob pops j off the run heap, releases its nodes, records it,
-// and reschedules. j is the heap's root: same-instant finishes fire in
-// start order, which is also the heap's tie order.
-func (s *scenario) finishJob(j *simJob, now time.Time) {
-	var e runEntry
-	if e, s.rs.runs = heapq.Pop(s.rs.runs, runLess); e.job != j && s.err == nil {
-		s.err = fmt.Errorf("sim: job %d finished at %v, but the run heap's root is job %d", j.id, now, e.job.id)
-	}
+// finishJob releases the nodes of j, whose finish step has just popped
+// off the run heap, records it, and reschedules.
+func (s *scenario) finishJob(j *simJob) {
 	s.free += j.nodes
 	if s.pol != nil {
 		s.pol.release(j)
 	}
 	s.busySec += float64(j.nodes) * j.service.Seconds()
 	s.res.Completed++
+	wait := time.Duration(j.start - j.submit).Seconds()
 	if acc, ok := s.cohorts[j.cohort]; ok {
-		acc.add(j.start.Sub(j.submit).Seconds())
+		acc.add(wait)
 	} else {
 		acc = &cohortAcc{}
-		acc.add(j.start.Sub(j.submit).Seconds())
+		acc.add(wait)
 		s.cohorts[j.cohort] = acc
 	}
-	if now.After(s.lastEnd) {
-		s.lastEnd = now
-	}
-	s.record(j, j.start.Sub(s.cfg.Start).Seconds(), now.Sub(s.cfg.Start).Seconds())
-	s.schedulePass(now)
+	s.lastEnd = s.now
+	s.emit(j)
+	s.schedulePass()
 	s.releaseJob(j)
 }
 
-// record hands j's trace record to the writer (startSec/endSec -1 for
-// rejections).
-func (s *scenario) record(j *simJob, startSec, endSec float64) {
+// record is j's trace record, built on the consumer: times in seconds
+// since cfg.Start (start and end -1 for a rejection), as
+// Duration(ns).Seconds() is the double t.Sub(cfg.Start).Seconds() gives.
+func (j *simJob) record() trace.JobRecord {
 	rec := trace.JobRecord{
 		ID:         j.id,
 		Cohort:     j.cohort,
@@ -599,27 +609,27 @@ func (s *scenario) record(j *simJob, startSec, endSec float64) {
 		Procs:      j.procs,
 		PPN:        j.ppn,
 		Priority:   j.priority,
-		SubmitSec:  j.submit.Sub(s.cfg.Start).Seconds(),
-		StartSec:   startSec,
-		EndSec:     endSec,
+		SubmitSec:  time.Duration(j.submit).Seconds(),
+		StartSec:   -1,
+		EndSec:     -1,
 		Nodes:      j.nodes,
 		Backfilled: j.backfill,
 		CLCost:     j.clCost,
 		NLCost:     j.nlCost,
 	}
+	if !j.rejected {
+		rec.StartSec, rec.EndSec = time.Duration(j.start).Seconds(), time.Duration(j.end).Seconds()
+	}
 	if j.walltime > 0 {
 		rec.WalltimeSec = j.walltime.Seconds()
 	}
-	s.emit(rec)
+	return rec
 }
 
-// runLess orders run entries by (end, start sequence).
+// runLess orders events by (instant, schedule sequence).
 func runLess(a, b runEntry) bool {
-	if a.endSec != b.endSec {
-		return a.endSec < b.endSec
-	}
-	if a.endNsec != b.endNsec {
-		return a.endNsec < b.endNsec
+	if a.end != b.end {
+		return a.end < b.end
 	}
 	return a.seq < b.seq
 }

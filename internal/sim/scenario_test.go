@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"nlarm/internal/loadgen"
-	"nlarm/internal/simtime"
 	"nlarm/internal/trace"
 )
 
@@ -423,23 +422,51 @@ func TestScenarioJoinsPipeline(t *testing.T) {
 	}
 }
 
-// TestScenarioPastEventRejected pins the strictness the scenario adds
-// to the raw scheduler: an instant before Now() is ErrPastEvent and
-// queues nothing, while exactly Now() is allowed.
+// TestScenarioPastEventRejected pins the strictness of the scenario's
+// queue: an arrival or a finish before the current instant is
+// ErrPastEvent and queues nothing, while exactly now is allowed and
+// fires at now.
 func TestScenarioPastEventRejected(t *testing.T) {
-	s := &scenario{sched: simtime.NewScheduler(scenarioEpoch)}
-	err := s.at(scenarioEpoch.Add(-time.Second), "past", func(time.Time) {})
-	if !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("at(past) error = %v, want ErrPastEvent", err)
+	now := int64(time.Minute)
+	drained := make(chan []loadgen.Arrival)
+	close(drained) // the producer has no more arrivals
+	s := &scenario{
+		cfg: ScenarioConfig{Nodes: 4, CoresPerNode: 4, Start: scenarioEpoch},
+		rs:  &runScratch{}, cohorts: make(map[string]*cohortAcc), now: now,
 	}
-	if s.sched.Step() {
-		t.Fatalf("a rejected event still fired")
+	s.arrivals.full = drained
+	// 64 processes never fit 4 nodes: the arrival is rejected, and
+	// starts no job.
+	past := loadgen.Arrival{At: scenarioEpoch.Add(time.Duration(now - 1)), Procs: 64, PPN: 4}
+	s.nextArr = past
+	if err := s.queue(now-1, nil); !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("queue(past arrival) error = %v, want ErrPastEvent", err)
 	}
-	if err := s.at(s.sched.Now(), "at-now", func(time.Time) {}); err != nil {
-		t.Fatalf("at(now): %v", err)
+	if err := s.queue(now-1, &simJob{id: 1, nodes: 1, end: now - 1}); !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("queue(past finish) error = %v, want ErrPastEvent", err)
 	}
-	if !s.sched.Step() {
-		t.Fatalf("at-now event did not fire")
+	if s.armed || len(s.rs.runs) != 0 || s.step() {
+		t.Fatalf("a rejected event was queued (armed %v, %d finishes)", s.armed, len(s.rs.runs))
+	}
+	s.nextArr.At = s.instant(now)
+	if err := s.queue(now, nil); err != nil {
+		t.Fatalf("queue(arrival at now): %v", err)
+	}
+	if err := s.queue(now, &simJob{id: 2, nodes: 1, end: now}); err != nil {
+		t.Fatalf("queue(finish at now): %v", err)
+	}
+	// Both fire at now, the arrival first, as it was queued first.
+	if !s.step() || s.armed || len(s.rs.runs) != 1 || s.now != now {
+		t.Fatalf("the arrival at now did not fire first (armed %v, %d finishes, now %d)", s.armed, len(s.rs.runs), s.now)
+	}
+	if !s.step() || len(s.rs.runs) != 0 || s.now != now {
+		t.Fatalf("the finish at now did not fire (%d finishes, now %d)", len(s.rs.runs), s.now)
+	}
+	if s.res.Rejected != 1 || s.res.Completed != 1 {
+		t.Fatalf("%d rejected, %d completed; want the oversized arrival rejected and the job completed", s.res.Rejected, s.res.Completed)
+	}
+	if s.step() {
+		t.Fatalf("an event fired after the queue drained")
 	}
 }
 

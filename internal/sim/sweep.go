@@ -9,18 +9,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nlarm/internal/loadgen"
 )
 
 // runScratch carries one worker's reusable buffers across scenario
-// runs: the capacity model's pooled per-event state and the policy
-// layer's scratch. Runs that share a scratch must be sequential; the
-// sweep gives each worker its own.
+// runs: the capacity model's pooled per-event state, the pipeline's
+// batches and the policy layer's scratch. Runs that share a scratch
+// must be sequential; the sweep gives each worker its own.
 type runScratch struct {
 	// runs is the run heap, a heapq min-heap under runLess holding
-	// exactly the running jobs: a completed run leaves it empty.
+	// exactly the running jobs' finishes: a completed run leaves it empty.
 	runs    []runEntry
 	popped  []runEntry
 	jobFree []*simJob
+	arrBufs [ringLen][]loadgen.Arrival
+	recBufs [ringLen][]simJob
 	pol     policyScratch
 }
 

@@ -149,3 +149,34 @@ func TestSweepErrors(t *testing.T) {
 		t.Fatalf("error does not name the failing run: %v", err)
 	}
 }
+
+// TestSweepWorkerKeepsBatches runs a capacity and then a policy config
+// on one runScratch, as a RunMany worker does: the first run makes the
+// pipeline's batches and leaves them in the scratch, and the second
+// refills those same arrays and makes none.
+func TestSweepWorkerKeepsBatches(t *testing.T) {
+	rs := &runScratch{}
+	batches := func() (ptrs []any) {
+		for i := range ringLen {
+			a, r := rs.arrBufs[i], rs.recBufs[i]
+			if cap(a) != batchLen || cap(r) != batchLen {
+				t.Fatalf("batch %d: capacities %d and %d, want %d", i, cap(a), cap(r), batchLen)
+			}
+			ptrs = append(ptrs, &a[:1][0], &r[:1][0])
+		}
+		return ptrs
+	}
+	cfgs := sweepTestConfigs(600)
+	if _, err := runScenario(cfgs[0], nil, rs); err != nil {
+		t.Fatal(err)
+	}
+	first := batches()
+	if _, err := runScenario(cfgs[1], nil, rs); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range batches() {
+		if p != first[i] {
+			t.Fatalf("the second run replaced batch %d of %d", i/2, ringLen)
+		}
+	}
+}
