@@ -511,7 +511,7 @@ func (s *scenario) schedulePass() {
 			return // aging barrier: a scanned job has waited too long
 		}
 		scanned++
-		if j.walltime > 0 && j.nodes <= s.free && now+int64(j.walltime) <= reserve {
+		if j.walltime > 0 && j.nodes <= s.free && j.walltime <= time.Duration(reserve-now) {
 			copy(s.pending[i:], s.pending[i+1:])
 			s.pending[len(s.pending)-1] = nil
 			s.pending = s.pending[:len(s.pending)-1]
@@ -560,7 +560,9 @@ func (s *scenario) startJob(j *simJob, backfilled bool) {
 	}
 	s.free -= j.nodes
 	j.start = s.now
-	j.end = s.now + int64(j.service)
+	if j.end = s.now + int64(j.service); j.end < s.now {
+		j.end = math.MaxInt64 // past time.Duration's range, where Sub saturates too
+	}
 	j.backfill = backfilled
 	if backfilled {
 		s.res.Backfilled++

@@ -359,6 +359,31 @@ func TestScenarioRejectsOversizedJobs(t *testing.T) {
 	}
 }
 
+// TestScenarioServicePastDurationRange runs jobs whose service exceeds
+// time.Duration's ~292 years, one after another on one node: they end
+// at the last instant a trace can hold instead of wrapping into the
+// past, and the trace keeps the bytes it had with time.Time instants.
+func TestScenarioServicePastDurationRange(t *testing.T) {
+	w := loadgen.Workload{
+		Version: loadgen.WorkloadVersion,
+		Name:    "forever",
+		Cohorts: []loadgen.Cohort{{
+			Name: "forever", Clients: 1, Jobs: 3,
+			Interarrival: loadgen.Dist{Kind: "constant", Mean: 60},
+			Procs:        loadgen.Dist{Kind: "constant", Mean: 8},
+			PPN:          8,
+			Service:      loadgen.Dist{Kind: "constant", Mean: 1e12},
+		}},
+	}
+	res, err := RunScenario(ScenarioConfig{Seed: 1, Nodes: 1, CoresPerNode: 8, Workload: w}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "2f452fdb4818bd4ab885303e780a37b70db631627dead3de5433c95bc3451fa8"; res.Completed != 3 || res.Digest != want {
+		t.Fatalf("%d completed, digest %s; want 3 and %s", res.Completed, res.Digest, want)
+	}
+}
+
 func TestScenarioMaxEventsGuard(t *testing.T) {
 	cfg := testConfig(500, FIFO, 3)
 	cfg.MaxEvents = 10
