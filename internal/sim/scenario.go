@@ -207,8 +207,8 @@ type simJob struct {
 }
 
 // runEntry is a running job's finish event, keyed by (end, schedule
-// sequence). The run heap holds them in firing order; the pending
-// arrival's key has the same shape and a nil job.
+// sequence) for the run heap; the pending arrival's key has the same
+// shape and a nil job.
 type runEntry struct {
 	end int64
 	seq int
