@@ -197,8 +197,8 @@ type nodeState struct {
 }
 
 // Generator produces background load for every node of a cluster. It is
-// not safe for concurrent use; the simulation world steps it from a single
-// goroutine.
+// not safe for concurrent use; the simulation world steps it from one
+// goroutine at a time, ahead of its own loop.
 type Generator struct {
 	cfg      Config
 	cl       *cluster.Cluster
@@ -355,6 +355,32 @@ func (g *Generator) NodeLoad(id int) NodeLoad {
 	nl.CPUUtilPct = stats.Clamp(nl.CPUUtilPct, 0, 100)
 	nl.UsedMemMB = stats.Clamp(nl.UsedMemMB, 0, g.cl.Node(id).TotalMemMB)
 	return nl
+}
+
+// Loads writes every node's NodeLoad into dst, which holds one entry per
+// node, in one pass over the sessions. Each node's sums run in session
+// order, as NodeLoad's do, so the two agree to the bit.
+func (g *Generator) Loads(dst []NodeLoad) {
+	for id := range g.nodes {
+		ns := &g.nodes[id]
+		dst[id] = NodeLoad{
+			CPULoad:    ns.loadBase.x,
+			CPUUtilPct: ns.utilBase.x,
+			UsedMemMB:  ns.memBase.x * g.cl.Node(id).TotalMemMB,
+		}
+	}
+	for _, s := range g.sessions {
+		nl := &dst[s.node]
+		nl.CPULoad += s.load
+		nl.CPUUtilPct += s.utilPct
+		nl.UsedMemMB += s.memMB
+		nl.Users += s.users
+	}
+	for id := range g.nodes {
+		nl := &dst[id]
+		nl.CPUUtilPct = stats.Clamp(nl.CPUUtilPct, 0, 100)
+		nl.UsedMemMB = stats.Clamp(nl.UsedMemMB, 0, g.cl.Node(id).TotalMemMB)
+	}
 }
 
 // Flows returns the currently active background network flows, in

@@ -7,11 +7,11 @@
 // Model: every flow is routed along the unique tree path between its
 // endpoints and charged to each traversed link. The available bandwidth of
 // a pair is the bottleneck (minimum) residual capacity along the path,
-// degraded by a per-link multiplicative jitter process that reproduces the
-// persistent fluctuation-around-a-topology-determined-base behaviour of
-// Figure 2(b). Latency grows with the utilization of the most congested
-// link on the path (queueing) on top of a per-hop store-and-forward base
-// and a fixed software (MPI stack) overhead.
+// degraded by a per-link multiplicative jitter process (Jitter) that
+// reproduces the persistent fluctuation-around-a-topology-determined-base
+// behaviour of Figure 2(b). Latency grows with the utilization of the
+// most congested link on the path (queueing) on top of a per-hop
+// store-and-forward base and a fixed software (MPI stack) overhead.
 package netmodel
 
 import (
@@ -88,19 +88,18 @@ type linkState struct {
 	cap     float64
 	traffic float64 // current charged traffic, bytes/sec
 	byOwner map[int]float64
-	jitter  float64 // multiplicative, mean-reverting around 1
-	rnd     *rng.Rand
+	jitter  float64 // the factor Update last took
 }
 
 // Network is the dynamic network state. Not safe for concurrent use; the
-// world steps and queries it from one goroutine (monitor daemons access it
-// through the world's lock), which also guards the lazily built routes.
+// world updates and queries it from one goroutine (monitor daemons access
+// it through the world's lock), which also guards the lazily built routes.
 type Network struct {
 	cfg   Config
 	topo  *topology.Topology
 	links map[topology.LinkID]*linkState
-	// all lists every link state once, in no particular order: resetting
-	// traffic and stepping jitter are per link (each link owns its RNG).
+	// all lists every link state once, in the order Update takes jitter
+	// factors (topology.Links's order at New).
 	all []*linkState
 	// edge[id] is node id's access link.
 	edge []*linkState
@@ -114,10 +113,8 @@ type Network struct {
 	gateway int
 }
 
-// New builds the network over topo, seeded for deterministic jitter.
-// Each link's jitter stream is derived from the link's identity, so the
-// model is reproducible regardless of map iteration order.
-func New(topo *topology.Topology, cfg Config, seed uint64) *Network {
+// New builds the network over topo, every link idle at jitter 1.
+func New(topo *topology.Topology, cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	nodes := topo.NumNodes()
 	n := &Network{
@@ -133,13 +130,10 @@ func New(topo *topology.Topology, cfg Config, seed uint64) *Network {
 		n.gateway = at0[0]
 	}
 	for _, l := range topo.Links() {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(l.String()))
 		ls := &linkState{
 			id:      l,
 			cap:     topo.Capacity(l),
 			jitter:  1,
-			rnd:     rng.New(seed ^ h.Sum64()),
 			byOwner: make(map[int]float64),
 		}
 		n.links[l] = ls
@@ -207,10 +201,56 @@ func (n *Network) routeOf(f Flow) []*linkState {
 	return n.route(f.Src, f.Dst)
 }
 
-// Update replaces the active flow set and advances the jitter processes
-// by dt. Call once per simulation step. Each link sums its flows in flow
-// order.
-func (n *Network) Update(dt time.Duration, flows []Flow) {
+// Jitter is the bandwidth jitter of a Network's links: one
+// multiplicative factor per link, mean-reverting around 1, each drawing
+// from a stream derived from the link's identity (so it is reproducible
+// whatever the map order). Traffic never feeds back into it, so it steps
+// apart from the Network, which takes its factors in Update.
+type Jitter struct {
+	sigma   float64
+	factors []float64
+	rnd     []*rng.Rand
+}
+
+// NewJitter returns the jitter of n's links, every factor at 1, in the
+// order Update takes them.
+func (n *Network) NewJitter(seed uint64) *Jitter {
+	j := &Jitter{sigma: n.cfg.JitterSigma, factors: make([]float64, len(n.all)), rnd: make([]*rng.Rand, len(n.all))}
+	for i, ls := range n.all {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(ls.id.String()))
+		j.factors[i] = 1
+		j.rnd[i] = rng.New(seed ^ h.Sum64())
+	}
+	return j
+}
+
+// Step advances every link's factor by dt.
+func (j *Jitter) Step(dt time.Duration) {
+	dtSec := dt.Seconds()
+	for i, x := range j.factors {
+		// Mean-reverting multiplicative jitter around 1, clamped to a
+		// physical range.
+		x += (1 - x) * dtSec / 120
+		x += j.sigma * math.Sqrt(dtSec/60) * j.rnd[i].Norm()
+		if x < 0.5 {
+			x = 0.5
+		}
+		if x > 1.15 {
+			x = 1.15
+		}
+		j.factors[i] = x
+	}
+}
+
+// Factors returns every link's current factor, in the order Update takes
+// them. The slice is the Jitter's own: Step overwrites it.
+func (j *Jitter) Factors() []float64 { return j.factors }
+
+// Update replaces the active flow set and every link's jitter factor,
+// jitter[i] for the link at i in NewJitter's order. Call once per
+// simulation step. Each link sums its flows in flow order.
+func (n *Network) Update(flows []Flow, jitter []float64) {
 	for _, ls := range n.all {
 		ls.traffic = 0
 		clear(ls.byOwner)
@@ -226,20 +266,8 @@ func (n *Network) Update(dt time.Duration, flows []Flow) {
 			}
 		}
 	}
-	if dt > 0 {
-		dtSec := dt.Seconds()
-		for _, ls := range n.all {
-			// Mean-reverting multiplicative jitter around 1, clamped to a
-			// physical range.
-			ls.jitter += (1 - ls.jitter) * dtSec / 120
-			ls.jitter += n.cfg.JitterSigma * math.Sqrt(dtSec/60) * ls.rnd.Norm()
-			if ls.jitter < 0.5 {
-				ls.jitter = 0.5
-			}
-			if ls.jitter > 1.15 {
-				ls.jitter = 1.15
-			}
-		}
+	for i, ls := range n.all {
+		ls.jitter = jitter[i]
 	}
 }
 

@@ -7,13 +7,16 @@ import (
 	"nlarm/internal/topology"
 )
 
+// update is Update with every jitter factor at 1.
+func update(n *Network, flows []Flow) { n.Update(flows, n.NewJitter(0).Factors()) }
+
 func testNet(t *testing.T) *Network {
 	t.Helper()
 	topo, err := topology.New(topology.DefaultIITK())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(topo, Config{JitterSigma: 1e-9}, 42) // near-zero jitter for exact assertions
+	return New(topo, Config{}) // no jitter steps: every factor stays 1
 }
 
 func TestIdleBandwidthNearCapacity(t *testing.T) {
@@ -42,7 +45,7 @@ func TestContentionReducesBandwidth(t *testing.T) {
 	n := testNet(t)
 	before := n.AvailBandwidthBps(0, 1)
 	// Saturate node 1's edge link with a background flow.
-	n.Update(time.Second, []Flow{{Src: 1, Dst: 2, RateBps: 100e6, Owner: BackgroundOwner}})
+	update(n, []Flow{{Src: 1, Dst: 2, RateBps: 100e6, Owner: BackgroundOwner}})
 	after := n.AvailBandwidthBps(0, 1)
 	if after >= before {
 		t.Fatalf("bandwidth did not drop under contention: %g -> %g", before, after)
@@ -55,7 +58,7 @@ func TestContentionReducesBandwidth(t *testing.T) {
 func TestMinShareFloor(t *testing.T) {
 	n := testNet(t)
 	// Overload far beyond capacity.
-	n.Update(time.Second, []Flow{{Src: 1, Dst: 2, RateBps: 500e6}})
+	update(n, []Flow{{Src: 1, Dst: 2, RateBps: 500e6}})
 	bw := n.AvailBandwidthBps(0, 1)
 	if bw <= 0 {
 		t.Fatalf("available bandwidth collapsed to %g; MinShareFrac floor should hold", bw)
@@ -64,7 +67,7 @@ func TestMinShareFloor(t *testing.T) {
 
 func TestOwnerExclusion(t *testing.T) {
 	n := testNet(t)
-	n.Update(time.Second, []Flow{
+	update(n, []Flow{
 		{Src: 0, Dst: 1, RateBps: 80e6, Owner: 7},
 		{Src: 1, Dst: 2, RateBps: 10e6, Owner: BackgroundOwner},
 	})
@@ -79,7 +82,7 @@ func TestTrunkContentionAffectsCrossSwitchOnly(t *testing.T) {
 	n := testNet(t)
 	// Saturate the 0-1 trunk with traffic between switches 0 and 1 using
 	// nodes not under test.
-	n.Update(time.Second, []Flow{
+	update(n, []Flow{
 		{Src: 2, Dst: 17, RateBps: 90e6},
 		{Src: 3, Dst: 18, RateBps: 90e6},
 	})
@@ -98,7 +101,7 @@ func TestLatencyGrowsWithHopsAndLoad(t *testing.T) {
 		t.Fatalf("latency not hop-ordered: %v vs %v", near, far)
 	}
 	idle := n.Latency(0, 16)
-	n.Update(time.Second, []Flow{{Src: 2, Dst: 17, RateBps: 100e6}})
+	update(n, []Flow{{Src: 2, Dst: 17, RateBps: 100e6}})
 	loaded := n.Latency(0, 16)
 	if loaded <= idle {
 		t.Fatalf("latency did not grow under load: %v -> %v", idle, loaded)
@@ -124,7 +127,7 @@ func TestNodeFlowRate(t *testing.T) {
 	if r := n.NodeFlowRateBps(4); r != 0 {
 		t.Fatalf("idle node flow rate %g", r)
 	}
-	n.Update(time.Second, []Flow{
+	update(n, []Flow{
 		{Src: 4, Dst: 9, RateBps: 30e6},
 		{Src: 2, Dst: 4, RateBps: 20e6},
 	})
@@ -141,7 +144,7 @@ func TestExternalFlowLoadsPathToGateway(t *testing.T) {
 	n := testNet(t)
 	// External flow from a switch-3 node must cross every trunk to the
 	// switch-0 gateway.
-	n.Update(time.Second, []Flow{{Src: 59, Dst: -1, RateBps: 50e6}})
+	update(n, []Flow{{Src: 59, Dst: -1, RateBps: 50e6}})
 	if r := n.NodeFlowRateBps(59); r != 50e6 {
 		t.Fatalf("external flow not charged at source: %g", r)
 	}
@@ -154,7 +157,7 @@ func TestExternalFlowLoadsPathToGateway(t *testing.T) {
 
 func TestExternalFlowFromSwitch0OnlyEdge(t *testing.T) {
 	n := testNet(t)
-	n.Update(time.Second, []Flow{{Src: 0, Dst: -1, RateBps: 40e6}})
+	update(n, []Flow{{Src: 0, Dst: -1, RateBps: 40e6}})
 	if tr := n.links[topology.TrunkLink(0, 1)].traffic; tr != 0 {
 		t.Fatalf("switch-0 external flow loaded trunk 0-1: %g", tr)
 	}
@@ -162,7 +165,7 @@ func TestExternalFlowFromSwitch0OnlyEdge(t *testing.T) {
 
 func TestSelfAndZeroFlowsIgnored(t *testing.T) {
 	n := testNet(t)
-	n.Update(time.Second, []Flow{
+	update(n, []Flow{
 		{Src: 3, Dst: 3, RateBps: 50e6},
 		{Src: 4, Dst: 5, RateBps: 0},
 		{Src: 4, Dst: 5, RateBps: -10},
@@ -174,8 +177,8 @@ func TestSelfAndZeroFlowsIgnored(t *testing.T) {
 
 func TestUpdateReplacesFlows(t *testing.T) {
 	n := testNet(t)
-	n.Update(time.Second, []Flow{{Src: 0, Dst: 1, RateBps: 50e6}})
-	n.Update(time.Second, nil)
+	update(n, []Flow{{Src: 0, Dst: 1, RateBps: 50e6}})
+	update(n, nil)
 	if r := n.NodeFlowRateBps(0); r != 0 {
 		t.Fatalf("flows not cleared: %g", r)
 	}
@@ -183,9 +186,11 @@ func TestUpdateReplacesFlows(t *testing.T) {
 
 func TestJitterStaysBounded(t *testing.T) {
 	topo, _ := topology.New(topology.DefaultIITK())
-	n := New(topo, Config{JitterSigma: 0.5}, 7) // violent jitter
+	n := New(topo, Config{JitterSigma: 0.5}) // violent jitter
+	j := n.NewJitter(7)
 	for i := 0; i < 10000; i++ {
-		n.Update(time.Second, nil)
+		j.Step(time.Second)
+		n.Update(nil, j.Factors())
 	}
 	bw := n.AvailBandwidthBps(0, 1)
 	if bw < 0.4*topology.GigabitBps || bw > 1.3*topology.GigabitBps {
@@ -195,11 +200,14 @@ func TestJitterStaysBounded(t *testing.T) {
 
 func TestDeterministicJitter(t *testing.T) {
 	topo, _ := topology.New(topology.DefaultIITK())
-	n1 := New(topo, Config{}, 5)
-	n2 := New(topo, Config{}, 5)
+	n1 := New(topo, Config{})
+	n2 := New(topo, Config{})
+	j1, j2 := n1.NewJitter(5), n2.NewJitter(5)
 	for i := 0; i < 100; i++ {
-		n1.Update(time.Second, nil)
-		n2.Update(time.Second, nil)
+		j1.Step(time.Second)
+		j2.Step(time.Second)
+		n1.Update(nil, j1.Factors())
+		n2.Update(nil, j2.Factors())
 	}
 	if n1.AvailBandwidthBps(0, 59) != n2.AvailBandwidthBps(0, 59) {
 		t.Fatal("same-seed networks diverged")
@@ -231,7 +239,7 @@ func TestContentionMonotonicityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, Config{JitterSigma: 1e-9}, 3)
+	n := New(topo, Config{})
 	pairs := [][2]int{{0, 1}, {0, 16}, {5, 59}, {20, 40}}
 	baseline := make([]float64, len(pairs))
 	for i, p := range pairs {
@@ -251,7 +259,7 @@ func TestContentionMonotonicityProperty(t *testing.T) {
 	prev := append([]float64(nil), baseline...)
 	for _, f := range sources {
 		flows = append(flows, f)
-		n.Update(0, flows) // dt=0: no jitter movement
+		update(n, flows)
 		for i, p := range pairs {
 			cur := n.AvailBandwidthBps(p[0], p[1])
 			if cur > prev[i]+1 { // +1 byte/s numeric slack

@@ -49,8 +49,8 @@ func sameLinks(a, b []topology.LinkID) bool {
 }
 
 // refCharge is how Update charged flows before routes: a map lookup per
-// link of every flow's path. It runs after ref.Update(dt, nil), which
-// resets the traffic and steps the jitter, both per link.
+// link of every flow's path. It runs after ref.Update(nil, jitter), which
+// resets the traffic and takes the jitter, both per link.
 func refCharge(n *Network, flows []Flow) {
 	for _, f := range flows {
 		if f.RateBps <= 0 || f.Src == f.Dst {
@@ -107,7 +107,10 @@ func refLatency(n *Network, u, v int) time.Duration {
 func TestRoutesMatchPaths(t *testing.T) {
 	for name, topo := range routeTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			n, ref := New(topo, Config{}, 7), New(topo, Config{}, 7)
+			n, ref := New(topo, Config{}), New(topo, Config{})
+			// Each network orders its links its own way; a link's stream
+			// depends on its identity alone, so the factors agree per link.
+			jn, jref := n.NewJitter(7), ref.NewJitter(7)
 			nodes := topo.NumNodes()
 			for u := 0; u < nodes; u++ {
 				if got, want := linkIDs(n.externalRoute(u)), n.externalPath(u); !sameLinks(got, want) {
@@ -125,8 +128,10 @@ func TestRoutesMatchPaths(t *testing.T) {
 				for i := range flows {
 					flows[i] = Flow{Src: r.Intn(nodes), Dst: r.Intn(nodes+3) - 3, RateBps: r.Range(-1e6, 200e6), Owner: r.Intn(4)}
 				}
-				n.Update(5*time.Second, flows)
-				ref.Update(5*time.Second, nil)
+				jn.Step(5 * time.Second)
+				jref.Step(5 * time.Second)
+				n.Update(flows, jn.Factors())
+				ref.Update(nil, jref.Factors())
 				refCharge(ref, flows)
 				for u := 0; u < nodes; u++ {
 					if got, want := n.NodeFlowRateBps(u), ref.NodeFlowRateBps(u); math.Float64bits(got) != math.Float64bits(want) {
@@ -160,8 +165,9 @@ func TestUpdateAllocs(t *testing.T) {
 		{Src: 40, Dst: 17, RateBps: 20e6, Owner: 4},
 		{Src: 2, Dst: 2, RateBps: 1e6},
 	}
-	n.Update(time.Second, flows)
-	if a := testing.AllocsPerRun(100, func() { n.Update(time.Second, flows) }); a != 0 {
+	j := n.NewJitter(1)
+	n.Update(flows, j.Factors())
+	if a := testing.AllocsPerRun(100, func() { n.Update(flows, j.Factors()) }); a != 0 {
 		t.Fatalf("warmed Update allocates %v times, want 0", a)
 	}
 }

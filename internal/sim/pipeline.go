@@ -65,9 +65,11 @@ func (s *scenario) start(gen *loadgen.WorkloadGen, tw *trace.JobTraceWriter) {
 	}(s.arrivals)
 	go func(r ring[simJob]) {
 		defer s.stages.Done()
+		var rec trace.JobRecord
 		for b := range r.full {
 			for i := range b {
-				if err := tw.Write(b[i].record()); err != nil && s.writeErr == nil {
+				b[i].record(&rec)
+				if err := tw.Write(&rec); err != nil && s.writeErr == nil {
 					s.writeErr = err
 				}
 			}

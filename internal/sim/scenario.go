@@ -600,32 +600,22 @@ func (s *scenario) finishJob(j *simJob) {
 	s.releaseJob(j)
 }
 
-// record is j's trace record, built on the consumer: times in seconds
-// since cfg.Start (start and end -1 for a rejection), as
+// record fills rec, the consumer's one record, with j's: times in
+// seconds since cfg.Start (start and end -1 for a rejection), as
 // Duration(ns).Seconds() is the double t.Sub(cfg.Start).Seconds() gives.
-func (j *simJob) record() trace.JobRecord {
-	rec := trace.JobRecord{
-		ID:         j.id,
-		Cohort:     j.cohort,
-		Client:     j.client,
-		Procs:      j.procs,
-		PPN:        j.ppn,
-		Priority:   j.priority,
-		SubmitSec:  time.Duration(j.submit).Seconds(),
-		StartSec:   -1,
-		EndSec:     -1,
-		Nodes:      j.nodes,
-		Backfilled: j.backfill,
-		CLCost:     j.clCost,
-		NLCost:     j.nlCost,
-	}
+func (j *simJob) record(rec *trace.JobRecord) {
+	rec.ID, rec.Cohort, rec.Client = j.id, j.cohort, j.client
+	rec.Procs, rec.PPN, rec.Priority = j.procs, j.ppn, j.priority
+	rec.SubmitSec, rec.StartSec, rec.EndSec = time.Duration(j.submit).Seconds(), -1, -1
 	if !j.rejected {
 		rec.StartSec, rec.EndSec = time.Duration(j.start).Seconds(), time.Duration(j.end).Seconds()
 	}
+	rec.WalltimeSec = 0
 	if j.walltime > 0 {
 		rec.WalltimeSec = j.walltime.Seconds()
 	}
-	return rec
+	rec.Nodes, rec.Backfilled = j.nodes, j.backfill
+	rec.CLCost, rec.NLCost = j.clCost, j.nlCost
 }
 
 // runLess orders events by (instant, schedule sequence).

@@ -1,10 +1,7 @@
 package simtime
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,8 +88,6 @@ func (r *refScheduler) At(at time.Time, _ string, fn func(time.Time)) CancelFunc
 	return r.schedule(at, fn, 0)
 }
 
-func (r *refScheduler) Post(at time.Time, _ string, fn func(time.Time)) { r.schedule(at, fn, 0) }
-
 func (r *refScheduler) After(d time.Duration, _ string, fn func(time.Time)) CancelFunc {
 	return r.schedule(r.now.Add(d), fn, 0)
 }
@@ -157,7 +152,6 @@ func (r *refScheduler) Pending() int {
 type clock interface {
 	Now() time.Time
 	At(time.Time, string, func(time.Time)) CancelFunc
-	Post(time.Time, string, func(time.Time))
 	After(time.Duration, string, func(time.Time)) CancelFunc
 	Every(time.Duration, string, func(time.Time)) CancelFunc
 	Step() bool
@@ -183,10 +177,11 @@ type runOutcome struct {
 }
 
 // runSchedule plays the seed's schedule on c. Phases each schedule a
-// batch of events — At, Post, After, self-cancelling Every, At cancelled
-// at once, and cancels of earlier events — then run to a deadline drawn
-// from the pool; some one-shot events post a child when they fire, at
-// an offset that may be zero or negative. Every draw is made while
+// batch of events — At (twice as likely as the rest), After,
+// self-cancelling Every, At cancelled at once, and cancels of earlier
+// events — then run to a deadline drawn from the pool; some one-shot
+// events schedule a child when they fire, at an offset that may be zero
+// or negative. Every draw is made while
 // scheduling, so both clocks see the same schedule.
 func runSchedule(c clock, seed uint64) orderLog {
 	r := rng.New(seed)
@@ -208,7 +203,7 @@ func runSchedule(c clock, seed uint64) orderLog {
 		return func(now time.Time) {
 			log.fired = append(log.fired, fireRec{id, now})
 			if child >= 0 {
-				c.Post(now.Add(offset), "child", func(now time.Time) { log.fired = append(log.fired, fireRec{child, now}) })
+				c.At(now.Add(offset), "child", func(now time.Time) { log.fired = append(log.fired, fireRec{child, now}) })
 			}
 		}
 	}
@@ -220,7 +215,7 @@ func runSchedule(c clock, seed uint64) orderLog {
 			case 0:
 				cancel = c.At(pool[r.Intn(len(pool))], "at", oneShot(id))
 			case 1:
-				c.Post(pool[r.Intn(len(pool))], "post", oneShot(id))
+				c.At(pool[r.Intn(len(pool))], "at", oneShot(id))
 			case 2:
 				cancel = c.After(duration(), "after", oneShot(id))
 			case 3:
@@ -271,110 +266,5 @@ func TestSchedulerOrderMatchesReference(t *testing.T) {
 			}
 			t.Fatalf("seed %d: got %+v\nwant %+v", seed, got, want)
 		}
-	}
-}
-
-// TestPostStepAllocatesNothing guards Post's free list: once a fired
-// posted event is back on it, posting and firing the next allocates
-// nothing, whether the driver posts it or the callback before it does.
-func TestPostStepAllocatesNothing(t *testing.T) {
-	s := NewScheduler(epoch)
-	fn := func(time.Time) {}
-	s.Post(s.Now().Add(time.Second), "warm", fn)
-	for s.Step() {
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		s.Post(s.Now().Add(time.Second), "post", fn)
-		if !s.Step() {
-			t.Fatal("posted event did not fire")
-		}
-	}); n != 0 {
-		t.Fatalf("Post + Step allocates %v objects per event, want 0", n)
-	}
-
-	var fired []time.Time
-	var chain func(now time.Time)
-	chain = func(now time.Time) {
-		fired = append(fired, now)
-		s.Post(now.Add(time.Second), "chain", chain)
-	}
-	fired = make([]time.Time, 0, 202)
-	start := s.Now()
-	s.Post(start, "chain", chain)
-	if n := testing.AllocsPerRun(200, func() {
-		if !s.Step() {
-			t.Fatal("chain broke")
-		}
-	}); n != 0 {
-		t.Fatalf("a callback posting its successor allocates %v objects per event, want 0", n)
-	}
-	for i, now := range fired {
-		if want := start.Add(time.Duration(i) * time.Second); !now.Equal(want) {
-			t.Fatalf("chain firing %d at %v, want %v", i, now, want)
-		}
-	}
-	if len(fired) != 201 || s.Pending() != 1 {
-		t.Fatalf("chain fired %d times with %d pending, want 201 and 1", len(fired), s.Pending())
-	}
-}
-
-// TestPostReusesUnderConcurrentStep posts from several goroutines while
-// another steps, so events go back to the free list and come off it
-// concurrently: under the race detector, every posted event fires once.
-func TestPostReusesUnderConcurrentStep(t *testing.T) {
-	s := NewScheduler(epoch)
-	var fired atomic.Int64
-	fn := func(time.Time) { fired.Add(1) }
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s.Post(s.Now().Add(time.Duration(i%7)*time.Millisecond), "conc", fn)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 600; i++ {
-			s.Step()
-		}
-	}()
-	wg.Wait()
-	<-done
-	for s.Step() {
-	}
-	if n := fired.Load(); n != 800 {
-		t.Fatalf("%d of 800 posted events fired", n)
-	}
-}
-
-// TestCancelFuncNeverTouchesReusedEvent fires an At, an After and an
-// Every event, then posts events while calling the fired events'
-// CancelFuncs: the CancelFuncs still hold their events, so none may come
-// back through Post, and every posted event fires.
-func TestCancelFuncNeverTouchesReusedEvent(t *testing.T) {
-	s := NewScheduler(epoch)
-	var fired []string
-	log := func(name string) func(time.Time) { return func(time.Time) { fired = append(fired, name) } }
-	s.Post(epoch, "warm", log("warm")) // one event on the free list
-	cancels := []CancelFunc{
-		s.At(epoch.Add(time.Second), "at", log("at")),
-		s.After(2*time.Second, "after", log("after")),
-		s.Every(3*time.Second, "every", log("every")),
-	}
-	s.RunUntil(epoch.Add(3 * time.Second))
-	for i, cancel := range cancels {
-		cancel()
-		name := fmt.Sprint("post-", i)
-		s.Post(s.Now().Add(time.Second), name, log(name))
-		cancel()
-	}
-	s.RunUntil(epoch.Add(time.Minute))
-	want := []string{"warm", "at", "after", "every", "post-0", "post-1", "post-2"}
-	if !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }

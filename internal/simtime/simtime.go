@@ -40,8 +40,6 @@ type event struct {
 	fn     func(now time.Time)
 	period time.Duration // 0 for one-shot
 	done   bool
-	posted bool   // from Post: no CancelFunc holds it, so Step may reuse it
-	next   *event // the next free event, while on the free list
 }
 
 // instant is a time as two integers that order as Before and Equal
@@ -77,7 +75,6 @@ type Scheduler struct {
 	now   time.Time
 	seq   uint64
 	queue []*event // a heapq min-heap under eventLess
-	free  *event   // fired posted events, which Post reuses
 }
 
 // NewScheduler returns a scheduler whose virtual clock starts at start.
@@ -92,17 +89,16 @@ func (s *Scheduler) Now() time.Time {
 	return s.now
 }
 
-// scheduleLocked fills e, a new event or a free one, and queues it with
-// s.mu held. Callers that derive the target from the current clock
-// (After, Every) hold the lock across the Now() read and the heap insert
-// — with two separate lock acquisitions a concurrent Step could advance
-// the clock in between and the event would be silently clamped to a
-// later instant.
-func (s *Scheduler) scheduleLocked(e *event, at time.Time, name string, fn func(time.Time), period time.Duration) *event {
+// scheduleLocked makes an event and queues it with s.mu held. Callers
+// that derive the target from the current clock (After, Every) hold the
+// lock across the Now() read and the heap insert — with two separate
+// lock acquisitions a concurrent Step could advance the clock in between
+// and the event would be silently clamped to a later instant.
+func (s *Scheduler) scheduleLocked(at time.Time, name string, fn func(time.Time), period time.Duration) *event {
 	if at.Before(s.now) {
 		at = s.now
 	}
-	*e = event{at: at, key: instantOf(at), seq: s.seq, name: name, fn: fn, period: period}
+	e := &event{at: at, key: instantOf(at), seq: s.seq, name: name, fn: fn, period: period}
 	s.seq++
 	s.queue = heapq.Push(s.queue, e, eventLess)
 	return e
@@ -117,32 +113,16 @@ func (s *Scheduler) cancel(e *event) {
 // At schedules fn to run once at time at (clamped to Now if in the past).
 func (s *Scheduler) At(at time.Time, name string, fn func(now time.Time)) CancelFunc {
 	s.mu.Lock()
-	e := s.scheduleLocked(new(event), at, name, fn, 0)
+	e := s.scheduleLocked(at, name, fn, 0)
 	s.mu.Unlock()
 	return func() { s.cancel(e) }
-}
-
-// Post is At for an event nobody cancels. It makes no CancelFunc, so
-// nothing refers to the event once Step has popped it: Step keeps it on
-// a free list and Post reuses it, and a steady stream of posts allocates
-// nothing.
-func (s *Scheduler) Post(at time.Time, name string, fn func(now time.Time)) {
-	s.mu.Lock()
-	e := s.free
-	if e != nil {
-		s.free = e.next
-	} else {
-		e = new(event)
-	}
-	s.scheduleLocked(e, at, name, fn, 0).posted = true
-	s.mu.Unlock()
 }
 
 // After schedules fn to run once after d (a non-positive d fires at the
 // current instant, after events already queued there).
 func (s *Scheduler) After(d time.Duration, name string, fn func(now time.Time)) CancelFunc {
 	s.mu.Lock()
-	e := s.scheduleLocked(new(event), s.now.Add(d), name, fn, 0)
+	e := s.scheduleLocked(s.now.Add(d), name, fn, 0)
 	s.mu.Unlock()
 	return func() { s.cancel(e) }
 }
@@ -154,7 +134,7 @@ func (s *Scheduler) Every(period time.Duration, name string, fn func(now time.Ti
 		panic(fmt.Sprintf("simtime: Every(%v) for %q: period must be positive", period, name))
 	}
 	s.mu.Lock()
-	e := s.scheduleLocked(new(event), s.now.Add(period), name, fn, period)
+	e := s.scheduleLocked(s.now.Add(period), name, fn, period)
 	s.mu.Unlock()
 	return func() { s.cancel(e) }
 }
@@ -184,8 +164,6 @@ func (s *Scheduler) Step() bool {
 			e.seq = s.seq
 			s.seq++
 			s.queue = heapq.Push(s.queue, e, eventLess)
-		} else if e.posted {
-			e.fn, e.name, e.next, s.free = nil, "", s.free, e
 		}
 		s.mu.Unlock()
 		fn(now)

@@ -18,7 +18,7 @@ func recordLine(t testing.TB, tw *JobTraceWriter, out *bytes.Buffer, rec JobReco
 		t.Fatal(err)
 	}
 	n := out.Len()
-	err := tw.Write(rec)
+	err := tw.Write(&rec)
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +222,12 @@ func TestJobTraceWriteAllocatesNothing(t *testing.T) {
 	rec := JobRecord{ID: 123456, Cohort: "interactive", Client: 41, Procs: 12, PPN: 4, Priority: 1,
 		SubmitSec: 86400.123456789, StartSec: 86512.5, EndSec: 87012.000001, WalltimeSec: 450,
 		Nodes: 3, Backfilled: true, CLCost: 2.718281828459045, NLCost: 1e-7}
-	if err := tw.Write(rec); err != nil {
+	if err := tw.Write(&rec); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		rec.ID++
-		if err := tw.Write(rec); err != nil {
+		if err := tw.Write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -128,18 +128,18 @@ func (tw *JobTraceWriter) writeLine(line []byte) {
 	tw.err = tw.w.WriteByte('\n')
 }
 
-// Write appends one record line, the bytes json.Marshal writes for rec
-// and a newline.
-func (tw *JobTraceWriter) Write(rec JobRecord) error {
+// Write appends one record line, the bytes json.Marshal writes for *rec
+// and a newline. It does not keep rec.
+func (tw *JobTraceWriter) Write(rec *JobRecord) error {
 	if tw.err != nil {
 		return tw.err
 	}
-	line, ok := appendJobRecord(tw.line[:0], &rec)
+	line, ok := appendJobRecord(tw.line[:0], rec)
 	if !ok {
 		// A cohort that needs escaping or a NaN or infinite float:
 		// encoding/json writes the one, and refuses the other as it always
 		// has.
-		b, err := json.Marshal(rec)
+		b, err := json.Marshal(*rec)
 		if err != nil {
 			return fmt.Errorf("trace: marshal job record: %w", err)
 		}

@@ -24,7 +24,7 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	}
 	want := sampleRecords()
 	for _, rec := range want {
-		if err := tw.Write(rec); err != nil {
+		if err := tw.Write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestJobTraceWriterDeterministicBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range sampleRecords() {
-			if err := tw.Write(rec); err != nil {
+			if err := tw.Write(&rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestJobTraceV1BackwardCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range sampleRecords() {
-		if err := tw.Write(rec); err != nil {
+		if err := tw.Write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestJobTraceCostFieldsRoundTrip(t *testing.T) {
 	rec := sampleRecords()[0]
 	rec.CLCost = 3.25
 	rec.NLCost = 0.125
-	if err := tw.Write(rec); err != nil {
+	if err := tw.Write(&rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
@@ -204,7 +204,7 @@ func rewriteJobTrace(t *testing.T, hdr JobTraceHeader, recs []JobRecord) []byte 
 		t.Fatalf("writer refused an accepted header %+v: %v", hdr, err)
 	}
 	for _, rec := range recs {
-		if err := tw.Write(rec); err != nil {
+		if err := tw.Write(&rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func FuzzReadJobTrace(f *testing.F) {
 	}
 	for _, rec := range sampleRecords() {
 		rec.CLCost, rec.NLCost = 1.5, 0.25
-		if err := tw.Write(rec); err != nil {
+		if err := tw.Write(&rec); err != nil {
 			f.Fatal(err)
 		}
 	}

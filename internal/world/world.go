@@ -5,11 +5,18 @@
 // allocator never reads it directly.
 //
 // The world advances in fixed steps driven by a simtime.Runtime. In each
-// step the background generator evolves, every running job progresses at
+// step the world takes the background's next frame (every node's load,
+// the background flows and every link's jitter, stepped ahead by a
+// fill worker, see ahead.go), every running job progresses at
 // rates dictated by current CPU contention and network state, and the
 // network's link traffic is rebuilt from all active flows (background +
 // jobs + probes), closing the feedback loop: a job slows down the links
 // and nodes it uses, which other jobs and the monitor then observe.
+//
+// The background moves on the world's grid, start + k·StepSize: a StepTo
+// that jumps several steps advances it a whole step at a time, and one
+// between grid instants leaves it at the last instant passed. Jobs and
+// probes advance by the real interval either way.
 package world
 
 import (
@@ -29,9 +36,9 @@ import (
 type Config struct {
 	// Seed drives all stochastic components.
 	Seed uint64
-	// StepSize is the simulation step; it bounds the reaction time of the
-	// feedback loop. Trace generation can use seconds; job experiments
-	// should use <= 250ms. Default 250ms.
+	// StepSize is the simulation step and the background's grid; it
+	// bounds the reaction time of the feedback loop. Trace generation can
+	// use seconds; job experiments should use <= 250ms. Default 250ms.
 	StepSize time.Duration
 	// Background configures the shared-cluster activity generator.
 	Background loadgen.Config
@@ -64,7 +71,7 @@ type World struct {
 	mu  sync.Mutex
 	cfg Config
 	cl  *cluster.Cluster
-	bg  *loadgen.Generator
+	bg  *ahead
 	net *netmodel.Network
 	now time.Time
 
@@ -88,19 +95,19 @@ func New(cl *cluster.Cluster, cfg Config, start time.Time) *World {
 	if cfg.StepSize <= 0 {
 		cfg.StepSize = 250 * time.Millisecond
 	}
+	net := netmodel.New(cl.Topo, cfg.Net)
 	w := &World{
 		cfg:     cfg,
 		cl:      cl,
-		bg:      loadgen.New(cl, cfg.Background, cfg.Seed),
-		net:     netmodel.New(cl.Topo, cfg.Net, cfg.Seed+0x9e37),
+		bg:      newAhead(cl, loadgen.New(cl, cfg.Background, cfg.Seed), net.NewJitter(cfg.Seed+0x9e37), start, cfg.StepSize),
+		net:     net,
 		now:     start,
 		nextJob: 1, // 0 is netmodel.BackgroundOwner
 		onDone:  make(map[int]func(mpisim.Result)),
 		down:    make(map[int]bool),
 	}
-	w.bg.Start(start)
 	// Prime the network with the initial background flows.
-	w.net.Update(0, w.collectFlowsLocked())
+	w.net.Update(w.collectFlowsLocked(), w.bg.jitter)
 	return w
 }
 
@@ -108,8 +115,16 @@ func New(cl *cluster.Cluster, cfg Config, start time.Time) *World {
 func (w *World) Cluster() *cluster.Cluster { return w.cl }
 
 // Attach registers the world's step on rt so it advances automatically.
+// The returned CancelFunc also waits out the background's fill in
+// flight, so no fill of a detached world is left running.
 func (w *World) Attach(rt simtime.Runtime) simtime.CancelFunc {
-	return rt.Every(w.cfg.StepSize, "world.step", w.StepTo)
+	cancel := rt.Every(w.cfg.StepSize, "world.step", w.StepTo)
+	return func() {
+		cancel()
+		w.mu.Lock()
+		w.bg.settle()
+		w.mu.Unlock()
+	}
 }
 
 // StepTo advances the world to the given time (no-op if not after the
@@ -122,7 +137,7 @@ func (w *World) StepTo(now time.Time) {
 		w.mu.Unlock()
 		return
 	}
-	w.bg.Step(now, dt)
+	w.bg.to(now)
 
 	env := envView{w: w}
 	for i, j := range w.jobs {
@@ -143,7 +158,7 @@ func (w *World) StepTo(now time.Time) {
 		}
 	}
 	w.probes = live
-	w.net.Update(dt, w.collectFlowsLocked())
+	w.net.Update(w.collectFlowsLocked(), w.bg.jitter)
 	w.now = now
 
 	callbacks := w.pendingDone
@@ -173,10 +188,7 @@ func (w *World) compactJobsLocked() {
 // collectFlowsLocked gathers background, job, and probe flows, in that
 // order, into a buffer reused by the next call.
 func (w *World) collectFlowsLocked() []netmodel.Flow {
-	flows := w.flows[:0]
-	for _, f := range w.bg.Flows() {
-		flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
-	}
+	flows := append(w.flows[:0], w.bg.flows...)
 	for _, j := range w.jobs {
 		for _, f := range j.Flows() {
 			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: j.ID})
@@ -199,7 +211,7 @@ func (e envView) NodeCores(id int) int       { return e.w.cl.Node(id).Cores }
 func (e envView) NodeFreqGHz(id int) float64 { return e.w.cl.Node(id).FreqGHz }
 
 func (e envView) NodeBackgroundLoad(id int, exceptJob int) float64 {
-	load := e.w.bg.NodeLoad(id).CPULoad
+	load := e.w.bg.loads[id].CPULoad
 	for _, j := range e.w.jobs {
 		if j == nil || j.ID == exceptJob { // nil: finished earlier in this step
 			continue
@@ -267,7 +279,7 @@ func (w *World) SampleNode(id int) (NodeSample, error) {
 }
 
 func (w *World) sampleNodeLocked(id int) NodeSample {
-	nl := w.bg.NodeLoad(id)
+	nl := w.bg.loads[id]
 	spec := w.cl.Node(id)
 	s := NodeSample{
 		CPULoad:     nl.CPULoad,

@@ -1,10 +1,15 @@
 package world
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"nlarm/internal/cluster"
+	"nlarm/internal/loadgen"
 	"nlarm/internal/mpisim"
 	"nlarm/internal/netmodel"
 	"nlarm/internal/simtime"
@@ -22,13 +27,18 @@ func running(w *World, id int) bool {
 	return false
 }
 
-func testWorld(t *testing.T, seed uint64) *World {
+func testCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.BuildIITK()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(cl, Config{Seed: seed, StepSize: 100 * time.Millisecond}, t0)
+	return cl
+}
+
+func testWorld(t *testing.T, seed uint64) *World {
+	t.Helper()
+	return New(testCluster(t), Config{Seed: seed, StepSize: 100 * time.Millisecond}, t0)
 }
 
 func advance(w *World, from time.Time, dur, step time.Duration) time.Time {
@@ -386,7 +396,8 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 // sessions, a job's traffic and a probe) at zero allocations once the
 // world's buffers are warm.
 func TestCollectFlowsAllocs(t *testing.T) {
-	w := testWorld(t, 9)
+	// Stepped in 5 s jumps, so a 5 s grid: one background step a jump.
+	w := New(testCluster(t), Config{Seed: 9, StepSize: 5 * time.Second}, t0)
 	place, err := mpisim.NewPlacement(8, []int{0, 16}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -408,5 +419,210 @@ func TestCollectFlowsAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { w.collectFlowsLocked() }); a != 0 {
 		t.Fatalf("warmed collectFlowsLocked allocates %v times, want 0", a)
+	}
+}
+
+// background is what the world shows of its background at an instant:
+// every node's sample, the flows it charges, and the bandwidth and
+// latency of a spread of pairs. With no job running it is the
+// background alone.
+type background struct {
+	samples []NodeSample
+	flows   []netmodel.Flow
+	avail   []float64
+	lat     []time.Duration
+}
+
+func readBackground(t *testing.T, w *World) background {
+	t.Helper()
+	var b background
+	n := w.cl.Size()
+	for id := 0; id < n; id++ {
+		s, err := w.SampleNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.samples = append(b.samples, s)
+		for _, v := range []int{(id + 1) % n, (id*7 + 13) % n, n - 1 - id} {
+			avail, _, err := w.MeasureBandwidth(id, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat, err := w.MeasureLatency(id, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.avail, b.lat = append(b.avail, avail), append(b.lat, lat)
+		}
+	}
+	w.mu.Lock()
+	b.flows = slices.Clone(w.collectFlowsLocked())
+	w.mu.Unlock()
+	return b
+}
+
+func sameBackground(t *testing.T, what string, got, want background) {
+	t.Helper()
+	if !slices.Equal(got.samples, want.samples) {
+		for id := range want.samples {
+			if got.samples[id] != want.samples[id] {
+				t.Fatalf("%s: node %d reads %+v, want %+v", what, id, got.samples[id], want.samples[id])
+			}
+		}
+	}
+	if !slices.Equal(got.flows, want.flows) {
+		t.Fatalf("%s: flows %v, want %v", what, got.flows, want.flows)
+	}
+	if !slices.Equal(got.avail, want.avail) || !slices.Equal(got.lat, want.lat) {
+		t.Fatalf("%s: pair bandwidths or latencies differ", what)
+	}
+}
+
+// TestBackgroundMatchesInlineReference steps a bare generator and the
+// links' jitter inline on the grid, the reference for the run-ahead,
+// over more than three wraps of the world's ring, and requires the
+// world to read the same at every step: a frame dropped or taken twice
+// shifts every reading after it.
+func TestBackgroundMatchesInlineReference(t *testing.T) {
+	const seed = 31
+	// Busy enough that flows start and end within the test's hours.
+	cfg := Config{Seed: seed, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
+	w := New(testCluster(t), cfg, t0)
+	gen := loadgen.New(w.cl, cfg.Background, seed)
+	gen.Start(t0)
+	net := netmodel.New(w.cl.Topo, cfg.Net)
+	jit := net.NewJitter(seed + 0x9e37)
+	var flows []netmodel.Flow
+	update := func() {
+		flows = flows[:0]
+		for _, f := range gen.Flows() {
+			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
+		}
+		net.Update(flows, jit.Factors())
+	}
+	update()
+	ref := func() background {
+		var b background
+		n := w.cl.Size()
+		for id := 0; id < n; id++ {
+			nl := gen.NodeLoad(id)
+			b.samples = append(b.samples, NodeSample{CPULoad: nl.CPULoad, CPUUtilPct: nl.CPUUtilPct,
+				UsedMemMB: nl.UsedMemMB, Users: nl.Users, FlowRateBps: net.NodeFlowRateBps(id)})
+			for _, v := range []int{(id + 1) % n, (id*7 + 13) % n, n - 1 - id} {
+				b.avail = append(b.avail, net.AvailBandwidthBps(id, v))
+				b.lat = append(b.lat, net.Latency(id, v))
+			}
+		}
+		b.flows = slices.Clone(flows)
+		return b
+	}
+	ring := 2 * w.bg.perBatch
+	steps := 3*ring + ring/2
+	changed := 0
+	now := t0
+	for k := 0; k <= steps; k++ {
+		if k > 0 {
+			now = now.Add(cfg.StepSize)
+			prev := len(flows)
+			gen.Step(now, cfg.StepSize)
+			jit.Step(cfg.StepSize)
+			update()
+			if len(flows) != prev {
+				changed++
+			}
+			w.StepTo(now)
+		}
+		sameBackground(t, fmt.Sprintf("step %d", k), readBackground(t, w), ref())
+	}
+	if changed < 10 {
+		t.Fatalf("the background flows changed at only %d of %d steps", changed, steps)
+	}
+}
+
+// TestGridSteps pins how the background moves on the grid: a StepTo that
+// jumps several steps reads as a world that stepped through every grid
+// instant, and one between grid instants reads as the last instant it
+// passed.
+func TestGridSteps(t *testing.T) {
+	cfg := Config{Seed: 5, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
+	cl := testCluster(t)
+	every, jumping, offGrid := New(cl, cfg, t0), New(cl, cfg, t0), New(cl, cfg, t0)
+	half := cfg.StepSize / 2
+	for k := 1; k <= 300; k++ {
+		grid := t0.Add(time.Duration(k) * cfg.StepSize)
+		every.StepTo(grid)
+		offGrid.StepTo(grid.Add(half))
+		want := readBackground(t, every)
+		sameBackground(t, fmt.Sprintf("between steps %d and %d", k, k+1), readBackground(t, offGrid), want)
+		if k%7 == 0 {
+			jumping.StepTo(grid)
+			sameBackground(t, fmt.Sprintf("a jump to step %d", k), readBackground(t, jumping), want)
+		}
+	}
+}
+
+// TestWorldOwnsNoGoroutine requires that neither a session-like attached
+// world, once detached, nor a dropped unattached world leaves a
+// goroutine behind, and that a dropped world is collected.
+func TestWorldOwnsNoGoroutine(t *testing.T) {
+	cl := testCluster(t)
+	cfg := Config{Seed: 3, StepSize: 250 * time.Millisecond}
+	New(cl, cfg, t0).StepTo(t0.Add(time.Minute)) // the fill workers start with the first world
+	base := runtime.NumGoroutine()
+
+	sched := simtime.NewScheduler(t0)
+	stop := New(cl, cfg, t0).Attach(sched)
+	sched.RunFor(10 * time.Minute)
+	stop()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the attached world stopped, %d before", n, base)
+	}
+
+	collected := make(chan struct{})
+	func() {
+		w := New(cl, cfg, t0)
+		w.StepTo(t0.Add(10 * time.Minute))
+		runtime.AddCleanup(w.bg, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after a world was dropped, %d before", n, base)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped world's background was never collected")
+		}
+	}
+}
+
+// TestWorldsStepConcurrently steps several same-seed worlds at once, so
+// their fills share the workers, and requires each to read as one
+// stepped alone.
+func TestWorldsStepConcurrently(t *testing.T) {
+	cfg := Config{Seed: 9, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
+	cl := testCluster(t)
+	const steps = 400
+	end := t0.Add(steps * cfg.StepSize)
+	alone := New(cl, cfg, t0)
+	advance(alone, t0, end.Sub(t0), cfg.StepSize)
+	want := readBackground(t, alone)
+	worlds := make([]*World, 4)
+	var wg sync.WaitGroup
+	for i := range worlds {
+		worlds[i] = New(cl, cfg, t0)
+		wg.Add(1)
+		go func(w *World) {
+			defer wg.Done()
+			advance(w, t0, end.Sub(t0), cfg.StepSize)
+		}(worlds[i])
+	}
+	wg.Wait()
+	for i, w := range worlds {
+		sameBackground(t, fmt.Sprintf("world %d", i), readBackground(t, w), want)
 	}
 }
