@@ -2,7 +2,6 @@ package world
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -31,17 +30,15 @@ import (
 // another left dozens of them on the heap.)
 
 // ringBytes bounds both batches' frames: every node's load and every
-// link's jitter factor. The background flows come on top, but change
-// every few minutes, so a frame shares the flows of the frame before
-// when they are the same.
+// link's jitter factor. The background flows come on top, each frame's
+// in a slice of its own that later fills of its slot reuse.
 const ringBytes = 192 << 10
 
 // batch is perBatch consecutive frames of the background.
 type batch struct {
 	loads  []loadgen.NodeLoad // frame i's at [i·nodes, (i+1)·nodes)
 	jitter []float64          // frame i's at [i·links, (i+1)·links)
-	flows  []netmodel.Flow    // the frames' background flows, in frame order
-	spans  [][2]int           // frame i's flows are flows[spans[i][0]:spans[i][1]]
+	flows  [][]netmodel.Flow  // frame i's background flows
 	done   chan struct{}      // the fill's handover: one send per fill
 }
 
@@ -72,7 +69,7 @@ func newAhead(cl *cluster.Cluster, gen *loadgen.Generator, jit *netmodel.Jitter,
 		a.batches[i] = batch{
 			loads:  make([]loadgen.NodeLoad, a.perBatch*a.nodes),
 			jitter: make([]float64, a.perBatch*a.links),
-			spans:  make([][2]int, a.perBatch),
+			flows:  make([][]netmodel.Flow, a.perBatch),
 			done:   make(chan struct{}, 1),
 		}
 	}
@@ -104,7 +101,6 @@ var (
 // in, then the handover.
 func (a *ahead) run() {
 	b := &a.batches[a.fillK/a.perBatch%2]
-	b.flows = b.flows[:0]
 	for i := range a.perBatch {
 		if a.fillK > 0 {
 			a.gen.Step(a.fillAt, a.step)
@@ -112,16 +108,11 @@ func (a *ahead) run() {
 		}
 		a.gen.Loads(b.loads[i*a.nodes : (i+1)*a.nodes])
 		copy(b.jitter[i*a.links:], a.jit.Factors())
-		lo := len(b.flows)
+		flows := b.flows[i][:0]
 		for _, f := range a.gen.Flows() {
-			b.flows = append(b.flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
+			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
 		}
-		// The frame before's flows end at lo: it appended them or shared
-		// the last appended ones.
-		if i > 0 && slices.Equal(b.flows[lo:], b.flows[b.spans[i-1][0]:lo]) {
-			b.flows, lo = b.flows[:lo], b.spans[i-1][0]
-		}
-		b.spans[i] = [2]int{lo, len(b.flows)}
+		b.flows[i] = flows
 		a.fillK++
 		a.fillAt = a.fillAt.Add(a.step)
 	}
@@ -143,7 +134,7 @@ func (a *ahead) to(now time.Time) {
 		}
 		a.loads = b.loads[i*a.nodes : (i+1)*a.nodes]
 		a.jitter = b.jitter[i*a.links : (i+1)*a.links]
-		a.flows = b.flows[b.spans[i][0]:b.spans[i][1]]
+		a.flows = b.flows[i]
 		a.takenK++
 		a.takenAt = a.takenAt.Add(a.step)
 	}

@@ -116,7 +116,10 @@ func (w *World) Cluster() *cluster.Cluster { return w.cl }
 
 // Attach registers the world's step on rt so it advances automatically.
 // The returned CancelFunc also waits out the background's fill in
-// flight, so no fill of a detached world is left running.
+// flight. Under a simtime.Scheduler, whose cancel drops the step before
+// it runs again, no fill of the detached world is then left running;
+// under RealRuntime a tick that has already fired may still step the
+// world once more and queue a fill, which ends on its own.
 func (w *World) Attach(rt simtime.Runtime) simtime.CancelFunc {
 	cancel := rt.Every(w.cfg.StepSize, "world.step", w.StepTo)
 	return func() {

@@ -582,7 +582,7 @@ func TestWorldOwnsNoGoroutine(t *testing.T) {
 	func() {
 		w := New(cl, cfg, t0)
 		w.StepTo(t0.Add(10 * time.Minute))
-		runtime.AddCleanup(w.bg, func(ch chan struct{}) { close(ch) }, collected)
+		runtime.SetFinalizer(w.bg, func(*ahead) { close(collected) })
 	}()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after a world was dropped, %d before", n, base)
