@@ -128,14 +128,14 @@ func main() {
 
 // writeCSV writes res's CSV table to dir/name.
 func writeCSV(dir, name string, res harness.Result) error {
-	w, ok := res.(interface{ WriteCSV(io.Writer) error })
+	t, ok := res.(interface{ Table() *harness.Table })
 	if !ok {
 		return fmt.Errorf("%s: %T has no CSV form", name, res)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return create(filepath.Join(dir, name), w.WriteCSV)
+	return create(filepath.Join(dir, name), t.Table().WriteCSV)
 }
 
 // create writes the file at path with write.

@@ -25,7 +25,7 @@ func main() {
 	sim.WarmUp()
 
 	h := sim.Harness
-	snap, err := h.Mgr.Snapshot()
+	snap, err := monitor.ReadSnapshot(h.VStore, sim.Now())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 	// 1. A node dies: livehosts drops it, the allocator never sees it.
 	h.World.SetNodeDown(12, true)
 	sim.Advance(time.Minute)
-	snap, _ = h.Mgr.Snapshot()
+	snap, _ = monitor.ReadSnapshot(h.VStore, sim.Now())
 	fmt.Printf("node csews13 unplugged: livehosts now %d, alive(12)=%v\n",
 		len(snap.Livehosts), snap.Alive(12))
 	h.World.SetNodeDown(12, false)

@@ -184,7 +184,7 @@ func TestChargedModelLifecycle(t *testing.T) {
 				t.Fatalf("empty policy: got %p ok=%v, want base pass-through", got, ok)
 			}
 
-			cancel := rp.Reserve(map[int]int{m.IDs[0]: 6}, now)
+			cancel := rp.Reserve([]int{m.IDs[0]}, []int{6}, now)
 			got, ok := rp.ChargedModelAt(now, m, cand, dst)
 			if !ok || got == m {
 				t.Fatalf("live reservation: ok=%v, charged=%v", ok, got != m)
@@ -198,7 +198,7 @@ func TestChargedModelLifecycle(t *testing.T) {
 				t.Fatalf("after cancel: got charged=%v ok=%v, want pass-through", got != m, ok)
 			}
 
-			rp.Reserve(map[int]int{m.IDs[1]: 2}, now)
+			rp.Reserve([]int{m.IDs[1]}, []int{2}, now)
 			if got, ok := rp.ChargedModelAt(now.Add(31*time.Second), m, cand, dst); !ok || got != m {
 				t.Fatalf("after TTL: got charged=%v ok=%v, want pass-through", got != m, ok)
 			}

@@ -48,7 +48,8 @@ type ReservingPolicy struct {
 
 // reservation is one live claim, held as parallel id/rank slices sorted
 // ascending by node ID — built once at reserve time so the per-decision
-// charge aggregation walks flat ints instead of iterating maps.
+// charge aggregation walks flat ints instead of iterating maps. It sorts
+// itself by id (ids are unique per claim, so the order is total).
 type reservation struct {
 	ids       []int
 	ranks     []int
@@ -56,20 +57,11 @@ type reservation struct {
 	cancelled bool
 }
 
-// newReservation converts a node→ranks map into the sorted slice form.
-func newReservation(procs map[int]int) *reservation {
-	res := &reservation{
-		ids:   make([]int, 0, len(procs)),
-		ranks: make([]int, 0, len(procs)),
-	}
-	for id := range procs {
-		res.ids = append(res.ids, id)
-	}
-	sort.Ints(res.ids)
-	for _, id := range res.ids {
-		res.ranks = append(res.ranks, procs[id])
-	}
-	return res
+func (r *reservation) Len() int           { return len(r.ids) }
+func (r *reservation) Less(i, j int) bool { return r.ids[i] < r.ids[j] }
+func (r *reservation) Swap(i, j int) {
+	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
+	r.ranks[i], r.ranks[j] = r.ranks[j], r.ranks[i]
 }
 
 // NewReservingPolicy wraps inner with reservation charging.
@@ -102,7 +94,11 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 	if err != nil {
 		return Allocation{}, err
 	}
-	p.reserve(newReservation(a.Procs), snap.Taken)
+	ranks := make([]int, len(a.Nodes))
+	for k, id := range a.Nodes {
+		ranks[k] = a.Procs[id]
+	}
+	p.Reserve(a.Nodes, ranks, snap.Taken)
 	a.Policy = p.Name()
 	return a, nil
 }
@@ -288,32 +284,21 @@ func (p *ReservingPolicy) advanceLocked(taken time.Time) time.Time {
 	return p.seen
 }
 
-// Reserve charges an externally computed claim (node → reserved ranks)
+// Reserve charges a claim (ranks[k] on node ids[k], any order, copied)
 // like a grant, so every subsequent Charged/AllocateModel prices it into
-// Equation 1. It returns a cancel function that releases the claim
-// early; otherwise it expires after TTL like any reservation. The job
-// queue uses this for the waiting head job's shadow reservation, which
-// it re-computes (and re-charges) every scheduling pass.
-func (p *ReservingPolicy) Reserve(procs map[int]int, at time.Time) func() {
-	return p.reserve(newReservation(procs), at)
-}
-
-// ReserveRanks is Reserve taking the claim as parallel id/rank slices
-// (ranks[k] on ids[k], any order, copied) — the allocation-free entry
-// the policy-fidelity simulator charges each placement through.
-func (p *ReservingPolicy) ReserveRanks(ids, ranks []int, at time.Time) func() {
-	res := &reservation{
-		ids:   append([]int(nil), ids...),
-		ranks: append([]int(nil), ranks...),
-	}
-	sort.Sort(&idRankPairs{res.ids, res.ranks})
-	return p.reserve(res, at)
-}
-
-// reserve registers res, stamped at the later of at and the latest clock
-// seen (so a zero or stale stamp neither lives nor dies on a skewed
-// clock), and returns its cancel closure.
-func (p *ReservingPolicy) reserve(res *reservation, at time.Time) func() {
+// Equation 1. It is the one entry every grant, the job queue's shadow
+// reservation and the policy-fidelity simulator's placements are
+// charged through. The claim is stamped at the later of at and the
+// latest clock seen (so a zero or stale stamp neither lives nor dies on
+// a skewed clock). It returns a cancel function that releases the claim
+// early; otherwise it expires after TTL like any reservation.
+func (p *ReservingPolicy) Reserve(ids, ranks []int, at time.Time) func() {
+	n := len(ids)
+	buf := make([]int, 2*n) // both copies in one allocation
+	res := &reservation{ids: buf[:n:n], ranks: buf[n:]}
+	copy(res.ids, ids)
+	copy(res.ranks, ranks)
+	sort.Sort(res)
 	p.mu.Lock()
 	res.at = p.advanceLocked(at)
 	p.reservations = append(p.reservations, res)
@@ -323,20 +308,6 @@ func (p *ReservingPolicy) reserve(res *reservation, at time.Time) func() {
 		res.cancelled = true
 		p.mu.Unlock()
 	}
-}
-
-// idRankPairs sorts parallel id/rank slices by id (ids are unique per
-// claim, so the order is total).
-type idRankPairs struct {
-	ids   []int
-	ranks []int
-}
-
-func (s *idRankPairs) Len() int           { return len(s.ids) }
-func (s *idRankPairs) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *idRankPairs) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ranks[i], s.ranks[j] = s.ranks[j], s.ranks[i]
 }
 
 // Outstanding returns the number of live reservations as of t. Like

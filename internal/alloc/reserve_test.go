@@ -23,7 +23,7 @@ func TestChargedGuardsZeroCores(t *testing.T) {
 	snap.Nodes[1] = broken
 
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
-	cancel := p.Reserve(map[int]int{0: 4, 1: 4, 2: 4}, snap.Taken)
+	cancel := p.Reserve([]int{0, 1, 2}, []int{4, 4, 4}, snap.Taken)
 	defer cancel()
 
 	charged := p.Charged(snap)
@@ -118,7 +118,7 @@ func TestZeroTakenSnapshotCannotPinReservations(t *testing.T) {
 	}
 	zero := fresh.Clone()
 	zero.Taken = time.Time{}
-	p.Reserve(map[int]int{0: 2}, zero.Taken)
+	p.Reserve([]int{0}, []int{2}, zero.Taken)
 	// Stamped at the seen clock (fresh.Taken), so it is alive now...
 	if got := p.Outstanding(fresh.Taken); got != 1 {
 		t.Fatalf("outstanding %d, want 1", got)
@@ -135,7 +135,7 @@ func TestZeroTakenSnapshotCannotPinReservations(t *testing.T) {
 func TestReserveCancelReleasesClaim(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(4, 0.5))
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
-	cancel := p.Reserve(map[int]int{2: 6}, snap.Taken)
+	cancel := p.Reserve([]int{2}, []int{6}, snap.Taken)
 	charged := p.Charged(snap)
 	if charged == snap || charged.Nodes[2].CPULoad.M1 != 6.5 {
 		t.Fatalf("shadow claim not charged: %+v", charged.Nodes[2].CPULoad)
@@ -204,7 +204,7 @@ func TestFreeSlotsAggregates(t *testing.T) {
 func TestChargedPrunesSaturatedNodes(t *testing.T) {
 	snap := synthSnapshot([]float64{12.5, 0.5, 0.5, 0.5}) // node 0 saturated
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
-	cancel := p.Reserve(map[int]int{1: 2}, snap.Taken)
+	cancel := p.Reserve([]int{1}, []int{2}, snap.Taken)
 	defer cancel()
 
 	charged := p.Charged(snap)
@@ -242,7 +242,7 @@ func TestChargedPrunesSaturatedNodes(t *testing.T) {
 func TestChargedKeepsUniverseWhenAllSaturated(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(3, 0.5))
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
-	cancel := p.Reserve(map[int]int{0: 12, 1: 12, 2: 12}, snap.Taken)
+	cancel := p.Reserve([]int{0, 1, 2}, []int{12, 12, 12}, snap.Taken)
 	defer cancel()
 
 	charged := p.Charged(snap)
@@ -264,7 +264,7 @@ func TestChargedKeepsUniverseWhenOnlyUnmonitoredSurvive(t *testing.T) {
 	snap := synthSnapshot(uniformLoads(3, 0.5))
 	snap.Livehosts = append(snap.Livehosts, 99) // alive, no NodeStateD record yet
 	p := NewReservingPolicy(LoadAware{}, time.Minute)
-	cancel := p.Reserve(map[int]int{0: 12, 1: 12, 2: 12}, snap.Taken)
+	cancel := p.Reserve([]int{0, 1, 2}, []int{12, 12, 12}, snap.Taken)
 	defer cancel()
 
 	charged := p.Charged(snap)

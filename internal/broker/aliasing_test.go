@@ -40,7 +40,7 @@ func TestSharedSnapshotNeverMutated(t *testing.T) {
 	req := alloc.Request{Procs: 16, PPN: 4, Alpha: 0.5, Beta: 0.5}
 	reserving := func(snap *metrics.Snapshot) *alloc.ReservingPolicy {
 		rp := alloc.NewReservingPolicy(alloc.NetLoadAware{}, time.Minute)
-		rp.Reserve(map[int]int{1: 3, 2: 2}, snap.Taken)
+		rp.Reserve([]int{1, 2}, []int{3, 2}, snap.Taken)
 		return rp
 	}
 	policies := []func(*metrics.Snapshot) alloc.Policy{
@@ -85,7 +85,7 @@ func TestSharedSnapshotNeverMutated(t *testing.T) {
 		}},
 		row{"Charged/saturated-node-pruned", func(t *testing.T, _ *faultRig, snap *metrics.Snapshot) {
 			rp := alloc.NewReservingPolicy(alloc.NetLoadAware{}, time.Minute)
-			rp.Reserve(map[int]int{5: snap.Nodes[5].Cores}, snap.Taken)
+			rp.Reserve([]int{5}, []int{snap.Nodes[5].Cores}, snap.Taken)
 			charged := rp.Charged(snap)
 			if len(charged.Livehosts) != len(snap.Livehosts)-1 || charged.Alive(5) {
 				t.Fatalf("saturated node 5 not pruned: charged livehosts %v", charged.Livehosts)

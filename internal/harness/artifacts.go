@@ -26,8 +26,8 @@ func DefaultOptions(seed uint64) Options {
 type Result interface{ Render() string }
 
 // Artifact is one entry of the Artifacts table: the -run Names selecting
-// it, the CSV file its result's WriteCSV fills under -csv ("" for
-// none), and the Run computing the result.
+// it, the CSV file its result's Table fills under -csv ("" for none),
+// and the Run computing the result.
 type Artifact struct {
 	Names []string
 	CSV   string

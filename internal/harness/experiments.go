@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"nlarm/internal/alloc"
@@ -13,7 +12,6 @@ import (
 	"nlarm/internal/mpisim"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
-	"nlarm/internal/trace"
 	"nlarm/internal/world"
 )
 
@@ -100,27 +98,27 @@ func Figure1(seed uint64, hours int, nodes int, sampleEvery time.Duration) (*Fig
 	return d, nil
 }
 
-// Recorder exports Figure 1's series as a trace for CSV analysis.
-func (d *Fig1Data) Recorder() *trace.Recorder {
-	r := trace.NewRecorder()
-	add := func(name, unit string, vals []float64) {
-		for i, v := range vals {
-			r.Record(name, unit, defaultEpoch.Add(time.Duration(d.Hours[i]*float64(time.Hour))), v)
-		}
-	}
-	add("cpu_load_node_a", "", d.LoadA)
-	add("cpu_load_node_b", "", d.LoadB)
-	add("cpu_load_avg", "", d.LoadAvg)
-	add("net_io_node_a", "MB/s", d.NetA)
-	add("net_io_node_b", "MB/s", d.NetB)
-	add("net_io_avg", "MB/s", d.NetAvg)
-	add("cpu_util_avg", "%", d.UtilAvg)
-	add("mem_used_avg", "%", d.MemAvg)
-	return r
+// Table exports Figure 1's series in long form for CSV analysis.
+func (d *Fig1Data) Table() *Table {
+	return traceTable(hourTimes(d.Hours),
+		traceSeries{"cpu_load_node_a", "", d.LoadA},
+		traceSeries{"cpu_load_node_b", "", d.LoadB},
+		traceSeries{"cpu_load_avg", "", d.LoadAvg},
+		traceSeries{"net_io_node_a", "MB/s", d.NetA},
+		traceSeries{"net_io_node_b", "MB/s", d.NetB},
+		traceSeries{"net_io_avg", "MB/s", d.NetAvg},
+		traceSeries{"cpu_util_avg", "%", d.UtilAvg},
+		traceSeries{"mem_used_avg", "%", d.MemAvg})
 }
 
-// WriteCSV writes Recorder's series as CSV.
-func (d *Fig1Data) WriteCSV(w io.Writer) error { return d.Recorder().WriteCSV(w) }
+// hourTimes turns hour offsets from defaultEpoch into instants.
+func hourTimes(hours []float64) []time.Time {
+	ts := make([]time.Time, len(hours))
+	for i, h := range hours {
+		ts[i] = defaultEpoch.Add(time.Duration(h * float64(time.Hour)))
+	}
+	return ts
+}
 
 // --- Figure 2: P2P bandwidth variation --------------------------------------
 
@@ -227,20 +225,15 @@ func Figure2(seed uint64, nodes, sweeps, hours int) (*Fig2Data, error) {
 	return d, nil
 }
 
-// Recorder exports Figure 2(b)'s pair series as a trace.
-func (d *Fig2Data) Recorder() *trace.Recorder {
-	r := trace.NewRecorder()
+// Table exports Figure 2(b)'s pair series in long form.
+func (d *Fig2Data) Table() *Table {
+	var series []traceSeries
 	for k, p := range d.Pairs {
 		name := fmt.Sprintf("bandwidth_pair_%d_%d", p[0]+1, p[1]+1)
-		for i, v := range d.PairSeries[k] {
-			r.Record(name, "MB/s", defaultEpoch.Add(time.Duration(d.Hours[i]*float64(time.Hour))), v)
-		}
+		series = append(series, traceSeries{name, "MB/s", d.PairSeries[k]})
 	}
-	return r
+	return traceTable(hourTimes(d.Hours), series...)
 }
-
-// WriteCSV writes Recorder's pair series as CSV.
-func (d *Fig2Data) WriteCSV(w io.Writer) error { return d.Recorder().WriteCSV(w) }
 
 // --- Figures 4 & 6: strong scaling under the four policies ------------------
 

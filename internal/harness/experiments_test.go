@@ -31,9 +31,8 @@ func TestFigure1Generates(t *testing.T) {
 	if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "CPU load") {
 		t.Fatalf("format:\n%s", out)
 	}
-	rec := d.Recorder()
-	if got := len(rec.Names()); got != 8 {
-		t.Fatalf("recorder series %d", got)
+	if got, want := len(d.Table().Rows), 8*len(d.Hours); got != want {
+		t.Fatalf("csv rows %d, want %d", got, want)
 	}
 }
 
@@ -68,8 +67,8 @@ func TestFigure2Generates(t *testing.T) {
 	if !strings.Contains(out, "Figure 2(a)") {
 		t.Fatalf("format:\n%s", out)
 	}
-	if rec := d.Recorder(); len(rec.Names()) != 3 {
-		t.Fatal("recorder pairs")
+	if got, want := len(d.Table().Rows), 3*len(d.Hours); got != want {
+		t.Fatalf("csv rows %d, want %d", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -166,9 +165,6 @@ func (d *ScalingData) Table() *Table {
 	}
 	return t
 }
-
-// WriteCSV writes Table as CSV.
-func (d *ScalingData) WriteCSV(w io.Writer) error { return d.Table().WriteCSV(w) }
 
 // Render renders a Table 2/3-style gain summary (Table 2 for miniMD,
 // Table 3 for miniFE), followed by a blank line.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"time"
 )
 
 // Table is a simple aligned-text table for experiment output.
@@ -79,6 +80,33 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// traceSeries is one named, unit-annotated series of a figure's trace.
+type traceSeries struct {
+	name, unit string
+	vals       []float64
+}
+
+// traceTable lays traces out in long form, one row per sample: series
+// name and unit, the sample's RFC 3339 timestamp, its seconds since the
+// earliest sample and its value, series in argument order and samples
+// in slice order. vals[i] of every series is sampled at times[i].
+func traceTable(times []time.Time, series ...traceSeries) *Table {
+	t := &Table{Header: []string{"series", "unit", "timestamp", "seconds", "value"}}
+	var start time.Time
+	for i, at := range times {
+		if i == 0 || at.Before(start) {
+			start = at
+		}
+	}
+	for _, s := range series {
+		for i, v := range s.vals {
+			t.AddRow(s.name, s.unit, times[i].Format(time.RFC3339),
+				fmt.Sprintf("%.3f", times[i].Sub(start).Seconds()), fmt.Sprintf("%g", v))
+		}
+	}
+	return t
 }
 
 // heatShades orders ASCII shades from light (high values get light shades

@@ -379,11 +379,11 @@ func (q *Queue) backfillPass(now time.Time, headRes broker.BatchResult) {
 	// is waiting), so until its reserved start the idle slots are exactly
 	// what backfill may use.
 	if q.cfg.Reserve != nil && headProcs > 0 {
-		claim := shadowClaim(snap, headProcs)
+		ids, ranks := shadowClaim(snap, headProcs)
 		defer func() {
 			q.mu.Lock()
 			if len(q.pending) > 0 && q.pending[0] == head && q.headShadow == nil {
-				q.headShadow = q.cfg.Reserve.Reserve(claim, q.rt.Now())
+				q.headShadow = q.cfg.Reserve.Reserve(ids, ranks, q.rt.Now())
 			}
 			q.mu.Unlock()
 		}()
@@ -512,7 +512,7 @@ func (q *Queue) headStartEstimate(now time.Time, headResp broker.Response, headP
 	q.mu.Lock()
 	for _, j := range q.jobs {
 		if j.State == StateRunning && j.Walltime > 0 {
-			rels = append(rels, release{j.Started.Add(j.Walltime), totalProcs(j.Response), j.ID})
+			rels = append(rels, release{j.Started.Add(j.Walltime), j.Response.Allocation.TotalProcs(), j.ID})
 		}
 	}
 	q.mu.Unlock()
@@ -549,34 +549,25 @@ func (q *Queue) headStartEstimate(now time.Time, headResp broker.Response, headP
 // head is waiting for. The even spread keeps relative node ordering
 // intact while making the pending head's capacity visible, through the
 // reserving policy, to broker clients outside the queue.
-func shadowClaim(snap *metrics.Snapshot, procs int) map[int]int {
-	ids := alloc.MonitoredLivehosts(snap)
-	claim := make(map[int]int, len(ids))
-	if len(ids) == 0 || procs <= 0 {
-		return claim
+func shadowClaim(snap *metrics.Snapshot, procs int) (ids, ranks []int) {
+	live := alloc.MonitoredLivehosts(snap)
+	if len(live) == 0 || procs <= 0 {
+		return nil, nil
 	}
-	sort.Ints(ids)
-	base := procs / len(ids)
-	rem := procs % len(ids)
-	for i, id := range ids {
+	sort.Ints(live)
+	base := procs / len(live)
+	rem := procs % len(live)
+	for i, id := range live {
 		n := base
 		if i < rem {
 			n++
 		}
 		if n > 0 {
-			claim[id] = n
+			ids = append(ids, id)
+			ranks = append(ranks, n)
 		}
 	}
-	return claim
-}
-
-// totalProcs sums an allocation's ranks across nodes.
-func totalProcs(resp broker.Response) int {
-	total := 0
-	for _, n := range resp.Procs {
-		total += n
-	}
-	return total
+	return ids, ranks
 }
 
 // finish records a job's completion.

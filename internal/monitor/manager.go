@@ -250,15 +250,3 @@ func readMatrixObs[T metrics.PairRecord](st store.Store, key string, reg *obs.Re
 	}
 	return map[metrics.PairKey]T{}
 }
-
-// Snapshot is a convenience wrapper over ReadSnapshot using the manager's
-// runtime clock.
-func (m *Manager) Snapshot() (*metrics.Snapshot, error) {
-	m.mu.Lock()
-	rt := m.rt
-	m.mu.Unlock()
-	if rt == nil {
-		return nil, fmt.Errorf("monitor: manager not started")
-	}
-	return ReadSnapshot(m.st, rt.Now())
-}

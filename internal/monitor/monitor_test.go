@@ -312,7 +312,7 @@ func TestManagerPublishesEverything(t *testing.T) {
 	}
 	defer mgr.Stop()
 	r.sched.RunFor(30 * time.Second)
-	snap, err := mgr.Snapshot()
+	snap, err := ReadSnapshot(r.st, r.sched.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -408,7 +408,7 @@ func (p *policyState) place(j *simJob, now time.Time) error {
 		p.ps.free = slices.Delete(p.ps.free, at, at+1)
 		p.markDirty(i)
 	}
-	pl.cancel = p.rp.ReserveRanks(pl.nodes, pl.counts, now)
+	pl.cancel = p.rp.Reserve(pl.nodes, pl.counts, now)
 	j.place = pl
 	j.clCost = ca.ComputeCost
 	j.nlCost = ca.NetworkCost

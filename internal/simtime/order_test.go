@@ -40,14 +40,14 @@ func refLess(a, b time.Time, aseq, bseq uint64) bool {
 	return aseq < bseq
 }
 
-// TestEventLessMatchesTime checks the integer keys pair by pair: eventLess
-// agrees with refLess on every pair of pool instants, ties included.
+// TestEventLessMatchesTime checks eventLess pair by pair: it agrees with
+// refLess on every pair of pool instants, ties included.
 func TestEventLessMatchesTime(t *testing.T) {
 	pool := instantPool(rng.New(3))
 	for i, a := range pool {
 		for j, b := range pool {
-			ea := &event{at: a, key: instantOf(a), seq: uint64(i % 3)}
-			eb := &event{at: b, key: instantOf(b), seq: uint64(j % 3)}
+			ea := &event{at: a, seq: uint64(i % 3)}
+			eb := &event{at: b, seq: uint64(j % 3)}
 			if got, want := eventLess(ea, eb), refLess(a, b, ea.seq, eb.seq); got != want {
 				t.Fatalf("eventLess(%v #%d, %v #%d) = %v, want %v", a, ea.seq, b, eb.seq, got, want)
 			}

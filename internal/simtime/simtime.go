@@ -34,35 +34,17 @@ type CancelFunc func()
 // event is a single scheduled callback.
 type event struct {
 	at     time.Time
-	key    instant // at as integers, set wherever at is
-	seq    uint64  // tie-break so equal-time events fire in schedule order
+	seq    uint64 // tie-break so equal-time events fire in schedule order
 	name   string
 	fn     func(now time.Time)
 	period time.Duration // 0 for one-shot
 	done   bool
 }
 
-// instant is a time as two integers that order as Before and Equal
-// order wall-clock readings (a monotonic reading is not consulted):
-// seconds since January 1 of year 1, then the nanosecond. Unix seconds
-// plus the gap between the two epochs are those seconds for every Time,
-// the zero Time included, as int64 addition wraps.
-type instant struct {
-	sec  int64
-	nsec int32
-}
-
-func instantOf(t time.Time) instant {
-	return instant{t.Unix() + 62135596800, int32(t.Nanosecond())}
-}
-
 // eventLess orders events by (at, seq), a strict total order.
 func eventLess(a, b *event) bool {
-	if a.key.sec != b.key.sec {
-		return a.key.sec < b.key.sec
-	}
-	if a.key.nsec != b.key.nsec {
-		return a.key.nsec < b.key.nsec
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
 	}
 	return a.seq < b.seq
 }
@@ -98,7 +80,7 @@ func (s *Scheduler) scheduleLocked(at time.Time, name string, fn func(time.Time)
 	if at.Before(s.now) {
 		at = s.now
 	}
-	e := &event{at: at, key: instantOf(at), seq: s.seq, name: name, fn: fn, period: period}
+	e := &event{at: at, seq: s.seq, name: name, fn: fn, period: period}
 	s.seq++
 	s.queue = heapq.Push(s.queue, e, eventLess)
 	return e
@@ -160,7 +142,6 @@ func (s *Scheduler) Step() bool {
 			// Re-push the same event object so the CancelFunc's done flag
 			// keeps covering all future occurrences.
 			e.at = e.at.Add(e.period)
-			e.key = instantOf(e.at)
 			e.seq = s.seq
 			s.seq++
 			s.queue = heapq.Push(s.queue, e, eventLess)

@@ -1,11 +1,10 @@
-// Job traces are the versioned decision logs of simulated scheduling
-// runs: one header line identifying the format, the seed, and the
-// scenario that produced the log, then one canonical JSON line per job
-// in completion order. The encoding is deliberately line-oriented and
-// field-stable so a recorded run re-serializes bit-for-bit: equality of
-// two runs reduces to equality of their digests, and a replay can diff
-// decision-by-decision.
-
+// Package trace holds job traces, the versioned decision logs of
+// simulated scheduling runs: one header line identifying the format,
+// the seed, and the scenario that produced the log, then one canonical
+// JSON line per job in completion order. The encoding is deliberately
+// line-oriented and field-stable so a recorded run re-serializes
+// bit-for-bit: equality of two runs reduces to equality of their
+// digests, and a replay can diff decision-by-decision.
 package trace
 
 import (
