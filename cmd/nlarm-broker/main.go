@@ -69,9 +69,12 @@ func main() {
 	// and --dump-metrics both read it.
 	reg := obs.NewRegistry()
 	ist := store.Instrument(st, reg, rt.Now)
-	// Outermost generation tracking: daemons stamp every published key,
-	// and the broker's snapshot cache re-reads only stamped changes.
-	vst := store.Version(ist)
+	// Generation tracking over the instrumented store: daemons stamp
+	// every published key, and the broker's snapshot cache re-reads only
+	// stamped changes. Outermost, the decode-ahead layer decodes each new
+	// matrix once, off the request path.
+	vst := monitor.NewDecodeAhead(store.Version(ist))
+	defer vst.Close()
 
 	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, vst, monitor.Config{
 		NodeStatePeriod: *stateSec,

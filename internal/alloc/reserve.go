@@ -94,11 +94,7 @@ func (p *ReservingPolicy) AllocateModel(m *CostModel, req Request, r *rng.Rand) 
 	if err != nil {
 		return Allocation{}, err
 	}
-	ranks := make([]int, len(a.Nodes))
-	for k, id := range a.Nodes {
-		ranks[k] = a.Procs[id]
-	}
-	p.Reserve(a.Nodes, ranks, snap.Taken)
+	p.reserveGrant(a, snap.Taken)
 	a.Policy = p.Name()
 	return a, nil
 }
@@ -293,21 +289,44 @@ func (p *ReservingPolicy) advanceLocked(taken time.Time) time.Time {
 // a skewed clock). It returns a cancel function that releases the claim
 // early; otherwise it expires after TTL like any reservation.
 func (p *ReservingPolicy) Reserve(ids, ranks []int, at time.Time) func() {
-	n := len(ids)
-	buf := make([]int, 2*n) // both copies in one allocation
-	res := &reservation{ids: buf[:n:n], ranks: buf[n:]}
+	res := newReservation(len(ids))
 	copy(res.ids, ids)
 	copy(res.ranks, ranks)
-	sort.Sort(res)
-	p.mu.Lock()
-	res.at = p.advanceLocked(at)
-	p.reservations = append(p.reservations, res)
-	p.mu.Unlock()
+	p.add(res, at)
 	return func() {
 		p.mu.Lock()
 		res.cancelled = true
 		p.mu.Unlock()
 	}
+}
+
+// reserveGrant is Reserve for a grant, a.Procs[a.Nodes[k]] ranks on node
+// a.Nodes[k], with no cancel function: two allocations, the claim and
+// its buffer.
+func (p *ReservingPolicy) reserveGrant(a Allocation, at time.Time) {
+	res := newReservation(len(a.Nodes))
+	copy(res.ids, a.Nodes)
+	for k, id := range a.Nodes {
+		res.ranks[k] = a.Procs[id]
+	}
+	p.add(res, at)
+}
+
+// newReservation is an n-node claim whose ids and ranks share one
+// buffer.
+func newReservation(n int) *reservation {
+	buf := make([]int, 2*n)
+	return &reservation{ids: buf[:n:n], ranks: buf[n:]}
+}
+
+// add sorts res by node and charges it from the later of at and the
+// latest clock seen.
+func (p *ReservingPolicy) add(res *reservation, at time.Time) {
+	sort.Sort(res)
+	p.mu.Lock()
+	res.at = p.advanceLocked(at)
+	p.reservations = append(p.reservations, res)
+	p.mu.Unlock()
 }
 
 // Outstanding returns the number of live reservations as of t. Like

@@ -333,3 +333,28 @@ func TestChargesMatchDenseWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveGrantAllocs pins what recording a grant costs: the claim
+// and its one buffer, and no cancel function. The charge is the one
+// Reserve makes for the same ranks.
+func TestReserveGrantAllocs(t *testing.T) {
+	snap := synthSnapshot(uniformLoads(8, 0.5))
+	a := Allocation{Nodes: []int{5, 1, 3, 0}, Procs: map[int]int{5: 4, 1: 2, 3: 1, 0: 3}}
+	grant := NewReservingPolicy(LoadAware{}, time.Minute)
+	grant.reserveGrant(a, snap.Taken)
+	claim := NewReservingPolicy(LoadAware{}, time.Minute)
+	claim.Reserve([]int{0, 1, 3, 5}, []int{3, 2, 1, 4}, snap.Taken)
+	got, want := grant.Charged(snap), claim.Charged(snap)
+	if !slices.Equal(got.Livehosts, want.Livehosts) || len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("grant charged livehosts %v, the claim %v", got.Livehosts, want.Livehosts)
+	}
+	for id, na := range want.Nodes {
+		if got.Nodes[id] != na {
+			t.Fatalf("node %d: grant charged %+v, the claim %+v", id, got.Nodes[id], na)
+		}
+	}
+	grant.reservations = make([]*reservation, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { grant.reserveGrant(a, snap.Taken) }); n > 2 {
+		t.Fatalf("a grant allocates %v times, want at most 2", n)
+	}
+}

@@ -272,9 +272,26 @@ func digits(b []byte, i int) int {
 }
 
 // integer consumes key and an integer, parsed the way encoding/json fills
-// an integer field of bitSize bits; a value out of range clears OK.
+// an integer field of bitSize bits; a value out of range clears OK. The
+// text has passed number's grammar, and 18 characters of it cannot leave
+// an int64's range, so those are summed here digit by digit.
 func (d *Decoder) integer(key string, bitSize int) int64 {
-	n, err := strconv.ParseInt(string(d.number(key, false)), 10, bitSize)
+	s := d.number(key, false)
+	if bitSize == 64 && len(s) > 0 && len(s) <= 18 {
+		neg := s[0] == '-'
+		if neg {
+			s = s[1:]
+		}
+		var n int64
+		for _, c := range s {
+			n = n*10 + int64(c-'0')
+		}
+		if neg {
+			n = -n
+		}
+		return n
+	}
+	n, err := strconv.ParseInt(string(s), 10, bitSize)
 	d.OK = d.OK && err == nil
 	return n
 }

@@ -3,6 +3,7 @@ package canon
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -182,5 +183,32 @@ func BenchmarkFloat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.B = e.B[:0]
 		e.Float(`,"t":`, vals[i%len(vals)])
+	}
+}
+
+// TestIntegerMatchesJSON holds Int64 and Int to json.Unmarshal on both
+// sides of the 18-character edge of the summed path and at the ends of
+// the range, where values out of range clear OK.
+func TestIntegerMatchesJSON(t *testing.T) {
+	r := rng.New(7)
+	texts := []string{"0", "-0", "7", "-7", "999999999999999999", "-99999999999999999",
+		"-999999999999999999", "1000000000000000000", "9223372036854775807",
+		"-9223372036854775808", "9223372036854775808", "-9223372036854775809", "01", "-", "1.5", "1e3"}
+	for range 2000 {
+		n := int64(r.Uint64() >> (r.Uint64() % 64))
+		if r.Uint64()%2 == 0 {
+			n = -n
+		}
+		texts = append(texts, strconv.FormatInt(n, 10))
+	}
+	for _, s := range texts {
+		var want int64
+		err := json.Unmarshal([]byte(s), &want)
+		d := Decoder{B: []byte(`{"k":` + s + `}`), OK: true}
+		got := d.Int64(`{"k":`)
+		d.Lit(`}`)
+		if d.Done() != (err == nil) || err == nil && got != want {
+			t.Fatalf("Int64(%s) = %d, OK %v; json.Unmarshal %d, err %v", s, got, d.Done(), want, err)
+		}
 	}
 }

@@ -45,10 +45,11 @@ type Session struct {
 	Sched *simtime.Scheduler
 	World *world.World
 	// Store is the raw backing store (values readable directly); VStore
-	// is the generation-tracking wrapper the daemons publish through and
-	// the broker's snapshot cache reads from.
+	// is what the daemons publish through and every broker's snapshot
+	// cache reads from: a monitor.DecodeAhead, which decodes new matrices
+	// off the loop, over the generation-tracking wrapper.
 	Store  *store.MemStore
-	VStore *store.VersionedStore
+	VStore *monitor.DecodeAhead
 	Mgr    *monitor.Manager
 	Broker *broker.Broker
 
@@ -93,7 +94,7 @@ func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) st
 	if wrap != nil {
 		under = wrap(sched, st)
 	}
-	vst := store.Version(under)
+	vst := monitor.NewDecodeAhead(store.Version(under))
 	pr := &monitor.WorldProber{W: w}
 	mgr := monitor.NewManager(pr, vst, cfg.Monitor)
 	if err := mgr.Start(sched); err != nil {
@@ -116,12 +117,13 @@ func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) st
 }
 
 // Close halts the session's periodic activities (world stepping and all
-// monitor daemons).
+// monitor daemons) and drains its matrix decodes.
 func (s *Session) Close() {
 	if s.stopWorld != nil {
 		s.stopWorld()
 	}
 	s.Mgr.Stop()
+	s.VStore.Close()
 }
 
 // WarmUp advances virtual time by d so the background load develops

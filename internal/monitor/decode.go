@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"nlarm/internal/canon"
@@ -14,7 +15,28 @@ import (
 // tickEncoder writes for metrics.NodeAttrs, heartbeat and both matrices,
 // and what json.Marshal writes for livehostsRecord. Whatever canon
 // refuses, unmarshalJSON leaves, with its error, to json.Unmarshal.
-type tickDecoder struct{ canon.Decoder }
+type tickDecoder struct {
+	canon.Decoder
+	// atText is the last timestamp read, quoted, and at what it parsed
+	// to: a sweep stamps most of its pairs with one instant.
+	atText []byte
+	at     time.Time
+}
+
+// time reads key and a timestamp as canon's Time does.
+func (d *tickDecoder) time(key string, t *time.Time) {
+	q := d.Quoted(key)
+	switch {
+	case q == nil:
+		d.OK = false
+	case string(q) == string(d.atText):
+		*t = d.at
+	case t.UnmarshalJSON(q) != nil:
+		d.OK = false
+	default:
+		d.atText, d.at = q, *t
+	}
+}
 
 // unmarshalJSON is json.Unmarshal(b, v). Every caller passes a pointer to a
 // zero value (getJSON's callers each declare a fresh variable), which the
@@ -29,8 +51,12 @@ func unmarshalJSON(b []byte, v any) error {
 
 // decodeRecord decodes b into *v and reports whether it could; on false
 // *v is untouched.
-func decodeRecord(b []byte, v any) bool {
-	d := tickDecoder{canon.Decoder{B: b, OK: true}}
+func decodeRecord(b []byte, v any) bool { return decodeSized(b, v, 0) }
+
+// decodeSized is decodeRecord with a pair matrix's list sized for hint
+// records.
+func decodeSized(b []byte, v any, hint int) bool {
+	d := tickDecoder{Decoder: canon.Decoder{B: b, OK: true}}
 	switch r := v.(type) {
 	case *metrics.NodeAttrs:
 		var a metrics.NodeAttrs
@@ -39,22 +65,36 @@ func decodeRecord(b []byte, v any) bool {
 	case *heartbeat:
 		var h heartbeat
 		h.Name = d.Str(`{"name":`)
-		d.Time(`,"at":`, &h.At)
+		d.time(`,"at":`, &h.At)
 		d.Lit(`}`)
 		return commit(&d, r, h)
 	case *livehostsRecord:
 		var rec livehostsRecord
 		rec.Replica = d.Int(`{"replica":`)
-		d.Time(`,"at":`, &rec.At)
+		d.time(`,"at":`, &rec.At)
 		rec.Hosts = canon.ReadList(&d.Decoder, `,"hosts":`, 0, func(h *int) { *h = d.Int(``) })
 		d.Lit(`}`)
 		return commit(&d, r, rec)
 	case *[]metrics.PairLatency:
-		return commit(&d, r, canon.ReadList(&d.Decoder, ``, 0, d.latency))
+		return commit(&d, r, canon.ReadList(&d.Decoder, ``, hint, d.latency))
 	case *[]metrics.PairBandwidth:
-		return commit(&d, r, canon.ReadList(&d.Decoder, ``, 0, d.bandwidth))
+		return commit(&d, r, canon.ReadList(&d.Decoder, ``, hint, d.bandwidth))
 	}
 	return false
+}
+
+// decodeMatrix decodes the pair matrix b published under key, its list
+// sized for hint records, and returns it keyed by pair with its
+// metrics.FoldPairs. It is a pure function of b.
+func decodeMatrix[T metrics.PairRecord](key string, b []byte, hint int) (map[metrics.PairKey]T, uint64, error) {
+	var list []T
+	if !decodeSized(b, &list, hint) {
+		if err := json.Unmarshal(b, &list); err != nil {
+			return nil, 0, fmt.Errorf("monitor: unmarshal %s: %w", key, err)
+		}
+	}
+	m := metrics.PairMap(list)
+	return m, metrics.FoldPairs(m), nil
 }
 
 // commit assigns *r = v once the whole input has decoded.
@@ -69,7 +109,7 @@ func commit[T any](d *tickDecoder, r *T, v T) bool {
 func (d *tickDecoder) nodeAttrs(a *metrics.NodeAttrs) {
 	a.NodeID = d.Int(`{"node_id":`)
 	a.Hostname = d.Str(`,"hostname":`)
-	d.Time(`,"timestamp":`, &a.Timestamp)
+	d.time(`,"timestamp":`, &a.Timestamp)
 	a.Cores = d.Int(`,"cores":`)
 	a.FreqGHz = d.Float(`,"freq_ghz":`)
 	a.TotalMemMB = d.Float(`,"total_mem_mb":`)
@@ -94,7 +134,7 @@ func (d *tickDecoder) windowed(key string) stats.Windowed {
 func (d *tickDecoder) latency(p *metrics.PairLatency) {
 	p.U = d.Int(`{"u":`)
 	p.V = d.Int(`,"v":`)
-	d.Time(`,"timestamp":`, &p.Timestamp)
+	d.time(`,"timestamp":`, &p.Timestamp)
 	p.Last = time.Duration(d.Int64(`,"last":`))
 	p.Mean1 = time.Duration(d.Int64(`,"mean1":`))
 	p.Mean5 = time.Duration(d.Int64(`,"mean5":`))
@@ -104,7 +144,7 @@ func (d *tickDecoder) latency(p *metrics.PairLatency) {
 func (d *tickDecoder) bandwidth(p *metrics.PairBandwidth) {
 	p.U = d.Int(`{"u":`)
 	p.V = d.Int(`,"v":`)
-	d.Time(`,"timestamp":`, &p.Timestamp)
+	d.time(`,"timestamp":`, &p.Timestamp)
 	p.AvailBps = d.Float(`,"avail_bps":`)
 	p.PeakBps = d.Float(`,"peak_bps":`)
 	d.Lit(`}`)

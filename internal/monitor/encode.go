@@ -18,7 +18,35 @@ import (
 // overlap; the store copies what it keeps, so a steady-state publish
 // allocates nothing. Each put method hands what canon refuses, with its
 // error, to putJSON; the record is boxed only on that path.
-type tickEncoder struct{ canon.Encoder }
+type tickEncoder struct {
+	canon.Encoder
+	// at is the last timestamp written, atText its quoted text and atOK
+	// whether canon took it. A tick stamps every record it publishes with
+	// one instant, and a sweep most of its pairs, so the text is reused.
+	// It sits in an array so that a copied encoder shares none of it.
+	at     time.Time
+	atText [48]byte
+	atLen  int
+	atOK   bool
+}
+
+// time writes key and t as canon's Time does. t == e.at compares the
+// location too, so the same instant in another zone is written afresh.
+func (e *tickEncoder) time(key string, t time.Time) {
+	if e.atLen > 0 && t == e.at {
+		e.Raw(key)
+		e.B = append(e.B, e.atText[:e.atLen]...)
+		e.OK = e.OK && e.atOK
+		return
+	}
+	ok, n := e.OK, len(e.B)+len(key)
+	e.OK = true
+	e.Time(key, t)
+	if text := e.B[n:]; len(text) <= len(e.atText) {
+		e.at, e.atOK, e.atLen = t, e.OK, copy(e.atText[:], text)
+	}
+	e.OK = ok && e.OK
+}
 
 func (e *tickEncoder) reset() { e.B, e.OK = e.B[:0], true }
 
@@ -72,7 +100,7 @@ func putMatrix[T metrics.PairRecord](e *tickEncoder, st store.Store, key string,
 func (e *tickEncoder) nodeAttrs(a *metrics.NodeAttrs) {
 	e.Int(`{"node_id":`, int64(a.NodeID))
 	e.Str(`,"hostname":`, a.Hostname)
-	e.Time(`,"timestamp":`, a.Timestamp)
+	e.time(`,"timestamp":`, a.Timestamp)
 	e.Int(`,"cores":`, int64(a.Cores))
 	e.Float(`,"freq_ghz":`, a.FreqGHz)
 	e.Float(`,"total_mem_mb":`, a.TotalMemMB)
@@ -94,13 +122,13 @@ func (e *tickEncoder) windowed(key string, w stats.Windowed) {
 
 func (e *tickEncoder) heartbeat(name string, at time.Time) {
 	e.Str(`{"name":`, name)
-	e.Time(`,"at":`, at)
+	e.time(`,"at":`, at)
 	e.Raw(`}`)
 }
 
 func (e *tickEncoder) livehosts(r *livehostsRecord) {
 	e.Int(`{"replica":`, int64(r.Replica))
-	e.Time(`,"at":`, r.At)
+	e.time(`,"at":`, r.At)
 	canon.AppendList(&e.Encoder, `,"hosts":`, r.Hosts, func(h *int) { e.Int(``, int64(*h)) })
 	e.Raw(`}`)
 }
@@ -108,7 +136,7 @@ func (e *tickEncoder) livehosts(r *livehostsRecord) {
 func (e *tickEncoder) latency(p *metrics.PairLatency) {
 	e.Int(`{"u":`, int64(p.U))
 	e.Int(`,"v":`, int64(p.V))
-	e.Time(`,"timestamp":`, p.Timestamp)
+	e.time(`,"timestamp":`, p.Timestamp)
 	e.Int(`,"last":`, int64(p.Last))
 	e.Int(`,"mean1":`, int64(p.Mean1))
 	e.Int(`,"mean5":`, int64(p.Mean5))
@@ -118,7 +146,7 @@ func (e *tickEncoder) latency(p *metrics.PairLatency) {
 func (e *tickEncoder) bandwidth(p *metrics.PairBandwidth) {
 	e.Int(`{"u":`, int64(p.U))
 	e.Int(`,"v":`, int64(p.V))
-	e.Time(`,"timestamp":`, p.Timestamp)
+	e.time(`,"timestamp":`, p.Timestamp)
 	e.Float(`,"avail_bps":`, p.AvailBps)
 	e.Float(`,"peak_bps":`, p.PeakBps)
 	e.Raw(`}`)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,6 +177,43 @@ func TestPutLivehostsMatchesJSON(t *testing.T) {
 		got, _ := st.Get("k")
 		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
 			t.Fatalf("%#v:\n got %s (err %v)\nwant %s (err %v)", rec, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// TestRepeatedTimestampsMatchJSON drives the tick codec's timestamp reuse
+// through what it must tell apart: one encoder writing list after list,
+// as a daemon does, where a timestamp repeats, changes, comes back in
+// another zone or leaves the years canon takes. Each list encodes to
+// json.Marshal's bytes, or is refused as json.Marshal refuses it, and
+// decodes, on the fast path, to json.Unmarshal's value.
+func TestRepeatedTimestampsMatchJSON(t *testing.T) {
+	at := time.Date(2020, 3, 2, 8, 0, 0, 500, time.UTC)
+	times := []time.Time{at, at.Add(time.Second), at.In(time.FixedZone("", 3600)),
+		at.In(time.FixedZone("CET", 3600)), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}
+	r := rng.New(5)
+	var e tickEncoder
+	for trial := range 300 {
+		list := make([]metrics.PairLatency, 1+r.Intn(8))
+		for i := range list {
+			list[i] = metrics.PairLatency{U: i, V: i + 1, Timestamp: times[r.Intn(len(times))], Last: time.Duration(r.Intn(1e6))}
+		}
+		want, wantErr := json.Marshal(list)
+		e.reset()
+		canon.AppendList(&e.Encoder, ``, list, e.latency)
+		if e.OK != (wantErr == nil) || e.OK && !bytes.Equal(e.B, want) {
+			t.Fatalf("trial %d: wrote %s (OK %v); json.Marshal %s (err %v)", trial, e.B, e.OK, want, wantErr)
+		}
+		if hb := (heartbeat{Name: "latencyd", At: list[0].Timestamp}); e.encode(hb) != (list[0].Timestamp.Year() < 10000) ||
+			e.OK && !bytes.Equal(e.B, must(json.Marshal(hb))) {
+			t.Fatalf("trial %d: heartbeat wrote %s (OK %v)", trial, e.B, e.OK)
+		}
+		if wantErr != nil {
+			continue
+		}
+		var got, ref []metrics.PairLatency
+		if !decodeRecord(want, &got) || json.Unmarshal(want, &ref) != nil || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("trial %d: %s decoded to %v, json.Unmarshal %v", trial, want, got, ref)
 		}
 	}
 }

@@ -229,24 +229,25 @@ func ReadSnapshot(st store.Store, now time.Time) (*metrics.Snapshot, error) {
 		}
 		snap.Nodes[id] = attrs
 	}
-	snap.Latency = readMatrixObs[metrics.PairLatency](st, KeyLatencyMatrix, nil, &snap.DegradedReasons)
-	snap.Bandwidth = readMatrixObs[metrics.PairBandwidth](st, KeyBandwidthMatrix, nil, &snap.DegradedReasons)
+	snap.Latency, _ = readMatrixObs[metrics.PairLatency](st, KeyLatencyMatrix, 0, nil, &snap.DegradedReasons)
+	snap.Bandwidth, _ = readMatrixObs[metrics.PairBandwidth](st, KeyBandwidthMatrix, 0, nil, &snap.DegradedReasons)
 	snap.Degraded = len(snap.DegradedReasons) > 0
 	return snap, nil
 }
 
-// readMatrixObs reads one pair matrix with ReadSnapshot's failure
-// semantics, appending to reasons when the snapshot is degraded and
-// counting the failure into reg (which may be nil).
-func readMatrixObs[T metrics.PairRecord](st store.Store, key string, reg *obs.Registry, reasons *[]string) map[metrics.PairKey]T {
-	m, err := readMatrix[T](st, key)
+// readMatrixObs reads one pair matrix, as readMatrix with its hint, with
+// ReadSnapshot's failure semantics, appending to reasons when the
+// snapshot is degraded and counting the failure into reg (which may be
+// nil). A failed read serves an empty matrix, whose fold is 0.
+func readMatrixObs[T metrics.PairRecord](st store.Store, key string, hint int, reg *obs.Registry, reasons *[]string) (map[metrics.PairKey]T, uint64) {
+	m, fold, err := readMatrix[T](st, key, hint)
 	if err == nil {
-		return m
+		return m, fold
 	}
 	if !errors.Is(err, store.ErrNotFound) {
 		name, _, _ := strings.Cut(key, "/") // "latency" or "bandwidth"
 		*reasons = append(*reasons, fmt.Sprintf("%s matrix read failed: %v", name, err))
 		reg.Counter("monitor.snapshot.matrix.errors").Inc()
 	}
-	return map[metrics.PairKey]T{}
+	return map[metrics.PairKey]T{}, 0
 }

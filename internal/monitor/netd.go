@@ -120,13 +120,18 @@ func (d *pairSweep[T]) tick(now time.Time) {
 	_ = putMatrix(&d.enc, d.st, d.key, d.recs, d.write)
 }
 
-// readMatrix returns the pair matrix published under key, keyed by pair.
-func readMatrix[T metrics.PairRecord](st store.Store, key string) (map[metrics.PairKey]T, error) {
-	var list []T
-	if err := getJSON(st, key, &list); err != nil {
-		return nil, err
+// readMatrix returns the pair matrix published under key, keyed by pair,
+// with its metrics.FoldPairs; hint sizes the decoded list. Through a
+// DecodeAhead it takes the worker's decode of the bytes it read.
+func readMatrix[T metrics.PairRecord](st store.Store, key string, hint int) (map[metrics.PairKey]T, uint64, error) {
+	b, err := st.Get(key)
+	if err != nil {
+		return nil, 0, err
 	}
-	return metrics.PairMap(list), nil
+	if a, ok := st.(*DecodeAhead); ok {
+		return decodeRead[T](a, key, b, hint)
+	}
+	return decodeMatrix[T](key, b, hint)
 }
 
 // LatencyD sweeps pairwise latency at a regular interval (1 minute in the
@@ -170,7 +175,8 @@ func (d *LatencyD) measurePair(now time.Time, k metrics.PairKey, i int) (metrics
 
 // ReadLatencyMatrix returns the published latency matrix keyed by pair.
 func ReadLatencyMatrix(st store.Store) (map[metrics.PairKey]metrics.PairLatency, error) {
-	return readMatrix[metrics.PairLatency](st, KeyLatencyMatrix)
+	m, _, err := readMatrix[metrics.PairLatency](st, KeyLatencyMatrix, 0)
+	return m, err
 }
 
 // BandwidthD sweeps pairwise effective bandwidth at a regular interval
@@ -193,5 +199,6 @@ func NewBandwidthD(pr Prober, st store.Store, period time.Duration) *BandwidthD 
 
 // ReadBandwidthMatrix returns the published bandwidth matrix keyed by pair.
 func ReadBandwidthMatrix(st store.Store) (map[metrics.PairKey]metrics.PairBandwidth, error) {
-	return readMatrix[metrics.PairBandwidth](st, KeyBandwidthMatrix)
+	m, _, err := readMatrix[metrics.PairBandwidth](st, KeyBandwidthMatrix, 0)
+	return m, err
 }

@@ -103,9 +103,8 @@ func (x *matrixCache[T]) refresh(c *SnapshotCache, gens map[string]uint64, reaso
 		return 0, true
 	}
 	prev, n := x.acc, len(*reasons)
-	x.m = readMatrixObs[T](c.src, x.key, c.reg, reasons)
+	x.m, x.acc = readMatrixObs[T](c.src, x.key, len(x.m), c.reg, reasons)
 	x.dirty = len(*reasons) > n
-	x.acc = metrics.FoldPairs(x.m)
 	return 1, x.acc == prev && !x.dirty
 }
 
