@@ -79,8 +79,10 @@ type aheadJob[T metrics.PairRecord] struct {
 }
 
 // decodeTasks queues the decodes of every DecodeAhead in the process for
-// the one decode worker, which the first NewDecodeAhead starts. A full
-// queue drops the decode: the reader then decodes inline.
+// the one decode worker, which the first NewDecodeAhead starts. A layer
+// has at most one live decode a key, so 16 slots hold both keys' decodes
+// of eight layers at once; a full queue drops the decode, and the reader
+// then decodes inline.
 var (
 	decodeTasks     = make(chan interface{ run() }, 16)
 	startDecodeTask sync.Once
