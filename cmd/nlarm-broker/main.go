@@ -74,7 +74,6 @@ func main() {
 	// stamped changes. Outermost, the decode-ahead layer decodes each new
 	// matrix once, off the request path.
 	vst := monitor.NewDecodeAhead(store.Version(ist))
-	defer vst.Close()
 
 	mgr := monitor.NewManager(&monitor.WorldProber{W: w}, vst, monitor.Config{
 		NodeStatePeriod: *stateSec,

@@ -117,13 +117,12 @@ func newSession(cfg SessionConfig, wrap func(*simtime.Scheduler, store.Store) st
 }
 
 // Close halts the session's periodic activities (world stepping and all
-// monitor daemons) and drains its matrix decodes.
+// monitor daemons).
 func (s *Session) Close() {
 	if s.stopWorld != nil {
 		s.stopWorld()
 	}
 	s.Mgr.Stop()
-	s.VStore.Close()
 }
 
 // WarmUp advances virtual time by d so the background load develops

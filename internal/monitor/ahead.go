@@ -5,37 +5,33 @@ import (
 	"sync"
 
 	"nlarm/internal/metrics"
+	"nlarm/internal/simtime"
 )
 
 // DecodeAhead is the store the monitor daemons publish through and the
 // brokers read from when both share a process. It passes every call to
 // its GenSource and decodes each new pair-matrix generation once, on the
-// decode worker, before a broker's refresh needs it.
+// run-ahead workers (simtime.TryAhead), before a broker's refresh needs
+// it. Like a world, it owns nothing that needs closing.
 //
 // The bytes are the contract. A put to a matrix key that succeeds, after
 // some reader has read that key since the previous put, copies the bytes
-// and queues their decode (the list, PairMap, FoldPairs) on the worker.
+// and queues their decode (the list, PairMap, FoldPairs) on the workers.
 // A reader still Gets the key once, as without the layer, and takes the
-// worker's map only when the bytes it read equal the bytes decoded.
+// workers' map only when the bytes it read equal the bytes decoded.
 // Decoding is a pure function of the bytes, so a failed or torn put, a
 // stale read or a generation that moved meanwhile can only make the
 // reader decode inline, as it would without the layer. A reader waits
-// only for a decode that is running; it drops one still queued and
+// only for a decode that has started; it drops one still queued and
 // decodes inline.
 type DecodeAhead struct {
 	GenSource
 
-	mu     sync.Mutex
-	lat    aheadSlot[metrics.PairLatency]
-	bw     aheadSlot[metrics.PairBandwidth]
-	closed bool
-	stats  aheadStats
-	// pending counts the decodes handed to the worker that it has not
-	// yet taken off its queue and ended; drained is signalled when it
-	// reaches 0, which Close waits for.
-	pending int
-	drained sync.Cond
-	// observe, when set (by tests), sees every decode the worker ends.
+	mu    sync.Mutex
+	lat   aheadSlot[metrics.PairLatency]
+	bw    aheadSlot[metrics.PairBandwidth]
+	stats aheadStats
+	// observe, when set (by tests), sees every decode a worker ends.
 	observe func(key string, b []byte, m any, fold uint64)
 }
 
@@ -49,61 +45,31 @@ type aheadSlot[T metrics.PairRecord] struct {
 
 // aheadStats counts how reads of the matrix keys were served: from a
 // finished decode, after waiting for a running one, or inline; and the
-// decodes the worker ran.
-type aheadStats struct{ hits, waits, misses, decodes int }
+// decodes queued on the workers, and of those the ones they ran and the
+// ones they skipped.
+type aheadStats struct{ hits, waits, misses, queued, decodes, skips int }
 
-// jobState is where an aheadJob is: queued, running, done, or dropped
-// before it ran.
-type jobState uint8
-
-const (
-	jobQueued jobState = iota
-	jobRunning
-	jobDone
-	jobDropped
-)
-
-// aheadJob is one generation's decode. b is a copy of the put's bytes;
-// m, fold and err are decodeMatrix's, set once the state is jobDone and
-// done is closed.
+// aheadJob is one generation's decode for s. b is a copy of the put's
+// bytes; m, fold and err are decodeMatrix's, set before done is closed.
 type aheadJob[T metrics.PairRecord] struct {
-	a     *DecodeAhead
-	key   string
-	b     []byte
-	hint  int
-	state jobState
-	done  chan struct{}
-	m     map[metrics.PairKey]T
-	fold  uint64
-	err   error
+	a       *DecodeAhead
+	s       *aheadSlot[T]
+	b       []byte
+	hint    int
+	started bool
+	done    chan struct{}
+	m       map[metrics.PairKey]T
+	fold    uint64
+	err     error
 }
 
-// decodeTasks queues the decodes of every DecodeAhead in the process for
-// the one decode worker, which the first NewDecodeAhead starts. A layer
-// has at most one live decode a key, so 16 slots hold both keys' decodes
-// of eight layers at once; a full queue drops the decode, and the reader
-// then decodes inline.
-var (
-	decodeTasks     = make(chan interface{ run() }, 16)
-	startDecodeTask sync.Once
-)
-
-// NewDecodeAhead wraps src. Close it once its writers have stopped.
+// NewDecodeAhead wraps src.
 func NewDecodeAhead(src GenSource) *DecodeAhead {
-	startDecodeTask.Do(func() {
-		go func() {
-			for t := range decodeTasks {
-				t.run()
-			}
-		}()
-	})
-	a := &DecodeAhead{
+	return &DecodeAhead{
 		GenSource: src,
 		lat:       aheadSlot[metrics.PairLatency]{key: KeyLatencyMatrix},
 		bw:        aheadSlot[metrics.PairBandwidth]{key: KeyBandwidthMatrix},
 	}
-	a.drained.L = &a.mu
-	return a
 }
 
 // Put implements store.Store: it writes through, then queues the decode
@@ -120,80 +86,49 @@ func (a *DecodeAhead) Put(key string, value []byte) error {
 	return err
 }
 
-// Close drops the decodes still queued and waits until the worker holds
-// none of a's. Later puts queue nothing; reads decode inline.
-func (a *DecodeAhead) Close() {
-	a.mu.Lock()
-	a.closed = true
-	a.lat.drop()
-	a.bw.drop()
-	for a.pending > 0 {
-		a.drained.Wait()
-	}
-	a.mu.Unlock()
-}
-
-// drop forgets the slot's decode, and stops it from running if it is
-// still queued. Callers hold a.mu.
-func (s *aheadSlot[T]) drop() {
-	if s.job != nil && s.job.state == jobQueued {
-		s.job.state = jobDropped
-	}
-	s.job = nil
-}
-
 // putAhead records a put of s's key: whatever was decoded before is of
 // an older generation, and these bytes are decoded ahead only when the
-// put succeeded and a reader read the key since the put before.
+// put succeeded and a reader read the key since the put before. A full
+// queue decodes nothing ahead.
 func putAhead[T metrics.PairRecord](a *DecodeAhead, s *aheadSlot[T], value []byte, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s.drop()
 	read := s.read
-	s.read = false
-	if err != nil || !read || a.closed {
+	s.read, s.job = false, nil
+	if err != nil || !read {
 		return
 	}
-	j := &aheadJob[T]{a: a, key: s.key, b: bytes.Clone(value), hint: s.n, done: make(chan struct{})}
-	select {
-	case decodeTasks <- j:
+	j := &aheadJob[T]{a: a, s: s, b: bytes.Clone(value), hint: s.n, done: make(chan struct{})}
+	if simtime.TryAhead(j) {
 		s.job = j
-		a.pending++
-	default:
+		a.stats.queued++
 	}
 }
 
-// run is the worker's decode of j, unless j was dropped while queued.
-func (j *aheadJob[T]) run() {
-	a := j.a
+// Run is a worker's decode of j, which it skips when j's slot no longer
+// holds j: a later put or a reader dropped it.
+func (j *aheadJob[T]) Run() {
+	a, s := j.a, j.s
 	a.mu.Lock()
-	if j.state != jobQueued {
-		a.endLocked()
+	if s.job != j {
+		a.stats.skips++
 		a.mu.Unlock()
 		return
 	}
-	j.state = jobRunning
+	j.started = true
 	a.mu.Unlock()
-	m, fold, err := decodeMatrix[T](j.key, j.b, j.hint)
+	m, fold, err := decodeMatrix[T](s.key, j.b, j.hint)
 	if a.observe != nil {
-		a.observe(j.key, j.b, m, fold)
+		a.observe(s.key, j.b, m, fold)
 	}
 	a.mu.Lock()
-	j.m, j.fold, j.err, j.state = m, fold, err, jobDone
+	j.m, j.fold, j.err = m, fold, err
 	close(j.done)
 	if err == nil {
-		slotOf[T](a).n = len(m)
+		s.n = len(m)
 	}
 	a.stats.decodes++
-	a.endLocked()
 	a.mu.Unlock()
-}
-
-// endLocked counts one of a's decodes off the worker. Callers hold a.mu.
-func (a *DecodeAhead) endLocked() {
-	if a.pending--; a.pending == 0 {
-		a.drained.Broadcast()
-	}
 }
 
 // slotOf is a's slot for T's matrix.
@@ -212,18 +147,18 @@ func decodeRead[T metrics.PairRecord](a *DecodeAhead, key string, b []byte, hint
 	a.mu.Lock()
 	s.read = true
 	if j := s.job; j != nil && bytes.Equal(j.b, b) {
-		if j.state == jobQueued {
-			s.drop()
-		} else {
-			if j.state == jobRunning {
-				a.stats.waits++
-			} else {
+		if j.started {
+			select {
+			case <-j.done:
 				a.stats.hits++
+			default:
+				a.stats.waits++
 			}
 			a.mu.Unlock()
 			<-j.done
 			return j.m, j.fold, j.err
 		}
+		s.job = nil // still queued: the worker that takes it skips it
 	}
 	a.stats.misses++
 	hint = max(hint, s.n)

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -39,7 +38,7 @@ func (p *putLog) kept(b []byte) bool {
 // keys: once read through a DecodeAhead, once by a twin without it. The
 // layer makes no store call of its own, so both see the same faults,
 // and every refresh must serve the same snapshot and fingerprint. The
-// worker decodes only bytes a put that succeeded handed the store, and a
+// workers decode only bytes a put that succeeded handed the store, and a
 // reader takes its map only for the very bytes it read.
 func TestDecodeAheadUnderFaults(t *testing.T) {
 	var torn, stale uint64
@@ -55,7 +54,6 @@ func TestDecodeAheadUnderFaults(t *testing.T) {
 			twinFS, _, twinV := stack()
 			fs, log, v := stack()
 			ahead := NewDecodeAhead(v)
-			defer ahead.Close()
 			var bad []string
 			var mu sync.Mutex
 			ahead.observe = func(key string, b []byte, _ any, _ uint64) {
@@ -77,11 +75,9 @@ func TestDecodeAheadUnderFaults(t *testing.T) {
 				twinW.mutate()
 				w.mutate()
 				if step%2 == 0 {
-					// Let the worker end what it holds, so that reads are
-					// served by its decodes too, not only inline.
-					for AheadPending(ahead) > 0 {
-						runtime.Gosched()
-					}
+					// Let the workers end what they hold, so that reads are
+					// served by their decodes too, not only inline.
+					AheadSettle(ahead)
 				}
 				now := w.tick()
 				twinW.tick()
@@ -100,11 +96,11 @@ func TestDecodeAheadUnderFaults(t *testing.T) {
 					t.Fatalf("step %d: refresh %+v, the twin's %+v", step, got, want)
 				}
 			}
-			ahead.Close()
+			AheadSettle(ahead)
 			mu.Lock()
 			defer mu.Unlock()
 			if len(bad) > 0 {
-				t.Fatalf("the worker decoded bytes no successful put kept: %v", bad)
+				t.Fatalf("the workers decoded bytes no successful put kept: %v", bad)
 			}
 			h, wt, m, d := AheadCounts(ahead)
 			t.Logf("%d hits, %d waits, %d misses, %d worker decodes; %d torn writes, %d stale reads",
@@ -115,6 +111,6 @@ func TestDecodeAheadUnderFaults(t *testing.T) {
 		})
 	}
 	if torn == 0 || stale == 0 || hits+waits == 0 {
-		t.Fatalf("%d torn writes, %d stale reads, %d reads served by the worker: the test exercised nothing", torn, stale, hits+waits)
+		t.Fatalf("%d torn writes, %d stale reads, %d reads served by the workers: the test exercised nothing", torn, stale, hits+waits)
 	}
 }

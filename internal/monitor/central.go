@@ -37,11 +37,10 @@ func (r Role) String() string {
 
 // Hooks lets the embedding system react to central monitor transitions.
 type Hooks struct {
-	// OnPromoted fires when a slave becomes master (after master failure).
-	OnPromoted func(m *CentralMonitor)
-	// OnSlaveDead fires on the master when it detects the slave's
-	// heartbeat has gone stale, so a replacement slave can be launched.
-	OnSlaveDead func(m *CentralMonitor)
+	// OnPeerLost fires when m loses its peer: on a slave that has become
+	// master after the master's lease went stale, and on a master whose
+	// slave's heartbeat went stale; either way m now needs a new slave.
+	OnPeerLost func(m *CentralMonitor)
 }
 
 // CentralMonitor launches, supervises and relaunches the monitoring
@@ -159,8 +158,8 @@ func (m *CentralMonitor) masterTick(now time.Time) {
 		}
 	}
 
-	if m.peerName != "" && m.staleKey(m.peerKey, m.cfg.SupervisePeriod, now) && m.hooks.OnSlaveDead != nil {
-		m.hooks.OnSlaveDead(m)
+	if m.peerName != "" && m.staleKey(m.peerKey, m.cfg.SupervisePeriod, now) && m.hooks.OnPeerLost != nil {
+		m.hooks.OnPeerLost(m)
 	}
 }
 
@@ -178,8 +177,8 @@ func (m *CentralMonitor) slaveTick(now time.Time) {
 	_ = putJSON(m.st, KeyLeader, leaderLease{ID: m.name, At: now})
 	m.obs.Counter("monitor.promotions.total").Inc()
 	m.obs.Emit(now, "promotion", m.name)
-	if m.hooks.OnPromoted != nil {
-		m.hooks.OnPromoted(m)
+	if m.hooks.OnPeerLost != nil {
+		m.hooks.OnPeerLost(m)
 	}
 }
 

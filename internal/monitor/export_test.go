@@ -1,24 +1,36 @@
 package monitor
 
-import "nlarm/internal/metrics"
+import (
+	"runtime"
+
+	"nlarm/internal/metrics"
+)
 
 // AheadCounts returns a's reads of the matrix keys served by a finished
 // decode (hits), by a running one (waits) and inline (misses), and the
-// decodes its worker ran.
+// decodes the run-ahead workers ran for it.
 func AheadCounts(a *DecodeAhead) (hits, waits, misses, decodes int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats.hits, a.stats.waits, a.stats.misses, a.stats.decodes
 }
 
-// AheadPending is the number of a's decodes queued or running.
-func AheadPending(a *DecodeAhead) int {
+// AheadHeld is the number of a's decodes the run-ahead workers have
+// queued or are running.
+func AheadHeld(a *DecodeAhead) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.pending
+	return a.stats.queued - a.stats.decodes - a.stats.skips
 }
 
-// ObserveDecodes makes f see every decode a's worker ends, on the
+// AheadSettle waits until the run-ahead workers hold none of a's decodes.
+func AheadSettle(a *DecodeAhead) {
+	for AheadHeld(a) > 0 {
+		runtime.Gosched()
+	}
+}
+
+// ObserveDecodes makes f see every decode a worker ends for a, on the
 // worker, before a reader can take it. Set it before anything is put.
 func ObserveDecodes(a *DecodeAhead, f func(key string, b []byte, m any, fold uint64)) {
 	a.observe = f

@@ -76,32 +76,17 @@ func (m *Manager) workerDaemons() []Daemon {
 func (m *Manager) newCentralLocked(role Role, peerName string) *CentralMonitor {
 	name := fmt.Sprintf("centralmon/%d", m.nextCentral)
 	m.nextCentral++
-	hooks := Hooks{
-		OnPromoted:  m.onPromoted,
-		OnSlaveDead: m.onSlaveDead,
-	}
-	c := NewCentralMonitor(name, role, m.workerDaemons(), peerName, m.st, m.cfg, hooks)
+	c := NewCentralMonitor(name, role, m.workerDaemons(), peerName, m.st, m.cfg, Hooks{OnPeerLost: m.onPeerLost})
 	c.SetObs(m.cfg.Obs)
 	m.centrals = append(m.centrals, c)
 	return c
 }
 
-// onPromoted runs when a slave promotes itself to master: it launches a
-// replacement slave, mirroring "the slave will become new master and
-// launches a new slave on another node".
-func (m *Manager) onPromoted(promoted *CentralMonitor) {
-	m.mu.Lock()
-	slave := m.newCentralLocked(RoleSlave, promoted.Name())
-	promoted.AdoptSupervised(m.workerDaemons(), slave.Name())
-	rt := m.rt
-	m.mu.Unlock()
-	if rt != nil {
-		_ = slave.Start(rt)
-	}
-}
-
-// onSlaveDead runs on the master when the slave's heartbeat goes stale.
-func (m *Manager) onSlaveDead(master *CentralMonitor) {
+// onPeerLost launches a new slave for master, which has lost its peer:
+// a slave that promoted itself, mirroring "the slave will become new
+// master and launches a new slave on another node", or a master whose
+// slave's heartbeat went stale.
+func (m *Manager) onPeerLost(master *CentralMonitor) {
 	m.mu.Lock()
 	slave := m.newCentralLocked(RoleSlave, master.Name())
 	master.AdoptSupervised(m.workerDaemons(), slave.Name())

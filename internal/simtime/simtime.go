@@ -4,8 +4,8 @@
 // strong-scaling experiments in milliseconds of wall time by driving every
 // periodic activity (monitor daemons, background-load steps, MPI job
 // progress) from a deterministic discrete-event Scheduler. The same
-// components can run against wall-clock time through RealRuntime, which is
-// what the cmd/ daemons use.
+// components run against wall-clock time through RealRuntime, a Scheduler
+// driven by the wall clock, which is what the cmd/ daemons use.
 package simtime
 
 import (
@@ -162,10 +162,7 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 		// event inside the deadline must not make Step fire the next LIVE
 		// event, which may lie beyond the deadline (Step skips cancelled
 		// entries internally and would run past the horizon).
-		for len(s.queue) > 0 && s.queue[0].done {
-			_, s.queue = heapq.Pop(s.queue, eventLess)
-		}
-		if len(s.queue) == 0 || s.queue[0].at.After(deadline) {
+		if e := s.headLocked(); e == nil || e.at.After(deadline) {
 			if s.now.Before(deadline) {
 				s.now = deadline
 			}
@@ -177,6 +174,18 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 			fired++
 		}
 	}
+}
+
+// headLocked discards the cancelled events at the head of the queue and
+// returns the earliest live one, or nil. Callers hold s.mu.
+func (s *Scheduler) headLocked() *event {
+	for len(s.queue) > 0 && s.queue[0].done {
+		_, s.queue = heapq.Pop(s.queue, eventLess)
+	}
+	if len(s.queue) == 0 {
+		return nil
+	}
+	return s.queue[0]
 }
 
 // RunFor is RunUntil(Now()+d).

@@ -1,14 +1,13 @@
 package world
 
 import (
-	"runtime"
-	"sync"
 	"time"
 	"unsafe"
 
 	"nlarm/internal/cluster"
 	"nlarm/internal/loadgen"
 	"nlarm/internal/netmodel"
+	"nlarm/internal/simtime"
 )
 
 // The world's background — the loadgen.Generator's node loads and
@@ -22,8 +21,8 @@ import (
 // writes the other. A fill writes one batch and hands it over; the world
 // queues the next fill when it takes a batch. So one fill per world runs
 // at a time, and it shares nothing with the world but the batch it hands
-// over (never the world's lock). Fills run on a fixed set of workers
-// that every world shares, so a world owns no goroutine: nothing needs
+// over (never the world's lock). Fills run on the process's run-ahead
+// workers (simtime.Ahead), so a world owns no goroutine: nothing needs
 // closing, and a dropped world is garbage once its last fill has ended.
 // (A goroutine per fill would be as simple, but the runtime never frees
 // a goroutine's descriptor, and fills started on one thread and ended on
@@ -74,32 +73,14 @@ func newAhead(cl *cluster.Cluster, gen *loadgen.Generator, jit *netmodel.Jitter,
 		}
 	}
 	gen.Start(start)
-	startFillers.Do(func() {
-		for range runtime.GOMAXPROCS(0) {
-			go func() {
-				for a := range fills {
-					a.run()
-				}
-			}()
-		}
-	})
-	fills <- a
+	simtime.Ahead(a)
 	a.to(start)
 	return a
 }
 
-// fills queues the fills worlds start for the fill workers, which
-// startFillers starts with the first world, one per processor. A world
-// has at most one fill queued or running, so a send waits only while
-// 64 other worlds' fills are queued, and then until a worker takes one.
-var (
-	fills        = make(chan *ahead, 64)
-	startFillers sync.Once
-)
-
-// run is one fill: the next perBatch frames into the batch they belong
+// Run is one fill: the next perBatch frames into the batch they belong
 // in, then the handover.
-func (a *ahead) run() {
+func (a *ahead) Run() {
 	b := &a.batches[a.fillK/a.perBatch%2]
 	for i := range a.perBatch {
 		if a.fillK > 0 {
@@ -130,7 +111,7 @@ func (a *ahead) to(now time.Time) {
 		b := &a.batches[k/a.perBatch%2]
 		if i == 0 {
 			<-b.done
-			fills <- a
+			simtime.Ahead(a)
 		}
 		a.loads = b.loads[i*a.nodes : (i+1)*a.nodes]
 		a.jitter = b.jitter[i*a.links : (i+1)*a.links]

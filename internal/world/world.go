@@ -82,7 +82,6 @@ type World struct {
 	jobs    []*mpisim.Job
 	nextJob int
 	onDone  map[int]func(mpisim.Result)
-	results []mpisim.Result
 	down    map[int]bool
 	probes  []probe
 	flows   []netmodel.Flow // collectFlowsLocked's buffer
@@ -116,10 +115,8 @@ func (w *World) Cluster() *cluster.Cluster { return w.cl }
 
 // Attach registers the world's step on rt so it advances automatically.
 // The returned CancelFunc also waits out the background's fill in
-// flight. Under a simtime.Scheduler, whose cancel drops the step before
-// it runs again, no fill of the detached world is then left running;
-// under RealRuntime a tick that has already fired may still step the
-// world once more and queue a fill, which ends on its own.
+// flight. Both simtime runtimes drop the step before it runs again, so
+// no fill of the detached world is then left on the run-ahead workers.
 func (w *World) Attach(rt simtime.Runtime) simtime.CancelFunc {
 	cancel := rt.Every(w.cfg.StepSize, "world.step", w.StepTo)
 	return func() {
@@ -172,12 +169,11 @@ func (w *World) StepTo(now time.Time) {
 	}
 }
 
-// finishLocked records a finished job's result and queues its completion
-// callback to fire once the lock is released.
+// finishLocked queues a finished job's completion callback, with its
+// result, to fire once the lock is released.
 func (w *World) finishLocked(j *mpisim.Job) {
-	res := j.Result()
-	w.results = append(w.results, res)
 	if cb := w.onDone[j.ID]; cb != nil {
+		res := j.Result()
 		delete(w.onDone, j.ID)
 		w.pendingDone = append(w.pendingDone, func() { cb(res) })
 	}

@@ -133,11 +133,9 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var result mpisim.Result
-	gotResult := false
+	var results []mpisim.Result
 	id, err := w.LaunchJob(simpleShape(8, 50), place, func(r mpisim.Result) {
-		result = r
-		gotResult = true
+		results = append(results, r)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +154,11 @@ func TestJobLifecycle(t *testing.T) {
 	if running(w, id) {
 		t.Fatal("job never finished")
 	}
-	if !gotResult {
-		t.Fatal("completion callback not fired")
-	}
-	if result.Elapsed <= 0 || result.Ranks != 8 {
-		t.Fatalf("result %+v", result)
-	}
-	results := w.results
 	if len(results) != 1 || results[0].JobID != id {
-		t.Fatalf("Results = %v", results)
+		t.Fatalf("completion callback fired with %v", results)
+	}
+	if r := results[0]; r.Elapsed <= 0 || r.Ranks != 8 {
+		t.Fatalf("result %+v", r)
 	}
 }
 
@@ -358,12 +352,14 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := func() []mpisim.Result {
 				w := testWorld(t, 21)
+				var res []mpisim.Result
+				done := func(r mpisim.Result) { res = append(res, r) }
 				for i := 0; i < c.jobs; i++ {
 					place, err := mpisim.NewPlacement(c.ranks, c.nodes(i), c.ppn)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := w.LaunchJob(simpleShape(c.ranks, 200+10*(i%7)), place, nil); err != nil {
+					if _, err := w.LaunchJob(simpleShape(c.ranks, 200+10*(i%7)), place, done); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -372,7 +368,6 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 					now = now.Add(250 * time.Millisecond)
 					w.StepTo(now)
 				}
-				res := w.results
 				if len(res) != c.jobs {
 					t.Fatalf("%d of %d jobs finished", len(res), c.jobs)
 				}
@@ -567,7 +562,7 @@ func TestGridSteps(t *testing.T) {
 func TestWorldOwnsNoGoroutine(t *testing.T) {
 	cl := testCluster(t)
 	cfg := Config{Seed: 3, StepSize: 250 * time.Millisecond}
-	New(cl, cfg, t0).StepTo(t0.Add(time.Minute)) // the fill workers start with the first world
+	New(cl, cfg, t0).StepTo(t0.Add(time.Minute)) // the run-ahead workers start with the first world
 	base := runtime.NumGoroutine()
 
 	sched := simtime.NewScheduler(t0)
