@@ -58,6 +58,31 @@ func (e *Encoder) Float(key string, f float64) {
 	}
 }
 
+// Milli writes key and k thousandths as Float writes float64(k)/1000:
+// the integer part, then the three-digit fraction with its trailing zeros
+// trimmed. Below 1e15 the decimal k/1000 has at most 15 significant
+// digits, so no other decimal as short rounds to the same double (DBL_DIG,
+// as in nanos): it is the quotient's shortest form. From 1e15 on, Float
+// writes it.
+func (e *Encoder) Milli(key string, k int64) {
+	if k <= -1e15 || k >= 1e15 {
+		e.Float(key, float64(k)/1000)
+		return
+	}
+	b := append(e.B, key...)
+	if k < 0 {
+		b, k = append(b, '-'), -k
+	}
+	b = strconv.AppendInt(b, k/1000, 10)
+	if f := k % 1000; f != 0 {
+		b = append(b, '.', byte('0'+f/100), pairs[2*(f%100)], pairs[2*(f%100)+1])
+		for b[len(b)-1] == '0' {
+			b = b[:len(b)-1]
+		}
+	}
+	e.B = b
+}
+
 // nanos reports f as n nanoseconds, 1e3 <= |n| < 2^53, when the decimal
 // n/1e9 is f's shortest form: the digits strconv's %f would find, since
 // |f| >= 1e-6. n is the rounded product f·1e9 rounded to an integer or,
@@ -235,61 +260,61 @@ func (d *Decoder) Lit(s string) bool {
 // text: -?(0|[1-9][0-9]*), then for a float an optional fraction and
 // exponent. strconv parses more than JSON does (inf, 0x1p3, +1, 01), so
 // the grammar is checked first; whatever ends the match must be the next
-// literal.
-func (d *Decoder) number(key string, float bool) []byte {
+// literal. The scan also sums the digits, the point dropped, into m: nd
+// counts them from the first nonzero one, so m is exact while nd <= 19,
+// and frac counts those after the point. An exponent sets nd past 19, as
+// m is then not the value's digits.
+func (d *Decoder) number(key string, float bool) (s []byte, m uint64, nd, frac int) {
 	if !d.Lit(key) {
-		return nil
+		return nil, 0, 0, 0
 	}
 	b, i := d.B, 0
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	j := digits(b, i)
+	j, m, nd := digits(b, i, 0, 0)
 	ok := j > i && (b[i] != '0' || j == i+1)
 	if i = j; ok && float && i < len(b) && b[i] == '.' {
-		j = digits(b, i+1)
-		ok, i = j > i+1, j
+		j, m, nd = digits(b, i+1, m, nd)
+		ok, frac, i = j > i+1, j-i-1, j
 	}
 	if ok && float && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		i = digits(b, i) // ParseFloat refuses an exponent without digits
+		i, _, _ = digits(b, i, 0, 0) // ParseFloat refuses an exponent without digits
+		nd = 20
 	}
 	if !ok {
 		d.OK = false
-		return nil
+		return nil, 0, 0, 0
 	}
 	d.B = b[i:]
-	return b[:i]
+	return b[:i], m, nd, frac
 }
 
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits scans the digits from b[i] on, adding each to m and counting in
+// nd those from m's first nonzero digit on; past 19 of them m wraps.
+func digits(b []byte, i int, m uint64, nd int) (int, uint64, int) {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if m = 10*m + uint64(b[i]-'0'); m != 0 {
+			nd++
+		}
 	}
-	return i
+	return i, m, nd
 }
 
 // integer consumes key and an integer, parsed the way encoding/json fills
 // an integer field of bitSize bits; a value out of range clears OK. The
-// text has passed number's grammar, and 18 characters of it cannot leave
-// an int64's range, so those are summed here digit by digit.
+// text has passed number's grammar, which allows no leading zero, so 18
+// digits cannot leave an int64's range and number's sum is the value.
 func (d *Decoder) integer(key string, bitSize int) int64 {
-	s := d.number(key, false)
-	if bitSize == 64 && len(s) > 0 && len(s) <= 18 {
-		neg := s[0] == '-'
-		if neg {
-			s = s[1:]
+	s, m, nd, _ := d.number(key, false)
+	if bitSize == 64 && len(s) > 0 && nd <= 18 {
+		if s[0] == '-' {
+			return -int64(m)
 		}
-		var n int64
-		for _, c := range s {
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return n
+		return int64(m)
 	}
 	n, err := strconv.ParseInt(string(s), 10, bitSize)
 	d.OK = d.OK && err == nil
@@ -305,18 +330,35 @@ func (d *Decoder) Int64(key string) int64 { return d.integer(key, 64) }
 // Uint consumes key and an integer, parsed the way encoding/json fills a
 // uint64 field: a minus sign, even on zero, clears OK.
 func (d *Decoder) Uint(key string) uint64 {
-	n, err := strconv.ParseUint(string(d.number(key, false)), 10, 64)
+	s, _, _, _ := d.number(key, false)
+	n, err := strconv.ParseUint(string(s), 10, 64)
 	d.OK = d.OK && err == nil
 	return n
 }
 
 // Float consumes key and a number, parsed as encoding/json fills a
-// float64 field; a value out of range clears OK.
+// float64 field; a value out of range clears OK. Text without an exponent
+// whose digits make an integer m < 2^53, with at most 22 after the point,
+// is m/10^frac: both are exact doubles, so the one correctly rounded
+// division gives the double nearest the decimal, which is ParseFloat's
+// answer. Other text goes to ParseFloat.
 func (d *Decoder) Float(key string) float64 {
-	f, err := strconv.ParseFloat(string(d.number(key, true)), 64)
+	s, m, nd, frac := d.number(key, true)
+	if nd <= 19 && m < 1<<53 && frac < len(pow10) && len(s) > 0 {
+		f := float64(m) / pow10[frac]
+		if s[0] == '-' {
+			f = -f
+		}
+		return f
+	}
+	f, err := strconv.ParseFloat(string(s), 64)
 	d.OK = d.OK && err == nil
 	return f
 }
+
+// pow10 holds the powers of ten that are exact doubles.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // Bool consumes key and true or false.
 func (d *Decoder) Bool(key string) bool {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,10 +167,96 @@ func FuzzFloat(f *testing.F) {
 		f.Add(float64(n)/1e9, n)
 	}
 	f.Fuzz(func(t *testing.T, v float64, ns int64) {
-		checkFloat(t, v)
-		checkFloat(t, time.Duration(ns).Seconds())
-		checkFloat(t, float64(ns))
+		for _, g := range []float64{v, time.Duration(ns).Seconds(), float64(ns)} {
+			checkFloat(t, g)
+			// What Float writes reads back to ParseFloat's bits.
+			e := Encoder{OK: true}
+			if e.Float(``, g); e.OK {
+				checkFloatText(t, string(e.B))
+			}
+		}
 	})
+}
+
+// checkFloatText requires Decoder.Float to read s to the bits
+// strconv.ParseFloat gives it, or to clear OK where encoding/json
+// refuses s.
+func checkFloatText(t testing.TB, s string) {
+	t.Helper()
+	d := Decoder{B: []byte(`{"k":` + s + `}`), OK: true}
+	got := d.Float(`{"k":`)
+	d.Lit(`}`)
+	var ref float64
+	if err := json.Unmarshal([]byte(s), &ref); err != nil {
+		if d.Done() {
+			t.Fatalf("Float(%s) = %v; json.Unmarshal refuses it: %v", s, got, err)
+		}
+		return
+	}
+	want, err := strconv.ParseFloat(s, 64)
+	if !d.Done() || err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Float(%s) = %v (%#x, OK %v); ParseFloat %v (%#x, err %v)",
+			s, got, math.Float64bits(got), d.Done(), want, math.Float64bits(want), err)
+	}
+}
+
+// TestFloatTextMatchesParseFloat holds Decoder.Float to ParseFloat's bits
+// on each side of its m/10^frac path: mantissas of 15 and 16 digits
+// around 2^53, 17 digits, -0 and zeros with a fraction, leading zeros in
+// the fraction, 22 fraction digits and 23, exponents, and seeded draws.
+func TestFloatTextMatchesParseFloat(t *testing.T) {
+	texts := []string{"0", "-0", "0.000", "-0.000", "0.0", "1", "-1", "0.1", "0.001", "0.000123", "-0.000000000000000001",
+		"999999999999999", "0.999999999999999", "99999999999999.9", "9007199254740991", "9007199254740992",
+		"9007199254740993", "900719925474099.1", "0.9007199254740993", "1234567890123456", "12345678901234567",
+		"0.12345678901234567", "0.1234567890123456789012", "0.00000000000000000000001", "1.00000000000000000000",
+		"12345678901234567890", "123456789012345678901", "1e3", "1E-3", "1.5e+2", "-2.5e-324", "1e400", "1e-400",
+		"5e-324", "1.7976931348623157e308", "179769313486231570000000000000000000000", "01", "1.", ".5", "-", "+1", "1e"}
+	r := rng.New(45)
+	for range 20000 {
+		m := r.Uint64() >> (r.Uint64() % 64)
+		s := strconv.FormatUint(m, 10)
+		if p := int(r.Uint64() % 25); p > 0 {
+			s = strings.Repeat("0", max(0, p+1-len(s))) + s
+			s = s[:len(s)-p] + "." + s[len(s)-p:]
+		}
+		if r.Uint64()%3 == 0 {
+			s = "-" + s
+		}
+		texts = append(texts, s)
+	}
+	for _, s := range texts {
+		checkFloatText(t, s)
+	}
+}
+
+// TestMilliMatchesJSON holds Milli(k) to json.Marshal(float64(k)/1000) at
+// the fraction's edges, at the integer path's 1e15 bound and on seeded
+// draws of every magnitude, either sign.
+func TestMilliMatchesJSON(t *testing.T) {
+	ks := []int64{0, 1, -1, 999, -999, 1000, -1000, 1001, 10, 100, 1010, 1100, 1e12, 1e15 - 1, -(1e15 - 1), 1e15,
+		-1e15, 1e15 + 1, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	r := rng.New(46)
+	for range 10000 {
+		k := int64(r.Uint64() >> (r.Uint64() % 64))
+		if r.Uint64()%2 == 0 {
+			k = -k
+		}
+		ks = append(ks, k)
+	}
+	for _, k := range ks {
+		e := Encoder{B: []byte(`{"k":`), OK: true}
+		e.Milli(``, k)
+		if got, want := string(e.B[len(`{"k":`):]), string(must(json.Marshal(float64(k)/1000))); !e.OK || got != want {
+			t.Fatalf("Milli(%d) = %q (OK %v), json.Marshal %q", k, got, e.OK, want)
+		}
+	}
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func BenchmarkFloat(b *testing.B) {

@@ -13,22 +13,39 @@ import (
 // over the versioned store the daemons write through at zero
 // allocations.
 func TestNodeStateTickAllocs(t *testing.T) {
-	r := newRig(t, 3)
-	st := store.Version(store.NewMem())
-	d := NewNodeStateD(1, r.pr, st, 5*time.Second)
-	d.SetObs(obs.NewRegistry())
-	if err := d.Start(r.sched); err != nil {
-		t.Fatal(err)
-	}
-	// An hour at 5 s holds the 15-minute series at its largest, past
-	// several compactions.
-	r.sched.RunFor(time.Hour)
-	now := r.sched.Now()
+	d, now := warmNodeState(t, store.Version(store.NewMem()))
 	if a := testing.AllocsPerRun(200, func() {
 		now = now.Add(5 * time.Second)
 		d.fire(now, d.tick)
 	}); a != 0 {
 		t.Fatalf("warmed NodeStateD tick allocates %v times, want 0", a)
+	}
+}
+
+// warmNodeState starts a NodeStateD publishing into st and runs it for
+// an hour at 5 s, which holds the 15-minute series at its largest, past
+// several compactions; it returns the daemon and the instant it reached.
+func warmNodeState(tb testing.TB, st store.Store) (*NodeStateD, time.Time) {
+	r := newRig(tb, 3)
+	d := NewNodeStateD(1, r.pr, st, 5*time.Second)
+	d.SetObs(obs.NewRegistry())
+	if err := d.Start(r.sched); err != nil {
+		tb.Fatal(err)
+	}
+	r.sched.RunFor(time.Hour)
+	return d, r.sched.Now()
+}
+
+// BenchmarkNodeStateTick times one warmed NodeStateD tick and its
+// heartbeat through fire, over the versioned store the daemons write
+// through.
+func BenchmarkNodeStateTick(b *testing.B) {
+	d, now := warmNodeState(b, store.Version(store.NewMem()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		now = now.Add(5 * time.Second)
+		d.fire(now, d.tick)
 	}
 }
 

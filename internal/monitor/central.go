@@ -151,7 +151,7 @@ func (m *CentralMonitor) masterTick(now time.Time) {
 				m.roleMu.Lock()
 				m.relaunches++
 				m.roleMu.Unlock()
-				_ = m.enc.putHeartbeat(m.st, keys[i], d.Name(), now)
+				writeHeartbeat(m.st, keys[i], heartbeatHead(d.Name()), d.Name(), now)
 				m.obs.Counter("monitor.relaunches.total").Inc()
 				m.obs.Emit(now, "relaunch", d.Name()+" by "+m.name)
 			}

@@ -55,15 +55,17 @@ func getJSON(st store.Store, key string, v any) error {
 	return nil
 }
 
-// writeHeartbeat refreshes the named daemon's heartbeat with a buffer of
-// its own: for the heartbeat a daemon writes when it starts, which may
-// overlap its last tick before a restart. Ticks use the daemon's buffer.
-func writeHeartbeat(st store.Store, name string, now time.Time) {
+// writeHeartbeat puts the named daemon's heartbeat under key, written
+// from head, with a buffer of its own: for the heartbeat a daemon writes
+// when it starts, and a master when it relaunches one. Manager.Start
+// runs off the goroutine that fires the ticks, so it may not touch the
+// encoder they share.
+func writeHeartbeat(st store.Store, key string, head []byte, name string, now time.Time) {
 	var e tickEncoder
 	// Heartbeat failures are deliberately swallowed: a daemon that cannot
 	// reach the store looks dead to the central monitor, which is exactly
 	// the failure semantics we want.
-	_ = e.putHeartbeat(st, heartbeatKey(name), name, now)
+	_ = e.putHeartbeat(st, key, head, name, now)
 }
 
 // heartbeatKey is the store key of the named daemon's heartbeat.
@@ -115,10 +117,13 @@ type daemonBase struct {
 	// and interval gauge, resolved once by SetObs (nil with obs).
 	published *obs.Counter
 	interval  *obs.Gauge
-	// hbKey is heartbeatKey(name), built by the first start; enc is the
-	// buffer every tick encodes into, heartbeat included.
-	hbKey string
-	enc   tickEncoder
+	// hbKey is heartbeatKey(name) and hbHead heartbeatHead(name), built by
+	// the first start. enc is the buffer every tick encodes into,
+	// heartbeat included: the Manager's, shared by all its daemons, or
+	// one the first start makes for a daemon run on its own.
+	hbKey  string
+	hbHead []byte
+	enc    *tickEncoder
 }
 
 // SetObs attaches an instrumentation registry; each tick then records a
@@ -168,12 +173,15 @@ func (d *daemonBase) start(rt simtime.Runtime, tick func(now time.Time)) error {
 		return fmt.Errorf("monitor: daemon %s already running", d.name)
 	}
 	if d.hbKey == "" {
-		d.hbKey = heartbeatKey(d.name)
+		d.hbKey, d.hbHead = heartbeatKey(d.name), heartbeatHead(d.name)
+	}
+	if d.enc == nil {
+		d.enc = new(tickEncoder)
 	}
 	d.cancel = rt.Every(d.period, d.name, func(now time.Time) { d.fire(now, tick) })
 	// Write an immediate heartbeat so the supervisor does not see a fresh
 	// daemon as dead before its first tick.
-	writeHeartbeat(d.st, d.name, rt.Now())
+	writeHeartbeat(d.st, d.hbKey, d.hbHead, d.name, rt.Now())
 	return nil
 }
 
@@ -193,7 +201,7 @@ func (d *daemonBase) fire(now time.Time, tick func(now time.Time)) {
 		return
 	}
 	tick(now)
-	_ = d.enc.putHeartbeat(d.st, d.hbKey, d.name, now) // swallowed, as in writeHeartbeat
+	_ = d.enc.putHeartbeat(d.st, d.hbKey, d.hbHead, d.name, now) // swallowed, as in writeHeartbeat
 	// Publish accounting: count per daemon family, and gauge the
 	// achieved cadence so a stalled or slow family is visible as a
 	// widening interval relative to its configured period.

@@ -13,6 +13,7 @@ import (
 	"nlarm/internal/metrics"
 	"nlarm/internal/rng"
 	"nlarm/internal/stats"
+	"nlarm/internal/store"
 )
 
 func (g tickGen) livehosts() livehostsRecord {
@@ -128,6 +129,25 @@ func TestDecodeNodeAttrsAllocs(t *testing.T) {
 	})
 	if n != 1 {
 		t.Fatalf("NodeAttrs decode allocates %v times, want 1", n)
+	}
+}
+
+// BenchmarkDecodeNodeAttrs times the decode of a node record as a warmed
+// NodeStateD publishes it.
+func BenchmarkDecodeNodeAttrs(b *testing.B) {
+	st := store.NewMem()
+	d, _ := warmNodeState(b, st)
+	rec, err := st.Get(d.key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var a metrics.NodeAttrs
+		if !decodeRecord(rec, &a) {
+			b.Fatalf("fell back: %s", rec)
+		}
 	}
 }
 

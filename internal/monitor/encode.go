@@ -13,11 +13,13 @@ import (
 // tickEncoder appends the JSON of the records the daemons publish on
 // every tick (metrics.NodeAttrs, heartbeat, livehostsRecord, the latency
 // and bandwidth matrices) with canon's writers, byte for byte what
-// json.Marshal writes for them. Each daemon owns one and reuses its
-// buffer on every tick, which is safe because a daemon's ticks never
-// overlap; the store copies what it keeps, so a steady-state publish
-// allocates nothing. Each put method hands what canon refuses, with its
-// error, to putJSON; the record is boxed only on that path.
+// json.Marshal writes for them. A Manager's daemons share one, and a
+// daemon started on its own makes its own: ticks run on the runtime one
+// at a time, so one buffer serves them all, and the records of one
+// instant write its timestamp's text once. The store copies what it
+// keeps, so a steady-state publish allocates nothing. Each put method
+// hands what canon refuses, with its error, to putJSON; the record is
+// boxed only on that path.
 type tickEncoder struct {
 	canon.Encoder
 	// at is the last timestamp written, atText its quoted text and atOK
@@ -50,22 +52,24 @@ func (e *tickEncoder) time(key string, t time.Time) {
 
 func (e *tickEncoder) reset() { e.B, e.OK = e.B[:0], true }
 
-func (e *tickEncoder) putNodeAttrs(st store.Store, key string, a *metrics.NodeAttrs) error {
+// putHeartbeat puts the named daemon's heartbeat at at, written from
+// head, heartbeatHead(name).
+func (e *tickEncoder) putHeartbeat(st store.Store, key string, head []byte, name string, at time.Time) error {
 	e.reset()
-	e.nodeAttrs(a)
-	if !e.OK {
-		return putJSON(st, key, *a)
+	if e.heartbeat(head, at); !e.OK {
+		return putJSON(st, key, heartbeat{Name: name, At: at})
 	}
 	return st.Put(key, e.B)
 }
 
-func (e *tickEncoder) putHeartbeat(st store.Store, key, name string, at time.Time) error {
-	e.reset()
-	e.heartbeat(name, at)
-	if !e.OK {
-		return putJSON(st, key, heartbeat{Name: name, At: at})
+// heartbeatHead is a heartbeat's text up to its timestamp, {"name":…, or
+// nil where canon refuses name.
+func heartbeatHead(name string) []byte {
+	e := canon.Encoder{OK: true}
+	if e.Str(`{"name":`, name); !e.OK {
+		return nil
 	}
-	return st.Put(key, e.B)
+	return e.B
 }
 
 func (e *tickEncoder) putLivehosts(st store.Store, key string, r *livehostsRecord) error {
@@ -97,31 +101,28 @@ func putMatrix[T metrics.PairRecord](e *tickEncoder, st store.Store, key string,
 	return st.Put(key, e.B)
 }
 
-func (e *tickEncoder) nodeAttrs(a *metrics.NodeAttrs) {
-	e.Int(`{"node_id":`, int64(a.NodeID))
-	e.Str(`,"hostname":`, a.Hostname)
-	e.time(`,"timestamp":`, a.Timestamp)
-	e.Int(`,"cores":`, int64(a.Cores))
-	e.Float(`,"freq_ghz":`, a.FreqGHz)
-	e.Float(`,"total_mem_mb":`, a.TotalMemMB)
-	e.Int(`,"users":`, int64(a.Users))
-	e.windowed(`,"cpu_load":`, a.CPULoad)
-	e.windowed(`,"cpu_util_pct":`, a.CPUUtilPct)
-	e.windowed(`,"flow_rate_bps":`, a.FlowRateBps)
-	e.windowed(`,"avail_mem_mb":`, a.AvailMemMB)
-	e.Raw(`}`)
-}
-
-func (e *tickEncoder) windowed(key string, w stats.Windowed) {
+// means writes key and series column c's three window means, c sampled
+// at res steps per unit, as Float writes each mean k's float64(k)/res,
+// but from k: Milli for thousandths, Int for whole units below 2^53
+// (every integer up to 2^53 is a double), Float otherwise.
+func (e *tickEncoder) means(key string, s *stats.Series, c int, res int64) {
 	e.Raw(key)
-	e.Float(`{"M1":`, w.M1)
-	e.Float(`,"M5":`, w.M5)
-	e.Float(`,"M15":`, w.M15)
+	for w, key := range [...]string{`{"M1":`, `,"M5":`, `,"M15":`} {
+		switch k := s.Mean(w, c); {
+		case res == milli:
+			e.Milli(key, k)
+		case res == whole && -1<<53 < k && k < 1<<53:
+			e.Int(key, k)
+		default:
+			e.Float(key, float64(k)/float64(res))
+		}
+	}
 	e.Raw(`}`)
 }
 
-func (e *tickEncoder) heartbeat(name string, at time.Time) {
-	e.Str(`{"name":`, name)
+func (e *tickEncoder) heartbeat(head []byte, at time.Time) {
+	e.OK = e.OK && head != nil
+	e.B = append(e.B, head...)
 	e.time(`,"at":`, at)
 	e.Raw(`}`)
 }

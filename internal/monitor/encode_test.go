@@ -152,7 +152,7 @@ func (e *tickEncoder) encode(v any) bool {
 	case metrics.NodeAttrs:
 		e.nodeAttrs(&r)
 	case heartbeat:
-		e.heartbeat(r.Name, r.At)
+		e.heartbeat(heartbeatHead(r.Name), r.At)
 	case []metrics.PairLatency:
 		canon.AppendList(&e.Encoder, ``, r, e.latency)
 	case []metrics.PairBandwidth:
@@ -161,6 +161,29 @@ func (e *tickEncoder) encode(v any) bool {
 		return false
 	}
 	return e.OK
+}
+
+// nodeAttrs writes a with canon's writers, floats and all. The daemons
+// write their record from the series' integers (NodeStateD.publish); the
+// tests use this one to tell which records of any floats canon takes.
+func (e *tickEncoder) nodeAttrs(a *metrics.NodeAttrs) {
+	e.Int(`{"node_id":`, int64(a.NodeID))
+	e.Str(`,"hostname":`, a.Hostname)
+	e.time(`,"timestamp":`, a.Timestamp)
+	e.Int(`,"cores":`, int64(a.Cores))
+	e.Float(`,"freq_ghz":`, a.FreqGHz)
+	e.Float(`,"total_mem_mb":`, a.TotalMemMB)
+	e.Int(`,"users":`, int64(a.Users))
+	for _, m := range []struct {
+		key string
+		w   stats.Windowed
+	}{{`,"cpu_load":`, a.CPULoad}, {`,"cpu_util_pct":`, a.CPUUtilPct}, {`,"flow_rate_bps":`, a.FlowRateBps}, {`,"avail_mem_mb":`, a.AvailMemMB}} {
+		e.Float(m.key+`{"M1":`, m.w.M1)
+		e.Float(`,"M5":`, m.w.M5)
+		e.Float(`,"M15":`, m.w.M15)
+		e.Raw(`}`)
+	}
+	e.Raw(`}`)
 }
 
 // Property: the record a LivehostsD puts is json.Marshal's bytes, nil and
@@ -215,5 +238,67 @@ func TestRepeatedTimestampsMatchJSON(t *testing.T) {
 		if !decodeRecord(want, &got) || json.Unmarshal(want, &ref) != nil || !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: %s decoded to %v, json.Unmarshal %v", trial, want, got, ref)
 		}
+	}
+}
+
+// Property: the record NodeStateD writes from its series' integers is
+// json.Marshal's bytes for the metrics.NodeAttrs of the same means, each
+// float64(k)/1000 or, for the flow rate, float64(k), and it fails exactly
+// when json.Marshal does. The draws reach past the 1e15 and 2^53 bounds
+// of the integer paths; the static attributes change between ticks, to
+// -0 among others; a hostname that needs escaping and a year past 9999
+// take putJSON, and nothing else does.
+func TestNodeRecordMatchesJSON(t *testing.T) {
+	r := rng.New(31)
+	st := store.NewMem()
+	d := NewNodeStateD(7, nil, st, 5*time.Second)
+	d.enc = new(tickEncoder)
+	draw := func() int64 {
+		k := int64(r.Uint64() >> (8 + r.Intn(56)))
+		if r.Intn(3) == 0 {
+			k = -k
+		}
+		return k
+	}
+	now := t0
+	fallbacks := 0
+	for trial := range 3000 {
+		now = now.Add(time.Duration(1+r.Intn(120)) * time.Second)
+		if err := d.series.Add(now, draw(), draw(), draw(), draw()); err != nil {
+			t.Fatal(err)
+		}
+		host := []string{"csews8", "csews8", "csews9", "", "n<1>", "nöde"}[r.Intn(6)]
+		cores := []int{8, 8, 16}[r.Intn(3)]
+		freq := []float64{3.4, 3.4, 2.1, 0, math.Copysign(0, -1)}[r.Intn(5)]
+		mem := []float64{16384, 16384, 8192.5, 1e21, math.Copysign(0, -1)}[r.Intn(5)]
+		at := now
+		if r.Intn(20) == 0 {
+			at = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+		}
+		users := r.Intn(9) - 1
+		s := d.series
+		mean := func(c int, res float64) stats.Windowed {
+			return stats.Windowed{M1: float64(s.Mean(0, c)) / res, M5: float64(s.Mean(1, c)) / res, M15: float64(s.Mean(2, c)) / res}
+		}
+		want, wantErr := json.Marshal(metrics.NodeAttrs{
+			NodeID: 7, Hostname: host, Timestamp: at, Cores: cores, FreqGHz: freq, TotalMemMB: mem, Users: users,
+			CPULoad: mean(0, 1000), CPUUtilPct: mean(1, 1000), FlowRateBps: mean(2, 1), AvailMemMB: mean(3, 1000),
+		})
+		_ = st.Delete(d.key)
+		gotErr := d.publish(at, users, host, cores, freq, mem)
+		got, _ := st.Get(d.key)
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d:\n got %s (err %v)\nwant %s (err %v)", trial, got, gotErr, want, wantErr)
+		}
+		refused := host == "n<1>" || host == "nöde" || at.Year() > 9999
+		if d.enc.OK == refused {
+			t.Fatalf("trial %d: host %q at %v took putJSON: %v", trial, host, at, !d.enc.OK)
+		}
+		if refused {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no draw took putJSON")
 	}
 }

@@ -94,7 +94,7 @@ func TestFaultStaleForMatchesDoctorThreshold(t *testing.T) {
 		period := periodFor(name, cfg)
 		threshold := thresholdFor(name, cfg)
 		at := t0
-		writeHeartbeat(r.st, name, at)
+		writeHeartbeat(r.st, heartbeatKey(name), heartbeatHead(name), name, at)
 		if m.staleFor(name, period, at.Add(threshold)) {
 			t.Fatalf("%s: stale exactly at threshold %v", name, threshold)
 		}

@@ -16,11 +16,13 @@ import (
 // Manager assembles and runs the complete Resource Monitor: one
 // NodeStateD per node, the LivehostsD replicas, LatencyD, BandwidthD, and
 // the central monitor master/slave pair, all publishing into one shared
-// store.
+// store. Its daemons share one encoder, as the runtime fires them one at
+// a time.
 type Manager struct {
 	cfg Config
 	pr  Prober
 	st  store.Store
+	enc *tickEncoder
 
 	mu          sync.Mutex
 	rt          simtime.Runtime
@@ -36,17 +38,22 @@ type Manager struct {
 // NewManager builds the monitoring stack over prober pr and store st.
 func NewManager(pr Prober, st store.Store, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, pr: pr, st: st}
+	m := &Manager{cfg: cfg, pr: pr, st: st, enc: new(tickEncoder)}
 	for id := 0; id < pr.NumNodes(); id++ {
-		m.nodeStateDs = append(m.nodeStateDs, NewNodeStateD(id, pr, st, cfg.NodeStatePeriod))
+		d := NewNodeStateD(id, pr, st, cfg.NodeStatePeriod)
+		d.enc = m.enc
+		m.nodeStateDs = append(m.nodeStateDs, d)
 	}
 	for r := 0; r < cfg.LivehostsReplicas; r++ {
 		// Replicas run at staggered frequencies, as in the paper.
 		period := cfg.LivehostsPeriod * time.Duration(r+1)
-		m.livehostsDs = append(m.livehostsDs, NewLivehostsD(r, pr, st, period))
+		d := NewLivehostsD(r, pr, st, period)
+		d.enc = m.enc
+		m.livehostsDs = append(m.livehostsDs, d)
 	}
 	m.latencyD = NewLatencyD(pr, st, cfg.LatencyPeriod)
 	m.bandwidthD = NewBandwidthD(pr, st, cfg.BandwidthPeriod)
+	m.latencyD.enc, m.bandwidthD.enc = m.enc, m.enc
 	if cfg.Obs != nil {
 		for _, d := range m.nodeStateDs {
 			d.SetObs(cfg.Obs)
@@ -78,6 +85,7 @@ func (m *Manager) newCentralLocked(role Role, peerName string) *CentralMonitor {
 	m.nextCentral++
 	c := NewCentralMonitor(name, role, m.workerDaemons(), peerName, m.st, m.cfg, Hooks{OnPeerLost: m.onPeerLost})
 	c.SetObs(m.cfg.Obs)
+	c.enc = m.enc
 	m.centrals = append(m.centrals, c)
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nlarm/internal/cluster"
+	"nlarm/internal/metrics"
 	"nlarm/internal/simtime"
 	"nlarm/internal/stats"
 	"nlarm/internal/store"
@@ -22,7 +23,7 @@ type rig struct {
 	pr    *WorldProber
 }
 
-func newRig(t *testing.T, seed uint64) *rig {
+func newRig(t testing.TB, seed uint64) *rig {
 	t.Helper()
 	cl, err := cluster.BuildUniform(2, 4, 8, 3.0, 8192)
 	if err != nil {
@@ -321,6 +322,83 @@ func TestManagerPublishesEverything(t *testing.T) {
 	}
 	if len(snap.Latency) != 28 || len(snap.Bandwidth) != 28 {
 		t.Fatalf("snapshot matrices lat=%d bw=%d", len(snap.Latency), len(snap.Bandwidth))
+	}
+}
+
+// TestManagerSharedEncoder runs a Manager on the wall clock at
+// sub-second periods, with a daemon crashed for the master to relaunch,
+// while another goroutine reads what the daemons publish. All the
+// daemons share one encoder, which only the runtime's driver writes:
+// Start, called here, writes its heartbeats with a buffer of its own.
+// Every node record and heartbeat read decodes on the canonical path,
+// whole and under its own key.
+func TestManagerSharedEncoder(t *testing.T) {
+	cl, err := cluster.BuildUniform(2, 4, 8, 3.0, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := world.New(cl, world.Config{Seed: 9, StepSize: time.Second}, t0)
+	st := store.Version(store.NewMem())
+	ms := time.Millisecond
+	mgr := NewManager(&WorldProber{W: w}, st, Config{NodeStatePeriod: 7 * ms, LivehostsPeriod: 11 * ms,
+		LatencyPeriod: 23 * ms, BandwidthPeriod: 31 * ms, SupervisePeriod: 13 * ms, HeartbeatTimeout: 60 * ms})
+	for _, d := range mgr.nodeStateDs {
+		if d.enc != mgr.enc || mgr.latencyD.enc != mgr.enc {
+			t.Fatal("a managed daemon has an encoder of its own")
+		}
+	}
+	rt := simtime.NewRealRuntime()
+	defer rt.Close()
+	if err := mgr.Start(rt); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		n := 0
+		defer func() { read <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for id := range cl.Size() {
+				var a metrics.NodeAttrs
+				if b, err := st.Get(nodeStateKey(id)); err == nil && (!decodeRecord(b, &a) || a.NodeID != id) {
+					t.Errorf("node %d's record %s read as node %d", id, b, a.NodeID)
+					return
+				} else if err == nil {
+					n++
+				}
+			}
+			keys, _ := st.List(KeyHeartbeatPrefix)
+			for _, k := range keys {
+				var hb heartbeat
+				if b, err := st.Get(k); err == nil && (!decodeRecord(b, &hb) || heartbeatKey(hb.Name) != k) {
+					t.Errorf("heartbeat %s under %s", b, k)
+					return
+				}
+			}
+		}
+	}()
+	time.Sleep(150 * ms)
+	mgr.Daemon("nodestated/2").Crash()
+	deadline := time.Now().Add(5 * time.Second)
+	for !mgr.Daemon("nodestated/2").Running() && time.Now().Before(deadline) {
+		time.Sleep(5 * ms)
+	}
+	if !mgr.Daemon("nodestated/2").Running() {
+		t.Error("the crashed daemon was not relaunched")
+	}
+	time.Sleep(100 * ms)
+	mgr.Stop()
+	close(done)
+	if n := <-read; n == 0 {
+		t.Error("no node record was read")
+	}
+	if ticks := mgr.Daemon("nodestated/0").(*NodeStateD).Ticks(); ticks < 5 {
+		t.Errorf("nodestated/0 ticked %d times", ticks)
 	}
 }
 

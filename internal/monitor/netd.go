@@ -117,7 +117,7 @@ func (d *pairSweep[T]) tick(now time.Time) {
 			}
 		}
 	}
-	_ = putMatrix(&d.enc, d.st, d.key, d.recs, d.write)
+	_ = putMatrix(d.enc, d.st, d.key, d.recs, d.write)
 }
 
 // readMatrix returns the pair matrix published under key, keyed by pair,
