@@ -180,9 +180,11 @@ type ou struct {
 	x, mean, revert, sigma float64
 }
 
-func (p *ou) step(dtSec float64, r *rng.Rand) {
+// step advances p by dtSec; sqrtDt is math.Sqrt(dtSec), which Step
+// takes once for every node.
+func (p *ou) step(dtSec, sqrtDt float64, r *rng.Rand) {
 	p.x += p.revert * (p.mean - p.x) * dtSec
-	p.x += p.sigma * math.Sqrt(dtSec) * r.Norm()
+	p.x += p.sigma * sqrtDt * r.Norm()
 	if p.x < 0 {
 		p.x = 0
 	}
@@ -260,18 +262,22 @@ func (g *Generator) Step(now time.Time, dt time.Duration) {
 		}
 	}
 	g.sessions = live
-	// Poisson session arrivals, modulated by the time of day.
+	// Poisson session arrivals, modulated by the time of day. Every node
+	// draws at one of two rates, each with its Knuth bound taken once.
 	baseRate := g.cfg.SessionRatePerHour / 3600 * dtSec * g.cfg.diurnalFactor(now)
+	heavyRate := baseRate * g.cfg.HeavyMultiplier
+	baseL, heavyL := math.Exp(-baseRate), math.Exp(-heavyRate)
+	sqrtDt := math.Sqrt(dtSec)
 	for id := range g.nodes {
 		ns := &g.nodes[id]
-		ns.loadBase.step(dtSec, ns.rnd)
-		ns.utilBase.step(dtSec, ns.rnd)
-		ns.memBase.step(dtSec, ns.rnd)
-		rate := baseRate
+		ns.loadBase.step(dtSec, sqrtDt, ns.rnd)
+		ns.utilBase.step(dtSec, sqrtDt, ns.rnd)
+		ns.memBase.step(dtSec, sqrtDt, ns.rnd)
+		rate, l := baseRate, baseL
 		if ns.heavy {
-			rate *= g.cfg.HeavyMultiplier
+			rate, l = heavyRate, heavyL
 		}
-		for n := ns.rnd.Poisson(rate); n > 0; n-- {
+		for n := ns.rnd.Poisson(rate, l); n > 0; n-- {
 			g.spawnSession(id, now)
 		}
 	}

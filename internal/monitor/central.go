@@ -64,6 +64,10 @@ type CentralMonitor struct {
 	peerKey    string
 	relaunches int
 	promotions int
+
+	// hr reads the heartbeats of every supervise tick, which the
+	// runtime fires one at a time.
+	hr heartbeatReader
 }
 
 // NewCentralMonitor builds a central monitor instance with the given
@@ -196,7 +200,7 @@ func (m *CentralMonitor) AdoptSupervised(ds []Daemon, peerName string) {
 // thresholdFor applies — so supervision and diagnosis can never disagree
 // about who is dead.
 func (m *CentralMonitor) staleKey(key string, period time.Duration, now time.Time) bool {
-	at, ok := readHeartbeat(m.st, key)
+	at, ok := m.hr.read(m.st, key)
 	if !ok {
 		return true
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"nlarm/internal/canon"
 	"nlarm/internal/obs"
 	"nlarm/internal/simtime"
 	"nlarm/internal/store"
@@ -71,11 +72,33 @@ func writeHeartbeat(st store.Store, key string, head []byte, name string, now ti
 // heartbeatKey is the store key of the named daemon's heartbeat.
 func heartbeatKey(name string) string { return KeyHeartbeatPrefix + name }
 
-// readHeartbeat returns the last heartbeat time stored under key.
-func readHeartbeat(st store.Store, key string) (time.Time, bool) {
-	var hb heartbeat
-	if err := getJSON(st, key, &hb); err != nil {
+// heartbeatReader reads heartbeats through one tickDecoder time cache:
+// the daemons stamp most heartbeats with the instants of a few ticks, so
+// a supervise tick or a diagnosis that reads them all through one reader
+// parses each such instant once.
+type heartbeatReader struct {
+	atText []byte // the cached instant, quoted, in the reader's own buffer
+	at     time.Time
+}
+
+// read returns the last heartbeat time stored under key.
+func (r *heartbeatReader) read(st store.Store, key string) (time.Time, bool) {
+	b, err := st.Get(key)
+	if err != nil {
 		return time.Time{}, false
+	}
+	var hb heartbeat
+	d := tickDecoder{Decoder: canon.Decoder{B: b, OK: true}, atText: r.atText, at: r.at}
+	if !d.heartbeat(&hb) {
+		var slow heartbeat // apart from hb, which then stays off the heap
+		if json.Unmarshal(b, &slow) != nil {
+			return time.Time{}, false
+		}
+		return slow.At, true
+	}
+	// A new instant's text lies in b: copy it rather than keep b.
+	if string(d.atText) != string(r.atText) {
+		r.atText, r.at = append(r.atText[:0], d.atText...), d.at
 	}
 	return hb.At, true
 }

@@ -63,11 +63,7 @@ func decodeSized(b []byte, v any, hint int) bool {
 		d.nodeAttrs(&a)
 		return commit(&d, r, a)
 	case *heartbeat:
-		var h heartbeat
-		h.Name = d.Str(`{"name":`)
-		d.time(`,"at":`, &h.At)
-		d.Lit(`}`)
-		return commit(&d, r, h)
+		return d.heartbeat(r)
 	case *livehostsRecord:
 		var rec livehostsRecord
 		rec.Replica = d.Int(`{"replica":`)
@@ -104,6 +100,16 @@ func commit[T any](d *tickDecoder, r *T, v T) bool {
 	}
 	*r = v
 	return true
+}
+
+// heartbeat decodes the whole input into *r and reports whether it
+// could; on false *r is untouched.
+func (d *tickDecoder) heartbeat(r *heartbeat) bool {
+	var h heartbeat
+	h.Name = d.Str(`{"name":`)
+	d.time(`,"at":`, &h.At)
+	d.Lit(`}`)
+	return commit(d, r, h)
 }
 
 func (d *tickDecoder) nodeAttrs(a *metrics.NodeAttrs) {

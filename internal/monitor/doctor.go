@@ -107,9 +107,10 @@ func Diagnose(st store.Store, now time.Time, cfg Config) (*Diagnosis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: diagnose: %w", err)
 	}
+	var hr heartbeatReader
 	for _, k := range keys {
 		name := strings.TrimPrefix(k, KeyHeartbeatPrefix)
-		at, ok := readHeartbeat(st, k)
+		at, ok := hr.read(st, k)
 		if !ok {
 			continue
 		}

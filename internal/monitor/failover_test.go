@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"nlarm/internal/store"
 )
 
 // chaosSeeds returns the deterministic seed set for failure-injection
@@ -80,6 +82,57 @@ func TestFaultThresholdSingleSourceOfTruth(t *testing.T) {
 // staleFor is staleKey for the named daemon's heartbeat.
 func (m *CentralMonitor) staleFor(name string, period time.Duration, now time.Time) bool {
 	return m.staleKey(heartbeatKey(name), period, now)
+}
+
+// TestHeartbeatReaderMatchesFreshReads reads heartbeats stamped at
+// mixed instants (one text shared by most, another instant, the first
+// instant in another zone), a missing key, garbled records and one that
+// only encoding/json decodes, in an order that moves the shared reader's
+// cached instant back and forth. Every read and every stale verdict must
+// equal a read with a fresh decoder, and a read allocates no record.
+func TestHeartbeatReaderMatchesFreshReads(t *testing.T) {
+	st := store.NewMem()
+	cfg := fastConfig().withDefaults()
+	at := map[string]time.Time{
+		"a1": t0, "a2": t0, "a3": t0, "b1": t0.Add(3500 * time.Millisecond), "b2": t0.Add(3500 * time.Millisecond),
+		"old": t0.Add(-time.Minute), "zone": t0.In(time.FixedZone("", 5*3600+1800)),
+	}
+	for name, when := range at {
+		writeHeartbeat(st, heartbeatKey(name), heartbeatHead(name), name, when)
+	}
+	for name, raw := range map[string]string{
+		"cut":    `{"name":"cut","at":"2020-01-01T00:00:00Z"`,
+		"badat":  `{"name":"badat","at":"2020-01-01T25:00:00Z"}`,
+		"spaced": `{ "name": "spaced", "at": "2020-01-01T00:00:03.5Z" }`,
+	} {
+		if err := st.Put(heartbeatKey(name), []byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := []string{"a1", "a2", "a3", "b1", "b2", "a2", "missing", "a3", "zone", "a1", "cut", "b2", "spaced", "a2", "badat", "old", "b1", "zone", "a3"}
+	m := NewCentralMonitor("centralmon/test", RoleMaster, nil, "", st, cfg, Hooks{})
+	for _, now := range []time.Time{t0, t0.Add(cfg.HeartbeatTimeout + time.Second), t0.Add(time.Hour)} {
+		var shared heartbeatReader
+		for _, name := range names {
+			key := heartbeatKey(name)
+			var hb heartbeat
+			wantOK := getJSON(st, key, &hb) == nil
+			got, ok := shared.read(st, key)
+			if ok != wantOK || !got.Equal(hb.At) || got.String() != hb.At.String() {
+				t.Fatalf("%s: read %v (%v), a fresh decoder reads %v (%v)", name, got, ok, hb.At, wantOK)
+			}
+			period := periodFor(name, cfg)
+			want := !wantOK || now.Sub(hb.At) > stalenessThreshold(period, cfg)
+			if stale := m.staleKey(key, period, now); stale != want {
+				t.Fatalf("%s at %v: stale %v through the monitor's reader, %v fresh", name, now, stale, want)
+			}
+		}
+	}
+	// A read of a cached instant allocates the store's copy and the name.
+	key := heartbeatKey("a1")
+	if a := testing.AllocsPerRun(100, func() { m.staleKey(key, cfg.SupervisePeriod, t0) }); a > 2 {
+		t.Fatalf("a heartbeat read allocates %v times, want 2", a)
+	}
 }
 
 // TestFaultStaleForMatchesDoctorThreshold pins supervision and diagnosis

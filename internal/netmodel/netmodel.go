@@ -228,11 +228,12 @@ func (n *Network) NewJitter(seed uint64) *Jitter {
 // Step advances every link's factor by dt.
 func (j *Jitter) Step(dt time.Duration) {
 	dtSec := dt.Seconds()
+	sqrtDt := math.Sqrt(dtSec / 60)
 	for i, x := range j.factors {
 		// Mean-reverting multiplicative jitter around 1, clamped to a
 		// physical range.
 		x += (1 - x) * dtSec / 120
-		x += j.sigma * math.Sqrt(dtSec/60) * j.rnd[i].Norm()
+		x += j.sigma * sqrtDt * j.rnd[i].Norm()
 		if x < 0.5 {
 			x = 0.5
 		}

@@ -143,8 +143,10 @@ func (r *Rand) Exp(rate float64) float64 {
 }
 
 // Poisson returns a Poisson variate with the given mean (Knuth's method for
-// small means, normal approximation for large means).
-func (r *Rand) Poisson(mean float64) int {
+// small means, normal approximation for large means). l is math.Exp(-mean),
+// Knuth's bound, which a caller drawing many variates at one mean takes
+// once.
+func (r *Rand) Poisson(mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -155,7 +157,6 @@ func (r *Rand) Poisson(mean float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

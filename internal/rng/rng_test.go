@@ -165,17 +165,17 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 
 func TestPoisson(t *testing.T) {
 	r := New(29)
-	if got := r.Poisson(0); got != 0 {
+	if got := r.Poisson(0, 1); got != 0 {
 		t.Fatalf("Poisson(0) = %d", got)
 	}
-	if got := r.Poisson(-1); got != 0 {
+	if got := r.Poisson(-1, math.E); got != 0 {
 		t.Fatalf("Poisson(-1) = %d", got)
 	}
 	for _, mean := range []float64{0.1, 3, 50} {
 		const n = 20000
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
+			sum += r.Poisson(mean, math.Exp(-mean))
 		}
 		got := float64(sum) / n
 		if math.Abs(got-mean) > mean*0.1+0.05 {

@@ -473,64 +473,137 @@ func sameBackground(t *testing.T, what string, got, want background) {
 	}
 }
 
-// TestBackgroundMatchesInlineReference steps a bare generator and the
-// links' jitter inline on the grid, the reference for the run-ahead,
-// over more than three wraps of the world's ring, and requires the
-// world to read the same at every step: a frame dropped or taken twice
-// shifts every reading after it.
+// inline steps a bare generator and the links' jitter on the grid, the
+// reference for the run-ahead, and reads what a world with no job
+// running shows of them.
+type inline struct {
+	cl    *cluster.Cluster
+	step  time.Duration
+	now   time.Time
+	gen   *loadgen.Generator
+	jit   *netmodel.Jitter
+	net   *netmodel.Network
+	flows []netmodel.Flow
+}
+
+func newInline(cl *cluster.Cluster, cfg Config) *inline {
+	r := &inline{cl: cl, step: cfg.StepSize, now: t0, gen: loadgen.New(cl, cfg.Background, cfg.Seed), net: netmodel.New(cl.Topo, cfg.Net)}
+	r.gen.Start(t0)
+	r.jit = r.net.NewJitter(cfg.Seed + 0x9e37)
+	r.update()
+	return r
+}
+
+func (r *inline) update() {
+	r.flows = r.flows[:0]
+	for _, f := range r.gen.Flows() {
+		r.flows = append(r.flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
+	}
+	r.net.Update(r.flows, r.jit.Factors())
+}
+
+// next steps to the next grid instant, returns it, and reports whether
+// the background flows changed in number.
+func (r *inline) next() (time.Time, bool) {
+	r.now = r.now.Add(r.step)
+	prev := len(r.flows)
+	r.gen.Step(r.now, r.step)
+	r.jit.Step(r.step)
+	r.update()
+	return r.now, len(r.flows) != prev
+}
+
+func (r *inline) read() background {
+	var b background
+	n := r.cl.Size()
+	for id := 0; id < n; id++ {
+		nl := r.gen.NodeLoad(id)
+		b.samples = append(b.samples, NodeSample{CPULoad: nl.CPULoad, CPUUtilPct: nl.CPUUtilPct,
+			UsedMemMB: nl.UsedMemMB, Users: nl.Users, FlowRateBps: r.net.NodeFlowRateBps(id)})
+		for _, v := range []int{(id + 1) % n, (id*7 + 13) % n, n - 1 - id} {
+			b.avail = append(b.avail, r.net.AvailBandwidthBps(id, v))
+			b.lat = append(b.lat, r.net.Latency(id, v))
+		}
+	}
+	b.flows = slices.Clone(r.flows)
+	return b
+}
+
+// TestBackgroundMatchesInlineReference steps the inline reference over
+// more than three wraps of the world's ring and requires the world to
+// read the same at every step: a frame dropped or taken twice shifts
+// every reading after it.
 func TestBackgroundMatchesInlineReference(t *testing.T) {
-	const seed = 31
 	// Busy enough that flows start and end within the test's hours.
-	cfg := Config{Seed: seed, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
+	cfg := Config{Seed: 31, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
 	w := New(testCluster(t), cfg, t0)
-	gen := loadgen.New(w.cl, cfg.Background, seed)
-	gen.Start(t0)
-	net := netmodel.New(w.cl.Topo, cfg.Net)
-	jit := net.NewJitter(seed + 0x9e37)
-	var flows []netmodel.Flow
-	update := func() {
-		flows = flows[:0]
-		for _, f := range gen.Flows() {
-			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: netmodel.BackgroundOwner})
-		}
-		net.Update(flows, jit.Factors())
-	}
-	update()
-	ref := func() background {
-		var b background
-		n := w.cl.Size()
-		for id := 0; id < n; id++ {
-			nl := gen.NodeLoad(id)
-			b.samples = append(b.samples, NodeSample{CPULoad: nl.CPULoad, CPUUtilPct: nl.CPUUtilPct,
-				UsedMemMB: nl.UsedMemMB, Users: nl.Users, FlowRateBps: net.NodeFlowRateBps(id)})
-			for _, v := range []int{(id + 1) % n, (id*7 + 13) % n, n - 1 - id} {
-				b.avail = append(b.avail, net.AvailBandwidthBps(id, v))
-				b.lat = append(b.lat, net.Latency(id, v))
-			}
-		}
-		b.flows = slices.Clone(flows)
-		return b
-	}
-	ring := 2 * w.bg.perBatch
+	ref := newInline(w.cl, cfg)
+	ring := len(w.bg.batches) * w.bg.perBatch
 	steps := 3*ring + ring/2
 	changed := 0
-	now := t0
 	for k := 0; k <= steps; k++ {
 		if k > 0 {
-			now = now.Add(cfg.StepSize)
-			prev := len(flows)
-			gen.Step(now, cfg.StepSize)
-			jit.Step(cfg.StepSize)
-			update()
-			if len(flows) != prev {
+			now, moved := ref.next()
+			if moved {
 				changed++
 			}
 			w.StepTo(now)
 		}
-		sameBackground(t, fmt.Sprintf("step %d", k), readBackground(t, w), ref())
+		sameBackground(t, fmt.Sprintf("step %d", k), readBackground(t, w), ref.read())
 	}
 	if changed < 10 {
 		t.Fatalf("the background flows changed at only %d of %d steps", changed, steps)
+	}
+}
+
+// TestFillParksAndResumes stalls the loop at the first frame of every
+// batch until the fill has parked, and requires it to have parked with
+// the ring full, where the watermark has it: a fill stays parked until
+// the world has freed half the ring, then fills it again. The batches
+// written and the frames stepped must agree, and every frame must read
+// as the inline reference.
+func TestFillParksAndResumes(t *testing.T) {
+	cfg := Config{Seed: 17, StepSize: 5 * time.Second, Background: loadgen.Config{SessionRatePerHour: 20}}
+	w := New(testCluster(t), cfg, t0)
+	ref := newInline(w.cl, cfg)
+	a := w.bg
+	nb := len(a.batches)
+	if nb < 4 {
+		t.Fatalf("a ring of %d batches: too few to tell the watermark from a restart at every batch", nb)
+	}
+	full, restarts := nb, 0 // the batches a parked fill has written, by the watermark
+	for k := 0; k <= 3*nb*a.perBatch; k++ {
+		if k > 0 {
+			now, _ := ref.next()
+			w.StepTo(now)
+		}
+		sameBackground(t, fmt.Sprintf("frame %d", k), readBackground(t, w), ref.read())
+		if k%a.perBatch != 0 {
+			continue
+		}
+		taken := k / a.perBatch
+		if 2*(taken+nb-full) >= nb {
+			full, restarts = taken+nb, restarts+1
+		}
+		w.mu.Lock()
+		a.settle()
+		a.mu.Lock()
+		filled, released, running, frames := a.filled, a.released, a.running, a.fillK
+		a.mu.Unlock()
+		w.mu.Unlock()
+		switch {
+		case running:
+			t.Fatalf("batch %d: a fill is queued or running after settle", taken)
+		case released != taken:
+			t.Fatalf("batch %d taken, %d released", taken, released)
+		case filled != full:
+			t.Fatalf("batch %d taken: the fill parked at %d batches written, want %d", taken, filled, full)
+		case frames != filled*a.perBatch:
+			t.Fatalf("batch %d taken: %d batches written in %d frames", taken, filled, frames)
+		}
+	}
+	if restarts < 4 {
+		t.Fatalf("the fill restarted only %d times", restarts)
 	}
 }
 
@@ -565,13 +638,29 @@ func TestWorldOwnsNoGoroutine(t *testing.T) {
 	New(cl, cfg, t0).StepTo(t0.Add(time.Minute)) // the run-ahead workers start with the first world
 	base := runtime.NumGoroutine()
 
+	// Detached mid-ring and mid-batch: the fill may still be filling.
 	sched := simtime.NewScheduler(t0)
-	stop := New(cl, cfg, t0).Attach(sched)
-	sched.RunFor(10 * time.Minute)
+	attached := New(cl, cfg, t0)
+	stop := attached.Attach(sched)
+	a := attached.bg
+	d := time.Duration(len(a.batches)*a.perBatch*30+3*a.perBatch+a.perBatch/2) * cfg.StepSize
+	sched.RunFor(d)
 	stop()
+	a.mu.Lock()
+	running := a.running
+	a.mu.Unlock()
+	if running {
+		t.Fatal("a fill is queued or running after the world was detached")
+	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the attached world stopped, %d before", n, base)
 	}
+	// Stepped on by hand, the detached world reads as one stepped alone.
+	alone := New(cl, cfg, t0)
+	end := t0.Add(d + 2*time.Duration(len(a.batches)*a.perBatch)*cfg.StepSize)
+	advance(alone, t0, end.Sub(t0), cfg.StepSize)
+	advance(attached, t0.Add(d), end.Sub(t0.Add(d)), cfg.StepSize)
+	sameBackground(t, "the detached world", readBackground(t, attached), readBackground(t, alone))
 
 	collected := make(chan struct{})
 	func() {
@@ -619,5 +708,27 @@ func TestWorldsStepConcurrently(t *testing.T) {
 	wg.Wait()
 	for i, w := range worlds {
 		sameBackground(t, fmt.Sprintf("world %d", i), readBackground(t, w), want)
+	}
+}
+
+// BenchmarkBackgroundFrame times one frame of the background on the
+// 60-node rig at the paper loop's 5 s grid, as a fill writes it: every
+// node's load and flows, every link's jitter.
+func BenchmarkBackgroundFrame(b *testing.B) {
+	cl, err := cluster.BuildIITK()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Seed: 42, StepSize: 5 * time.Second}
+	jit := netmodel.New(cl.Topo, cfg.Net).NewJitter(cfg.Seed + 0x9e37)
+	a := &ahead{step: cfg.StepSize, nodes: cl.Size(), links: len(jit.Factors()), perBatch: 1,
+		gen: loadgen.New(cl, cfg.Background, cfg.Seed), jit: jit, fillAt: t0}
+	a.gen.Start(t0)
+	frame := batch{loads: make([]loadgen.NodeLoad, a.nodes), jitter: make([]float64, a.links), flows: make([][]netmodel.Flow, 1)}
+	a.fill(&frame) // the frame at the start, before the first step
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		a.fill(&frame)
 	}
 }
