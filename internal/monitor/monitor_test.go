@@ -286,23 +286,6 @@ func TestLatencyAndBandwidthDaemons(t *testing.T) {
 	}
 }
 
-func TestBandwidthProbeInjection(t *testing.T) {
-	r := newRig(t, 5)
-	r.pr.ProbeTraffic = 50e6
-	r.pr.ProbeDuration = 2 * time.Second
-	bw := NewBandwidthD(r.pr, r.st, 10*time.Second)
-	_ = bw.Start(r.sched)
-	r.sched.RunFor(11 * time.Second)
-	// Probe traffic was injected; it expires after ProbeDuration, so by
-	// now the network is clean again — just assert the sweep happened.
-	if bw.Ticks() == 0 {
-		t.Fatal("bandwidth daemon never ticked")
-	}
-	if _, err := ReadBandwidthMatrix(r.st); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- Manager & central monitor -----------------------------------------------
 
 func TestManagerPublishesEverything(t *testing.T) {

@@ -47,14 +47,7 @@ type Prober interface {
 }
 
 // WorldProber adapts the simulation world to the Prober interface.
-type WorldProber struct {
-	W *world.World
-	// ProbeTraffic, when positive, injects measurement traffic of this
-	// rate for ProbeDuration on every bandwidth probe, reproducing the
-	// footprint of the paper's MPI measurement runs.
-	ProbeTraffic  float64
-	ProbeDuration time.Duration
-}
+type WorldProber struct{ W *world.World }
 
 // NumNodes implements Prober.
 func (p *WorldProber) NumNodes() int { return p.W.Cluster().Size() }
@@ -93,9 +86,5 @@ func (p *WorldProber) MeasureLatency(u, v int) (time.Duration, error) {
 
 // MeasureBandwidth implements Prober.
 func (p *WorldProber) MeasureBandwidth(u, v int) (float64, float64, error) {
-	avail, peak, err := p.W.MeasureBandwidth(u, v)
-	if err == nil && p.ProbeTraffic > 0 && p.ProbeDuration > 0 {
-		p.W.InjectProbe(u, v, p.ProbeTraffic, p.ProbeDuration)
-	}
-	return avail, peak, err
+	return p.W.MeasureBandwidth(u, v)
 }

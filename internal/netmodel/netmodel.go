@@ -1,6 +1,6 @@
 // Package netmodel computes the dynamic state of the cluster network:
 // given the static topology and the set of currently active flows
-// (background transfers, MPI job traffic, monitoring probes), it yields
+// (background transfers and MPI job traffic), it yields
 // the effective peer-to-peer bandwidth and latency between any two nodes,
 // plus the per-node data-flow rate the paper's NodeStateD samples.
 //
@@ -24,7 +24,7 @@ import (
 )
 
 // BackgroundOwner is the Flow.Owner value for traffic that belongs to no
-// simulated job (background sessions, monitoring probes).
+// simulated job (background sessions).
 const BackgroundOwner = 0
 
 // Flow is one active transfer. Dst < 0 denotes a destination outside the

@@ -9,14 +9,14 @@
 // the background flows and every link's jitter, stepped ahead by a
 // fill worker, see ahead.go), every running job progresses at
 // rates dictated by current CPU contention and network state, and the
-// network's link traffic is rebuilt from all active flows (background +
-// jobs + probes), closing the feedback loop: a job slows down the links
+// network's link traffic is rebuilt from the background and job flows
+// (probes carry none), closing the feedback loop: a job slows the links
 // and nodes it uses, which other jobs and the monitor then observe.
 //
 // The background moves on the world's grid, start + k·StepSize: a StepTo
 // that jumps several steps advances it a whole step at a time, and one
-// between grid instants leaves it at the last instant passed. Jobs and
-// probes advance by the real interval either way.
+// between grid instants leaves it at the last instant passed. Jobs
+// advance by the real interval either way.
 package world
 
 import (
@@ -60,11 +60,6 @@ type NodeSample struct {
 	FlowRateBps float64
 }
 
-type probe struct {
-	flow  netmodel.Flow
-	until time.Time
-}
-
 // World is the stepped cluster simulation. All exported methods are safe
 // for concurrent use.
 type World struct {
@@ -83,7 +78,6 @@ type World struct {
 	nextJob int
 	onDone  map[int]func(mpisim.Result)
 	down    map[int]bool
-	probes  []probe
 	flows   []netmodel.Flow // collectFlowsLocked's buffer
 
 	pendingDone []func() // callbacks to fire outside the lock
@@ -150,14 +144,6 @@ func (w *World) StepTo(now time.Time) {
 	}
 	w.compactJobsLocked()
 
-	// Expire probes and rebuild network traffic.
-	live := w.probes[:0]
-	for _, p := range w.probes {
-		if p.until.After(now) {
-			live = append(live, p)
-		}
-	}
-	w.probes = live
 	w.net.Update(w.collectFlowsLocked(), w.bg.jitter)
 	w.now = now
 
@@ -184,17 +170,14 @@ func (w *World) compactJobsLocked() {
 	w.jobs = slices.DeleteFunc(w.jobs, func(j *mpisim.Job) bool { return j == nil })
 }
 
-// collectFlowsLocked gathers background, job, and probe flows, in that
-// order, into a buffer reused by the next call.
+// collectFlowsLocked gathers background and job flows, in that order,
+// into a buffer reused by the next call.
 func (w *World) collectFlowsLocked() []netmodel.Flow {
 	flows := append(w.flows[:0], w.bg.flows...)
 	for _, j := range w.jobs {
 		for _, f := range j.Flows() {
 			flows = append(flows, netmodel.Flow{Src: f.Src, Dst: f.Dst, RateBps: f.RateBps, Owner: j.ID})
 		}
-	}
-	for _, p := range w.probes {
-		flows = append(flows, p.flow)
 	}
 	w.flows = flows
 	return flows
@@ -331,17 +314,6 @@ func (w *World) MeasureBandwidth(u, v int) (availBps, peakBps float64, err error
 		return 0, 0, fmt.Errorf("world: node pair (%d,%d) unreachable", u, v)
 	}
 	return w.net.AvailBandwidthBps(u, v), w.net.PeakBandwidthBps(u, v), nil
-}
-
-// InjectProbe charges measurement traffic between u and v for dur — the
-// footprint of a bandwidth probe itself.
-func (w *World) InjectProbe(u, v int, rateBps float64, dur time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.probes = append(w.probes, probe{
-		flow:  netmodel.Flow{Src: u, Dst: v, RateBps: rateBps, Owner: netmodel.BackgroundOwner},
-		until: w.now.Add(dur),
-	})
 }
 
 // --- Job control ----------------------------------------------------------

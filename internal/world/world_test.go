@@ -214,22 +214,6 @@ func TestLaunchJobValidation(t *testing.T) {
 	}
 }
 
-func TestInjectProbeExpires(t *testing.T) {
-	w := testWorld(t, 9)
-	before, _, _ := w.MeasureBandwidth(0, 1)
-	w.InjectProbe(0, 1, 100e6, 500*time.Millisecond)
-	w.StepTo(t0.Add(100 * time.Millisecond))
-	during, _, _ := w.MeasureBandwidth(0, 1)
-	if during >= before {
-		t.Fatalf("probe traffic invisible: %g -> %g", before, during)
-	}
-	w.StepTo(t0.Add(2 * time.Second))
-	after, _, _ := w.MeasureBandwidth(0, 1)
-	if after <= during {
-		t.Fatal("probe traffic never expired")
-	}
-}
-
 func TestAttachDrivesWorld(t *testing.T) {
 	w := testWorld(t, 10)
 	sched := simtime.NewScheduler(t0)
@@ -388,8 +372,8 @@ func TestWorldSameSeedSameCompletions(t *testing.T) {
 }
 
 // TestCollectFlowsAllocs pins collecting a step's flows (background
-// sessions, a job's traffic and a probe) at zero allocations once the
-// world's buffers are warm.
+// sessions and a job's traffic) at zero allocations once the world's
+// buffers are warm.
 func TestCollectFlowsAllocs(t *testing.T) {
 	// Stepped in 5 s jumps, so a 5 s grid: one background step a jump.
 	w := New(testCluster(t), Config{Seed: 9, StepSize: 5 * time.Second}, t0)
@@ -401,7 +385,6 @@ func TestCollectFlowsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := advance(w, t0, 2*time.Hour, 5*time.Second)
-	w.InjectProbe(3, 40, 1e6, time.Hour)
 	w.StepTo(now.Add(time.Second))
 	w.mu.Lock()
 	defer w.mu.Unlock()
