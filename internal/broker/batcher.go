@@ -19,7 +19,7 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 }
 
 // Batcher coalesces allocate and submit requests and prices each batch
-// against a single snapshot generation (one singleflight refresh and one
+// against a single snapshot generation (one snapshot refresh and one
 // cost-model fetch amortized across the batch, sequential in-batch
 // application so stateful policies and Equation-3 reservations stay
 // consistent). Requests pass per-tenant token-bucket admission on entry

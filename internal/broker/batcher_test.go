@@ -353,3 +353,52 @@ func TestServerCloseWithInflightBatches(t *testing.T) {
 		t.Fatal("clients still blocked 10s after server close")
 	}
 }
+
+// TestConcurrentRefreshSweepsOnce holds what the snapshot cache promises
+// concurrent callers: batches priced at once against a warmed, unchanged
+// store all carry the one fingerprint, and none sweeps the store again.
+// Each caller waits its turn in SnapshotCache.Refresh and takes the
+// unchanged path.
+func TestConcurrentRefreshSweepsOnce(t *testing.T) {
+	r := newRig(t, 29, loadgen.Config{})
+	warm, err := r.b.Allocate(Request{Procs: 4, PPN: 4, Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := r.b.Obs()
+	changed, unchanged := reg.Counter("monitor.snapcache.refresh.changed"), reg.Counter("monitor.snapcache.refresh.unchanged")
+	swept, skipped := changed.Value(), unchanged.Value()
+
+	const callers = 8
+	reqs := []Request{{Procs: 4, PPN: 4, Force: true}, {Procs: 8, PPN: 4, Force: true, Policy: "load-aware"}}
+	results := make([][]BatchResult, callers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			results[g] = r.b.AllocateBatch(reqs)
+		}()
+	}
+	start.Done()
+	wg.Wait()
+
+	for g, res := range results {
+		for i, br := range res {
+			if br.Err != nil {
+				t.Fatalf("caller %d request %d: %v", g, i, br.Err)
+			}
+			if br.Response.SnapshotFP != warm.SnapshotFP {
+				t.Fatalf("caller %d request %d priced against fp %x, store unchanged at %x", g, i, br.Response.SnapshotFP, warm.SnapshotFP)
+			}
+		}
+	}
+	if got := changed.Value(); got != swept {
+		t.Fatalf("unchanged store swept %d more times", got-swept)
+	}
+	if got := unchanged.Value() - skipped; got != callers {
+		t.Fatalf("%d refreshes took the unchanged path, want one a caller (%d)", got, callers)
+	}
+}

@@ -179,12 +179,10 @@ type Broker struct {
 	rnd      *rng.Rand
 	policies map[string]alloc.Policy
 
-	// Delta snapshot pipeline: snapshots come from a SnapshotCache that
-	// re-reads only the keys whose store generation changed; concurrent
-	// Allocate calls coalesce behind one in-flight refresh.
-	cache  *monitor.SnapshotCache
-	sfMu   sync.Mutex
-	sfCall *refreshCall
+	// Delta snapshot pipeline: a SnapshotCache that re-reads only the keys
+	// whose store generation changed. Its Refresh serialises concurrent
+	// callers; those that waited behind a sweep take its unchanged path.
+	cache *monitor.SnapshotCache
 
 	// Cost-model cache: the Equation 1/2 evaluation of the snapshot
 	// content fingerprinted modelFP, so back-to-back Allocate calls against
@@ -220,14 +218,6 @@ type Broker struct {
 	decisions *obs.Ring[DecisionRecord]
 	decMu     sync.Mutex
 	decSeq    uint64
-}
-
-// refreshCall is one in-flight snapshot-cache refresh; concurrent
-// requests wait on done and share its result (singleflight).
-type refreshCall struct {
-	done chan struct{}
-	res  monitor.Refresh
-	err  error
 }
 
 // New builds a broker reading monitoring data from st, with the standard
@@ -271,38 +261,16 @@ func (b *Broker) Policies() []string {
 	return names
 }
 
-// freshView obtains the current monitoring view by a delta refresh of
-// the snapshot cache. Concurrent refreshes coalesce — one caller sweeps
-// the store, the rest wait on its result.
-func (b *Broker) freshView() (monitor.Refresh, error) {
-	b.sfMu.Lock()
-	if call := b.sfCall; call != nil {
-		b.sfMu.Unlock()
-		<-call.done
-		b.obs.Counter("broker.snapshot.refresh.shared").Inc()
-		return call.res, call.err
-	}
-	call := &refreshCall{done: make(chan struct{})}
-	b.sfCall = call
-	b.sfMu.Unlock()
-	call.res, call.err = b.cache.Refresh(b.rt.Now())
-	b.sfMu.Lock()
-	b.sfCall = nil
-	b.sfMu.Unlock()
-	close(call.done)
-	return call.res, call.err
-}
-
 // acquireSnapshot is Allocate's graceful-degradation front end. It
-// prefers a fresh view; when the read fails or the data is older
-// than SnapshotMaxAge it falls back to the last snapshot that passed
-// those checks, marks it Degraded, and — when the livehosts list is
-// still readable — drops nodes no longer in it, so a degraded answer can
-// never place ranks on hosts the monitor has since declared dead. With
-// no last-good copy (the broker never saw a healthy monitor) the
-// original errors surface unchanged.
+// prefers a fresh view, a delta refresh of the snapshot cache; when the
+// read fails or the data is older than SnapshotMaxAge it falls back to
+// the last snapshot that passed those checks, marks it Degraded, and —
+// when the livehosts list is still readable — drops nodes no longer in
+// it, so a degraded answer can never place ranks on hosts the monitor
+// has since declared dead. With no last-good copy (the broker never saw
+// a healthy monitor) the original errors surface unchanged.
 func (b *Broker) acquireSnapshot() (monitor.Refresh, string, error) {
-	sv, err := b.freshView()
+	sv, err := b.cache.Refresh(b.rt.Now())
 	var reason string
 	switch {
 	case err != nil:
@@ -468,7 +436,7 @@ type BatchResult struct {
 }
 
 // AllocateBatch prices every request against one snapshot generation:
-// the snapshot (and its singleflight refresh) is acquired once, then
+// the snapshot (and its delta refresh) is acquired once, then
 // each request, repeats included, is priced in order, exactly as
 // back-to-back Allocate calls against an unchanged store would be —
 // results are bit-identical to that sequential execution, including
