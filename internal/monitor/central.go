@@ -155,7 +155,6 @@ func (m *CentralMonitor) masterTick(now time.Time) {
 				m.roleMu.Lock()
 				m.relaunches++
 				m.roleMu.Unlock()
-				writeHeartbeat(m.st, keys[i], heartbeatHead(d.Name()), d.Name(), now)
 				m.obs.Counter("monitor.relaunches.total").Inc()
 				m.obs.Emit(now, "relaunch", d.Name()+" by "+m.name)
 			}

@@ -29,10 +29,11 @@ const (
 	KeyLeader = "centralmon/leader"
 )
 
-// heartbeat is the liveness record every daemon refreshes on each tick.
+// heartbeat is the liveness record every daemon refreshes on each tick;
+// its key names the daemon. A record an older binary wrote also carries
+// the name, which only encoding/json's path reads past.
 type heartbeat struct {
-	Name string    `json:"name"`
-	At   time.Time `json:"at"`
+	At time.Time `json:"at"`
 }
 
 // putJSON puts v's encoding/json bytes under key: the records no daemon
@@ -56,17 +57,16 @@ func getJSON(st store.Store, key string, v any) error {
 	return nil
 }
 
-// writeHeartbeat puts the named daemon's heartbeat under key, written
-// from head, with a buffer of its own: for the heartbeat a daemon writes
-// when it starts, and a master when it relaunches one. Manager.Start
+// writeHeartbeat puts a heartbeat at now under key with a buffer of its
+// own: for the heartbeat a daemon writes when it starts. Manager.Start
 // runs off the goroutine that fires the ticks, so it may not touch the
 // encoder they share.
-func writeHeartbeat(st store.Store, key string, head []byte, name string, now time.Time) {
+func writeHeartbeat(st store.Store, key string, now time.Time) {
 	var e tickEncoder
 	// Heartbeat failures are deliberately swallowed: a daemon that cannot
 	// reach the store looks dead to the central monitor, which is exactly
 	// the failure semantics we want.
-	_ = e.putHeartbeat(st, key, head, name, now)
+	_ = e.putHeartbeat(st, key, now)
 }
 
 // heartbeatKey is the store key of the named daemon's heartbeat.
@@ -140,13 +140,12 @@ type daemonBase struct {
 	// and interval gauge, resolved once by SetObs (nil with obs).
 	published *obs.Counter
 	interval  *obs.Gauge
-	// hbKey is heartbeatKey(name) and hbHead heartbeatHead(name), built by
-	// the first start. enc is the buffer every tick encodes into,
-	// heartbeat included: the Manager's, shared by all its daemons, or
-	// one the first start makes for a daemon run on its own.
-	hbKey  string
-	hbHead []byte
-	enc    *tickEncoder
+	// hbKey is heartbeatKey(name), built by the first start. enc is the
+	// buffer every tick encodes into, heartbeat included: the Manager's,
+	// shared by all its daemons, or one the first start makes for a
+	// daemon run on its own.
+	hbKey string
+	enc   *tickEncoder
 }
 
 // SetObs attaches an instrumentation registry; each tick then records a
@@ -196,7 +195,7 @@ func (d *daemonBase) start(rt simtime.Runtime, tick func(now time.Time)) error {
 		return fmt.Errorf("monitor: daemon %s already running", d.name)
 	}
 	if d.hbKey == "" {
-		d.hbKey, d.hbHead = heartbeatKey(d.name), heartbeatHead(d.name)
+		d.hbKey = heartbeatKey(d.name)
 	}
 	if d.enc == nil {
 		d.enc = new(tickEncoder)
@@ -204,7 +203,7 @@ func (d *daemonBase) start(rt simtime.Runtime, tick func(now time.Time)) error {
 	d.cancel = rt.Every(d.period, d.name, func(now time.Time) { d.fire(now, tick) })
 	// Write an immediate heartbeat so the supervisor does not see a fresh
 	// daemon as dead before its first tick.
-	writeHeartbeat(d.st, d.hbKey, d.hbHead, d.name, rt.Now())
+	writeHeartbeat(d.st, d.hbKey, rt.Now())
 	return nil
 }
 
@@ -224,7 +223,7 @@ func (d *daemonBase) fire(now time.Time, tick func(now time.Time)) {
 		return
 	}
 	tick(now)
-	_ = d.enc.putHeartbeat(d.st, d.hbKey, d.hbHead, d.name, now) // swallowed, as in writeHeartbeat
+	_ = d.enc.putHeartbeat(d.st, d.hbKey, now) // swallowed, as in writeHeartbeat
 	// Publish accounting: count per daemon family, and gauge the
 	// achieved cadence so a stalled or slow family is visible as a
 	// widening interval relative to its configured period.

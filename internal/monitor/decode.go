@@ -106,8 +106,7 @@ func commit[T any](d *tickDecoder, r *T, v T) bool {
 // could; on false *r is untouched.
 func (d *tickDecoder) heartbeat(r *heartbeat) bool {
 	var h heartbeat
-	h.Name = d.Str(`{"name":`)
-	d.time(`,"at":`, &h.At)
+	d.time(`{"at":`, &h.At)
 	d.Lit(`}`)
 	return commit(d, r, h)
 }

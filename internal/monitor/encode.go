@@ -52,24 +52,13 @@ func (e *tickEncoder) time(key string, t time.Time) {
 
 func (e *tickEncoder) reset() { e.B, e.OK = e.B[:0], true }
 
-// putHeartbeat puts the named daemon's heartbeat at at, written from
-// head, heartbeatHead(name).
-func (e *tickEncoder) putHeartbeat(st store.Store, key string, head []byte, name string, at time.Time) error {
+// putHeartbeat puts a heartbeat at at under key.
+func (e *tickEncoder) putHeartbeat(st store.Store, key string, at time.Time) error {
 	e.reset()
-	if e.heartbeat(head, at); !e.OK {
-		return putJSON(st, key, heartbeat{Name: name, At: at})
+	if e.heartbeat(at); !e.OK {
+		return putJSON(st, key, heartbeat{At: at})
 	}
 	return st.Put(key, e.B)
-}
-
-// heartbeatHead is a heartbeat's text up to its timestamp, {"name":…, or
-// nil where canon refuses name.
-func heartbeatHead(name string) []byte {
-	e := canon.Encoder{OK: true}
-	if e.Str(`{"name":`, name); !e.OK {
-		return nil
-	}
-	return e.B
 }
 
 func (e *tickEncoder) putLivehosts(st store.Store, key string, r *livehostsRecord) error {
@@ -120,10 +109,8 @@ func (e *tickEncoder) means(key string, s *stats.Series, c int, res int64) {
 	e.Raw(`}`)
 }
 
-func (e *tickEncoder) heartbeat(head []byte, at time.Time) {
-	e.OK = e.OK && head != nil
-	e.B = append(e.B, head...)
-	e.time(`,"at":`, at)
+func (e *tickEncoder) heartbeat(at time.Time) {
+	e.time(`{"at":`, at)
 	e.Raw(`}`)
 }
 

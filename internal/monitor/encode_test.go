@@ -73,7 +73,7 @@ func (g tickGen) record() any {
 			CPULoad: g.windowed(), CPUUtilPct: g.windowed(), FlowRateBps: g.windowed(), AvailMemMB: g.windowed(),
 		}
 	case 1:
-		return heartbeat{Name: g.str(), At: g.time()}
+		return heartbeat{At: g.time()}
 	case 2:
 		if n == 0 && g.r.Intn(2) == 0 {
 			return []metrics.PairLatency(nil)
@@ -152,7 +152,7 @@ func (e *tickEncoder) encode(v any) bool {
 	case metrics.NodeAttrs:
 		e.nodeAttrs(&r)
 	case heartbeat:
-		e.heartbeat(heartbeatHead(r.Name), r.At)
+		e.heartbeat(r.At)
 	case []metrics.PairLatency:
 		canon.AppendList(&e.Encoder, ``, r, e.latency)
 	case []metrics.PairBandwidth:
@@ -227,7 +227,7 @@ func TestRepeatedTimestampsMatchJSON(t *testing.T) {
 		if e.OK != (wantErr == nil) || e.OK && !bytes.Equal(e.B, want) {
 			t.Fatalf("trial %d: wrote %s (OK %v); json.Marshal %s (err %v)", trial, e.B, e.OK, want, wantErr)
 		}
-		if hb := (heartbeat{Name: "latencyd", At: list[0].Timestamp}); e.encode(hb) != (list[0].Timestamp.Year() < 10000) ||
+		if hb := (heartbeat{At: list[0].Timestamp}); e.encode(hb) != (list[0].Timestamp.Year() < 10000) ||
 			e.OK && !bytes.Equal(e.B, must(json.Marshal(hb))) {
 			t.Fatalf("trial %d: heartbeat wrote %s (OK %v)", trial, e.B, e.OK)
 		}

@@ -86,8 +86,9 @@ func (m *CentralMonitor) staleFor(name string, period time.Duration, now time.Ti
 
 // TestHeartbeatReaderMatchesFreshReads reads heartbeats stamped at
 // mixed instants (one text shared by most, another instant, the first
-// instant in another zone), a missing key, garbled records and one that
-// only encoding/json decodes, in an order that moves the shared reader's
+// instant in another zone), a missing key, garbled records and two that
+// only encoding/json decodes (one spaced, one in the older form that
+// also names the daemon), in an order that moves the shared reader's
 // cached instant back and forth. Every read and every stale verdict must
 // equal a read with a fresh decoder, and a read allocates no record.
 func TestHeartbeatReaderMatchesFreshReads(t *testing.T) {
@@ -98,18 +99,19 @@ func TestHeartbeatReaderMatchesFreshReads(t *testing.T) {
 		"old": t0.Add(-time.Minute), "zone": t0.In(time.FixedZone("", 5*3600+1800)),
 	}
 	for name, when := range at {
-		writeHeartbeat(st, heartbeatKey(name), heartbeatHead(name), name, when)
+		writeHeartbeat(st, heartbeatKey(name), when)
 	}
 	for name, raw := range map[string]string{
-		"cut":    `{"name":"cut","at":"2020-01-01T00:00:00Z"`,
-		"badat":  `{"name":"badat","at":"2020-01-01T25:00:00Z"}`,
-		"spaced": `{ "name": "spaced", "at": "2020-01-01T00:00:03.5Z" }`,
+		"cut":    `{"at":"2020-01-01T00:00:00Z"`,
+		"badat":  `{"at":"2020-01-01T25:00:00Z"}`,
+		"spaced": `{ "at": "2020-01-01T00:00:03.5Z" }`,
+		"named":  `{"name":"named","at":"` + t0.Format(time.RFC3339Nano) + `"}`,
 	} {
 		if err := st.Put(heartbeatKey(name), []byte(raw)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	names := []string{"a1", "a2", "a3", "b1", "b2", "a2", "missing", "a3", "zone", "a1", "cut", "b2", "spaced", "a2", "badat", "old", "b1", "zone", "a3"}
+	names := []string{"a1", "a2", "a3", "b1", "b2", "a2", "missing", "a3", "zone", "a1", "cut", "b2", "spaced", "named", "a2", "badat", "old", "named", "b1", "zone", "a3"}
 	m := NewCentralMonitor("centralmon/test", RoleMaster, nil, "", st, cfg, Hooks{})
 	for _, now := range []time.Time{t0, t0.Add(cfg.HeartbeatTimeout + time.Second), t0.Add(time.Hour)} {
 		var shared heartbeatReader
@@ -128,10 +130,10 @@ func TestHeartbeatReaderMatchesFreshReads(t *testing.T) {
 			}
 		}
 	}
-	// A read of a cached instant allocates the store's copy and the name.
+	// A read of a cached instant allocates the store's copy only.
 	key := heartbeatKey("a1")
-	if a := testing.AllocsPerRun(100, func() { m.staleKey(key, cfg.SupervisePeriod, t0) }); a > 2 {
-		t.Fatalf("a heartbeat read allocates %v times, want 2", a)
+	if a := testing.AllocsPerRun(100, func() { m.staleKey(key, cfg.SupervisePeriod, t0) }); a > 1 {
+		t.Fatalf("a heartbeat read allocates %v times, want 1", a)
 	}
 }
 
@@ -147,7 +149,7 @@ func TestFaultStaleForMatchesDoctorThreshold(t *testing.T) {
 		period := periodFor(name, cfg)
 		threshold := thresholdFor(name, cfg)
 		at := t0
-		writeHeartbeat(r.st, heartbeatKey(name), heartbeatHead(name), name, at)
+		writeHeartbeat(r.st, heartbeatKey(name), at)
 		if m.staleFor(name, period, at.Add(threshold)) {
 			t.Fatalf("%s: stale exactly at threshold %v", name, threshold)
 		}
